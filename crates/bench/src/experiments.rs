@@ -700,13 +700,18 @@ pub fn fig17(scale: &Scale) {
             .expect("pool");
         print!("{t:>10}");
         for k in engines() {
-            let d = pool.install(|| {
+            // `trials` fresh batches streamed into one engine: a single
+            // batch is a few milliseconds, too short to tell 1 from 2.
+            let d: Duration = pool.install(|| {
                 let mut g = build_engine(k, n, &base);
-                let batch = update_batch(gscale, bs, 55);
-                let (_, d) = time(|| g.insert_batch(&batch));
-                d
+                (0..scale.trials)
+                    .map(|trial| {
+                        let batch = update_batch(gscale, bs, 55 + trial as u64);
+                        time(|| g.insert_batch(&batch)).1
+                    })
+                    .sum()
             });
-            print!("{:>12}", fmt_tput(bs, d));
+            print!("{:>12}", fmt_tput(bs * scale.trials, d));
         }
         println!();
     }

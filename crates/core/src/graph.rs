@@ -59,12 +59,55 @@ pub struct LsGraph {
     /// so a persistence layer that drains it at a checkpoint freeze
     /// (`take_dirty_vertices`) captures exactly the vertices that changed
     /// since the previous freeze.
-    dirty: BTreeSet<VertexId>,
+    dirty: DirtySet,
     /// Batches committed so far; stamps [`BatchEvent::seq`].
     batch_seq: u64,
     /// Post-batch observers, notified in registration order after every
     /// committed batch (see [`PostBatchHook`]).
     hooks: Vec<Box<dyn PostBatchHook>>,
+}
+
+/// A set of vertex ids as one bit per vertex plus a population count:
+/// marking is O(1) (the batch pipeline marks every run of every batch on the
+/// writer thread), reading it out ascending is one scan of the words.
+#[derive(Default)]
+struct DirtySet {
+    /// Bit `v % 64` of word `v / 64`; sized with the vertex table.
+    words: Vec<u64>,
+    count: usize,
+}
+
+impl DirtySet {
+    /// Makes room for ids below `n`.
+    fn grow_to(&mut self, n: usize) {
+        if self.words.len() < n.div_ceil(64) {
+            self.words.resize(n.div_ceil(64), 0);
+        }
+    }
+
+    fn insert(&mut self, v: VertexId) {
+        let (word, bit) = (&mut self.words[v as usize / 64], 1u64 << (v % 64));
+        self.count += usize::from(*word & bit == 0);
+        *word |= bit;
+    }
+
+    /// The members, ascending.
+    fn to_vec(&self) -> Vec<VertexId> {
+        let mut out = Vec::with_capacity(self.count);
+        for (i, &word) in self.words.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                out.push(i as VertexId * 64 + rest.trailing_zeros());
+                rest &= rest - 1;
+            }
+        }
+        out
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+        self.count = 0;
+    }
 }
 
 /// Which pipeline a committed batch went through.
@@ -187,6 +230,8 @@ impl LsGraph {
     /// invalid one as a value instead of panicking.
     pub fn try_with_config(n: usize, cfg: Config) -> Result<Self, ConfigError> {
         cfg.validate()?;
+        let mut dirty = DirtySet::default();
+        dirty.grow_to(n);
         Ok(LsGraph {
             vertices: (0..n).map(|_| Arc::new(VertexBlock::new())).collect(),
             cfg,
@@ -195,7 +240,7 @@ impl LsGraph {
             latency: Arc::new(LatencyStats::new()),
             quarantined: BTreeSet::new(),
             epochs: Arc::new(EpochRegistry::new()),
-            dirty: BTreeSet::new(),
+            dirty,
             batch_seq: 0,
             hooks: Vec::new(),
         })
@@ -309,6 +354,7 @@ impl LsGraph {
         if max_id as usize >= self.vertices.len() {
             self.vertices
                 .resize_with(max_id as usize + 1, || Arc::new(VertexBlock::new()));
+            self.dirty.grow_to(self.vertices.len());
         }
     }
 
@@ -669,12 +715,12 @@ impl LsGraph {
 
     /// Number of vertices mutated since the dirty set was last drained.
     pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
+        self.dirty.count
     }
 
     /// The vertices mutated since the last drain, ascending.
     pub fn dirty_vertices(&self) -> Vec<VertexId> {
-        self.dirty.iter().copied().collect()
+        self.dirty.to_vec()
     }
 
     /// Drains and returns the dirty set (ascending) — the delta-checkpoint
@@ -682,7 +728,9 @@ impl LsGraph {
     /// vertices, so the drained set covers exactly the interval since the
     /// previous drain.
     pub fn take_dirty_vertices(&mut self) -> Vec<VertexId> {
-        std::mem::take(&mut self.dirty).into_iter().collect()
+        let taken = self.dirty.to_vec();
+        self.dirty.clear();
+        taken
     }
 
     /// Clears the dirty set without reading it. A recovery that just
@@ -1198,6 +1246,69 @@ mod tests {
             assert!(!g.has_edge(v, 0), "mirror edge ({v},0) must be gone");
         }
         assert!(g.has_edge(1, 2) && g.has_edge(2, 1));
+        g.check_invariants();
+    }
+
+    /// The dirty set against a `BTreeSet` of what each operation must mark:
+    /// every source of an insert batch, every in-range source of a delete
+    /// batch (whether or not anything changed), every whole-block install.
+    #[test]
+    fn dirty_set_matches_a_btreeset_oracle() {
+        fn check(g: &LsGraph, oracle: &BTreeSet<VertexId>) {
+            assert_eq!(g.dirty_count(), oracle.len());
+            let expect: Vec<VertexId> = oracle.iter().copied().collect();
+            assert_eq!(g.dirty_vertices(), expect, "ascending and exact");
+        }
+        let mut rng = SmallRng::seed_from_u64(16);
+        // 70 is not a multiple of the bitmap's word size.
+        let mut g = LsGraph::from_edges(70, &edges(&[(3, 4), (69, 0)]), Config::default());
+        let mut oracle = BTreeSet::from([3, 69]);
+        check(&g, &oracle);
+        for round in 0..60u32 {
+            // The id range outgrows the vertex table (and the bitmap) as
+            // the rounds go.
+            let ids = 70 + round * 37;
+            let batch: Vec<Edge> = (0..rng.gen_range(1..200))
+                .map(|_| Edge::new(rng.gen_range(0..ids), rng.gen_range(0..ids)))
+                .collect();
+            match round % 5 {
+                0 | 1 => {
+                    g.insert_batch(&batch);
+                    oracle.extend(batch.iter().map(|e| e.src));
+                }
+                2 => {
+                    let n = g.num_vertices();
+                    g.delete_batch(&batch);
+                    oracle.extend(batch.iter().map(|e| e.src).filter(|&s| (s as usize) < n));
+                    assert_eq!(g.num_vertices(), n, "a delete never grows the table");
+                }
+                3 => {
+                    let v = rng.gen_range(0..g.num_vertices() as u32);
+                    g.clear_vertex(v);
+                    oracle.insert(v);
+                }
+                _ => {
+                    // A restore past the end of the table grows it first.
+                    let v = g.num_vertices() as u32 + rng.gen_range(0..100);
+                    g.restore_vertex_from_sorted(v, &[1, 5, 9]);
+                    oracle.insert(v);
+                }
+            }
+            check(&g, &oracle);
+            match round % 7 {
+                3 => {
+                    let expect: Vec<VertexId> = std::mem::take(&mut oracle).into_iter().collect();
+                    assert_eq!(g.take_dirty_vertices(), expect);
+                    check(&g, &oracle);
+                }
+                6 => {
+                    g.clear_dirty();
+                    oracle.clear();
+                    check(&g, &oracle);
+                }
+                _ => {}
+            }
+        }
         g.check_invariants();
     }
 }

@@ -475,6 +475,34 @@ fn quarantined_sources_are_skipped_until_repaired() {
     );
 }
 
+/// The dirty set across a quarantine: the run that panicked is dirty (its
+/// block was reset), later runs skipped for quarantine mark nothing, and the
+/// repair marks the vertex again.
+#[test]
+fn dirty_set_tracks_a_quarantined_run_exactly() {
+    let _l = lock();
+    quiet_failpoint_panics();
+    failpoints::reset();
+    let mut g = LsGraph::with_config(8, cfg());
+    g.insert_batch(&[Edge::new(0, 1), Edge::new(5, 2)]);
+    assert_eq!(g.take_dirty_vertices(), vec![0, 5]);
+    failpoints::configure("apply_run", FailMode::Nth(1));
+    let outcome = g.try_insert_batch(&[Edge::new(5, 3)]).unwrap();
+    failpoints::reset();
+    assert_eq!(outcome.quarantined, vec![5]);
+    assert_eq!(g.take_dirty_vertices(), vec![5]);
+    let outcome = g
+        .try_insert_batch(&[Edge::new(5, 4), Edge::new(6, 4)])
+        .unwrap();
+    assert_eq!(outcome.skipped_quarantined, 1);
+    assert_eq!((g.dirty_count(), g.dirty_vertices()), (1, vec![6]));
+    g.try_delete_batch(&[Edge::new(5, 2)]).unwrap();
+    assert_eq!(g.dirty_vertices(), vec![6]);
+    g.repair_vertex(5, &[2]).unwrap();
+    assert_eq!(g.take_dirty_vertices(), vec![5, 6]);
+    assert_eq!(g.dirty_count(), 0);
+}
+
 #[test]
 fn faults_at_snapshot_flip_leave_live_graph_and_snapshots_intact() {
     let _l = lock();
