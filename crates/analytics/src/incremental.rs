@@ -26,10 +26,26 @@ use crate::subset::VertexSubset;
 pub const INF: u32 = u32::MAX;
 
 /// Maintains BFS hop distances from a fixed source across updates.
+///
+/// Every mutating call returns what it changed as `(vertex, old distance)`
+/// pairs in ascending vertex order (the new distance is in
+/// [`distances`](Self::distances)), so a consumer that mirrors the result
+/// pays for the change, not for the graph. A source beyond the vertex table
+/// reaches nothing until the table grows to hold it.
 #[derive(Clone, Debug)]
 pub struct IncrementalBfs {
     src: u32,
     dist: Vec<u32>,
+    /// `dist` as the previous call left it: the old side of the next report.
+    prev: Vec<u32>,
+}
+
+/// Views the distances as atomics for the parallel relaxation.
+fn as_atomic(dist: &mut [u32]) -> &[AtomicU32] {
+    // SAFETY: `AtomicU32` has the size, alignment and bit validity of `u32`,
+    // and the exclusive borrow rules out non-atomic access while the view
+    // lives (what the unstable `AtomicU32::from_mut_slice` does).
+    unsafe { &*(dist as *mut [u32] as *const [AtomicU32]) }
 }
 
 impl IncrementalBfs {
@@ -38,6 +54,7 @@ impl IncrementalBfs {
         let mut me = IncrementalBfs {
             src,
             dist: Vec::new(),
+            prev: Vec::new(),
         };
         me.recompute(g);
         me
@@ -53,12 +70,20 @@ impl IncrementalBfs {
         &self.dist
     }
 
-    /// Full recomputation (used at construction and after deletions).
-    pub fn recompute<G: Graph + ?Sized>(&mut self, g: &G) {
+    /// Full recomputation (used at construction and after deletions): one
+    /// traversal, then one pass over the old and new distances for the
+    /// report.
+    pub fn recompute<G: Graph + ?Sized>(&mut self, g: &G) -> Vec<(u32, u32)> {
         let n = g.num_vertices();
-        let dist: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(INF)).collect();
-        dist[self.src as usize].store(0, Ordering::Relaxed);
-        let mut frontier = VertexSubset::single(self.src);
+        self.dist.clear();
+        self.dist.resize(n, INF);
+        self.prev.resize(n, INF);
+        let dist = as_atomic(&mut self.dist);
+        let mut frontier = VertexSubset::empty();
+        if (self.src as usize) < n {
+            dist[self.src as usize].store(0, Ordering::Relaxed);
+            frontier = VertexSubset::single(self.src);
+        }
         let mut level = 0u32;
         while !frontier.is_empty() {
             level += 1;
@@ -73,25 +98,35 @@ impl IncrementalBfs {
                 |d| dist[d as usize].load(Ordering::Relaxed) == INF,
             );
         }
-        self.dist = dist.into_iter().map(AtomicU32::into_inner).collect();
+        let mut changes = Vec::new();
+        for (v, (p, &d)) in self.prev.iter_mut().zip(&self.dist).enumerate() {
+            if *p != d {
+                changes.push((v as u32, std::mem::replace(p, d)));
+            }
+        }
+        changes
     }
 
     /// Repairs distances after `batch` was inserted into `g` (call after the
     /// graph update; `g` must already contain the batch).
     ///
     /// Only vertices whose distance actually improves are re-expanded, so a
-    /// batch that touches a settled region costs near nothing.
-    pub fn on_insert<G: Graph + ?Sized>(&mut self, g: &G, batch: &[Edge]) {
+    /// batch that touches a settled region costs O(|batch|) and reads no
+    /// adjacency.
+    pub fn on_insert<G: Graph + ?Sized>(&mut self, g: &G, batch: &[Edge]) -> Vec<(u32, u32)> {
         let n = g.num_vertices();
         if n > self.dist.len() {
             self.dist.resize(n, INF);
+            self.prev.resize(n, INF);
         }
-        let dist: Vec<AtomicU32> = std::mem::take(&mut self.dist)
-            .into_iter()
-            .map(AtomicU32::new)
-            .collect();
-        // Seed: endpoints improved directly by a new edge.
+        let dist = as_atomic(&mut self.dist);
         let mut seeds: Vec<u32> = Vec::new();
+        // The table grew to hold a source that was beyond it.
+        if (self.src as usize) < n && dist[self.src as usize].load(Ordering::Relaxed) == INF {
+            dist[self.src as usize].store(0, Ordering::Relaxed);
+            seeds.push(self.src);
+        }
+        // Seed: endpoints improved directly by a new edge.
         for e in batch {
             let (s, d) = (e.src as usize, e.dst as usize);
             if s >= n || d >= n {
@@ -105,42 +140,36 @@ impl IncrementalBfs {
         }
         seeds.sort_unstable();
         seeds.dedup();
+        let mut improved: Vec<u32> = Vec::new();
         let mut frontier = VertexSubset::Sparse(seeds);
         // Monotone relaxation: propagate improvements until quiescent.
         while !frontier.is_empty() {
+            improved.extend(frontier.to_sparse());
             frontier = edge_map(
                 g,
                 &frontier,
                 |s, d| {
                     let nd = dist[s as usize].load(Ordering::Relaxed).saturating_add(1);
-                    let mut cur = dist[d as usize].load(Ordering::Relaxed);
-                    let mut improved = false;
-                    while nd < cur {
-                        match dist[d as usize].compare_exchange_weak(
-                            cur,
-                            nd,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        ) {
-                            Ok(_) => {
-                                improved = true;
-                                break;
-                            }
-                            Err(c) => cur = c,
-                        }
-                    }
-                    improved
+                    dist[d as usize].fetch_min(nd, Ordering::Relaxed) > nd
                 },
                 |_| true,
             );
         }
-        self.dist = dist.into_iter().map(AtomicU32::into_inner).collect();
+        improved.sort_unstable();
+        improved.dedup();
+        improved
+            .into_iter()
+            .map(|v| {
+                let old = std::mem::replace(&mut self.prev[v as usize], self.dist[v as usize]);
+                (v, old)
+            })
+            .collect()
     }
 
     /// Handles a deletion batch: falls back to full recomputation (the safe
     /// strategy for non-monotone updates).
-    pub fn on_delete<G: Graph + ?Sized>(&mut self, g: &G) {
-        self.recompute(g);
+    pub fn on_delete<G: Graph + ?Sized>(&mut self, g: &G) -> Vec<(u32, u32)> {
+        self.recompute(g)
     }
 }
 

@@ -1452,8 +1452,8 @@ fn standing_cell(
     let mut delivery = Duration::ZERO;
     let mut recompute = Duration::ZERO;
     for t in 0..rounds {
-        // Symmetric batches keep the BFS/CC kernels (which follow out-edges)
-        // and the union-find maintainer (which is undirected) in agreement.
+        // Symmetric batches: membership is maintained as reachability from
+        // the anchor, which is the component only on a symmetric graph.
         let batch = sym(&update_batch(gscale, bs, 1_000 + t as u64));
         let kind = if t % 3 == 2 {
             del_edges += batch.len();
@@ -1469,7 +1469,7 @@ fn standing_cell(
         oracle_window.push(g.batch_seq(), kind, &batch);
 
         // Incremental path: the worker delivers this batch to all four
-        // maintainers and diffs their materialized results.
+        // maintainers and applies the deltas they return.
         let (_, d) = time(|| hub.quiesce());
         delivery += d;
 

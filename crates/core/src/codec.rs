@@ -208,13 +208,22 @@ impl CompressedNeighbors {
     /// Membership probe: branch-free skip-pointer search, then at most one
     /// chunk decode (recorded as `compressed_chunks_decoded`).
     pub fn contains(&self, key: u32) -> bool {
+        let (found, decoded) = self.probe(key);
+        if decoded {
+            StructStats::global().record_compressed_chunk_decoded();
+        }
+        found
+    }
+
+    /// The probe behind [`contains`](Self::contains): whether `key` is
+    /// stored, and whether answering decoded a chunk (one at most).
+    fn probe(&self, key: u32) -> (bool, bool) {
         let Some(c) = search::rightmost_le(&self.first_keys, key) else {
-            return false; // key precedes every chunk (or the set is empty)
+            return (false, false); // key precedes every chunk (or the set is empty)
         };
         if self.first_keys[c] == key {
-            return true; // skip-pointer hit, no decode needed
+            return (true, false); // skip-pointer hit, no decode needed
         }
-        StructStats::global().record_compressed_chunk_decoded();
         let bytes = self.chunk_bytes(c);
         let mut cur = self.first_keys[c];
         let mut pos = 0usize;
@@ -223,10 +232,10 @@ impl CompressedNeighbors {
                 read_varint(bytes, &mut pos).expect("self-encoded chunk streams always decode");
             cur += gap + 1;
             if cur >= key {
-                return cur == key;
+                return (cur == key, true);
             }
         }
-        false
+        (false, true)
     }
 
     /// Applies `f` to every value in ascending order.
@@ -362,15 +371,17 @@ mod tests {
     fn contains_decodes_at_most_one_chunk() {
         let ns: Vec<u32> = (0..10 * CHUNK as u32).map(|i| i * 3).collect();
         let c = CompressedNeighbors::from_sorted(&ns);
-        let before = StructStats::global().snapshot().compressed_chunks_decoded;
+        // Counted from what each probe reports, not from the process-global
+        // sink, which sibling tests feed while this one runs.
+        let mut decoded = 0u64;
         for probe in 0..(ns.len() as u32 * 3 + 5) {
-            assert_eq!(c.contains(probe), probe % 3 == 0 && ns.contains(&probe));
+            let (found, chunk_decoded) = c.probe(probe);
+            assert_eq!(found, probe % 3 == 0 && ns.contains(&probe));
+            assert_eq!(c.contains(probe), found);
+            decoded += u64::from(chunk_decoded);
         }
-        let decoded = StructStats::global().snapshot().compressed_chunks_decoded - before;
-        assert!(
-            decoded <= ns.len() as u64 * 3 + 5,
-            "at most one chunk decode per probe, saw {decoded}"
-        );
+        // Every probe decodes its one chunk, except a chunk's first key.
+        assert_eq!(decoded, ns.len() as u64 * 3 + 5 - c.num_chunks() as u64);
     }
 
     #[test]

@@ -1,22 +1,29 @@
 //! The engine binding: a post-batch hook plus a delivery worker thread.
 //!
 //! [`SubscriptionHub::attach`] installs a [`PostBatchHook`] on an
-//! [`LsGraph`]. After each committed batch the hook does O(1) work on the
-//! writer thread — take a [`GraphSnapshot`] of the freshly published state,
-//! clone the batch, enqueue — and a dedicated worker thread evaluates every
+//! [`LsGraph`]. After each committed batch the hook, on the writer thread,
+//! takes a [`GraphSnapshot`] of the freshly published state, copies the
+//! batch once, and enqueues both; a dedicated worker thread evaluates every
 //! subscription against that snapshot in batch-sequence order. The writer's
 //! batch path therefore **never blocks on delivery**, no matter how slow a
 //! standing query is; backpressure shows up as queued snapshots (visible as
 //! epoch backlog) rather than writer stalls.
 //!
-//! When no subscriptions are registered the hook is a single atomic load.
+//! The hook is not O(1): the batch copy is O(|batch|) and `snapshot()` is
+//! O(V) — one reference-count increment per vertex block, 2.1 ms at 2^17
+//! vertices, which is nearly all of `queries.hook_us` — until the vertex
+//! directory is paged (ROADMAP item 1). When no subscriptions are
+//! registered the hook is a single atomic load.
+//!
+//! The hook sees batches only; the crate documentation says what that
+//! hides from every maintainer and how a `repair_vertex` is still noticed.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use lsgraph_api::Edge;
+use lsgraph_api::{Edge, StructStats};
 use lsgraph_core::{BatchEvent, BatchKind, GraphSnapshot, LsGraph, PostBatchHook};
 
 use crate::delta::{ResultDelta, SubscriptionId};
@@ -38,6 +45,8 @@ struct QueueState {
     /// Delivery suspended (tasks keep queueing).
     paused: bool,
     shutdown: bool,
+    /// The last delivered batch's snapshot (see [`SubscriptionHub`]).
+    retained: Option<GraphSnapshot>,
 }
 
 struct HubInner {
@@ -59,6 +68,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl HubInner {
+    /// Releases the retained snapshot (dropped outside the lock).
+    fn unpin(&self) {
+        let retained = lock(&self.state).retained.take();
+        drop(retained);
+    }
+
     fn worker_loop(self: Arc<Self>) {
         loop {
             let task = {
@@ -83,8 +98,13 @@ impl HubInner {
                 &task.batch,
                 task.lossy,
             );
-            // Release the snapshot's epoch before reporting idle.
-            drop(task);
+            // Release the previous snapshot's epoch before reporting idle;
+            // this one's too if nobody subscribes (a later cancel unpins).
+            let previous = lock(&self.state).retained.replace(task.snapshot);
+            drop(previous);
+            if self.active.load(Ordering::Acquire) == 0 {
+                self.unpin();
+            }
             let mut st = lock(&self.state);
             st.busy = false;
             if st.queue.is_empty() {
@@ -98,6 +118,9 @@ impl HubInner {
 /// [`SubscriptionHub::attach`].
 struct HubHook {
     inner: Arc<HubInner>,
+    stats: Arc<StructStats>,
+    /// `stats.vertices_repaired` as the last enqueued batch saw it.
+    repairs: u64,
 }
 
 impl PostBatchHook for HubHook {
@@ -105,13 +128,16 @@ impl PostBatchHook for HubHook {
         if self.inner.active.load(Ordering::Acquire) == 0 {
             return;
         }
-        let outcome = event.outcome;
+        // A `repair_vertex` rewrote an adjacency behind the batches' back (a
+        // count gone stale while nobody subscribed costs one lossy batch).
+        let repairs = self.stats.vertices_repaired.load(Ordering::Relaxed);
+        let repaired = std::mem::replace(&mut self.repairs, repairs) != repairs;
         let task = Task {
             snapshot: g.snapshot(),
             seq: event.seq,
             kind: event.kind,
             batch: event.batch.to_vec(),
-            lossy: outcome.edges_lost > 0 || outcome.skipped_quarantined > 0,
+            lossy: !event.outcome.is_clean() || repaired,
         };
         let mut st = lock(&self.inner.state);
         if st.shutdown {
@@ -123,6 +149,14 @@ impl PostBatchHook for HubHook {
 }
 
 /// Standing-query delivery attached to one [`LsGraph`].
+///
+/// While anything subscribes, the worker keeps the last delivered batch's
+/// snapshot until the next delivery ends, so the writer always copies its
+/// blocks on write and the graph's layout does not hang on a race with the
+/// worker (`core` sizes a copied block exactly, one grown in place not;
+/// ROADMAP item 3d). The price: one version pinned across an idle stream, no
+/// in-place writes behind a worker that keeps up. [`quiesce`](Self::quiesce)
+/// and cancelling the last subscription release it.
 ///
 /// Dropping the hub shuts the worker down (after draining the queue);
 /// already-issued [`SubscriptionHandle`]s can still poll their final
@@ -148,6 +182,7 @@ impl SubscriptionHub {
                 busy: false,
                 paused: false,
                 shutdown: false,
+                retained: None,
             }),
             work: Condvar::new(),
             idle: Condvar::new(),
@@ -158,8 +193,11 @@ impl SubscriptionHub {
             .name("lsgraph-subscriptions".into())
             .spawn(move || worker_inner.worker_loop())
             .expect("spawn subscription delivery worker");
+        let stats = g.stats_handle();
         g.add_post_batch_hook(Box::new(HubHook {
             inner: Arc::clone(&inner),
+            repairs: stats.vertices_repaired.load(Ordering::Relaxed),
+            stats,
         }));
         SubscriptionHub {
             inner,
@@ -220,6 +258,8 @@ impl SubscriptionHub {
         while st.busy || (!st.queue.is_empty() && !st.shutdown) {
             st = self.inner.idle.wait(st).unwrap_or_else(|e| e.into_inner());
         }
+        drop(st);
+        self.inner.unpin();
     }
 
     /// Drains the queue, then stops and joins the worker. Idempotent;
@@ -310,6 +350,10 @@ impl Drop for SubscriptionHandle {
             let mut reg = lock(&self.inner.registry);
             reg.cancel(self.id);
             self.inner.active.store(reg.len(), Ordering::Release);
+            if reg.is_empty() {
+                // No hook will run the worker again: unpin its snapshot.
+                self.inner.unpin();
+            }
         }
     }
 }
@@ -351,6 +395,36 @@ mod tests {
             sub.result(),
             [(0, 0), (1, 1), (2, 2), (3, 3)].into_iter().collect()
         );
+        hub.shutdown();
+    }
+
+    #[test]
+    fn last_snapshot_stays_pinned_until_quiesce_or_the_last_cancel() {
+        let mut g = LsGraph::with_config(8, Config::default());
+        let hub = SubscriptionHub::attach(&mut g);
+        let sub = hub.subscribe(&g, StandingQuery::KHop { src: 0, k: 3 });
+        let pinned = |g: &LsGraph| {
+            let s = g.struct_stats().expect("lsgraph is instrumented");
+            s.snapshots_taken - s.snapshots_retired
+        };
+        for pair in [(0, 1), (1, 2), (2, 3)] {
+            g.insert_batch_undirected(&sym(&[pair]));
+            while hub.pending() != 0 {
+                std::thread::yield_now();
+            }
+            // Delivered but not quiesced: the writer's next batch meets
+            // exactly this batch's snapshot, however fast delivery was.
+            assert_eq!(pinned(&g), 1);
+        }
+        hub.quiesce();
+        assert_eq!(pinned(&g), 0);
+        g.insert_batch_undirected(&sym(&[(3, 4)]));
+        while hub.pending() != 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(pinned(&g), 1);
+        sub.cancel();
+        assert_eq!(pinned(&g), 0, "no subscriber, nothing pinned");
         hub.shutdown();
     }
 

@@ -13,17 +13,29 @@
 //!   source, windowed edge/triangle counts over the last *W* batches, and
 //!   reachability/component membership.
 //! * [`SubscriptionRegistry`] — owns one incremental maintainer per
-//!   subscription (extending
-//!   [`IncrementalBfs`](lsgraph_analytics::IncrementalBfs) /
-//!   [`IncrementalCc`](lsgraph_analytics::IncrementalCc), plus a sliding
-//!   [`BatchWindow`] with per-batch expiry) and turns each committed batch
-//!   into a [`ResultDelta`] per live subscription.
+//!   subscription ([`IncrementalBfs`](lsgraph_analytics::IncrementalBfs)
+//!   for k-hop and membership, a sliding [`BatchWindow`] with per-batch
+//!   expiry for the windowed counts). Delivery is delta-native: the
+//!   maintainer absorbs a committed batch and returns the [`ResultDelta`],
+//!   which the registry applies to the kept result in place — O(|batch| +
+//!   |Δ|) for an insert batch, one traversal per traversal subscription
+//!   for a delete or lossy batch, never a rebuild of the result.
 //! * [`SubscriptionHub`] — the engine binding: a
 //!   [`PostBatchHook`](lsgraph_core::PostBatchHook) that snapshots the
-//!   freshly published graph and enqueues the batch for a dedicated
-//!   delivery thread, so the writer's batch path **never blocks on
-//!   delivery**; [`SubscriptionHandle`]s poll deltas and materialized
-//!   results.
+//!   freshly published graph (O(V) today, see [`hub`]) and enqueues the
+//!   batch for a dedicated delivery thread, so the writer's batch path
+//!   **never blocks on delivery**; [`SubscriptionHandle`]s poll deltas and
+//!   materialized results.
+//!
+//! Two contracts bound what a subscription sees. The graph must be
+//! **symmetric** (every edge with its mirror), as for every kernel in
+//! `lsgraph-analytics`: membership is maintained as reachability from the
+//! anchor, which is the connected component only then. And maintainers
+//! learn of change from committed batches alone: `clear_vertex` and
+//! `restore_vertex_from_sorted` bypass the batch pipeline and stay
+//! invisible to every maintainer, the windowed counts included, until
+//! [`restart`](SubscriptionHandle::restart); a `repair_vertex` is picked up
+//! with the next batch, which the hub then treats as lossy.
 //!
 //! Delivery is panic-isolated: a subscription whose maintainer panics
 //! (including via the `subscription_deliver` failpoint) is quarantined —

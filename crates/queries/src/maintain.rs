@@ -1,54 +1,59 @@
 //! Per-subscription incremental maintainers.
 //!
 //! Each registered [`StandingQuery`] is backed by a maintainer that absorbs
-//! one committed batch at a time and can materialize the current result on
-//! demand:
+//! one committed batch at a time and *returns* what the batch changed in the
+//! query's result, entry for entry what diffing a materialization taken
+//! before against one taken after would give — without building either:
 //!
-//! * k-hop → [`IncrementalBfs`] (monotone relaxation on inserts, full
-//!   recompute on deletes),
-//! * component membership → [`IncrementalCc`] (union-find on inserts,
-//!   rebuild on deletes),
-//! * windowed counts → a [`BatchWindow`] with per-batch expiry, re-counted
-//!   against the snapshot at materialization time.
+//! * k-hop and component membership → [`IncrementalBfs`] (monotone
+//!   relaxation on inserts, one traversal plus one pass over the old and new
+//!   distances on deletes and lossy commits); membership is k-hop with no
+//!   cutoff and value 1 — the component exactly when the graph is symmetric.
+//! * windowed counts → a [`BatchWindow`], whose candidate map settles each
+//!   edge's presence from the batches themselves.
 
 use std::collections::BTreeMap;
 
-use lsgraph_analytics::{incremental::INF, IncrementalBfs, IncrementalCc};
+use lsgraph_analytics::{incremental::INF, IncrementalBfs};
 use lsgraph_api::{Edge, Graph};
 use lsgraph_core::BatchKind;
 
-use crate::query::{present_window_edges, window_triangles, StandingQuery};
+use crate::query::{window_triangles, StandingQuery};
 use crate::window::BatchWindow;
+
+/// What one batch changed in a result — `(added, removed, changed)`, as the
+/// fields of a [`ResultDelta`](crate::ResultDelta), ascending by key.
+pub type Changes = (Vec<(u32, u64)>, Vec<(u32, u64)>, Vec<(u32, u64, u64)>);
 
 /// The incremental state behind one subscription.
 #[derive(Clone, Debug)]
 pub enum Maintainer {
-    /// Maintains hop distances for [`StandingQuery::KHop`].
-    KHop {
-        /// Hop cutoff (inclusive).
+    /// Maintains hop distances for [`StandingQuery::KHop`] and
+    /// [`StandingQuery::ComponentMembership`].
+    Reach {
+        /// Hop cutoff (inclusive; below [`INF`]).
         k: u32,
+        /// Whether a member's value is its hop distance (k-hop) or 1.
+        hops: bool,
         /// The distance maintainer.
         bfs: IncrementalBfs,
     },
-    /// Maintains a union-find forest for
-    /// [`StandingQuery::ComponentMembership`].
-    Membership {
-        /// Membership anchor vertex.
-        src: u32,
-        /// The component maintainer.
-        cc: IncrementalCc,
-    },
-    /// Maintains the batch window for [`StandingQuery::WindowedEdgeCount`].
-    WindowEdges {
+    /// Maintains the batch window for [`StandingQuery::WindowedEdgeCount`]
+    /// and [`StandingQuery::WindowedTriangleCount`].
+    Window {
         /// Sliding window over recent batches.
         window: BatchWindow,
+        /// Whether the count is of the window's present edges or of the
+        /// triangles among them (re-counted per batch: window-bounded).
+        triangles: bool,
+        /// The current count.
+        count: u64,
     },
-    /// Maintains the batch window for
-    /// [`StandingQuery::WindowedTriangleCount`].
-    WindowTriangles {
-        /// Sliding window over recent batches.
-        window: BatchWindow,
-    },
+}
+
+/// A member's result value at distance `d`.
+fn reach_value(hops: bool, d: u32) -> u64 {
+    u64::from(if hops { d } else { 1 })
 }
 
 impl Maintainer {
@@ -66,33 +71,37 @@ impl Maintainer {
                     "k-hop source {src} out of range (graph has {} vertices)",
                     g.num_vertices()
                 );
-                Maintainer::KHop {
-                    k,
+                Maintainer::Reach {
+                    k: k.min(INF - 1),
+                    hops: true,
                     bfs: IncrementalBfs::new(g, src),
                 }
             }
-            StandingQuery::ComponentMembership { src } => Maintainer::Membership {
-                src,
-                cc: IncrementalCc::new(g),
+            StandingQuery::ComponentMembership { src } => Maintainer::Reach {
+                k: INF - 1,
+                hops: false,
+                bfs: IncrementalBfs::new(g, src),
             },
-            StandingQuery::WindowedEdgeCount { window } => Maintainer::WindowEdges {
+            StandingQuery::WindowedEdgeCount { window }
+            | StandingQuery::WindowedTriangleCount { window } => Maintainer::Window {
                 window: BatchWindow::new(window),
-            },
-            StandingQuery::WindowedTriangleCount { window } => Maintainer::WindowTriangles {
-                window: BatchWindow::new(window),
+                triangles: matches!(query, StandingQuery::WindowedTriangleCount { .. }),
+                count: 0,
             },
         }
     }
 
-    /// Absorbs one committed batch (`g` is the post-batch snapshot).
+    /// Absorbs one committed batch (`g` is the post-batch snapshot) and
+    /// returns what it changed in the result; the registry wraps that in the
+    /// subscription's [`ResultDelta`](crate::ResultDelta).
     ///
     /// `lossy` marks a batch that committed incompletely (quarantined runs
     /// dropped edges, or edges were skipped on quarantined vertices): the
     /// batch contents can no longer be trusted to mirror the graph, so the
     /// traversal maintainers rebuild from the snapshot instead of applying
-    /// incrementally. Window maintainers record the slot either way — the
-    /// batch still happened, its candidates are presence-filtered against
-    /// the snapshot at materialization, and the window must age.
+    /// incrementally, and the window maintainers — which record the slot
+    /// either way, the batch still happened and the window must age —
+    /// re-read every candidate's presence from the snapshot.
     pub fn apply<G: Graph + ?Sized>(
         &mut self,
         g: &G,
@@ -100,69 +109,61 @@ impl Maintainer {
         kind: BatchKind,
         batch: &[Edge],
         lossy: bool,
-    ) {
+    ) -> Changes {
+        let (mut added, mut removed, mut changed) = Changes::default();
         match self {
-            Maintainer::KHop { bfs, .. } => match kind {
-                _ if lossy => bfs.recompute(g),
-                BatchKind::Insert => bfs.on_insert(g, batch),
-                BatchKind::Delete => bfs.on_delete(g),
-            },
-            Maintainer::Membership { cc, .. } => match kind {
-                _ if lossy => *cc = IncrementalCc::new(g),
-                BatchKind::Insert => cc.on_insert(batch),
-                BatchKind::Delete => cc.on_delete(g),
-            },
-            Maintainer::WindowEdges { window } | Maintainer::WindowTriangles { window } => {
-                window.push(seq, kind, batch);
-            }
-        }
-    }
-
-    /// Rebuilds derived state from the snapshot alone (window maintainers
-    /// keep their history: presence is re-checked at materialization).
-    pub fn refresh<G: Graph + ?Sized>(&mut self, g: &G) {
-        match self {
-            Maintainer::KHop { bfs, .. } => bfs.recompute(g),
-            Maintainer::Membership { cc, .. } => *cc = IncrementalCc::new(g),
-            Maintainer::WindowEdges { .. } | Maintainer::WindowTriangles { .. } => {}
-        }
-    }
-
-    /// Materializes the query result against `g`.
-    pub fn materialize<G: Graph + ?Sized>(&mut self, g: &G) -> BTreeMap<u32, u64> {
-        match self {
-            Maintainer::KHop { k, bfs } => {
-                let n = g.num_vertices();
-                bfs.distances()
-                    .iter()
-                    .take(n)
-                    .enumerate()
-                    .filter(|&(_, &d)| d != INF && d <= *k)
-                    .map(|(v, &d)| (v as u32, d as u64))
-                    .collect()
-            }
-            Maintainer::Membership { src, cc } => {
-                let labels = cc.labels();
-                let n = g.num_vertices().min(labels.len());
-                if (*src as usize) >= labels.len() {
-                    return BTreeMap::new();
+            Maintainer::Reach { k, hops, bfs } => {
+                let changes = match kind {
+                    _ if lossy => bfs.recompute(g),
+                    BatchKind::Insert => bfs.on_insert(g, batch),
+                    BatchKind::Delete => bfs.on_delete(g),
+                };
+                let dist = bfs.distances();
+                for (v, old) in changes {
+                    let new = dist[v as usize];
+                    match (old <= *k, new <= *k) {
+                        (false, true) => added.push((v, reach_value(*hops, new))),
+                        (true, false) => removed.push((v, reach_value(*hops, old))),
+                        (true, true) if *hops => changed.push((v, old as u64, new as u64)),
+                        _ => {}
+                    }
                 }
-                let root = labels[*src as usize];
-                labels[..n]
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &l)| l == root)
-                    .map(|(v, _)| (v as u32, 1u64))
-                    .collect()
             }
-            Maintainer::WindowEdges { window } => {
-                let count = present_window_edges(g, window).len() as u64;
-                [(0u32, count)].into_iter().collect()
+            Maintainer::Window {
+                window,
+                triangles,
+                count,
+            } => {
+                window.push(seq, kind, batch);
+                if lossy {
+                    window.reprobe(g);
+                }
+                let new = if *triangles {
+                    window_triangles(&window.present_edges())
+                } else {
+                    window.present_count()
+                };
+                if new != *count {
+                    changed.push((0, std::mem::replace(count, new), new));
+                }
             }
-            Maintainer::WindowTriangles { window } => {
-                let count = window_triangles(&present_window_edges(g, window));
-                [(0u32, count)].into_iter().collect()
-            }
+        }
+        (added, removed, changed)
+    }
+
+    /// Materializes the query result (registration bootstrap, restart, and
+    /// the tests' oracle; delivery applies the deltas instead).
+    pub fn materialize<G: Graph + ?Sized>(&self, g: &G) -> BTreeMap<u32, u64> {
+        match self {
+            Maintainer::Reach { k, hops, bfs } => bfs
+                .distances()
+                .iter()
+                .take(g.num_vertices())
+                .enumerate()
+                .filter(|&(_, &d)| d <= *k)
+                .map(|(v, &d)| (v as u32, reach_value(*hops, d)))
+                .collect(),
+            Maintainer::Window { count, .. } => [(0u32, *count)].into(),
         }
     }
 }
@@ -252,15 +253,17 @@ mod tests {
     }
 
     #[test]
-    fn refresh_rebuilds_from_snapshot() {
+    fn lossy_apply_rebuilds_from_snapshot() {
         let edges = sym(&[(0, 1), (1, 2)]);
         let g = Csr::from_edges(4, &edges);
         let mut m = Maintainer::new(
             &StandingQuery::KHop { src: 0, k: 3 },
             &Csr::from_edges(4, &[]),
         );
-        // Skip apply entirely: refresh alone must converge to the snapshot.
-        m.refresh(&g);
+        // The batch says nothing: a lossy apply must converge to the snapshot.
+        let (added, removed, changed) = m.apply(&g, 1, BatchKind::Insert, &[], true);
+        assert_eq!(added, vec![(1, 1), (2, 2)]);
+        assert!(removed.is_empty() && changed.is_empty());
         assert_eq!(
             m.materialize(&g),
             StandingQuery::KHop { src: 0, k: 3 }.oracle(&g, &BatchWindow::new(1))

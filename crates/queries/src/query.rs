@@ -20,8 +20,12 @@ use crate::window::BatchWindow;
 ///   number of triangles whose three (undirected) edges all lie in that same
 ///   present-window edge set; a scalar delivered at key `0`.
 /// * [`ComponentMembership`](StandingQuery::ComponentMembership) — every
-///   vertex reachable from `src` (same connected component), keyed by vertex
-///   id, valued `1`.
+///   vertex reachable from `src`, keyed by vertex id, valued `1`. On a
+///   **symmetric** graph (every edge stored with its mirror — the contract
+///   of all of `lsgraph-analytics`, `connected_components` included) that
+///   is `src`'s connected component; on any other graph the maintainer
+///   follows out-edges and the oracle's label propagation does not, so the
+///   query is defined for symmetric graphs only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StandingQuery {
     /// Vertices within `k` hops of `src`, with their hop distance.
@@ -41,7 +45,8 @@ pub enum StandingQuery {
         /// Window size in batches.
         window: usize,
     },
-    /// Vertices in the same connected component as `src`.
+    /// Vertices in the same connected component as `src` (symmetric graphs
+    /// only: maintained as reachability from `src`).
     ComponentMembership {
         /// Membership anchor vertex.
         src: u32,

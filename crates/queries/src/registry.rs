@@ -93,7 +93,7 @@ impl SubscriptionRegistry {
     ) -> SubscriptionId {
         let id = SubscriptionId(self.next_id);
         self.next_id += 1;
-        let mut maintainer = Maintainer::new(&query, g);
+        let maintainer = Maintainer::new(&query, g);
         let result = maintainer.materialize(g);
         let bootstrap = diff(id, since_seq, &BTreeMap::new(), &result);
         self.subs.push(SubEntry {
@@ -124,9 +124,11 @@ impl SubscriptionRegistry {
     /// `g` must be the post-batch snapshot. `lossy` marks batches whose
     /// commit dropped edges (quarantined runs); traversal maintainers then
     /// rebuild from the snapshot instead of applying the batch
-    /// incrementally, while window maintainers still record the slot (see
-    /// [`Maintainer::apply`]). Each live subscription emits exactly one delta (possibly
-    /// empty). A maintainer that panics — organically or via the
+    /// incrementally, while window maintainers still record the slot and
+    /// re-read their candidates' presence (see [`Maintainer::apply`]). Each
+    /// live subscription emits exactly one delta (possibly empty): the one
+    /// its maintainer returned, applied to the kept result in place — no
+    /// materialization, no diff. A maintainer that panics — organically or via the
     /// `subscription_deliver` failpoint evaluated once per live
     /// subscription — is dropped in place (no torn state survives) and the
     /// subscription is quarantined; the others keep receiving deltas.
@@ -153,17 +155,22 @@ impl SubscriptionRegistry {
             let outcome = catch_unwind(AssertUnwindSafe(move || {
                 let mut m = maintainer;
                 fail_point!("subscription_deliver");
-                m.apply(g, seq, kind, batch, lossy);
-                let new = m.materialize(g);
-                (m, new)
+                let changes = m.apply(g, seq, kind, batch, lossy);
+                (m, changes)
             }));
             match outcome {
-                Ok((m, new)) => {
-                    let d = diff(sub.id, seq, &sub.result, &new);
+                Ok((m, (added, removed, changed))) => {
+                    let d = ResultDelta {
+                        sub: sub.id,
+                        seq,
+                        added,
+                        removed,
+                        changed,
+                    };
                     if let Some(stats) = &self.stats {
                         stats.record_delta_delivered(d.entries());
                     }
-                    sub.result = new;
+                    d.apply_to(&mut sub.result);
                     sub.pending.push(d);
                     sub.state = SubState::Live(m);
                 }
@@ -192,7 +199,7 @@ impl SubscriptionRegistry {
         if !matches!(sub.state, SubState::Quarantined { .. }) {
             return false;
         }
-        let mut maintainer = Maintainer::new(&sub.query, g);
+        let maintainer = Maintainer::new(&sub.query, g);
         let new = maintainer.materialize(g);
         let d = diff(sub.id, seq, &sub.result, &new);
         if let Some(stats) = &self.stats {

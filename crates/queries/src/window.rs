@@ -3,31 +3,41 @@
 //! Windowed standing queries ("edge/triangle count over the last W
 //! batches") need per-batch expiry: when batch `seq` commits, the
 //! contribution of batch `seq - W` leaves the window. The window keeps one
-//! slot per observed batch — insert batches contribute their (deduplicated)
-//! edges, delete batches contribute nothing but still occupy a slot and age
-//! the window — so expiry is exact and deterministic.
+//! slot per observed batch — insert batches contribute their edges, delete
+//! batches contribute nothing but still occupy a slot and age the window —
+//! so expiry is exact and deterministic.
+//!
+//! Beside the slots it keeps the *candidate map*: every distinct edge an
+//! in-window insert batch carried, how many times (expiry is a decrement),
+//! and whether it is in the graph. A cleanly committed batch settles that
+//! flag itself — inserts present, deletes absent — so [`push`](BatchWindow::push)
+//! is O(|batch|) and reads no graph; a lossy commit needs
+//! [`reprobe`](BatchWindow::reprobe).
 
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
-use lsgraph_api::Edge;
+use lsgraph_api::{Edge, Graph};
 use lsgraph_core::BatchKind;
 
-/// One observed batch inside the window.
-#[derive(Clone, Debug)]
-pub struct WindowSlot {
-    /// Sequence number of the batch this slot records.
-    pub seq: u64,
-    /// Whether the batch inserted or deleted edges.
-    pub kind: BatchKind,
-    /// Deduplicated edges of an insert batch (empty for deletes).
-    pub edges: Vec<Edge>,
+#[derive(Clone, Copy, Debug, Default)]
+struct Candidate {
+    /// Occurrences across the in-window insert batches.
+    refs: u32,
+    /// Whether the edge is in the graph, as far as the batches told.
+    present: bool,
 }
 
 /// Sliding window retaining the last `cap` batches.
 #[derive(Clone, Debug)]
 pub struct BatchWindow {
     cap: usize,
-    slots: VecDeque<WindowSlot>,
+    /// Per observed batch: its `seq` and, for an insert batch, its edges as
+    /// passed (the decrements its expiry owes).
+    slots: VecDeque<(u64, Vec<Edge>)>,
+    candidates: HashMap<(u32, u32), Candidate>,
+    /// Candidates flagged present.
+    present: u64,
 }
 
 impl BatchWindow {
@@ -36,6 +46,8 @@ impl BatchWindow {
         BatchWindow {
             cap: cap.max(1),
             slots: VecDeque::new(),
+            candidates: HashMap::new(),
+            present: 0,
         }
     }
 
@@ -57,21 +69,61 @@ impl BatchWindow {
     /// Observes one committed batch, expiring the slot that falls out of
     /// the window.
     pub fn push(&mut self, seq: u64, kind: BatchKind, batch: &[Edge]) {
-        let mut edges = match kind {
-            BatchKind::Insert => batch.to_vec(),
-            BatchKind::Delete => Vec::new(),
-        };
-        edges.sort_unstable_by_key(|e| (e.src, e.dst));
-        edges.dedup_by_key(|e| (e.src, e.dst));
-        self.slots.push_back(WindowSlot { seq, kind, edges });
+        match kind {
+            BatchKind::Insert => {
+                for e in batch {
+                    let c = self.candidates.entry((e.src, e.dst)).or_default();
+                    c.refs += 1;
+                    self.present += u64::from(!std::mem::replace(&mut c.present, true));
+                }
+                self.slots.push_back((seq, batch.to_vec()));
+            }
+            BatchKind::Delete => {
+                for e in batch {
+                    if let Some(c) = self.candidates.get_mut(&(e.src, e.dst)) {
+                        self.present -= u64::from(std::mem::replace(&mut c.present, false));
+                    }
+                }
+                self.slots.push_back((seq, Vec::new()));
+            }
+        }
         while self.slots.len() > self.cap {
-            self.slots.pop_front();
+            let (_, expired) = self.slots.pop_front().expect("len > cap >= 1");
+            for e in expired {
+                let Entry::Occupied(mut c) = self.candidates.entry((e.src, e.dst)) else {
+                    unreachable!("an in-window edge has a candidate entry");
+                };
+                c.get_mut().refs -= 1;
+                if c.get().refs == 0 {
+                    self.present -= u64::from(c.remove().present);
+                }
+            }
         }
     }
 
-    /// Drops all slots (a restarted windowed subscription begins empty).
-    pub fn clear(&mut self) {
-        self.slots.clear();
+    /// Re-reads every candidate's presence from `g`, for when a batch
+    /// committed incompletely and its contents stopped mirroring the graph.
+    pub fn reprobe<G: Graph + ?Sized>(&mut self, g: &G) {
+        let n = g.num_vertices();
+        self.present = 0;
+        for (&(s, d), c) in &mut self.candidates {
+            c.present = (s as usize) < n && (d as usize) < n && g.has_edge(s, d);
+            self.present += u64::from(c.present);
+        }
+    }
+
+    /// How many candidates are in the graph.
+    pub fn present_count(&self) -> u64 {
+        self.present
+    }
+
+    /// The candidates that are in the graph, in no particular order.
+    pub fn present_edges(&self) -> Vec<Edge> {
+        self.candidates
+            .iter()
+            .filter(|(_, c)| c.present)
+            .map(|(&(s, d), _)| Edge::new(s, d))
+            .collect()
     }
 
     /// Distinct directed edges inserted by batches still inside the window,
@@ -82,12 +134,11 @@ impl BatchWindow {
     /// it while its insert slot is still in the window).
     pub fn candidate_edges(&self) -> Vec<Edge> {
         let mut all: Vec<Edge> = self
-            .slots
-            .iter()
-            .flat_map(|s| s.edges.iter().copied())
+            .candidates
+            .keys()
+            .map(|&(s, d)| Edge::new(s, d))
             .collect();
         all.sort_unstable_by_key(|e| (e.src, e.dst));
-        all.dedup_by_key(|e| (e.src, e.dst));
         all
     }
 }

@@ -68,9 +68,8 @@ pub mod gen {
 
 /// Standing-query subscriptions: registered incremental queries (k-hop,
 /// windowed edge/triangle counts, component membership) maintained by
-/// [`IncrementalBfs`](analytics::IncrementalBfs) /
-/// [`IncrementalCc`](analytics::IncrementalCc)-style maintainers and
-/// delivered as per-batch result deltas off the writer thread.
+/// [`IncrementalBfs`](analytics::IncrementalBfs) and a sliding batch
+/// window, and delivered as per-batch result deltas off the writer thread.
 pub mod queries {
     pub use lsgraph_queries::{
         BatchWindow, Maintainer, ResultDelta, StandingQuery, SubscriptionHandle, SubscriptionHub,
