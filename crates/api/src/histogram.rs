@@ -29,7 +29,6 @@
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::counters::{Phase, PhaseTimer, StructStats};
 use crate::trace::{self, SpanKind};
 
 /// Number of log2 buckets; covers every representable `u64` nanosecond value.
@@ -298,8 +297,8 @@ pub struct LatencyStats {
     pub reader: LatencyHistogram,
 }
 
-/// Process-wide sink for call paths not wired to an engine instance — in
-/// particular the analytics kernels, which run over any `Graph`.
+/// Process-wide sink for the analytics kernels: they are generic over
+/// `&dyn Graph`, so there is no engine instance to record into.
 static GLOBAL_LATENCY: LatencyStats = LatencyStats::new();
 
 impl LatencyStats {
@@ -372,14 +371,12 @@ impl LatencySnapshot {
     }
 }
 
-/// Scoped guard for one analytics-kernel invocation: attributes wall-clock
-/// time to [`Phase::Kernel`] on the global [`StructStats`], records the
-/// elapsed latency into the global kernel histogram, and emits a named
-/// `kernel` trace span — all on drop.
+/// Scoped guard for one analytics-kernel invocation: records the elapsed
+/// latency into the global kernel histogram (whose `sum` is the total kernel
+/// time) and emits a named `kernel` trace span — both on drop.
 #[must_use = "the guard records on drop; binding it to `_` drops immediately"]
 pub struct KernelScope {
     start: Instant,
-    _timer: PhaseTimer<'static>,
     _span: trace::Span,
 }
 
@@ -387,7 +384,6 @@ pub struct KernelScope {
 pub fn kernel_scope(name: &'static str) -> KernelScope {
     KernelScope {
         start: Instant::now(),
-        _timer: StructStats::global().time(Phase::Kernel),
         _span: trace::span_named(SpanKind::Kernel, name),
     }
 }

@@ -11,6 +11,7 @@ pub mod edge;
 pub mod failpoints;
 pub mod footprint;
 pub mod histogram;
+pub mod metric;
 pub mod metrics;
 pub mod trace;
 
@@ -20,6 +21,7 @@ pub use footprint::{Footprint, MemoryFootprint};
 pub use histogram::{
     kernel_scope, HistogramSnapshot, KernelScope, LatencyHistogram, LatencySnapshot, LatencyStats,
 };
+pub use metric::{Gate, MetricDesc, MetricKind};
 pub use metrics::{MetricsRegistry, RegistrySample, Sampler, SamplerThread};
 pub use trace::{Span, SpanKind};
 

@@ -1,9 +1,9 @@
 //! Unified metrics registry, time-series sampling, and Prometheus export.
 //!
-//! The observability pieces grown so far — [`StructStats`] counters, the
-//! four [`LatencyStats`] histograms, the persist-layer counters recorded
-//! into `StructStats` (`wal_frames_appended`, `checkpoint_bytes`), and the
-//! `epoch_reclaim_backlog` gauge — are all read **once, at report time**.
+//! The observability pieces grown so far — [`StructStats`] counters and
+//! gauges (the persist and queries layers record into the owning engine's
+//! instance too) and the four [`LatencyStats`] histograms — are all read
+//! **once, at report time**.
 //! A 60-second `repro mixed` run therefore collapses writer stalls, CoW
 //! bursts, and reclamation backlog spikes into single end-of-run numbers.
 //!
@@ -11,9 +11,10 @@
 //!
 //! - [`MetricsRegistry`] adapts every existing source behind one
 //!   named-metric interface: counters (monotone), gauges (point-in-time:
-//!   `ria_max_ripple_span`, `ria_bound`, `checkpoint_bytes`,
-//!   `epoch_reclaim_backlog`, see [`GAUGE_FIELDS`]), and histograms. A
-//!   [`MetricsRegistry::sample`] is a deterministic, pinned-order snapshot.
+//!   the rows of the metric table whose
+//!   [`MetricKind::is_gauge`](crate::MetricKind::is_gauge)), and
+//!   histograms. A [`MetricsRegistry::sample`] is a deterministic,
+//!   pinned-order snapshot.
 //! - A JSONL **time-series sink** ([`stream_to_file`]) mirrors the
 //!   [`crate::trace::stream_to_file`] pattern: a process-global buffered
 //!   sink behind a `Mutex`, a relaxed [`AtomicBool`] fast-path flag, and an
@@ -42,32 +43,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::counters::StructStats;
+use crate::counters::{StructSnapshot, StructStats};
 use crate::fail_point;
 use crate::histogram::{bucket_index, bucket_upper_bound, HistogramSnapshot, LatencyStats};
 
 /// Schema tag written as the first JSONL line by [`write_header`].
 pub const METRICS_SCHEMA: &str = "lsgraph-metrics-v1";
-
-/// The [`StructStats`] fields that are **gauges** (point-in-time values),
-/// not monotone counters. Everything else in
-/// [`StructSnapshot::fields`](crate::StructSnapshot::fields) only ever
-/// grows, which is what the `repro check --metrics` monotonicity gate
-/// asserts sample over sample.
-pub const GAUGE_FIELDS: [&str; 7] = [
-    "ria_max_ripple_span",
-    "ria_bound",
-    "checkpoint_bytes",
-    "epoch_reclaim_backlog",
-    "wal_live_bytes",
-    "checkpoint_dirty_vertices",
-    "subscriptions_active",
-];
-
-/// Whether a `StructStats` field is a gauge (see [`GAUGE_FIELDS`]).
-pub fn is_gauge_field(name: &str) -> bool {
-    GAUGE_FIELDS.contains(&name)
-}
 
 // ---------------------------------------------------------------------------
 // Counting global allocator (feature `count-alloc`)
@@ -183,11 +164,12 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Registers a [`StructStats`] source; its 42 fields become
-    /// `{prefix}_{field}` counters and gauges (see [`GAUGE_FIELDS`]).
-    /// The persist-layer counters (`wal_frames_appended`,
-    /// `checkpoint_bytes`, recovery counters) ride along because the
-    /// durability layer records into the same `StructStats` sink.
+    /// Registers a [`StructStats`] source; its fields become
+    /// `{prefix}_{field}` gauges (the table rows of a gauge kind) and
+    /// counters (every other row: those only ever grow, which is what the
+    /// `repro check --metrics` monotonicity gate asserts sample over
+    /// sample). The persist and queries rows ride along because those
+    /// layers record into the engine's own `StructStats`.
     pub fn register_struct_stats(&mut self, prefix: impl Into<String>, stats: Arc<StructStats>) {
         self.structs.push((prefix.into(), stats));
     }
@@ -209,9 +191,10 @@ impl MetricsRegistry {
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         for (prefix, stats) in &self.structs {
-            for (name, v) in stats.snapshot().fields() {
+            let fields = stats.snapshot().fields();
+            for (m, (name, v)) in StructSnapshot::METRICS.iter().zip(fields) {
                 let full = format!("{prefix}_{name}");
-                if is_gauge_field(name) {
+                if m.kind.is_gauge() {
                     gauges.push((full, v));
                 } else {
                     counters.push((full, v));
@@ -641,7 +624,6 @@ impl SamplerThread {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::StructSnapshot;
 
     /// The sink is process-global; serialize the tests that touch it.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -673,19 +655,18 @@ mod tests {
         stats.record_ria_ripple(2, 5, 6);
         stats.record_epoch_backlog(4);
         let s = r.sample();
-        // 52 struct fields minus 7 gauges; heap gauges only under count-alloc.
-        assert_eq!(s.counters.len(), 45);
-        let base_gauges = GAUGE_FIELDS.len() + if heap_gauges().is_some() { 2 } else { 0 };
+        // 51 struct fields minus 7 gauges; heap gauges only under count-alloc.
+        assert_eq!(s.counters.len(), 44);
+        let base_gauges = 7 + if heap_gauges().is_some() { 2 } else { 0 };
         assert_eq!(s.gauges.len(), base_gauges);
         assert_eq!(s.histograms.len(), 4);
         // Pinned order: counters follow StructSnapshot::fields order.
         assert_eq!(s.counters[0].0, "lsgraph_vb_inline_hits");
         assert_eq!(s.counters[0].1, 1);
-        let expected_counters: Vec<String> = StructSnapshot::default()
-            .fields()
+        let expected_counters: Vec<String> = StructSnapshot::METRICS
             .iter()
-            .filter(|(n, _)| !is_gauge_field(n))
-            .map(|(n, _)| format!("lsgraph_{n}"))
+            .filter(|m| !m.kind.is_gauge())
+            .map(|m| format!("lsgraph_{}", m.name))
             .collect();
         let got: Vec<&str> = s.counters.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(

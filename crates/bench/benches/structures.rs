@@ -7,6 +7,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
+use lsgraph_api::StructStats;
 use lsgraph_btree::BTreeSet32;
 use lsgraph_core::model::{LinearModel, PlrModel, PositionModel};
 use lsgraph_core::{Config, HiTree, LiaSearch, Ria};
@@ -30,6 +31,7 @@ fn bench_inserts(c: &mut Criterion) {
             .map(|_| rng.gen_range(0..n as u32 * 8))
             .collect()
     };
+    let stats = StructStats::new();
     let mut g = c.benchmark_group("insert_10k_into_50k");
     g.throughput(Throughput::Elements(extra.len() as u64));
     g.bench_function("ria", |b| {
@@ -37,7 +39,7 @@ fn bench_inserts(c: &mut Criterion) {
             || Ria::from_sorted(&base, 1.2),
             |mut r| {
                 for &k in &extra {
-                    black_box(r.insert(k));
+                    black_box(r.insert(k, &stats));
                 }
             },
             criterion::BatchSize::LargeInput,
@@ -71,7 +73,7 @@ fn bench_inserts(c: &mut Criterion) {
             || HiTree::from_sorted(&base, &cfg),
             |mut t| {
                 for &k in &extra {
-                    black_box(t.insert(k, &cfg));
+                    black_box(t.insert(k, &cfg, &stats));
                 }
             },
             criterion::BatchSize::LargeInput,

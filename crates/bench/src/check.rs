@@ -7,103 +7,42 @@
 //! regression baseline: re-run the experiment at the baseline's scale and
 //! compare counters cell by cell.
 //!
-//! Two families of rules:
+//! Which rule a structural counter is held to is its `gate` column in the
+//! metric table (`lsgraph_api::counters`; EXPERIMENTS.md renders it):
 //!
-//! - **Invariants** ([`INVARIANT_COUNTERS`]): counters that the paper's
-//!   design proves stay at zero — a ripple exceeding the
-//!   `log2(num_blocks)+1` bound, a vertical LIA move without a preceding
-//!   block overflow. Any nonzero value in the *current* run fails,
-//!   regardless of the baseline (a baseline that already carries a nonzero
-//!   invariant is itself reported).
-//! - **Gated counters** ([`GATED_COUNTERS`]): structural-movement volumes
-//!   (rebuilds, retrains, ripples, upgrades) that are legal but expensive.
-//!   The current value may not exceed
+//! - **Invariants** ([`Gate::Invariant`]): counters
+//!   that stay at zero in a correct build — those the paper's design proves
+//!   (a ripple exceeding the `log2(num_blocks)+1` bound, a vertical LIA move
+//!   without a preceding block overflow) and the fault-handling ones (a
+//!   benchmark run has failpoints disabled, writes and recovers its own
+//!   files under controlled shutdowns, and drops its snapshots before
+//!   sampling, so a panic, a discarded frame or image, or a lingering epoch
+//!   backlog is a real defect). Any nonzero value in the *current* run
+//!   fails, regardless of the baseline (a baseline that already carries a
+//!   nonzero invariant is itself reported).
+//! - **Gated counters** ([`Gate::Drift`]): volumes that
+//!   are legal but expensive, and deterministic per seed (rebuilds,
+//!   retrains, ripples, upgrades, WAL and delivery traffic, probe and decode
+//!   counts). The current value may not exceed
 //!   `baseline + max(abs_slack, baseline * rel_tolerance)` — slack absorbs
 //!   intended small drifts (a constant tweak) while catching order-of-
 //!   magnitude regressions (a broken α-expansion that rebuilds per insert).
-//!
-//! - **Latency counts** ([`LATENCY_HISTOGRAMS`]): the histogram *counts*
-//!   (how many batch applies, per-source group applies, and kernel
-//!   invocations were recorded) are as deterministic as the structural
-//!   counters — one record per event, events fixed by seed and scale — so
-//!   they are gated by **exact equality**. The bucketed values themselves
-//!   are wall-clock and never compared. A cell whose baseline carries
-//!   histograms but whose current run records none fails (silent loss of
-//!   latency coverage).
+//! - **Latency counts** (every histogram of
+//!   [`LatencySnapshot::fields`](lsgraph_api::LatencySnapshot::fields)):
+//!   the histogram *counts* (how many batch applies, per-source group
+//!   applies, and kernel invocations were recorded) are as deterministic as
+//!   the structural counters — one record per event, events fixed by seed
+//!   and scale — so they are gated by **exact equality**. The bucketed
+//!   values themselves are wall-clock and never compared. A cell whose
+//!   baseline carries histograms but whose current run records none fails
+//!   (silent loss of latency coverage).
 //!
 //! Cells are matched by `(engine, dataset, batch_size)`; a baseline cell
 //! missing from the current run is an error (losing coverage silently would
 //! defeat the gate).
 
 use crate::report::{parse_json, BenchReport, Json};
-use lsgraph_api::LatencySnapshot;
-
-/// Counters that must be **zero** in a correct build (see module docs).
-///
-/// Besides the paper-proved structural invariants, the fault-handling
-/// counters (`apply_run_panics` and friends) belong here: a benchmark run
-/// with failpoints disabled must never quarantine a vertex, so any nonzero
-/// value means a *real* panic escaped into the batch pipeline.
-pub const INVARIANT_COUNTERS: [&str; 9] = [
-    "ria_bound_exceeded",
-    "lia_vertical_premature",
-    "apply_run_panics",
-    "vertices_quarantined",
-    "vertices_repaired",
-    // A benchmark run writes and recovers its own WAL under controlled
-    // shutdowns; discarding frames means the harness tore its own log.
-    "recovery_frames_discarded",
-    // Likewise for checkpoint images: every image a benchmark run writes is
-    // fsynced before the shutdown, so a discarded (corrupt or orphaned)
-    // image means the checkpoint writer or retention GC broke its own chain.
-    "recovery_images_discarded",
-    // Every experiment drops its snapshots and reclaims before sampling
-    // stats, so a lingering backlog means retired block versions leaked.
-    "epoch_reclaim_backlog",
-    // Standing-query delivery runs with failpoints disabled in benchmarks,
-    // so any quarantined subscription means a maintainer genuinely
-    // panicked while absorbing a batch.
-    "subscription_panics",
-];
-
-/// Counters gated against the baseline with tolerance (see module docs).
-pub const GATED_COUNTERS: [&str; 21] = [
-    "ria_rebuilds",
-    "ria_ripples",
-    "lia_model_retrains",
-    "tier_upgrades",
-    "hitree_node_upgrades",
-    "wal_frames_appended",
-    "wal_segments_rotated",
-    "wal_segments_deleted",
-    "delta_checkpoints_written",
-    "recovery_frames_replayed",
-    "snapshots_taken",
-    "snapshots_retired",
-    "cow_block_copies",
-    "deltas_delivered",
-    "delta_entries_emitted",
-    // Search/compression layer (schema v8): probe and decode volumes are
-    // deterministic per seed, but legal to drift slightly when constants
-    // (chunk size, probe counts) are tuned — gate, don't pin.
-    "search_scalar_probes",
-    "search_block_probes",
-    "compressed_chunks_decoded",
-    "compressed_bytes_saved",
-    "spill_compressions",
-    "spill_thaws",
-];
-
-/// Latency histograms whose counts are gated by exact equality.
-pub const LATENCY_HISTOGRAMS: [&str; 4] = ["batch_apply", "group_apply", "kernel", "reader"];
-
-fn histogram_count(lat: &LatencySnapshot, name: &str) -> u64 {
-    lat.fields()
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, h)| h.count())
-        .unwrap_or(0)
-}
+use lsgraph_api::{Gate, StructSnapshot};
 
 /// Tolerances for the gated comparison.
 #[derive(Clone, Copy, Debug)]
@@ -246,14 +185,6 @@ pub fn violations_json(experiment: &str, violations: &[Violation]) -> String {
     out
 }
 
-fn field(fields: &[(&'static str, u64)], name: &str) -> u64 {
-    fields
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|&(_, v)| v)
-        .unwrap_or(0)
-}
-
 /// Compares a fresh run against a baseline report. Pure function of the two
 /// documents (no I/O), so perturbation tests can drive it directly.
 pub fn compare(
@@ -263,81 +194,61 @@ pub fn compare(
 ) -> Vec<Violation> {
     let mut out = Vec::new();
     for b in &baseline.engines {
-        let Some(c) = current.engines.iter().find(|c| {
-            c.engine == b.engine && c.dataset == b.dataset && c.batch_size == b.batch_size
-        }) else {
+        let mut violation = |counter: String, kind, baseline, current, allowed| {
             out.push(Violation {
                 engine: b.engine.clone(),
                 dataset: b.dataset.clone(),
                 batch_size: b.batch_size,
-                counter: String::new(),
-                kind: ViolationKind::MissingCell,
-                baseline: 0,
-                current: 0,
-                allowed: 0,
-            });
+                counter,
+                kind,
+                baseline,
+                current,
+                allowed,
+            })
+        };
+        let Some(c) = current.engines.iter().find(|c| {
+            c.engine == b.engine && c.dataset == b.dataset && c.batch_size == b.batch_size
+        }) else {
+            violation(String::new(), ViolationKind::MissingCell, 0, 0, 0);
             continue;
         };
         // Latency-histogram counts: exact equality wherever the baseline
         // recorded histograms (a current run without them counts as 0 and
         // fails — silently losing latency coverage defeats the gate).
         if let Some(blat) = &b.latency {
-            for name in LATENCY_HISTOGRAMS {
-                let base = histogram_count(blat, name);
-                let cur = c.latency.as_ref().map_or(0, |l| histogram_count(l, name));
+            let clat = c.latency.unwrap_or_default();
+            for ((name, bh), (_, ch)) in blat.fields().into_iter().zip(clat.fields()) {
+                let (base, cur) = (bh.count(), ch.count());
                 if cur != base {
-                    out.push(Violation {
-                        engine: b.engine.clone(),
-                        dataset: b.dataset.clone(),
-                        batch_size: b.batch_size,
-                        counter: format!("latency.{name}"),
-                        kind: ViolationKind::LatencyCount,
-                        baseline: base,
-                        current: cur,
-                        allowed: base,
-                    });
+                    let counter = format!("latency.{name}");
+                    violation(counter, ViolationKind::LatencyCount, base, cur, base);
                 }
             }
         }
         // Only cells with structural counters participate (baselines from
         // PMA-family engines carry OpCounters, which are workload-shaped
-        // rather than invariant-bearing).
+        // rather than invariant-bearing). Invariants are reported first.
         let (Some(bs), Some(cs)) = (b.struct_stats, c.struct_stats) else {
             continue;
         };
-        let bf = bs.fields();
-        let cf = cs.fields();
-        for name in INVARIANT_COUNTERS {
-            let cur = field(&cf, name);
+        let values = bs.fields().into_iter().zip(cs.fields());
+        let rows = StructSnapshot::METRICS.iter().zip(values);
+        for (m, ((_, base), (_, cur))) in rows.clone().filter(|(m, _)| m.gate == Gate::Invariant) {
             if cur != 0 {
-                out.push(Violation {
-                    engine: b.engine.clone(),
-                    dataset: b.dataset.clone(),
-                    batch_size: b.batch_size,
-                    counter: name.to_string(),
-                    kind: ViolationKind::Invariant,
-                    baseline: field(&bf, name),
-                    current: cur,
-                    allowed: 0,
-                });
+                violation(m.name.to_string(), ViolationKind::Invariant, base, cur, 0);
             }
         }
-        for name in GATED_COUNTERS {
-            let base = field(&bf, name);
-            let cur = field(&cf, name);
+        for (m, ((_, base), (_, cur))) in rows.filter(|(m, _)| m.gate == Gate::Drift) {
             let slack = ((base as f64 * opts.rel_tolerance).ceil() as u64).max(opts.abs_slack);
             let allowed = base.saturating_add(slack);
             if cur > allowed {
-                out.push(Violation {
-                    engine: b.engine.clone(),
-                    dataset: b.dataset.clone(),
-                    batch_size: b.batch_size,
-                    counter: name.to_string(),
-                    kind: ViolationKind::Regression,
-                    baseline: base,
-                    current: cur,
+                violation(
+                    m.name.to_string(),
+                    ViolationKind::Regression,
+                    base,
+                    cur,
                     allowed,
-                });
+                );
             }
         }
     }
@@ -375,8 +286,9 @@ struct CellState {
 /// - every counter is monotone non-decreasing sample over sample (counters
 ///   only ever accumulate; a decrease means torn sampling or a reset
 ///   mid-run);
-/// - the final sample of every cell reads `epoch_reclaim_backlog` = 0 (the
-///   quiescence tick happens after drop-all + reclaim).
+/// - the final sample of every cell reads 0 for every gauge the table gates
+///   as an invariant — the epoch-reclaim backlog (the quiescence tick
+///   happens after drop-all + reclaim).
 ///
 /// Returns human-readable violations; empty means the stream is clean.
 pub fn check_metrics(text: &str) -> Vec<String> {
@@ -490,21 +402,21 @@ pub fn check_metrics(text: &str) -> Vec<String> {
     if cells.is_empty() {
         errs.push("metrics stream has a header but no samples".to_string());
     }
-    for state in &cells {
-        let backlog = state
-            .last_gauges
-            .iter()
-            .find(|(n, _)| n.ends_with("epoch_reclaim_backlog"));
-        match backlog {
-            Some((name, v)) if *v != 0 => errs.push(format!(
-                "cell {}: final sample has {name} = {v} (must drain to 0 by quiescence)",
-                state.cell
-            )),
-            Some(_) => {}
-            None => errs.push(format!(
-                "cell {}: final sample has no epoch_reclaim_backlog gauge",
-                state.cell
-            )),
+    let drained = StructSnapshot::METRICS.iter();
+    let drained = drained.filter(|m| m.kind.is_gauge() && m.gate == Gate::Invariant);
+    for gauge in drained.map(|m| m.name) {
+        for state in &cells {
+            match state.last_gauges.iter().find(|(n, _)| n.ends_with(gauge)) {
+                Some((name, v)) if *v != 0 => errs.push(format!(
+                    "cell {}: final sample has {name} = {v} (must drain to 0 by quiescence)",
+                    state.cell
+                )),
+                Some(_) => {}
+                None => errs.push(format!(
+                    "cell {}: final sample has no {gauge} gauge",
+                    state.cell
+                )),
+            }
         }
     }
     if let Some(expected) = expected {
@@ -532,15 +444,8 @@ mod tests {
             delete_eps: 1.0,
             insert_nanos: 1,
             delete_nanos: 1,
-            counters: None,
             struct_stats: ss,
-            footprint: None,
-            latency: None,
-            kernels: Vec::new(),
-            durability: None,
-            mixed: None,
-            standing: None,
-            search: None,
+            ..EngineReport::default()
         }
     }
 

@@ -135,15 +135,11 @@ fn measure_cell(
         struct_stats: g.struct_stats(),
         footprint: Some(measure_footprint(g.as_ref())),
         latency: g.latency_stats(),
-        kernels: Vec::new(),
-        durability: None,
-        mixed: None,
-        standing: None,
-        search: None,
+        ..EngineReport::default()
     }
 }
 
-/// Footprint split + space amplification for one engine (schema v2).
+/// Footprint split + space amplification for one engine.
 ///
 /// Measured amplification is payload bytes per minimal 4-byte edge slot;
 /// α is the engine's configured bound when it has one (LSGraph), 0 = n/a.
@@ -371,13 +367,14 @@ pub fn fig13(scale: &Scale) {
 
 /// Fig. 13 as a machine-readable report: BFS and BC wall time per engine ×
 /// dataset. The kernels record into the process-global
-/// [`StructStats`](lsgraph_api::StructStats)/[`LatencyStats`] sinks, so each
-/// engine's cell is a before/after snapshot diff: `struct_stats` carries the
-/// kernel-phase nanos, `latency.kernel` the per-invocation histogram, and
-/// `kernels` the total wall time per kernel. Update-throughput fields are 0
+/// [`LatencyStats`](lsgraph_api::LatencyStats)
+/// sink, so each engine's cell is a before/after snapshot diff:
+/// `latency.kernel` carries the per-invocation histogram (its `sum` is the
+/// total kernel time) and `kernels` the wall time per kernel. Kernels move
+/// no structure, so `struct_stats` is null. Update-throughput fields are 0
 /// (this is an analytics experiment; `batch_size` 0 marks that).
 pub fn fig13_report(scale: &Scale) -> BenchReport {
-    use lsgraph_api::{LatencyStats, StructStats};
+    use lsgraph_api::LatencyStats;
     let mut out = Vec::new();
     let trials = scale.trials.max(1);
     for p in datasets(scale) {
@@ -390,7 +387,6 @@ pub fn fig13_report(scale: &Scale) -> BenchReport {
             .collect();
         let src = max_degree_vertex(built[0].1.as_ref());
         for (k, g) in &built {
-            let stats_before = StructStats::global().snapshot();
             let lat_before = LatencyStats::global().snapshot();
             let (_, bfs_d) = time(|| {
                 for _ in 0..trials {
@@ -402,18 +398,10 @@ pub fn fig13_report(scale: &Scale) -> BenchReport {
                     lsgraph_analytics::betweenness(g.as_ref(), src);
                 }
             });
-            let struct_stats = StructStats::global().snapshot().since(stats_before);
             let latency = LatencyStats::global().snapshot().since(&lat_before);
             out.push(EngineReport {
                 engine: k.name().to_string(),
                 dataset: p.name.to_string(),
-                batch_size: 0,
-                insert_eps: 0.0,
-                delete_eps: 0.0,
-                insert_nanos: 0,
-                delete_nanos: 0,
-                counters: None,
-                struct_stats: Some(struct_stats),
                 footprint: Some(measure_footprint(g.as_ref())),
                 latency: Some(latency),
                 kernels: vec![
@@ -426,10 +414,7 @@ pub fn fig13_report(scale: &Scale) -> BenchReport {
                         wall_nanos: bc_d.as_nanos() as u64,
                     },
                 ],
-                durability: None,
-                mixed: None,
-                standing: None,
-                search: None,
+                ..EngineReport::default()
             });
         }
     }
@@ -883,11 +868,8 @@ fn durability_cell(
         delete_eps: edges / del.as_secs_f64().max(1e-12),
         insert_nanos: ins.as_nanos() as u64,
         delete_nanos: del.as_nanos() as u64,
-        counters: None,
         struct_stats: Some(cell_stats),
         footprint: Some(measure_footprint(store.graph())),
-        latency: None,
-        kernels: Vec::new(),
         durability: Some(crate::report::DurabilityReport {
             wal_frames: cell_stats.wal_frames_appended,
             wal_bytes: wal_after - wal_before,
@@ -903,9 +885,7 @@ fn durability_cell(
             checkpoint_dirty_vertices: cell_stats.checkpoint_dirty_vertices,
             wal_live_bytes: cell_stats.wal_live_bytes,
         }),
-        mixed: None,
-        standing: None,
-        search: None,
+        ..EngineReport::default()
     };
     std::fs::remove_dir_all(&dir).ok();
     report
@@ -1066,11 +1046,8 @@ fn rotation_cell(
         delete_eps: edges / del.as_secs_f64().max(1e-12),
         insert_nanos: ins.as_nanos() as u64,
         delete_nanos: del.as_nanos() as u64,
-        counters: None,
         struct_stats: Some(cell_stats),
         footprint: Some(measure_footprint(store.graph())),
-        latency: None,
-        kernels: Vec::new(),
         durability: Some(crate::report::DurabilityReport {
             wal_frames: cell_stats.wal_frames_appended,
             wal_bytes: appended,
@@ -1086,15 +1063,13 @@ fn rotation_cell(
             checkpoint_dirty_vertices: large_dirty,
             wal_live_bytes: wal_live,
         }),
-        mixed: None,
-        standing: None,
-        search: None,
+        ..EngineReport::default()
     };
     std::fs::remove_dir_all(&dir).ok();
     report
 }
 
-/// Durability experiment (schema v6): WAL append throughput, checkpoint
+/// Durability experiment: WAL append throughput, checkpoint
 /// write cost, and recovery replay rate across batch sizes on OR, plus one
 /// rotating cell (segmented WAL + delta checkpoints + retention GC) at the
 /// largest batch size.
@@ -1307,12 +1282,9 @@ fn mixed_cell(
         delete_eps: del_edges as f64 / del.as_secs_f64().max(1e-12),
         insert_nanos: ins.as_nanos() as u64,
         delete_nanos: del.as_nanos() as u64,
-        counters: None,
         struct_stats: Some(ss),
         footprint: Some(measure_footprint(&g)),
         latency: g.latency_stats(),
-        kernels: Vec::new(),
-        durability: None,
         mixed: Some(crate::report::MixedReport {
             writer_batches: rounds as u64,
             writer_edges,
@@ -1324,12 +1296,11 @@ fn mixed_cell(
             cow_block_copies: ss.cow_block_copies,
             final_backlog: backlog as u64,
         }),
-        standing: None,
-        search: None,
+        ..EngineReport::default()
     }
 }
 
-/// Mixed experiment (schema v5): concurrent analytics-style reads over
+/// Mixed experiment: concurrent analytics-style reads over
 /// snapshots while the writer streams updates, across batch sizes on OR.
 pub fn mixed_report(scale: &Scale) -> BenchReport {
     let p = DatasetProfile::by_name("OR").expect("profile exists");
@@ -1538,13 +1509,9 @@ fn standing_cell(
         delete_eps: del_edges as f64 / del.as_secs_f64().max(1e-12),
         insert_nanos: ins.as_nanos() as u64,
         delete_nanos: del.as_nanos() as u64,
-        counters: None,
         struct_stats: Some(ss),
         footprint: Some(footprint),
         latency,
-        kernels: Vec::new(),
-        durability: None,
-        mixed: None,
         standing: Some(crate::report::StandingReport {
             subscriptions: STANDING_SUBS as u64,
             batches: rounds as u64,
@@ -1556,11 +1523,11 @@ fn standing_cell(
             subscription_panics: ss.subscription_panics,
             final_backlog: backlog as u64,
         }),
-        search: None,
+        ..EngineReport::default()
     }
 }
 
-/// Standing-query experiment (schema v7): per-batch incremental delta
+/// Standing-query experiment: per-batch incremental delta
 /// delivery vs from-scratch recomputation for four standing subscriptions,
 /// across batch sizes on OR. Every delivered result is asserted equal to
 /// the from-scratch oracle before it is timed into the report.
@@ -1627,15 +1594,12 @@ const SEARCH_BLOCKS: usize = 32;
 /// through the scalar baseline (`std` binary search — exactly what every
 /// probe site used before the search module) and the branch-free block
 /// search the sites now route through, per block size, plus the compressed
-/// cold tier's probe cost on a live graph. fig13-style, the probe counters
-/// record into the process-global [`StructStats`](lsgraph_api::StructStats)
-/// sink, so `struct_stats` is a before/after snapshot diff.
+/// cold tier's probe cost on a live graph. `struct_stats` is that graph's
+/// own counters from the freeze on, plus the microbench's probe volumes.
 fn search_cell(scale: &Scale) -> EngineReport {
-    use lsgraph_api::StructStats;
     use lsgraph_core::{search, CompressedNeighbors, Tier};
     use std::hint::black_box;
 
-    let stats_before = StructStats::global().snapshot();
     let probes = 40_000 * scale.trials.max(1);
 
     // Deterministic LCG: the blocks and probe streams are identical run to
@@ -1698,8 +1662,6 @@ fn search_cell(scale: &Scale) -> EngineReport {
             scalar_hits, block_hits,
             "probe disagreement at block size {size}"
         );
-        StructStats::global().record_search_scalar_probes(probes as u64);
-        StructStats::global().record_search_block_probes(probes as u64);
         nanos[si] = (scalar_ns, block_ns);
     }
 
@@ -1719,6 +1681,11 @@ fn search_cell(scale: &Scale) -> EngineReport {
         let batch: Vec<Edge> = ns.iter().map(|&d| Edge::new(h, d)).collect();
         g.insert_batch(&batch);
     }
+    // The cell reports the freeze and the probes, not the hub build.
+    g.reset_instrumentation();
+    let probed = (probes * SEARCH_SIZES.len()) as u64;
+    g.stats().record_search_scalar_probes(probed);
+    g.stats().record_search_block_probes(probed);
     let frozen = g.compress_cold_vertices();
     assert_eq!(frozen, hubs as usize, "every hub must freeze");
     for h in 0..hubs {
@@ -1745,23 +1712,11 @@ fn search_cell(scale: &Scale) -> EngineReport {
     let compressed_bytes =
         hubs as u64 * CompressedNeighbors::from_sorted(&ns).stored_bytes() as u64;
 
-    let ss = StructStats::global().snapshot().since(stats_before);
+    let ss = g.struct_snapshot();
     EngineReport {
         engine: "LSGraph+Search".to_string(),
         dataset: "synthetic".to_string(),
-        batch_size: 0,
-        insert_eps: 0.0,
-        delete_eps: 0.0,
-        insert_nanos: 0,
-        delete_nanos: 0,
-        counters: None,
         struct_stats: Some(ss),
-        footprint: None,
-        latency: None,
-        kernels: Vec::new(),
-        durability: None,
-        mixed: None,
-        standing: None,
         search: Some(crate::report::SearchReport {
             probes_per_size: probes as u64,
             scalar_small_nanos: nanos[0].0,
@@ -1775,10 +1730,11 @@ fn search_cell(scale: &Scale) -> EngineReport {
             compressed_bytes,
             raw_bytes,
         }),
+        ..EngineReport::default()
     }
 }
 
-/// Search experiment (schema v8): branch-free block search vs the scalar
+/// Search experiment: branch-free block search vs the scalar
 /// baseline over identical probe streams per block size, plus the
 /// compressed cold tier's probe/decode cost and storage ratio.
 pub fn search_report(scale: &Scale) -> BenchReport {
@@ -1953,7 +1909,7 @@ mod tests {
             }
         }
         assert_eq!(rotating_cells, 1, "exactly one rotating cell rides along");
-        // The report round-trips through the schema v6 JSON.
+        // The report round-trips through JSON.
         let back = crate::report::BenchReport::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
     }
@@ -1982,7 +1938,7 @@ mod tests {
             assert_eq!(m.final_backlog, 0);
             assert_eq!(ss.epoch_reclaim_backlog, 0);
         }
-        // The report round-trips through the schema v5 JSON, and a
+        // The report round-trips through JSON, and a
         // self-comparison under the regression gate is clean.
         let back = crate::report::BenchReport::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
@@ -2000,16 +1956,18 @@ mod tests {
         assert_eq!(s.decode_probes, probes);
         assert!(s.compressed_bytes > 0 && s.compressed_bytes < s.raw_bytes);
         // search_cell asserts hit-for-hit agreement between the scalar and
-        // block paths; here we pin the deterministic counter volumes. The
-        // global sink is shared across concurrently running tests, so the
-        // codec counters are lower bounds.
+        // block paths; here we pin the deterministic counter volumes.
         let ss = r.engines[0].struct_stats.expect("struct stats");
         assert_eq!(ss.search_scalar_probes, SEARCH_SIZES.len() as u64 * probes);
         assert_eq!(ss.search_block_probes, SEARCH_SIZES.len() as u64 * probes);
-        assert!(ss.spill_compressions >= 9, "8 hubs + 1 codec-level build");
+        assert_eq!(ss.spill_compressions, 8, "one per hub");
+        assert_eq!(
+            ss.vb_inline_hits, 0,
+            "the hub build is not part of the cell"
+        );
         assert!(ss.compressed_chunks_decoded > 0);
         assert!(ss.compressed_bytes_saved > 0);
-        // Round-trips through the schema v8 JSON and self-compares clean
+        // Round-trips through JSON and self-compares clean
         // under the regression gate.
         let back = crate::report::BenchReport::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
@@ -2041,7 +1999,7 @@ mod tests {
             assert_eq!(ss.snapshots_retired, rounds);
             assert_eq!(ss.epoch_reclaim_backlog, 0);
         }
-        // Round-trips through the schema v7 JSON and self-compares clean
+        // Round-trips through JSON and self-compares clean
         // under the regression gate.
         let back = crate::report::BenchReport::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);

@@ -1,279 +1,422 @@
 //! Machine-readable benchmark reports (`BENCH_<experiment>.json`).
 //!
-//! The schema is pinned by [`CounterSnapshot::fields`] and
-//! [`StructSnapshot::fields`]: the writer emits exactly those names in
-//! exactly that order, so downstream trajectory tooling can diff reports
-//! across commits. Count fields are deterministic for a fixed RMAT seed
-//! (batch application partitions work into disjoint per-source runs);
-//! `*_nanos` fields and throughput are wall-clock and vary run to run.
+//! Every object in a report is declared once, as a field list that
+//! `report_object!` expands into the struct, its writer and its parser.
+//! The writer emits fields in declaration order, so downstream trajectory
+//! tooling can diff reports across commits; the counter maps
+//! (`struct_stats`, `counters`) take their names from
+//! [`StructSnapshot::fields`] / [`CounterSnapshot::fields`] and list only
+//! the non-zero entries, and a key whose value would be `null`, an empty
+//! array or an empty histogram is left out. The reader has one rule: **an
+//! absent key is zero (or `None`, or empty), an unknown key is an error** —
+//! so a report written before a field existed still parses, and a report
+//! naming a field this build does not know is rejected rather than
+//! half-read. An object of plain numbers and strings, and a histogram, take
+//! one line each; everything else one line per key.
 //!
-//! No serde in the dependency tree, so serialization is hand-rolled: a
-//! writer with a fixed field order plus a small recursive-descent JSON
-//! parser for round-tripping in tests and external tooling.
+//! Count fields are deterministic for a fixed RMAT seed (batch application
+//! partitions work into disjoint per-source runs); `*_nanos` fields and
+//! throughput are wall-clock and vary run to run.
+//!
+//! No serde in the dependency tree, so serialization is hand-rolled: the
+//! `JsonField` impls below plus a small recursive-descent JSON parser.
 
 use lsgraph_api::{CounterSnapshot, HistogramSnapshot, LatencySnapshot, StructSnapshot};
 
-/// Report schema version; bump when renaming or removing fields.
-///
-/// v2 adds per-engine `footprint` (payload/index split + space
-/// amplification), `latency` (log2-bucketed histograms with derived
-/// p50/p90/p99), and `kernels` (per-kernel wall time). All three are
-/// *additive*: [`BenchReport::from_json`] still accepts v1 documents, where
-/// they parse as `None`/empty.
-///
-/// v3 adds the fault-handling structural counters (`apply_run_panics`,
-/// `vertices_quarantined`, `vertices_repaired`) to `struct_stats`. Also
-/// additive: older documents parse with those counters at zero.
-///
-/// v4 adds the durability layer: the WAL/checkpoint/recovery counters
-/// (`wal_frames_appended`, `checkpoint_bytes`, `recovery_frames_replayed`,
-/// `recovery_frames_discarded`) to `struct_stats`, and a per-engine
-/// `durability` object (WAL append throughput, checkpoint size/time,
-/// recovery replay rate) emitted by the `durability` experiment. Additive:
-/// v1–v3 documents parse with the counters at zero and `durability` as
-/// `None`.
-///
-/// v5 adds the snapshot read layer: the snapshot/epoch structural counters
-/// (`snapshots_taken`, `snapshots_retired`, `cow_block_copies`,
-/// `epoch_reclaim_backlog`) to `struct_stats`, a `reader` histogram
-/// (per-read-op latency on snapshots under write load) to `latency`, and a
-/// per-engine `mixed` object (concurrent reader/writer throughput) emitted
-/// by the `mixed` experiment. Additive: v1–v4 documents parse with the
-/// counters at zero, `reader` empty, and `mixed` as `None`.
-///
-/// v6 adds durability-at-scale: WAL segment rotation and retention GC
-/// counters (`wal_segments_rotated`, `wal_segments_deleted`,
-/// `delta_checkpoints_written`) plus the `checkpoint_dirty_vertices` and
-/// `wal_live_bytes` gauges to the `durability` object, mirroring the new
-/// `struct_stats` counters of the same names. Additive: v1–v5 documents
-/// parse with the new `durability` fields at zero.
-///
-/// v7 adds the standing-query subscription layer: the subscription counters
-/// (`subscriptions_active`, `deltas_delivered`, `delta_entries_emitted`,
-/// `subscription_panics`) to `struct_stats`, and a per-engine `standing`
-/// object (delta-delivery vs full-recomputation cost) emitted by the
-/// `standing` experiment. Additive: v1–v6 documents parse with the counters
-/// at zero and `standing` as `None`.
-///
-/// v8 adds the search/compression layer: the probe and compressed-tier
-/// counters (`search_scalar_probes`, `search_block_probes`,
-/// `compressed_chunks_decoded`, `compressed_bytes_saved`,
-/// `spill_compressions`, `spill_thaws`) to `struct_stats`, and a per-engine
-/// `search` object (scalar vs block-probe microbench plus compressed-tier
-/// decode cost) emitted by the `search` experiment. Additive: v1–v7
-/// documents parse with the counters at zero and `search` as `None`.
-pub const SCHEMA_VERSION: u32 = 8;
+/// Report schema version; bump when renaming or removing fields (additions
+/// need no bump: absent keys read as zero). v9 removed `phase_kernel_nanos`
+/// and made the counter maps sparse.
+pub const SCHEMA_VERSION: u32 = 9;
 
-/// Memory footprint of one engine after the measured updates (schema v2).
-#[derive(Clone, Debug, PartialEq)]
-pub struct FootprintReport {
-    /// Bytes holding edge payload (adjacency data, including gaps).
-    pub payload_bytes: u64,
-    /// Bytes holding index structures (RIA index arrays, LIA models, ...).
-    pub index_bytes: u64,
-    /// Measured space amplification: payload bytes per 4-byte edge slot,
-    /// i.e. `payload_bytes / (4 * num_edges)` (0 when the graph is empty).
-    pub space_amp_measured: f64,
-    /// The configured amplification bound α, when the engine has one
-    /// (LSGraph's RIA gap factor); 0 means "not applicable".
-    pub space_amp_alpha: f64,
+/// A value with one JSON spelling. `Default` is what an absent key reads as.
+trait JsonField: Sized + Default {
+    /// A bare number or string: an object of only these is written inline.
+    const SCALAR: bool = false;
+    /// Nothing to say (`None`, no elements): the key is not written.
+    fn is_absent(&self) -> bool {
+        false
+    }
+    fn write(&self, w: &mut Writer);
+    fn read(v: &Json, what: &str) -> Result<Self, String>;
 }
 
-/// Durability measurements for one engine cell (schema v4; only the
-/// `durability` experiment populates it).
-#[derive(Clone, Debug, PartialEq)]
-pub struct DurabilityReport {
-    /// Frames appended to the WAL during the cell (measured rounds plus
-    /// the post-checkpoint tail the recovery replays).
-    pub wal_frames: u64,
-    /// WAL bytes written during the cell.
-    pub wal_bytes: u64,
-    /// Logged-update throughput: edges per second through WAL append +
-    /// group commit + the in-memory apply.
-    pub wal_append_eps: f64,
-    /// Size of the checkpoint image written at the end of the cell.
-    pub checkpoint_bytes: u64,
-    /// Wall time of that checkpoint (includes the covering WAL sync).
-    pub checkpoint_nanos: u64,
-    /// Wall time of the recovery that reopened the store.
-    pub recovery_nanos: u64,
-    /// WAL frames replayed by that recovery.
-    pub replay_frames: u64,
-    /// Replay throughput: edges per second through the recovery path.
-    pub replay_eps: f64,
-    /// WAL segments sealed and rotated during the cell (schema v6).
-    pub wal_segments_rotated: u64,
-    /// WAL segments deleted by retention GC during the cell (schema v6).
-    pub wal_segments_deleted: u64,
-    /// Delta (dirty-vertex-only) checkpoint images written (schema v6).
-    pub delta_checkpoints_written: u64,
-    /// Dirty vertices captured by the last checkpoint of the cell
-    /// (schema v6 gauge).
-    pub checkpoint_dirty_vertices: u64,
-    /// Live on-disk WAL bytes across all segments at the end of the cell
-    /// (schema v6 gauge; bounded when rotation + retention are active).
-    pub wal_live_bytes: u64,
+macro_rules! json_unsigned {
+    ($($t:ty),+) => {$(
+        impl JsonField for $t {
+            const SCALAR: bool = true;
+            fn write(&self, w: &mut Writer) {
+                w.raw(&self.to_string());
+            }
+            fn read(v: &Json, what: &str) -> Result<Self, String> {
+                Ok(v.as_u64(what)? as $t)
+            }
+        }
+    )+};
+}
+json_unsigned!(u64, u32, usize);
+
+impl JsonField for f64 {
+    const SCALAR: bool = true;
+    fn write(&self, w: &mut Writer) {
+        w.raw(&fmt_f64(*self));
+    }
+    fn read(v: &Json, what: &str) -> Result<Self, String> {
+        v.as_f64(what)
+    }
 }
 
-/// Concurrent reader/writer measurements for one engine cell (schema v5;
-/// only the `mixed` experiment populates it). Reader latency percentiles
-/// ride the `reader` histogram in the engine's `latency` object.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MixedReport {
-    /// Update batches the writer applied during the measured window.
-    pub writer_batches: u64,
-    /// Edges in those batches (insert + delete).
-    pub writer_edges: u64,
-    /// Writer throughput while readers ran: edges per second.
-    pub writer_eps: f64,
-    /// Concurrent reader threads.
-    pub reader_threads: u64,
-    /// Total read operations completed across all readers (fixed per
-    /// thread, so this count is deterministic and gateable).
-    pub reader_ops: u64,
-    /// Aggregate reader throughput: operations per second.
-    pub reader_ops_per_sec: f64,
-    /// Snapshots flipped during the window (one per writer batch).
-    pub snapshots_taken: u64,
-    /// Blocks copied on write because a snapshot still shared them.
-    pub cow_block_copies: u64,
-    /// Epoch-reclamation backlog after the last snapshot dropped — 0 by
-    /// the quiescence invariant, gated by `repro check`.
-    pub final_backlog: u64,
+impl JsonField for String {
+    const SCALAR: bool = true;
+    fn write(&self, w: &mut Writer) {
+        w.string(self);
+    }
+    fn read(v: &Json, what: &str) -> Result<Self, String> {
+        Ok(v.as_str(what)?.to_string())
+    }
 }
 
-/// Standing-query measurements for one engine cell (schema v7; only the
-/// `standing` experiment populates it). Compares incremental per-batch
-/// delta delivery against re-running the full kernels after every batch.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StandingReport {
-    /// Standing queries registered for the cell.
-    pub subscriptions: u64,
-    /// Update batches committed while the subscriptions were live.
-    pub batches: u64,
-    /// Result deltas delivered (one per live subscription per batch, plus
-    /// registration bootstraps; deterministic and gateable).
-    pub deltas_delivered: u64,
-    /// Total added/removed/changed entries across those deltas
-    /// (deterministic and gateable).
-    pub delta_entries: u64,
-    /// Wall time spent delivering deltas incrementally (the worker's
-    /// drain time across all batches).
-    pub delivery_nanos: u64,
-    /// Wall time re-running every subscription's from-scratch oracle after
-    /// every batch — what the subscriptions replace.
-    pub recompute_nanos: u64,
-    /// `recompute_nanos / delivery_nanos` (0 when delivery took no
-    /// measurable time).
-    pub speedup: f64,
-    /// Delivery panics — 0 by the quarantine invariant, gated by
-    /// `repro check`.
-    pub subscription_panics: u64,
-    /// Epoch-reclamation backlog after the hub quiesced and reclaim ran —
-    /// 0 by the quiescence invariant, gated by `repro check`.
-    pub final_backlog: u64,
+/// `null` is `None`.
+impl<T: JsonField> JsonField for Option<T> {
+    fn is_absent(&self) -> bool {
+        self.is_none()
+    }
+    fn write(&self, w: &mut Writer) {
+        match self {
+            None => w.raw("null"),
+            Some(x) => x.write(w),
+        }
+    }
+    fn read(v: &Json, what: &str) -> Result<Self, String> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::read(v, what).map(Some),
+        }
+    }
 }
 
-/// Intra-block search and compressed-tier measurements for one engine cell
-/// (schema v8; only the `search` experiment populates it). Probes are run
-/// over identical sorted blocks with both the scalar baseline
-/// (`partition_point`-style binary search) and the branch-free block
-/// search, so the nanos columns are directly comparable.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SearchReport {
-    /// Membership probes issued per block size (same for scalar and block).
-    pub probes_per_size: u64,
-    /// Scalar probe wall time over the small (inline-sized, 16) blocks.
-    pub scalar_small_nanos: u64,
-    /// Block-search probe wall time over the small blocks.
-    pub block_small_nanos: u64,
-    /// Scalar probe wall time over the medium (RIA-block-sized, 256) blocks.
-    pub scalar_medium_nanos: u64,
-    /// Block-search probe wall time over the medium blocks.
-    pub block_medium_nanos: u64,
-    /// Scalar probe wall time over the large (spill-sized, 4096) blocks.
-    pub scalar_large_nanos: u64,
-    /// Block-search probe wall time over the large blocks.
-    pub block_large_nanos: u64,
-    /// Membership probes issued against the compressed cold tier.
-    pub decode_probes: u64,
-    /// Wall time of those compressed-tier probes (skip-pointer search plus
-    /// at most one chunk decode each).
-    pub decode_nanos: u64,
-    /// Bytes the compressed tier stores for the probed adjacency sets.
-    pub compressed_bytes: u64,
-    /// Bytes the same sets occupy as raw `u32` arrays.
-    pub raw_bytes: u64,
+impl<T: JsonField> JsonField for Vec<T> {
+    fn is_absent(&self) -> bool {
+        self.is_empty()
+    }
+    fn write(&self, w: &mut Writer) {
+        w.open('[');
+        for x in self {
+            w.item();
+            x.write(w);
+        }
+        w.close(']');
+    }
+    fn read(v: &Json, what: &str) -> Result<Self, String> {
+        v.as_array(what)?.iter().map(|x| T::read(x, what)).collect()
+    }
 }
 
-/// Wall time of one analytics kernel on one engine (schema v2).
-#[derive(Clone, Debug, PartialEq)]
-pub struct KernelTime {
-    /// Kernel name (`bfs`, `bc`, ...).
-    pub name: String,
-    /// Total wall-clock nanoseconds across the experiment's runs.
-    pub wall_nanos: u64,
+/// The counter maps: names and order from the metric table, non-zero
+/// entries only.
+macro_rules! sparse_counter_map {
+    ($Snap:ty) => {
+        impl JsonField for $Snap {
+            fn write(&self, w: &mut Writer) {
+                w.open_inline('{');
+                for (name, v) in self.fields() {
+                    if v != 0 {
+                        w.field(name);
+                        v.write(w);
+                    }
+                }
+                w.close('}');
+            }
+            fn read(v: &Json, what: &str) -> Result<Self, String> {
+                let pairs = v.as_object(what)?.iter();
+                let pairs = pairs.map(|(k, v)| Ok((k.as_str(), v.as_u64(k)?)));
+                <$Snap>::from_fields(pairs.collect::<Result<Vec<_>, String>>()?)
+            }
+        }
+    };
+}
+sparse_counter_map!(CounterSnapshot);
+sparse_counter_map!(StructSnapshot);
+
+impl JsonField for LatencySnapshot {
+    fn write(&self, w: &mut Writer) {
+        w.open('{');
+        for (name, h) in self.fields() {
+            if !h.is_empty() {
+                w.field(name);
+                write_histogram(w, h);
+            }
+        }
+        w.close('}');
+    }
+    fn read(v: &Json, what: &str) -> Result<Self, String> {
+        let mut lat = LatencySnapshot::default();
+        for (k, h) in v.as_object(what)? {
+            let slot = match k.as_str() {
+                "batch_apply" => &mut lat.batch_apply,
+                "group_apply" => &mut lat.group_apply,
+                "kernel" => &mut lat.kernel,
+                "reader" => &mut lat.reader,
+                other => return Err(format!("{what}: unknown histogram: {other}")),
+            };
+            *slot = parse_histogram(h)?;
+        }
+        Ok(lat)
+    }
 }
 
-/// One engine × dataset × batch-size measurement.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EngineReport {
-    /// Engine display name (`EngineKind::name`).
-    pub engine: String,
-    /// Dataset profile name.
-    pub dataset: String,
-    /// Edges per update batch.
-    pub batch_size: usize,
-    /// Insert throughput, edges per second.
-    pub insert_eps: f64,
-    /// Delete throughput, edges per second.
-    pub delete_eps: f64,
-    /// Wall-clock insert time across all trials, nanoseconds.
-    pub insert_nanos: u64,
-    /// Wall-clock delete time across all trials, nanoseconds.
-    pub delete_nanos: u64,
-    /// Update-path operation counters (None when the engine records none).
-    pub counters: Option<CounterSnapshot>,
-    /// Structural counters (LSGraph only).
-    pub struct_stats: Option<StructSnapshot>,
-    /// Memory footprint split + space amplification (schema v2; None in v1
-    /// documents).
-    pub footprint: Option<FootprintReport>,
-    /// Latency histograms (schema v2; engines without histograms — and all
-    /// v1 documents — have None).
-    pub latency: Option<LatencySnapshot>,
-    /// Per-kernel wall times (schema v2; empty for update-only experiments
-    /// and v1 documents).
-    pub kernels: Vec<KernelTime>,
-    /// WAL/checkpoint/recovery measurements (schema v4; None everywhere
-    /// except the `durability` experiment and in v1–v3 documents).
-    pub durability: Option<DurabilityReport>,
-    /// Concurrent reader/writer measurements (schema v5; None everywhere
-    /// except the `mixed` experiment and in v1–v4 documents).
-    pub mixed: Option<MixedReport>,
-    /// Standing-query measurements (schema v7; None everywhere except the
-    /// `standing` experiment and in v1–v6 documents).
-    pub standing: Option<StandingReport>,
-    /// Intra-block search microbench (schema v8; None everywhere except the
-    /// `search` experiment and in v1–v7 documents).
-    pub search: Option<SearchReport>,
+/// Declares one report object: the struct, and its [`JsonField`] impl
+/// writing the fields in declaration order and reading them by the module's
+/// one rule.
+macro_rules! report_object {
+    (
+        $(#[$meta:meta])*
+        $Name:ident { $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )+ }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Debug, Default, PartialEq)]
+        pub struct $Name {
+            $( $(#[$fmeta])* pub $field: $ty, )+
+        }
+
+        impl JsonField for $Name {
+            fn write(&self, w: &mut Writer) {
+                if true $( && <$ty as JsonField>::SCALAR )+ {
+                    w.open_inline('{');
+                } else {
+                    w.open('{');
+                }
+                $(
+                    if !self.$field.is_absent() {
+                        w.field(stringify!($field));
+                        self.$field.write(w);
+                    }
+                )+
+                w.close('}');
+            }
+            fn read(v: &Json, what: &str) -> Result<Self, String> {
+                let mut out = $Name::default();
+                for (k, v) in v.as_object(what)? {
+                    match k.as_str() {
+                        $( stringify!($field) => out.$field = JsonField::read(v, k)?, )+
+                        other => return Err(format!("{what}: unknown field: {other}")),
+                    }
+                }
+                Ok(out)
+            }
+        }
+    };
 }
 
-/// A full experiment report.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchReport {
-    /// Schema version ([`SCHEMA_VERSION`] at write time).
-    pub schema_version: u32,
-    /// Experiment id (`fig12`, `small`, ...).
-    pub experiment: String,
-    /// log2 of the base-graph vertex count.
-    pub base: u32,
-    /// Extra powers of two applied to sizes.
-    pub shift: u32,
-    /// Trials per measurement.
-    pub trials: usize,
-    /// One entry per engine × dataset × batch size.
-    pub engines: Vec<EngineReport>,
+report_object! {
+    /// Memory footprint of one engine after the measured updates.
+    FootprintReport {
+        /// Bytes holding edge payload (adjacency data, including gaps).
+        payload_bytes: u64,
+        /// Bytes holding index structures (RIA index arrays, LIA models, ...).
+        index_bytes: u64,
+        /// Measured space amplification: payload bytes per 4-byte edge slot,
+        /// i.e. `payload_bytes / (4 * num_edges)` (0 when the graph is empty).
+        space_amp_measured: f64,
+        /// The configured amplification bound α, when the engine has one
+        /// (LSGraph's RIA gap factor); 0 means "not applicable".
+        space_amp_alpha: f64,
+    }
+}
+
+report_object! {
+    /// Durability measurements for one engine cell (only the `durability`
+    /// experiment populates it).
+    DurabilityReport {
+        /// Frames appended to the WAL during the cell (measured rounds plus
+        /// the post-checkpoint tail the recovery replays).
+        wal_frames: u64,
+        /// WAL bytes written during the cell.
+        wal_bytes: u64,
+        /// Logged-update throughput: edges per second through WAL append +
+        /// group commit + the in-memory apply.
+        wal_append_eps: f64,
+        /// Size of the checkpoint image written at the end of the cell.
+        checkpoint_bytes: u64,
+        /// Wall time of that checkpoint (includes the covering WAL sync).
+        checkpoint_nanos: u64,
+        /// Wall time of the recovery that reopened the store.
+        recovery_nanos: u64,
+        /// WAL frames replayed by that recovery.
+        replay_frames: u64,
+        /// Replay throughput: edges per second through the recovery path.
+        replay_eps: f64,
+        /// WAL segments sealed and rotated during the cell.
+        wal_segments_rotated: u64,
+        /// WAL segments deleted by retention GC during the cell.
+        wal_segments_deleted: u64,
+        /// Delta (dirty-vertex-only) checkpoint images written.
+        delta_checkpoints_written: u64,
+        /// Dirty vertices captured by the last checkpoint of the cell (gauge).
+        checkpoint_dirty_vertices: u64,
+        /// Live on-disk WAL bytes across all segments at the end of the cell
+        /// (gauge; bounded when rotation + retention are active).
+        wal_live_bytes: u64,
+    }
+}
+
+report_object! {
+    /// Concurrent reader/writer measurements for one engine cell (only the
+    /// `mixed` experiment populates it). Reader latency percentiles ride the
+    /// `reader` histogram in the engine's `latency` object.
+    MixedReport {
+        /// Update batches the writer applied during the measured window.
+        writer_batches: u64,
+        /// Edges in those batches (insert + delete).
+        writer_edges: u64,
+        /// Writer throughput while readers ran: edges per second.
+        writer_eps: f64,
+        /// Concurrent reader threads.
+        reader_threads: u64,
+        /// Total read operations completed across all readers (fixed per
+        /// thread, so this count is deterministic and gateable).
+        reader_ops: u64,
+        /// Aggregate reader throughput: operations per second.
+        reader_ops_per_sec: f64,
+        /// Snapshots flipped during the window (one per writer batch).
+        snapshots_taken: u64,
+        /// Blocks copied on write because a snapshot still shared them.
+        cow_block_copies: u64,
+        /// Epoch-reclamation backlog after the last snapshot dropped — 0 by
+        /// the quiescence invariant, gated by `repro check`.
+        final_backlog: u64,
+    }
+}
+
+report_object! {
+    /// Standing-query measurements for one engine cell (only the `standing`
+    /// experiment populates it). Compares incremental per-batch delta
+    /// delivery against re-running the full kernels after every batch.
+    StandingReport {
+        /// Standing queries registered for the cell.
+        subscriptions: u64,
+        /// Update batches committed while the subscriptions were live.
+        batches: u64,
+        /// Result deltas delivered (one per live subscription per batch, plus
+        /// registration bootstraps; deterministic and gateable).
+        deltas_delivered: u64,
+        /// Total added/removed/changed entries across those deltas
+        /// (deterministic and gateable).
+        delta_entries: u64,
+        /// Wall time spent delivering deltas incrementally (the worker's
+        /// drain time across all batches).
+        delivery_nanos: u64,
+        /// Wall time re-running every subscription's from-scratch oracle after
+        /// every batch — what the subscriptions replace.
+        recompute_nanos: u64,
+        /// `recompute_nanos / delivery_nanos` (0 when delivery took no
+        /// measurable time).
+        speedup: f64,
+        /// Delivery panics — 0 by the quarantine invariant, gated by
+        /// `repro check`.
+        subscription_panics: u64,
+        /// Epoch-reclamation backlog after the hub quiesced and reclaim ran —
+        /// 0 by the quiescence invariant, gated by `repro check`.
+        final_backlog: u64,
+    }
+}
+
+report_object! {
+    /// Intra-block search and compressed-tier measurements for one engine
+    /// cell (only the `search` experiment populates it). Probes are run over
+    /// identical sorted blocks with both the scalar baseline
+    /// (`partition_point`-style binary search) and the branch-free block
+    /// search, so the nanos columns are directly comparable.
+    SearchReport {
+        /// Membership probes issued per block size (same for scalar and block).
+        probes_per_size: u64,
+        /// Scalar probe wall time over the small (inline-sized, 16) blocks.
+        scalar_small_nanos: u64,
+        /// Block-search probe wall time over the small blocks.
+        block_small_nanos: u64,
+        /// Scalar probe wall time over the medium (RIA-block-sized, 256) blocks.
+        scalar_medium_nanos: u64,
+        /// Block-search probe wall time over the medium blocks.
+        block_medium_nanos: u64,
+        /// Scalar probe wall time over the large (spill-sized, 4096) blocks.
+        scalar_large_nanos: u64,
+        /// Block-search probe wall time over the large blocks.
+        block_large_nanos: u64,
+        /// Membership probes issued against the compressed cold tier.
+        decode_probes: u64,
+        /// Wall time of those compressed-tier probes (skip-pointer search plus
+        /// at most one chunk decode each).
+        decode_nanos: u64,
+        /// Bytes the compressed tier stores for the probed adjacency sets.
+        compressed_bytes: u64,
+        /// Bytes the same sets occupy as raw `u32` arrays.
+        raw_bytes: u64,
+    }
+}
+
+report_object! {
+    /// Wall time of one analytics kernel on one engine.
+    KernelTime {
+        /// Kernel name (`bfs`, `bc`, ...).
+        name: String,
+        /// Total wall-clock nanoseconds across the experiment's runs.
+        wall_nanos: u64,
+    }
+}
+
+report_object! {
+    /// One engine × dataset × batch-size measurement.
+    EngineReport {
+        /// Engine display name (`EngineKind::name`).
+        engine: String,
+        /// Dataset profile name.
+        dataset: String,
+        /// Edges per update batch.
+        batch_size: usize,
+        /// Insert throughput, edges per second.
+        insert_eps: f64,
+        /// Delete throughput, edges per second.
+        delete_eps: f64,
+        /// Wall-clock insert time across all trials, nanoseconds.
+        insert_nanos: u64,
+        /// Wall-clock delete time across all trials, nanoseconds.
+        delete_nanos: u64,
+        /// Update-path operation counters (None when the engine records none).
+        counters: Option<CounterSnapshot>,
+        /// Structural counters (LSGraph only).
+        struct_stats: Option<StructSnapshot>,
+        /// Memory footprint split + space amplification.
+        footprint: Option<FootprintReport>,
+        /// Latency histograms (None for engines without histograms).
+        latency: Option<LatencySnapshot>,
+        /// Per-kernel wall times (empty for update-only experiments).
+        kernels: Vec<KernelTime>,
+        /// WAL/checkpoint/recovery measurements (`durability` experiment).
+        durability: Option<DurabilityReport>,
+        /// Concurrent reader/writer measurements (`mixed` experiment).
+        mixed: Option<MixedReport>,
+        /// Standing-query measurements (`standing` experiment).
+        standing: Option<StandingReport>,
+        /// Intra-block search microbench (`search` experiment).
+        search: Option<SearchReport>,
+    }
+}
+
+report_object! {
+    /// A full experiment report.
+    BenchReport {
+        /// Schema version ([`SCHEMA_VERSION`] at write time).
+        schema_version: u32,
+        /// Experiment id (`fig12`, `small`, ...).
+        experiment: String,
+        /// log2 of the base-graph vertex count.
+        base: u32,
+        /// Extra powers of two applied to sizes.
+        shift: u32,
+        /// Trials per measurement.
+        trials: usize,
+        /// One entry per engine × dataset × batch size.
+        engines: Vec<EngineReport>,
+    }
 }
 
 impl BenchReport {
@@ -285,420 +428,25 @@ impl BenchReport {
     /// Serializes with the pinned field order.
     pub fn to_json(&self) -> String {
         let mut w = Writer::new();
-        w.open('{');
-        w.field("schema_version");
-        w.raw(&self.schema_version.to_string());
-        w.field("experiment");
-        w.string(&self.experiment);
-        w.field("base");
-        w.raw(&self.base.to_string());
-        w.field("shift");
-        w.raw(&self.shift.to_string());
-        w.field("trials");
-        w.raw(&self.trials.to_string());
-        w.field("engines");
-        w.open('[');
-        for e in &self.engines {
-            w.item();
-            w.open('{');
-            w.field("engine");
-            w.string(&e.engine);
-            w.field("dataset");
-            w.string(&e.dataset);
-            w.field("batch_size");
-            w.raw(&e.batch_size.to_string());
-            w.field("insert_eps");
-            w.raw(&fmt_f64(e.insert_eps));
-            w.field("delete_eps");
-            w.raw(&fmt_f64(e.delete_eps));
-            w.field("insert_nanos");
-            w.raw(&e.insert_nanos.to_string());
-            w.field("delete_nanos");
-            w.raw(&e.delete_nanos.to_string());
-            w.field("counters");
-            match e.counters {
-                None => w.raw("null"),
-                Some(c) => {
-                    w.open('{');
-                    for (name, v) in c.fields() {
-                        w.field(name);
-                        w.raw(&v.to_string());
-                    }
-                    w.close('}');
-                }
-            }
-            w.field("struct_stats");
-            match e.struct_stats {
-                None => w.raw("null"),
-                Some(s) => {
-                    w.open('{');
-                    for (name, v) in s.fields() {
-                        w.field(name);
-                        w.raw(&v.to_string());
-                    }
-                    w.close('}');
-                }
-            }
-            w.field("footprint");
-            match &e.footprint {
-                None => w.raw("null"),
-                Some(fp) => {
-                    w.open('{');
-                    w.field("payload_bytes");
-                    w.raw(&fp.payload_bytes.to_string());
-                    w.field("index_bytes");
-                    w.raw(&fp.index_bytes.to_string());
-                    w.field("space_amp_measured");
-                    w.raw(&fmt_f64(fp.space_amp_measured));
-                    w.field("space_amp_alpha");
-                    w.raw(&fmt_f64(fp.space_amp_alpha));
-                    w.close('}');
-                }
-            }
-            w.field("latency");
-            match &e.latency {
-                None => w.raw("null"),
-                Some(lat) => {
-                    w.open('{');
-                    for (name, h) in lat.fields() {
-                        w.field(name);
-                        write_histogram(&mut w, h);
-                    }
-                    w.close('}');
-                }
-            }
-            w.field("kernels");
-            w.open('[');
-            for k in &e.kernels {
-                w.item();
-                w.open('{');
-                w.field("name");
-                w.string(&k.name);
-                w.field("wall_nanos");
-                w.raw(&k.wall_nanos.to_string());
-                w.close('}');
-            }
-            w.close(']');
-            w.field("durability");
-            match &e.durability {
-                None => w.raw("null"),
-                Some(d) => {
-                    w.open('{');
-                    w.field("wal_frames");
-                    w.raw(&d.wal_frames.to_string());
-                    w.field("wal_bytes");
-                    w.raw(&d.wal_bytes.to_string());
-                    w.field("wal_append_eps");
-                    w.raw(&fmt_f64(d.wal_append_eps));
-                    w.field("checkpoint_bytes");
-                    w.raw(&d.checkpoint_bytes.to_string());
-                    w.field("checkpoint_nanos");
-                    w.raw(&d.checkpoint_nanos.to_string());
-                    w.field("recovery_nanos");
-                    w.raw(&d.recovery_nanos.to_string());
-                    w.field("replay_frames");
-                    w.raw(&d.replay_frames.to_string());
-                    w.field("replay_eps");
-                    w.raw(&fmt_f64(d.replay_eps));
-                    w.field("wal_segments_rotated");
-                    w.raw(&d.wal_segments_rotated.to_string());
-                    w.field("wal_segments_deleted");
-                    w.raw(&d.wal_segments_deleted.to_string());
-                    w.field("delta_checkpoints_written");
-                    w.raw(&d.delta_checkpoints_written.to_string());
-                    w.field("checkpoint_dirty_vertices");
-                    w.raw(&d.checkpoint_dirty_vertices.to_string());
-                    w.field("wal_live_bytes");
-                    w.raw(&d.wal_live_bytes.to_string());
-                    w.close('}');
-                }
-            }
-            w.field("mixed");
-            match &e.mixed {
-                None => w.raw("null"),
-                Some(m) => {
-                    w.open('{');
-                    w.field("writer_batches");
-                    w.raw(&m.writer_batches.to_string());
-                    w.field("writer_edges");
-                    w.raw(&m.writer_edges.to_string());
-                    w.field("writer_eps");
-                    w.raw(&fmt_f64(m.writer_eps));
-                    w.field("reader_threads");
-                    w.raw(&m.reader_threads.to_string());
-                    w.field("reader_ops");
-                    w.raw(&m.reader_ops.to_string());
-                    w.field("reader_ops_per_sec");
-                    w.raw(&fmt_f64(m.reader_ops_per_sec));
-                    w.field("snapshots_taken");
-                    w.raw(&m.snapshots_taken.to_string());
-                    w.field("cow_block_copies");
-                    w.raw(&m.cow_block_copies.to_string());
-                    w.field("final_backlog");
-                    w.raw(&m.final_backlog.to_string());
-                    w.close('}');
-                }
-            }
-            w.field("standing");
-            match &e.standing {
-                None => w.raw("null"),
-                Some(s) => {
-                    w.open('{');
-                    w.field("subscriptions");
-                    w.raw(&s.subscriptions.to_string());
-                    w.field("batches");
-                    w.raw(&s.batches.to_string());
-                    w.field("deltas_delivered");
-                    w.raw(&s.deltas_delivered.to_string());
-                    w.field("delta_entries");
-                    w.raw(&s.delta_entries.to_string());
-                    w.field("delivery_nanos");
-                    w.raw(&s.delivery_nanos.to_string());
-                    w.field("recompute_nanos");
-                    w.raw(&s.recompute_nanos.to_string());
-                    w.field("speedup");
-                    w.raw(&fmt_f64(s.speedup));
-                    w.field("subscription_panics");
-                    w.raw(&s.subscription_panics.to_string());
-                    w.field("final_backlog");
-                    w.raw(&s.final_backlog.to_string());
-                    w.close('}');
-                }
-            }
-            w.field("search");
-            match &e.search {
-                None => w.raw("null"),
-                Some(s) => {
-                    w.open('{');
-                    w.field("probes_per_size");
-                    w.raw(&s.probes_per_size.to_string());
-                    w.field("scalar_small_nanos");
-                    w.raw(&s.scalar_small_nanos.to_string());
-                    w.field("block_small_nanos");
-                    w.raw(&s.block_small_nanos.to_string());
-                    w.field("scalar_medium_nanos");
-                    w.raw(&s.scalar_medium_nanos.to_string());
-                    w.field("block_medium_nanos");
-                    w.raw(&s.block_medium_nanos.to_string());
-                    w.field("scalar_large_nanos");
-                    w.raw(&s.scalar_large_nanos.to_string());
-                    w.field("block_large_nanos");
-                    w.raw(&s.block_large_nanos.to_string());
-                    w.field("decode_probes");
-                    w.raw(&s.decode_probes.to_string());
-                    w.field("decode_nanos");
-                    w.raw(&s.decode_nanos.to_string());
-                    w.field("compressed_bytes");
-                    w.raw(&s.compressed_bytes.to_string());
-                    w.field("raw_bytes");
-                    w.raw(&s.raw_bytes.to_string());
-                    w.close('}');
-                }
-            }
-            w.close('}');
-        }
-        w.close(']');
-        w.close('}');
+        JsonField::write(self, &mut w);
         w.finish()
     }
 
-    /// Parses a report previously produced by [`BenchReport::to_json`].
+    /// Parses a report previously produced by [`BenchReport::to_json`]. A
+    /// report must say which experiment it is (`repro check` re-runs it) and
+    /// may not be newer than this build.
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let v = parse_json(text)?;
-        let top = v.as_object("top level")?;
-        let engines = get(top, "engines")?
-            .as_array("engines")?
-            .iter()
-            .map(|e| {
-                let o = e.as_object("engine entry")?;
-                Ok(EngineReport {
-                    engine: get(o, "engine")?.as_str("engine")?.to_string(),
-                    dataset: get(o, "dataset")?.as_str("dataset")?.to_string(),
-                    batch_size: get(o, "batch_size")?.as_u64("batch_size")? as usize,
-                    insert_eps: get(o, "insert_eps")?.as_f64("insert_eps")?,
-                    delete_eps: get(o, "delete_eps")?.as_f64("delete_eps")?,
-                    insert_nanos: get(o, "insert_nanos")?.as_u64("insert_nanos")?,
-                    delete_nanos: get(o, "delete_nanos")?.as_u64("delete_nanos")?,
-                    counters: match get(o, "counters")? {
-                        Json::Null => None,
-                        c => Some(CounterSnapshot::from_fields(u64_pairs(
-                            c.as_object("counters")?,
-                        )?)?),
-                    },
-                    struct_stats: match get(o, "struct_stats")? {
-                        Json::Null => None,
-                        s => Some(StructSnapshot::from_fields(u64_pairs(
-                            s.as_object("struct_stats")?,
-                        )?)?),
-                    },
-                    // v2 fields: absent in v1 documents.
-                    footprint: match get_opt(o, "footprint") {
-                        None | Some(Json::Null) => None,
-                        Some(fp) => {
-                            let fo = fp.as_object("footprint")?;
-                            Some(FootprintReport {
-                                payload_bytes: get(fo, "payload_bytes")?.as_u64("payload_bytes")?,
-                                index_bytes: get(fo, "index_bytes")?.as_u64("index_bytes")?,
-                                space_amp_measured: get(fo, "space_amp_measured")?
-                                    .as_f64("space_amp_measured")?,
-                                space_amp_alpha: get(fo, "space_amp_alpha")?
-                                    .as_f64("space_amp_alpha")?,
-                            })
-                        }
-                    },
-                    latency: match get_opt(o, "latency") {
-                        None | Some(Json::Null) => None,
-                        Some(lat) => {
-                            let lo = lat.as_object("latency")?;
-                            Some(LatencySnapshot {
-                                batch_apply: parse_histogram(get(lo, "batch_apply")?)?,
-                                group_apply: parse_histogram(get(lo, "group_apply")?)?,
-                                kernel: parse_histogram(get(lo, "kernel")?)?,
-                                // v5 histogram: absent in v1–v4 documents.
-                                reader: match get_opt(lo, "reader") {
-                                    None | Some(Json::Null) => HistogramSnapshot::default(),
-                                    Some(h) => parse_histogram(h)?,
-                                },
-                            })
-                        }
-                    },
-                    kernels: match get_opt(o, "kernels") {
-                        None | Some(Json::Null) => Vec::new(),
-                        Some(ks) => ks
-                            .as_array("kernels")?
-                            .iter()
-                            .map(|k| {
-                                let ko = k.as_object("kernel entry")?;
-                                Ok(KernelTime {
-                                    name: get(ko, "name")?.as_str("name")?.to_string(),
-                                    wall_nanos: get(ko, "wall_nanos")?.as_u64("wall_nanos")?,
-                                })
-                            })
-                            .collect::<Result<Vec<_>, String>>()?,
-                    },
-                    // v4 field: absent in v1–v3 documents.
-                    durability: match get_opt(o, "durability") {
-                        None | Some(Json::Null) => None,
-                        Some(d) => {
-                            let dd = d.as_object("durability")?;
-                            Some(DurabilityReport {
-                                wal_frames: get(dd, "wal_frames")?.as_u64("wal_frames")?,
-                                wal_bytes: get(dd, "wal_bytes")?.as_u64("wal_bytes")?,
-                                wal_append_eps: get(dd, "wal_append_eps")?
-                                    .as_f64("wal_append_eps")?,
-                                checkpoint_bytes: get(dd, "checkpoint_bytes")?
-                                    .as_u64("checkpoint_bytes")?,
-                                checkpoint_nanos: get(dd, "checkpoint_nanos")?
-                                    .as_u64("checkpoint_nanos")?,
-                                recovery_nanos: get(dd, "recovery_nanos")?
-                                    .as_u64("recovery_nanos")?,
-                                replay_frames: get(dd, "replay_frames")?.as_u64("replay_frames")?,
-                                replay_eps: get(dd, "replay_eps")?.as_f64("replay_eps")?,
-                                // v6 fields: absent (zero) in v4–v5 documents.
-                                wal_segments_rotated: u64_or_zero(dd, "wal_segments_rotated")?,
-                                wal_segments_deleted: u64_or_zero(dd, "wal_segments_deleted")?,
-                                delta_checkpoints_written: u64_or_zero(
-                                    dd,
-                                    "delta_checkpoints_written",
-                                )?,
-                                checkpoint_dirty_vertices: u64_or_zero(
-                                    dd,
-                                    "checkpoint_dirty_vertices",
-                                )?,
-                                wal_live_bytes: u64_or_zero(dd, "wal_live_bytes")?,
-                            })
-                        }
-                    },
-                    // v5 field: absent in v1–v4 documents.
-                    mixed: match get_opt(o, "mixed") {
-                        None | Some(Json::Null) => None,
-                        Some(m) => {
-                            let mo = m.as_object("mixed")?;
-                            Some(MixedReport {
-                                writer_batches: get(mo, "writer_batches")?
-                                    .as_u64("writer_batches")?,
-                                writer_edges: get(mo, "writer_edges")?.as_u64("writer_edges")?,
-                                writer_eps: get(mo, "writer_eps")?.as_f64("writer_eps")?,
-                                reader_threads: get(mo, "reader_threads")?
-                                    .as_u64("reader_threads")?,
-                                reader_ops: get(mo, "reader_ops")?.as_u64("reader_ops")?,
-                                reader_ops_per_sec: get(mo, "reader_ops_per_sec")?
-                                    .as_f64("reader_ops_per_sec")?,
-                                snapshots_taken: get(mo, "snapshots_taken")?
-                                    .as_u64("snapshots_taken")?,
-                                cow_block_copies: get(mo, "cow_block_copies")?
-                                    .as_u64("cow_block_copies")?,
-                                final_backlog: get(mo, "final_backlog")?.as_u64("final_backlog")?,
-                            })
-                        }
-                    },
-                    // v7 field: absent in v1–v6 documents.
-                    standing: match get_opt(o, "standing") {
-                        None | Some(Json::Null) => None,
-                        Some(s) => {
-                            let so = s.as_object("standing")?;
-                            Some(StandingReport {
-                                subscriptions: get(so, "subscriptions")?.as_u64("subscriptions")?,
-                                batches: get(so, "batches")?.as_u64("batches")?,
-                                deltas_delivered: get(so, "deltas_delivered")?
-                                    .as_u64("deltas_delivered")?,
-                                delta_entries: get(so, "delta_entries")?.as_u64("delta_entries")?,
-                                delivery_nanos: get(so, "delivery_nanos")?
-                                    .as_u64("delivery_nanos")?,
-                                recompute_nanos: get(so, "recompute_nanos")?
-                                    .as_u64("recompute_nanos")?,
-                                speedup: get(so, "speedup")?.as_f64("speedup")?,
-                                subscription_panics: get(so, "subscription_panics")?
-                                    .as_u64("subscription_panics")?,
-                                final_backlog: get(so, "final_backlog")?.as_u64("final_backlog")?,
-                            })
-                        }
-                    },
-                    // v8 field: absent in v1–v7 documents.
-                    search: match get_opt(o, "search") {
-                        None | Some(Json::Null) => None,
-                        Some(s) => {
-                            let so = s.as_object("search")?;
-                            Some(SearchReport {
-                                probes_per_size: get(so, "probes_per_size")?
-                                    .as_u64("probes_per_size")?,
-                                scalar_small_nanos: get(so, "scalar_small_nanos")?
-                                    .as_u64("scalar_small_nanos")?,
-                                block_small_nanos: get(so, "block_small_nanos")?
-                                    .as_u64("block_small_nanos")?,
-                                scalar_medium_nanos: get(so, "scalar_medium_nanos")?
-                                    .as_u64("scalar_medium_nanos")?,
-                                block_medium_nanos: get(so, "block_medium_nanos")?
-                                    .as_u64("block_medium_nanos")?,
-                                scalar_large_nanos: get(so, "scalar_large_nanos")?
-                                    .as_u64("scalar_large_nanos")?,
-                                block_large_nanos: get(so, "block_large_nanos")?
-                                    .as_u64("block_large_nanos")?,
-                                decode_probes: get(so, "decode_probes")?.as_u64("decode_probes")?,
-                                decode_nanos: get(so, "decode_nanos")?.as_u64("decode_nanos")?,
-                                compressed_bytes: get(so, "compressed_bytes")?
-                                    .as_u64("compressed_bytes")?,
-                                raw_bytes: get(so, "raw_bytes")?.as_u64("raw_bytes")?,
-                            })
-                        }
-                    },
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let schema_version = get(top, "schema_version")?.as_u64("schema_version")? as u32;
-        if schema_version > SCHEMA_VERSION {
+        let report = BenchReport::read(&parse_json(text)?, "report")?;
+        if report.experiment.is_empty() {
+            return Err("missing field: experiment".to_string());
+        }
+        if report.schema_version > SCHEMA_VERSION {
             return Err(format!(
-                "unsupported schema_version {schema_version} (this build reads <= {SCHEMA_VERSION})"
+                "unsupported schema_version {} (this build reads <= {SCHEMA_VERSION})",
+                report.schema_version
             ));
         }
-        Ok(BenchReport {
-            schema_version,
-            experiment: get(top, "experiment")?.as_str("experiment")?.to_string(),
-            base: get(top, "base")?.as_u64("base")? as u32,
-            shift: get(top, "shift")?.as_u64("shift")? as u32,
-            trials: get(top, "trials")?.as_u64("trials")? as usize,
-            engines,
-        })
+        Ok(report)
     }
 
     /// Writes the report to `BENCH_<experiment>.json` in the current
@@ -714,7 +462,7 @@ impl BenchReport {
 /// quantiles) followed by the sparse `[bucket_index, count]` pairs that
 /// fully reconstruct it.
 fn write_histogram(w: &mut Writer, h: &HistogramSnapshot) {
-    w.open('{');
+    w.open_inline('{');
     w.field("count");
     w.raw(&h.count().to_string());
     w.field("sum");
@@ -786,6 +534,9 @@ struct Writer {
     depth: usize,
     /// Whether the current container already holds an element.
     populated: Vec<bool>,
+    /// Depth of the container opened with `open_inline`, while it is open:
+    /// it and everything in it stay on one line.
+    inline_from: Option<usize>,
 }
 
 impl Writer {
@@ -794,6 +545,7 @@ impl Writer {
             out: String::new(),
             depth: 0,
             populated: Vec::new(),
+            inline_from: None,
         }
     }
 
@@ -805,14 +557,19 @@ impl Writer {
     }
 
     fn separate(&mut self) {
+        let mut first = true;
         if let Some(p) = self.populated.last_mut() {
-            if *p {
-                self.out.push(',');
-            }
-            *p = true;
+            first = !std::mem::replace(p, true);
         }
-        if self.depth > 0 {
-            self.newline();
+        if !first {
+            self.out.push(',');
+        }
+        if self.inline_from.is_none() {
+            if self.depth > 0 {
+                self.newline();
+            }
+        } else if !first {
+            self.out.push(' ');
         }
     }
 
@@ -822,10 +579,20 @@ impl Writer {
         self.populated.push(false);
     }
 
+    /// Opens a container that stays on one line up to its `close`.
+    fn open_inline(&mut self, c: char) {
+        self.open(c);
+        self.inline_from.get_or_insert(self.depth);
+    }
+
     fn close(&mut self, c: char) {
         self.depth -= 1;
-        if self.populated.pop() == Some(true) {
-            self.newline();
+        let populated = self.populated.pop() == Some(true);
+        match self.inline_from {
+            Some(d) if d > self.depth => self.inline_from = None,
+            Some(_) => {}
+            None if populated => self.newline(),
+            None => {}
         }
         self.out.push(c);
     }
@@ -922,30 +689,11 @@ impl Json {
     }
 }
 
-fn get_opt<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// Reads an additive (later-schema) integer field, defaulting to 0 when
-/// the document predates it.
-fn u64_or_zero(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
-    match get_opt(obj, key) {
-        None | Some(Json::Null) => Ok(0),
-        Some(v) => v.as_u64(key),
-    }
-}
-
 fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
     obj.iter()
         .find(|(k, _)| k == key)
         .map(|(_, v)| v)
         .ok_or_else(|| format!("missing field: {key}"))
-}
-
-fn u64_pairs(obj: &[(String, Json)]) -> Result<Vec<(&str, u64)>, String> {
-    obj.iter()
-        .map(|(k, v)| Ok((k.as_str(), v.as_u64(k)?)))
-        .collect()
 }
 
 /// Parses a JSON document (objects, arrays, strings, numbers, booleans,
@@ -1129,16 +877,12 @@ mod tests {
                         space_amp_alpha: 1.2,
                     }),
                     latency: Some(sample_latency()),
-                    kernels: vec![
-                        KernelTime {
-                            name: "bfs".to_string(),
-                            wall_nanos: 5_000,
-                        },
-                        KernelTime {
-                            name: "bc".to_string(),
-                            wall_nanos: 9_999,
-                        },
-                    ],
+                    kernels: [("bfs", 5_000), ("bc", 9_999)]
+                        .map(|(name, wall_nanos)| KernelTime {
+                            name: name.to_string(),
+                            wall_nanos,
+                        })
+                        .into(),
                     durability: Some(DurabilityReport {
                         wal_frames: 12,
                         wal_bytes: 65_536,
@@ -1220,9 +964,19 @@ mod tests {
     #[test]
     fn round_trip() {
         let r = sample();
-        let text = r.to_json();
-        let back = BenchReport::from_json(&text).expect("parse");
+        let back = BenchReport::from_json(&r.to_json()).expect("parse");
         assert_eq!(back, r);
+    }
+
+    /// Keys of `o`, and of the object `o[name]`, in document order.
+    fn keys(o: &[(String, Json)]) -> Vec<&str> {
+        o.iter().map(|(k, _)| k.as_str()).collect()
+    }
+    fn words(list: &str) -> Vec<&str> {
+        list.split_whitespace().collect()
+    }
+    fn keys_of<'a>(o: &'a [(String, Json)], name: &str) -> Vec<&'a str> {
+        keys(get(o, name).unwrap().as_object(name).unwrap())
     }
 
     #[test]
@@ -1230,140 +984,83 @@ mod tests {
         let text = sample().to_json();
         let v = parse_json(&text).expect("parse");
         let top = v.as_object("top").unwrap();
-        let top_keys: Vec<&str> = top.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
-            top_keys,
-            [
-                "schema_version",
-                "experiment",
-                "base",
-                "shift",
-                "trials",
-                "engines"
-            ]
+            keys(top),
+            words("schema_version experiment base shift trials engines")
         );
         let engines = get(top, "engines").unwrap().as_array("engines").unwrap();
         let e0 = engines[0].as_object("e0").unwrap();
-        let e0_keys: Vec<&str> = e0.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
-            e0_keys,
-            [
-                "engine",
-                "dataset",
-                "batch_size",
-                "insert_eps",
-                "delete_eps",
-                "insert_nanos",
-                "delete_nanos",
-                "counters",
-                "struct_stats",
-                "footprint",
-                "latency",
-                "kernels",
-                "durability",
-                "mixed",
-                "standing",
-                "search"
-            ]
+            keys(e0),
+            words(
+                "engine dataset batch_size insert_eps delete_eps insert_nanos \
+                 delete_nanos struct_stats footprint latency kernels durability \
+                 mixed standing search"
+            )
         );
-        let dur = get(e0, "durability").unwrap().as_object("dur").unwrap();
-        let dur_keys: Vec<&str> = dur.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
-            dur_keys,
-            [
-                "wal_frames",
-                "wal_bytes",
-                "wal_append_eps",
-                "checkpoint_bytes",
-                "checkpoint_nanos",
-                "recovery_nanos",
-                "replay_frames",
-                "replay_eps",
-                "wal_segments_rotated",
-                "wal_segments_deleted",
-                "delta_checkpoints_written",
-                "checkpoint_dirty_vertices",
-                "wal_live_bytes"
-            ]
+            keys_of(e0, "durability"),
+            words(
+                "wal_frames wal_bytes wal_append_eps checkpoint_bytes \
+                 checkpoint_nanos recovery_nanos replay_frames replay_eps \
+                 wal_segments_rotated wal_segments_deleted \
+                 delta_checkpoints_written checkpoint_dirty_vertices wal_live_bytes"
+            )
         );
-        let mixed = get(e0, "mixed").unwrap().as_object("mixed").unwrap();
-        let mixed_keys: Vec<&str> = mixed.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
-            mixed_keys,
-            [
-                "writer_batches",
-                "writer_edges",
-                "writer_eps",
-                "reader_threads",
-                "reader_ops",
-                "reader_ops_per_sec",
-                "snapshots_taken",
-                "cow_block_copies",
-                "final_backlog"
-            ]
+            keys_of(e0, "mixed"),
+            words(
+                "writer_batches writer_edges writer_eps reader_threads reader_ops \
+                 reader_ops_per_sec snapshots_taken cow_block_copies final_backlog"
+            )
         );
-        let standing = get(e0, "standing").unwrap().as_object("standing").unwrap();
-        let standing_keys: Vec<&str> = standing.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
-            standing_keys,
-            [
-                "subscriptions",
-                "batches",
-                "deltas_delivered",
-                "delta_entries",
-                "delivery_nanos",
-                "recompute_nanos",
-                "speedup",
-                "subscription_panics",
-                "final_backlog"
-            ]
+            keys_of(e0, "standing"),
+            words(
+                "subscriptions batches deltas_delivered delta_entries \
+                 delivery_nanos recompute_nanos speedup subscription_panics \
+                 final_backlog"
+            )
         );
-        let search = get(e0, "search").unwrap().as_object("search").unwrap();
-        let search_keys: Vec<&str> = search.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
-            search_keys,
-            [
-                "probes_per_size",
-                "scalar_small_nanos",
-                "block_small_nanos",
-                "scalar_medium_nanos",
-                "block_medium_nanos",
-                "scalar_large_nanos",
-                "block_large_nanos",
-                "decode_probes",
-                "decode_nanos",
-                "compressed_bytes",
-                "raw_bytes"
-            ]
+            keys_of(e0, "search"),
+            words(
+                "probes_per_size scalar_small_nanos block_small_nanos \
+                 scalar_medium_nanos block_medium_nanos scalar_large_nanos \
+                 block_large_nanos decode_probes decode_nanos compressed_bytes \
+                 raw_bytes"
+            )
+        );
+        assert_eq!(
+            keys_of(e0, "latency"),
+            ["batch_apply", "kernel", "reader"],
+            "the empty group_apply histogram is left out"
         );
         let lat = get(e0, "latency").unwrap().as_object("lat").unwrap();
-        let lat_keys: Vec<&str> = lat.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(lat_keys, ["batch_apply", "group_apply", "kernel", "reader"]);
-        let h = get(lat, "batch_apply").unwrap().as_object("h").unwrap();
-        let h_keys: Vec<&str> = h.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
-            h_keys,
+            keys_of(lat, "batch_apply"),
             ["count", "sum", "max", "p50", "p90", "p99", "buckets"]
         );
-        // Struct-stats field names come verbatim from StructSnapshot::fields.
-        let ss = get(e0, "struct_stats").unwrap().as_object("ss").unwrap();
-        let want: Vec<&str> = StructSnapshot::default()
-            .fields()
-            .iter()
-            .map(|&(n, _)| n)
-            .collect();
-        let got: Vec<&str> = ss.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(got, want);
-        // Counter field names come verbatim from CounterSnapshot::fields.
+        // Struct-stats names come verbatim from StructSnapshot::fields, in
+        // that order, non-zero entries only.
+        assert_eq!(
+            keys_of(e0, "struct_stats"),
+            ["ria_ripples", "ria_bound", "phase_apply_nanos"]
+        );
+        // Likewise the counters, from CounterSnapshot::fields; and a cell
+        // writes no key for a `None` or an empty list.
         let e1 = engines[1].as_object("e1").unwrap();
-        let c = get(e1, "counters").unwrap().as_object("c").unwrap();
-        let want: Vec<&str> = CounterSnapshot::default()
-            .fields()
-            .iter()
-            .map(|&(n, _)| n)
-            .collect();
-        let got: Vec<&str> = c.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(got, want);
+        assert_eq!(
+            keys(e1),
+            words(
+                "engine dataset batch_size insert_eps delete_eps insert_nanos \
+                 delete_nanos counters"
+            )
+        );
+        assert_eq!(
+            keys_of(e1, "counters"),
+            ["search_steps", "elements_moved", "rebuilds"]
+        );
     }
 
     #[test]
@@ -1374,69 +1071,50 @@ mod tests {
         assert!(BenchReport::from_json("{\"schema_version\": 1}").is_err());
     }
 
+    /// The reader's one rule: an absent key is zero / `None` / empty, an
+    /// unknown key is an error — at every level below the top.
     #[test]
-    fn v1_documents_still_parse() {
-        // A v1 engine entry has no footprint/latency/kernels keys at all.
-        let v1 = r#"{
-  "schema_version": 1,
-  "experiment": "fig12",
-  "base": 10,
-  "shift": 0,
-  "trials": 1,
-  "engines": [
-    {
-      "engine": "Aspen",
-      "dataset": "LJ",
-      "batch_size": 64,
-      "insert_eps": 1.0,
-      "delete_eps": 1.0,
-      "insert_nanos": 10,
-      "delete_nanos": 10,
-      "counters": null,
-      "struct_stats": null
-    }
-  ]
+    fn absent_keys_are_zero_and_unknown_keys_are_errors() {
+        let doc = r#"{
+  "schema_version": 9, "experiment": "small", "base": 10, "shift": 0, "trials": 1,
+  "engines": [{
+    "engine": "LSGraph", "dataset": "LJ", "batch_size": 64,
+    "struct_stats": {"tier_upgrades": 3},
+    "latency": {"reader": {"count": 0, "sum": 0, "max": 0, "buckets": []}},
+    "durability": {"replay_frames": 6}
+  }]
 }"#;
-        let r = BenchReport::from_json(v1).expect("v1 parses");
-        assert_eq!(r.schema_version, 1);
+        let r = BenchReport::from_json(doc).expect("sparse document parses");
         let e = &r.engines[0];
+        assert_eq!((e.insert_eps, e.insert_nanos), (0.0, 0));
+        assert_eq!(e.counters, None);
         assert_eq!(e.footprint, None);
-        assert_eq!(e.latency, None);
         assert!(e.kernels.is_empty());
-        // Re-serializing upgrades the entry to v2 syntax and round-trips.
-        let again = BenchReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(again.engines, r.engines);
-    }
+        let ss = e.struct_stats.expect("struct_stats present");
+        assert_eq!((ss.tier_upgrades, ss.ria_rebuilds), (3, 0));
+        let lat = e.latency.expect("latency present");
+        assert!(lat.batch_apply.is_empty() && lat.reader.is_empty());
+        let d = e.durability.as_ref().expect("durability present");
+        assert_eq!((d.replay_frames, d.wal_segments_rotated), (6, 0));
+        // Re-serializing and re-reading is a fixed point.
+        assert_eq!(BenchReport::from_json(&r.to_json()).unwrap(), r);
 
-    #[test]
-    fn v5_durability_objects_parse_with_new_fields_at_zero() {
-        // Simulate a v5 document: version 5 and no rotation/delta fields.
-        let doc = sample()
-            .to_json()
-            .replacen("\"schema_version\": 8", "\"schema_version\": 5", 1);
-        // Splice inside the durability object (struct_stats carries fields
-        // with the same names; those stay).
-        let dur = doc.find("\"durability\"").unwrap();
-        let f = dur + doc[dur..].find("\"wal_segments_rotated\"").unwrap();
-        let start = doc[..f].rfind(',').unwrap();
-        let tail = "\"wal_live_bytes\": 16384";
-        let end = dur + doc[dur..].find(tail).unwrap() + tail.len();
-        let doc = format!("{}{}", &doc[..start], &doc[end..]);
-        let r = BenchReport::from_json(&doc).expect("v5 durability parses");
-        let d = r.engines[0].durability.as_ref().unwrap();
-        assert_eq!(d.replay_frames, 6, "pre-v6 fields survive");
-        assert_eq!(d.wal_segments_rotated, 0);
-        assert_eq!(d.wal_segments_deleted, 0);
-        assert_eq!(d.delta_checkpoints_written, 0);
-        assert_eq!(d.checkpoint_dirty_vertices, 0);
-        assert_eq!(d.wal_live_bytes, 0);
+        for (from, to) in [
+            ("\"dataset\"", "\"data_set\""),
+            ("\"tier_upgrades\"", "\"phase_kernel_nanos\""),
+            ("\"reader\"", "\"writer\""),
+            ("\"replay_frames\"", "\"replayed\""),
+        ] {
+            let err = BenchReport::from_json(&doc.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains("unknown"), "{to}: {err}");
+        }
     }
 
     #[test]
     fn future_schema_versions_are_rejected() {
         let doc = sample()
             .to_json()
-            .replacen("\"schema_version\": 8", "\"schema_version\": 9", 1);
+            .replacen("\"schema_version\": 9", "\"schema_version\": 10", 1);
         let err = BenchReport::from_json(&doc).unwrap_err();
         assert!(err.contains("unsupported schema_version"), "{err}");
     }

@@ -85,25 +85,21 @@ impl Spill {
         self.len() == 0
     }
 
-    /// Returns whether `u` is present.
-    pub fn contains(&self, u: u32, cfg: &Config) -> bool {
+    /// Returns whether `u` is present. Only the compressed tier records
+    /// into `stats` (one chunk decode at most).
+    pub fn contains(&self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
         match self {
             Spill::Array(v) => search::find(v, u).is_ok(),
             Spill::Ria(r) => r.contains(u),
             Spill::Pma(p) => p.contains(u),
             Spill::Tree(t) => t.contains(u, cfg),
-            Spill::Compressed(c) => c.contains(u),
+            Spill::Compressed(c) => c.contains(u, stats),
         }
     }
 
     /// Inserts `u`, upgrading the tier if needed; returns whether it was
-    /// added. Records into the process-global [`StructStats`] sink.
-    pub fn insert(&mut self, u: u32, cfg: &Config) -> bool {
-        self.insert_with(u, cfg, StructStats::global())
-    }
-
-    /// Inserts `u`, recording structural movement into `stats`.
-    pub fn insert_with(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
+    /// added. Structural movement is recorded into `stats`.
+    pub fn insert(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
         self.maybe_upgrade(cfg, stats);
         match self {
             Spill::Array(v) => match search::find(v, u) {
@@ -114,21 +110,16 @@ impl Spill {
                     true
                 }
             },
-            Spill::Ria(r) => r.insert_with(u, stats).inserted(),
+            Spill::Ria(r) => r.insert(u, stats).inserted(),
             Spill::Pma(p) => p.insert(u),
-            Spill::Tree(t) => t.insert_with(u, cfg, stats),
+            Spill::Tree(t) => t.insert(u, cfg, stats),
             Spill::Compressed(_) => unreachable!("maybe_upgrade thaws compressed spills"),
         }
     }
 
     /// Deletes `u`, downgrading the tier with hysteresis; returns whether it
-    /// was present. Records into the process-global [`StructStats`] sink.
-    pub fn delete(&mut self, u: u32, cfg: &Config) -> bool {
-        self.delete_with(u, cfg, StructStats::global())
-    }
-
-    /// Deletes `u`, recording structural movement into `stats`.
-    pub fn delete_with(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
+    /// was present. Structural movement is recorded into `stats`.
+    pub fn delete(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
         // A frozen spill cannot absorb writes; thaw it to the writable tier
         // first (misses pay the thaw too, matching insert's upgrade path).
         self.thaw(cfg, stats);
@@ -141,9 +132,9 @@ impl Spill {
                 }
                 Err(_) => false,
             },
-            Spill::Ria(r) => r.delete_with(u, stats),
+            Spill::Ria(r) => r.delete(u, stats),
             Spill::Pma(p) => p.delete(u),
-            Spill::Tree(t) => t.delete_with(u, cfg, stats),
+            Spill::Tree(t) => t.delete(u, cfg, stats),
             Spill::Compressed(_) => unreachable!("thawed above"),
         };
         if removed {
@@ -153,13 +144,9 @@ impl Spill {
     }
 
     /// Removes and returns the smallest neighbor (used to refill a vertex
-    /// block's inline line after an inline delete).
-    pub fn pop_min(&mut self, cfg: &Config) -> Option<u32> {
-        self.pop_min_with(cfg, StructStats::global())
-    }
-
-    /// [`Spill::pop_min`] recording structural movement into `stats`.
-    pub fn pop_min_with(&mut self, cfg: &Config, stats: &StructStats) -> Option<u32> {
+    /// block's inline line after an inline delete), recording structural
+    /// movement into `stats`.
+    pub fn pop_min(&mut self, cfg: &Config, stats: &StructStats) -> Option<u32> {
         let min = match self {
             Spill::Array(v) => v.first().copied(),
             Spill::Ria(r) => {
@@ -188,7 +175,7 @@ impl Spill {
             }
             Spill::Compressed(c) => c.iter().next(),
         }?;
-        let removed = self.delete_with(min, cfg, stats);
+        let removed = self.delete(min, cfg, stats);
         debug_assert!(removed);
         Some(min)
     }
@@ -372,6 +359,9 @@ impl MemoryFootprint for Spill {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sink for the structural events these tests do not look at.
+    static STATS: StructStats = StructStats::new();
     use crate::config::LiaSearch;
 
     fn cfg() -> Config {
@@ -386,7 +376,7 @@ mod tests {
         let cfg = cfg();
         let mut s = Spill::Array(Vec::new());
         for u in 0..1_000u32 {
-            assert!(s.insert(u, &cfg), "insert {u}");
+            assert!(s.insert(u, &cfg, &STATS), "insert {u}");
         }
         assert!(matches!(s, Spill::Tree(_)), "expected HITree tier");
         assert_eq!(s.len(), 1_000);
@@ -399,7 +389,7 @@ mod tests {
         c.high = HighDegreeStore::RiaOnly;
         let mut s = Spill::Array(Vec::new());
         for u in 0..1_000u32 {
-            s.insert(u, &c);
+            s.insert(u, &c, &STATS);
         }
         assert!(matches!(s, Spill::Ria(_)), "ablation should cap at RIA");
         assert_eq!(s.len(), 1_000);
@@ -411,11 +401,11 @@ mod tests {
         c.medium = MediumStore::Pma;
         let mut s = Spill::Array(Vec::new());
         for u in 0..100u32 {
-            s.insert(u, &c);
+            s.insert(u, &c, &STATS);
         }
         assert!(matches!(s, Spill::Pma(_)));
         for u in 0..100u32 {
-            assert!(s.contains(u, &c));
+            assert!(s.contains(u, &c, &STATS));
         }
     }
 
@@ -425,7 +415,7 @@ mod tests {
         let mut s = Spill::from_sorted(&(0..1_000).collect::<Vec<_>>(), &cfg);
         assert!(matches!(s, Spill::Tree(_)));
         for u in 0..960u32 {
-            assert!(s.delete(u, &cfg), "delete {u}");
+            assert!(s.delete(u, &cfg, &STATS), "delete {u}");
         }
         assert!(!matches!(s, Spill::Tree(_)), "should have downgraded");
         assert_eq!(s.to_vec(), (960..1_000).collect::<Vec<_>>());
@@ -437,12 +427,12 @@ mod tests {
         for n in [10usize, 100, 600] {
             let mut s =
                 Spill::from_sorted(&(0..n as u32).map(|i| i * 2 + 4).collect::<Vec<_>>(), &cfg);
-            assert_eq!(s.pop_min(&cfg), Some(4));
-            assert_eq!(s.pop_min(&cfg), Some(6));
+            assert_eq!(s.pop_min(&cfg, &STATS), Some(4));
+            assert_eq!(s.pop_min(&cfg, &STATS), Some(6));
             assert_eq!(s.len(), n - 2);
         }
         let mut empty = Spill::Array(Vec::new());
-        assert_eq!(empty.pop_min(&cfg), None);
+        assert_eq!(empty.pop_min(&cfg, &STATS), None);
     }
 
     #[test]
@@ -451,13 +441,13 @@ mod tests {
         c.lia_search = LiaSearch::Binary;
         let mut s = Spill::Array(Vec::new());
         for u in (0..2_000u32).rev() {
-            s.insert(u, &c);
+            s.insert(u, &c, &STATS);
         }
         assert_eq!(s.len(), 2_000);
         for u in (0..2_000).step_by(13) {
-            assert!(s.contains(u, &c));
+            assert!(s.contains(u, &c, &STATS));
         }
-        assert!(!s.contains(5_000, &c));
+        assert!(!s.contains(5_000, &c, &STATS));
     }
 
     #[test]
@@ -470,16 +460,16 @@ mod tests {
         assert_eq!(s.to_vec(), ns);
         assert_eq!(s.iter().collect::<Vec<_>>(), ns);
         for u in (0..1_200u32).step_by(17) {
-            assert_eq!(s.contains(u, &c), u % 2 == 0 && u < 1_200);
+            assert_eq!(s.contains(u, &c, &STATS), u % 2 == 0 && u < 1_200);
         }
         // Any insert thaws back to the writable tier for that degree.
-        assert!(s.insert(1, &c));
+        assert!(s.insert(1, &c, &STATS));
         assert!(matches!(s, Spill::Tree(_)), "thaw target is the HITree");
-        assert!(s.contains(1, &c));
+        assert!(s.contains(1, &c, &STATS));
         assert_eq!(s.len(), 601);
         // Deletes thaw too; a miss still pays the thaw (it is a write path).
         let mut s = Spill::from_sorted(&ns, &c);
-        assert!(s.delete(0, &c));
+        assert!(s.delete(0, &c, &STATS));
         assert!(!matches!(s, Spill::Compressed(_)));
         assert_eq!(s.len(), 599);
         // With the knob off the same slice stays on the writable ladder.
@@ -493,8 +483,8 @@ mod tests {
         for n in [8usize, 64, 600] {
             let ns: Vec<u32> = (0..n as u32).map(|i| i * 3).collect();
             let mut s = Spill::from_sorted(&ns, &cfg);
-            assert!(!s.insert(0, &cfg), "dup at n={n}");
-            assert!(!s.delete(1, &cfg), "missing at n={n}");
+            assert!(!s.insert(0, &cfg, &STATS), "dup at n={n}");
+            assert!(!s.delete(1, &cfg, &STATS), "missing at n={n}");
             assert_eq!(s.len(), n);
         }
     }

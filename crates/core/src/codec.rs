@@ -8,11 +8,11 @@
 //! most one chunk**: the skip pointers are binary-searched branch-free
 //! ([`crate::search`]), then one chunk's gap stream is walked.
 //!
-//! Codec events are recorded into the process-global
-//! [`StructStats`](lsgraph_api::StructStats) sink (the codec sits below the
-//! per-engine stats plumbing): `spill_compressions` and
-//! `compressed_bytes_saved` at encode time, `compressed_chunks_decoded` per
-//! probe decode.
+//! Encoding is pure; the engine that installs a frozen spill records
+//! `spill_compressions` and `compressed_bytes_saved`
+//! ([`CompressedNeighbors::bytes_saved`]) into its own
+//! [`StructStats`]. A membership probe records
+//! `compressed_chunks_decoded` into the stats its caller hands it.
 
 use lsgraph_api::{Footprint, StructStats};
 
@@ -135,9 +135,7 @@ pub struct CompressedNeighbors {
 }
 
 impl CompressedNeighbors {
-    /// Compresses a sorted duplicate-free slice. Records one
-    /// `spill_compressions` event and the bytes saved versus raw `u32`
-    /// storage into the process-global stats sink.
+    /// Compresses a sorted duplicate-free slice.
     pub fn from_sorted(ns: &[u32]) -> Self {
         debug_assert!(ns.windows(2).all(|w| w[0] < w[1]));
         let mut c = CompressedNeighbors {
@@ -151,11 +149,6 @@ impl CompressedNeighbors {
             c.offsets.push(c.bytes.len() as u32);
             encode_chunk(chunk, &mut c.bytes);
         }
-        let stats = StructStats::global();
-        stats.record_spill_compression();
-        stats.record_compressed_bytes_saved(
-            std::mem::size_of_val(ns).saturating_sub(c.stored_bytes()) as u64,
-        );
         c
     }
 
@@ -205,12 +198,17 @@ impl CompressedNeighbors {
             + self.offsets.len() * core::mem::size_of::<u32>()
     }
 
+    /// Bytes saved versus storing the same values as raw `u32`s.
+    pub fn bytes_saved(&self) -> usize {
+        (self.len * core::mem::size_of::<u32>()).saturating_sub(self.stored_bytes())
+    }
+
     /// Membership probe: branch-free skip-pointer search, then at most one
-    /// chunk decode (recorded as `compressed_chunks_decoded`).
-    pub fn contains(&self, key: u32) -> bool {
+    /// chunk decode (recorded into `stats` as `compressed_chunks_decoded`).
+    pub fn contains(&self, key: u32, stats: &StructStats) -> bool {
         let (found, decoded) = self.probe(key);
         if decoded {
-            StructStats::global().record_compressed_chunk_decoded();
+            stats.record_compressed_chunk_decoded();
         }
         found
     }
@@ -348,6 +346,9 @@ impl Iterator for CompressedIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sink for the structural events these tests do not look at.
+    static STATS: StructStats = StructStats::new();
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     #[test]
@@ -371,13 +372,13 @@ mod tests {
     fn contains_decodes_at_most_one_chunk() {
         let ns: Vec<u32> = (0..10 * CHUNK as u32).map(|i| i * 3).collect();
         let c = CompressedNeighbors::from_sorted(&ns);
-        // Counted from what each probe reports, not from the process-global
-        // sink, which sibling tests feed while this one runs.
+        // Counted from what each probe reports: `STATS` is shared with the
+        // sibling tests.
         let mut decoded = 0u64;
         for probe in 0..(ns.len() as u32 * 3 + 5) {
             let (found, chunk_decoded) = c.probe(probe);
             assert_eq!(found, probe % 3 == 0 && ns.contains(&probe));
-            assert_eq!(c.contains(probe), found);
+            assert_eq!(c.contains(probe, &STATS), found);
             decoded += u64::from(chunk_decoded);
         }
         // Every probe decodes its one chunk, except a chunk's first key.
@@ -398,7 +399,11 @@ mod tests {
             let set: std::collections::BTreeSet<u32> = ns.iter().copied().collect();
             for _ in 0..200 {
                 let probe = rng.gen_range(0..100_100u32);
-                assert_eq!(c.contains(probe), set.contains(&probe), "case {case}");
+                assert_eq!(
+                    c.contains(probe, &STATS),
+                    set.contains(&probe),
+                    "case {case}"
+                );
             }
         }
     }
@@ -422,7 +427,7 @@ mod tests {
             c.check_invariants();
             assert_eq!(c.to_vec(), ns);
             for &v in &ns {
-                assert!(c.contains(v));
+                assert!(c.contains(v, &STATS));
             }
         }
     }

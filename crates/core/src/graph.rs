@@ -511,7 +511,7 @@ impl LsGraph {
         let r = self.apply_runs(&keys, &runs, |vb, run_keys, cfg, stats| {
             let mut n = 0;
             for &k in run_keys {
-                if vb.insert_with(k as u32, cfg, stats) {
+                if vb.insert(k as u32, cfg, stats) {
                     n += 1;
                 }
             }
@@ -555,7 +555,7 @@ impl LsGraph {
         let r = self.apply_runs(&keys, &runs, |vb, run_keys, cfg, stats| {
             let mut n = 0;
             for &k in run_keys {
-                if vb.delete_with(k as u32, cfg, stats) {
+                if vb.delete(k as u32, cfg, stats) {
                     n += 1;
                 }
             }
@@ -639,12 +639,16 @@ impl LsGraph {
             ns.clear();
             vb.checkpoint_neighbors(&mut ns);
             let new_vb = VertexBlock::from_sorted_neighbors(&ns, &self.cfg);
+            let saved = match new_vb.spill() {
+                Some(crate::adjacency::Spill::Compressed(c)) => c.bytes_saved() as u64,
+                _ => 0,
+            };
             fail_point!("spill_compress");
             self.install_block(v, new_vb);
-            // The codec records to the process-global sink; this engine's
-            // own counters see the freeze only once it is actually
-            // installed (a killed attempt above must leave them untouched).
+            // Recorded only once the freeze is actually installed: a killed
+            // attempt above must leave the counters untouched.
             self.stats.record_spill_compression();
+            self.stats.record_compressed_bytes_saved(saved);
             frozen += 1;
         }
         frozen
@@ -953,7 +957,7 @@ impl Graph for LsGraph {
     }
 
     fn has_edge(&self, v: VertexId, u: VertexId) -> bool {
-        self.vertices[v as usize].contains(u, &self.cfg)
+        self.vertices[v as usize].contains(u, &self.cfg, &self.stats)
     }
 }
 

@@ -73,7 +73,11 @@ impl Iterator for HiTreeIter<'_> {
 mod tests {
     use super::super::HiTree;
     use crate::config::Config;
+    use lsgraph_api::StructStats;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    /// Sink for the structural events these tests do not look at.
+    static STATS: StructStats = StructStats::new();
 
     fn cfg() -> Config {
         Config {
@@ -102,10 +106,10 @@ mod tests {
         for _ in 0..20_000 {
             let k = rng.gen_range(0..4_000u32);
             if rng.gen_bool(0.65) {
-                t.insert(k, &cfg);
+                t.insert(k, &cfg, &STATS);
                 oracle.insert(k);
             } else {
-                t.delete(k, &cfg);
+                t.delete(k, &cfg, &STATS);
                 oracle.remove(&k);
             }
         }
@@ -131,7 +135,7 @@ mod tests {
         let mut base: Vec<u32> = (0..300u32).map(|i| i * 1_000).collect();
         let mut t = HiTree::from_sorted(&base, &cfg);
         for k in 150_001..150_400u32 {
-            t.insert(k, &cfg);
+            t.insert(k, &cfg, &STATS);
             base.push(k);
         }
         base.sort_unstable();

@@ -733,6 +733,9 @@ impl MemoryFootprint for Lia {
 mod tests {
     use super::*;
 
+    /// Sink for the structural events these tests do not look at.
+    static STATS: StructStats = StructStats::new();
+
     fn cfg() -> Config {
         Config::default()
     }
@@ -776,10 +779,7 @@ mod tests {
         let ns: Vec<u32> = (0..200).map(|i| i * 1_000).collect();
         let mut lia = Lia::build(&ns, &cfg(), 0);
         for k in 100_001..100_100u32 {
-            assert!(
-                lia.insert(k, &cfg(), 0, StructStats::global()),
-                "insert {k}"
-            );
+            assert!(lia.insert(k, &cfg(), 0, &STATS), "insert {k}");
         }
         lia.check_invariants(&cfg());
         assert!(lia.contains(100_050, &cfg()));
@@ -791,10 +791,7 @@ mod tests {
         let ns: Vec<u32> = (0..500).map(|i| i * 7).collect();
         let mut lia = Lia::build(&ns, &cfg(), 0);
         for &k in &ns {
-            assert!(
-                !lia.insert(k, &cfg(), 0, StructStats::global()),
-                "duplicate {k}"
-            );
+            assert!(!lia.insert(k, &cfg(), 0, &STATS), "duplicate {k}");
         }
         assert_eq!(lia.len(), 500);
     }
@@ -807,14 +804,8 @@ mod tests {
         ns.dedup();
         let mut lia = Lia::build(&ns, &cfg(), 0);
         for &k in &ns {
-            assert!(
-                lia.delete(k, &cfg(), 0, StructStats::global()),
-                "delete {k}"
-            );
-            assert!(
-                !lia.delete(k, &cfg(), 0, StructStats::global()),
-                "double delete {k}"
-            );
+            assert!(lia.delete(k, &cfg(), 0, &STATS), "delete {k}");
+            assert!(!lia.delete(k, &cfg(), 0, &STATS), "double delete {k}");
         }
         assert!(lia.is_empty());
         lia.check_invariants(&cfg());

@@ -74,24 +74,14 @@ impl HiTree {
     }
 
     /// Inserts `key`; returns whether it was added (false = duplicate).
-    /// Records into the process-global [`StructStats`] sink.
-    pub fn insert(&mut self, key: u32, cfg: &Config) -> bool {
-        self.insert_with(key, cfg, StructStats::global())
-    }
-
-    /// Inserts `key`, recording structural movement into `stats`.
-    pub fn insert_with(&mut self, key: u32, cfg: &Config, stats: &StructStats) -> bool {
+    /// Structural movement is recorded into `stats`.
+    pub fn insert(&mut self, key: u32, cfg: &Config, stats: &StructStats) -> bool {
         self.root.insert(key, cfg, 0, stats)
     }
 
-    /// Deletes `key`; returns whether it was present. Records into the
-    /// process-global [`StructStats`] sink.
-    pub fn delete(&mut self, key: u32, cfg: &Config) -> bool {
-        self.delete_with(key, cfg, StructStats::global())
-    }
-
-    /// Deletes `key`, recording structural movement into `stats`.
-    pub fn delete_with(&mut self, key: u32, cfg: &Config, stats: &StructStats) -> bool {
+    /// Deletes `key`; returns whether it was present. Structural movement is
+    /// recorded into `stats`.
+    pub fn delete(&mut self, key: u32, cfg: &Config, stats: &StructStats) -> bool {
         self.root.delete(key, cfg, 0, stats)
     }
 
@@ -143,6 +133,9 @@ impl MemoryFootprint for HiTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sink for the structural events these tests do not look at.
+    static STATS: StructStats = StructStats::new();
     use crate::config::{Config, LiaSearch};
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -183,7 +176,7 @@ mod tests {
         let mut t = HiTree::from_sorted(&v, &cfg);
         let mut oracle: std::collections::BTreeSet<u32> = v.iter().copied().collect();
         for k in 3000..3600u32 {
-            assert_eq!(t.insert(k, &cfg), oracle.insert(k), "key {k}");
+            assert_eq!(t.insert(k, &cfg, &STATS), oracle.insert(k), "key {k}");
         }
         t.check_invariants(&cfg);
         assert_eq!(t.to_vec(), oracle.iter().copied().collect::<Vec<_>>());
@@ -198,9 +191,17 @@ mod tests {
         for step in 0..30_000 {
             let k = rng.gen_range(0..5_000u32);
             if rng.gen_bool(0.65) {
-                assert_eq!(t.insert(k, &cfg), oracle.insert(k), "insert {k} at {step}");
+                assert_eq!(
+                    t.insert(k, &cfg, &STATS),
+                    oracle.insert(k),
+                    "insert {k} at {step}"
+                );
             } else {
-                assert_eq!(t.delete(k, &cfg), oracle.remove(&k), "delete {k} at {step}");
+                assert_eq!(
+                    t.delete(k, &cfg, &STATS),
+                    oracle.remove(&k),
+                    "delete {k} at {step}"
+                );
             }
             assert_eq!(t.len(), oracle.len());
         }
@@ -221,9 +222,9 @@ mod tests {
         for _ in 0..15_000 {
             let k = rng.gen_range(0..3_000u32);
             if rng.gen_bool(0.7) {
-                assert_eq!(t.insert(k, &cfg), oracle.insert(k));
+                assert_eq!(t.insert(k, &cfg, &STATS), oracle.insert(k));
             } else {
-                assert_eq!(t.delete(k, &cfg), oracle.remove(&k));
+                assert_eq!(t.delete(k, &cfg, &STATS), oracle.remove(&k));
             }
         }
         t.check_invariants(&cfg);
@@ -241,7 +242,7 @@ mod tests {
         let v: Vec<u32> = (0..300u32).map(|i| i * 1000).collect();
         let mut t = HiTree::from_sorted(&v, &cfg);
         for k in 150_000..150_200u32 {
-            t.insert(k, &cfg);
+            t.insert(k, &cfg, &STATS);
         }
         t.check_invariants(&cfg);
         // 300 bulk-loaded + 200 inserted, minus the duplicate 150_000.
@@ -258,7 +259,7 @@ mod tests {
         let cfg = small_cfg();
         let mut t = HiTree::new(&cfg);
         for k in 0..2_000u32 {
-            assert!(t.insert(k, &cfg));
+            assert!(t.insert(k, &cfg, &STATS));
         }
         t.check_invariants(&cfg);
         assert_eq!(t.len(), 2_000);
@@ -274,12 +275,12 @@ mod tests {
         let v: Vec<u32> = (0..400).collect();
         let mut t = HiTree::from_sorted(&v, &cfg);
         for k in 0..400 {
-            assert!(t.delete(k, &cfg), "delete {k}");
+            assert!(t.delete(k, &cfg, &STATS), "delete {k}");
         }
         assert!(t.is_empty());
         t.check_invariants(&cfg);
-        assert!(!t.delete(0, &cfg));
-        assert!(t.insert(7, &cfg));
+        assert!(!t.delete(0, &cfg, &STATS));
+        assert!(t.insert(7, &cfg, &STATS));
         assert_eq!(t.to_vec(), vec![7]);
     }
 
@@ -314,7 +315,7 @@ mod tests {
         let mut base: Vec<u32> = (0..200u32).map(|i| i * 500).collect();
         let mut t = HiTree::from_sorted(&base, &cfg);
         for k in 50_000..50_400u32 {
-            t.insert(k, &cfg);
+            t.insert(k, &cfg, &STATS);
             base.push(k);
         }
         t.check_invariants(&cfg);
@@ -322,7 +323,7 @@ mod tests {
         base.dedup();
         assert_eq!(t.to_vec(), base);
         for &k in &base {
-            assert!(t.delete(k, &cfg));
+            assert!(t.delete(k, &cfg, &STATS));
         }
         assert!(t.is_empty());
     }

@@ -89,7 +89,7 @@ impl Node {
                     true
                 }
             },
-            Node::Ria(r) => r.insert_with(key, stats).inserted(),
+            Node::Ria(r) => r.insert(key, stats).inserted(),
             Node::Lia(l) => l.insert(key, cfg, depth, stats),
         }
     }
@@ -105,7 +105,7 @@ impl Node {
                 }
                 Err(_) => false,
             },
-            Node::Ria(r) => r.delete_with(key, stats),
+            Node::Ria(r) => r.delete(key, stats),
             Node::Lia(l) => l.delete(key, cfg, depth, stats),
         }
     }

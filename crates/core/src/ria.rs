@@ -154,15 +154,9 @@ impl Ria {
         i < blk.len() && blk[i] == key
     }
 
-    /// Inserts `key`, returning what happened. Structural events are
-    /// recorded into the process-global [`StructStats`] sink; instrumented
-    /// callers use [`Ria::insert_with`].
-    pub fn insert(&mut self, key: u32) -> InsertOutcome {
-        self.insert_with(key, StructStats::global())
-    }
-
-    /// Inserts `key`, recording structural movement into `stats`.
-    pub fn insert_with(&mut self, key: u32, stats: &StructStats) -> InsertOutcome {
+    /// Inserts `key`, returning what happened. Structural movement is
+    /// recorded into `stats`.
+    pub fn insert(&mut self, key: u32, stats: &StructStats) -> InsertOutcome {
         if self.len == 0 {
             self.data[0] = key;
             self.counts[0] = 1;
@@ -203,15 +197,9 @@ impl Ria {
         InsertOutcome::InsertedWithRebuild
     }
 
-    /// Deletes `key`; returns whether it was present. Structural events go
-    /// to the process-global [`StructStats`] sink; instrumented callers use
-    /// [`Ria::delete_with`].
-    pub fn delete(&mut self, key: u32) -> bool {
-        self.delete_with(key, StructStats::global())
-    }
-
-    /// Deletes `key`, recording structural movement into `stats`.
-    pub fn delete_with(&mut self, key: u32, stats: &StructStats) -> bool {
+    /// Deletes `key`; returns whether it was present. Structural movement is
+    /// recorded into `stats`.
+    pub fn delete(&mut self, key: u32, stats: &StructStats) -> bool {
         if self.len == 0 {
             return false;
         }
@@ -536,11 +524,14 @@ impl MemoryFootprint for Ria {
 mod tests {
     use super::*;
 
+    /// Sink for the structural events these tests do not look at.
+    static STATS: StructStats = StructStats::new();
+
     #[test]
     fn insert_and_contains() {
         let mut r = Ria::new(1.2);
         for k in [5u32, 1, 9, 3, 7] {
-            assert!(r.insert(k).inserted());
+            assert!(r.insert(k, &STATS).inserted());
         }
         r.check_invariants();
         for k in [1u32, 3, 5, 7, 9] {
@@ -555,8 +546,8 @@ mod tests {
     #[test]
     fn duplicates_rejected() {
         let mut r = Ria::new(1.2);
-        assert_eq!(r.insert(4), InsertOutcome::Inserted);
-        assert_eq!(r.insert(4), InsertOutcome::Duplicate);
+        assert_eq!(r.insert(4, &STATS), InsertOutcome::Inserted);
+        assert_eq!(r.insert(4, &STATS), InsertOutcome::Duplicate);
         assert_eq!(r.len(), 1);
     }
 
@@ -564,7 +555,7 @@ mod tests {
     fn ascending_bulk_insert_stays_sorted() {
         let mut r = Ria::new(1.2);
         for k in 0..10_000u32 {
-            r.insert(k);
+            r.insert(k, &STATS);
         }
         r.check_invariants();
         assert_eq!(r.len(), 10_000);
@@ -575,7 +566,7 @@ mod tests {
     fn descending_bulk_insert_stays_sorted() {
         let mut r = Ria::new(1.2);
         for k in (0..5_000u32).rev() {
-            r.insert(k);
+            r.insert(k, &STATS);
         }
         r.check_invariants();
         assert_eq!(r.to_vec(), (0..5_000).collect::<Vec<_>>());
@@ -601,26 +592,26 @@ mod tests {
     fn delete_roundtrip() {
         let mut r = Ria::from_sorted(&(0..1000).collect::<Vec<_>>(), 1.2);
         for k in (0..1000).step_by(2) {
-            assert!(r.delete(k));
+            assert!(r.delete(k, &STATS));
         }
         r.check_invariants();
         assert_eq!(r.len(), 500);
         for k in 0..1000 {
             assert_eq!(r.contains(k), k % 2 == 1, "key {k}");
         }
-        assert!(!r.delete(0));
-        assert!(!r.delete(2000));
+        assert!(!r.delete(0, &STATS));
+        assert!(!r.delete(2000, &STATS));
     }
 
     #[test]
     fn delete_everything_then_reinsert() {
         let mut r = Ria::from_sorted(&(0..100).collect::<Vec<_>>(), 1.2);
         for k in 0..100 {
-            assert!(r.delete(k));
+            assert!(r.delete(k, &STATS));
         }
         assert!(r.is_empty());
         r.check_invariants();
-        assert!(r.insert(42).inserted());
+        assert!(r.insert(42, &STATS).inserted());
         assert_eq!(r.to_vec(), vec![42]);
     }
 
@@ -629,7 +620,7 @@ mod tests {
         let mut r = Ria::from_sorted(&(0..10_000).collect::<Vec<_>>(), 1.2);
         let blocks_before = r.num_blocks();
         for k in 0..9_900 {
-            r.delete(k);
+            r.delete(k, &STATS);
         }
         r.check_invariants();
         assert!(r.num_blocks() < blocks_before / 4);
@@ -673,9 +664,9 @@ mod tests {
         for _ in 0..20_000 {
             let k = rng.gen_range(0..2_000u32);
             if rng.gen_bool(0.6) {
-                assert_eq!(r.insert(k).inserted(), oracle.insert(k));
+                assert_eq!(r.insert(k, &STATS).inserted(), oracle.insert(k));
             } else {
-                assert_eq!(r.delete(k), oracle.remove(&k));
+                assert_eq!(r.delete(k, &STATS), oracle.remove(&k));
             }
         }
         r.check_invariants();

@@ -282,7 +282,8 @@ impl Graph for GraphSnapshot {
     }
 
     fn has_edge(&self, v: VertexId, u: VertexId) -> bool {
-        self.inner.blocks[v as usize].contains(u, &self.inner.cfg)
+        let inner = &*self.inner;
+        inner.blocks[v as usize].contains(u, &inner.cfg, &inner.stats)
     }
 }
 

@@ -75,26 +75,22 @@ impl VertexBlock {
         self.spill.as_deref()
     }
 
-    /// Returns whether `u` is a neighbor.
-    pub fn contains(&self, u: u32, cfg: &Config) -> bool {
+    /// Returns whether `u` is a neighbor (`stats`: see [`Spill::contains`]).
+    pub fn contains(&self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
         let inl = self.inline_neighbors();
         if let Some(&last) = inl.last() {
             if u <= last {
                 return search::find(inl, u).is_ok();
             }
         }
-        self.spill.as_ref().is_some_and(|s| s.contains(u, cfg))
+        self.spill
+            .as_ref()
+            .is_some_and(|s| s.contains(u, cfg, stats))
     }
 
-    /// Inserts neighbor `u`; returns whether it was added. Records into the
-    /// process-global [`StructStats`] sink; instrumented engines call
-    /// [`VertexBlock::insert_with`].
-    pub fn insert(&mut self, u: u32, cfg: &Config) -> bool {
-        self.insert_with(u, cfg, StructStats::global())
-    }
-
-    /// Inserts neighbor `u`, recording structural movement into `stats`.
-    pub fn insert_with(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
+    /// Inserts neighbor `u`; returns whether it was added. Structural
+    /// movement is recorded into `stats`.
+    pub fn insert(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
         let n = self.inline_len();
         if n < INLINE_CAP {
             // Everything fits inline.
@@ -122,7 +118,7 @@ impl VertexBlock {
                     let spill = self
                         .spill
                         .get_or_insert_with(|| Arc::new(Spill::Array(Vec::new())));
-                    let added = Arc::make_mut(spill).insert_with(evicted, cfg, stats);
+                    let added = Arc::make_mut(spill).insert(evicted, cfg, stats);
                     debug_assert!(added, "evicted inline neighbor was already spilled");
                     self.degree += 1;
                     true
@@ -131,7 +127,7 @@ impl VertexBlock {
                     let spill = self
                         .spill
                         .get_or_insert_with(|| Arc::new(Spill::Array(Vec::new())));
-                    if Arc::make_mut(spill).insert_with(u, cfg, stats) {
+                    if Arc::make_mut(spill).insert(u, cfg, stats) {
                         stats.record_vb_spill_insert();
                         self.degree += 1;
                         true
@@ -143,15 +139,9 @@ impl VertexBlock {
         }
     }
 
-    /// Deletes neighbor `u`; returns whether it was present. Records into
-    /// the process-global [`StructStats`] sink; instrumented engines call
-    /// [`VertexBlock::delete_with`].
-    pub fn delete(&mut self, u: u32, cfg: &Config) -> bool {
-        self.delete_with(u, cfg, StructStats::global())
-    }
-
-    /// Deletes neighbor `u`, recording structural movement into `stats`.
-    pub fn delete_with(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
+    /// Deletes neighbor `u`; returns whether it was present. Structural
+    /// movement is recorded into `stats`.
+    pub fn delete(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
         let n = self.inline_len();
         match search::find(&self.inline[..n], u) {
             Ok(i) => {
@@ -162,7 +152,7 @@ impl VertexBlock {
                 let mut emptied = false;
                 if let Some(spill) = self.spill.as_mut() {
                     let spill = Arc::make_mut(spill);
-                    if let Some(min) = spill.pop_min_with(cfg, stats) {
+                    if let Some(min) = spill.pop_min(cfg, stats) {
                         self.inline[n - 1] = min;
                         stats.record_vb_spill_refill();
                     }
@@ -179,7 +169,7 @@ impl VertexBlock {
                     return false;
                 };
                 let spill = Arc::make_mut(spill);
-                if spill.delete_with(u, cfg, stats) {
+                if spill.delete(u, cfg, stats) {
                     if spill.is_empty() {
                         self.spill = None;
                     }
@@ -358,6 +348,9 @@ impl MemoryFootprint for VertexBlock {
 mod tests {
     use super::*;
 
+    /// Sink for the structural events these tests do not look at.
+    static STATS: StructStats = StructStats::new();
+
     #[test]
     fn block_is_one_cache_line() {
         assert_eq!(core::mem::size_of::<VertexBlock>(), 64);
@@ -369,14 +362,14 @@ mod tests {
         let cfg = Config::default();
         let mut vb = VertexBlock::new();
         for u in [9u32, 1, 5] {
-            assert!(vb.insert(u, &cfg));
+            assert!(vb.insert(u, &cfg, &STATS));
         }
-        assert!(!vb.insert(5, &cfg));
+        assert!(!vb.insert(5, &cfg, &STATS));
         assert_eq!(vb.degree(), 3);
         assert_eq!(vb.to_vec(), vec![1, 5, 9]);
-        assert!(vb.contains(5, &cfg) && !vb.contains(2, &cfg));
-        assert!(vb.delete(5, &cfg));
-        assert!(!vb.delete(5, &cfg));
+        assert!(vb.contains(5, &cfg, &STATS) && !vb.contains(2, &cfg, &STATS));
+        assert!(vb.delete(5, &cfg, &STATS));
+        assert!(!vb.delete(5, &cfg, &STATS));
         assert_eq!(vb.to_vec(), vec![1, 9]);
         vb.check_invariants(&cfg);
     }
@@ -386,7 +379,7 @@ mod tests {
         let cfg = Config::default();
         let mut vb = VertexBlock::new();
         for u in (0..40u32).rev() {
-            assert!(vb.insert(u, &cfg));
+            assert!(vb.insert(u, &cfg, &STATS));
         }
         vb.check_invariants(&cfg);
         assert_eq!(vb.degree(), 40);
@@ -405,12 +398,12 @@ mod tests {
             &(100..100 + INLINE_CAP as u32).collect::<Vec<_>>(),
             &cfg,
         );
-        assert!(vb.insert(1, &cfg));
+        assert!(vb.insert(1, &cfg, &STATS));
         vb.check_invariants(&cfg);
         assert_eq!(vb.inline_neighbors()[0], 1);
         assert_eq!(vb.degree(), INLINE_CAP + 1);
         assert!(
-            vb.contains(100 + INLINE_CAP as u32 - 1, &cfg),
+            vb.contains(100 + INLINE_CAP as u32 - 1, &cfg, &STATS),
             "evicted key lost"
         );
     }
@@ -419,7 +412,7 @@ mod tests {
     fn delete_inline_pulls_from_spill() {
         let cfg = Config::default();
         let mut vb = VertexBlock::from_sorted_neighbors(&(0..30).collect::<Vec<_>>(), &cfg);
-        assert!(vb.delete(0, &cfg));
+        assert!(vb.delete(0, &cfg, &STATS));
         vb.check_invariants(&cfg);
         assert_eq!(vb.to_vec(), (1..30).collect::<Vec<_>>());
         // Inline must still be full (smallest 13 of the remaining 29).
@@ -431,7 +424,7 @@ mod tests {
         let cfg = Config::default();
         let mut vb = VertexBlock::from_sorted_neighbors(&(0..20).collect::<Vec<_>>(), &cfg);
         for u in 13..20u32 {
-            assert!(vb.delete(u, &cfg));
+            assert!(vb.delete(u, &cfg, &STATS));
         }
         assert!(vb.spill.is_none(), "spill should be dropped when empty");
         assert_eq!(vb.to_vec(), (0..13).collect::<Vec<_>>());
@@ -445,7 +438,7 @@ mod tests {
         let bulk = VertexBlock::from_sorted_neighbors(&ns, &cfg);
         let mut inc = VertexBlock::new();
         for &u in ns.iter().rev() {
-            inc.insert(u, &cfg);
+            inc.insert(u, &cfg, &STATS);
         }
         assert_eq!(bulk.to_vec(), inc.to_vec());
         bulk.check_invariants(&cfg);
@@ -477,9 +470,9 @@ mod tests {
         for _ in 0..20_000 {
             let u = rng.gen_range(0..1_500u32);
             if rng.gen_bool(0.6) {
-                assert_eq!(vb.insert(u, &cfg), oracle.insert(u));
+                assert_eq!(vb.insert(u, &cfg, &STATS), oracle.insert(u));
             } else {
-                assert_eq!(vb.delete(u, &cfg), oracle.remove(&u));
+                assert_eq!(vb.delete(u, &cfg, &STATS), oracle.remove(&u));
             }
         }
         vb.check_invariants(&cfg);

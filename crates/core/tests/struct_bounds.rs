@@ -22,16 +22,16 @@ fn ria_mixed_stream_respects_locality_bound() {
     let mut r = Ria::from_sorted(&base, 1.2);
     let mut oracle: std::collections::BTreeSet<u32> = base.iter().copied().collect();
     for k in 50_000..52_000u32 {
-        assert_eq!(r.insert_with(k, &stats).inserted(), oracle.insert(k));
+        assert_eq!(r.insert(k, &stats).inserted(), oracle.insert(k));
     }
     // Interleave random inserts and deletes across the whole range.
     let mut rng = SmallRng::seed_from_u64(99);
     for _ in 0..30_000 {
         let k = rng.gen_range(0..100_000u32);
         if rng.gen_bool(0.6) {
-            assert_eq!(r.insert_with(k, &stats).inserted(), oracle.insert(k));
+            assert_eq!(r.insert(k, &stats).inserted(), oracle.insert(k));
         } else {
-            assert_eq!(r.delete_with(k, &stats), oracle.remove(&k));
+            assert_eq!(r.delete(k, &stats), oracle.remove(&k));
         }
     }
     r.check_invariants();
@@ -131,7 +131,7 @@ fn snapshot_since_diff_is_exact() {
     let mut rng = SmallRng::seed_from_u64(5);
     let phase1: Vec<u32> = (0..5_000).map(|_| rng.gen_range(0..50_000)).collect();
     for &k in &phase1 {
-        r.insert_with(k, &stats);
+        r.insert(k, &stats);
     }
     let cut = stats.snapshot();
     let checkpoint = r.clone();
@@ -141,9 +141,9 @@ fn snapshot_since_diff_is_exact() {
         .collect();
     for &(k, ins) in &phase2 {
         if ins {
-            r.insert_with(k, &stats);
+            r.insert(k, &stats);
         } else {
-            r.delete_with(k, &stats);
+            r.delete(k, &stats);
         }
     }
     let diff = stats.snapshot().since(cut);
@@ -152,9 +152,9 @@ fn snapshot_since_diff_is_exact() {
     let mut replay = checkpoint;
     for &(k, ins) in &phase2 {
         if ins {
-            replay.insert_with(k, &replay_stats);
+            replay.insert(k, &replay_stats);
         } else {
-            replay.delete_with(k, &replay_stats);
+            replay.delete(k, &replay_stats);
         }
     }
     // Gauges (`ria_max_ripple_span`, `ria_bound`) are carried through
@@ -171,4 +171,44 @@ fn snapshot_since_diff_is_exact() {
         counters_only(&replay_stats.snapshot())
     );
     assert!(diff.ria_within_block_shifts > 0, "phase 2 was a no-op");
+}
+
+/// Compressed-tier events are counted by the graph they happen in: freezing,
+/// probing and thawing hubs of one graph leaves a second graph's counters at
+/// zero (there is no process-wide sink for them to meet in).
+#[test]
+fn compressed_tier_counters_stay_with_their_graph() {
+    let cfg = Config::default().with_m(128).with_compress_cold(true);
+    let build = || {
+        let mut g = LsGraph::with_config(1_024, cfg);
+        for hub in 0..4u32 {
+            let batch: Vec<Edge> = (8..608).map(|d| Edge::new(hub, d)).collect();
+            g.insert_batch(&batch);
+        }
+        g
+    };
+    let mut frozen = build();
+    let idle = build();
+    assert_eq!(frozen.compress_cold_vertices(), 4);
+    // Probes past the inline line and off the skip pointers decode a chunk.
+    assert!(frozen.has_edge(0, 500) && !frozen.has_edge(0, 900));
+    // A write to a frozen hub thaws it first.
+    assert_eq!(frozen.insert_batch(&[Edge::new(1, 900)]), 1);
+
+    let s = frozen.struct_snapshot();
+    assert_eq!(s.spill_compressions, 4, "{s:?}");
+    assert!(s.compressed_bytes_saved > 0, "{s:?}");
+    assert!(s.compressed_chunks_decoded > 0, "{s:?}");
+    assert_eq!(s.spill_thaws, 1, "{s:?}");
+    let s = idle.struct_snapshot();
+    assert_eq!(
+        (
+            s.spill_compressions,
+            s.compressed_bytes_saved,
+            s.compressed_chunks_decoded,
+            s.spill_thaws
+        ),
+        (0, 0, 0, 0),
+        "{s:?}"
+    );
 }

@@ -47,8 +47,9 @@
 //! ```
 
 pub use lsgraph_api::{
-    CounterSnapshot, DynamicGraph, Edge, Footprint, Graph, IterableGraph, MemoryFootprint,
-    OpCounters, Phase, PhaseTimer, SnapshotSource, StructSnapshot, StructStats, VertexId,
+    CounterSnapshot, DynamicGraph, Edge, Footprint, Gate, Graph, IterableGraph, MemoryFootprint,
+    MetricDesc, MetricKind, OpCounters, Phase, PhaseTimer, SnapshotSource, StructSnapshot,
+    StructStats, VertexId,
 };
 pub use lsgraph_core::{
     BatchEvent, BatchKind, BatchOutcome, Config, ConfigError, GraphSnapshot, HiTree,

@@ -11,9 +11,12 @@ use rand::prelude::*;
 
 use lsgraph::baselines::{AspenGraph, PacGraph, TerraceGraph};
 use lsgraph::substrates::{BTreeSet32, Pma, PmaParams};
-use lsgraph::{Config, DynamicGraph, Edge, Graph, HiTree, LsGraph, Ria};
+use lsgraph::{Config, DynamicGraph, Edge, Graph, HiTree, LsGraph, Ria, StructStats};
 
 const CASES: u64 = 64;
+
+/// Sink for the structural events of the bare-container properties.
+static STATS: StructStats = StructStats::new();
 
 /// A batched update stream over a small id space (dense collisions on
 /// purpose): 1..12 batches of 1..80 (src, dst) pairs in 0..60.
@@ -134,9 +137,9 @@ fn ria_behaves_as_sorted_set() {
         let mut oracle = std::collections::BTreeSet::new();
         for (ins, k) in ops {
             if ins {
-                assert_eq!(r.insert(k).inserted(), oracle.insert(k));
+                assert_eq!(r.insert(k, &STATS).inserted(), oracle.insert(k));
             } else {
-                assert_eq!(r.delete(k), oracle.remove(&k));
+                assert_eq!(r.delete(k, &STATS), oracle.remove(&k));
             }
         }
         r.check_invariants();
@@ -158,9 +161,9 @@ fn hitree_behaves_as_sorted_set() {
         let mut oracle = std::collections::BTreeSet::new();
         for (ins, k) in ops {
             if ins {
-                assert_eq!(t.insert(k, &cfg), oracle.insert(k));
+                assert_eq!(t.insert(k, &cfg, &STATS), oracle.insert(k));
             } else {
-                assert_eq!(t.delete(k, &cfg), oracle.remove(&k));
+                assert_eq!(t.delete(k, &cfg, &STATS), oracle.remove(&k));
             }
         }
         t.check_invariants(&cfg);
@@ -343,7 +346,7 @@ fn extreme_keys_survive() {
         let mut t = HiTree::new(&cfg);
         let mut oracle = std::collections::BTreeSet::new();
         for k in keys {
-            assert_eq!(t.insert(k, &cfg), oracle.insert(k));
+            assert_eq!(t.insert(k, &cfg, &STATS), oracle.insert(k));
         }
         t.check_invariants(&cfg);
         assert_eq!(t.to_vec(), oracle.into_iter().collect::<Vec<_>>());
