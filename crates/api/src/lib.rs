@@ -22,7 +22,7 @@ pub use histogram::{
     kernel_scope, HistogramSnapshot, KernelScope, LatencyHistogram, LatencySnapshot, LatencyStats,
 };
 pub use metric::{Gate, MetricDesc, MetricKind};
-pub use metrics::{MetricsRegistry, RegistrySample, Sampler, SamplerThread};
+pub use metrics::{MetricsRegistry, RegistrySample, Sampler};
 pub use trace::{Span, SpanKind};
 
 /// Read-only view of a graph.

@@ -23,10 +23,9 @@
 //!   sampler killed mid-run can never leave a torn line — the file is
 //!   always a valid JSONL prefix.
 //! - [`Sampler`] snapshots a registry on demand (deterministic tick counts
-//!   under `repro`, where the harness ticks once per writer round);
-//!   [`SamplerThread`] does the same on a wall-clock interval from a
-//!   background thread. Both evaluate the `metrics_sample` failpoint at
-//!   the top of every tick, before any byte is written.
+//!   under `repro`, where the harness ticks once per writer round). It
+//!   evaluates the `metrics_sample` failpoint at the top of every tick,
+//!   before any byte is written.
 //! - [`RegistrySample::render_prometheus`] renders Prometheus text
 //!   exposition (counters as `*_total`, log2 histogram buckets as
 //!   cumulative `le` buckets), and [`parse_prometheus`] round-trips it —
@@ -41,7 +40,7 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::counters::{StructSnapshot, StructStats};
 use crate::fail_point;
@@ -574,53 +573,6 @@ impl Sampler {
     }
 }
 
-/// Background wall-clock sampler: spawns a thread that ticks a [`Sampler`]
-/// every `interval` until stopped. A tick that panics (e.g. the
-/// `metrics_sample` failpoint firing) kills the sampler thread — sampling
-/// stops, but the engine and the already-written JSONL prefix are
-/// untouched; the fault suite proves this.
-pub struct SamplerThread {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<(u64, u64)>,
-}
-
-impl SamplerThread {
-    /// Spawns the sampling thread.
-    pub fn spawn(
-        registry: Arc<MetricsRegistry>,
-        cell: impl Into<String>,
-        interval: Duration,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let cell = cell.into();
-        let handle = std::thread::spawn(move || {
-            let mut sampler = Sampler::new(registry, cell);
-            let mut panics = 0u64;
-            while !stop2.load(Ordering::Relaxed) {
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    sampler.tick(&[]).ok();
-                }));
-                if r.is_err() {
-                    // A killed tick ends sampling; it must not tear the
-                    // stream (tick writes whole lines or nothing).
-                    panics += 1;
-                    break;
-                }
-                std::thread::sleep(interval);
-            }
-            (sampler.ticks(), panics)
-        });
-        SamplerThread { stop, handle }
-    }
-
-    /// Stops the thread and returns `(ticks_written, panicked_ticks)`.
-    pub fn stop(self) -> (u64, u64) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.handle.join().unwrap_or((0, 1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -797,24 +749,6 @@ lsgraph_batch_apply_ns_max 10000
         let mut sampler = Sampler::new(r, "none");
         assert!(!sampler.tick(&[]).unwrap());
         assert_eq!(sampler.ticks(), 0);
-    }
-
-    #[test]
-    fn sampler_thread_ticks_on_interval_and_stops() {
-        let _g = locked();
-        let path = tmp("thread");
-        stream_to_file(&path).unwrap();
-        let (r, _, _) = small_registry();
-        let t = SamplerThread::spawn(r, "bg", Duration::from_millis(1));
-        std::thread::sleep(Duration::from_millis(25));
-        let (ticks, panics) = t.stop();
-        assert!(ticks >= 1, "background sampler never ticked");
-        assert_eq!(panics, 0);
-        let written = finish_stream().unwrap().expect("stream active");
-        assert_eq!(written, ticks);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count() as u64, ticks);
-        std::fs::remove_file(&path).ok();
     }
 
     #[cfg(feature = "count-alloc")]

@@ -925,7 +925,6 @@ fn rotation_cell(
         segment_bytes: ((bs * 8) as u64).max(1024),
         delta_ratio: 1.0,
         max_delta_chain: 64,
-        ..StoreOptions::default()
     };
     let (mut store, _) = Store::open_with(&dir, n, cfg, opts).expect("open store");
     store.insert_batch(base).expect("load base");

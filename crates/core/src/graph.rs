@@ -1,21 +1,21 @@
-//! The LSGraph engine: vertex-block table + per-vertex spill containers +
-//! the parallel batch-update pipeline (paper §5, Fig. 11).
+//! The LSGraph engine: the live [`GraphView`] + the writer-only state around
+//! it + the parallel batch-update pipeline (paper §5, Fig. 11).
 
 use lsgraph_api::batch::{max_vertex_id, runs_by_src, sorted_dedup_keys, SrcRun};
 use lsgraph_api::fail_point;
 use lsgraph_api::{
-    DynamicGraph, Edge, Footprint, Graph, IterableGraph, LatencySnapshot, LatencyStats,
-    MemoryFootprint, Phase, SnapshotSource, StructSnapshot, StructStats, VertexId,
+    DynamicGraph, Edge, Graph, LatencySnapshot, LatencyStats, MemoryFootprint, Phase,
+    SnapshotSource, StructSnapshot, StructStats, VertexId,
 };
-use rayon::prelude::*;
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::adjacency::Spill;
 use crate::config::{Config, ConfigError};
-use crate::error::{BatchOutcome, GraphError, InvariantError};
-use crate::snapshot::{EpochRegistry, GraphSnapshot, SnapInner};
+use crate::directory::{forward_to_view, GraphView};
+use crate::error::{BatchOutcome, GraphError};
+use crate::snapshot::{EpochRegistry, GraphSnapshot};
 use crate::vertex::VertexBlock;
 
 /// A shared-memory streaming graph engine with locality-centric storage.
@@ -32,25 +32,11 @@ use crate::vertex::VertexBlock;
 /// assert_eq!(g.neighbors(0), vec![1, 2]);
 /// ```
 pub struct LsGraph {
-    /// The vertex-block directory. Each block sits behind its own [`Arc`] so
-    /// a snapshot ([`LsGraph::snapshot`]) is a clone of this vector —
-    /// reference bumps only — and writes copy-on-write exactly the blocks
-    /// they touch while any snapshot is outstanding.
-    vertices: Vec<Arc<VertexBlock>>,
-    cfg: Config,
-    num_edges: usize,
-    /// Structural observability counters; shared by the parallel apply tasks
-    /// (relaxed atomics, see [`StructStats`]) and by outstanding snapshots.
-    stats: Arc<StructStats>,
-    /// Latency distributions: one `batch_apply` sample per batch, one
-    /// `group_apply` sample per per-source run (recorded from the worker
-    /// that applied it), one `reader` sample per snapshot read probe.
-    latency: Arc<LatencyStats>,
-    /// Vertices whose apply task panicked: their adjacency was dropped
-    /// (degree 0) so the rest of the graph stays exact. They answer queries
-    /// as isolated vertices, are skipped by later batches, and can be
-    /// restored with [`LsGraph::repair_vertex`].
-    quarantined: BTreeSet<VertexId>,
+    /// The graph itself: vertex directory, edge total, quarantine set,
+    /// configuration and instrumentation handles. Everything a reader can
+    /// ask is answered from here, and a snapshot ([`LsGraph::snapshot`]) is
+    /// a clone of it.
+    view: GraphView,
     /// Snapshot epochs and the retired-block reclamation pool.
     epochs: Arc<EpochRegistry>,
     /// Vertices mutated since the dirty set was last taken — the delta
@@ -165,56 +151,6 @@ struct RunApplyResult {
     skipped_quarantined: usize,
 }
 
-/// Raw pointer to the vertex table, shared across the batch-apply tasks.
-///
-/// Send/Sync are sound because the batch pipeline guarantees each task
-/// exclusively owns the vertex-block slots of the sources in its runs (runs
-/// are grouped by source id and each source appears in exactly one run).
-struct TablePtr(*mut Arc<VertexBlock>);
-
-// SAFETY: see the type-level comment; disjoint-index access only.
-unsafe impl Send for TablePtr {}
-// SAFETY: see the type-level comment; disjoint-index access only.
-unsafe impl Sync for TablePtr {}
-
-impl TablePtr {
-    /// Returns a mutable reference to the block slot at `i`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee `i` is in bounds and that no other task
-    /// accesses index `i` for the lifetime of the returned reference.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn at(&self, i: usize) -> &mut Arc<VertexBlock> {
-        // SAFETY: bounds and exclusivity are the caller's contract.
-        unsafe { &mut *self.0.add(i) }
-    }
-}
-
-/// Copy-on-write entry to a directory slot: returns exclusive access to the
-/// block, cloning it first (shallow — the spill rides along by reference)
-/// when an outstanding snapshot still shares this version.
-///
-/// Sound without synchronization because the writer holds `&mut self` for
-/// the whole batch: no snapshot can be *created* concurrently, so the
-/// strong count can only decrease under us. A count of 1 is therefore
-/// definitively exclusive; a racing snapshot-drop after we observe > 1
-/// costs at most one harmless extra copy. The displaced version goes to the
-/// epoch pool rather than being freed inline.
-fn cow_block<'a>(
-    slot: &'a mut Arc<VertexBlock>,
-    stats: &StructStats,
-    epochs: &EpochRegistry,
-) -> &'a mut VertexBlock {
-    if Arc::strong_count(slot) > 1 {
-        let old = Arc::clone(slot);
-        *slot = Arc::new((**slot).clone());
-        stats.record_cow_block_copy();
-        epochs.retire(old);
-    }
-    Arc::get_mut(slot).expect("block exclusive after copy-on-write")
-}
-
 impl LsGraph {
     /// Creates an empty graph over `n` vertices with the default (paper)
     /// configuration.
@@ -239,12 +175,7 @@ impl LsGraph {
         let mut dirty = DirtySet::default();
         dirty.grow_to(n);
         Ok(LsGraph {
-            vertices: (0..n).map(|_| Arc::new(VertexBlock::new())).collect(),
-            cfg,
-            num_edges: 0,
-            stats: Arc::new(StructStats::new()),
-            latency: Arc::new(LatencyStats::new()),
-            quarantined: BTreeSet::new(),
+            view: GraphView::new(n, cfg),
             epochs: Arc::new(EpochRegistry::new()),
             dirty,
             batch_seq: 0,
@@ -282,48 +213,35 @@ impl LsGraph {
         let mut g = LsGraph::try_with_config(n, cfg)?;
         let runs = runs_by_src(&keys);
         let failures: Mutex<Vec<VertexId>> = Mutex::new(Vec::new());
-        let applied: usize = {
-            let ptr = TablePtr(g.vertices.as_mut_ptr());
-            let cfg = &g.cfg;
-            runs.par_iter()
-                .map(|run| {
-                    let task = || {
-                        fail_point!("apply_run");
-                        let ns: Vec<u32> =
-                            keys[run.start..run.end].iter().map(|&k| k as u32).collect();
-                        // SAFETY: `run.src < n` (the table was sized to the
-                        // max id) and runs have pairwise-distinct sources, so
-                        // this is the only task touching `vertices[run.src]`.
-                        // No snapshot can exist yet (the graph is still being
-                        // built), so plain replacement needs no retirement.
-                        let slot = unsafe { ptr.at(run.src as usize) };
-                        *slot = Arc::new(VertexBlock::from_sorted_neighbors(&ns, cfg));
-                        ns.len()
-                    };
-                    match catch_unwind(AssertUnwindSafe(task)) {
-                        Ok(cnt) => cnt,
-                        Err(_) => {
-                            failures.lock().unwrap().push(run.src);
-                            0
-                        }
-                    }
-                })
-                .sum()
-        };
+        let applied = g.view.par_apply_disjoint(&runs, |run, mut slot| {
+            let task = || {
+                fail_point!("apply_run");
+                let ns: Vec<u32> = keys[run.start..run.end].iter().map(|&k| k as u32).collect();
+                slot.set(VertexBlock::from_sorted_neighbors(&ns, &cfg));
+                ns.len()
+            };
+            match catch_unwind(AssertUnwindSafe(task)) {
+                Ok(cnt) => cnt,
+                Err(_) => {
+                    failures.lock().unwrap().push(run.src);
+                    0
+                }
+            }
+        });
         let mut quarantined = failures.into_inner().unwrap();
         quarantined.sort_unstable();
         for &src in &quarantined {
             // A panicked build may have left the block partially assigned;
             // force it back to a pristine empty block.
-            g.vertices[src as usize] = Arc::new(VertexBlock::new());
-            g.quarantined.insert(src);
-            g.stats.record_apply_run_panic();
-            g.stats.record_vertex_quarantined();
+            g.view.install(src, VertexBlock::new(), &g.epochs);
+            g.view.quarantined.insert(src);
+            g.view.stats.record_apply_run_panic();
+            g.view.stats.record_vertex_quarantined();
         }
         for run in &runs {
             g.dirty.insert(run.src);
         }
-        g.num_edges = applied;
+        g.view.num_edges = applied;
         let outcome = BatchOutcome {
             applied,
             quarantined,
@@ -333,52 +251,36 @@ impl LsGraph {
         Ok((g, outcome))
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &Config {
-        &self.cfg
-    }
-
-    /// The engine's structural counters (live handle; snapshot with
-    /// [`StructStats::snapshot`]).
-    pub fn stats(&self) -> &StructStats {
-        &self.stats
+    /// The graph as a reader sees it. Every read accessor of this type
+    /// forwards here; a checkpoint writer takes it directly.
+    #[inline]
+    pub fn view(&self) -> &GraphView {
+        &self.view
     }
 
     /// Snapshot of the structural counters.
     pub fn struct_snapshot(&self) -> StructSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// The vertex block of `v` (introspection for tier statistics).
-    #[inline]
-    pub(crate) fn vertex(&self, v: VertexId) -> &VertexBlock {
-        &self.vertices[v as usize]
+        self.view.stats.snapshot()
     }
 
     /// Ensures the vertex table covers ids up to `max_id`.
     fn grow_to(&mut self, max_id: u32) {
-        if max_id as usize >= self.vertices.len() {
-            self.vertices
-                .resize_with(max_id as usize + 1, || Arc::new(VertexBlock::new()));
-            self.dirty.grow_to(self.vertices.len());
-        }
+        self.view.grow_to(max_id as usize + 1);
+        self.dirty.grow_to(self.view.num_vertices());
     }
 
-    /// Replaces `v`'s block wholesale, retiring the displaced version when
-    /// an outstanding snapshot still references it. Used by every
-    /// whole-block replacement path (quarantine reset, clear, restore,
-    /// repair); batched per-edge mutation goes through [`cow_block`]
-    /// instead.
+    /// Replaces `v`'s block wholesale (see [`GraphView::install`]) and marks
+    /// it dirty. Used by every whole-block replacement path (quarantine
+    /// reset, clear, restore, repair); batched per-edge mutation goes
+    /// through the copy-on-write slot entry instead.
     fn install_block(&mut self, v: VertexId, vb: VertexBlock) {
-        let old = std::mem::replace(&mut self.vertices[v as usize], Arc::new(vb));
-        if Arc::strong_count(&old) > 1 {
-            self.epochs.retire(old);
-        }
+        self.view.install(v, vb, &self.epochs);
         self.dirty.insert(v);
     }
 
-    /// Applies `op` to each run's vertex block in parallel with per-run
-    /// panic isolation.
+    /// Applies `op` to every key of each run, on the run's vertex block, in
+    /// parallel with per-run panic isolation; a run's count is how many
+    /// `op` calls returned `true`.
     ///
     /// A run whose task panics does not poison the batch: sibling runs
     /// commit normally (each task owns its source's block exclusively, so an
@@ -391,52 +293,54 @@ impl LsGraph {
         &mut self,
         keys: &[u64],
         runs: &[SrcRun],
-        op: impl Fn(&mut VertexBlock, &[u64], &Config, &StructStats) -> usize + Sync,
+        op: impl Fn(&mut VertexBlock, u32, &Config, &StructStats) -> bool + Sync,
     ) -> RunApplyResult {
+        let offered = runs.len();
+        let live_runs: Vec<SrcRun>;
+        let runs = if self.view.quarantined.is_empty() {
+            runs
+        } else {
+            live_runs = runs
+                .iter()
+                .filter(|run| !self.view.quarantined.contains(&run.src))
+                .copied()
+                .collect();
+            &live_runs
+        };
+        let skipped_quarantined = offered - runs.len();
         let failures: Mutex<Vec<(VertexId, usize)>> = Mutex::new(Vec::new());
-        let skipped_quarantined;
         let applied = {
-            let ptr = TablePtr(self.vertices.as_mut_ptr());
-            let cfg = &self.cfg;
-            let stats = &*self.stats;
-            let latency = &self.latency;
+            // The directory is lent out mutably for the pass, so the tasks
+            // read the rest of the view through their own copies.
+            let cfg = self.view.cfg;
+            let stats = Arc::clone(&self.view.stats);
+            let latency = Arc::clone(&self.view.latency);
             let epochs = &*self.epochs;
-            let quarantined = &self.quarantined;
-            let skipped = &Mutex::new(0usize);
             let _apply = stats.time(Phase::Apply);
             let batch_start = Instant::now();
-            let n = runs
-                .par_iter()
-                .map(|run| {
-                    if !quarantined.is_empty() && quarantined.contains(&run.src) {
-                        *skipped.lock().unwrap() += 1;
-                        return 0;
+            let n = self.view.par_apply_disjoint(runs, |run, mut slot| {
+                let d_pre = slot.degree();
+                let run_start = Instant::now();
+                let task = || {
+                    fail_point!("apply_run");
+                    let vb = slot.cow(&stats, epochs);
+                    keys[run.start..run.end]
+                        .iter()
+                        .filter(|&&k| op(vb, k as u32, &cfg, &stats))
+                        .count()
+                };
+                match catch_unwind(AssertUnwindSafe(task)) {
+                    Ok(n) => {
+                        latency.group_apply.record_duration(run_start.elapsed());
+                        n
                     }
-                    // SAFETY: runs are grouped by distinct source ids and the
-                    // table has been grown to cover every id in the batch, so
-                    // each slot is mutated by exactly one task.
-                    let slot = unsafe { ptr.at(run.src as usize) };
-                    let d_pre = slot.degree();
-                    let run_start = Instant::now();
-                    let task = || {
-                        fail_point!("apply_run");
-                        let vb = cow_block(slot, stats, epochs);
-                        op(vb, &keys[run.start..run.end], cfg, stats)
-                    };
-                    match catch_unwind(AssertUnwindSafe(task)) {
-                        Ok(n) => {
-                            latency.group_apply.record_duration(run_start.elapsed());
-                            n
-                        }
-                        Err(_) => {
-                            failures.lock().unwrap().push((run.src, d_pre));
-                            0
-                        }
+                    Err(_) => {
+                        failures.lock().unwrap().push((run.src, d_pre));
+                        0
                     }
-                })
-                .sum();
+                }
+            });
             latency.batch_apply.record_duration(batch_start.elapsed());
-            skipped_quarantined = *skipped.lock().unwrap();
             n
         };
         let mut panicked = failures.into_inner().unwrap();
@@ -445,9 +349,7 @@ impl LsGraph {
         // mutated it, a panicked run is reset below); runs skipped for
         // quarantine touched nothing.
         for run in runs {
-            if !self.quarantined.contains(&run.src) {
-                self.dirty.insert(run.src);
-            }
+            self.dirty.insert(run.src);
         }
         for &(src, _) in &panicked {
             // The panicked task may have left this block arbitrarily
@@ -456,9 +358,9 @@ impl LsGraph {
             // sees the pre-copy state (the CoW clone happens before any
             // mutation), so retiring it through `install_block` is safe.
             self.install_block(src, VertexBlock::new());
-            self.quarantined.insert(src);
-            self.stats.record_apply_run_panic();
-            self.stats.record_vertex_quarantined();
+            self.view.quarantined.insert(src);
+            self.view.stats.record_apply_run_panic();
+            self.view.stats.record_vertex_quarantined();
         }
         RunApplyResult {
             applied,
@@ -471,9 +373,9 @@ impl LsGraph {
     /// (vertex deletion for directed use; for symmetric graphs pair with
     /// [`LsGraph::clear_vertex_undirected`]).
     pub fn clear_vertex(&mut self, v: VertexId) -> usize {
-        let removed = self.vertices[v as usize].degree();
+        let removed = self.degree(v);
         self.install_block(v, VertexBlock::new());
-        self.num_edges -= removed;
+        self.view.num_edges -= removed;
         removed
     }
 
@@ -494,83 +396,64 @@ impl LsGraph {
     /// commit; a run whose apply task panics quarantines its source (see
     /// [`LsGraph::repair_vertex`]) and `num_edges` stays exact.
     pub fn try_insert_batch(&mut self, batch: &[Edge]) -> Result<BatchOutcome, GraphError> {
-        if batch.is_empty() {
-            return Ok(BatchOutcome::default());
-        }
-        let keys = {
-            let _t = self.stats.time(Phase::Sort);
-            sorted_dedup_keys(batch)
-        };
-        if let Some(max_id) = max_vertex_id(batch) {
-            self.grow_to(max_id);
-        }
-        let runs = {
-            let _t = self.stats.time(Phase::Group);
-            runs_by_src(&keys)
-        };
-        let r = self.apply_runs(&keys, &runs, |vb, run_keys, cfg, stats| {
-            let mut n = 0;
-            for &k in run_keys {
-                if vb.insert(k as u32, cfg, stats) {
-                    n += 1;
-                }
-            }
-            n
-        });
-        let edges_lost: usize = r.panicked.iter().map(|&(_, d_pre)| d_pre).sum();
-        // Committed runs added `applied` edges; quarantining dropped each
-        // failed source's full pre-batch adjacency (its partial in-run
-        // mutations were never counted), so the accounting stays exact.
-        self.num_edges = self.num_edges + r.applied - edges_lost;
-        self.epochs.reclaim(&self.stats);
-        let outcome = BatchOutcome {
-            applied: r.applied,
-            quarantined: r.panicked.iter().map(|&(v, _)| v).collect(),
-            edges_lost,
-            skipped_quarantined: r.skipped_quarantined,
-        };
-        self.notify_hooks(BatchKind::Insert, batch, &outcome);
-        Ok(outcome)
+        self.apply_batch(BatchKind::Insert, batch)
     }
 
     /// Deletes a batch, surfacing contained per-vertex faults as a
     /// [`BatchOutcome`] instead of unwinding. See
     /// [`LsGraph::try_insert_batch`].
     pub fn try_delete_batch(&mut self, batch: &[Edge]) -> Result<BatchOutcome, GraphError> {
+        self.apply_batch(BatchKind::Delete, batch)
+    }
+
+    /// The batch pipeline: sort and deduplicate, size the key set to the
+    /// table, group by source, apply, account, reclaim, notify.
+    fn apply_batch(&mut self, kind: BatchKind, batch: &[Edge]) -> Result<BatchOutcome, GraphError> {
         if batch.is_empty() {
             return Ok(BatchOutcome::default());
         }
-        let keys = {
-            let _t = self.stats.time(Phase::Sort);
+        let mut keys = {
+            let _t = self.view.stats.time(Phase::Sort);
             sorted_dedup_keys(batch)
         };
-        // Ignore runs for vertices beyond the table; those edges cannot
-        // exist.
-        let n = self.vertices.len() as u64;
-        let keys: Vec<u64> = keys.into_iter().filter(|&k| (k >> 32) < n).collect();
-        let runs = {
-            let _t = self.stats.time(Phase::Group);
-            runs_by_src(&keys)
-        };
-        let r = self.apply_runs(&keys, &runs, |vb, run_keys, cfg, stats| {
-            let mut n = 0;
-            for &k in run_keys {
-                if vb.delete(k as u32, cfg, stats) {
-                    n += 1;
+        match kind {
+            BatchKind::Insert => {
+                if let Some(max_id) = max_vertex_id(batch) {
+                    self.grow_to(max_id);
                 }
             }
-            n
-        });
+            // Ignore runs for vertices beyond the table; those edges cannot
+            // exist.
+            BatchKind::Delete => {
+                let n = self.num_vertices() as u64;
+                keys.retain(|&k| (k >> 32) < n);
+            }
+        }
+        let runs = {
+            let _t = self.view.stats.time(Phase::Group);
+            runs_by_src(&keys)
+        };
+        let r = match kind {
+            BatchKind::Insert => self.apply_runs(&keys, &runs, VertexBlock::insert),
+            BatchKind::Delete => self.apply_runs(&keys, &runs, VertexBlock::delete),
+        };
         let edges_lost: usize = r.panicked.iter().map(|&(_, d_pre)| d_pre).sum();
-        self.num_edges -= r.applied + edges_lost;
-        self.epochs.reclaim(&self.stats);
+        // Quarantining dropped each failed source's full pre-batch adjacency
+        // (its partial in-run mutations were never counted), so subtracting
+        // exactly that keeps the accounting exact.
+        self.view.num_edges -= edges_lost;
+        match kind {
+            BatchKind::Insert => self.view.num_edges += r.applied,
+            BatchKind::Delete => self.view.num_edges -= r.applied,
+        }
+        self.epochs.reclaim(&self.view.stats);
         let outcome = BatchOutcome {
             applied: r.applied,
             quarantined: r.panicked.iter().map(|&(v, _)| v).collect(),
             edges_lost,
             skipped_quarantined: r.skipped_quarantined,
         };
-        self.notify_hooks(BatchKind::Delete, batch, &outcome);
+        self.notify_hooks(kind, batch, &outcome);
         Ok(outcome)
     }
 
@@ -620,48 +503,39 @@ impl LsGraph {
     /// still intact on its previous tier, and outstanding snapshots keep
     /// reading the uncompressed version they captured.
     pub fn compress_cold_vertices(&mut self) -> usize {
-        if !self.cfg.compress_cold {
+        let cfg = self.view.cfg;
+        if !cfg.compress_cold {
             return 0;
         }
         let mut frozen = 0;
         let mut ns = Vec::new();
-        for v in 0..self.vertices.len() as VertexId {
-            if self.quarantined.contains(&v) {
+        for v in 0..self.num_vertices() as VertexId {
+            if self.is_quarantined(v) {
                 continue;
             }
-            let vb = self.vertex(v);
-            let eligible = vb.spill().is_some_and(|s| {
-                s.len() > self.cfg.m && !matches!(s, crate::adjacency::Spill::Compressed(_))
-            });
+            let vb = self.view.block(v);
+            let eligible = vb
+                .spill()
+                .is_some_and(|s| s.len() > cfg.m && !matches!(s, Spill::Compressed(_)));
             if !eligible {
                 continue;
             }
             ns.clear();
             vb.checkpoint_neighbors(&mut ns);
-            let new_vb = VertexBlock::from_sorted_neighbors(&ns, &self.cfg);
+            let new_vb = VertexBlock::from_sorted_neighbors(&ns, &cfg);
             let saved = match new_vb.spill() {
-                Some(crate::adjacency::Spill::Compressed(c)) => c.bytes_saved() as u64,
+                Some(Spill::Compressed(c)) => c.bytes_saved() as u64,
                 _ => 0,
             };
             fail_point!("spill_compress");
             self.install_block(v, new_vb);
             // Recorded only once the freeze is actually installed: a killed
             // attempt above must leave the counters untouched.
-            self.stats.record_spill_compression();
-            self.stats.record_compressed_bytes_saved(saved);
+            self.view.stats.record_spill_compression();
+            self.view.stats.record_compressed_bytes_saved(saved);
             frozen += 1;
         }
         frozen
-    }
-
-    /// Tier tag of `v` plus its adjacency appended to `out` in ascending
-    /// order, walked tier-natively (see
-    /// [`VertexBlock::checkpoint_neighbors`]) — the per-vertex checkpoint
-    /// serialization visitor.
-    pub fn checkpoint_vertex(&self, v: VertexId, out: &mut Vec<u32>) -> crate::stats::Tier {
-        let tier = self.tier(v);
-        self.vertices[v as usize].checkpoint_neighbors(out);
-        tier
     }
 
     /// Installs `v`'s adjacency from a strictly-ascending duplicate-free
@@ -673,53 +547,30 @@ impl LsGraph {
     pub fn restore_vertex_from_sorted(&mut self, v: VertexId, ns: &[u32]) {
         debug_assert!(ns.windows(2).all(|w| w[0] < w[1]));
         self.grow_to(v);
-        self.num_edges -= self.vertices[v as usize].degree();
-        let vb = VertexBlock::from_sorted_neighbors(ns, &self.cfg);
+        self.view.num_edges -= self.degree(v);
+        let vb = VertexBlock::from_sorted_neighbors(ns, &self.view.cfg);
         self.install_block(v, vb);
-        self.num_edges += ns.len();
+        self.view.num_edges += ns.len();
     }
 
-    /// Re-marks `v` as quarantined during checkpoint restore, so WAL-tail
-    /// replay skips the same runs the pre-crash process skipped. The vertex
-    /// must currently be empty (quarantined blocks always are).
-    pub fn restore_quarantine(&mut self, v: VertexId) -> Result<(), GraphError> {
-        if v as usize >= self.vertices.len() {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: self.vertices.len(),
-            });
-        }
-        debug_assert_eq!(self.vertices[v as usize].degree(), 0);
-        self.quarantined.insert(v);
-        Ok(())
-    }
-
-    /// Whether `v` is quarantined after an apply panic.
-    pub fn is_quarantined(&self, v: VertexId) -> bool {
-        self.quarantined.contains(&v)
-    }
-
-    /// The currently quarantined vertices, ascending.
-    pub fn quarantined_vertices(&self) -> Vec<VertexId> {
-        self.quarantined.iter().copied().collect()
-    }
-
-    /// Replaces the quarantine set wholesale during chain restore: each
-    /// checkpoint image records the *complete* quarantine list at its
+    /// Replaces the quarantine set wholesale during checkpoint restore, so
+    /// WAL-tail replay skips the same runs the pre-crash process skipped:
+    /// each checkpoint image records the *complete* quarantine list at its
     /// freeze, so applying a delta supersedes the parent's marks (a vertex
     /// repaired between two freezes leaves quarantine here). Every marked
-    /// vertex must currently read as degree 0.
+    /// vertex must currently read as degree 0 (quarantined blocks always
+    /// do).
     pub fn restore_quarantine_set(&mut self, vs: &[VertexId]) -> Result<(), GraphError> {
         for &v in vs {
-            if v as usize >= self.vertices.len() {
+            if v as usize >= self.num_vertices() {
                 return Err(GraphError::VertexOutOfRange {
                     vertex: v,
-                    num_vertices: self.vertices.len(),
+                    num_vertices: self.num_vertices(),
                 });
             }
-            debug_assert_eq!(self.vertices[v as usize].degree(), 0);
+            debug_assert_eq!(self.degree(v), 0);
         }
-        self.quarantined = vs.iter().copied().collect();
+        self.view.quarantined = vs.iter().copied().collect();
         Ok(())
     }
 
@@ -759,92 +610,24 @@ impl LsGraph {
         v: VertexId,
         neighbors: &[VertexId],
     ) -> Result<usize, GraphError> {
-        if v as usize >= self.vertices.len() {
+        if v as usize >= self.num_vertices() {
             return Err(GraphError::VertexOutOfRange {
                 vertex: v,
-                num_vertices: self.vertices.len(),
+                num_vertices: self.num_vertices(),
             });
         }
-        if !self.quarantined.remove(&v) {
+        if !self.view.quarantined.remove(&v) {
             return Err(GraphError::NotQuarantined(v));
         }
         let mut ns = neighbors.to_vec();
         ns.sort_unstable();
         ns.dedup();
-        let vb = VertexBlock::from_sorted_neighbors(&ns, &self.cfg);
+        let vb = VertexBlock::from_sorted_neighbors(&ns, &self.view.cfg);
         self.install_block(v, vb);
         // A quarantined block has degree 0, so the whole adjacency is new.
-        self.num_edges += ns.len();
-        self.stats.record_vertex_repaired();
+        self.view.num_edges += ns.len();
+        self.view.stats.record_vertex_repaired();
         Ok(ns.len())
-    }
-
-    /// Verifies every structural invariant of the engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violated invariant.
-    pub fn check_invariants(&self) {
-        let mut total = 0;
-        for vb in &self.vertices {
-            vb.check_invariants(&self.cfg);
-            total += vb.degree();
-        }
-        for &q in &self.quarantined {
-            assert!(
-                (q as usize) < self.vertices.len(),
-                "quarantined vertex {q} out of range"
-            );
-            assert_eq!(
-                self.vertices[q as usize].degree(),
-                0,
-                "quarantined vertex {q} must read as degree 0"
-            );
-        }
-        assert_eq!(total, self.num_edges, "edge accounting");
-    }
-
-    /// Non-panicking variant of [`LsGraph::check_invariants`]: verifies
-    /// per-vertex structural consistency (inline ordering, degree
-    /// accounting, spill ordering), quarantine state, and global edge
-    /// accounting, reporting the first violation as an [`InvariantError`].
-    pub fn validate_invariants(&self) -> Result<(), InvariantError> {
-        let mut total = 0;
-        for (v, vb) in self.vertices.iter().enumerate() {
-            vb.validate(&self.cfg).map_err(|detail| InvariantError {
-                vertex: Some(v as VertexId),
-                detail,
-            })?;
-            total += vb.degree();
-        }
-        for &q in &self.quarantined {
-            if q as usize >= self.vertices.len() {
-                return Err(InvariantError {
-                    vertex: Some(q),
-                    detail: format!(
-                        "quarantined vertex out of range (table has {})",
-                        self.vertices.len()
-                    ),
-                });
-            }
-            let d = self.vertices[q as usize].degree();
-            if d != 0 {
-                return Err(InvariantError {
-                    vertex: Some(q),
-                    detail: format!("quarantined vertex has degree {d}, expected 0"),
-                });
-            }
-        }
-        if total != self.num_edges {
-            return Err(InvariantError {
-                vertex: None,
-                detail: format!(
-                    "edge accounting: degrees sum to {total} but num_edges is {}",
-                    self.num_edges
-                ),
-            });
-        }
-        Ok(())
     }
 
     /// Index bytes (RIA index arrays, LIA models, slot metadata) versus
@@ -855,13 +638,13 @@ impl LsGraph {
 
     /// Freezes the current state into an immutable [`GraphSnapshot`].
     ///
-    /// The flip clones the vertex-block directory — per-block reference
-    /// bumps, no adjacency payload — and registers an epoch; later batches
-    /// copy-on-write the blocks they touch, so the snapshot keeps reading
-    /// exactly the state at the flip. Taking a snapshot requires `&self`,
-    /// so it interleaves with batches at batch boundaries; the returned
-    /// handle is `Clone + Send + Sync` and outlives the graph's borrow, so
-    /// readers on other threads proceed wait-free while the writer streams.
+    /// The flip clones the view — per-block reference bumps, no adjacency
+    /// payload — and registers an epoch; later batches copy-on-write the
+    /// blocks they touch, so the snapshot keeps reading exactly the state
+    /// at the flip. Taking a snapshot requires `&self`, so it interleaves
+    /// with batches at batch boundaries; the returned handle is
+    /// `Clone + Send + Sync` and outlives the graph's borrow, so readers on
+    /// other threads proceed wait-free while the writer streams.
     ///
     /// # Examples
     ///
@@ -877,25 +660,16 @@ impl LsGraph {
     /// assert_eq!(g.neighbors(0), vec![1, 2]); // live view moved on
     /// ```
     pub fn snapshot(&self) -> GraphSnapshot {
-        // Clone the directory *before* registering the epoch: if the flip
-        // faults here (`snapshot_flip`), unwinding drops the clone and every
+        // Clone the view *before* registering the epoch: if the flip faults
+        // here (`snapshot_flip`), unwinding drops the clone and every
         // reference count returns to its pre-flip value — the live graph
         // and all outstanding snapshots are untouched, and neither
         // `snapshots_taken` nor the live-epoch table ever saw the attempt.
-        let blocks = self.vertices.clone();
+        let view = self.view.clone();
         fail_point!("snapshot_flip");
         let epoch = self.epochs.register();
-        self.stats.record_snapshot_taken();
-        GraphSnapshot::new(SnapInner {
-            blocks,
-            num_edges: self.num_edges,
-            cfg: self.cfg,
-            quarantined: self.quarantined.clone(),
-            epoch,
-            registry: Arc::clone(&self.epochs),
-            stats: Arc::clone(&self.stats),
-            latency: Arc::clone(&self.latency),
-        })
+        self.view.stats.record_snapshot_taken();
+        GraphSnapshot::new(view, epoch, Arc::clone(&self.epochs))
     }
 
     /// Retired block versions currently awaiting epoch reclamation.
@@ -910,62 +684,30 @@ impl LsGraph {
     /// retired block versions no live snapshot can reference and refreshing
     /// the `epoch_reclaim_backlog` gauge.
     pub fn reclaim_epochs(&self) {
-        self.epochs.reclaim(&self.stats);
+        self.epochs.reclaim(&self.view.stats);
     }
 
     /// Shared handle to this engine's structural counters, for registration
-    /// with a [`lsgraph_api::MetricsRegistry`] — a sampler thread can then
+    /// with a [`lsgraph_api::MetricsRegistry`] — a sampler can then
     /// snapshot them live while batches apply.
     pub fn stats_handle(&self) -> Arc<StructStats> {
-        Arc::clone(&self.stats)
+        Arc::clone(&self.view.stats)
     }
 
     /// Shared handle to this engine's latency histograms (see
     /// [`LsGraph::stats_handle`]).
     pub fn latency_handle(&self) -> Arc<LatencyStats> {
-        Arc::clone(&self.latency)
+        Arc::clone(&self.view.latency)
     }
 }
+
+forward_to_view!(LsGraph);
 
 impl SnapshotSource for LsGraph {
     type Snapshot = GraphSnapshot;
 
     fn snapshot(&self) -> GraphSnapshot {
         LsGraph::snapshot(self)
-    }
-}
-
-impl Graph for LsGraph {
-    fn num_vertices(&self) -> usize {
-        self.vertices.len()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    fn degree(&self, v: VertexId) -> usize {
-        self.vertices[v as usize].degree()
-    }
-
-    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
-        self.vertices[v as usize].for_each(f);
-    }
-
-    fn for_each_neighbor_while(&self, v: VertexId, f: &mut dyn FnMut(VertexId) -> bool) -> bool {
-        self.vertices[v as usize].for_each_while(f)
-    }
-
-    fn has_edge(&self, v: VertexId, u: VertexId) -> bool {
-        self.vertices[v as usize].contains(u, &self.cfg, &self.stats)
-    }
-}
-
-impl IterableGraph for LsGraph {
-    type NeighborIter<'a> = crate::vertex::NeighborIter<'a>;
-
-    fn neighbor_iter(&self, v: VertexId) -> Self::NeighborIter<'_> {
-        self.vertices[v as usize].iter()
     }
 }
 
@@ -983,20 +725,20 @@ impl DynamicGraph for LsGraph {
     }
 
     fn struct_stats(&self) -> Option<StructSnapshot> {
-        Some(self.stats.snapshot())
+        Some(self.view.stats.snapshot())
     }
 
     fn latency_stats(&self) -> Option<LatencySnapshot> {
-        Some(self.latency.snapshot())
+        Some(self.view.latency.snapshot())
     }
 
     fn configured_alpha(&self) -> Option<f64> {
-        Some(self.cfg.alpha)
+        Some(self.view.cfg.alpha)
     }
 
     fn reset_instrumentation(&mut self) {
-        self.stats.reset();
-        self.latency.reset();
+        self.view.stats.reset();
+        self.view.latency.reset();
     }
 
     fn validate_structure(&self) -> Result<(), String> {
@@ -1004,22 +746,11 @@ impl DynamicGraph for LsGraph {
     }
 }
 
-impl MemoryFootprint for LsGraph {
-    fn footprint(&self) -> Footprint {
-        let blocks = Footprint::new(self.vertices.len() * core::mem::size_of::<VertexBlock>(), 0);
-        let spills: Footprint = self
-            .vertices
-            .par_iter()
-            .map(|vb| vb.spill_footprint())
-            .reduce(Footprint::default, Footprint::add);
-        blocks + spills
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn edges(pairs: &[(u32, u32)]) -> Vec<Edge> {
         pairs.iter().map(|&(a, b)| Edge::new(a, b)).collect()

@@ -35,6 +35,7 @@
 pub mod adjacency;
 pub mod codec;
 pub mod config;
+pub mod directory;
 pub mod error;
 pub mod graph;
 pub mod hitree;
@@ -47,6 +48,7 @@ pub mod vertex;
 
 pub use codec::{CodecError, CompressedNeighbors};
 pub use config::{Config, ConfigError, HighDegreeStore, LiaSearch, MediumStore, BKS, INLINE_CAP};
+pub use directory::GraphView;
 pub use error::{BatchOutcome, GraphError, InvariantError};
 pub use graph::{BatchEvent, BatchKind, LsGraph, PostBatchHook};
 pub use hitree::HiTree;

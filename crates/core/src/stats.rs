@@ -6,7 +6,7 @@
 //! assert that tier transitions actually happen on skewed inputs.
 
 use crate::adjacency::Spill;
-use crate::graph::LsGraph;
+use crate::directory::GraphView;
 use crate::hitree::SlotOccupancy;
 use lsgraph_api::Graph;
 
@@ -91,10 +91,10 @@ impl TierStats {
     }
 }
 
-impl LsGraph {
+impl GraphView {
     /// The tier of vertex `v`.
     pub fn tier(&self, v: u32) -> Tier {
-        match self.vertex(v).spill() {
+        match self.block(v).spill() {
             None => Tier::Inline,
             Some(Spill::Array(_)) => Tier::Array,
             Some(Spill::Ria(_)) => Tier::Ria,
@@ -109,7 +109,7 @@ impl LsGraph {
     pub fn lia_slot_occupancy(&self) -> SlotOccupancy {
         let mut occ = SlotOccupancy::default();
         for v in 0..self.num_vertices() as u32 {
-            if let Some(Spill::Tree(t)) = self.vertex(v).spill() {
+            if let Some(Spill::Tree(t)) = self.block(v).spill() {
                 let o = t.slot_occupancy();
                 occ.unused += o.unused;
                 occ.edge += o.edge;
@@ -124,7 +124,7 @@ impl LsGraph {
     pub fn tier_stats(&self) -> TierStats {
         let mut s = TierStats::default();
         for v in 0..self.num_vertices() as u32 {
-            let vb = self.vertex(v);
+            let vb = self.block(v);
             let deg = vb.degree();
             let spill = vb.spill().map_or(0, Spill::len);
             s.inline_edges += deg - spill;
@@ -146,6 +146,7 @@ impl LsGraph {
 mod tests {
     use super::*;
     use crate::config::{Config, INLINE_CAP};
+    use crate::graph::LsGraph;
     use lsgraph_api::{DynamicGraph, Edge};
 
     #[test]

@@ -239,49 +239,36 @@ impl VertexBlock {
             .map_or(Footprint::default(), |s| s.footprint())
     }
 
-    /// Verifies the inline/spill invariants.
+    /// [`VertexBlock::validate`] must hold, then the spill container's own
+    /// deep structural checks.
     ///
     /// # Panics
     ///
     /// Panics on the first violated invariant.
     pub fn check_invariants(&self, cfg: &Config) {
-        let inl = self.inline_neighbors();
-        assert!(inl.windows(2).all(|w| w[0] < w[1]), "inline unsorted");
-        let spill_len = self.spill.as_ref().map_or(0, |s| s.len());
-        assert_eq!(
-            self.degree as usize,
-            inl.len() + spill_len,
-            "degree accounting"
-        );
-        if let Some(spill) = &self.spill {
-            assert!(!spill.is_empty(), "empty spill retained");
-            assert_eq!(inl.len(), INLINE_CAP, "spill with non-full inline line");
-            let sv = spill.to_vec();
-            assert!(sv.windows(2).all(|w| w[0] < w[1]), "spill unsorted");
-            assert!(
-                inl.last().unwrap() < sv.first().unwrap(),
-                "spill overlaps inline range"
-            );
-            if let Spill::Ria(r) = spill.as_ref() {
-                r.check_invariants();
-            }
-            if let Spill::Tree(t) = spill.as_ref() {
-                t.check_invariants(cfg);
-            }
-            if let Spill::Compressed(c) = spill.as_ref() {
-                c.check_invariants();
-            }
+        if let Err(e) = self.validate() {
+            panic!("vertex block invariant violated: {e}");
+        }
+        self.check_containers(cfg);
+    }
+
+    /// The deep per-container half of [`VertexBlock::check_invariants`]
+    /// (RIA index redundancy, HITree node structure, codec framing), for a
+    /// caller that has already validated the block.
+    pub(crate) fn check_containers(&self, cfg: &Config) {
+        match self.spill() {
+            Some(Spill::Ria(r)) => r.check_invariants(),
+            Some(Spill::Tree(t)) => t.check_invariants(cfg),
+            Some(Spill::Compressed(c)) => c.check_invariants(),
+            Some(Spill::Array(_) | Spill::Pma(_)) | None => {}
         }
     }
 
-    /// Non-panicking variant of [`VertexBlock::check_invariants`], used by
-    /// `LsGraph::validate_invariants` so a corrupt block is reported as a
-    /// value instead of unwinding.
-    ///
-    /// Checks the inline/spill split and full sorted-order of the adjacency
-    /// (which any container-level corruption surfaces through `to_vec`); the
-    /// deep per-container checks stay in the panicking variant.
-    pub fn validate(&self, _cfg: &Config) -> Result<(), String> {
+    /// Checks the inline/spill split and the full sorted order of the
+    /// adjacency (which any container-level corruption surfaces through
+    /// `to_vec`), reporting the first violation as a value so a corrupt
+    /// block never unwinds a validator.
+    pub fn validate(&self) -> Result<(), String> {
         let inl = self.inline_neighbors();
         if !inl.windows(2).all(|w| w[0] < w[1]) {
             return Err("inline neighbors unsorted".into());

@@ -14,7 +14,7 @@ use std::sync::mpsc;
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
-use lsgraph_api::{DynamicGraph, Edge, Graph};
+use lsgraph_api::{DynamicGraph, Edge, Graph, MemoryFootprint};
 use lsgraph_core::{Config, GraphSnapshot, LsGraph};
 
 const N: usize = 120;
@@ -167,7 +167,7 @@ fn snapshot_freezes_quarantine_and_repair_state() {
     // taken before it must keep the original adjacency, one taken between
     // must see the quarantined (empty) vertex.
     g.clear_vertex(3);
-    g.restore_quarantine(3).unwrap();
+    g.restore_quarantine_set(&[3]).unwrap();
     let during = g.snapshot();
     g.repair_vertex(3, &[7, 1]).unwrap();
 
@@ -246,4 +246,62 @@ fn concurrent_readers_see_frozen_state_under_write_load() {
     assert_eq!(s.snapshots_retired, ROUNDS as u64);
     assert_eq!(s.epoch_reclaim_backlog, 0);
     g.check_invariants();
+}
+
+/// Everything a reader can ask of a graph, as one comparable value. A macro
+/// so the same expression runs against the live graph's and the snapshot's
+/// own accessors.
+macro_rules! read_surface {
+    ($g:expr) => {{
+        let g = $g;
+        let per_vertex: Vec<_> = (0..g.num_vertices() as u32)
+            .map(|v| {
+                let mut ns = Vec::new();
+                let tier = g.checkpoint_vertex(v, &mut ns);
+                (tier, g.tier(v), ns, g.degree(v), g.is_quarantined(v))
+            })
+            .collect();
+        (
+            per_vertex,
+            g.num_edges(),
+            g.validate_invariants(),
+            g.footprint(),
+            g.tier_stats(),
+        )
+    }};
+}
+
+/// The live graph and a snapshot answer through the same
+/// `lsgraph_core::GraphView` code, so at the flip their whole read surface
+/// is equal, and afterwards the snapshot's never changes.
+#[test]
+fn snapshot_and_live_graph_answer_identically_at_the_flip() {
+    for seed in 0..4u64 {
+        let mut rng = SmallRng::seed_from_u64(0x51AB + seed);
+        let mut g = LsGraph::with_config(N, cfg());
+        // One hub deep in the HITree tier so all four tiers are compared.
+        g.insert_batch(&(0..400u32).map(|i| Edge::new(7, i)).collect::<Vec<_>>());
+        for round in 0..ROUNDS {
+            let (is_insert, batch) = gen_batch(&mut rng);
+            if is_insert {
+                g.insert_batch(&batch);
+            } else {
+                g.delete_batch(&batch);
+            }
+            if round == ROUNDS / 2 {
+                g.clear_vertex(3);
+                g.restore_quarantine_set(&[3]).unwrap();
+            }
+        }
+        let snap = g.snapshot();
+        let at_flip = read_surface!(&g);
+        assert_eq!(at_flip.2, Ok(()));
+        assert_eq!(read_surface!(&snap), at_flip, "seed {seed}");
+        // The writer moves on (and thaws the quarantined vertex); the
+        // snapshot keeps giving the answers of the flip.
+        g.repair_vertex(3, &[1, 2]).unwrap();
+        g.insert_batch(&(0..300u32).map(|i| Edge::new(9, i)).collect::<Vec<_>>());
+        assert_ne!(read_surface!(&g), at_flip);
+        assert_eq!(read_surface!(&snap), at_flip, "seed {seed}");
+    }
 }

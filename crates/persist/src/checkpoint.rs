@@ -2,7 +2,7 @@
 //! recovery-chain loader that stitches them back together.
 //!
 //! A **full** checkpoint serializes every non-empty vertex through the
-//! engine's tier-native walk ([`LsGraph::checkpoint_vertex`]): the inline
+//! engine's tier-native walk ([`GraphView::checkpoint_vertex`]): the inline
 //! line, then the spill container traversed per tier — sorted array as a
 //! slice, RIA block-by-block via its redundant index, HITree through its
 //! iterator. Each record carries the vertex's tier tag, so images document
@@ -15,110 +15,79 @@
 //! only apply on top of exactly that state, so recovery validates the
 //! chain link-by-link.
 //!
-//! On-disk layout of a full image (`checkpoint-<id>.img`): the magic
-//! `LSGCKPT1`, then one [`binio`] frame (`u32 len | u32 CRC32 | body`), so
-//! a torn or bit-flipped image fails closed exactly like a torn WAL frame.
-//! The body is
+//! Both kinds are written from a `&GraphView` — the live graph's
+//! ([`LsGraph::view`]) or a frozen snapshot's, which is what lets
+//! [`crate::Store::begin_checkpoint`] hand the image write to another thread
+//! while the writer keeps applying batches.
+//!
+//! On-disk layout, shared by both kinds: an 8-byte magic (`LSGCKPT1` for a
+//! full image `checkpoint-<id>.img`, `LSGCKPD1` for a delta
+//! `checkpoint-<id>.dlt`), then one [`binio`] frame
+//! (`u32 len | u32 CRC32 | body`), so a torn or bit-flipped image fails
+//! closed exactly like a torn WAL frame. The body is
 //!
 //! ```text
 //! u64 α bits | u64 A | u64 M                  -- config fingerprint
-//! u64 num_vertices | u64 num_edges
+//! u64 parent_id                               -- delta only
+//! u64 num_vertices | u64 num_edges            -- totals at the freeze point
 //! u64 wal_segment | u64 wal_offset | u64 next_seq  -- WAL position covered
-//! u64 quarantined_count | ids…                -- re-quarantined on restore
+//! u64 quarantined_count | u32 ids…            -- the complete quarantine set
 //! u64 record_count
-//! records: u32 id | u8 tier tag | u32 degree | neighbors…
+//! records, ascending by id: u32 id | u8 tier tag | u32 degree | u32 neighbors…
 //! ```
 //!
-//! A delta image (`checkpoint-<id>.dlt`) uses the magic `LSGCKPD1` and the
-//! same frame shape; its body inserts `u64 parent_id` after the config
-//! fingerprint, its records cover exactly the dirty vertices (including
-//! ones dirtied down to degree 0), and its quarantine list *replaces* the
-//! parent's wholesale. `num_vertices`/`num_edges` are the totals at the
-//! freeze point, which lets recovery validate a delta arithmetically
-//! before mutating anything.
+//! A full image records every vertex of degree > 0. A delta records exactly
+//! the dirty vertices (including ones dirtied down to degree 0, which
+//! recovery must clear), and its quarantine list *replaces* the parent's
+//! wholesale; the totals let recovery validate it arithmetically before
+//! mutating anything. One encoder (`write_image`) and one decoder
+//! (`parse_image`) serve both.
 //!
 //! The frame's u32 length caps an image at 4 GiB, plenty for this engine's
-//! in-memory scale. Images are written to a temp file, fsynced, and
-//! renamed into place; the `MANIFEST` (same magic-plus-frame shape) is
-//! updated after the image lands. The manifest is **advisory**: recovery
-//! always derives the newest recoverable chain from a directory scan
-//! ([`load_newest_chain`]), because a corrupt or stale manifest could name
-//! a delta whose base image was already garbage-collected.
+//! in-memory scale. Images are written to a temp file, fsynced, and renamed
+//! into place. Nothing else names the newest image: recovery and retention
+//! derive the chain from a directory scan ([`load_newest_chain`]), because
+//! any separate pointer could go stale and name a delta whose base image was
+//! already garbage-collected.
 
+use std::fmt::Display;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use lsgraph_api::{fail_point, Graph, StructStats};
-use lsgraph_core::{Config, GraphSnapshot, LsGraph, Tier};
+use lsgraph_api::{fail_point, Graph};
+use lsgraph_core::{Config, GraphView, LsGraph, Tier};
 use lsgraph_gen::binio;
 
-/// A graph state a checkpoint can serialize: the live [`LsGraph`] or a
-/// [`GraphSnapshot`] frozen at a batch boundary. The snapshot impl is what
-/// lets [`crate::Store::begin_checkpoint`] hand the image write to another
-/// thread while the writer keeps applying batches — the image is a faithful
-/// picture of the flip point no matter how far the live graph moves on.
-pub trait CheckpointView: Graph {
-    /// The engine configuration, fingerprinted into the image header.
-    fn config(&self) -> &Config;
-    /// Vertices quarantined at this state, re-quarantined on restore.
-    fn quarantined_vertices(&self) -> Vec<u32>;
-    /// Whether `v` is quarantined (degree 0 by invariant).
-    fn is_quarantined(&self, v: u32) -> bool;
-    /// Tier-native adjacency walk of `v` into `out`; returns the tier tag
-    /// recorded alongside it.
-    fn checkpoint_vertex(&self, v: u32, out: &mut Vec<u32>) -> Tier;
-    /// Structural counters to record `checkpoint_bytes` into.
-    fn stats(&self) -> &StructStats;
+/// The two image kinds. They share the frame and the body grammar and
+/// differ in magic, file extension, and whether a parent id follows the
+/// config fingerprint.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ImageKind {
+    Full,
+    Delta,
 }
 
-impl CheckpointView for LsGraph {
-    fn config(&self) -> &Config {
-        LsGraph::config(self)
+impl ImageKind {
+    fn magic(self) -> &'static [u8; 8] {
+        match self {
+            ImageKind::Full => b"LSGCKPT1",
+            ImageKind::Delta => b"LSGCKPD1",
+        }
     }
-    fn quarantined_vertices(&self) -> Vec<u32> {
-        LsGraph::quarantined_vertices(self)
+
+    fn extension(self) -> &'static str {
+        match self {
+            ImageKind::Full => "img",
+            ImageKind::Delta => "dlt",
+        }
     }
-    fn is_quarantined(&self, v: u32) -> bool {
-        LsGraph::is_quarantined(self, v)
-    }
-    fn checkpoint_vertex(&self, v: u32, out: &mut Vec<u32>) -> Tier {
-        LsGraph::checkpoint_vertex(self, v, out)
-    }
-    fn stats(&self) -> &StructStats {
-        LsGraph::stats(self)
+
+    fn file(self, dir: &Path, id: u64) -> PathBuf {
+        // Zero-padded so lexical order = numeric.
+        dir.join(format!("checkpoint-{id:016}.{}", self.extension()))
     }
 }
-
-impl CheckpointView for GraphSnapshot {
-    fn config(&self) -> &Config {
-        GraphSnapshot::config(self)
-    }
-    fn quarantined_vertices(&self) -> Vec<u32> {
-        GraphSnapshot::quarantined_vertices(self)
-    }
-    fn is_quarantined(&self, v: u32) -> bool {
-        GraphSnapshot::is_quarantined(self, v)
-    }
-    fn checkpoint_vertex(&self, v: u32, out: &mut Vec<u32>) -> Tier {
-        GraphSnapshot::checkpoint_vertex(self, v, out)
-    }
-    fn stats(&self) -> &StructStats {
-        GraphSnapshot::stats(self)
-    }
-}
-
-/// Magic header of a full checkpoint image.
-const CKPT_MAGIC: &[u8; 8] = b"LSGCKPT1";
-
-/// Magic header of a delta checkpoint image.
-const DELTA_MAGIC: &[u8; 8] = b"LSGCKPD1";
-
-/// Magic header of the manifest.
-const MANIFEST_MAGIC: &[u8; 8] = b"LSGMANI1";
-
-/// Name of the manifest file inside a store directory.
-pub const MANIFEST_FILE: &str = "MANIFEST";
 
 /// Identity and coverage of one checkpoint image (full or delta).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,54 +120,140 @@ pub struct ChainInfo {
     pub images_discarded: u64,
 }
 
-/// File name of full checkpoint `id` (zero-padded so lexical order =
-/// numeric).
+/// File name of full checkpoint `id`.
 pub fn checkpoint_file(dir: &Path, id: u64) -> PathBuf {
-    dir.join(format!("checkpoint-{id:016}.img"))
+    ImageKind::Full.file(dir, id)
 }
 
 /// File name of delta checkpoint `id`.
 pub fn delta_file(dir: &Path, id: u64) -> PathBuf {
-    dir.join(format!("checkpoint-{id:016}.dlt"))
+    ImageKind::Delta.file(dir, id)
 }
 
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
+/// Kind and id of an image file, from its `checkpoint-<id>.img` / `.dlt`
+/// name; `None` for anything else in the directory.
+pub(crate) fn image_name(path: &Path) -> Option<(ImageKind, u64)> {
+    let stem = path.file_name()?.to_str()?.strip_prefix("checkpoint-")?;
+    [ImageKind::Full, ImageKind::Delta]
+        .into_iter()
+        .find_map(|kind| {
+            let id = stem.strip_suffix(kind.extension())?.strip_suffix('.')?;
+            Some((kind, id.parse().ok()?))
+        })
 }
 
-/// Serializes `g` into full checkpoint image `id` under `dir` and updates
-/// the manifest. Quarantined vertices contribute their id to the
-/// quarantine list but never an adjacency record (they are degree 0 by
-/// invariant). Records `checkpoint_bytes` into the graph's stats.
-///
-/// `g` is any [`CheckpointView`] — the live graph, or a frozen
-/// [`GraphSnapshot`] when the image is written off-thread.
+fn invalid(path: &Path, msg: impl Display) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("{}: {msg}", path.display()),
+    )
+}
+
+/// Serializes `g` into full checkpoint image `id` under `dir`. Quarantined
+/// vertices contribute their id to the quarantine list but never an
+/// adjacency record (they are degree 0 by invariant). Records
+/// `checkpoint_bytes` into the graph's stats.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; the image is written to a temp file and renamed,
 /// so a failed write never clobbers an older checkpoint.
-pub fn write_checkpoint<V: CheckpointView + ?Sized>(
+pub fn write_checkpoint(
     dir: &Path,
     id: u64,
-    g: &V,
+    g: &GraphView,
     wal_segment: u64,
     wal_offset: u64,
     next_seq: u64,
 ) -> io::Result<CheckpointMeta> {
     fail_point!("checkpoint_write");
+    let meta = CheckpointMeta {
+        id,
+        wal_segment,
+        wal_offset,
+        next_seq,
+        bytes: 0,
+    };
+    let every_vertex = &mut (0..g.num_vertices() as u32);
+    write_image(dir, meta, None, g, every_vertex, g.num_edges() * 4)
+}
+
+/// Serializes a **delta** image `id` under `dir`: the adjacency of exactly
+/// the vertices in `dirty` (ascending, deduplicated — a drained dirty set)
+/// as they stand in `g`, the full quarantine set, and `parent_id`, the
+/// image this delta applies on top of. Records `checkpoint_bytes`.
+///
+/// # Errors
+///
+/// Propagates I/O errors; temp-file-plus-rename, so a failed write never
+/// clobbers anything.
+#[allow(clippy::too_many_arguments)]
+pub fn write_delta_checkpoint(
+    dir: &Path,
+    id: u64,
+    parent_id: u64,
+    g: &GraphView,
+    dirty: &[u32],
+    wal_segment: u64,
+    wal_offset: u64,
+    next_seq: u64,
+) -> io::Result<CheckpointMeta> {
+    fail_point!("delta_checkpoint");
+    debug_assert!(
+        dirty.windows(2).all(|w| w[0] < w[1]),
+        "dirty set not sorted"
+    );
+    let meta = CheckpointMeta {
+        id,
+        wal_segment,
+        wal_offset,
+        next_seq,
+        bytes: 0,
+    };
+    let dirty_vertices = &mut dirty.iter().copied();
+    write_image(
+        dir,
+        meta,
+        Some(parent_id),
+        g,
+        dirty_vertices,
+        dirty.len() * 16,
+    )
+}
+
+/// The one image encoder: header, quarantine list and one record per vertex
+/// of `vertices` (ascending), framed and published by temp file + fsync +
+/// rename. `parent_id` is `Some` exactly for a delta. A full image skips
+/// degree-0 vertices; a delta must keep them, because recovery has to clear
+/// a vertex that shrank to nothing since the parent image.
+fn write_image(
+    dir: &Path,
+    mut meta: CheckpointMeta,
+    parent_id: Option<u64>,
+    g: &GraphView,
+    vertices: &mut dyn Iterator<Item = u32>,
+    payload_hint: usize,
+) -> io::Result<CheckpointMeta> {
+    let kind = match parent_id {
+        None => ImageKind::Full,
+        Some(_) => ImageKind::Delta,
+    };
     let cfg = g.config();
-    let mut body = Vec::with_capacity(72 + g.num_edges() * 4);
-    body.extend_from_slice(&cfg.alpha.to_bits().to_le_bytes());
-    body.extend_from_slice(&(cfg.a as u64).to_le_bytes());
-    body.extend_from_slice(&(cfg.m as u64).to_le_bytes());
-    body.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
-    body.extend_from_slice(&(g.num_edges() as u64).to_le_bytes());
-    body.extend_from_slice(&wal_segment.to_le_bytes());
-    body.extend_from_slice(&wal_offset.to_le_bytes());
-    body.extend_from_slice(&next_seq.to_le_bytes());
+    let mut body = Vec::with_capacity(96 + payload_hint);
+    let mut put = |x: u64| body.extend_from_slice(&x.to_le_bytes());
+    put(cfg.alpha.to_bits());
+    put(cfg.a as u64);
+    put(cfg.m as u64);
+    if let Some(parent_id) = parent_id {
+        put(parent_id);
+    }
+    put(g.num_vertices() as u64);
+    put(g.num_edges() as u64);
+    put(meta.wal_segment);
+    put(meta.wal_offset);
+    put(meta.next_seq);
     let quarantined = g.quarantined_vertices();
-    body.extend_from_slice(&(quarantined.len() as u64).to_le_bytes());
+    put(quarantined.len() as u64);
     for &q in &quarantined {
         body.extend_from_slice(&q.to_le_bytes());
     }
@@ -206,14 +261,14 @@ pub fn write_checkpoint<V: CheckpointView + ?Sized>(
     body.extend_from_slice(&0u64.to_le_bytes());
     let mut records = 0u64;
     let mut ns = Vec::new();
-    for v in 0..g.num_vertices() as u32 {
+    for v in vertices {
         ns.clear();
         let tier = g.checkpoint_vertex(v, &mut ns);
-        if ns.is_empty() {
+        if ns.is_empty() && kind == ImageKind::Full {
             continue;
         }
         debug_assert!(
-            !g.is_quarantined(v),
+            ns.is_empty() || !g.is_quarantined(v),
             "quarantined vertex {v} has a non-empty adjacency"
         );
         body.extend_from_slice(&v.to_le_bytes());
@@ -226,141 +281,170 @@ pub fn write_checkpoint<V: CheckpointView + ?Sized>(
     }
     body[record_count_at..record_count_at + 8].copy_from_slice(&records.to_le_bytes());
 
-    let path = checkpoint_file(dir, id);
-    let bytes = write_image(&path, CKPT_MAGIC, &body)?;
-    g.stats().record_checkpoint_bytes(bytes);
-    let meta = CheckpointMeta {
-        id,
-        wal_segment,
-        wal_offset,
-        next_seq,
-        bytes,
-    };
-    write_manifest(dir, meta)?;
-    Ok(meta)
-}
-
-/// Serializes a **delta** image `id` under `dir`: the adjacency of exactly
-/// the vertices in `dirty` (ascending, deduplicated — a drained dirty set)
-/// as they stand in `g`, the full quarantine set, and `parent_id`, the
-/// image this delta applies on top of. Updates the manifest and records
-/// `checkpoint_bytes`.
-///
-/// Dirty vertices whose adjacency shrank to degree 0 are recorded with an
-/// empty neighbor list — recovery must clear them, so omitting them would
-/// corrupt the chain.
-///
-/// # Errors
-///
-/// Propagates I/O errors; temp-file-plus-rename, so a failed write never
-/// clobbers anything.
-#[allow(clippy::too_many_arguments)]
-pub fn write_delta_checkpoint<V: CheckpointView + ?Sized>(
-    dir: &Path,
-    id: u64,
-    parent_id: u64,
-    g: &V,
-    dirty: &[u32],
-    wal_segment: u64,
-    wal_offset: u64,
-    next_seq: u64,
-) -> io::Result<CheckpointMeta> {
-    fail_point!("delta_checkpoint");
-    debug_assert!(
-        dirty.windows(2).all(|w| w[0] < w[1]),
-        "dirty set not sorted"
-    );
-    let cfg = g.config();
-    let mut body = Vec::with_capacity(96 + dirty.len() * 16);
-    body.extend_from_slice(&cfg.alpha.to_bits().to_le_bytes());
-    body.extend_from_slice(&(cfg.a as u64).to_le_bytes());
-    body.extend_from_slice(&(cfg.m as u64).to_le_bytes());
-    body.extend_from_slice(&parent_id.to_le_bytes());
-    body.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
-    body.extend_from_slice(&(g.num_edges() as u64).to_le_bytes());
-    body.extend_from_slice(&wal_segment.to_le_bytes());
-    body.extend_from_slice(&wal_offset.to_le_bytes());
-    body.extend_from_slice(&next_seq.to_le_bytes());
-    let quarantined = g.quarantined_vertices();
-    body.extend_from_slice(&(quarantined.len() as u64).to_le_bytes());
-    for &q in &quarantined {
-        body.extend_from_slice(&q.to_le_bytes());
-    }
-    body.extend_from_slice(&(dirty.len() as u64).to_le_bytes());
-    let mut ns = Vec::new();
-    for &v in dirty {
-        ns.clear();
-        let tier = g.checkpoint_vertex(v, &mut ns);
-        body.extend_from_slice(&v.to_le_bytes());
-        body.push(tier.tag());
-        body.extend_from_slice(&(ns.len() as u32).to_le_bytes());
-        for &u in &ns {
-            body.extend_from_slice(&u.to_le_bytes());
-        }
-    }
-
-    let path = delta_file(dir, id);
-    let bytes = write_image(&path, DELTA_MAGIC, &body)?;
-    g.stats().record_checkpoint_bytes(bytes);
-    let meta = CheckpointMeta {
-        id,
-        wal_segment,
-        wal_offset,
-        next_seq,
-        bytes,
-    };
-    write_manifest(dir, meta)?;
-    Ok(meta)
-}
-
-/// Magic + frame + fsync + rename; returns the file's size.
-fn write_image(path: &Path, magic: &[u8; 8], body: &[u8]) -> io::Result<u64> {
+    let path = kind.file(dir, meta.id);
     let tmp = path.with_extension("tmp");
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(magic)?;
-        binio::write_frame(&mut f, body)?;
+        f.write_all(kind.magic())?;
+        binio::write_frame(&mut f, &body)?;
         f.sync_data()?;
     }
-    fs::rename(&tmp, path)?;
-    Ok(fs::metadata(path)?.len())
+    fs::rename(&tmp, &path)?;
+    meta.bytes = fs::metadata(&path)?.len();
+    g.stats().record_checkpoint_bytes(meta.bytes);
+    Ok(meta)
 }
 
-/// Reads an image file, validates its magic, and returns the CRC-checked
-/// frame body.
-fn read_image_body(path: &Path, magic: &[u8; 8]) -> io::Result<Vec<u8>> {
+/// A decoded image that passed every check [`parse_image`] can make without
+/// looking at a graph.
+struct ParsedImage {
+    meta: CheckpointMeta,
+    /// The image this one applies on top of; `Some` exactly for a delta.
+    parent_id: Option<u64>,
+    num_vertices: usize,
+    num_edges: usize,
+    quarantined: Vec<u32>,
+    /// Per record, ascending by vertex: the vertex and where its adjacency
+    /// ends in `neighbors` (it starts where the previous record's ends).
+    records: Vec<(u32, usize)>,
+    neighbors: Vec<u32>,
+}
+
+impl ParsedImage {
+    /// `(vertex, its strictly ascending adjacency)` per record.
+    fn records(&self) -> impl Iterator<Item = (u32, &[u32])> {
+        let mut start = 0;
+        self.records.iter().map(move |&(v, end)| {
+            let ns = &self.neighbors[start..end];
+            start = end;
+            (v, ns)
+        })
+    }
+
+    /// Installs the records and the quarantine set into `g`. Infallible for
+    /// an image that parsed: call it only once nothing can reject the image
+    /// any more.
+    fn install(&self, g: &mut LsGraph) {
+        for (v, ns) in self.records() {
+            g.restore_vertex_from_sorted(v, ns);
+        }
+        for &q in &self.quarantined {
+            // A quarantined vertex past the table end has no record to have
+            // grown the table for it.
+            if q as usize >= g.num_vertices() {
+                g.restore_vertex_from_sorted(q, &[]);
+            }
+        }
+        g.restore_quarantine_set(&self.quarantined)
+            .expect("every quarantined id is inside the table grown above");
+        debug_assert_eq!(g.num_edges(), self.num_edges);
+    }
+}
+
+/// The one image decoder: reads the `kind` image at `path`, checks the
+/// magic, the frame CRC and the config fingerprint against `cfg`, and
+/// validates the whole body — every count against the bytes left before
+/// anything is allocated for it, record ids ascending and inside
+/// `num_vertices`, tier tags known, adjacencies strictly ascending, no
+/// trailing bytes.
+///
+/// # Errors
+///
+/// `InvalidData` for any of the above; other I/O errors propagate.
+fn parse_image(path: &Path, kind: ImageKind, cfg: &Config) -> io::Result<ParsedImage> {
     let mut raw = Vec::new();
     File::open(path)?.read_to_end(&mut raw)?;
-    let disp = path.display();
-    if raw.len() < magic.len() || &raw[..magic.len()] != magic {
-        return Err(invalid(format!(
-            "{disp}: not an {} image",
-            String::from_utf8_lossy(magic)
-        )));
+    let magic = kind.magic();
+    if !raw.starts_with(magic) {
+        let magic = String::from_utf8_lossy(magic);
+        return Err(invalid(path, format_args!("not an {magic} image")));
     }
     let (body, consumed) = binio::parse_frame(&raw[magic.len()..])
-        .ok_or_else(|| invalid(format!("{disp}: torn or corrupt checkpoint frame")))?;
+        .ok_or_else(|| invalid(path, "torn or corrupt checkpoint frame"))?;
     if magic.len() + consumed != raw.len() {
-        return Err(invalid(format!("{disp}: trailing bytes after image frame")));
+        return Err(invalid(path, "trailing bytes after image frame"));
     }
-    Ok(body.to_vec())
-}
+    let mut cur = Cursor { path, body };
 
-fn check_config(cur: &mut Cursor<'_>, cfg: Config, disp: &dyn std::fmt::Display) -> io::Result<()> {
-    let alpha_bits = cur.u64(disp)?;
-    let a = cur.u64(disp)?;
-    let m = cur.u64(disp)?;
+    let (alpha_bits, a, m) = (cur.u64()?, cur.u64()?, cur.u64()?);
     if alpha_bits != cfg.alpha.to_bits() || a != cfg.a as u64 || m != cfg.m as u64 {
-        return Err(invalid(format!(
-            "{disp}: image config (α={}, A={a}, M={m}) does not match engine config \
-             (α={}, A={}, M={})",
-            f64::from_bits(alpha_bits),
-            cfg.alpha,
-            cfg.a,
-            cfg.m
-        )));
+        return Err(invalid(
+            path,
+            format_args!(
+                "image config (α={}, A={a}, M={m}) does not match engine config \
+                 (α={}, A={}, M={})",
+                f64::from_bits(alpha_bits),
+                cfg.alpha,
+                cfg.a,
+                cfg.m
+            ),
+        ));
     }
-    Ok(())
+    let parent_id = match kind {
+        ImageKind::Full => None,
+        ImageKind::Delta => Some(cur.u64()?),
+    };
+    let num_vertices = cur.u64()? as usize;
+    let num_edges = cur.u64()? as usize;
+    let meta = CheckpointMeta {
+        id: image_name(path).map_or(0, |(_, id)| id),
+        wal_segment: cur.u64()?,
+        wal_offset: cur.u64()?,
+        next_seq: cur.u64()?,
+        bytes: raw.len() as u64,
+    };
+    let n_quarantined = cur.count(4, "quarantine")?;
+    let mut quarantined = Vec::with_capacity(n_quarantined);
+    cur.u32s(n_quarantined, &mut quarantined)?;
+    if let Some(q) = quarantined.iter().find(|&&q| q as usize >= num_vertices) {
+        return Err(invalid(
+            path,
+            format_args!("quarantined vertex {q} out of range ({num_vertices} vertices)"),
+        ));
+    }
+
+    // A record is at least id + tag + degree; every neighbor is 4 bytes.
+    let n_records = cur.count(9, "record")?;
+    let mut records = Vec::with_capacity(n_records);
+    let mut neighbors = Vec::with_capacity(cur.body.len() / 4);
+    for _ in 0..n_records {
+        let v = cur.u32()?;
+        if v as usize >= num_vertices {
+            return Err(invalid(
+                path,
+                format_args!("record vertex {v} out of range ({num_vertices} vertices)"),
+            ));
+        }
+        if records.last().is_some_and(|&(prev, _)| v <= prev) {
+            return Err(invalid(path, "records not ascending"));
+        }
+        let tag = cur.u8()?;
+        if Tier::from_tag(tag).is_none() {
+            return Err(invalid(path, format_args!("unknown tier tag {tag}")));
+        }
+        let degree = cur.u32()?;
+        let start = neighbors.len();
+        cur.u32s(cur.fits(degree.into(), 4, "adjacency")?, &mut neighbors)?;
+        if !neighbors[start..].windows(2).all(|w| w[0] < w[1]) {
+            return Err(invalid(
+                path,
+                format_args!("vertex {v} adjacency not ascending"),
+            ));
+        }
+        records.push((v, neighbors.len()));
+    }
+    if !cur.body.is_empty() {
+        return Err(invalid(path, "unread bytes after last record"));
+    }
+    Ok(ParsedImage {
+        meta,
+        parent_id,
+        num_vertices,
+        num_edges,
+        quarantined,
+        records,
+        neighbors,
+    })
 }
 
 /// Parses and restores the full checkpoint image at `path`, rebuilding the
@@ -371,72 +455,20 @@ fn check_config(cur: &mut Cursor<'_>, cfg: Config, disp: &dyn std::fmt::Display)
 /// `InvalidData` for a bad magic, torn frame, config mismatch, or any
 /// structural inconsistency; other I/O errors propagate.
 pub fn load_checkpoint(path: &Path, cfg: Config) -> io::Result<(LsGraph, CheckpointMeta)> {
-    let body = read_image_body(path, CKPT_MAGIC)?;
-    let disp = path.display();
-    let mut cur = Cursor {
-        body: &body,
-        pos: 0,
-    };
-    check_config(&mut cur, cfg, &disp)?;
-    let num_vertices = cur.u64(&disp)? as usize;
-    let num_edges = cur.u64(&disp)? as usize;
-    let wal_segment = cur.u64(&disp)?;
-    let wal_offset = cur.u64(&disp)?;
-    let next_seq = cur.u64(&disp)?;
-    let n_quarantined = cur.u64(&disp)? as usize;
-    let mut quarantined = Vec::with_capacity(n_quarantined.min(1 << 20));
-    for _ in 0..n_quarantined {
-        quarantined.push(cur.u32(&disp)?);
+    let image = parse_image(path, ImageKind::Full, &cfg)?;
+    if image.neighbors.len() != image.num_edges {
+        return Err(invalid(
+            path,
+            format_args!(
+                "records hold {} edges but the image claims {}",
+                image.neighbors.len(),
+                image.num_edges
+            ),
+        ));
     }
-    let records = cur.u64(&disp)?;
-
-    let mut g =
-        LsGraph::try_with_config(num_vertices, cfg).map_err(|e| invalid(format!("{disp}: {e}")))?;
-    let mut ns = Vec::new();
-    for _ in 0..records {
-        let v = cur.u32(&disp)?;
-        let tag = cur.u8(&disp)?;
-        if Tier::from_tag(tag).is_none() {
-            return Err(invalid(format!("{disp}: unknown tier tag {tag}")));
-        }
-        let degree = cur.u32(&disp)? as usize;
-        ns.clear();
-        ns.reserve(degree);
-        for _ in 0..degree {
-            ns.push(cur.u32(&disp)?);
-        }
-        if !ns.windows(2).all(|w| w[0] < w[1]) {
-            return Err(invalid(format!(
-                "{disp}: vertex {v} adjacency not ascending"
-            )));
-        }
-        g.restore_vertex_from_sorted(v, &ns);
-    }
-    if cur.pos != body.len() {
-        return Err(invalid(format!("{disp}: unread bytes after last record")));
-    }
-    if g.num_edges() != num_edges {
-        return Err(invalid(format!(
-            "{disp}: restored {} edges but the image claims {num_edges}",
-            g.num_edges()
-        )));
-    }
-    for &q in &quarantined {
-        g.restore_quarantine(q)
-            .map_err(|e| invalid(format!("{disp}: {e}")))?;
-    }
-    let bytes = fs::metadata(path)?.len();
-    let id = image_id_from_path(path).unwrap_or(0);
-    Ok((
-        g,
-        CheckpointMeta {
-            id,
-            wal_segment,
-            wal_offset,
-            next_seq,
-            bytes,
-        },
-    ))
+    let mut g = LsGraph::try_with_config(image.num_vertices, cfg).map_err(|e| invalid(path, e))?;
+    image.install(&mut g);
+    Ok((g, image.meta))
 }
 
 /// Validates the delta image at `path` against `g` and — only if every
@@ -459,209 +491,105 @@ pub fn apply_delta_checkpoint(
     g: &mut LsGraph,
     expect_parent: u64,
 ) -> io::Result<CheckpointMeta> {
-    let body = read_image_body(path, DELTA_MAGIC)?;
-    let disp = path.display();
-    let mut cur = Cursor {
-        body: &body,
-        pos: 0,
-    };
-    check_config(&mut cur, *LsGraph::config(g), &disp)?;
-    let parent_id = cur.u64(&disp)?;
+    let image = parse_image(path, ImageKind::Delta, g.config())?;
+    let parent_id = image
+        .parent_id
+        .expect("parse_image reads a parent id from every delta");
     if parent_id != expect_parent {
-        return Err(invalid(format!(
-            "{disp}: delta parent {parent_id} does not match the applied chain tip \
-             {expect_parent}"
-        )));
-    }
-    let num_vertices = cur.u64(&disp)? as usize;
-    let num_edges = cur.u64(&disp)? as usize;
-    let wal_segment = cur.u64(&disp)?;
-    let wal_offset = cur.u64(&disp)?;
-    let next_seq = cur.u64(&disp)?;
-    let n_quarantined = cur.u64(&disp)? as usize;
-    let mut quarantined = Vec::with_capacity(n_quarantined.min(1 << 20));
-    for _ in 0..n_quarantined {
-        quarantined.push(cur.u32(&disp)?);
-    }
-    let n_records = cur.u64(&disp)? as usize;
-    let mut records: Vec<(u32, Vec<u32>)> = Vec::with_capacity(n_records.min(1 << 20));
-    for _ in 0..n_records {
-        let v = cur.u32(&disp)?;
-        if v as usize >= num_vertices {
-            return Err(invalid(format!(
-                "{disp}: record vertex {v} out of range ({num_vertices} vertices)"
-            )));
-        }
-        if let Some(&(prev, _)) = records.last() {
-            if v <= prev {
-                return Err(invalid(format!("{disp}: delta records not ascending")));
-            }
-        }
-        let tag = cur.u8(&disp)?;
-        if Tier::from_tag(tag).is_none() {
-            return Err(invalid(format!("{disp}: unknown tier tag {tag}")));
-        }
-        let degree = cur.u32(&disp)? as usize;
-        let mut ns = Vec::with_capacity(degree.min(1 << 20));
-        for _ in 0..degree {
-            ns.push(cur.u32(&disp)?);
-        }
-        if !ns.windows(2).all(|w| w[0] < w[1]) {
-            return Err(invalid(format!(
-                "{disp}: vertex {v} adjacency not ascending"
-            )));
-        }
-        records.push((v, ns));
-    }
-    if cur.pos != body.len() {
-        return Err(invalid(format!("{disp}: unread bytes after last record")));
+        return Err(invalid(
+            path,
+            format_args!(
+                "delta parent {parent_id} does not match the applied chain tip {expect_parent}"
+            ),
+        ));
     }
     // Arithmetic pre-check: replacing each recorded vertex's adjacency
     // must land exactly on the edge total the image claims. This catches
     // a delta applied to the wrong parent state even when ids line up.
-    let mut predicted = g.num_edges();
-    for (v, ns) in &records {
+    let mut predicted = g.num_edges() + image.neighbors.len();
+    for &(v, _) in &image.records {
         // Records may name vertices beyond the parent image's count (the
         // graph grew between checkpoints); those contribute no prior edges.
-        if (*v as usize) < g.num_vertices() {
-            predicted -= g.neighbors(*v).len();
-        }
-        predicted += ns.len();
-    }
-    if predicted != num_edges {
-        return Err(invalid(format!(
-            "{disp}: applying this delta would yield {predicted} edges but the image \
-             claims {num_edges}"
-        )));
-    }
-    // Point of no return: every mutation below is infallible.
-    for (v, ns) in &records {
-        g.restore_vertex_from_sorted(*v, ns);
-    }
-    for &q in &quarantined {
-        if (q as usize) >= g.num_vertices() {
-            g.restore_vertex_from_sorted(q, &[]);
+        if (v as usize) < g.num_vertices() {
+            predicted -= g.degree(v);
         }
     }
-    g.restore_quarantine_set(&quarantined)
-        .map_err(|e| invalid(format!("{disp}: {e}")))?;
-    debug_assert_eq!(g.num_edges(), num_edges);
-    let bytes = fs::metadata(path)?.len();
-    let id = image_id_from_path(path).unwrap_or(0);
-    Ok(CheckpointMeta {
-        id,
-        wal_segment,
-        wal_offset,
-        next_seq,
-        bytes,
-    })
+    if predicted != image.num_edges {
+        return Err(invalid(
+            path,
+            format_args!(
+                "applying this delta would yield {predicted} edges but the image claims {}",
+                image.num_edges
+            ),
+        ));
+    }
+    image.install(g);
+    Ok(image.meta)
 }
 
-/// Little-endian cursor over a checkpoint body.
+/// Little-endian reader over what is left of a checkpoint body.
 struct Cursor<'a> {
+    path: &'a Path,
     body: &'a [u8],
-    pos: usize,
 }
 
 impl Cursor<'_> {
-    fn slice(&mut self, n: usize, disp: &dyn std::fmt::Display) -> io::Result<&[u8]> {
-        let s = self
+    fn take<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let (head, rest) = self
             .body
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| invalid(format!("{disp}: image body truncated")))?;
-        self.pos += n;
-        Ok(s)
+            .split_first_chunk::<N>()
+            .ok_or_else(|| invalid(self.path, "image body truncated"))?;
+        self.body = rest;
+        Ok(*head)
     }
 
-    fn u8(&mut self, disp: &dyn std::fmt::Display) -> io::Result<u8> {
-        Ok(self.slice(1, disp)?[0])
+    fn u8(&mut self) -> io::Result<u8> {
+        Ok(self.take::<1>()?[0])
     }
 
-    fn u32(&mut self, disp: &dyn std::fmt::Display) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.slice(4, disp)?.try_into().expect("4-byte slice"),
-        ))
+    fn u32(&mut self) -> io::Result<u32> {
+        Ok(u32::from_le_bytes(self.take()?))
     }
 
-    fn u64(&mut self, disp: &dyn std::fmt::Display) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.slice(8, disp)?.try_into().expect("8-byte slice"),
-        ))
+    fn u64(&mut self) -> io::Result<u64> {
+        Ok(u64::from_le_bytes(self.take()?))
     }
-}
 
-/// Extracts the id from a `checkpoint-<id>.img` or `.dlt` file name.
-fn image_id_from_path(path: &Path) -> Option<u64> {
-    let stem = path.file_name()?.to_str()?.strip_prefix("checkpoint-")?;
-    stem.strip_suffix(".img")
-        .or_else(|| stem.strip_suffix(".dlt"))?
-        .parse()
-        .ok()
-}
-
-fn full_id_from_path(path: &Path) -> Option<u64> {
-    path.file_name()?
-        .to_str()?
-        .strip_prefix("checkpoint-")?
-        .strip_suffix(".img")?
-        .parse()
-        .ok()
-}
-
-fn delta_id_from_path(path: &Path) -> Option<u64> {
-    path.file_name()?
-        .to_str()?
-        .strip_prefix("checkpoint-")?
-        .strip_suffix(".dlt")?
-        .parse()
-        .ok()
-}
-
-/// Writes the manifest naming checkpoint `meta` (temp file + rename).
-fn write_manifest(dir: &Path, meta: CheckpointMeta) -> io::Result<()> {
-    let mut body = Vec::with_capacity(32);
-    body.extend_from_slice(&meta.id.to_le_bytes());
-    body.extend_from_slice(&meta.wal_segment.to_le_bytes());
-    body.extend_from_slice(&meta.wal_offset.to_le_bytes());
-    body.extend_from_slice(&meta.next_seq.to_le_bytes());
-    let path = dir.join(MANIFEST_FILE);
-    let tmp = dir.join("MANIFEST.tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(MANIFEST_MAGIC)?;
-        binio::write_frame(&mut f, &body)?;
-        f.sync_data()?;
+    /// `n` as a `usize`, provided `n` items of at least `unit` bytes each
+    /// can still follow. A count comes from the file; this is the check
+    /// that must pass before anything is allocated or looped on its say-so.
+    fn fits(&self, n: u64, unit: u64, what: &str) -> io::Result<usize> {
+        match n.checked_mul(unit) {
+            Some(bytes) if bytes <= self.body.len() as u64 => Ok(n as usize),
+            _ => Err(invalid(
+                self.path,
+                format_args!(
+                    "{what} count {n} exceeds the {} bytes left in the image",
+                    self.body.len()
+                ),
+            )),
+        }
     }
-    fs::rename(&tmp, &path)
-}
 
-/// Reads the manifest's image id; `Ok(None)` if it is missing or fails
-/// validation.
-///
-/// The manifest is **advisory** — a breadcrumb for tooling naming the
-/// newest image written. Recovery never trusts it: a corrupt or stale
-/// manifest could name a delta whose base image retention GC already
-/// deleted, so [`load_newest_chain`] always derives the chain from the
-/// directory itself.
-pub fn read_manifest(dir: &Path) -> io::Result<Option<u64>> {
-    let mut raw = Vec::new();
-    match File::open(dir.join(MANIFEST_FILE)) {
-        Ok(mut f) => f.read_to_end(&mut raw).map(|_| ())?,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
+    /// Reads a `u64` count and checks it with [`Cursor::fits`].
+    fn count(&mut self, unit: u64, what: &str) -> io::Result<usize> {
+        let n = self.u64()?;
+        self.fits(n, unit, what)
     }
-    if raw.len() < MANIFEST_MAGIC.len() || &raw[..MANIFEST_MAGIC.len()] != MANIFEST_MAGIC {
-        return Ok(None);
+
+    /// Appends the next `n` little-endian `u32`s to `out`.
+    fn u32s(&mut self, n: usize, out: &mut Vec<u32>) -> io::Result<()> {
+        let (head, rest) = n
+            .checked_mul(4)
+            .and_then(|bytes| self.body.split_at_checked(bytes))
+            .ok_or_else(|| invalid(self.path, "image body truncated"))?;
+        self.body = rest;
+        out.extend(
+            head.chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
+        );
+        Ok(())
     }
-    let Some((body, _)) = binio::parse_frame(&raw[MANIFEST_MAGIC.len()..]) else {
-        return Ok(None);
-    };
-    if body.len() != 32 {
-        return Ok(None);
-    }
-    Ok(Some(u64::from_le_bytes(
-        body[0..8].try_into().expect("8-byte slice"),
-    )))
 }
 
 /// Loads the newest **recoverable chain** under `dir`: the highest-id full
@@ -692,11 +620,10 @@ pub fn load_newest_chain(
     let mut fulls: Vec<u64> = Vec::new();
     let mut deltas: Vec<u64> = Vec::new();
     for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if let Some(id) = full_id_from_path(&path) {
-            fulls.push(id);
-        } else if let Some(id) = delta_id_from_path(&path) {
-            deltas.push(id);
+        match image_name(&entry?.path()) {
+            Some((ImageKind::Full, id)) => fulls.push(id),
+            Some((ImageKind::Delta, id)) => deltas.push(id),
+            None => {}
         }
     }
     fulls.sort_unstable_by(|x, y| y.cmp(x));
@@ -781,7 +708,7 @@ mod tests {
     fn checkpoint_roundtrip_every_tier() {
         let dir = tmpdir("roundtrip");
         let g = skewed_graph(small_cfg());
-        let meta = write_checkpoint(&dir, 1, &g, 2, 123, 9).unwrap();
+        let meta = write_checkpoint(&dir, 1, g.view(), 2, 123, 9).unwrap();
         assert_eq!(meta.wal_segment, 2);
         assert_eq!(meta.wal_offset, 123);
         assert_eq!(meta.next_seq, 9);
@@ -791,7 +718,6 @@ mod tests {
         assert_same_graph(&r, &g);
         assert_eq!(r.num_vertices(), g.num_vertices());
         r.check_invariants();
-        assert_eq!(read_manifest(&dir).unwrap(), Some(1));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -812,7 +738,7 @@ mod tests {
         // Only vertex 0 (degree 900 > M = 256) is cold enough to freeze.
         assert_eq!(g.compress_cold_vertices(), 1);
         assert_eq!(g.tier(0), Tier::Compressed);
-        let meta = write_checkpoint(&dir, 1, &g, 0, 0, 1).unwrap();
+        let meta = write_checkpoint(&dir, 1, g.view(), 0, 0, 1).unwrap();
         let (r, rmeta) = load_checkpoint(&checkpoint_file(&dir, 1), cold).unwrap();
         assert_eq!(rmeta, meta);
         assert_same_graph(&r, &g);
@@ -830,7 +756,7 @@ mod tests {
         assert_eq!(g.compress_cold_vertices(), 1);
         let dirty = g.take_dirty_vertices();
         assert!(dirty.contains(&0));
-        write_delta_checkpoint(&dir, 2, 1, &g, &dirty, 0, 10, 2).unwrap();
+        write_delta_checkpoint(&dir, 2, 1, g.view(), &dirty, 0, 10, 2).unwrap();
         let (restored, info) = load_newest_chain(&dir, cold).unwrap();
         let (d, _) = restored.unwrap();
         assert_eq!(info.tip_id, 2);
@@ -840,11 +766,103 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The on-disk bytes of both image kinds are pinned: a fixed four-tier
+    /// graph with one quarantined vertex, one full image, one delta holding
+    /// a grown, a new and a shrunk-to-empty vertex. A codec change that
+    /// moves a single byte of either file changes its CRC32.
+    #[test]
+    fn golden_image_bytes_are_pinned() {
+        let dir = tmpdir("golden");
+        let mut g = skewed_graph(small_cfg());
+        g.clear_vertex(4);
+        g.restore_quarantine_set(&[4]).unwrap();
+        write_checkpoint(&dir, 1, g.view(), 2, 123, 9).unwrap();
+        g.clear_dirty();
+        g.insert_batch(
+            &(0..30u32)
+                .map(|i| Edge::new(7, 5 * i + 1))
+                .collect::<Vec<_>>(),
+        );
+        g.insert_batch(&[Edge::new(0, 2_000), Edge::new(2, 1)]);
+        g.delete_batch(&(0..5u32).map(|i| Edge::new(3, i + 7)).collect::<Vec<_>>());
+        let dirty = g.take_dirty_vertices();
+        assert_eq!(dirty, vec![0, 2, 3, 7]);
+        write_delta_checkpoint(&dir, 2, 1, g.view(), &dirty, 3, 456, 12).unwrap();
+        let full = fs::read(checkpoint_file(&dir, 1)).unwrap();
+        let delta = fs::read(delta_file(&dir, 2)).unwrap();
+        assert_eq!(
+            (full.len(), binio::crc32(&full)),
+            (4156, 2_160_554_020),
+            "full image bytes moved"
+        );
+        assert_eq!(
+            (delta.len(), binio::crc32(&delta)),
+            (3952, 150_772_469),
+            "delta image bytes moved"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A CRC-valid image of `kind` under `small_cfg()`: a well-formed
+    /// header claiming 8 vertices, then `tail` where the quarantine count
+    /// would start.
+    fn crafted_image(dir: &Path, kind: ImageKind, tail: &[u64]) -> PathBuf {
+        let cfg = small_cfg();
+        let mut words = vec![cfg.alpha.to_bits(), cfg.a as u64, cfg.m as u64];
+        if kind == ImageKind::Delta {
+            words.push(1); // parent id
+        }
+        words.extend([8, 0, 0, 0, 0]); // vertices, edges, WAL position
+        words.extend(tail);
+        let body: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let mut bytes = kind.magic().to_vec();
+        binio::write_frame(&mut bytes, &body).unwrap();
+        let path = kind.file(dir, 2);
+        fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    /// Counts read from the file are checked against the bytes that follow
+    /// before anything is allocated for them: a frame whose CRC is valid but
+    /// whose body claims 2^32 - 1 neighbors (16 GiB of them), or 2^40
+    /// quarantined ids or records, is `InvalidData`, for both image kinds.
+    #[test]
+    fn crafted_counts_are_refused_before_allocating() {
+        let dir = tmpdir("crafted");
+        // No quarantined ids, one record: `u32 id = 0 | u8 tag = 1 |
+        // u32 degree = 0xFFFF_FFFF` as two little-endian words.
+        let huge_degree = [0, 1, 0xFFFF_FF01_0000_0000, 0xFF];
+        for kind in [ImageKind::Full, ImageKind::Delta] {
+            for (tail, what) in [
+                (&[1 << 40][..], "quarantine count"),
+                (&[0, 1 << 40][..], "record count"),
+                (&huge_degree[..], "adjacency count"),
+            ] {
+                let path = crafted_image(&dir, kind, tail);
+                let err = match kind {
+                    ImageKind::Full => load_checkpoint(&path, small_cfg()).map(|_| ()),
+                    ImageKind::Delta => {
+                        let mut g = LsGraph::with_config(8, small_cfg());
+                        apply_delta_checkpoint(&path, &mut g, 1).map(|_| ())
+                    }
+                }
+                .unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{kind:?} {what}");
+                assert!(err.to_string().contains(what), "{kind:?}: {err}");
+            }
+            // The same header with honest counts parses: the refusals above
+            // are about the counts, not the crafting.
+            let path = crafted_image(&dir, kind, &[0, 0]);
+            parse_image(&path, kind, &small_cfg()).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn delta_roundtrip_applies_only_dirty_vertices() {
         let dir = tmpdir("delta");
         let mut g = skewed_graph(small_cfg());
-        write_checkpoint(&dir, 1, &g, 0, 10, 1).unwrap();
+        write_checkpoint(&dir, 1, g.view(), 0, 10, 1).unwrap();
         g.clear_dirty();
         // Mutate a few vertices: grow one, shrink one to zero, add one.
         g.insert_batch(
@@ -855,7 +873,7 @@ mod tests {
         g.delete_batch(&(0..5u32).map(|i| Edge::new(3, i + 7)).collect::<Vec<_>>());
         let dirty = g.dirty_vertices();
         assert!(dirty.contains(&7) && dirty.contains(&3));
-        let meta = write_delta_checkpoint(&dir, 2, 1, &g, &dirty, 0, 20, 2).unwrap();
+        let meta = write_delta_checkpoint(&dir, 2, 1, g.view(), &dirty, 0, 20, 2).unwrap();
         assert!(
             meta.bytes < fs::metadata(checkpoint_file(&dir, 1)).unwrap().len(),
             "delta must be smaller than the full image"
@@ -881,7 +899,7 @@ mod tests {
     fn corrupt_middle_delta_degrades_to_the_chain_prefix() {
         let dir = tmpdir("midcorrupt");
         let mut g = skewed_graph(small_cfg());
-        write_checkpoint(&dir, 1, &g, 0, 10, 1).unwrap();
+        write_checkpoint(&dir, 1, g.view(), 0, 10, 1).unwrap();
         g.clear_dirty();
         let mut states = Vec::new();
         for (id, seed) in [(2u64, 100u32), (3, 200), (4, 300)] {
@@ -891,7 +909,7 @@ mod tests {
                     .collect::<Vec<_>>(),
             );
             let dirty = g.take_dirty_vertices();
-            write_delta_checkpoint(&dir, id, id - 1, &g, &dirty, 0, id * 10, id).unwrap();
+            write_delta_checkpoint(&dir, id, id - 1, g.view(), &dirty, 0, id * 10, id).unwrap();
             states.push(g.num_edges());
         }
         // Corrupt delta 3: the chain must degrade to full-1 + delta-2 and
@@ -921,12 +939,12 @@ mod tests {
     fn mislinked_delta_is_rejected_without_mutation() {
         let dir = tmpdir("mislink");
         let mut g = skewed_graph(small_cfg());
-        write_checkpoint(&dir, 1, &g, 0, 10, 1).unwrap();
+        write_checkpoint(&dir, 1, g.view(), 0, 10, 1).unwrap();
         g.clear_dirty();
         g.insert_batch(&[Edge::new(9, 1), Edge::new(9, 2)]);
         let dirty = g.take_dirty_vertices();
         // Parent claims 7, but the chain tip is 1.
-        write_delta_checkpoint(&dir, 2, 7, &g, &dirty, 0, 20, 2).unwrap();
+        write_delta_checkpoint(&dir, 2, 7, g.view(), &dirty, 0, 20, 2).unwrap();
         let (mut base, _) = load_checkpoint(&checkpoint_file(&dir, 1), small_cfg()).unwrap();
         let edges_before = base.num_edges();
         let err = apply_delta_checkpoint(&delta_file(&dir, 2), &mut base, 1).unwrap_err();
@@ -950,14 +968,14 @@ mod tests {
         // ignored (not discarded — it is merely superseded).
         let dir = tmpdir("samewins");
         let mut g = skewed_graph(small_cfg());
-        write_checkpoint(&dir, 1, &g, 0, 10, 1).unwrap();
+        write_checkpoint(&dir, 1, g.view(), 0, 10, 1).unwrap();
         g.clear_dirty();
         g.insert_batch(&[Edge::new(11, 3), Edge::new(11, 9)]);
         let dirty = g.dirty_vertices();
-        write_delta_checkpoint(&dir, 2, 1, &g, &dirty, 0, 20, 2).unwrap();
+        write_delta_checkpoint(&dir, 2, 1, g.view(), &dirty, 0, 20, 2).unwrap();
         // Compaction folded the chain into a full at id 2 but crashed
         // before deleting the delta.
-        write_checkpoint(&dir, 2, &g, 0, 20, 2).unwrap();
+        write_checkpoint(&dir, 2, g.view(), 0, 20, 2).unwrap();
         let (restored, info) = load_newest_chain(&dir, small_cfg()).unwrap();
         let (r, rmeta) = restored.unwrap();
         assert_eq!(info.base_id, 2);
@@ -973,8 +991,8 @@ mod tests {
     fn corrupt_base_falls_back_to_the_older_chain() {
         let dir = tmpdir("corrupt");
         let g = skewed_graph(small_cfg());
-        write_checkpoint(&dir, 1, &g, 0, 10, 1).unwrap();
-        write_checkpoint(&dir, 2, &g, 0, 20, 2).unwrap();
+        write_checkpoint(&dir, 1, g.view(), 0, 10, 1).unwrap();
+        write_checkpoint(&dir, 2, g.view(), 0, 20, 2).unwrap();
         // Corrupt image 2 (the newest): flip a payload byte.
         let p2 = checkpoint_file(&dir, 2);
         let mut bytes = std::fs::read(&p2).unwrap();
@@ -993,19 +1011,17 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_manifest_never_selects_a_delta_without_its_base() {
-        // A stale/corrupt manifest naming a delta whose base is gone must
-        // not influence recovery: the directory scan is the only truth.
-        let dir = tmpdir("badmanifest");
+    fn newest_image_is_never_selected_without_its_base() {
+        // The newest file in the directory is a delta whose parent never
+        // existed — the shape a crashed GC could leave. The scan must settle
+        // on the older chain that does verify.
+        let dir = tmpdir("orphan");
         let mut g = skewed_graph(small_cfg());
-        write_checkpoint(&dir, 1, &g, 0, 10, 1).unwrap();
+        write_checkpoint(&dir, 1, g.view(), 0, 10, 1).unwrap();
         g.clear_dirty();
         g.insert_batch(&[Edge::new(13, 1)]);
         let dirty = g.dirty_vertices();
-        write_delta_checkpoint(&dir, 5, 4, &g, &dirty, 0, 20, 2).unwrap();
-        // The manifest now names delta 5, whose parent (4) never existed —
-        // exactly the shape a crashed GC + stale manifest could leave.
-        assert_eq!(read_manifest(&dir).unwrap(), Some(5));
+        write_delta_checkpoint(&dir, 5, 4, g.view(), &dirty, 0, 20, 2).unwrap();
         let (restored, info) = load_newest_chain(&dir, small_cfg()).unwrap();
         let (r, meta) = restored.unwrap();
         assert_eq!(meta.id, 1, "orphan delta must not be selected");
@@ -1024,7 +1040,7 @@ mod tests {
         // must serialize the flip point, not the current state.
         g.insert_batch(&(0..300u32).map(|i| Edge::new(5, i + 1)).collect::<Vec<_>>());
         assert_ne!(g.num_edges(), frozen_edges);
-        let meta = write_checkpoint(&dir, 1, &snap, 0, 77, 3).unwrap();
+        let meta = write_checkpoint(&dir, 1, snap.view(), 0, 77, 3).unwrap();
         let (r, rmeta) = load_checkpoint(&checkpoint_file(&dir, 1), small_cfg()).unwrap();
         assert_eq!(rmeta, meta);
         assert_eq!(r.num_edges(), frozen_edges);
@@ -1044,7 +1060,7 @@ mod tests {
     fn config_mismatch_is_rejected() {
         let dir = tmpdir("cfgmismatch");
         let g = skewed_graph(small_cfg());
-        write_checkpoint(&dir, 1, &g, 0, 0, 0).unwrap();
+        write_checkpoint(&dir, 1, g.view(), 0, 0, 0).unwrap();
         let other = Config {
             m: 512,
             ..Config::default()

@@ -45,7 +45,7 @@ pub mod segment;
 pub mod store;
 pub mod wal;
 
-pub use checkpoint::{ChainInfo, CheckpointMeta, CheckpointView};
+pub use checkpoint::{ChainInfo, CheckpointMeta};
 pub use retention::GcReport;
 pub use segment::{SegmentedWal, WalPosition};
 pub use store::{PendingCheckpoint, RecoveryReport, Store, StoreError, StoreOptions, WAL_FILE};

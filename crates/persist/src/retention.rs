@@ -89,15 +89,7 @@ pub fn collect_image_garbage(
     report.segment_cutoff = tip.wal_segment;
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let id = name
-            .strip_prefix("checkpoint-")
-            .and_then(|s| s.strip_suffix(".img").or_else(|| s.strip_suffix(".dlt")))
-            .and_then(|s| s.parse::<u64>().ok());
-        let Some(id) = id else { continue };
-        if id >= info.base_id {
+        if checkpoint::image_name(&path).is_none_or(|(_, id)| id >= info.base_id) {
             continue;
         }
         fail_point!("segment_gc");
@@ -132,7 +124,7 @@ pub fn compact_chain(dir: &Path, cfg: Config) -> io::Result<Option<CheckpointMet
     let meta = checkpoint::write_checkpoint(
         dir,
         tip.id,
-        &g,
+        g.view(),
         tip.wal_segment,
         tip.wal_offset,
         tip.next_seq,
@@ -173,16 +165,16 @@ mod tests {
                 .map(|i| Edge::new(i % 8, i + 1))
                 .collect::<Vec<_>>(),
         );
-        write_checkpoint(dir, 1, &g, 0, 100, 1).unwrap();
+        write_checkpoint(dir, 1, g.view(), 0, 100, 1).unwrap();
         g.clear_dirty();
         g.insert_batch(&[Edge::new(9, 1), Edge::new(9, 4)]);
         let d = g.take_dirty_vertices();
-        write_delta_checkpoint(dir, 2, 1, &g, &d, 0, 200, 2).unwrap();
-        write_checkpoint(dir, 3, &g, 1, 50, 3).unwrap();
+        write_delta_checkpoint(dir, 2, 1, g.view(), &d, 0, 200, 2).unwrap();
+        write_checkpoint(dir, 3, g.view(), 1, 50, 3).unwrap();
         g.clear_dirty();
         g.insert_batch(&[Edge::new(10, 2), Edge::new(10, 6)]);
         let d = g.take_dirty_vertices();
-        write_delta_checkpoint(dir, 4, 3, &g, &d, 2, 75, 4).unwrap();
+        write_delta_checkpoint(dir, 4, 3, g.view(), &d, 2, 75, 4).unwrap();
         g
     }
 
@@ -218,7 +210,7 @@ mod tests {
         g.insert_batch(&[Edge::new(1, 2)]);
         let d = g.take_dirty_vertices();
         // An orphan delta with no base at all.
-        write_delta_checkpoint(&dir, 7, 6, &g, &d, 0, 10, 1).unwrap();
+        write_delta_checkpoint(&dir, 7, 6, g.view(), &d, 0, 10, 1).unwrap();
         let mut report = GcReport::default();
         assert!(collect_image_garbage(&dir, cfg(), &mut report)
             .unwrap()

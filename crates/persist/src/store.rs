@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use lsgraph_api::{fail_point, Edge, Graph};
 use lsgraph_core::{BatchOutcome, Config, GraphError, GraphSnapshot, LsGraph};
 
-use crate::checkpoint::{self, CheckpointMeta};
+use crate::checkpoint::{self, CheckpointMeta, ImageKind};
 use crate::retention::{self, GcReport};
 use crate::segment::{self, SegmentedScan, SegmentedWal, WalPosition};
 use crate::wal::WalOp;
@@ -54,9 +54,6 @@ pub struct StoreOptions {
     /// Maximum deltas chained on one full image before the next
     /// checkpoint is forced full (bounds recovery's chain walk).
     pub max_delta_chain: u64,
-    /// Run a retention pass ([`Store::run_retention`]) automatically after
-    /// every successful checkpoint.
-    pub auto_retention: bool,
 }
 
 impl Default for StoreOptions {
@@ -65,7 +62,6 @@ impl Default for StoreOptions {
             segment_bytes: 8 * 1024 * 1024,
             delta_ratio: 0.25,
             max_delta_chain: 8,
-            auto_retention: false,
         }
     }
 }
@@ -74,7 +70,7 @@ impl Default for StoreOptions {
 /// structural error surfaced by the engine's fallible batch API.
 #[derive(Debug)]
 pub enum StoreError {
-    /// The WAL, checkpoint, or manifest I/O failed.
+    /// The WAL or checkpoint I/O failed.
     Io(io::Error),
     /// The engine rejected the operation.
     Graph(GraphError),
@@ -329,7 +325,7 @@ impl Store {
                 &self.dir,
                 id,
                 chain.parent_id,
-                &self.graph,
+                self.graph.view(),
                 &dirty_vs,
                 pos.segment,
                 pos.offset,
@@ -340,7 +336,7 @@ impl Store {
             checkpoint::write_checkpoint(
                 &self.dir,
                 id,
-                &self.graph,
+                self.graph.view(),
                 pos.segment,
                 pos.offset,
                 next_seq,
@@ -372,9 +368,6 @@ impl Store {
             },
         });
         self.next_checkpoint_id = id + 1;
-        if self.opts.auto_retention {
-            self.run_retention()?;
-        }
         Ok(meta)
     }
 
@@ -505,18 +498,12 @@ impl Store {
 fn prune_unusable_images(dir: &Path, base_id: u64, tip_id: u64) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
+        let doomed = match checkpoint::image_name(&path) {
+            Some((ImageKind::Full, id)) => id > base_id,
+            Some((ImageKind::Delta, id)) => id > tip_id,
+            None => false,
         };
-        let Some(stem) = name.strip_prefix("checkpoint-") else {
-            continue;
-        };
-        let doomed = match (stem.strip_suffix(".img"), stem.strip_suffix(".dlt")) {
-            (Some(id), None) => id.parse::<u64>().map(|id| id > base_id),
-            (None, Some(id)) => id.parse::<u64>().map(|id| id > tip_id),
-            _ => continue,
-        };
-        if doomed == Ok(true) {
+        if doomed {
             fs::remove_file(&path)?;
         }
     }
@@ -558,9 +545,9 @@ impl PendingCheckpoint {
         &self.snapshot
     }
 
-    /// Serializes the frozen snapshot into its (full) image and updates
-    /// the manifest, consuming the pending checkpoint (and releasing the
-    /// snapshot's hold on retired block versions).
+    /// Serializes the frozen snapshot into its (full) image, consuming the
+    /// pending checkpoint (and releasing the snapshot's hold on retired
+    /// block versions).
     ///
     /// # Errors
     ///
@@ -570,7 +557,7 @@ impl PendingCheckpoint {
         checkpoint::write_checkpoint(
             &self.dir,
             self.id,
-            &self.snapshot,
+            self.snapshot.view(),
             self.wal_segment,
             self.wal_offset,
             self.next_seq,

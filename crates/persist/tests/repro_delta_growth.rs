@@ -16,12 +16,12 @@ fn delta_with_grown_vertex_recovers() {
     };
     let mut g = LsGraph::with_config(8, cfg);
     g.insert_batch(&[Edge::new(1, 2), Edge::new(2, 3)]);
-    write_checkpoint(&dir, 1, &g, 0, 10, 1).unwrap();
+    write_checkpoint(&dir, 1, g.view(), 0, 10, 1).unwrap();
     g.clear_dirty();
     // New vertex id beyond the parent freeze's vertex count.
     g.insert_batch(&[Edge::new(50, 1)]);
     let dirty = g.take_dirty_vertices();
-    write_delta_checkpoint(&dir, 2, 1, &g, &dirty, 0, 20, 2).unwrap();
+    write_delta_checkpoint(&dir, 2, 1, g.view(), &dirty, 0, 20, 2).unwrap();
     let (restored, _info) = load_newest_chain(&dir, cfg).unwrap();
     let (r, meta) = restored.unwrap();
     assert_eq!(meta.id, 2);

@@ -52,7 +52,7 @@ pub use lsgraph_api::{
     StructStats, VertexId,
 };
 pub use lsgraph_core::{
-    BatchEvent, BatchKind, BatchOutcome, Config, ConfigError, GraphSnapshot, HiTree,
+    BatchEvent, BatchKind, BatchOutcome, Config, ConfigError, GraphSnapshot, GraphView, HiTree,
     HighDegreeStore, LiaSearch, LsGraph, MediumStore, PostBatchHook, Ria, SlotOccupancy, Tier,
     TierStats,
 };

@@ -486,7 +486,7 @@ fn lsgraph_snapshot_quarantine_repair_interleavings() {
                 // keep showing the vertex quarantined and empty forever.
                 let v = rng.gen_range(0u32..60);
                 g.clear_vertex(v);
-                g.restore_quarantine(v).unwrap();
+                g.restore_quarantine_set(&[v]).unwrap();
                 oracle[v as usize].clear();
                 if rng.gen_bool(0.7) {
                     snaps.push((g.snapshot(), freeze(&oracle), vec![v]));
