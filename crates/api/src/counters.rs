@@ -197,17 +197,13 @@ metric_family! {
     /// recovery chain. Must stay zero on clean runs; `repro check` gates it.
     recovery_images_discarded: Counter, Invariant, "persist", "images";
 
-    /// Read snapshots taken from the live graph (epoch registrations).
+    /// Read snapshots taken from the live graph.
     snapshots_taken: Counter, Drift, "core", "snapshots";
-    /// Read snapshots dropped (epoch deregistrations).
+    /// Read snapshots dropped (the last clone of each).
     snapshots_retired: Counter, Drift, "core", "snapshots";
     /// Vertex blocks copied on write because a snapshot still referenced
     /// them when a batch mutated the vertex.
     cow_block_copies: Counter, Drift, "core", "blocks";
-    /// Retired block versions awaiting epoch reclamation (gauge, not a
-    /// sum). Must return to zero once the last snapshot drops; `repro
-    /// check` treats a nonzero value as an invariant violation.
-    epoch_reclaim_backlog: GaugeLast, Invariant, "core", "blocks";
 
     /// Standing-query subscriptions currently registered (gauge, not a
     /// sum). Quarantined subscriptions still count until cancelled.
@@ -445,13 +441,13 @@ impl StructStats {
             .fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one read snapshot taken (epoch registered).
+    /// Records one read snapshot taken.
     #[inline]
     pub fn record_snapshot_taken(&self) {
         self.snapshots_taken.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one read snapshot dropped (epoch deregistered).
+    /// Records one read snapshot dropped (its last clone).
     #[inline]
     pub fn record_snapshot_retired(&self) {
         self.snapshots_retired.fetch_add(1, Ordering::Relaxed);
@@ -462,12 +458,6 @@ impl StructStats {
     #[inline]
     pub fn record_cow_block_copy(&self) {
         self.cow_block_copies.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the current epoch-reclamation backlog (gauge).
-    #[inline]
-    pub fn record_epoch_backlog(&self, n: u64) {
-        self.epoch_reclaim_backlog.store(n, Ordering::Relaxed);
     }
 
     /// Records the number of standing-query subscriptions currently
@@ -693,11 +683,10 @@ mod tests {
     /// were spelled by hand.
     #[test]
     fn metric_table_is_consistent() {
-        // Names are unique and `fields` follows the table. The table is the
-        // parent's 52 fields minus `phase_kernel_nanos`; a rename here must
-        // be an intentional schema change.
+        // Names are unique and `fields` follows the table; a rename or a
+        // count change here must be an intentional schema change.
         let all = names(|_| true);
-        assert_eq!(all.len(), 51);
+        assert_eq!(all.len(), 50);
         let unique: std::collections::BTreeSet<_> = all.iter().collect();
         assert_eq!(unique.len(), all.len());
         let field_names: Vec<_> = StructSnapshot::default().fields().map(|(n, _)| n).into();
@@ -749,7 +738,7 @@ mod tests {
             words(
                 "ria_bound_exceeded lia_vertical_premature apply_run_panics \
                  vertices_quarantined vertices_repaired recovery_frames_discarded \
-                 recovery_images_discarded epoch_reclaim_backlog subscription_panics"
+                 recovery_images_discarded subscription_panics"
             )
         );
         assert_eq!(
@@ -768,7 +757,7 @@ mod tests {
             names(|m| m.kind.is_gauge()),
             words(
                 "ria_max_ripple_span ria_bound checkpoint_bytes wal_live_bytes \
-                 checkpoint_dirty_vertices epoch_reclaim_backlog subscriptions_active"
+                 checkpoint_dirty_vertices subscriptions_active"
             )
         );
         // Reruns reproduce everything but timers and last-writer-wins gauges.

@@ -37,8 +37,7 @@ use std::sync::Mutex;
 /// | `wal_sync` | buffered WAL frames are flushed + fsynced |
 /// | `checkpoint_write` | a checkpoint image is serialized to disk |
 /// | `recovery_replay` | a WAL-tail frame is replayed during recovery |
-/// | `snapshot_flip` | a read snapshot registers its epoch (mid-flip) |
-/// | `epoch_reclaim` | retired block versions are reclaimed |
+/// | `snapshot_flip` | a read snapshot is counted as taken (mid-flip) |
 /// | `metrics_sample` | a sampler tick snapshots the metrics registry |
 /// | `wal_rotate` | the WAL seals a full segment and opens the next one |
 /// | `segment_gc` | retention GC deletes superseded segments/images |
@@ -46,7 +45,7 @@ use std::sync::Mutex;
 /// | `spill_downgrade` | a sparse spill container downgrades to a lower tier |
 /// | `subscription_deliver` | a standing-query subscription evaluates its per-batch delta |
 /// | `spill_compress` | a cold spill freezes into the gap-encoded tier, or a frozen spill thaws for a write |
-pub const SITES: [&str; 18] = [
+pub const SITES: [&str; 17] = [
     "ria_rebuild",
     "lia_retrain",
     "hitree_vertical",
@@ -57,7 +56,6 @@ pub const SITES: [&str; 18] = [
     "checkpoint_write",
     "recovery_replay",
     "snapshot_flip",
-    "epoch_reclaim",
     "metrics_sample",
     "wal_rotate",
     "segment_gc",

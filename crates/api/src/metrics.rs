@@ -605,11 +605,11 @@ mod tests {
         let (r, stats, _) = small_registry();
         stats.record_vb_inline_insert(3);
         stats.record_ria_ripple(2, 5, 6);
-        stats.record_epoch_backlog(4);
+        stats.record_subscriptions_active(4);
         let s = r.sample();
-        // 51 struct fields minus 7 gauges; heap gauges only under count-alloc.
+        // 50 struct fields minus 6 gauges; heap gauges only under count-alloc.
         assert_eq!(s.counters.len(), 44);
-        let base_gauges = 7 + if heap_gauges().is_some() { 2 } else { 0 };
+        let base_gauges = 6 + if heap_gauges().is_some() { 2 } else { 0 };
         assert_eq!(s.gauges.len(), base_gauges);
         assert_eq!(s.histograms.len(), 4);
         // Pinned order: counters follow StructSnapshot::fields order.
@@ -630,10 +630,7 @@ mod tests {
         );
         assert_eq!(s.gauges[0], ("lsgraph_ria_max_ripple_span".to_string(), 2));
         assert_eq!(s.gauges[1], ("lsgraph_ria_bound".to_string(), 6));
-        assert_eq!(
-            s.gauges[5],
-            ("lsgraph_epoch_reclaim_backlog".to_string(), 4)
-        );
+        assert_eq!(s.gauges[5], ("lsgraph_subscriptions_active".to_string(), 4));
         assert_eq!(s.histograms[0].0, "lsgraph_batch_apply");
         assert_eq!(s.histograms[3].0, "lsgraph_reader");
     }
@@ -662,14 +659,14 @@ mod tests {
         h.record(10_000); // bucket 14, le = 16383
         let sample = RegistrySample {
             counters: vec![("lsgraph_vb_inline_hits".to_string(), 2)],
-            gauges: vec![("lsgraph_epoch_reclaim_backlog".to_string(), 0)],
+            gauges: vec![("lsgraph_wal_live_bytes".to_string(), 0)],
             histograms: vec![("lsgraph_batch_apply".to_string(), h.snapshot())],
         };
         let expected = "\
 # TYPE lsgraph_vb_inline_hits_total counter
 lsgraph_vb_inline_hits_total 2
-# TYPE lsgraph_epoch_reclaim_backlog gauge
-lsgraph_epoch_reclaim_backlog 0
+# TYPE lsgraph_wal_live_bytes gauge
+lsgraph_wal_live_bytes 0
 # TYPE lsgraph_batch_apply_ns histogram
 lsgraph_batch_apply_ns_bucket{le=\"127\"} 1
 lsgraph_batch_apply_ns_bucket{le=\"16383\"} 2

@@ -35,7 +35,7 @@
 //! nonzero or a structural counter regressed past tolerance; see
 //! `lsgraph_bench::check`. `check --metrics <path>` validates a recorded
 //! metrics stream instead (exact sample count, contiguous ticks, monotone
-//! counters, backlog drained by the final sample); the two flags compose.
+//! counters); the two flags compose.
 
 use lsgraph_api::{metrics, trace};
 use lsgraph_bench::{check, experiments};

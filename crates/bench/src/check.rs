@@ -15,9 +15,8 @@
 //!   (a ripple exceeding the `log2(num_blocks)+1` bound, a vertical LIA move
 //!   without a preceding block overflow) and the fault-handling ones (a
 //!   benchmark run has failpoints disabled, writes and recovers its own
-//!   files under controlled shutdowns, and drops its snapshots before
-//!   sampling, so a panic, a discarded frame or image, or a lingering epoch
-//!   backlog is a real defect). Any nonzero value in the *current* run
+//!   files under controlled shutdowns, so a panic or a discarded frame or
+//!   image is a real defect). Any nonzero value in the *current* run
 //!   fails, regardless of the baseline (a baseline that already carries a
 //!   nonzero invariant is itself reported).
 //! - **Gated counters** ([`Gate::Drift`]): volumes that
@@ -271,7 +270,6 @@ struct CellState {
     cell: String,
     next_tick: u64,
     last_counters: Vec<(String, u64)>,
-    last_gauges: Vec<(String, u64)>,
 }
 
 /// Validates a metrics JSONL time-series (`repro <exp> --metrics out.jsonl`)
@@ -285,10 +283,7 @@ struct CellState {
 ///   samples);
 /// - every counter is monotone non-decreasing sample over sample (counters
 ///   only ever accumulate; a decrease means torn sampling or a reset
-///   mid-run);
-/// - the final sample of every cell reads 0 for every gauge the table gates
-///   as an invariant — the epoch-reclaim backlog (the quiescence tick
-///   happens after drop-all + reclaim).
+///   mid-run).
 ///
 /// Returns human-readable violations; empty means the stream is clean.
 pub fn check_metrics(text: &str) -> Vec<String> {
@@ -354,16 +349,10 @@ pub fn check_metrics(text: &str) -> Vec<String> {
                 continue;
             }
         };
-        let gauges = match jget(&obj, "gauges") {
-            Some(Json::Obj(m)) => m
-                .iter()
-                .filter_map(|(k, v)| juint(v).map(|n| (k.clone(), n)))
-                .collect::<Vec<_>>(),
-            _ => {
-                errs.push(format!("line {lineno}: sample has no gauges object"));
-                continue;
-            }
-        };
+        if !matches!(jget(&obj, "gauges"), Some(Json::Obj(_))) {
+            errs.push(format!("line {lineno}: sample has no gauges object"));
+            continue;
+        }
         let state = match cells.iter_mut().find(|c| &c.cell == cell) {
             Some(s) => s,
             None => {
@@ -371,7 +360,6 @@ pub fn check_metrics(text: &str) -> Vec<String> {
                     cell: cell.clone(),
                     next_tick: 0,
                     last_counters: Vec::new(),
-                    last_gauges: Vec::new(),
                 });
                 cells.last_mut().expect("just pushed")
             }
@@ -396,28 +384,10 @@ pub fn check_metrics(text: &str) -> Vec<String> {
             }
         }
         state.last_counters = counters;
-        state.last_gauges = gauges;
     }
 
     if cells.is_empty() {
         errs.push("metrics stream has a header but no samples".to_string());
-    }
-    let drained = StructSnapshot::METRICS.iter();
-    let drained = drained.filter(|m| m.kind.is_gauge() && m.gate == Gate::Invariant);
-    for gauge in drained.map(|m| m.name) {
-        for state in &cells {
-            match state.last_gauges.iter().find(|(n, _)| n.ends_with(gauge)) {
-                Some((name, v)) if *v != 0 => errs.push(format!(
-                    "cell {}: final sample has {name} = {v} (must drain to 0 by quiescence)",
-                    state.cell
-                )),
-                Some(_) => {}
-                None => errs.push(format!(
-                    "cell {}: final sample has no {gauge} gauge",
-                    state.cell
-                )),
-            }
-        }
     }
     if let Some(expected) = expected {
         if samples != expected {
@@ -669,20 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn lingering_epoch_backlog_is_an_invariant() {
-        let b = report(vec![cell("LSGraph", Some(StructSnapshot::default()))]);
-        let leaked = StructSnapshot {
-            epoch_reclaim_backlog: 3,
-            ..StructSnapshot::default()
-        };
-        let c = report(vec![cell("LSGraph", Some(leaked))]);
-        let v = compare(&b, &c, CheckOptions::default());
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].kind, ViolationKind::Invariant);
-        assert_eq!(v[0].counter, "epoch_reclaim_backlog");
-    }
-
-    #[test]
     fn snapshot_volume_is_gated() {
         let base = StructSnapshot {
             snapshots_taken: 32,
@@ -782,11 +738,11 @@ mod tests {
     }
 
     /// Builds one metrics sample line by hand (the sampler's wire format).
-    fn sample_line(cell: &str, tick: u64, ripples: u64, backlog: u64) -> String {
+    fn sample_line(cell: &str, tick: u64, ripples: u64) -> String {
         format!(
             "{{\"cell\":\"{cell}\",\"tick\":{tick},\"elapsed_ns\":12345,\"writer_eps\":1.5,\
              \"counters\":{{\"lsgraph_ria_ripples\":{ripples}}},\
-             \"gauges\":{{\"lsgraph_epoch_reclaim_backlog\":{backlog}}},\"histograms\":{{}}}}"
+             \"gauges\":{{\"lsgraph_ria_max_ripple_span\":3}},\"histograms\":{{}}}}"
         )
     }
 
@@ -806,40 +762,26 @@ mod tests {
     #[test]
     fn clean_metrics_stream_passes() {
         let doc = metrics_doc(&[
-            sample_line("OR/bs=16", 0, 5, 2),
-            sample_line("OR/bs=16", 1, 9, 1),
-            sample_line("OR/bs=32", 0, 3, 4),
-            sample_line("OR/bs=16", 2, 9, 0),
-            sample_line("OR/bs=32", 1, 3, 0),
+            sample_line("OR/bs=16", 0, 5),
+            sample_line("OR/bs=16", 1, 9),
+            sample_line("OR/bs=32", 0, 3),
+            sample_line("OR/bs=16", 2, 9),
+            sample_line("OR/bs=32", 1, 3),
         ]);
         assert_eq!(check_metrics(&doc), Vec::<String>::new());
     }
 
     #[test]
     fn decreasing_counter_fails_monotonicity() {
-        let doc = metrics_doc(&[
-            sample_line("OR/bs=16", 0, 9, 0),
-            sample_line("OR/bs=16", 1, 5, 0),
-        ]);
+        let doc = metrics_doc(&[sample_line("OR/bs=16", 0, 9), sample_line("OR/bs=16", 1, 5)]);
         let errs = check_metrics(&doc);
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(errs[0].contains("decreased 9 -> 5"), "{errs:?}");
     }
 
     #[test]
-    fn lingering_final_backlog_fails() {
-        let doc = metrics_doc(&[
-            sample_line("OR/bs=16", 0, 1, 3),
-            sample_line("OR/bs=16", 1, 2, 3),
-        ]);
-        let errs = check_metrics(&doc);
-        assert_eq!(errs.len(), 1, "{errs:?}");
-        assert!(errs[0].contains("must drain to 0"), "{errs:?}");
-    }
-
-    #[test]
     fn sample_count_must_match_header_exactly() {
-        let mut doc = metrics_doc(&[sample_line("OR/bs=16", 0, 1, 0)]);
+        let mut doc = metrics_doc(&[sample_line("OR/bs=16", 0, 1)]);
         // Promise two samples, deliver one.
         doc = doc.replace("\"samples_expected\":1", "\"samples_expected\":2");
         let errs = check_metrics(&doc);
@@ -849,10 +791,7 @@ mod tests {
 
     #[test]
     fn non_contiguous_ticks_fail() {
-        let doc = metrics_doc(&[
-            sample_line("OR/bs=16", 0, 1, 0),
-            sample_line("OR/bs=16", 2, 2, 0),
-        ]);
+        let doc = metrics_doc(&[sample_line("OR/bs=16", 0, 1), sample_line("OR/bs=16", 2, 2)]);
         let errs = check_metrics(&doc);
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(errs[0].contains("not contiguous"), "{errs:?}");

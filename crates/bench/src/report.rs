@@ -25,8 +25,9 @@ use lsgraph_api::{CounterSnapshot, HistogramSnapshot, LatencySnapshot, StructSna
 
 /// Report schema version; bump when renaming or removing fields (additions
 /// need no bump: absent keys read as zero). v9 removed `phase_kernel_nanos`
-/// and made the counter maps sparse.
-pub const SCHEMA_VERSION: u32 = 9;
+/// and made the counter maps sparse; v10 removed the reclamation-backlog
+/// fields (one each in `mixed`, `standing` and `struct_stats`).
+pub const SCHEMA_VERSION: u32 = 10;
 
 /// A value with one JSON spelling. `Default` is what an absent key reads as.
 trait JsonField: Sized + Default {
@@ -281,9 +282,6 @@ report_object! {
         snapshots_taken: u64,
         /// Blocks copied on write because a snapshot still shared them.
         cow_block_copies: u64,
-        /// Epoch-reclamation backlog after the last snapshot dropped — 0 by
-        /// the quiescence invariant, gated by `repro check`.
-        final_backlog: u64,
     }
 }
 
@@ -314,9 +312,6 @@ report_object! {
         /// Delivery panics — 0 by the quarantine invariant, gated by
         /// `repro check`.
         subscription_panics: u64,
-        /// Epoch-reclamation backlog after the hub quiesced and reclaim ran —
-        /// 0 by the quiescence invariant, gated by `repro check`.
-        final_backlog: u64,
     }
 }
 
@@ -907,7 +902,6 @@ mod tests {
                         reader_ops_per_sec: 5.0e4,
                         snapshots_taken: 32,
                         cow_block_copies: 4_100,
-                        final_backlog: 0,
                     }),
                     standing: Some(StandingReport {
                         subscriptions: 4,
@@ -918,7 +912,6 @@ mod tests {
                         recompute_nanos: 2_700_000,
                         speedup: 30.0,
                         subscription_panics: 0,
-                        final_backlog: 0,
                     }),
                     search: Some(SearchReport {
                         probes_per_size: 10_000,
@@ -1011,15 +1004,14 @@ mod tests {
             keys_of(e0, "mixed"),
             words(
                 "writer_batches writer_edges writer_eps reader_threads reader_ops \
-                 reader_ops_per_sec snapshots_taken cow_block_copies final_backlog"
+                 reader_ops_per_sec snapshots_taken cow_block_copies"
             )
         );
         assert_eq!(
             keys_of(e0, "standing"),
             words(
                 "subscriptions batches deltas_delivered delta_entries \
-                 delivery_nanos recompute_nanos speedup subscription_panics \
-                 final_backlog"
+                 delivery_nanos recompute_nanos speedup subscription_panics"
             )
         );
         assert_eq!(
@@ -1112,9 +1104,9 @@ mod tests {
 
     #[test]
     fn future_schema_versions_are_rejected() {
-        let doc = sample()
-            .to_json()
-            .replacen("\"schema_version\": 9", "\"schema_version\": 10", 1);
+        let version = |v: u32| format!("\"schema_version\": {v}");
+        let (ours, next) = (version(SCHEMA_VERSION), version(SCHEMA_VERSION + 1));
+        let doc = sample().to_json().replacen(&ours, &next, 1);
         let err = BenchReport::from_json(&doc).unwrap_err();
         assert!(err.contains("unsupported schema_version"), "{err}");
     }

@@ -23,7 +23,7 @@ use crate::ria::Ria;
 use crate::search;
 
 /// Spill storage for one vertex's non-inline neighbors.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum Spill {
     /// Sorted array tier (`<= A`).
     Array(Vec<u32>),
@@ -340,6 +340,28 @@ impl Iterator for SpillIter<'_> {
             SpillIter::Pma(it) => it.next(),
             SpillIter::Tree(it) => it.next(),
             SpillIter::Compressed(it) => it.next(),
+        }
+    }
+}
+
+/// Copies a sorted array together with its capacity. The footprint of an
+/// array is its `capacity()`, and `Vec::clone` allocates `len()`: a block
+/// copied on write must come out the shape an in-place write would have left,
+/// or the graph's layout records who was reading while it was written.
+pub(crate) fn clone_with_capacity(v: &Vec<u32>) -> Vec<u32> {
+    let mut copy = Vec::with_capacity(v.capacity());
+    copy.extend_from_slice(v);
+    copy
+}
+
+impl Clone for Spill {
+    fn clone(&self) -> Self {
+        match self {
+            Spill::Array(v) => Spill::Array(clone_with_capacity(v)),
+            Spill::Ria(r) => Spill::Ria(r.clone()),
+            Spill::Pma(p) => Spill::Pma(p.clone()),
+            Spill::Tree(t) => Spill::Tree(t.clone()),
+            Spill::Compressed(c) => Spill::Compressed(c.clone()),
         }
     }
 }

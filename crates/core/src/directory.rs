@@ -4,11 +4,10 @@
 //! [`GraphView`] owns the directory's representation and is the only code
 //! that indexes it. The live [`LsGraph`](crate::LsGraph) holds one view plus
 //! its writer-only state; a [`GraphSnapshot`](crate::GraphSnapshot) holds a
-//! clone of that view plus its epoch registration; the checkpoint codec in
-//! `lsgraph-persist` takes `&GraphView`. Every read — `degree`, neighbor
-//! walks, `tier`, `checkpoint_vertex`, `validate_invariants`, `footprint` —
-//! therefore has one body, and live graph, snapshot and image cannot drift
-//! apart.
+//! clone of that view; the checkpoint codec in `lsgraph-persist` takes
+//! `&GraphView`. Every read — `degree`, neighbor walks, `tier`,
+//! `checkpoint_vertex`, `validate_invariants`, `footprint` — therefore has
+//! one body, and live graph, snapshot and image cannot drift apart.
 //!
 //! Each slot is reference-counted, so cloning the view copies reference
 //! counts only and a writer copy-on-writes exactly the blocks it touches
@@ -26,12 +25,11 @@ use rayon::prelude::*;
 
 use crate::config::Config;
 use crate::error::InvariantError;
-use crate::snapshot::EpochRegistry;
 use crate::stats::Tier;
 use crate::vertex::{NeighborIter, VertexBlock};
 
 /// One directory slot: a shared, immutable-while-shared block version.
-pub(crate) type Slot = Arc<VertexBlock>;
+type Slot = Arc<VertexBlock>;
 
 /// The graph as a reader sees it: the vertex directory, the edge total, the
 /// quarantine set, the configuration, and handles to the instrumentation.
@@ -67,9 +65,7 @@ impl SlotMut<'_> {
         self.0.degree()
     }
 
-    /// Replaces the block outright, dropping the displaced version inline.
-    /// For the bulk build only: no snapshot can exist yet, so there is
-    /// nothing to retire.
+    /// Replaces the block outright. For the bulk build only.
     pub(crate) fn set(&mut self, vb: VertexBlock) {
         *self.0 = Arc::new(vb);
     }
@@ -83,13 +79,12 @@ impl SlotMut<'_> {
     /// the strong count can only decrease under us. A count of 1 is
     /// therefore definitively exclusive; a racing snapshot-drop after we
     /// observe > 1 costs at most one harmless extra copy. The displaced
-    /// version goes to the epoch pool rather than being freed inline.
-    pub(crate) fn cow(&mut self, stats: &StructStats, epochs: &EpochRegistry) -> &mut VertexBlock {
+    /// version lives on in the clones that share it and is freed with the
+    /// last of them.
+    pub(crate) fn cow(&mut self, stats: &StructStats) -> &mut VertexBlock {
         if Arc::strong_count(self.0) > 1 {
-            let old = Arc::clone(self.0);
             *self.0 = Arc::new((**self.0).clone());
             stats.record_cow_block_copy();
-            epochs.retire(old);
         }
         Arc::get_mut(self.0).expect("block exclusive after copy-on-write")
     }
@@ -121,14 +116,11 @@ impl GraphView {
         }
     }
 
-    /// Replaces `v`'s block wholesale, retiring the displaced version when
-    /// an outstanding snapshot still references it. Edge accounting is the
-    /// caller's (a block reset after a panic has no trustworthy degree).
-    pub(crate) fn install(&mut self, v: VertexId, vb: VertexBlock, epochs: &EpochRegistry) {
-        let old = std::mem::replace(&mut self.blocks[v as usize], Arc::new(vb));
-        if Arc::strong_count(&old) > 1 {
-            epochs.retire(old);
-        }
+    /// Replaces `v`'s block wholesale; an outstanding snapshot keeps reading
+    /// the displaced version. Edge accounting is the caller's (a block reset
+    /// after a panic has no trustworthy degree).
+    pub(crate) fn install(&mut self, v: VertexId, vb: VertexBlock) {
+        self.blocks[v as usize] = Arc::new(vb);
     }
 
     /// Runs `f` once per run, in parallel, handing each task the slot of its
@@ -472,12 +464,11 @@ mod tests {
         let keys = sorted_dedup_keys(&batch);
         let runs = runs_by_src(&keys);
         let mut g = view(9);
-        let epochs = EpochRegistry::new();
         let frozen = g.clone();
         let (cfg, stats) = (g.cfg, Arc::clone(&g.stats));
         let applied = g.par_apply_disjoint(&runs, |run, mut slot| {
             assert_eq!(slot.degree(), 0);
-            let vb = slot.cow(&stats, &epochs);
+            let vb = slot.cow(&stats);
             keys[run.start..run.end]
                 .iter()
                 .filter(|&&k| vb.insert(k as u32, &cfg, &stats))
@@ -491,7 +482,6 @@ mod tests {
         // Every touched slot was shared with the clone, so each was copied
         // first and the clone still reads the pre-call state.
         assert_eq!(g.stats.snapshot().cow_block_copies, 5);
-        assert_eq!(epochs.backlog(), 5);
         assert_eq!(frozen.degree(4), 0);
         assert_eq!(frozen.validate_invariants(), Ok(()));
     }
@@ -508,16 +498,33 @@ mod tests {
         view(4).par_apply_disjoint(&[run(1), run(4)], |_, _| 0);
     }
 
+    /// A displaced version is freed by the reference counts alone: it lives
+    /// exactly as long as the last view clone that can read it.
     #[test]
-    fn install_retires_only_a_shared_version() {
+    fn displaced_version_dies_with_its_last_reader() {
         let mut g = view(2);
-        let epochs = EpochRegistry::new();
-        g.install(0, VertexBlock::new(), &epochs);
-        assert_eq!(epochs.backlog(), 0, "unshared version freed inline");
-        let frozen = g.clone();
-        let one = VertexBlock::from_sorted_neighbors(&[1], &g.cfg);
-        g.install(0, one, &epochs);
-        assert_eq!(epochs.backlog(), 1);
-        assert_eq!((g.degree(0), frozen.degree(0)), (1, 0));
+        let stats = Arc::clone(&g.stats);
+        let (first, second) = (g.clone(), g.clone());
+        let cowed = Arc::downgrade(&g.blocks[0]);
+        let installed = Arc::downgrade(&g.blocks[1]);
+        let cfg = g.cfg;
+        g.par_apply_disjoint(&[run(0)], |_, mut slot| {
+            usize::from(slot.cow(&stats).insert(1, &cfg, &stats))
+        });
+        g.install(1, VertexBlock::from_sorted_neighbors(&[0], &cfg));
+        assert_eq!(stats.snapshot().cow_block_copies, 1);
+        assert_eq!((g.degree(0), first.degree(0)), (1, 0));
+        assert_eq!((g.degree(1), second.degree(1)), (1, 0));
+        drop(first);
+        assert!(cowed.upgrade().is_some() && installed.upgrade().is_some());
+        drop(second);
+        assert!(cowed.upgrade().is_none() && installed.upgrade().is_none());
+        // Unshared again: the next write is in place.
+        let live = Arc::as_ptr(&g.blocks[0]);
+        g.par_apply_disjoint(&[run(0)], |_, mut slot| {
+            usize::from(slot.cow(&stats).insert(2, &cfg, &stats))
+        });
+        assert_eq!(stats.snapshot().cow_block_copies, 1);
+        assert_eq!(Arc::as_ptr(&g.blocks[0]), live);
     }
 }

@@ -15,7 +15,7 @@ use crate::adjacency::Spill;
 use crate::config::{Config, ConfigError};
 use crate::directory::{forward_to_view, GraphView};
 use crate::error::{BatchOutcome, GraphError};
-use crate::snapshot::{EpochRegistry, GraphSnapshot};
+use crate::snapshot::GraphSnapshot;
 use crate::vertex::VertexBlock;
 
 /// A shared-memory streaming graph engine with locality-centric storage.
@@ -37,8 +37,6 @@ pub struct LsGraph {
     /// ask is answered from here, and a snapshot ([`LsGraph::snapshot`]) is
     /// a clone of it.
     view: GraphView,
-    /// Snapshot epochs and the retired-block reclamation pool.
-    epochs: Arc<EpochRegistry>,
     /// Vertices mutated since the dirty set was last taken — the delta
     /// checkpoint working set. Marked on every committed or panicked apply
     /// run and on every whole-block replacement ([`LsGraph::install_block`]),
@@ -176,7 +174,6 @@ impl LsGraph {
         dirty.grow_to(n);
         Ok(LsGraph {
             view: GraphView::new(n, cfg),
-            epochs: Arc::new(EpochRegistry::new()),
             dirty,
             batch_seq: 0,
             hooks: Vec::new(),
@@ -233,7 +230,7 @@ impl LsGraph {
         for &src in &quarantined {
             // A panicked build may have left the block partially assigned;
             // force it back to a pristine empty block.
-            g.view.install(src, VertexBlock::new(), &g.epochs);
+            g.view.install(src, VertexBlock::new());
             g.view.quarantined.insert(src);
             g.view.stats.record_apply_run_panic();
             g.view.stats.record_vertex_quarantined();
@@ -274,7 +271,7 @@ impl LsGraph {
     /// reset, clear, restore, repair); batched per-edge mutation goes
     /// through the copy-on-write slot entry instead.
     fn install_block(&mut self, v: VertexId, vb: VertexBlock) {
-        self.view.install(v, vb, &self.epochs);
+        self.view.install(v, vb);
         self.dirty.insert(v);
     }
 
@@ -315,7 +312,6 @@ impl LsGraph {
             let cfg = self.view.cfg;
             let stats = Arc::clone(&self.view.stats);
             let latency = Arc::clone(&self.view.latency);
-            let epochs = &*self.epochs;
             let _apply = stats.time(Phase::Apply);
             let batch_start = Instant::now();
             let n = self.view.par_apply_disjoint(runs, |run, mut slot| {
@@ -323,7 +319,7 @@ impl LsGraph {
                 let run_start = Instant::now();
                 let task = || {
                     fail_point!("apply_run");
-                    let vb = slot.cow(&stats, epochs);
+                    let vb = slot.cow(&stats);
                     keys[run.start..run.end]
                         .iter()
                         .filter(|&&k| op(vb, k as u32, &cfg, &stats))
@@ -356,7 +352,7 @@ impl LsGraph {
             // corrupt; drop its adjacency and quarantine the vertex. If a
             // snapshot shares the version the panic landed on, it still
             // sees the pre-copy state (the CoW clone happens before any
-            // mutation), so retiring it through `install_block` is safe.
+            // mutation), so replacing it through `install_block` is safe.
             self.install_block(src, VertexBlock::new());
             self.view.quarantined.insert(src);
             self.view.stats.record_apply_run_panic();
@@ -407,7 +403,7 @@ impl LsGraph {
     }
 
     /// The batch pipeline: sort and deduplicate, size the key set to the
-    /// table, group by source, apply, account, reclaim, notify.
+    /// table, group by source, apply, account, notify.
     fn apply_batch(&mut self, kind: BatchKind, batch: &[Edge]) -> Result<BatchOutcome, GraphError> {
         if batch.is_empty() {
             return Ok(BatchOutcome::default());
@@ -446,7 +442,6 @@ impl LsGraph {
             BatchKind::Insert => self.view.num_edges += r.applied,
             BatchKind::Delete => self.view.num_edges -= r.applied,
         }
-        self.epochs.reclaim(&self.view.stats);
         let outcome = BatchOutcome {
             applied: r.applied,
             quarantined: r.panicked.iter().map(|&(v, _)| v).collect(),
@@ -639,12 +634,13 @@ impl LsGraph {
     /// Freezes the current state into an immutable [`GraphSnapshot`].
     ///
     /// The flip clones the view — per-block reference bumps, no adjacency
-    /// payload — and registers an epoch; later batches copy-on-write the
-    /// blocks they touch, so the snapshot keeps reading exactly the state
-    /// at the flip. Taking a snapshot requires `&self`, so it interleaves
-    /// with batches at batch boundaries; the returned handle is
-    /// `Clone + Send + Sync` and outlives the graph's borrow, so readers on
-    /// other threads proceed wait-free while the writer streams.
+    /// payload; later batches copy-on-write the blocks they touch, so the
+    /// snapshot keeps reading exactly the state at the flip, and a displaced
+    /// version is freed when the last snapshot sharing it drops. Taking a
+    /// snapshot requires `&self`, so it interleaves with batches at batch
+    /// boundaries; the returned handle is `Clone + Send + Sync` and outlives
+    /// the graph's borrow, so readers on other threads proceed wait-free
+    /// while the writer streams.
     ///
     /// # Examples
     ///
@@ -660,32 +656,21 @@ impl LsGraph {
     /// assert_eq!(g.neighbors(0), vec![1, 2]); // live view moved on
     /// ```
     pub fn snapshot(&self) -> GraphSnapshot {
-        // Clone the view *before* registering the epoch: if the flip faults
-        // here (`snapshot_flip`), unwinding drops the clone and every
-        // reference count returns to its pre-flip value — the live graph
-        // and all outstanding snapshots are untouched, and neither
-        // `snapshots_taken` nor the live-epoch table ever saw the attempt.
+        // If the flip faults here (`snapshot_flip`), unwinding drops the
+        // clone and every reference count returns to its pre-flip value —
+        // the live graph and all outstanding snapshots are untouched, and
+        // `snapshots_taken` never saw the attempt.
         let view = self.view.clone();
         fail_point!("snapshot_flip");
-        let epoch = self.epochs.register();
         self.view.stats.record_snapshot_taken();
-        GraphSnapshot::new(view, epoch, Arc::clone(&self.epochs))
+        GraphSnapshot::new(view)
     }
 
-    /// Retired block versions currently awaiting epoch reclamation.
-    ///
-    /// Returns to 0 once every snapshot has dropped and a reclaim has run
-    /// (batch boundaries and snapshot drops both reclaim).
-    pub fn epoch_backlog(&self) -> usize {
-        self.epochs.backlog()
-    }
-
-    /// Runs an epoch reclamation pass outside a batch boundary, freeing
-    /// retired block versions no live snapshot can reference and refreshing
-    /// the `epoch_reclaim_backlog` gauge.
-    pub fn reclaim_epochs(&self) {
-        self.epochs.reclaim(&self.view.stats);
-    }
+    /// Does nothing: displaced block versions are freed by their reference
+    /// counts. Exists only because `benchmark/src/{engine,layers}.rs`
+    /// (frozen by `BENCHMARK.json` `paths`) still call it; the next PR that
+    /// may edit `benchmark/` removes the calls and this with them.
+    pub fn reclaim_epochs(&self) {}
 
     /// Shared handle to this engine's structural counters, for registration
     /// with a [`lsgraph_api::MetricsRegistry`] — a sampler can then

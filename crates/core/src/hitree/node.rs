@@ -6,13 +6,14 @@ use lsgraph_api::{Footprint, MemoryFootprint, StructStats};
 
 use super::lia::{Lia, MAX_DEPTH};
 use super::SlotOccupancy;
+use crate::adjacency::clone_with_capacity;
 use crate::config::Config;
 use crate::ria::Ria;
 use crate::search;
 
 /// One HITree node (paper Fig. 8: a child pointer may reference a LIA, a
 /// RIA, or an array).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum Node {
     /// Small sorted array leaf.
     Arr(Vec<u32>),
@@ -214,6 +215,16 @@ impl Node {
             }
             Node::Ria(r) => r.check_invariants(),
             Node::Lia(l) => l.check_invariants(cfg),
+        }
+    }
+}
+
+impl Clone for Node {
+    fn clone(&self) -> Self {
+        match self {
+            Node::Arr(v) => Node::Arr(clone_with_capacity(v)),
+            Node::Ria(r) => Node::Ria(r.clone()),
+            Node::Lia(l) => Node::Lia(l.clone()),
         }
     }
 }

@@ -4,10 +4,9 @@
 //!
 //! Each test freezes a `BTreeSet` adjacency oracle at snapshot time and
 //! re-verifies every outstanding snapshot against its frozen oracle after
-//! every subsequent batch, across 4 seeds. The copy-on-write and epoch
+//! every subsequent batch, across 4 seeds. The copy-on-write and snapshot
 //! counters are checked exactly: with a fresh snapshot taken before every
-//! batch, each per-source run copies its block exactly once, and the
-//! reclamation backlog must return to zero once the last snapshot drops.
+//! batch, each per-source run copies its block exactly once.
 
 use std::collections::BTreeSet;
 use std::sync::mpsc;
@@ -121,14 +120,9 @@ fn snapshot_at_every_batch_boundary_matches_frozen_oracle() {
         assert_eq!(s.cow_block_copies, expected_cow, "seed {seed}");
         assert_eq!(s.snapshots_retired, 0, "seed {seed}: all snaps still held");
 
-        // Quiescence: dropping every snapshot and reclaiming must drain the
-        // retired-version pool and zero the backlog gauge.
         drop(snaps);
-        g.reclaim_epochs();
-        assert_eq!(g.epoch_backlog(), 0, "seed {seed}");
         let s = g.stats().snapshot();
         assert_eq!(s.snapshots_retired, s.snapshots_taken, "seed {seed}");
-        assert_eq!(s.epoch_reclaim_backlog, 0, "seed {seed}");
         g.check_invariants();
     }
 }
@@ -139,22 +133,19 @@ fn snapshot_clones_share_one_epoch_and_retire_once() {
     g.insert_batch(&[Edge::new(0, 1), Edge::new(1, 2)]);
     let snap = g.snapshot();
     let twin = snap.clone();
-    assert_eq!(snap.epoch(), twin.epoch());
     g.insert_batch(&[Edge::new(0, 3)]);
     assert_eq!(snap.neighbors(0), vec![1]);
     assert_eq!(twin.neighbors(0), vec![1]);
 
-    // Dropping one clone retires nothing; the epoch stays live.
+    // Dropping one clone retires nothing.
     drop(twin);
     let s = g.stats().snapshot();
     assert_eq!(s.snapshots_taken, 1);
     assert_eq!(s.snapshots_retired, 0);
 
     drop(snap);
-    g.reclaim_epochs();
     let s = g.stats().snapshot();
     assert_eq!(s.snapshots_retired, 1);
-    assert_eq!(g.epoch_backlog(), 0);
 }
 
 #[test]
@@ -182,10 +173,6 @@ fn snapshot_freezes_quarantine_and_repair_state() {
     before.validate_invariants().unwrap();
     during.validate_invariants().unwrap();
     g.check_invariants();
-
-    drop((before, during));
-    g.reclaim_epochs();
-    assert_eq!(g.epoch_backlog(), 0);
 }
 
 /// Writer thread + N reader threads: the writer streams batches, flipping a
@@ -237,14 +224,10 @@ fn concurrent_readers_see_frozen_state_under_write_load() {
         assert_eq!(h.join().expect("reader panicked"), ROUNDS);
     }
 
-    // All readers exited, so every snapshot clone is gone: reclamation
-    // drains the pool.
-    g.reclaim_epochs();
-    assert_eq!(g.epoch_backlog(), 0);
+    // All readers exited, so every snapshot clone is gone.
     let s = g.stats().snapshot();
     assert_eq!(s.snapshots_taken, ROUNDS as u64);
     assert_eq!(s.snapshots_retired, ROUNDS as u64);
-    assert_eq!(s.epoch_reclaim_backlog, 0);
     g.check_invariants();
 }
 

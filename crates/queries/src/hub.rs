@@ -7,7 +7,7 @@
 //! subscription against that snapshot in batch-sequence order. The writer's
 //! batch path therefore **never blocks on delivery**, no matter how slow a
 //! standing query is; backpressure shows up as queued snapshots (visible as
-//! epoch backlog) rather than writer stalls.
+//! [`pending()`](SubscriptionHub::pending)) rather than writer stalls.
 //!
 //! The hook is not O(1): the batch copy is O(|batch|) and `snapshot()` is
 //! O(V) — one reference-count increment per vertex block, 2.1 ms at 2^17
@@ -45,8 +45,6 @@ struct QueueState {
     /// Delivery suspended (tasks keep queueing).
     paused: bool,
     shutdown: bool,
-    /// The last delivered batch's snapshot (see [`SubscriptionHub`]).
-    retained: Option<GraphSnapshot>,
 }
 
 struct HubInner {
@@ -68,12 +66,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl HubInner {
-    /// Releases the retained snapshot (dropped outside the lock).
-    fn unpin(&self) {
-        let retained = lock(&self.state).retained.take();
-        drop(retained);
-    }
-
     fn worker_loop(self: Arc<Self>) {
         loop {
             let task = {
@@ -98,13 +90,9 @@ impl HubInner {
                 &task.batch,
                 task.lossy,
             );
-            // Release the previous snapshot's epoch before reporting idle;
-            // this one's too if nobody subscribes (a later cancel unpins).
-            let previous = lock(&self.state).retained.replace(task.snapshot);
-            drop(previous);
-            if self.active.load(Ordering::Acquire) == 0 {
-                self.unpin();
-            }
+            // Drop the snapshot before reporting idle: once `pending()` is
+            // zero the hub shares no block with the writer.
+            drop(task);
             let mut st = lock(&self.state);
             st.busy = false;
             if st.queue.is_empty() {
@@ -125,7 +113,8 @@ struct HubHook {
 
 impl PostBatchHook for HubHook {
     fn on_batch(&mut self, g: &LsGraph, event: &BatchEvent<'_>) {
-        if self.inner.active.load(Ordering::Acquire) == 0 {
+        // Nobody to deliver to: skip the O(V) snapshot and the batch copy.
+        if self.inner.active.load(Ordering::Acquire) == 0 || lock(&self.inner.state).shutdown {
             return;
         }
         // A `repair_vertex` rewrote an adjacency behind the batches' back (a
@@ -140,6 +129,8 @@ impl PostBatchHook for HubHook {
             lossy: !event.outcome.is_clean() || repaired,
         };
         let mut st = lock(&self.inner.state);
+        // Again under the push's lock: a `shutdown()` from another thread
+        // since the test above must not leave a task nobody will pop.
         if st.shutdown {
             return;
         }
@@ -149,14 +140,6 @@ impl PostBatchHook for HubHook {
 }
 
 /// Standing-query delivery attached to one [`LsGraph`].
-///
-/// While anything subscribes, the worker keeps the last delivered batch's
-/// snapshot until the next delivery ends, so the writer always copies its
-/// blocks on write and the graph's layout does not hang on a race with the
-/// worker (`core` sizes a copied block exactly, one grown in place not;
-/// ROADMAP item 3d). The price: one version pinned across an idle stream, no
-/// in-place writes behind a worker that keeps up. [`quiesce`](Self::quiesce)
-/// and cancelling the last subscription release it.
 ///
 /// Dropping the hub shuts the worker down (after draining the queue);
 /// already-issued [`SubscriptionHandle`]s can still poll their final
@@ -182,7 +165,6 @@ impl SubscriptionHub {
                 busy: false,
                 paused: false,
                 shutdown: false,
-                retained: None,
             }),
             work: Condvar::new(),
             idle: Condvar::new(),
@@ -258,8 +240,6 @@ impl SubscriptionHub {
         while st.busy || (!st.queue.is_empty() && !st.shutdown) {
             st = self.inner.idle.wait(st).unwrap_or_else(|e| e.into_inner());
         }
-        drop(st);
-        self.inner.unpin();
     }
 
     /// Drains the queue, then stops and joins the worker. Idempotent;
@@ -350,10 +330,6 @@ impl Drop for SubscriptionHandle {
             let mut reg = lock(&self.inner.registry);
             reg.cancel(self.id);
             self.inner.active.store(reg.len(), Ordering::Release);
-            if reg.is_empty() {
-                // No hook will run the worker again: unpin its snapshot.
-                self.inner.unpin();
-            }
         }
     }
 }
@@ -399,33 +375,40 @@ mod tests {
     }
 
     #[test]
-    fn last_snapshot_stays_pinned_until_quiesce_or_the_last_cancel() {
+    fn idle_hub_pins_nothing() {
         let mut g = LsGraph::with_config(8, Config::default());
         let hub = SubscriptionHub::attach(&mut g);
-        let sub = hub.subscribe(&g, StandingQuery::KHop { src: 0, k: 3 });
-        let pinned = |g: &LsGraph| {
-            let s = g.struct_stats().expect("lsgraph is instrumented");
-            s.snapshots_taken - s.snapshots_retired
-        };
+        let _sub = hub.subscribe(&g, StandingQuery::KHop { src: 0, k: 3 });
         for pair in [(0, 1), (1, 2), (2, 3)] {
-            g.insert_batch_undirected(&sym(&[pair]));
+            // Delivered, not quiesced: the worker already let its snapshot
+            // go, so this batch writes every block in place.
             while hub.pending() != 0 {
                 std::thread::yield_now();
             }
-            // Delivered but not quiesced: the writer's next batch meets
-            // exactly this batch's snapshot, however fast delivery was.
-            assert_eq!(pinned(&g), 1);
+            let before = g.struct_stats().unwrap();
+            g.insert_batch_undirected(&sym(&[pair]));
+            let s = g.struct_stats().unwrap().since(before);
+            assert_eq!(s.cow_block_copies, 0, "batch {pair:?}");
+            assert_eq!(s.snapshots_taken, 1, "batch {pair:?}");
         }
-        hub.quiesce();
-        assert_eq!(pinned(&g), 0);
-        g.insert_batch_undirected(&sym(&[(3, 4)]));
-        while hub.pending() != 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(pinned(&g), 1);
-        sub.cancel();
-        assert_eq!(pinned(&g), 0, "no subscriber, nothing pinned");
         hub.shutdown();
+    }
+
+    #[test]
+    fn hook_is_inert_after_shutdown_with_handles_alive() {
+        let mut g = LsGraph::with_config(8, Config::default());
+        let hub = SubscriptionHub::attach(&mut g);
+        let sub = hub.subscribe(&g, StandingQuery::KHop { src: 0, k: 3 });
+        g.insert_batch_undirected(&sym(&[(0, 1)]));
+        hub.shutdown();
+        let before = g.struct_stats().unwrap();
+        g.insert_batch_undirected(&sym(&[(1, 2)]));
+        g.delete_batch_undirected(&sym(&[(0, 1)]));
+        let s = g.struct_stats().unwrap().since(before);
+        assert_eq!(s.snapshots_taken, 0, "no snapshot for a stopped worker");
+        assert_eq!(hub.pending(), 0);
+        // The handle still serves what was delivered before the shutdown.
+        assert_eq!(sub.result(), [(0, 0), (1, 1)].into_iter().collect());
     }
 
     #[test]

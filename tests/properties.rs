@@ -401,7 +401,6 @@ fn lsgraph_snapshots_stay_frozen_under_random_interleavings() {
                     if !snaps.is_empty() {
                         let i = rng.gen_range(0..snaps.len());
                         snaps.swap_remove(i);
-                        g.reclaim_epochs();
                     }
                 }
             }
@@ -427,14 +426,91 @@ fn lsgraph_snapshots_stay_frozen_under_random_interleavings() {
                 "case {case} vertex {v}"
             );
         }
-        // Quiescence: dropping the rest drains the retired-version pool.
         snaps.clear();
-        g.reclaim_epochs();
-        assert_eq!(g.epoch_backlog(), 0, "case {case}");
         let s = g.stats().snapshot();
         assert_eq!(s.snapshots_retired, s.snapshots_taken, "case {case}");
-        assert_eq!(s.epoch_reclaim_backlog, 0, "case {case}");
         g.check_invariants();
+    }
+}
+
+/// Applies `stream` to two graphs — one bare, one with a fresh snapshot held
+/// across every batch, so each of its writes copies the block first — and
+/// holds the two to the same bytes and tiers after every batch: how a block
+/// is laid out must not record who was reading when it was written. Returns
+/// the bare graph.
+fn assert_layout_ignores_readers(n: usize, cfg: Config, stream: &[(bool, Vec<Edge>)]) -> LsGraph {
+    use lsgraph::MemoryFootprint;
+    let mut bare = LsGraph::with_config(n, cfg);
+    let mut read = LsGraph::with_config(n, cfg);
+    for (step, (is_insert, batch)) in stream.iter().enumerate() {
+        let held = read.snapshot();
+        if *is_insert {
+            bare.insert_batch(batch);
+            read.insert_batch(batch);
+        } else {
+            bare.delete_batch(batch);
+            read.delete_batch(batch);
+        }
+        drop(held);
+        assert_eq!(read.footprint(), bare.footprint(), "step {step}");
+        assert_eq!(read.tier_stats(), bare.tier_stats(), "step {step}");
+    }
+    assert!(read.stats().snapshot().cow_block_copies > 0);
+    assert_eq!(bare.stats().snapshot().cow_block_copies, 0);
+    bare
+}
+
+#[test]
+fn lsgraph_layout_is_the_same_with_and_without_readers() {
+    fn stream(
+        rng: &mut SmallRng,
+        steps: usize,
+        mut edge: impl FnMut(&mut SmallRng) -> Edge,
+    ) -> Vec<(bool, Vec<Edge>)> {
+        (0..steps)
+            .map(|_| {
+                let len = rng.gen_range(1usize..60);
+                (rng.gen_bool(0.65), (0..len).map(|_| edge(rng)).collect())
+            })
+            .collect()
+    }
+    for case in 0..8 {
+        let mut rng = SmallRng::seed_from_u64(0x11000 + case);
+        // Every tier, at thresholds a 60-vertex stream can cross.
+        let small = Config {
+            a: 4,
+            m: 16,
+            ..Config::default()
+        };
+        let s = stream(&mut rng, 24, |r| {
+            Edge::new(r.gen_range(0..60), r.gen_range(0..60))
+        });
+        assert_layout_ignores_readers(60, small, &s);
+
+        // The spill array alone (`Spill::Array`): the paper's thresholds and
+        // no vertex past inline + `A` = 45 neighbors.
+        let s = stream(&mut rng, 40, |r| {
+            Edge::new(r.gen_range(0..30), r.gen_range(0..45))
+        });
+        let g = assert_layout_ignores_readers(45, Config::default(), &s);
+        let tiers = g.tier_stats();
+        assert!(tiers.array_vertices > 0, "case {case}");
+        assert_eq!(tiers.inline_vertices + tiers.array_vertices, 45);
+
+        // Array leaves inside a HITree (`Node::Arr`): one hub whose keys
+        // cluster, so LIA blocks overflow into child arrays that later
+        // batches write to.
+        let hub = Config {
+            m: 128,
+            ..Config::default()
+        };
+        let s = stream(&mut rng, 40, |r| {
+            let cluster = r.gen_range(0u32..8) * 2_000;
+            Edge::new(0, cluster + r.gen_range(0..500))
+        });
+        let g = assert_layout_ignores_readers(1, hub, &s);
+        assert_eq!(g.tier_stats().hitree_vertices, 1, "case {case}");
+        assert!(g.lia_slot_occupancy().child > 0, "case {case}");
     }
 }
 
@@ -530,9 +606,6 @@ fn lsgraph_snapshot_quarantine_repair_interleavings() {
                 "case {case} vertex {v}"
             );
         }
-        drop(snaps);
-        g.reclaim_epochs();
-        assert_eq!(g.epoch_backlog(), 0, "case {case}");
         g.check_invariants();
     }
 }
@@ -542,7 +615,7 @@ fn lsgraph_snapshot_quarantine_repair_interleavings() {
 /// disconnections of the BFS source) with snapshot take/drop churn,
 /// [`IncrementalBfs`] and [`IncrementalCc`] stay equal to their
 /// from-scratch kernels after every batch — and the snapshots pinned
-/// mid-stream keep serving the maintainers' reads without leaking epochs.
+/// mid-stream keep serving the maintainers' reads.
 #[test]
 fn incremental_maintainers_survive_deletion_streams() {
     use lsgraph::analytics::{connected_components, IncrementalBfs, IncrementalCc};
@@ -606,9 +679,6 @@ fn incremental_maintainers_survive_deletion_streams() {
                 "seed {seed} round {round}: cc"
             );
         }
-        drop(snaps);
-        g.reclaim_epochs();
-        assert_eq!(g.epoch_backlog(), 0, "seed {seed}");
         g.check_invariants();
     }
 }
