@@ -202,7 +202,9 @@ metric_family! {
     /// Read snapshots dropped (the last clone of each).
     snapshots_retired: Counter, Drift, "core", "snapshots";
     /// Vertex blocks copied on write because a snapshot still referenced
-    /// them when a batch mutated the vertex.
+    /// their directory page when a batch mutated a vertex on it: one whole
+    /// page of blocks per shared page touched, so `cow_block_copies` over
+    /// the batch's runs is the write amplification of page-granular sharing.
     cow_block_copies: Counter, Drift, "core", "blocks";
 
     /// Standing-query subscriptions currently registered (gauge, not a
@@ -453,11 +455,11 @@ impl StructStats {
         self.snapshots_retired.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one vertex block copied on write under an outstanding
-    /// snapshot.
+    /// Records `blocks` vertex blocks (one directory page) copied on write
+    /// under an outstanding snapshot.
     #[inline]
-    pub fn record_cow_block_copy(&self) {
-        self.cow_block_copies.fetch_add(1, Ordering::Relaxed);
+    pub fn record_cow_block_copies(&self, blocks: u64) {
+        self.cow_block_copies.fetch_add(blocks, Ordering::Relaxed);
     }
 
     /// Records the number of standing-query subscriptions currently

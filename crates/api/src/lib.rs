@@ -180,7 +180,8 @@ pub trait DynamicGraph: Graph {
 /// wait-free concurrent readers.
 ///
 /// Taking a snapshot must not block the writer for more than the cost of
-/// cloning the vertex directory (reference bumps, no payload copies), and
+/// cloning the vertex directory (reference bumps — `LsGraph`'s is one per
+/// page of vertex blocks — and no payload copies), and
 /// readers holding a snapshot must never observe writes applied after the
 /// snapshot was taken. The handle is `Clone + Send + Sync` so one snapshot
 /// can fan out to many reader threads; cloning the handle is O(1).

@@ -1,5 +1,5 @@
-//! The vertex directory (paper §4.1 ①, §5): one slot per vertex, each holding
-//! that vertex's cache-line [`VertexBlock`].
+//! The vertex directory (paper §4.1 ①, §5): every vertex's cache-line
+//! [`VertexBlock`], contiguous in fixed-size pages.
 //!
 //! [`GraphView`] owns the directory's representation and is the only code
 //! that indexes it. The live [`LsGraph`](crate::LsGraph) holds one view plus
@@ -9,10 +9,11 @@
 //! `checkpoint_vertex`, `validate_invariants`, `footprint` — therefore has
 //! one body, and live graph, snapshot and image cannot drift apart.
 //!
-//! Each slot is reference-counted, so cloning the view copies reference
-//! counts only and a writer copy-on-writes exactly the blocks it touches
-//! while a clone is outstanding (`SlotMut::cow`). That format is private
-//! to this file: changing it (paging the directory, say) edits nothing else.
+//! A page is [`PAGE`] blocks in one allocation behind one reference count:
+//! a sorted batch walks blocks in address order, a read is one indexed load
+//! with no per-vertex pointer, cloning the view bumps one count per page, and
+//! a writer copies a page it finds shared with a clone once (shallow — spills
+//! ride along by reference). That format is private to this file.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -28,21 +29,48 @@ use crate::error::InvariantError;
 use crate::stats::Tier;
 use crate::vertex::{NeighborIter, VertexBlock};
 
-/// One directory slot: a shared, immutable-while-shared block version.
-type Slot = Arc<VertexBlock>;
+/// Vertex blocks per page, the unit a view shares with its clones. Larger
+/// makes the flip cheaper and each page a lagging reader pins dearer; DESIGN.md
+/// "Vertex directory" has the sweep that chose the value.
+const PAGE: usize = 32;
+
+/// One directory page: a shared, immutable-while-shared run of blocks.
+type Page = Arc<[VertexBlock; PAGE]>;
+
+fn empty_page() -> Page {
+    Arc::new(std::array::from_fn(|_| VertexBlock::new()))
+}
+
+/// Exclusive access to a page's blocks, copying the page first when a view
+/// clone still shares this version.
+///
+/// Sound without synchronization because the writer holds `&mut` on the view
+/// for the whole batch: no clone can be *created* concurrently, so the strong
+/// count can only decrease under us. A count of 1 is therefore definitively
+/// exclusive; a racing snapshot-drop after we observe > 1 costs at most one
+/// harmless extra copy. The displaced version lives on in the clones that
+/// share it and is freed with the last of them.
+fn page_mut<'a>(page: &'a mut Page, stats: &StructStats) -> &'a mut [VertexBlock; PAGE] {
+    if Arc::strong_count(page) > 1 {
+        stats.record_cow_block_copies(PAGE as u64);
+    }
+    Arc::make_mut(page)
+}
 
 /// The graph as a reader sees it: the vertex directory, the edge total, the
 /// quarantine set, the configuration, and handles to the instrumentation.
 ///
 /// Obtained from [`LsGraph::view`](crate::LsGraph::view) or
 /// [`GraphSnapshot::view`](crate::GraphSnapshot::view); both types forward
-/// their whole read surface here. Cloning is the snapshot flip: O(V)
-/// reference bumps, no adjacency payload.
+/// their whole read surface here. Cloning is the snapshot flip: one
+/// reference bump per page, no block and no adjacency payload.
 #[derive(Clone)]
 pub struct GraphView {
-    /// Private so that every function able to resize or re-point the table
-    /// lives beside the `unsafe` in [`GraphView::par_apply_disjoint`].
-    blocks: Vec<Slot>,
+    /// Private, with `n`: what resizes or re-points the table is in this file.
+    pages: Vec<Page>,
+    /// Vertices in the directory. The blocks of the last page at or past
+    /// `n` are padding: never read, never written, always empty.
+    n: usize,
     pub(crate) cfg: Config,
     pub(crate) num_edges: usize,
     /// Vertices whose apply task panicked: their adjacency was dropped
@@ -55,46 +83,12 @@ pub struct GraphView {
     pub(crate) latency: Arc<LatencyStats>,
 }
 
-/// What one [`GraphView::par_apply_disjoint`] task is handed: exclusive
-/// access to its source's slot.
-pub(crate) struct SlotMut<'a>(&'a mut Slot);
-
-impl SlotMut<'_> {
-    /// Degree of the block currently in the slot.
-    pub(crate) fn degree(&self) -> usize {
-        self.0.degree()
-    }
-
-    /// Replaces the block outright. For the bulk build only.
-    pub(crate) fn set(&mut self, vb: VertexBlock) {
-        *self.0 = Arc::new(vb);
-    }
-
-    /// Copy-on-write entry: exclusive access to the block, cloning it first
-    /// (shallow — the spill rides along by reference) when an outstanding
-    /// snapshot still shares this version.
-    ///
-    /// Sound without synchronization because the writer holds `&mut` on the
-    /// view for the whole batch: no clone can be *created* concurrently, so
-    /// the strong count can only decrease under us. A count of 1 is
-    /// therefore definitively exclusive; a racing snapshot-drop after we
-    /// observe > 1 costs at most one harmless extra copy. The displaced
-    /// version lives on in the clones that share it and is freed with the
-    /// last of them.
-    pub(crate) fn cow(&mut self, stats: &StructStats) -> &mut VertexBlock {
-        if Arc::strong_count(self.0) > 1 {
-            *self.0 = Arc::new((**self.0).clone());
-            stats.record_cow_block_copy();
-        }
-        Arc::get_mut(self.0).expect("block exclusive after copy-on-write")
-    }
-}
-
 impl GraphView {
     /// An empty graph over `n` vertices. `cfg` must already be validated.
     pub(crate) fn new(n: usize, cfg: Config) -> Self {
         GraphView {
-            blocks: (0..n).map(|_| Arc::new(VertexBlock::new())).collect(),
+            pages: (0..n.div_ceil(PAGE)).map(|_| empty_page()).collect(),
+            n,
             cfg,
             num_edges: 0,
             quarantined: BTreeSet::new(),
@@ -104,66 +98,76 @@ impl GraphView {
     }
 
     /// The block of `v` — the one place the directory is indexed for reads.
+    /// Panics unless `v < n`: the last page's padding is not a vertex.
     #[inline]
     pub(crate) fn block(&self, v: VertexId) -> &VertexBlock {
-        &self.blocks[v as usize]
+        let v = v as usize;
+        assert!(v < self.n, "vertex {v} outside the directory ({})", self.n);
+        &self.pages[v / PAGE][v % PAGE]
+    }
+
+    /// Every vertex's block, in id order.
+    fn blocks(&self) -> impl Iterator<Item = &VertexBlock> {
+        self.pages.iter().flat_map(|p| p.iter()).take(self.n)
     }
 
     /// Ensures the directory covers ids below `n`.
     pub(crate) fn grow_to(&mut self, n: usize) {
-        if n > self.blocks.len() {
-            self.blocks.resize_with(n, || Arc::new(VertexBlock::new()));
+        if n > self.n {
+            self.pages.resize_with(n.div_ceil(PAGE), empty_page);
+            self.n = n;
         }
     }
 
     /// Replaces `v`'s block wholesale; an outstanding snapshot keeps reading
-    /// the displaced version. Edge accounting is the caller's (a block reset
-    /// after a panic has no trustworthy degree).
+    /// the displaced version of its page. Edge accounting is the caller's (a
+    /// block reset after a panic has no trustworthy degree).
     pub(crate) fn install(&mut self, v: VertexId, vb: VertexBlock) {
-        self.blocks[v as usize] = Arc::new(vb);
+        let v = v as usize;
+        assert!(v < self.n, "vertex {v} outside the directory ({})", self.n);
+        page_mut(&mut self.pages[v / PAGE], &self.stats)[v % PAGE] = vb;
     }
 
-    /// Runs `f` once per run, in parallel, handing each task the slot of its
-    /// run's source, and returns the sum of the results.
+    /// Runs `f` once per run on its source's block and returns the sum of the
+    /// results. Each touched page is made exclusive once ([`page_mut`]) and is
+    /// one parallel task that takes its runs in source order.
     ///
     /// # Panics
     ///
     /// Panics unless the runs' sources are strictly ascending and inside the
-    /// directory — the condition that makes the tasks' slots disjoint.
+    /// directory.
     pub(crate) fn par_apply_disjoint(
         &mut self,
         runs: &[SrcRun],
-        f: impl Fn(&SrcRun, SlotMut<'_>) -> usize + Sync,
+        f: impl Fn(&SrcRun, &mut VertexBlock) -> usize + Sync,
     ) -> usize {
         assert!(
             runs.windows(2).all(|w| w[0].src < w[1].src),
             "apply runs must have strictly ascending sources"
         );
         assert!(
-            runs.last()
-                .is_none_or(|r| (r.src as usize) < self.blocks.len()),
+            runs.last().is_none_or(|r| (r.src as usize) < self.n),
             "apply run source outside the vertex directory"
         );
-        /// The table's base pointer, shared by the tasks.
-        struct Table(*mut Slot);
-        // SAFETY: a `Table` is only dereferenced at the offsets of this
-        // call's run sources, which the asserts above prove distinct and in
-        // bounds, so no two threads touch the same `Slot`; `Slot` itself is
-        // `Send + Sync` (`VertexBlock` holds plain data and `Arc`s of it).
-        unsafe impl Sync for Table {}
-        let table = Table(self.blocks.as_mut_ptr());
-        runs.par_iter()
-            .map(|run| {
-                // Name the whole wrapper so the closure captures `&Table`
-                // (which is `Sync`), not a reference to its pointer field.
-                let table: &Table = &table;
-                // SAFETY: `run.src < blocks.len()` and every run has a
-                // different source (asserted above), so the offset is in
-                // bounds and this task is the only one forming a reference
-                // to that slot. `&mut self` keeps every other access to the
-                // table out until all tasks have returned.
-                let slot = unsafe { &mut *table.0.add(run.src as usize) };
-                f(run, SlotMut(slot))
+        let page_of = |run: &SrcRun| run.src as usize / PAGE;
+        // Ascending sources visit pages in ascending order: one forward walk
+        // (`nth` on a slice iterator is O(1)) hands out each touched page.
+        let mut tasks: Vec<(&mut Page, &[SrcRun])> = Vec::new();
+        let (mut rest, mut next) = (self.pages.iter_mut(), 0);
+        for group in runs.chunk_by(|a, b| page_of(a) == page_of(b)) {
+            let p = page_of(&group[0]);
+            let page = rest.nth(p - next).expect("a source below `n` has a page");
+            next = p + 1;
+            tasks.push((page, group));
+        }
+        tasks
+            .into_par_iter()
+            .map(|(page, group)| {
+                let blocks = page_mut(page, &self.stats);
+                group
+                    .iter()
+                    .map(|run| f(run, &mut blocks[run.src as usize % PAGE]))
+                    .sum::<usize>()
             })
             .sum()
     }
@@ -204,7 +208,7 @@ impl GraphView {
     /// accounting, reporting the first violation as a value.
     pub fn validate_invariants(&self) -> Result<(), InvariantError> {
         let mut total = 0;
-        for (v, vb) in self.blocks.iter().enumerate() {
+        for (v, vb) in self.blocks().enumerate() {
             vb.validate().map_err(|detail| InvariantError {
                 vertex: Some(v as VertexId),
                 detail,
@@ -212,21 +216,13 @@ impl GraphView {
             total += vb.degree();
         }
         for &q in &self.quarantined {
-            let Some(vb) = self.blocks.get(q as usize) else {
-                return Err(InvariantError {
-                    vertex: Some(q),
-                    detail: format!(
-                        "quarantined vertex out of range (table has {})",
-                        self.blocks.len()
-                    ),
-                });
+            let detail = match ((q as usize) < self.n).then(|| self.degree(q)) {
+                Some(0) => continue,
+                Some(d) => format!("quarantined vertex has degree {d}, expected 0"),
+                None => format!("quarantined vertex out of range (table has {})", self.n),
             };
-            if vb.degree() != 0 {
-                return Err(InvariantError {
-                    vertex: Some(q),
-                    detail: format!("quarantined vertex has degree {}, expected 0", vb.degree()),
-                });
-            }
+            let vertex = Some(q);
+            return Err(InvariantError { vertex, detail });
         }
         if total != self.num_edges {
             return Err(InvariantError {
@@ -250,7 +246,7 @@ impl GraphView {
         if let Err(e) = self.validate_invariants() {
             panic!("{e}");
         }
-        for vb in &self.blocks {
+        for vb in self.blocks() {
             vb.check_containers(&self.cfg);
         }
     }
@@ -259,7 +255,7 @@ impl GraphView {
 impl Graph for GraphView {
     #[inline]
     fn num_vertices(&self) -> usize {
-        self.blocks.len()
+        self.n
     }
 
     #[inline]
@@ -299,11 +295,12 @@ impl IterableGraph for GraphView {
 
 impl MemoryFootprint for GraphView {
     fn footprint(&self) -> Footprint {
-        let blocks = Footprint::new(self.blocks.len() * core::mem::size_of::<VertexBlock>(), 0);
+        // Charged per vertex: the last page's padding is not the graph's.
+        let blocks = Footprint::new(self.n * core::mem::size_of::<VertexBlock>(), 0);
         let spills: Footprint = self
-            .blocks
+            .pages
             .par_iter()
-            .map(|vb| vb.spill_footprint())
+            .map(|page| page.iter().map(VertexBlock::spill_footprint).sum())
             .reduce(Footprint::default, Footprint::add);
         blocks + spills
     }
@@ -445,6 +442,9 @@ mod tests {
     use super::*;
     use lsgraph_api::batch::{runs_by_src, sorted_dedup_keys};
     use lsgraph_api::Edge;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    const P: u32 = PAGE as u32;
 
     fn run(src: u32) -> SrcRun {
         SrcRun {
@@ -458,17 +458,36 @@ mod tests {
         GraphView::new(n, Config::default())
     }
 
+    /// Inserts `u` into `v`'s adjacency through the batch entry point.
+    fn insert(g: &mut GraphView, v: u32, u: u32) {
+        let (cfg, stats) = (g.cfg, Arc::clone(&g.stats));
+        g.num_edges +=
+            g.par_apply_disjoint(&[run(v)], |_, vb| usize::from(vb.insert(u, &cfg, &stats)));
+    }
+
+    fn cow_copies(g: &GraphView) -> u64 {
+        g.stats.snapshot().cow_block_copies
+    }
+
+    fn page_ptrs(g: &GraphView) -> Vec<*const [VertexBlock; PAGE]> {
+        g.pages.iter().map(Arc::as_ptr).collect()
+    }
+
     #[test]
     fn disjoint_tasks_each_write_their_own_slot() {
-        let batch: Vec<Edge> = (0..40u32).map(|i| Edge::new(i % 5 * 2, i + 1)).collect();
+        // Five sources: three on page 0, one on page 1, one on page 3.
+        let srcs = [0, 2, P - 1, P, 3 * P + 1];
+        let batch: Vec<Edge> = (0..40u32)
+            .map(|i| Edge::new(srcs[i as usize % 5], 1_000 + i))
+            .collect();
         let keys = sorted_dedup_keys(&batch);
         let runs = runs_by_src(&keys);
-        let mut g = view(9);
+        let mut g = view(4 * PAGE);
         let frozen = g.clone();
+        let before = page_ptrs(&g);
         let (cfg, stats) = (g.cfg, Arc::clone(&g.stats));
-        let applied = g.par_apply_disjoint(&runs, |run, mut slot| {
-            assert_eq!(slot.degree(), 0);
-            let vb = slot.cow(&stats);
+        let applied = g.par_apply_disjoint(&runs, |run, vb| {
+            assert_eq!(vb.degree(), 0);
             keys[run.start..run.end]
                 .iter()
                 .filter(|&&k| vb.insert(k as u32, &cfg, &stats))
@@ -476,14 +495,19 @@ mod tests {
         });
         g.num_edges = applied;
         assert_eq!(applied, 40);
-        assert_eq!(g.degree(4), 8);
-        assert_eq!(g.degree(3), 0);
+        for src in srcs {
+            assert_eq!((g.degree(src), frozen.degree(src)), (8, 0), "source {src}");
+        }
+        assert_eq!(g.degree(1), 0);
         assert_eq!(g.validate_invariants(), Ok(()));
-        // Every touched slot was shared with the clone, so each was copied
-        // first and the clone still reads the pre-call state.
-        assert_eq!(g.stats.snapshot().cow_block_copies, 5);
-        assert_eq!(frozen.degree(4), 0);
         assert_eq!(frozen.validate_invariants(), Ok(()));
+        // Every touched page was shared with the clone, so each was copied
+        // once — not once per source on it — and the untouched page was not.
+        assert_eq!(cow_copies(&g), 3 * PAGE as u64);
+        let after = page_ptrs(&g);
+        let moved: Vec<bool> = (0..4).map(|p| before[p] != after[p]).collect();
+        assert_eq!(moved, [true, true, false, true]);
+        assert_eq!(page_ptrs(&frozen), before);
     }
 
     #[test]
@@ -495,36 +519,145 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the vertex directory")]
     fn out_of_range_source_is_refused() {
+        // 4 is inside the first page's allocation but not a vertex.
         view(4).par_apply_disjoint(&[run(1), run(4)], |_, _| 0);
     }
 
-    /// A displaced version is freed by the reference counts alone: it lives
+    /// A displaced page is freed by the reference counts alone: it lives
     /// exactly as long as the last view clone that can read it.
     #[test]
     fn displaced_version_dies_with_its_last_reader() {
-        let mut g = view(2);
-        let stats = Arc::clone(&g.stats);
+        let mut g = view(PAGE + 2);
         let (first, second) = (g.clone(), g.clone());
-        let cowed = Arc::downgrade(&g.blocks[0]);
-        let installed = Arc::downgrade(&g.blocks[1]);
+        let cowed = Arc::downgrade(&g.pages[0]);
+        let installed = Arc::downgrade(&g.pages[1]);
         let cfg = g.cfg;
-        g.par_apply_disjoint(&[run(0)], |_, mut slot| {
-            usize::from(slot.cow(&stats).insert(1, &cfg, &stats))
-        });
-        g.install(1, VertexBlock::from_sorted_neighbors(&[0], &cfg));
-        assert_eq!(stats.snapshot().cow_block_copies, 1);
+        insert(&mut g, 0, 1);
+        g.install(P + 1, VertexBlock::from_sorted_neighbors(&[0], &cfg));
+        assert_eq!(cow_copies(&g), 2 * PAGE as u64);
         assert_eq!((g.degree(0), first.degree(0)), (1, 0));
-        assert_eq!((g.degree(1), second.degree(1)), (1, 0));
+        assert_eq!((g.degree(P + 1), second.degree(P + 1)), (1, 0));
         drop(first);
         assert!(cowed.upgrade().is_some() && installed.upgrade().is_some());
         drop(second);
         assert!(cowed.upgrade().is_none() && installed.upgrade().is_none());
-        // Unshared again: the next write is in place.
-        let live = Arc::as_ptr(&g.blocks[0]);
-        g.par_apply_disjoint(&[run(0)], |_, mut slot| {
-            usize::from(slot.cow(&stats).insert(2, &cfg, &stats))
-        });
-        assert_eq!(stats.snapshot().cow_block_copies, 1);
-        assert_eq!(Arc::as_ptr(&g.blocks[0]), live);
+        // Unshared again: the next writes are in place.
+        let live = page_ptrs(&g);
+        insert(&mut g, 0, 2);
+        g.install(P + 1, VertexBlock::new());
+        assert_eq!(cow_copies(&g), 2 * PAGE as u64);
+        assert_eq!(page_ptrs(&g), live);
+    }
+
+    /// `install` under a clone copies the page once, however many of its
+    /// blocks are then replaced; without a clone it copies nothing.
+    #[test]
+    fn install_copies_a_shared_page_once() {
+        let mut g = view(2 * PAGE);
+        let cfg = g.cfg;
+        let one = || VertexBlock::from_sorted_neighbors(&[7], &cfg);
+        g.install(3, one());
+        assert_eq!(cow_copies(&g), 0);
+        let frozen = g.clone();
+        let before = page_ptrs(&g);
+        g.install(4, one());
+        g.install(5, one());
+        assert_eq!(cow_copies(&g), PAGE as u64);
+        assert_eq!((g.degree(4), g.degree(5)), (1, 1));
+        assert_eq!(
+            (frozen.degree(3), frozen.degree(4), frozen.degree(5)),
+            (1, 0, 0)
+        );
+        let after = page_ptrs(&g);
+        assert!(before[0] != after[0] && before[1] == after[1]);
+        assert_eq!(page_ptrs(&frozen), before);
+    }
+
+    /// Whether reading `v` panics, through the three read entry points.
+    fn read_panics(g: &GraphView, v: u32) -> bool {
+        let reads: [&dyn Fn() -> usize; 3] =
+            [&|| g.degree(v), &|| usize::from(g.has_edge(v, 0)), &|| {
+                g.neighbor_iter(v).count()
+            }];
+        let panicked = reads.map(|read| catch_unwind(AssertUnwindSafe(read)).is_err());
+        assert!(panicked.iter().all(|&p| p == panicked[0]), "vertex {v}");
+        panicked[0]
+    }
+
+    /// The directory has exactly `n` vertices whatever the page size: the
+    /// padding of the last page is not readable and not counted.
+    #[test]
+    fn padding_is_not_a_vertex() {
+        for n in [1, 63, 64, 65, 130] {
+            let g = view(n);
+            let frozen = g.clone();
+            assert_eq!(g.num_vertices(), n);
+            assert_eq!(g.pages.len(), n.div_ceil(PAGE));
+            assert_eq!(g.blocks().count(), n);
+            assert_eq!(
+                g.footprint().total(),
+                n * core::mem::size_of::<VertexBlock>()
+            );
+            assert!(!read_panics(&g, n as u32 - 1));
+            for v in n..g.pages.len() * PAGE + 1 {
+                assert!(read_panics(&g, v as u32), "n {n}, live, vertex {v}");
+                assert!(read_panics(&frozen, v as u32), "n {n}, clone, vertex {v}");
+            }
+            assert_eq!(g.validate_invariants(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn growth_across_a_page_boundary_leaves_a_clone_alone() {
+        let n = PAGE + 3;
+        let mut g = view(n);
+        insert(&mut g, P + 2, 9);
+        let frozen = g.clone();
+        let before = page_ptrs(&frozen);
+        // Within the last page first, then across two boundaries.
+        for grown in [n + 2, 3 * PAGE + 1] {
+            g.grow_to(grown);
+            assert_eq!(g.num_vertices(), grown);
+            insert(&mut g, grown as u32 - 1, 5);
+            assert_eq!(g.degree(grown as u32 - 1), 1);
+            assert_eq!(g.validate_invariants(), Ok(()));
+        }
+        g.grow_to(n);
+        assert_eq!(g.num_vertices(), 3 * PAGE + 1, "the table never shrinks");
+        // The first write landed on the page the clone shares (its padding,
+        // to the clone); the second on a page the clone never had.
+        assert_eq!(cow_copies(&g), PAGE as u64);
+        assert_eq!(frozen.num_vertices(), n);
+        assert_eq!(frozen.num_edges(), 1);
+        assert_eq!(page_ptrs(&frozen), before);
+        assert_eq!(frozen.degree(P + 2), 1);
+        assert!(read_panics(&frozen, n as u32));
+        assert!(read_panics(&frozen, n as u32 + 1));
+        assert_eq!(frozen.validate_invariants(), Ok(()));
+    }
+
+    /// Cloning the view touches page counts only; a hub's spill gains a
+    /// second owner when its page is copied and not before.
+    #[test]
+    fn clone_bumps_page_counts_only() {
+        let mut g = view(2 * PAGE);
+        let cfg = g.cfg;
+        let hub: Vec<u32> = (0..500).collect();
+        g.install(1, VertexBlock::from_sorted_neighbors(&hub, &cfg));
+        let spill_owners = |g: &GraphView| g.block(1).spill_owners();
+        assert_eq!(spill_owners(&g), 1);
+        let frozen = g.clone();
+        assert_eq!(spill_owners(&g), 1);
+        assert!(g.pages.iter().all(|p| Arc::strong_count(p) == 2));
+        // A write on the other page leaves the hub's page shared as it is.
+        insert(&mut g, P, 3);
+        assert_eq!(spill_owners(&g), 1);
+        // A write to the hub's page-mate copies the page: both versions of
+        // the block now own the one spill.
+        insert(&mut g, 2, 3);
+        assert_eq!(spill_owners(&g), 2);
+        assert_eq!(frozen.degree(1), 500);
+        drop(frozen);
+        assert_eq!(spill_owners(&g), 1);
     }
 }

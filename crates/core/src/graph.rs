@@ -124,8 +124,8 @@ pub struct BatchEvent<'a> {
 /// The hook runs on the writer thread, so implementations that do real work
 /// should grab what they need — typically an [`LsGraph::snapshot`] — and
 /// hand off to another thread rather than computing inline. That snapshot is
-/// not free: it is O(V), one reference-count increment per vertex block
-/// (2.1 ms at 2^17 vertices), until the vertex directory is paged. The
+/// one reference-count increment per directory page (tens of microseconds at
+/// 2^17 vertices), and while it lives a batch copies each page it writes. The
 /// standing-query layer (`lsgraph-queries`) is the canonical consumer.
 ///
 /// Only the batch pipeline calls hooks: [`LsGraph::clear_vertex`],
@@ -210,11 +210,11 @@ impl LsGraph {
         let mut g = LsGraph::try_with_config(n, cfg)?;
         let runs = runs_by_src(&keys);
         let failures: Mutex<Vec<VertexId>> = Mutex::new(Vec::new());
-        let applied = g.view.par_apply_disjoint(&runs, |run, mut slot| {
+        let applied = g.view.par_apply_disjoint(&runs, |run, vb| {
             let task = || {
                 fail_point!("apply_run");
                 let ns: Vec<u32> = keys[run.start..run.end].iter().map(|&k| k as u32).collect();
-                slot.set(VertexBlock::from_sorted_neighbors(&ns, &cfg));
+                *vb = VertexBlock::from_sorted_neighbors(&ns, &cfg);
                 ns.len()
             };
             match catch_unwind(AssertUnwindSafe(task)) {
@@ -269,7 +269,7 @@ impl LsGraph {
     /// Replaces `v`'s block wholesale (see [`GraphView::install`]) and marks
     /// it dirty. Used by every whole-block replacement path (quarantine
     /// reset, clear, restore, repair); batched per-edge mutation goes
-    /// through the copy-on-write slot entry instead.
+    /// through [`GraphView::par_apply_disjoint`] instead.
     fn install_block(&mut self, v: VertexId, vb: VertexBlock) {
         self.view.install(v, vb);
         self.dirty.insert(v);
@@ -280,8 +280,8 @@ impl LsGraph {
     /// `op` calls returned `true`.
     ///
     /// A run whose task panics does not poison the batch: sibling runs
-    /// commit normally (each task owns its source's block exclusively, so an
-    /// unwound task cannot have touched anyone else's data), and the
+    /// commit normally (each run is handed its source's block alone, so an
+    /// unwound run cannot have touched anyone else's data), and the
     /// panicked source is quarantined — its block reset to empty, its id
     /// recorded — so `num_edges` can be kept exact by the caller using the
     /// returned pre-batch degrees. Runs whose source is already quarantined
@@ -314,12 +314,11 @@ impl LsGraph {
             let latency = Arc::clone(&self.view.latency);
             let _apply = stats.time(Phase::Apply);
             let batch_start = Instant::now();
-            let n = self.view.par_apply_disjoint(runs, |run, mut slot| {
-                let d_pre = slot.degree();
+            let n = self.view.par_apply_disjoint(runs, |run, vb| {
+                let d_pre = vb.degree();
                 let run_start = Instant::now();
                 let task = || {
                     fail_point!("apply_run");
-                    let vb = slot.cow(&stats);
                     keys[run.start..run.end]
                         .iter()
                         .filter(|&&k| op(vb, k as u32, &cfg, &stats))
@@ -349,10 +348,10 @@ impl LsGraph {
         }
         for &(src, _) in &panicked {
             // The panicked task may have left this block arbitrarily
-            // corrupt; drop its adjacency and quarantine the vertex. If a
-            // snapshot shares the version the panic landed on, it still
-            // sees the pre-copy state (the CoW clone happens before any
-            // mutation), so replacing it through `install_block` is safe.
+            // corrupt; drop its adjacency and quarantine the vertex. A
+            // snapshot never shared the page the panic landed on (the CoW
+            // copy happens before any of the page's runs), so it still sees
+            // the pre-batch state and resetting the block here is safe.
             self.install_block(src, VertexBlock::new());
             self.view.quarantined.insert(src);
             self.view.stats.record_apply_run_panic();
@@ -633,14 +632,14 @@ impl LsGraph {
 
     /// Freezes the current state into an immutable [`GraphSnapshot`].
     ///
-    /// The flip clones the view — per-block reference bumps, no adjacency
-    /// payload; later batches copy-on-write the blocks they touch, so the
-    /// snapshot keeps reading exactly the state at the flip, and a displaced
-    /// version is freed when the last snapshot sharing it drops. Taking a
-    /// snapshot requires `&self`, so it interleaves with batches at batch
-    /// boundaries; the returned handle is `Clone + Send + Sync` and outlives
-    /// the graph's borrow, so readers on other threads proceed wait-free
-    /// while the writer streams.
+    /// The flip clones the view — one reference bump per directory page, no
+    /// adjacency payload; later batches copy-on-write the pages they touch,
+    /// so the snapshot keeps reading exactly the state at the flip, and a
+    /// displaced page is freed when the last snapshot sharing it drops.
+    /// Taking a snapshot requires `&self`, so it interleaves with batches at
+    /// batch boundaries; the returned handle is `Clone + Send + Sync` and
+    /// outlives the graph's borrow, so readers on other threads proceed
+    /// wait-free while the writer streams.
     ///
     /// # Examples
     ///

@@ -2,13 +2,13 @@
 //!
 //! [`LsGraph::snapshot`](crate::LsGraph::snapshot) flips the live
 //! [`GraphView`] into a [`GraphSnapshot`]: a `Clone + Send + Sync` handle over
-//! a clone of the view. The flip copies only reference counts — no adjacency
-//! payload moves — so taking a snapshot is O(n) pointer bumps and the writer
-//! is never paused. Subsequent batches copy-on-write exactly the blocks they
-//! touch (see `apply_runs`), so readers traversing the snapshot observe the
-//! graph precisely as it was at the flip: snapshot isolation by construction.
+//! a clone of the view. The flip copies only reference counts — one per
+//! directory page, no adjacency payload — so taking a snapshot is O(V / page)
+//! and the writer is never paused. Subsequent batches copy-on-write the pages
+//! they touch (`GraphView::par_apply_disjoint`), so readers traversing the
+//! snapshot observe the graph as it was at the flip: snapshot isolation.
 //!
-//! Reclamation is the reference counts and nothing else: a block version
+//! Reclamation is the reference counts and nothing else: a page version
 //! displaced by copy-on-write is freed when the last snapshot that can read
 //! it drops, by whichever thread drops it.
 

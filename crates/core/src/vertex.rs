@@ -21,10 +21,10 @@ use crate::search;
 /// the last inline one.
 ///
 /// The spill is held through an [`Arc`] (same 64-byte layout — the pointer
-/// is niche-optimized) so that cloning a block for snapshot copy-on-write
-/// is a shallow reference bump; the spill payload itself is only copied
-/// ([`Arc::make_mut`]) when a write lands on a spill still shared with an
-/// outstanding snapshot.
+/// is niche-optimized) so that cloning a block — a directory page at a time,
+/// for snapshot copy-on-write — is a shallow reference bump; the spill
+/// payload itself is only copied ([`Arc::make_mut`]) when a write lands on a
+/// spill still shared with an outstanding snapshot.
 #[repr(C, align(64))]
 #[derive(Clone, Debug, Default)]
 pub struct VertexBlock {
@@ -334,6 +334,14 @@ impl MemoryFootprint for VertexBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl VertexBlock {
+        /// How many blocks — this one and its copy-on-write copies — own
+        /// the spill. For the directory's sharing tests.
+        pub(crate) fn spill_owners(&self) -> usize {
+            self.spill.as_ref().map_or(0, Arc::strong_count)
+        }
+    }
 
     /// Sink for the structural events these tests do not look at.
     static STATS: StructStats = StructStats::new();

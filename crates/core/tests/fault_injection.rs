@@ -475,6 +475,45 @@ fn quarantined_sources_are_skipped_until_repaired() {
     );
 }
 
+/// A killed run and a surviving one on the same directory page, under a held
+/// snapshot: the batch copies the page once for both, the victim's block is
+/// reset in the copy, its page-mate's run commits there, and the snapshot
+/// keeps reading the displaced page — both vertices as they were.
+#[test]
+fn killed_run_spares_its_page_mate_and_the_held_snapshot() {
+    let _l = lock();
+    quiet_failpoint_panics();
+    // Vertices 0 and 1 share a page at any page size, and a page's runs are
+    // one task taken in source order, so `Nth` picks the victim.
+    for (nth, victim, mate) in [(1, 0u32, 1u32), (2, 1, 0)] {
+        failpoints::reset();
+        let mut g = LsGraph::with_config(4, cfg());
+        g.insert_batch(&[Edge::new(0, 2), Edge::new(0, 3), Edge::new(1, 2)]);
+        let pre = [vec![2, 3], vec![2]];
+        let post = [vec![1, 2, 3], vec![2, 3]];
+        let before = g.snapshot();
+        failpoints::configure("apply_run", FailMode::Nth(nth));
+        let outcome = g
+            .try_insert_batch(&[Edge::new(0, 1), Edge::new(1, 3)])
+            .unwrap();
+        failpoints::reset();
+        assert_eq!(outcome.quarantined, vec![victim]);
+        assert_eq!(outcome.applied, 1, "victim {victim}");
+        assert_eq!(outcome.edges_lost, pre[victim as usize].len());
+        assert!(g.is_quarantined(victim) && !g.is_quarantined(mate));
+        assert_eq!(g.degree(victim), 0);
+        assert_eq!(g.neighbors(mate), post[mate as usize], "victim {victim}");
+        assert_eq!(g.num_edges(), post[mate as usize].len());
+        g.check_invariants();
+        for v in [0, 1] {
+            assert_eq!(before.neighbors(v), pre[v as usize], "victim {victim}");
+        }
+        assert_eq!(before.num_edges(), 3);
+        assert!(before.quarantined_vertices().is_empty());
+        before.check_invariants();
+    }
+}
+
 /// The dirty set across a quarantine: the run that panicked is dirty (its
 /// block was reset), later runs skipped for quarantine mark nothing, and the
 /// repair marks the vertex again.

@@ -343,10 +343,10 @@ impl ParsedImage {
 
 /// The one image decoder: reads the `kind` image at `path`, checks the
 /// magic, the frame CRC and the config fingerprint against `cfg`, and
-/// validates the whole body — every count against the bytes left before
-/// anything is allocated for it, record ids ascending and inside
-/// `num_vertices`, tier tags known, adjacencies strictly ascending, no
-/// trailing bytes.
+/// validates the whole body — `num_vertices` against the `u32` id space,
+/// every other count against the bytes left before anything is allocated
+/// for it, record ids ascending and inside `num_vertices`, tier tags known,
+/// adjacencies strictly ascending, no trailing bytes.
 ///
 /// # Errors
 ///
@@ -384,7 +384,15 @@ fn parse_image(path: &Path, kind: ImageKind, cfg: &Config) -> io::Result<ParsedI
         ImageKind::Full => None,
         ImageKind::Delta => Some(cur.u64()?),
     };
-    let num_vertices = cur.u64()? as usize;
+    // Vertex ids are `u32`: no table, and no table a delta grows, has more
+    // than 2^32 entries, so a larger claim is refused before it sizes one.
+    let num_vertices = match cur.u64()? {
+        n if n <= u64::from(u32::MAX) + 1 => n as usize,
+        n => {
+            let what = format_args!("vertex count {n} exceeds the u32 id space");
+            return Err(invalid(path, what));
+        }
+    };
     let num_edges = cur.u64()? as usize;
     let meta = CheckpointMeta {
         id: image_name(path).map_or(0, |(_, id)| id),
@@ -804,15 +812,15 @@ mod tests {
     }
 
     /// A CRC-valid image of `kind` under `small_cfg()`: a well-formed
-    /// header claiming 8 vertices, then `tail` where the quarantine count
-    /// would start.
-    fn crafted_image(dir: &Path, kind: ImageKind, tail: &[u64]) -> PathBuf {
+    /// header claiming `vertices` vertices, then `tail` where the quarantine
+    /// count would start.
+    fn crafted_image(dir: &Path, kind: ImageKind, vertices: u64, tail: &[u64]) -> PathBuf {
         let cfg = small_cfg();
         let mut words = vec![cfg.alpha.to_bits(), cfg.a as u64, cfg.m as u64];
         if kind == ImageKind::Delta {
             words.push(1); // parent id
         }
-        words.extend([8, 0, 0, 0, 0]); // vertices, edges, WAL position
+        words.extend([vertices, 0, 0, 0, 0]); // vertices, edges, WAL position
         words.extend(tail);
         let body: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         let mut bytes = kind.magic().to_vec();
@@ -825,20 +833,25 @@ mod tests {
     /// Counts read from the file are checked against the bytes that follow
     /// before anything is allocated for them: a frame whose CRC is valid but
     /// whose body claims 2^32 - 1 neighbors (16 GiB of them), or 2^40
-    /// quarantined ids or records, is `InvalidData`, for both image kinds.
+    /// quarantined ids or records, is `InvalidData`, for both image kinds —
+    /// and so is one that claims more vertices than there are `u32` ids,
+    /// which no later check would stop from sizing the vertex table.
     #[test]
     fn crafted_counts_are_refused_before_allocating() {
         let dir = tmpdir("crafted");
         // No quarantined ids, one record: `u32 id = 0 | u8 tag = 1 |
         // u32 degree = 0xFFFF_FFFF` as two little-endian words.
         let huge_degree = [0, 1, 0xFFFF_FF01_0000_0000, 0xFF];
+        let id_space = u64::from(u32::MAX) + 1;
         for kind in [ImageKind::Full, ImageKind::Delta] {
-            for (tail, what) in [
-                (&[1 << 40][..], "quarantine count"),
-                (&[0, 1 << 40][..], "record count"),
-                (&huge_degree[..], "adjacency count"),
+            for (vertices, tail, what) in [
+                (8, &[1 << 40][..], "quarantine count"),
+                (8, &[0, 1 << 40][..], "record count"),
+                (8, &huge_degree[..], "adjacency count"),
+                (id_space + 1, &[0, 0][..], "vertex count"),
+                (u64::MAX, &[0, 0][..], "vertex count"),
             ] {
-                let path = crafted_image(&dir, kind, tail);
+                let path = crafted_image(&dir, kind, vertices, tail);
                 let err = match kind {
                     ImageKind::Full => load_checkpoint(&path, small_cfg()).map(|_| ()),
                     ImageKind::Delta => {
@@ -850,10 +863,14 @@ mod tests {
                 assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{kind:?} {what}");
                 assert!(err.to_string().contains(what), "{kind:?}: {err}");
             }
-            // The same header with honest counts parses: the refusals above
-            // are about the counts, not the crafting.
-            let path = crafted_image(&dir, kind, &[0, 0]);
-            parse_image(&path, kind, &small_cfg()).unwrap();
+            // The same header with honest counts parses, up to a table that
+            // uses every id: the refusals above are about the counts, not
+            // the crafting.
+            for vertices in [8, id_space] {
+                let path = crafted_image(&dir, kind, vertices, &[0, 0]);
+                let image = parse_image(&path, kind, &small_cfg()).unwrap();
+                assert_eq!(image.num_vertices as u64, vertices);
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

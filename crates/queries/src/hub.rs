@@ -10,10 +10,11 @@
 //! [`pending()`](SubscriptionHub::pending)) rather than writer stalls.
 //!
 //! The hook is not O(1): the batch copy is O(|batch|) and `snapshot()` is
-//! O(V) — one reference-count increment per vertex block, 2.1 ms at 2^17
-//! vertices, which is nearly all of `queries.hook_us` — until the vertex
-//! directory is paged (ROADMAP item 1). When no subscriptions are
-//! registered the hook is a single atomic load.
+//! one reference-count increment per directory page (tens of microseconds
+//! at 2^17 vertices). While a queued snapshot lives, each page a later batch
+//! writes is copied first, so a lagging worker costs the writer page copies
+//! and memory, not stalls. When no subscriptions are registered the hook is
+//! a single atomic load.
 //!
 //! The hook sees batches only; the crate documentation says what that
 //! hides from every maintainer and how a `repair_vertex` is still noticed.
@@ -113,7 +114,7 @@ struct HubHook {
 
 impl PostBatchHook for HubHook {
     fn on_batch(&mut self, g: &LsGraph, event: &BatchEvent<'_>) {
-        // Nobody to deliver to: skip the O(V) snapshot and the batch copy.
+        // Nobody to deliver to: skip the snapshot and the batch copy.
         if self.inner.active.load(Ordering::Acquire) == 0 || lock(&self.inner.state).shutdown {
             return;
         }

@@ -22,7 +22,8 @@
 //!   for a delete or lossy batch, never a rebuild of the result.
 //! * [`SubscriptionHub`] — the engine binding: a
 //!   [`PostBatchHook`](lsgraph_core::PostBatchHook) that snapshots the
-//!   freshly published graph (O(V) today, see [`hub`]) and enqueues the
+//!   freshly published graph (one count per directory page, see [`hub`])
+//!   and enqueues the
 //!   batch for a dedicated delivery thread, so the writer's batch path
 //!   **never blocks on delivery**; [`SubscriptionHandle`]s poll deltas and
 //!   materialized results.

@@ -433,6 +433,80 @@ fn lsgraph_snapshots_stay_frozen_under_random_interleavings() {
     }
 }
 
+/// The vertex directory shares fixed-size pages between the writer and its
+/// snapshots, so the cases that matter are at page edges: a table whose size
+/// is no multiple of any page, that inserts grow across several page
+/// boundaries while snapshots of the smaller table are held. One stream;
+/// the live graph and every held snapshot are compared with the oracle —
+/// frozen at the flip, for a snapshot — after every batch.
+#[test]
+fn lsgraph_snapshots_and_live_graph_match_oracle_while_the_table_grows() {
+    use lsgraph::GraphSnapshot;
+    use std::collections::BTreeSet;
+    fn assert_reads<G: Graph>(g: &G, adj: &[Vec<u32>], ctx: &str) {
+        assert_eq!(g.num_vertices(), adj.len(), "{ctx}: num_vertices");
+        let m: usize = adj.iter().map(Vec::len).sum();
+        assert_eq!(g.num_edges(), m, "{ctx}: num_edges");
+        for (v, ns) in adj.iter().enumerate() {
+            assert_eq!(&g.neighbors(v as u32), ns, "{ctx}: vertex {v}");
+        }
+    }
+    const START: u32 = 50;
+    for case in 0..16 {
+        let mut rng = SmallRng::seed_from_u64(0x23000 + case);
+        let cfg = Config {
+            a: 4,
+            m: 16,
+            ..Config::default()
+        };
+        let mut g = LsGraph::with_config(START as usize, cfg);
+        let mut oracle: Vec<BTreeSet<u32>> = vec![Default::default(); START as usize];
+        let freeze = |oracle: &[BTreeSet<u32>]| -> Vec<Vec<u32>> {
+            oracle.iter().map(|s| s.iter().copied().collect()).collect()
+        };
+        let mut held: Vec<(GraphSnapshot, Vec<Vec<u32>>)> = Vec::new();
+        for step in 0..32u32 {
+            if rng.gen_bool(0.5) {
+                held.push((g.snapshot(), freeze(&oracle)));
+            }
+            // The id range widens every step, so insert batches keep growing
+            // the table: 50 to past 250 vertices over the stream.
+            let ids = START + 7 * step;
+            let is_insert = rng.gen_bool(0.65);
+            let batch: Vec<Edge> = (0..rng.gen_range(1usize..80))
+                .map(|_| Edge::new(rng.gen_range(0..ids), rng.gen_range(0..ids)))
+                .collect();
+            if is_insert {
+                g.insert_batch(&batch);
+                let top = batch.iter().map(|e| e.src.max(e.dst)).max().unwrap() as usize;
+                if top >= oracle.len() {
+                    oracle.resize(top + 1, Default::default());
+                }
+                for e in &batch {
+                    oracle[e.src as usize].insert(e.dst);
+                }
+            } else {
+                g.delete_batch(&batch);
+                for e in &batch {
+                    if let Some(ns) = oracle.get_mut(e.src as usize) {
+                        ns.remove(&e.dst);
+                    }
+                }
+            }
+            let ctx = format!("case {case} step {step}");
+            assert_reads(&g, &freeze(&oracle), &ctx);
+            assert_eq!(g.validate_invariants(), Ok(()), "{ctx}");
+            for (i, (snap, adj)) in held.iter().enumerate() {
+                assert_reads(snap, adj, &format!("{ctx} snap {i}"));
+                assert_eq!(snap.validate_invariants(), Ok(()), "{ctx} snap {i}");
+            }
+            held.retain(|_| rng.gen_bool(0.8));
+        }
+        assert!(g.num_vertices() > 200, "case {case}: the table grew");
+        g.check_invariants();
+    }
+}
+
 /// Applies `stream` to two graphs — one bare, one with a fresh snapshot held
 /// across every batch, so each of its writes copies the block first — and
 /// holds the two to the same bytes and tiers after every batch: how a block
