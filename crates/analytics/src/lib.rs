@@ -18,7 +18,6 @@ pub mod gpm;
 pub mod incremental;
 pub mod kcore;
 pub mod pagerank;
-pub mod snapshot;
 pub mod subset;
 pub mod tc;
 
@@ -32,9 +31,5 @@ pub use gpm::{
 pub use incremental::{IncrementalBfs, IncrementalCc};
 pub use kcore::{degeneracy, kcore};
 pub use pagerank::pagerank;
-pub use snapshot::{
-    bfs_snapshot, connected_components_snapshot, freeze, kcore_snapshot, pagerank_snapshot,
-    triangle_count_snapshot,
-};
 pub use subset::VertexSubset;
 pub use tc::{triangle_count, triangle_count_streaming, TcResult};

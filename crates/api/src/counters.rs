@@ -119,11 +119,14 @@ metric_family! {
     /// Spill minima pulled back inline after an inline delete.
     vb_spill_refills: Counter, None, "core", "elements";
 
-    /// Elements shifted inside sorted-array spill tiers (`Spill::Array`).
+    /// Elements shifted inside sorted arrays (`Spill::Array`, behind a vertex
+    /// block or inside a HITree).
     arr_shifts: Counter, None, "core", "elements";
-    /// Spill tier upgrades (Array → RIA/PMA, RIA/PMA → HITree).
+    /// Kind changes up the ladder of the container behind a vertex block
+    /// (Array → RIA/PMA, RIA/PMA → LIA).
     tier_upgrades: Counter, Drift, "core", "events";
-    /// Spill tier downgrades after heavy deletion.
+    /// Kind changes down the ladder of the container behind a vertex block
+    /// after heavy deletion.
     tier_downgrades: Counter, None, "core", "events";
 
     /// Elements shifted inside one RIA block (within-block horizontal move).
@@ -158,7 +161,8 @@ metric_family! {
     lia_vertical_premature: Counter, Invariant, "core", "events";
     /// LIA model retrain events (node rebuilt with a fresh linear model).
     lia_model_retrains: Counter, Drift, "core", "events";
-    /// HITree node tier upgrades (Arr → RIA → LIA).
+    /// Kind changes up the ladder of a container inside a HITree, a LIA's
+    /// child (Array → RIA → LIA).
     hitree_node_upgrades: Counter, Drift, "core", "events";
 
     /// Per-source apply tasks that panicked and were contained by the

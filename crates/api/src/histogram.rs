@@ -11,9 +11,11 @@
 //! Design:
 //!
 //! - **log2 buckets**: a recorded value `v` (nanoseconds) lands in bucket
-//!   `floor(log2(v)) + 1` (bucket 0 holds exactly `v == 0`), so 64 buckets
-//!   cover the entire `u64` range and bucket boundaries are exact powers of
-//!   two. Quantiles are reported as the **upper bound of the bucket**
+//!   `floor(log2(v)) + 1` (bucket 0 holds exactly `v == 0`) and bucket
+//!   boundaries are exact powers of two. That rule names 65 buckets for the
+//!   `u64` range; there are 64, so the last one takes two octaves — every
+//!   value from `2^62` up (146 years in nanoseconds). Quantiles are
+//!   reported as the **upper bound of the bucket**
 //!   containing the requested rank — deterministic, and never exceeding the
 //!   tracked true maximum.
 //! - **per-thread shards**: each recording thread owns one of
@@ -47,23 +49,21 @@ thread_local! {
     static SHARD_INDEX: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % NUM_SHARDS;
 }
 
-/// Bucket index for a nanosecond value: 0 for 0, else `floor(log2(v)) + 1`.
+/// Bucket index for a nanosecond value: 0 for 0, else `floor(log2(v)) + 1`,
+/// clamped into the last bucket (values from `2^63` up would otherwise index
+/// one past it).
 #[inline]
 pub fn bucket_index(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        (64 - v.leading_zeros()) as usize
-    }
+    ((64 - v.leading_zeros()) as usize).min(NUM_BUCKETS - 1)
 }
 
-/// Inclusive upper bound of bucket `b`: 0 for bucket 0, `2^b - 1` otherwise
-/// (`u64::MAX` for the top bucket).
+/// Inclusive upper bound of bucket `b`: 0 for bucket 0, `2^b - 1` otherwise,
+/// and `u64::MAX` for the last bucket, which holds everything from `2^62`.
 #[inline]
 pub fn bucket_upper_bound(b: usize) -> u64 {
     match b {
         0 => 0,
-        1..=63 => (1u64 << b) - 1,
+        1..=62 => (1u64 << b) - 1,
         _ => u64::MAX,
     }
 }
@@ -138,7 +138,8 @@ impl LatencyHistogram {
             for (b, bucket) in shard.buckets.iter().enumerate() {
                 out.buckets[b] += bucket.load(Ordering::Relaxed);
             }
-            out.sum += shard.sum.load(Ordering::Relaxed);
+            // A shard's sum wraps (`fetch_add`); so does the fold.
+            out.sum = out.sum.wrapping_add(shard.sum.load(Ordering::Relaxed));
             out.max = out.max.max(shard.max.load(Ordering::Relaxed));
         }
         out
@@ -409,8 +410,29 @@ mod tests {
         assert_eq!(bucket_index(4), 3);
         assert_eq!(bucket_index(1023), 10);
         assert_eq!(bucket_index(1024), 11);
-        assert_eq!(bucket_index(u64::MAX), 64); // top bucket
-        assert_eq!(bucket_index(u64::MAX), 64);
+        // The last bucket takes everything from 2^62, so no value indexes
+        // past the array.
+        assert_eq!(bucket_index((1 << 62) - 1), 62);
+        assert_eq!(bucket_index(1 << 62), 63);
+        assert_eq!(bucket_index(1 << 63), NUM_BUCKETS - 1);
+        assert_eq!(bucket_index(u64::MAX), NUM_BUCKETS - 1);
+        assert_eq!(bucket_upper_bound(62), (1 << 62) - 1);
+        assert_eq!(bucket_upper_bound(NUM_BUCKETS - 1), u64::MAX);
+        for v in [0, 1, 1 << 62, (1 << 63) + 5, u64::MAX] {
+            assert!(v <= bucket_upper_bound(bucket_index(v)));
+        }
+    }
+
+    #[test]
+    fn the_largest_values_are_recorded_not_a_panic() {
+        let h = LatencyHistogram::new();
+        h.record(u64::MAX);
+        h.record_duration(Duration::MAX);
+        let s = h.snapshot();
+        assert_eq!(s.count(), 2);
+        assert_eq!(s.max, u64::MAX);
+        assert_eq!(s.p99(), u64::MAX);
+        assert_eq!(s.nonzero_buckets(), vec![(NUM_BUCKETS - 1, 2)]);
     }
 
     #[test]

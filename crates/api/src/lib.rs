@@ -176,27 +176,6 @@ pub trait DynamicGraph: Graph {
     }
 }
 
-/// An engine that can produce immutable point-in-time snapshots for
-/// wait-free concurrent readers.
-///
-/// Taking a snapshot must not block the writer for more than the cost of
-/// cloning the vertex directory (reference bumps — `LsGraph`'s is one per
-/// page of vertex blocks — and no payload copies), and
-/// readers holding a snapshot must never observe writes applied after the
-/// snapshot was taken. The handle is `Clone + Send + Sync` so one snapshot
-/// can fan out to many reader threads; cloning the handle is O(1).
-///
-/// This is a separate trait from [`DynamicGraph`] (rather than an
-/// associated-type method on it) so `DynamicGraph` stays object-safe for
-/// the engines that cannot snapshot.
-pub trait SnapshotSource {
-    /// The immutable snapshot handle type.
-    type Snapshot: Graph + Clone + Send + Sync + 'static;
-
-    /// Freezes the current graph state into an immutable snapshot.
-    fn snapshot(&self) -> Self::Snapshot;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

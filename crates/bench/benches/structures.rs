@@ -10,7 +10,7 @@ use std::hint::black_box;
 use lsgraph_api::StructStats;
 use lsgraph_btree::BTreeSet32;
 use lsgraph_core::model::{LinearModel, PlrModel, PositionModel};
-use lsgraph_core::{Config, HiTree, LiaSearch, Ria};
+use lsgraph_core::{Config, LiaSearch, Ria, Spill};
 use lsgraph_pma::{Pma, PmaParams};
 
 fn keys(n: usize, seed: u64) -> Vec<u32> {
@@ -70,7 +70,7 @@ fn bench_inserts(c: &mut Criterion) {
     g.bench_function("hitree", |b| {
         let cfg = Config::default();
         b.iter_batched(
-            || HiTree::from_sorted(&base, &cfg),
+            || Spill::from_sorted(&base, &cfg),
             |mut t| {
                 for &k in &extra {
                     black_box(t.insert(k, &cfg, &stats));
@@ -98,7 +98,8 @@ fn bench_search(c: &mut Criterion) {
         lia_search: LiaSearch::Binary,
         ..Config::default()
     };
-    let tree = HiTree::from_sorted(&base, &cfg);
+    let tree = Spill::from_sorted(&base, &cfg);
+    let stats = StructStats::new();
     let mut g = c.benchmark_group("search_1k_in_100k");
     g.throughput(Throughput::Elements(probes.len() as u64));
     g.bench_function("ria", |b| {
@@ -111,13 +112,18 @@ fn bench_search(c: &mut Criterion) {
         b.iter(|| probes.iter().filter(|&&k| bt.contains(k)).count())
     });
     g.bench_function("hitree_learned", |b| {
-        b.iter(|| probes.iter().filter(|&&k| tree.contains(k, &cfg)).count())
+        b.iter(|| {
+            probes
+                .iter()
+                .filter(|&&k| tree.contains(k, &cfg, &stats))
+                .count()
+        })
     });
     g.bench_function("hitree_binary", |b| {
         b.iter(|| {
             probes
                 .iter()
-                .filter(|&&k| tree.contains(k, &cfg_bin))
+                .filter(|&&k| tree.contains(k, &cfg_bin, &stats))
                 .count()
         })
     });
@@ -132,7 +138,7 @@ fn bench_scan(c: &mut Criterion) {
     let pma = Pma::<u32>::from_sorted(&base, PmaParams::default());
     let bt = BTreeSet32::from_sorted(&base);
     let cfg = Config::default();
-    let tree = HiTree::from_sorted(&base, &cfg);
+    let tree = Spill::from_sorted(&base, &cfg);
     let mut g = c.benchmark_group("scan_200k");
     g.throughput(Throughput::Elements(base.len() as u64));
     g.bench_function("ria", |b| {
@@ -195,7 +201,7 @@ fn bench_bulkload(c: &mut Criterion) {
         let base = keys(n, 9);
         g.throughput(Throughput::Elements(base.len() as u64));
         g.bench_with_input(BenchmarkId::new("hitree", n), &base, |b, base| {
-            b.iter(|| HiTree::from_sorted(black_box(base), &cfg))
+            b.iter(|| Spill::from_sorted(black_box(base), &cfg))
         });
         g.bench_with_input(BenchmarkId::new("ria", n), &base, |b, base| {
             b.iter(|| Ria::from_sorted(black_box(base), 1.2))
@@ -230,7 +236,7 @@ fn bench_iteration(c: &mut Criterion) {
     let base = keys(200_000, 11);
     let cfg = Config::default();
     let ria = Ria::from_sorted(&base, 1.2);
-    let tree = HiTree::from_sorted(&base, &cfg);
+    let tree = Spill::from_sorted(&base, &cfg);
     let mut g = c.benchmark_group("iteration_200k");
     g.throughput(Throughput::Elements(base.len() as u64));
     g.bench_function("ria_for_each", |b| {

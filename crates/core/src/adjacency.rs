@@ -1,15 +1,19 @@
-//! Per-vertex spill containers and the degree-tiered transitions between
-//! them (paper §4.1, Fig. 9).
+//! The one adjacency container and its tier ladder (paper §3.2 Fig. 8,
+//! §4.1 Fig. 9).
 //!
-//! Neighbors beyond a vertex's inline cache line spill into one of:
+//! A pointer — the vertex block's spill pointer, or a LIA block's child
+//! pointer — leads to a [`Spill`]: a plain sorted **array**, a **RIA**, or a
+//! **LIA** whose overflowing blocks point at further `Spill`s (the HITree).
+//! Which of the three is chosen by how many ids sit behind the pointer, and
+//! that choice is one function, [`kind_for`]: bulk load, the upgrade ahead
+//! of an insert, the downgrade after a delete and the LIA's child builder
+//! all ask it (`Spill::grow` lists the two rungs a growing container reaches
+//! later than a built one). Two more arms sit outside the paper's ladder: a
+//! per-vertex **PMA** standing in for the RIA under the §6.2 ablation, and
+//! the opt-in **compressed** frozen form of a spill past `M`.
 //!
-//! * a plain sorted **array** while the spill is at most `A` elements,
-//! * a **RIA** up to `M` elements (or a per-vertex **PMA** under the
-//!   ablation configuration),
-//! * a **HITree** beyond `M` (unless the RIA-only ablation is active).
-//!
-//! Containers upgrade eagerly when they outgrow their tier and downgrade
-//! with 2× hysteresis on deletion so oscillating workloads do not thrash.
+//! `depth` is 0 behind a vertex block and grows by one per LIA level; only
+//! this crate passes anything but 0.
 
 use lsgraph_api::fail_point;
 use lsgraph_api::trace::{span, SpanKind};
@@ -18,89 +22,171 @@ use lsgraph_pma::{Pma, PmaParams};
 
 use crate::codec::CompressedNeighbors;
 use crate::config::{Config, HighDegreeStore, MediumStore};
-use crate::hitree::HiTree;
+use crate::hitree::lia::{Lia, LiaCursor, LiaStep};
+use crate::hitree::SlotOccupancy;
 use crate::ria::Ria;
 use crate::search;
+use crate::stats::Tier;
 
-/// Spill storage for one vertex's non-inline neighbors.
+/// Ordered `u32` set behind one pointer: a vertex's non-inline neighbors
+/// (depth 0) or the contents of a LIA's overflowing blocks (depth > 0).
 #[derive(Debug)]
 pub enum Spill {
-    /// Sorted array tier (`<= A`).
+    /// Sorted array.
     Array(Vec<u32>),
-    /// RIA tier (`<= M`).
+    /// Gapped blocks behind a redundant index.
     Ria(Ria),
-    /// Per-vertex PMA tier (ablation replacement for RIA).
-    Pma(Pma<u32>),
-    /// HITree tier (`> M`).
-    Tree(HiTree),
-    /// Gap-encoded cold tier (`> M`, [`Config::compress_cold`] only): frozen
-    /// delta-gap LEB128 chunks with skip pointers. Read-optimized for
-    /// footprint; any write thaws it back to the writable tier first.
+    /// Learned indexed array whose overflowing blocks hold child `Spill`s —
+    /// a HITree.
+    Lia(Box<Lia>),
+    /// Per-vertex PMA (ablation replacement for the RIA, depth 0 only).
+    Pma(Box<Pma<u32>>),
+    /// Gap-encoded cold form of a spill past `M` ([`Config::compress_cold`]
+    /// only, depth 0 only): frozen delta-gap LEB128 chunks with skip
+    /// pointers. Read-optimized for footprint; any write thaws it back onto
+    /// the ladder first.
     Compressed(CompressedNeighbors),
 }
 
+/// A rung of the ladder, lowest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Kind {
+    Array,
+    /// RIA, or the PMA that replaces it under [`MediumStore::Pma`].
+    Medium,
+    Lia,
+}
+
+/// Maximum LIA nesting before a child stays a RIA whatever its size
+/// (defends against degenerate models causing unbounded vertical movement).
+const MAX_DEPTH: usize = 16;
+
+/// The tier ladder: the kind of container that holds `len` ids. The only
+/// code in the crate that compares a length with `A` or `M`; `depth` only
+/// caps the nesting.
+fn kind_for(len: usize, depth: usize, cfg: &Config) -> Kind {
+    if len <= cfg.a {
+        Kind::Array
+    } else if len <= cfg.m || depth >= MAX_DEPTH || cfg.high == HighDegreeStore::RiaOnly {
+        Kind::Medium
+    } else {
+        Kind::Lia
+    }
+}
+
 impl Spill {
-    /// Builds the right tier for a sorted duplicate-free neighbor slice.
+    /// Builds the container for a sorted duplicate-free neighbor slice.
     ///
-    /// Under [`Config::compress_cold`], spills past the HITree threshold
-    /// `M` freeze straight into the compressed cold tier — this is the path
-    /// checkpoint restore takes, so a restored graph re-derives compressed
-    /// tiers deterministically from degree + config.
+    /// Under [`Config::compress_cold`], a slice the ladder would give a LIA
+    /// freezes straight into the compressed form — this is the path
+    /// checkpoint restore takes, so a restored graph re-derives its frozen
+    /// vertices deterministically from degree + config.
     pub fn from_sorted(ns: &[u32], cfg: &Config) -> Spill {
-        if cfg.compress_cold && ns.len() > cfg.m {
+        if freezes(ns.len(), cfg) {
             return Spill::Compressed(CompressedNeighbors::from_sorted(ns));
         }
-        Spill::from_sorted_writable(ns, cfg)
+        Spill::build(kind_for(ns.len(), 0, cfg), ns, 0, cfg)
     }
 
-    /// Builds the writable tier for the slice's length, never the frozen
-    /// compressed tier — the thaw target for writes against a compressed
-    /// spill.
-    pub fn from_sorted_writable(ns: &[u32], cfg: &Config) -> Spill {
-        if ns.len() <= cfg.a {
-            Spill::Array(ns.to_vec())
-        } else if ns.len() <= cfg.m || cfg.high == HighDegreeStore::RiaOnly {
-            match cfg.medium {
-                MediumStore::Ria => Spill::Ria(Ria::from_sorted(ns, cfg.alpha)),
-                MediumStore::Pma => Spill::Pma(Pma::from_sorted(ns, PmaParams::dense())),
+    /// Builds a LIA's child from the `ns` its blocks overflowed with. When a
+    /// degenerate model funnels most of the parent into one child, another
+    /// LIA would not shrink the problem: such a child stays a RIA.
+    pub(crate) fn from_sorted_child(
+        ns: &[u32],
+        cfg: &Config,
+        depth: usize,
+        parent_len: usize,
+    ) -> Spill {
+        let mut kind = kind_for(ns.len(), depth, cfg);
+        if kind == Kind::Lia && ns.len() * 2 > parent_len {
+            kind = Kind::Medium;
+        }
+        Spill::build(kind, ns, depth, cfg)
+    }
+
+    fn build(kind: Kind, ns: &[u32], depth: usize, cfg: &Config) -> Spill {
+        match kind {
+            Kind::Array => Spill::Array(ns.to_vec()),
+            Kind::Medium if depth == 0 && cfg.medium == MediumStore::Pma => {
+                Spill::Pma(Box::new(Pma::from_sorted(ns, PmaParams::dense())))
             }
-        } else {
-            Spill::Tree(HiTree::from_sorted(ns, cfg))
+            Kind::Medium => Spill::Ria(Ria::from_sorted(ns, cfg.alpha)),
+            Kind::Lia => Spill::Lia(Box::new(Lia::build(ns, cfg, depth))),
         }
     }
 
-    /// Number of stored neighbors.
+    /// The rung this container sits on; the frozen form counts as the top
+    /// one it replaces.
+    fn kind(&self) -> Kind {
+        match self {
+            Spill::Array(_) => Kind::Array,
+            Spill::Ria(_) | Spill::Pma(_) => Kind::Medium,
+            Spill::Lia(_) | Spill::Compressed(_) => Kind::Lia,
+        }
+    }
+
+    /// The tier a vertex holding this spill reports.
+    pub fn tier(&self) -> Tier {
+        match self {
+            Spill::Array(_) => Tier::Array,
+            Spill::Ria(_) => Tier::Ria,
+            Spill::Lia(_) => Tier::HiTree,
+            Spill::Pma(_) => Tier::Pma,
+            Spill::Compressed(_) => Tier::Compressed,
+        }
+    }
+
+    /// Whether [`LsGraph::compress_cold_vertices`](crate::LsGraph) would
+    /// freeze this spill: rebuilt from its ids it would come out compressed,
+    /// and it is not already.
+    pub(crate) fn may_freeze(&self, cfg: &Config) -> bool {
+        !matches!(self, Spill::Compressed(_)) && freezes(self.len(), cfg)
+    }
+
+    /// Number of stored ids.
     pub fn len(&self) -> usize {
         match self {
             Spill::Array(v) => v.len(),
             Spill::Ria(r) => r.len(),
+            Spill::Lia(l) => l.len(),
             Spill::Pma(p) => p.len(),
-            Spill::Tree(t) => t.len(),
             Spill::Compressed(c) => c.len(),
         }
     }
 
-    /// Whether the spill is empty.
+    /// Whether the container is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Returns whether `u` is present. Only the compressed tier records
+    /// Returns whether `u` is present. Only the compressed form records
     /// into `stats` (one chunk decode at most).
     pub fn contains(&self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
         match self {
             Spill::Array(v) => search::find(v, u).is_ok(),
             Spill::Ria(r) => r.contains(u),
+            Spill::Lia(l) => l.contains(u, cfg, stats),
             Spill::Pma(p) => p.contains(u),
-            Spill::Tree(t) => t.contains(u, cfg),
             Spill::Compressed(c) => c.contains(u, stats),
         }
     }
 
-    /// Inserts `u`, upgrading the tier if needed; returns whether it was
-    /// added. Structural movement is recorded into `stats`.
+    /// Inserts `u`, first moving up the ladder if this kind is full;
+    /// returns whether it was added. Structural movement is recorded into
+    /// `stats`.
     pub fn insert(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
-        self.maybe_upgrade(cfg, stats);
+        self.insert_at(u, cfg, 0, stats)
+    }
+
+    pub(crate) fn insert_at(
+        &mut self,
+        u: u32,
+        cfg: &Config,
+        depth: usize,
+        stats: &StructStats,
+    ) -> bool {
+        self.thaw(cfg, stats);
+        self.grow(cfg, depth, stats);
         match self {
             Spill::Array(v) => match search::find(v, u) {
                 Ok(_) => false,
@@ -111,17 +197,28 @@ impl Spill {
                 }
             },
             Spill::Ria(r) => r.insert(u, stats).inserted(),
+            Spill::Lia(l) => l.insert(u, cfg, depth, stats),
             Spill::Pma(p) => p.insert(u),
-            Spill::Tree(t) => t.insert(u, cfg, stats),
-            Spill::Compressed(_) => unreachable!("maybe_upgrade thaws compressed spills"),
+            Spill::Compressed(_) => unreachable!("thawed above"),
         }
     }
 
-    /// Deletes `u`, downgrading the tier with hysteresis; returns whether it
-    /// was present. Structural movement is recorded into `stats`.
+    /// Deletes `u`, moving a vertex's spill down the ladder with 2×
+    /// hysteresis; returns whether it was present. Structural movement is
+    /// recorded into `stats`.
     pub fn delete(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
-        // A frozen spill cannot absorb writes; thaw it to the writable tier
-        // first (misses pay the thaw too, matching insert's upgrade path).
+        self.delete_at(u, cfg, 0, stats)
+    }
+
+    pub(crate) fn delete_at(
+        &mut self,
+        u: u32,
+        cfg: &Config,
+        depth: usize,
+        stats: &StructStats,
+    ) -> bool {
+        // A frozen spill cannot absorb writes; thaw it first (misses pay the
+        // thaw too, matching insert).
         self.thaw(cfg, stats);
         let removed = match self {
             Spill::Array(v) => match search::find(v, u) {
@@ -133,54 +230,38 @@ impl Spill {
                 Err(_) => false,
             },
             Spill::Ria(r) => r.delete(u, stats),
+            Spill::Lia(l) => l.delete(u, cfg, depth, stats),
             Spill::Pma(p) => p.delete(u),
-            Spill::Tree(t) => t.delete(u, cfg, stats),
             Spill::Compressed(_) => unreachable!("thawed above"),
         };
-        if removed {
-            self.maybe_downgrade(cfg, stats);
+        // A child never moves down: its parent drops it when it empties.
+        if removed && depth == 0 {
+            self.shrink(cfg, stats);
         }
         removed
+    }
+
+    /// Smallest id, or `None` when empty.
+    pub fn min_key(&self) -> Option<u32> {
+        let mut min = None;
+        self.for_each_while(&mut |x| {
+            min = Some(x);
+            false
+        });
+        min
     }
 
     /// Removes and returns the smallest neighbor (used to refill a vertex
     /// block's inline line after an inline delete), recording structural
     /// movement into `stats`.
     pub fn pop_min(&mut self, cfg: &Config, stats: &StructStats) -> Option<u32> {
-        let min = match self {
-            Spill::Array(v) => v.first().copied(),
-            Spill::Ria(r) => {
-                let mut m = None;
-                r.for_each_while(|x| {
-                    m = Some(x);
-                    false
-                });
-                m
-            }
-            Spill::Pma(p) => {
-                let mut m = None;
-                p.for_each_range_while(0, u32::MAX, |x| {
-                    m = Some(x);
-                    false
-                });
-                m
-            }
-            Spill::Tree(t) => {
-                let mut m = None;
-                t.for_each_while(&mut |x| {
-                    m = Some(x);
-                    false
-                });
-                m
-            }
-            Spill::Compressed(c) => c.iter().next(),
-        }?;
+        let min = self.min_key()?;
         let removed = self.delete(min, cfg, stats);
         debug_assert!(removed);
         Some(min)
     }
 
-    /// Applies `f` to every neighbor in ascending order.
+    /// Applies `f` to every id in ascending order.
     pub fn for_each(&self, f: &mut dyn FnMut(u32)) {
         match self {
             Spill::Array(v) => {
@@ -189,8 +270,8 @@ impl Spill {
                 }
             }
             Spill::Ria(r) => r.for_each(f),
+            Spill::Lia(l) => l.for_each(f),
             Spill::Pma(p) => p.for_each(&mut *f),
-            Spill::Tree(t) => t.for_each(f),
             Spill::Compressed(c) => c.for_each(f),
         }
     }
@@ -208,28 +289,25 @@ impl Spill {
                 true
             }
             Spill::Ria(r) => r.for_each_while(f),
+            Spill::Lia(l) => l.for_each_while(f),
             Spill::Pma(p) => p.for_each_range_while(0, u32::MAX, &mut *f),
-            Spill::Tree(t) => t.for_each_while(f),
             Spill::Compressed(c) => c.for_each_while(f),
         }
     }
 
-    /// Collects all neighbors into a sorted vector.
+    /// Collects all ids into a sorted vector.
     pub fn to_vec(&self) -> Vec<u32> {
         let mut v = Vec::with_capacity(self.len());
         self.for_each(&mut |x| v.push(x));
         v
     }
 
-    /// Appends every neighbor to `out` in ascending order, walking each
-    /// tier's container natively — the checkpoint serialization visitor:
-    ///
-    /// * **Array**: one contiguous slice copy;
-    /// * **RIA**: block-by-block via the redundant index array
-    ///   ([`Ria::for_each_block`]), asserting the index/first-element
-    ///   redundancy so a corrupt index cannot serialize silently;
-    /// * **PMA** (ablation): occupied slots in order;
-    /// * **HITree**: the tree's ascending iterator.
+    /// Appends every id to `out` in ascending order — the checkpoint
+    /// serialization visitor. An array is one contiguous slice copy and a
+    /// RIA goes block by block through its redundant index
+    /// ([`Ria::for_each_block`]), asserting the index/first-element
+    /// redundancy so a corrupt index cannot serialize silently; the other
+    /// arms walk their iterator.
     pub fn checkpoint_extend(&self, out: &mut Vec<u32>) {
         match self {
             Spill::Array(v) => out.extend_from_slice(v),
@@ -241,126 +319,190 @@ impl Spill {
                 );
                 out.extend_from_slice(block);
             }),
-            Spill::Pma(p) => out.extend(p.iter()),
-            Spill::Tree(t) => out.extend(t.iter()),
-            Spill::Compressed(c) => out.extend(c.iter()),
+            Spill::Lia(_) | Spill::Pma(_) | Spill::Compressed(_) => out.extend(self.iter()),
         }
     }
 
-    /// Iterates neighbors in ascending order.
+    /// Iterates ids in ascending order.
     pub fn iter(&self) -> SpillIter<'_> {
-        match self {
-            Spill::Array(v) => SpillIter::Arr(v.iter()),
-            Spill::Ria(r) => SpillIter::Ria(r.iter()),
-            Spill::Pma(p) => SpillIter::Pma(p.iter()),
-            Spill::Tree(t) => SpillIter::Tree(t.iter()),
-            Spill::Compressed(c) => SpillIter::Compressed(c.iter()),
+        SpillIter {
+            cur: Cursor::new(self),
+            suspended: Vec::new(),
         }
     }
 
-    /// Thaws a compressed spill back to its writable tier ahead of a write;
-    /// a no-op on every other tier. The `spill_compress` failpoint covers
-    /// the decode window: a kill here unwinds before `self` is replaced, so
-    /// the vertex keeps its frozen tier intact.
+    /// Adds the slot-type counts of every LIA in this container into `occ`.
+    pub fn add_slot_occupancy(&self, occ: &mut SlotOccupancy) {
+        if let Spill::Lia(l) = self {
+            l.add_slot_occupancy(occ);
+        }
+    }
+
+    /// Verifies the container's structural invariants, recursively.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violated invariant.
+    pub fn check_invariants(&self, cfg: &Config) {
+        match self {
+            Spill::Array(v) => assert!(v.windows(2).all(|w| w[0] < w[1]), "array unsorted"),
+            Spill::Ria(r) => r.check_invariants(),
+            Spill::Lia(l) => l.check_invariants(cfg),
+            Spill::Pma(p) => p.check_invariants(),
+            Spill::Compressed(c) => c.check_invariants(),
+        }
+    }
+
+    /// Thaws a compressed spill back onto the ladder ahead of a write; a
+    /// no-op on every other arm. The `spill_compress` failpoint covers the
+    /// decode window: a kill here unwinds before `self` is replaced, so the
+    /// vertex keeps its frozen form intact.
     fn thaw(&mut self, cfg: &Config, stats: &StructStats) {
         if let Spill::Compressed(c) = self {
             fail_point!("spill_compress");
             let ns = c.to_vec();
-            *self = Spill::from_sorted_writable(&ns, cfg);
+            *self = Spill::build(kind_for(ns.len(), 0, cfg), &ns, 0, cfg);
             stats.record_spill_thaw();
         }
     }
 
-    /// Upgrades to the next tier ahead of an insert when this one is full.
-    /// Compressed spills thaw here: the caller is about to write.
-    fn maybe_upgrade(&mut self, cfg: &Config, stats: &StructStats) {
-        self.thaw(cfg, stats);
-        let next = match self {
-            Spill::Array(v) if v.len() >= cfg.a => true,
-            Spill::Ria(r) if r.len() >= cfg.m && cfg.high == HighDegreeStore::HiTree => true,
-            Spill::Pma(p) if p.len() >= cfg.m && cfg.high == HighDegreeStore::HiTree => true,
-            _ => false,
+    /// Ahead of an insert: rebuilds on the rung the ladder names for the
+    /// size this container is about to have, and retrains a LIA that has
+    /// doubled since its model was fitted. A kind change counts as a tier
+    /// upgrade behind a vertex block and as a node upgrade inside a HITree.
+    ///
+    /// Two rungs are reached later than a bulk load reaches them, where the
+    /// code this replaced put them; moving either moves measured counters,
+    /// so they wait for the sweep (ROADMAP item 5). A RIA is rebuilt as a
+    /// LIA one insert late, holding `M + 1`. And a child's array runs to
+    /// half again the length the ladder gives an array (a child starts at
+    /// `BKS + 1` ids and most never get there): the ladder is asked about
+    /// two thirds of its length.
+    fn grow(&mut self, cfg: &Config, depth: usize, stats: &StructStats) {
+        let (asked, retrain) = match self {
+            Spill::Array(v) if depth == 0 => (v.len() + 1, false),
+            Spill::Array(v) => (v.len() * 2 / 3 + 1, false),
+            Spill::Lia(l) => (l.len(), l.len() >= l.built_len().saturating_mul(2)),
+            _ => (self.len(), false),
         };
-        if next {
-            let _span = span(SpanKind::TierUpgrade);
-            fail_point!("tier_upgrade");
-            let ns = self.to_vec();
-            *self = match self {
-                Spill::Array(_) => match cfg.medium {
-                    MediumStore::Ria => Spill::Ria(Ria::from_sorted(&ns, cfg.alpha)),
-                    MediumStore::Pma => Spill::Pma(Pma::from_sorted(&ns, PmaParams::dense())),
-                },
-                Spill::Ria(_) | Spill::Pma(_) => Spill::Tree(HiTree::from_sorted(&ns, cfg)),
-                Spill::Tree(_) | Spill::Compressed(_) => unreachable!(),
-            };
+        let kind = kind_for(asked, depth, cfg).max(self.kind());
+        if !retrain && kind == self.kind() {
+            return;
+        }
+        let _span = span(if retrain {
+            SpanKind::LiaRetrain
+        } else {
+            SpanKind::TierUpgrade
+        });
+        fail_point!(if retrain {
+            "lia_retrain"
+        } else {
+            "tier_upgrade"
+        });
+        let ns = self.to_vec();
+        *self = Spill::build(kind, &ns, depth, cfg);
+        if retrain {
+            stats.record_lia_retrain();
+        } else if depth == 0 {
             stats.record_tier_upgrade();
+        } else {
+            stats.record_node_upgrade();
         }
     }
 
-    /// Downgrades with 2× hysteresis after deletions.
-    fn maybe_downgrade(&mut self, cfg: &Config, stats: &StructStats) {
-        let rebuild = match self {
-            Spill::Array(_) => false,
-            Spill::Ria(r) => r.len() * 2 < cfg.a,
-            Spill::Pma(p) => p.len() * 2 < cfg.a,
-            Spill::Tree(t) => t.len() * 2 < cfg.m,
-            // Frozen spills never shrink in place: a delete thaws first.
-            Spill::Compressed(_) => false,
-        };
-        if rebuild {
+    /// After a delete at depth 0: rebuilds on a lower rung once even more
+    /// than twice the ids would sit there (`2·len < A`, `2·len < M`), so
+    /// oscillating workloads do not thrash.
+    fn shrink(&mut self, cfg: &Config, stats: &StructStats) {
+        if kind_for(2 * self.len() + 1, 0, cfg) < self.kind() {
             fail_point!("spill_downgrade");
-            let ns = self.to_vec();
-            *self = Spill::from_sorted(&ns, cfg);
+            *self = Spill::from_sorted(&self.to_vec(), cfg);
             stats.record_tier_downgrade();
         }
     }
 }
 
-/// Ascending iterator over a [`Spill`] container.
-pub enum SpillIter<'a> {
-    /// Array tier.
-    Arr(core::slice::Iter<'a, u32>),
-    /// RIA tier.
+/// Whether a spill of `len` ids is kept frozen: compression is on and the
+/// ladder would build a LIA for it.
+fn freezes(len: usize, cfg: &Config) -> bool {
+    cfg.compress_cold && kind_for(len, 0, cfg) == Kind::Lia
+}
+
+/// Where a [`SpillIter`] stands in one container.
+enum Cursor<'a> {
+    Array(core::slice::Iter<'a, u32>),
     Ria(crate::ria::RiaIter<'a>),
-    /// PMA tier (ablation).
+    Lia(&'a Lia, LiaCursor),
     Pma(lsgraph_pma::PmaIter<'a, u32>),
-    /// HITree tier.
-    Tree(crate::hitree::HiTreeIter<'a>),
-    /// Compressed cold tier (streaming gap decode).
     Compressed(crate::codec::CompressedIter<'a>),
+}
+
+impl<'a> Cursor<'a> {
+    fn new(spill: &'a Spill) -> Self {
+        match spill {
+            Spill::Array(v) => Cursor::Array(v.iter()),
+            Spill::Ria(r) => Cursor::Ria(r.iter()),
+            Spill::Lia(l) => Cursor::Lia(l, LiaCursor::default()),
+            Spill::Pma(p) => Cursor::Pma(p.iter()),
+            Spill::Compressed(c) => Cursor::Compressed(c.iter()),
+        }
+    }
+}
+
+/// Ascending iterator over a [`Spill`]: a cursor into the container being
+/// walked plus the LIA cursors suspended above it, so callers can drive
+/// iteration lazily (streaming set intersection, merge joins) instead of
+/// materializing neighbor arrays. `suspended` stays unallocated until the
+/// walk enters a LIA's child.
+pub struct SpillIter<'a> {
+    cur: Cursor<'a>,
+    suspended: Vec<(&'a Lia, LiaCursor)>,
 }
 
 impl Iterator for SpillIter<'_> {
     type Item = u32;
 
     fn next(&mut self) -> Option<u32> {
-        match self {
-            SpillIter::Arr(it) => it.next().copied(),
-            SpillIter::Ria(it) => it.next(),
-            SpillIter::Pma(it) => it.next(),
-            SpillIter::Tree(it) => it.next(),
-            SpillIter::Compressed(it) => it.next(),
+        loop {
+            let next = match &mut self.cur {
+                Cursor::Array(it) => it.next().copied(),
+                Cursor::Ria(it) => it.next(),
+                Cursor::Pma(it) => it.next(),
+                Cursor::Compressed(it) => it.next(),
+                Cursor::Lia(lia, at) => match lia.step(at) {
+                    LiaStep::Yield(v) => Some(v),
+                    LiaStep::Child(child) => {
+                        self.suspended.push((*lia, at.clone()));
+                        self.cur = Cursor::new(child);
+                        continue;
+                    }
+                    LiaStep::Done => None,
+                },
+            };
+            if next.is_some() {
+                return next;
+            }
+            let (lia, at) = self.suspended.pop()?;
+            self.cur = Cursor::Lia(lia, at);
         }
     }
 }
 
-/// Copies a sorted array together with its capacity. The footprint of an
-/// array is its `capacity()`, and `Vec::clone` allocates `len()`: a block
-/// copied on write must come out the shape an in-place write would have left,
-/// or the graph's layout records who was reading while it was written.
-pub(crate) fn clone_with_capacity(v: &Vec<u32>) -> Vec<u32> {
-    let mut copy = Vec::with_capacity(v.capacity());
-    copy.extend_from_slice(v);
-    copy
-}
-
 impl Clone for Spill {
+    /// Derived but for the array: its footprint is its `capacity()`, and
+    /// `Vec::clone` allocates `len()`. A container copied on write must come
+    /// out the shape an in-place write would have left, or the graph's
+    /// layout records who was reading while it was written.
     fn clone(&self) -> Self {
         match self {
-            Spill::Array(v) => Spill::Array(clone_with_capacity(v)),
+            Spill::Array(v) => {
+                let mut copy = Vec::with_capacity(v.capacity());
+                copy.extend_from_slice(v);
+                Spill::Array(copy)
+            }
             Spill::Ria(r) => Spill::Ria(r.clone()),
+            Spill::Lia(l) => Spill::Lia(l.clone()),
             Spill::Pma(p) => Spill::Pma(p.clone()),
-            Spill::Tree(t) => Spill::Tree(t.clone()),
             Spill::Compressed(c) => Spill::Compressed(c.clone()),
         }
     }
@@ -371,8 +513,8 @@ impl MemoryFootprint for Spill {
         match self {
             Spill::Array(v) => Footprint::new(v.capacity() * core::mem::size_of::<u32>(), 0),
             Spill::Ria(r) => r.footprint(),
+            Spill::Lia(l) => l.footprint(),
             Spill::Pma(p) => p.footprint(),
-            Spill::Tree(t) => t.footprint(),
             Spill::Compressed(c) => c.footprint(),
         }
     }
@@ -385,6 +527,7 @@ mod tests {
     /// Sink for the structural events these tests do not look at.
     static STATS: StructStats = StructStats::new();
     use crate::config::LiaSearch;
+    use crate::hitree::SlotOccupancy;
 
     fn cfg() -> Config {
         Config {
@@ -400,9 +543,197 @@ mod tests {
         for u in 0..1_000u32 {
             assert!(s.insert(u, &cfg, &STATS), "insert {u}");
         }
-        assert!(matches!(s, Spill::Tree(_)), "expected HITree tier");
+        assert!(matches!(s, Spill::Lia(_)), "expected HITree tier");
         assert_eq!(s.len(), 1_000);
         assert_eq!(s.to_vec(), (0..1_000).collect::<Vec<_>>());
+    }
+
+    /// One vertex grown id by id to `M + 8` and emptied again changes kind
+    /// once per rung in each direction — no RIA→RIA copy at `M`, and nothing
+    /// counted as a HITree node upgrade while no child exists — and what
+    /// `tier()` reports is the arm at every step.
+    #[test]
+    fn ladder_changes_kind_once_per_rung() {
+        let small = Config {
+            a: 8,
+            m: 64,
+            ..Config::default()
+        };
+        for cfg in [Config::default(), small] {
+            let (a, m) = (cfg.a, cfg.m);
+            let stats = StructStats::new();
+            let mut s = Spill::from_sorted(&[], &cfg);
+            let check = |s: &Spill, want: Tier| {
+                assert_eq!(s.tier(), want, "len {}", s.len());
+                let arm = match s {
+                    Spill::Array(_) => Tier::Array,
+                    Spill::Ria(_) => Tier::Ria,
+                    Spill::Lia(_) => Tier::HiTree,
+                    Spill::Pma(_) | Spill::Compressed(_) => unreachable!(),
+                };
+                assert_eq!(arm, want, "len {}", s.len());
+            };
+            for u in 0..(m + 8) as u32 {
+                assert!(s.insert(u, &cfg, &stats));
+                // The LIA is built once the RIA holds `M + 1`.
+                let want = match s.len() {
+                    n if n <= a => Tier::Array,
+                    n if n <= m + 1 => Tier::Ria,
+                    _ => Tier::HiTree,
+                };
+                check(&s, want);
+            }
+            let snap = stats.snapshot();
+            assert_eq!(snap.tier_upgrades, 2, "Array→RIA and RIA→LIA");
+            assert_eq!(snap.hitree_node_upgrades, 0);
+            assert_eq!(snap.lia_model_retrains, 0);
+            assert_eq!(snap.tier_downgrades, 0);
+
+            for u in 0..(m + 8) as u32 {
+                assert!(s.delete(u, &cfg, &stats));
+                let want = match s.len() {
+                    n if 2 * n >= m => Tier::HiTree,
+                    n if 2 * n >= a => Tier::Ria,
+                    _ => Tier::Array,
+                };
+                check(&s, want);
+            }
+            let snap = stats.snapshot();
+            assert_eq!(snap.tier_downgrades, 2, "2·len < M and 2·len < A");
+            assert_eq!(snap.tier_upgrades, 2);
+            assert_eq!(snap.hitree_node_upgrades, 0);
+        }
+    }
+
+    /// Bulk load and id-by-id growth to the same ids choose the same arm at
+    /// every length, behind a vertex block and inside a HITree — but for the
+    /// two rungs growth reaches late (see `grow`), which this pins so that
+    /// moving either is a visible change: a RIA holds `M + 1` before it is
+    /// rebuilt, and a child's array runs to `A + A/2`.
+    #[test]
+    fn built_and_grown_containers_are_the_same_kind() {
+        let small = Config {
+            a: 8,
+            m: 64,
+            ..Config::default()
+        };
+        for (cfg, depth) in [(Config::default(), 0), (small, 0), (small, 1)] {
+            let (a, m) = (cfg.a, cfg.m);
+            let ns: Vec<u32> = (0..m as u32 + 2).map(|i| i * 5).collect();
+            let mut grown = Spill::from_sorted_child(&[], &cfg, depth, usize::MAX);
+            for len in 0..=ns.len() {
+                let built = Spill::from_sorted_child(&ns[..len], &cfg, depth, usize::MAX);
+                let late = if len == m + 1 {
+                    Some((Tier::HiTree, Tier::Ria))
+                } else if depth > 0 && a < len && len <= a + a / 2 {
+                    Some((Tier::Ria, Tier::Array))
+                } else {
+                    None
+                };
+                match late {
+                    Some(pair) => assert_eq!((built.tier(), grown.tier()), pair, "len {len}"),
+                    None => assert_eq!(built.tier(), grown.tier(), "len {len} at {depth}"),
+                }
+                assert_eq!(built.to_vec(), grown.to_vec());
+                if let Some(&u) = ns.get(len) {
+                    assert!(grown.insert_at(u, &cfg, depth, &STATS));
+                }
+            }
+            assert!(matches!(grown, Spill::Lia(_)));
+        }
+        // Depth 0 through the public constructor is the same build.
+        let cfg = small;
+        for len in [cfg.a, cfg.a + 1, cfg.m, cfg.m + 1] {
+            let ns: Vec<u32> = (0..len as u32).collect();
+            let child = Spill::from_sorted_child(&ns, &cfg, 0, usize::MAX);
+            assert_eq!(Spill::from_sorted(&ns, &cfg).tier(), child.tier());
+        }
+    }
+
+    /// A kind change inside a HITree is a node upgrade, not a tier upgrade,
+    /// and a child's array is half again as long as a vertex's.
+    #[test]
+    fn child_kind_changes_count_as_node_upgrades() {
+        let cfg = cfg();
+        let stats = StructStats::new();
+        let mut child = Spill::from_sorted_child(&[], &cfg, 1, usize::MAX);
+        for u in 0..(cfg.a + cfg.a / 2) as u32 {
+            child.insert_at(u, &cfg, 1, &stats);
+        }
+        assert!(matches!(child, Spill::Array(_)));
+        child.insert_at(1_000, &cfg, 1, &stats);
+        assert!(matches!(child, Spill::Ria(_)));
+        for u in 0..(cfg.a + cfg.a / 2) as u32 {
+            child.delete_at(u, &cfg, 1, &stats);
+        }
+        assert!(matches!(child, Spill::Ria(_)), "a child never moves down");
+        let snap = stats.snapshot();
+        assert_eq!((snap.hitree_node_upgrades, snap.tier_upgrades), (1, 0));
+        assert_eq!(snap.tier_downgrades, 0);
+    }
+
+    /// A child that would take more than half its parent stays a RIA.
+    #[test]
+    fn child_without_progress_stays_a_ria() {
+        let cfg = cfg();
+        let ns: Vec<u32> = (0..1_000).collect();
+        let child = Spill::from_sorted_child(&ns, &cfg, 1, 1_500);
+        assert!(matches!(child, Spill::Ria(_)));
+        let child = Spill::from_sorted_child(&ns, &cfg, 1, 5_000);
+        assert!(matches!(child, Spill::Lia(_)));
+    }
+
+    /// The one iterator yields `to_vec` on every arm, can be stopped and
+    /// resumed, and allocates only once it enters a LIA's child.
+    #[test]
+    fn iter_walks_every_arm_and_allocates_only_for_children() {
+        let cfg = cfg();
+        let spread: Vec<u32> = (0..600u32).map(|i| i * 1_000).collect();
+        let mut clustered = Spill::from_sorted(&spread, &cfg);
+        for u in 150_001..150_400 {
+            clustered.insert(u, &cfg, &STATS);
+        }
+        let mut occ = SlotOccupancy::default();
+        clustered.add_slot_occupancy(&mut occ);
+        assert!(occ.child > 0);
+        let pma = Config {
+            medium: MediumStore::Pma,
+            ..cfg
+        };
+        let arms = [
+            (Spill::from_sorted(&spread[..20], &cfg), false),
+            (Spill::from_sorted(&spread[..200], &cfg), false),
+            (Spill::from_sorted(&spread[..200], &pma), false),
+            (
+                Spill::from_sorted(&spread, &cfg.with_compress_cold(true)),
+                false,
+            ),
+            (Spill::from_sorted(&spread, &cfg), false),
+            (clustered, true),
+        ];
+        let tiers: Vec<Tier> = arms.iter().map(|(s, _)| s.tier()).collect();
+        assert_eq!(
+            tiers,
+            [
+                Tier::Array,
+                Tier::Ria,
+                Tier::Pma,
+                Tier::Compressed,
+                Tier::HiTree,
+                Tier::HiTree
+            ]
+        );
+        for (s, enters_child) in &arms {
+            let mut it = s.iter();
+            let head: Vec<u32> = it.by_ref().take(2).collect();
+            let mut all = head;
+            for x in it.by_ref() {
+                all.push(x);
+            }
+            assert_eq!(all, s.to_vec(), "{:?}", s.tier());
+            assert_eq!(it.next(), None, "exhausted iterators stay exhausted");
+            assert_eq!(it.suspended.capacity() > 0, *enters_child, "{:?}", s.tier());
+        }
     }
 
     #[test]
@@ -435,11 +766,11 @@ mod tests {
     fn downgrades_with_hysteresis() {
         let cfg = cfg();
         let mut s = Spill::from_sorted(&(0..1_000).collect::<Vec<_>>(), &cfg);
-        assert!(matches!(s, Spill::Tree(_)));
+        assert!(matches!(s, Spill::Lia(_)));
         for u in 0..960u32 {
             assert!(s.delete(u, &cfg, &STATS), "delete {u}");
         }
-        assert!(!matches!(s, Spill::Tree(_)), "should have downgraded");
+        assert!(!matches!(s, Spill::Lia(_)), "should have downgraded");
         assert_eq!(s.to_vec(), (960..1_000).collect::<Vec<_>>());
     }
 
@@ -486,7 +817,7 @@ mod tests {
         }
         // Any insert thaws back to the writable tier for that degree.
         assert!(s.insert(1, &c, &STATS));
-        assert!(matches!(s, Spill::Tree(_)), "thaw target is the HITree");
+        assert!(matches!(s, Spill::Lia(_)), "thaw target is the HITree");
         assert!(s.contains(1, &c, &STATS));
         assert_eq!(s.len(), 601);
         // Deletes thaw too; a miss still pays the thaw (it is a write path).
@@ -496,7 +827,7 @@ mod tests {
         assert_eq!(s.len(), 599);
         // With the knob off the same slice stays on the writable ladder.
         let s = Spill::from_sorted(&ns, &cfg());
-        assert!(matches!(s, Spill::Tree(_)));
+        assert!(matches!(s, Spill::Lia(_)));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use lsgraph_api::batch::{max_vertex_id, runs_by_src, sorted_dedup_keys, SrcRun};
 use lsgraph_api::fail_point;
 use lsgraph_api::{
     DynamicGraph, Edge, Graph, LatencySnapshot, LatencyStats, MemoryFootprint, Phase,
-    SnapshotSource, StructSnapshot, StructStats, VertexId,
+    StructSnapshot, StructStats, VertexId,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -508,10 +508,7 @@ impl LsGraph {
                 continue;
             }
             let vb = self.view.block(v);
-            let eligible = vb
-                .spill()
-                .is_some_and(|s| s.len() > cfg.m && !matches!(s, Spill::Compressed(_)));
-            if !eligible {
+            if !vb.spill().is_some_and(|s| s.may_freeze(&cfg)) {
                 continue;
             }
             ns.clear();
@@ -686,14 +683,6 @@ impl LsGraph {
 }
 
 forward_to_view!(LsGraph);
-
-impl SnapshotSource for LsGraph {
-    type Snapshot = GraphSnapshot;
-
-    fn snapshot(&self) -> GraphSnapshot {
-        LsGraph::snapshot(self)
-    }
-}
 
 impl DynamicGraph for LsGraph {
     fn insert_batch(&mut self, batch: &[Edge]) -> usize {

@@ -1,4 +1,5 @@
-//! LIA — the *Learned Indexed Array* (paper §3.2), HITree's internal node.
+//! LIA — the *Learned Indexed Array* (paper §3.2), HITree's internal node:
+//! the `Lia` arm of [`Spill`], whose children are `Spill`s again.
 //!
 //! A LIA addresses a gapped slot array with a linear-regression model. The
 //! monotone model guarantees that predicted slots never invert key order, so
@@ -22,19 +23,15 @@
 use lsgraph_api::fail_point;
 use lsgraph_api::{Footprint, MemoryFootprint, StructStats};
 
-use super::node::Node;
 use super::typevec::{SlotType, TypeVec};
 use super::SlotOccupancy;
+use crate::adjacency::Spill;
 use crate::config::{Config, LiaSearch, BKS};
 use crate::model::{LinearModel, PositionModel};
 use crate::search;
 
 /// Sentinel for "block has no child".
 const NO_CHILD: u32 = u32::MAX;
-
-/// Maximum HITree depth before forcing RIA leaves (defends against
-/// degenerate models causing unbounded vertical movement).
-pub(crate) const MAX_DEPTH: usize = 16;
 
 /// Learned Indexed Array: HITree internal node.
 #[derive(Clone, Debug)]
@@ -44,7 +41,7 @@ pub struct Lia {
     types: TypeVec,
     /// Per-block child index into `children`, or [`NO_CHILD`].
     child_of_block: Vec<u32>,
-    children: Vec<Option<Box<Node>>>,
+    children: Vec<Option<Box<Spill>>>,
     /// Total elements in this subtree.
     len: usize,
     /// Subtree size when the model was (re)trained; once `len` doubles past
@@ -75,7 +72,7 @@ pub enum LiaStep<'a> {
     /// The next element.
     Yield(u32),
     /// Descend into a child node (then resume this cursor).
-    Child(&'a Node),
+    Child(&'a Spill),
     /// This node is exhausted.
     Done,
 }
@@ -96,8 +93,8 @@ impl Lia {
     ///
     /// # Panics
     ///
-    /// Panics if `ns` is empty; callers build an `Arr`/`Ria` node instead.
-    pub fn build(ns: &[u32], cfg: &Config, depth: usize) -> Self {
+    /// Panics if `ns` is empty; callers build an array or a RIA instead.
+    pub(crate) fn build(ns: &[u32], cfg: &Config, depth: usize) -> Self {
         assert!(!ns.is_empty(), "LIA bulk-load requires elements");
         debug_assert!(ns.windows(2).all(|w| w[0] < w[1]));
         let nb = ((ns.len() as f64 * cfg.alpha).ceil() as usize)
@@ -160,7 +157,7 @@ impl Lia {
         for (b0, b1, s, e) in merged {
             let sub = &ns[s..e];
             let idx = lia.children.len() as u32;
-            lia.children.push(Some(Box::new(Node::from_sorted_child(
+            lia.children.push(Some(Box::new(Spill::from_sorted_child(
                 sub,
                 cfg,
                 depth + 1,
@@ -228,9 +225,9 @@ impl Lia {
     }
 
     /// Returns whether `key` is present (learned search path).
-    pub fn contains(&self, key: u32, cfg: &Config) -> bool {
+    pub fn contains(&self, key: u32, cfg: &Config, stats: &StructStats) -> bool {
         if cfg.lia_search == LiaSearch::Binary {
-            return self.contains_binary(key, cfg);
+            return self.contains_binary(key, cfg, stats);
         }
         let pos = self.model.predict(key);
         let b = pos / BKS;
@@ -243,12 +240,12 @@ impl Lia {
                 let blk = &self.slots[base..base + self.packed_len(b)];
                 search::find(blk, key).is_ok()
             }
-            BlockKind::Delegated => self.child(b).contains(key, cfg),
+            BlockKind::Delegated => self.child(b).contains(key, cfg, stats),
         }
     }
 
     #[inline]
-    fn child(&self, b: usize) -> &Node {
+    fn child(&self, b: usize) -> &Spill {
         let idx = self.child_of_block[b];
         debug_assert_ne!(idx, NO_CHILD);
         self.children[idx as usize]
@@ -257,7 +254,7 @@ impl Lia {
     }
 
     #[inline]
-    fn child_mut(&mut self, b: usize) -> &mut Node {
+    fn child_mut(&mut self, b: usize) -> &mut Spill {
         let idx = self.child_of_block[b];
         debug_assert_ne!(idx, NO_CHILD);
         self.children[idx as usize]
@@ -268,12 +265,18 @@ impl Lia {
     /// Inserts `key` (Algorithm 2, LIA branch). Returns whether it was
     /// added. Horizontal packs, within-block shifts, and vertical child
     /// creations are recorded into `stats`.
-    pub fn insert(&mut self, key: u32, cfg: &Config, depth: usize, stats: &StructStats) -> bool {
+    pub(crate) fn insert(
+        &mut self,
+        key: u32,
+        cfg: &Config,
+        depth: usize,
+        stats: &StructStats,
+    ) -> bool {
         if cfg.lia_search == LiaSearch::Binary {
             // Ablation §6.2: locate by binary search instead of the model.
             // Placement below still follows the model (the structure is
             // unchanged); the ablation measures pure search cost.
-            if self.contains_binary(key, cfg) {
+            if self.contains_binary(key, cfg, stats) {
                 return false;
             }
         }
@@ -282,7 +285,7 @@ impl Lia {
         let base = b * BKS;
         match self.kind(b) {
             BlockKind::Delegated => {
-                let inserted = self.child_mut(b).insert(key, cfg, depth + 1, stats);
+                let inserted = self.child_mut(b).insert_at(key, cfg, depth + 1, stats);
                 if inserted {
                     self.len += 1;
                 }
@@ -365,7 +368,7 @@ impl Lia {
             stats.record_lia_vertical(merged.len() > BKS);
             fail_point!("hitree_vertical");
             let idx = self.children.len() as u32;
-            self.children.push(Some(Box::new(Node::from_sorted_child(
+            self.children.push(Some(Box::new(Spill::from_sorted_child(
                 &merged,
                 cfg,
                 depth + 1,
@@ -378,14 +381,20 @@ impl Lia {
     }
 
     /// Deletes `key`; returns whether it was present.
-    pub fn delete(&mut self, key: u32, cfg: &Config, depth: usize, stats: &StructStats) -> bool {
+    pub(crate) fn delete(
+        &mut self,
+        key: u32,
+        cfg: &Config,
+        depth: usize,
+        stats: &StructStats,
+    ) -> bool {
         let pos = self.model.predict(key);
         let b = pos / BKS;
         let base = b * BKS;
         match self.kind(b) {
             BlockKind::Delegated => {
                 let idx = self.child_of_block[b];
-                let removed = self.child_mut(b).delete(key, cfg, depth + 1, stats);
+                let removed = self.child_mut(b).delete_at(key, cfg, depth + 1, stats);
                 if removed {
                     self.len -= 1;
                     if self.children[idx as usize]
@@ -482,16 +491,6 @@ impl Lia {
         true
     }
 
-    /// Smallest element in the subtree, or `None` when empty.
-    pub fn min_key(&self) -> Option<u32> {
-        let mut found = None;
-        self.for_each_while(&mut |x| {
-            found = Some(x);
-            false
-        });
-        found
-    }
-
     /// First element of block `b` (descending into children), or `None` when
     /// the block holds nothing.
     fn block_first(&self, b: usize) -> Option<u32> {
@@ -542,13 +541,13 @@ impl Lia {
     }
 
     /// Binary-search-based membership (ablation mode).
-    fn contains_binary(&self, key: u32, cfg: &Config) -> bool {
+    fn contains_binary(&self, key: u32, cfg: &Config, stats: &StructStats) -> bool {
         let Some(b) = self.find_block_binary(key) else {
             return false;
         };
         let base = b * BKS;
         match self.kind(b) {
-            BlockKind::Delegated => self.child(b).contains(key, cfg),
+            BlockKind::Delegated => self.child(b).contains(key, cfg, stats),
             BlockKind::Packed => {
                 let blk = &self.slots[base..base + self.packed_len(b)];
                 search::find(blk, key).is_ok()
@@ -565,9 +564,10 @@ impl Lia {
         v
     }
 
-    /// Advances an external cursor by one step (iterator support: the
-    /// HITree iterator keeps one cursor per LIA level on its stack).
-    pub(super) fn step<'a>(&'a self, cur: &mut LiaCursor) -> LiaStep<'a> {
+    /// Advances an external cursor by one step (iterator support:
+    /// [`SpillIter`](crate::adjacency::SpillIter) suspends one cursor per LIA
+    /// level it has descended through).
+    pub(crate) fn step<'a>(&'a self, cur: &mut LiaCursor) -> LiaStep<'a> {
         while cur.block < self.num_blocks() {
             let base = cur.block * BKS;
             match self.kind(cur.block) {
@@ -613,7 +613,7 @@ impl Lia {
 
     /// Adds this node's (and recursively its children's) slot-type counts
     /// into `occ`.
-    pub(super) fn add_slot_occupancy(&self, occ: &mut SlotOccupancy) {
+    pub(crate) fn add_slot_occupancy(&self, occ: &mut SlotOccupancy) {
         for i in 0..self.types.len() {
             match self.types.get(i) {
                 SlotType::Unused => occ.unused += 1,
@@ -782,8 +782,8 @@ mod tests {
             assert!(lia.insert(k, &cfg(), 0, &STATS), "insert {k}");
         }
         lia.check_invariants(&cfg());
-        assert!(lia.contains(100_050, &cfg()));
-        assert!(!lia.contains(99_999, &cfg()));
+        assert!(lia.contains(100_050, &cfg(), &STATS));
+        assert!(!lia.contains(99_999, &cfg(), &STATS));
     }
 
     #[test]
@@ -815,7 +815,7 @@ mod tests {
     fn min_key_and_block_first() {
         let ns: Vec<u32> = (10..300).map(|i| i * 3).collect();
         let lia = Lia::build(&ns, &cfg(), 0);
-        assert_eq!(lia.min_key(), Some(30));
+        assert_eq!(lia.to_vec().first(), Some(&30));
         let empty_blocks = (0..lia.num_blocks())
             .filter(|&b| lia.block_first(b).is_none())
             .count();
@@ -831,13 +831,13 @@ mod tests {
             ..Config::default()
         };
         for &k in ns.iter().step_by(37) {
-            assert!(lia.contains(k, &bcfg), "binary lookup {k}");
-            assert!(lia.contains(k, &cfg()), "learned lookup {k}");
+            assert!(lia.contains(k, &bcfg, &STATS), "binary lookup {k}");
+            assert!(lia.contains(k, &cfg(), &STATS), "learned lookup {k}");
         }
         for k in [0u32, 2, 4, 10_001] {
             assert_eq!(
-                lia.contains(k, &bcfg),
-                lia.contains(k, &cfg()),
+                lia.contains(k, &bcfg, &STATS),
+                lia.contains(k, &cfg(), &STATS),
                 "absent {k}"
             );
         }

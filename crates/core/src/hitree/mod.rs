@@ -1,22 +1,17 @@
 //! HITree — the *Hybrid Indexed Tree* (paper §3.2, Fig. 8).
 //!
-//! High-degree vertices store their spill neighbors in a HITree: LIA internal
-//! nodes (learned placement, horizontal-then-vertical conflict resolution)
-//! over RIA or array leaves. The hybrid combines the PMA-like cache locality
-//! of gapped arrays with the bounded data movement of trees.
+//! A high-degree vertex's spill is a HITree: a [`Lia`] (learned placement,
+//! horizontal-then-vertical conflict resolution) whose overflowing blocks
+//! point at further [`Spill`](crate::adjacency::Spill)s — RIAs, arrays, or
+//! LIAs again. The hybrid combines the PMA-like cache locality of gapped
+//! arrays with the bounded data movement of trees. The tree has no type of
+//! its own: it is the `Lia` arm of the one container, and this module holds
+//! the LIA node.
 
-mod iter;
-mod lia;
-mod node;
+pub(crate) mod lia;
 pub mod typevec;
 
-pub use iter::HiTreeIter;
 pub use lia::Lia;
-pub use node::Node;
-
-use lsgraph_api::{Footprint, MemoryFootprint, StructStats};
-
-use crate::config::Config;
 
 /// LIA slot occupancy by slot type, aggregated over a subtree (the paper's
 /// §3.2 U/E/B/C entries).
@@ -39,100 +34,10 @@ impl SlotOccupancy {
     }
 }
 
-/// An ordered `u32` set stored as a hybrid indexed tree.
-#[derive(Clone, Debug)]
-pub struct HiTree {
-    root: Node,
-}
-
-impl HiTree {
-    /// Bulk-loads a HITree from a sorted duplicate-free slice.
-    pub fn from_sorted(ns: &[u32], cfg: &Config) -> Self {
-        HiTree {
-            root: Node::from_sorted(ns, cfg, 0),
-        }
-    }
-
-    /// Creates an empty tree.
-    pub fn new(cfg: &Config) -> Self {
-        HiTree::from_sorted(&[], cfg)
-    }
-
-    /// Number of stored elements.
-    pub fn len(&self) -> usize {
-        self.root.len()
-    }
-
-    /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.root.is_empty()
-    }
-
-    /// Returns whether `key` is present.
-    pub fn contains(&self, key: u32, cfg: &Config) -> bool {
-        self.root.contains(key, cfg)
-    }
-
-    /// Inserts `key`; returns whether it was added (false = duplicate).
-    /// Structural movement is recorded into `stats`.
-    pub fn insert(&mut self, key: u32, cfg: &Config, stats: &StructStats) -> bool {
-        self.root.insert(key, cfg, 0, stats)
-    }
-
-    /// Deletes `key`; returns whether it was present. Structural movement is
-    /// recorded into `stats`.
-    pub fn delete(&mut self, key: u32, cfg: &Config, stats: &StructStats) -> bool {
-        self.root.delete(key, cfg, 0, stats)
-    }
-
-    /// LIA slot occupancy aggregated over every LIA node in the tree.
-    pub fn slot_occupancy(&self) -> SlotOccupancy {
-        let mut occ = SlotOccupancy::default();
-        self.root.add_slot_occupancy(&mut occ);
-        occ
-    }
-
-    /// Applies `f` to every element in ascending order (the paper's
-    /// *Traverse* operation backing `EdgeMap`).
-    pub fn for_each(&self, f: &mut dyn FnMut(u32)) {
-        self.root.for_each(f);
-    }
-
-    /// Applies `f` until it returns `false`; returns whether the scan
-    /// completed.
-    pub fn for_each_while(&self, f: &mut dyn FnMut(u32) -> bool) -> bool {
-        self.root.for_each_while(f)
-    }
-
-    /// Collects all elements into a sorted vector.
-    pub fn to_vec(&self) -> Vec<u32> {
-        self.root.to_vec()
-    }
-
-    /// Iterates elements in ascending order.
-    pub fn iter(&self) -> HiTreeIter<'_> {
-        HiTreeIter::new(&self.root)
-    }
-
-    /// Verifies structural invariants recursively.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violated invariant.
-    pub fn check_invariants(&self, cfg: &Config) {
-        self.root.check_invariants(cfg);
-    }
-}
-
-impl MemoryFootprint for HiTree {
-    fn footprint(&self) -> Footprint {
-        self.root.footprint()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::adjacency::Spill;
+    use lsgraph_api::{MemoryFootprint, StructStats};
 
     /// Sink for the structural events these tests do not look at.
     static STATS: StructStats = StructStats::new();
@@ -152,7 +57,7 @@ mod tests {
         let cfg = small_cfg();
         for n in [0usize, 1, 30, 33, 100, 129, 1000, 5000] {
             let v: Vec<u32> = (0..n as u32).map(|i| i * 7 + 3).collect();
-            let t = HiTree::from_sorted(&v, &cfg);
+            let t = Spill::from_sorted(&v, &cfg);
             t.check_invariants(&cfg);
             assert_eq!(t.to_vec(), v, "n = {n}");
             assert_eq!(t.len(), n);
@@ -163,8 +68,8 @@ mod tests {
     fn bulkload_uses_lia_above_m() {
         let cfg = small_cfg();
         let v: Vec<u32> = (0..1000u32).collect();
-        let t = HiTree::from_sorted(&v, &cfg);
-        assert!(matches!(t.root, Node::Lia(_)));
+        let t = Spill::from_sorted(&v, &cfg);
+        assert!(matches!(t, Spill::Lia(_)));
     }
 
     #[test]
@@ -173,7 +78,7 @@ mod tests {
         // Bulk-load a skewed set, then hammer one region to force the
         // U → E → B → C progression.
         let v: Vec<u32> = (0..500u32).map(|i| i * 20).collect();
-        let mut t = HiTree::from_sorted(&v, &cfg);
+        let mut t = Spill::from_sorted(&v, &cfg);
         let mut oracle: std::collections::BTreeSet<u32> = v.iter().copied().collect();
         for k in 3000..3600u32 {
             assert_eq!(t.insert(k, &cfg, &STATS), oracle.insert(k), "key {k}");
@@ -186,7 +91,7 @@ mod tests {
     fn random_differential_vs_btreeset() {
         let cfg = small_cfg();
         let mut rng = SmallRng::seed_from_u64(42);
-        let mut t = HiTree::new(&cfg);
+        let mut t = Spill::from_sorted(&[], &cfg);
         let mut oracle = std::collections::BTreeSet::new();
         for step in 0..30_000 {
             let k = rng.gen_range(0..5_000u32);
@@ -208,7 +113,11 @@ mod tests {
         t.check_invariants(&cfg);
         assert_eq!(t.to_vec(), oracle.iter().copied().collect::<Vec<_>>());
         for k in (0..5_000).step_by(7) {
-            assert_eq!(t.contains(k, &cfg), oracle.contains(&k), "contains {k}");
+            assert_eq!(
+                t.contains(k, &cfg, &STATS),
+                oracle.contains(&k),
+                "contains {k}"
+            );
         }
     }
 
@@ -217,7 +126,7 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.lia_search = LiaSearch::Binary;
         let mut rng = SmallRng::seed_from_u64(9);
-        let mut t = HiTree::new(&cfg);
+        let mut t = Spill::from_sorted(&[], &cfg);
         let mut oracle = std::collections::BTreeSet::new();
         for _ in 0..15_000 {
             let k = rng.gen_range(0..3_000u32);
@@ -230,7 +139,11 @@ mod tests {
         t.check_invariants(&cfg);
         assert_eq!(t.to_vec(), oracle.iter().copied().collect::<Vec<_>>());
         for k in 0..3_000 {
-            assert_eq!(t.contains(k, &cfg), oracle.contains(&k), "contains {k}");
+            assert_eq!(
+                t.contains(k, &cfg, &STATS),
+                oracle.contains(&k),
+                "contains {k}"
+            );
         }
     }
 
@@ -240,7 +153,7 @@ mod tests {
         // Spread bulk-load, then insert a dense cluster into one model region
         // so a block must overflow into a child (vertical movement).
         let v: Vec<u32> = (0..300u32).map(|i| i * 1000).collect();
-        let mut t = HiTree::from_sorted(&v, &cfg);
+        let mut t = Spill::from_sorted(&v, &cfg);
         for k in 150_000..150_200u32 {
             t.insert(k, &cfg, &STATS);
         }
@@ -250,30 +163,27 @@ mod tests {
         let all = t.to_vec();
         assert!(all.windows(2).all(|w| w[0] < w[1]));
         for k in 150_000..150_200 {
-            assert!(t.contains(k, &cfg), "clustered key {k}");
+            assert!(t.contains(k, &cfg, &STATS), "clustered key {k}");
         }
     }
 
     #[test]
     fn growth_from_empty_crosses_every_tier() {
         let cfg = small_cfg();
-        let mut t = HiTree::new(&cfg);
+        let mut t = Spill::from_sorted(&[], &cfg);
         for k in 0..2_000u32 {
             assert!(t.insert(k, &cfg, &STATS));
         }
         t.check_invariants(&cfg);
         assert_eq!(t.len(), 2_000);
-        assert!(
-            matches!(t.root, Node::Lia(_)),
-            "should have upgraded to LIA"
-        );
+        assert!(matches!(t, Spill::Lia(_)), "should have upgraded to LIA");
     }
 
     #[test]
     fn delete_down_to_empty() {
         let cfg = small_cfg();
         let v: Vec<u32> = (0..400).collect();
-        let mut t = HiTree::from_sorted(&v, &cfg);
+        let mut t = Spill::from_sorted(&v, &cfg);
         for k in 0..400 {
             assert!(t.delete(k, &cfg, &STATS), "delete {k}");
         }
@@ -288,7 +198,7 @@ mod tests {
     fn for_each_while_early_exit() {
         let cfg = small_cfg();
         let v: Vec<u32> = (0..1000).collect();
-        let t = HiTree::from_sorted(&v, &cfg);
+        let t = Spill::from_sorted(&v, &cfg);
         let mut n = 0;
         assert!(!t.for_each_while(&mut |_| {
             n += 1;
@@ -300,8 +210,8 @@ mod tests {
     #[test]
     fn footprint_grows_with_content() {
         let cfg = small_cfg();
-        let small = HiTree::from_sorted(&(0..100).collect::<Vec<_>>(), &cfg);
-        let large = HiTree::from_sorted(&(0..10_000).collect::<Vec<_>>(), &cfg);
+        let small = Spill::from_sorted(&(0..100).collect::<Vec<_>>(), &cfg);
+        let large = Spill::from_sorted(&(0..10_000).collect::<Vec<_>>(), &cfg);
         assert!(large.footprint().total() > small.footprint().total());
         // Index overhead stays a small fraction (paper Table 3: 2.9%–5.4%).
         assert!(large.footprint().index_ratio() < 0.25);
@@ -313,7 +223,7 @@ mod tests {
         // B-packing and child creation, then verify and delete everything.
         let cfg = small_cfg();
         let mut base: Vec<u32> = (0..200u32).map(|i| i * 500).collect();
-        let mut t = HiTree::from_sorted(&base, &cfg);
+        let mut t = Spill::from_sorted(&base, &cfg);
         for k in 50_000..50_400u32 {
             t.insert(k, &cfg, &STATS);
             base.push(k);
@@ -326,5 +236,62 @@ mod tests {
             assert!(t.delete(k, &cfg, &STATS));
         }
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn iter_matches_to_vec_across_kinds() {
+        let cfg = small_cfg();
+        for n in [0usize, 1, 30, 100, 1_000, 20_000] {
+            let v: Vec<u32> = (0..n as u32).map(|i| i * 5 + 2).collect();
+            let t = Spill::from_sorted(&v, &cfg);
+            let it: Vec<u32> = t.iter().collect();
+            assert_eq!(it, v, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn iter_after_heavy_mutation() {
+        let cfg = small_cfg();
+        let mut rng = SmallRng::seed_from_u64(55);
+        let mut t = Spill::from_sorted(&[], &cfg);
+        let mut oracle = std::collections::BTreeSet::new();
+        for _ in 0..20_000 {
+            let k = rng.gen_range(0..4_000u32);
+            if rng.gen_bool(0.65) {
+                t.insert(k, &cfg, &STATS);
+                oracle.insert(k);
+            } else {
+                t.delete(k, &cfg, &STATS);
+                oracle.remove(&k);
+            }
+        }
+        let it: Vec<u32> = t.iter().collect();
+        assert_eq!(it, oracle.into_iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn iter_is_lazy_and_resumable() {
+        let cfg = small_cfg();
+        let t = Spill::from_sorted(&(0..1_000).collect::<Vec<_>>(), &cfg);
+        let mut it = t.iter();
+        assert_eq!(it.next(), Some(0));
+        assert_eq!(it.next(), Some(1));
+        let rest: Vec<u32> = it.collect();
+        assert_eq!(rest.len(), 998);
+        assert_eq!(rest[0], 2);
+    }
+
+    #[test]
+    fn clustered_tree_with_children_iterates_in_order() {
+        let cfg = small_cfg();
+        let mut base: Vec<u32> = (0..300u32).map(|i| i * 1_000).collect();
+        let mut t = Spill::from_sorted(&base, &cfg);
+        for k in 150_001..150_400u32 {
+            t.insert(k, &cfg, &STATS);
+            base.push(k);
+        }
+        base.sort_unstable();
+        let it: Vec<u32> = t.iter().collect();
+        assert_eq!(it, base);
     }
 }

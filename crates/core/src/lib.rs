@@ -6,9 +6,11 @@
 //!
 //! * one cache-line [`vertex block`](vertex::VertexBlock) per vertex with
 //!   inline neighbors,
-//! * a sorted array, a [`Ria`] (Redundant Indexed Array), or a
-//!   [`HiTree`](hitree::HiTree) (LIA internal nodes over RIA/array leaves)
-//!   for the spill, chosen by degree,
+//! * one container, [`Spill`], behind the block's pointer for the rest: a
+//!   sorted array, a [`Ria`] (Redundant Indexed Array), or a HITree — a
+//!   [`Lia`](hitree::Lia) whose overflowing blocks point at `Spill`s again —
+//!   chosen by how many ids sit behind the pointer ([`adjacency`]'s tier
+//!   ladder),
 //!
 //! and regulates data movement distance on updates: horizontal movement
 //! within/near cache-line blocks first, array expansion by the space
@@ -46,13 +48,12 @@ pub mod snapshot;
 pub mod stats;
 pub mod vertex;
 
+pub use adjacency::Spill;
 pub use codec::{CodecError, CompressedNeighbors};
 pub use config::{Config, ConfigError, HighDegreeStore, LiaSearch, MediumStore, BKS, INLINE_CAP};
 pub use directory::GraphView;
 pub use error::{BatchOutcome, GraphError, InvariantError};
 pub use graph::{BatchEvent, BatchKind, LsGraph, PostBatchHook};
-pub use hitree::HiTree;
-pub use hitree::HiTreeIter;
 pub use hitree::SlotOccupancy;
 pub use ria::{Ria, RiaIter};
 pub use snapshot::GraphSnapshot;

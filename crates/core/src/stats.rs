@@ -92,16 +92,9 @@ impl TierStats {
 }
 
 impl GraphView {
-    /// The tier of vertex `v`.
+    /// The tier of vertex `v`, read off the container its block points at.
     pub fn tier(&self, v: u32) -> Tier {
-        match self.block(v).spill() {
-            None => Tier::Inline,
-            Some(Spill::Array(_)) => Tier::Array,
-            Some(Spill::Ria(_)) => Tier::Ria,
-            Some(Spill::Pma(_)) => Tier::Pma,
-            Some(Spill::Tree(_)) => Tier::HiTree,
-            Some(Spill::Compressed(_)) => Tier::Compressed,
-        }
+        self.block(v).spill().map_or(Tier::Inline, Spill::tier)
     }
 
     /// LIA slot occupancy aggregated over every HITree spill in the graph
@@ -109,12 +102,8 @@ impl GraphView {
     pub fn lia_slot_occupancy(&self) -> SlotOccupancy {
         let mut occ = SlotOccupancy::default();
         for v in 0..self.num_vertices() as u32 {
-            if let Some(Spill::Tree(t)) = self.block(v).spill() {
-                let o = t.slot_occupancy();
-                occ.unused += o.unused;
-                occ.edge += o.edge;
-                occ.block += o.block;
-                occ.child += o.child;
+            if let Some(spill) = self.block(v).spill() {
+                spill.add_slot_occupancy(&mut occ);
             }
         }
         occ

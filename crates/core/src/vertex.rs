@@ -253,14 +253,11 @@ impl VertexBlock {
     }
 
     /// The deep per-container half of [`VertexBlock::check_invariants`]
-    /// (RIA index redundancy, HITree node structure, codec framing), for a
-    /// caller that has already validated the block.
+    /// (RIA index redundancy, LIA placement, codec framing), for a caller
+    /// that has already validated the block.
     pub(crate) fn check_containers(&self, cfg: &Config) {
-        match self.spill() {
-            Some(Spill::Ria(r)) => r.check_invariants(),
-            Some(Spill::Tree(t)) => t.check_invariants(cfg),
-            Some(Spill::Compressed(c)) => c.check_invariants(),
-            Some(Spill::Array(_) | Spill::Pma(_)) | None => {}
+        if let Some(spill) = &self.spill {
+            spill.check_invariants(cfg);
         }
     }
 
@@ -350,6 +347,15 @@ mod tests {
     fn block_is_one_cache_line() {
         assert_eq!(core::mem::size_of::<VertexBlock>(), 64);
         assert_eq!(core::mem::align_of::<VertexBlock>(), 64);
+    }
+
+    /// The container behind the pointer is no wider than its widest paper
+    /// arm: the ablation's PMA is boxed, not carried by every spill.
+    #[test]
+    fn spill_is_no_larger_than_a_ria() {
+        use core::mem::size_of;
+        assert!(size_of::<Spill>() <= size_of::<crate::ria::Ria>());
+        assert!(size_of::<Spill>() <= 88);
     }
 
     #[test]
@@ -447,7 +453,7 @@ mod tests {
             ..Config::default()
         };
         let vb = VertexBlock::from_sorted_neighbors(&(0..5_000).collect::<Vec<_>>(), &cfg);
-        assert!(matches!(vb.spill.as_deref(), Some(Spill::Tree(_))));
+        assert!(matches!(vb.spill.as_deref(), Some(Spill::Lia(_))));
         assert_eq!(vb.degree(), 5_000);
         vb.check_invariants(&cfg);
     }

@@ -48,13 +48,12 @@
 
 pub use lsgraph_api::{
     CounterSnapshot, DynamicGraph, Edge, Footprint, Gate, Graph, IterableGraph, MemoryFootprint,
-    MetricDesc, MetricKind, OpCounters, Phase, PhaseTimer, SnapshotSource, StructSnapshot,
-    StructStats, VertexId,
+    MetricDesc, MetricKind, OpCounters, Phase, PhaseTimer, StructSnapshot, StructStats, VertexId,
 };
 pub use lsgraph_core::{
-    BatchEvent, BatchKind, BatchOutcome, Config, ConfigError, GraphSnapshot, GraphView, HiTree,
-    HighDegreeStore, LiaSearch, LsGraph, MediumStore, PostBatchHook, Ria, SlotOccupancy, Tier,
-    TierStats,
+    BatchEvent, BatchKind, BatchOutcome, Config, ConfigError, GraphSnapshot, GraphView,
+    HighDegreeStore, LiaSearch, LsGraph, MediumStore, PostBatchHook, Ria, SlotOccupancy, Spill,
+    Tier, TierStats,
 };
 
 /// Analytics kernels (BFS, BC, PR, CC, TC) and the `EdgeMap` framework.

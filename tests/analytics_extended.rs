@@ -121,3 +121,41 @@ fn tier_stats_expose_hierarchy_on_skewed_graph() {
         .expect("vertices");
     assert_eq!(g.tier(hub), lsgraph::Tier::HiTree);
 }
+
+fn ring(n: u32) -> LsGraph {
+    let mut g = LsGraph::new(n as usize);
+    let edges: Vec<Edge> = (0..n).map(|v| Edge::new(v, (v + 1) % n)).collect();
+    g.insert_batch_undirected(&edges);
+    g
+}
+
+#[test]
+fn held_snapshot_is_immune_to_later_writes() {
+    let mut g = ring(16);
+    let snap = g.snapshot();
+    let before = analytics::bfs(&snap, 0);
+    // Cut the ring after the flip: live BFS changes, the held one doesn't.
+    g.delete_batch_undirected(&[Edge::new(7, 8)]);
+    assert_ne!(analytics::bfs(&g, 0), before);
+    assert_eq!(analytics::bfs(&snap, 0), before);
+    assert_eq!(snap.num_edges(), 32);
+}
+
+#[test]
+fn kernels_run_on_a_moved_snapshot_while_writer_continues() {
+    let mut g = ring(24);
+    let snap = g.snapshot();
+    let handle = std::thread::spawn(move || {
+        (
+            analytics::connected_components(&snap).iter().max().copied(),
+            analytics::triangle_count(&snap).triangles,
+        )
+    });
+    // Writer keeps streaming while the reader thread works.
+    for v in 0..24u32 {
+        g.insert_batch(&[Edge::new(v, (v + 5) % 24)]);
+    }
+    let (cc_max, tc) = handle.join().unwrap();
+    assert_eq!(cc_max, Some(0), "ring is one component labeled by min id");
+    assert_eq!(tc, 0, "a plain ring has no triangles");
+}

@@ -11,7 +11,7 @@ use rand::prelude::*;
 
 use lsgraph::baselines::{AspenGraph, PacGraph, TerraceGraph};
 use lsgraph::substrates::{BTreeSet32, Pma, PmaParams};
-use lsgraph::{Config, DynamicGraph, Edge, Graph, HiTree, LsGraph, Ria, StructStats};
+use lsgraph::{Config, DynamicGraph, Edge, Graph, LsGraph, Ria, SlotOccupancy, Spill, StructStats};
 
 const CASES: u64 = 64;
 
@@ -147,9 +147,36 @@ fn ria_behaves_as_sorted_set() {
     }
 }
 
+/// The container a set property runs against, with the ids already in it:
+/// empty — a vertex's spill growing from nothing, the ladder's depth 0 — or
+/// a LIA over evenly spread ids with a dense run at each of `clusters`, so
+/// every block a run touches is delegated and ids near one land in a child,
+/// the ladder's depth 1.
+fn spill_under_test(
+    cfg: &Config,
+    clusters: Option<&[u32]>,
+) -> (Spill, std::collections::BTreeSet<u32>) {
+    let Some(clusters) = clusters else {
+        return (Spill::from_sorted(&[], cfg), Default::default());
+    };
+    let spread = 2 * cfg.m as u32;
+    let step = u32::MAX / spread;
+    let mut held: std::collections::BTreeSet<u32> =
+        (0..spread).map(|i| i * step + step / 2).collect();
+    for &start in clusters {
+        held.extend(start..start + 48);
+    }
+    let t = Spill::from_sorted(&held.iter().copied().collect::<Vec<_>>(), cfg);
+    let mut occ = SlotOccupancy::default();
+    t.add_slot_occupancy(&mut occ);
+    assert!(occ.child > 0, "no block was delegated to a child");
+    (t, held)
+}
+
 #[test]
 fn hitree_behaves_as_sorted_set() {
-    for case in 0..CASES {
+    const CLUSTER: u32 = 1 << 31;
+    for (case, as_child) in (0..CASES).flat_map(|c| [(c, false), (c, true)]) {
         let mut rng = SmallRng::seed_from_u64(0x7000 + case);
         let ops = gen_ops(&mut rng, 500, 1, 400);
         let cfg = Config {
@@ -157,9 +184,9 @@ fn hitree_behaves_as_sorted_set() {
             m: 64,
             ..Config::default()
         };
-        let mut t = HiTree::new(&cfg);
-        let mut oracle = std::collections::BTreeSet::new();
+        let (mut t, mut oracle) = spill_under_test(&cfg, as_child.then_some(&[CLUSTER]));
         for (ins, k) in ops {
+            let k = if as_child { CLUSTER + k } else { k };
             if ins {
                 assert_eq!(t.insert(k, &cfg, &STATS), oracle.insert(k));
             } else {
@@ -327,8 +354,9 @@ fn neighbor_iter_equals_callback_traversal() {
 
 #[test]
 fn extreme_keys_survive() {
-    // u32 boundary values must round-trip through every tier.
-    for case in 0..CASES {
+    // u32 boundary values must round-trip through every tier, behind a
+    // vertex block and inside the children at either end of a LIA.
+    for (case, as_child) in (0..CASES).flat_map(|c| [(c, false), (c, true)]) {
         let mut rng = SmallRng::seed_from_u64(0xE000 + case);
         let len = rng.gen_range(1usize..200);
         let mut keys: Vec<u32> = (0..len).map(|_| rng.gen()).collect();
@@ -343,8 +371,7 @@ fn extreme_keys_survive() {
             m: 32,
             ..Config::default()
         };
-        let mut t = HiTree::new(&cfg);
-        let mut oracle = std::collections::BTreeSet::new();
+        let (mut t, mut oracle) = spill_under_test(&cfg, as_child.then_some(&[2, u32::MAX - 50]));
         for k in keys {
             assert_eq!(t.insert(k, &cfg, &STATS), oracle.insert(k));
         }
@@ -571,7 +598,7 @@ fn lsgraph_layout_is_the_same_with_and_without_readers() {
         assert!(tiers.array_vertices > 0, "case {case}");
         assert_eq!(tiers.inline_vertices + tiers.array_vertices, 45);
 
-        // Array leaves inside a HITree (`Node::Arr`): one hub whose keys
+        // Array leaves inside a HITree (`Spill::Array` at depth 1): one hub whose keys
         // cluster, so LIA blocks overflow into child arrays that later
         // batches write to.
         let hub = Config {
