@@ -232,16 +232,6 @@ metric_family! {
     /// Probes answered by the branch-free block-compare hybrid search
     /// (recorded by the `repro search` ablation, not the hot path).
     search_block_probes: Counter, Drift, "bench", "probes";
-    /// Gap-encoded chunks decoded by compressed-tier membership probes.
-    /// The skip-pointer design bounds this at one per probe.
-    compressed_chunks_decoded: Counter, Drift, "core", "chunks";
-    /// Bytes saved by compressed-tier encodes versus raw `u32` storage
-    /// (accumulated at encode time).
-    compressed_bytes_saved: Counter, Drift, "core", "bytes";
-    /// Cold spills frozen into the gap-encoded compressed tier.
-    spill_compressions: Counter, Drift, "core", "events";
-    /// Compressed spills thawed back to a writable tier by a write.
-    spill_thaws: Counter, Drift, "core", "events";
 
     /// Nanoseconds in the batch sort+dedup phase.
     phase_sort_nanos: Timer, None, "core", "ns";
@@ -501,32 +491,6 @@ impl StructStats {
         self.search_block_probes.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one gap-encoded chunk decoded by a compressed-tier probe.
-    #[inline]
-    pub fn record_compressed_chunk_decoded(&self) {
-        self.compressed_chunks_decoded
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` bytes saved by a compressed-tier encode versus raw
-    /// `u32` storage.
-    #[inline]
-    pub fn record_compressed_bytes_saved(&self, n: u64) {
-        self.compressed_bytes_saved.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one cold spill frozen into the compressed tier.
-    #[inline]
-    pub fn record_spill_compression(&self) {
-        self.spill_compressions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one compressed spill thawed back to a writable tier.
-    #[inline]
-    pub fn record_spill_thaw(&self) {
-        self.spill_thaws.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Starts a scoped timer attributing wall-clock time to `phase`; the
     /// elapsed nanoseconds are added when the returned guard drops. The
     /// guard also carries the phase's trace span (see [`crate::trace`]).
@@ -692,7 +656,7 @@ mod tests {
         // Names are unique and `fields` follows the table; a rename or a
         // count change here must be an intentional schema change.
         let all = names(|_| true);
-        assert_eq!(all.len(), 50);
+        assert_eq!(all.len(), 46);
         let unique: std::collections::BTreeSet<_> = all.iter().collect();
         assert_eq!(unique.len(), all.len());
         let field_names: Vec<_> = StructSnapshot::default().fields().map(|(n, _)| n).into();
@@ -754,9 +718,7 @@ mod tests {
                  hitree_node_upgrades wal_frames_appended recovery_frames_replayed \
                  wal_segments_rotated wal_segments_deleted delta_checkpoints_written \
                  snapshots_taken snapshots_retired cow_block_copies deltas_delivered \
-                 delta_entries_emitted search_scalar_probes search_block_probes \
-                 compressed_chunks_decoded compressed_bytes_saved spill_compressions \
-                 spill_thaws"
+                 delta_entries_emitted search_scalar_probes search_block_probes"
             )
         );
         assert_eq!(

@@ -44,8 +44,7 @@ use std::sync::Mutex;
 /// | `delta_checkpoint` | a dirty-vertex delta image is serialized to disk |
 /// | `spill_downgrade` | a sparse spill container downgrades to a lower tier |
 /// | `subscription_deliver` | a standing-query subscription evaluates its per-batch delta |
-/// | `spill_compress` | a cold spill freezes into the gap-encoded tier, or a frozen spill thaws for a write |
-pub const SITES: [&str; 17] = [
+pub const SITES: [&str; 16] = [
     "ria_rebuild",
     "lia_retrain",
     "hitree_vertical",
@@ -62,7 +61,6 @@ pub const SITES: [&str; 17] = [
     "delta_checkpoint",
     "spill_downgrade",
     "subscription_deliver",
-    "spill_compress",
 ];
 
 /// When a configured site fires.

@@ -99,7 +99,6 @@ fn bench_search(c: &mut Criterion) {
         ..Config::default()
     };
     let tree = Spill::from_sorted(&base, &cfg);
-    let stats = StructStats::new();
     let mut g = c.benchmark_group("search_1k_in_100k");
     g.throughput(Throughput::Elements(probes.len() as u64));
     g.bench_function("ria", |b| {
@@ -112,18 +111,13 @@ fn bench_search(c: &mut Criterion) {
         b.iter(|| probes.iter().filter(|&&k| bt.contains(k)).count())
     });
     g.bench_function("hitree_learned", |b| {
-        b.iter(|| {
-            probes
-                .iter()
-                .filter(|&&k| tree.contains(k, &cfg, &stats))
-                .count()
-        })
+        b.iter(|| probes.iter().filter(|&&k| tree.contains(k, &cfg)).count())
     });
     g.bench_function("hitree_binary", |b| {
         b.iter(|| {
             probes
                 .iter()
-                .filter(|&&k| tree.contains(k, &cfg_bin, &stats))
+                .filter(|&&k| tree.contains(k, &cfg_bin))
                 .count()
         })
     });

@@ -1573,11 +1573,11 @@ const SEARCH_BLOCKS: usize = 32;
 /// Measures the one `search` cell: identical membership-probe streams run
 /// through the scalar baseline (`std` binary search — exactly what every
 /// probe site used before the search module) and the branch-free block
-/// search the sites now route through, per block size, plus the compressed
-/// cold tier's probe cost on a live graph. `struct_stats` is that graph's
-/// own counters from the freeze on, plus the microbench's probe volumes.
+/// search the sites now route through, per block size. `struct_stats` holds
+/// the probe volumes.
 fn search_cell(scale: &Scale) -> EngineReport {
-    use lsgraph_core::{search, CompressedNeighbors, Tier};
+    use lsgraph_api::StructStats;
+    use lsgraph_core::search;
     use std::hint::black_box;
 
     let probes = 40_000 * scale.trials.max(1);
@@ -1645,58 +1645,14 @@ fn search_cell(scale: &Scale) -> EngineReport {
         nanos[si] = (scalar_ns, block_ns);
     }
 
-    // Compressed cold tier on a live graph: hub vertices past `M` freeze,
-    // then each membership probe pays the skip-pointer search plus at most
-    // one chunk decode.
-    let gscale = scale.graph_scale().min(16);
-    let n = 1usize << gscale;
-    let m = 128usize;
-    let cfg = Config::default().with_m(m).with_compress_cold(true);
-    let mut g = LsGraph::from_edges(n, &[], cfg);
-    let hubs = 8u32;
-    let deg = (4 * m).min(n.saturating_sub(hubs as usize)) as u32;
-    assert!(deg as usize > m, "scale too small for the compressed tier");
-    let ns: Vec<u32> = (0..deg).map(|d| d + hubs).collect();
-    for h in 0..hubs {
-        let batch: Vec<Edge> = ns.iter().map(|&d| Edge::new(h, d)).collect();
-        g.insert_batch(&batch);
-    }
-    // The cell reports the freeze and the probes, not the hub build.
-    g.reset_instrumentation();
+    let stats = StructStats::new();
     let probed = (probes * SEARCH_SIZES.len()) as u64;
-    g.stats().record_search_scalar_probes(probed);
-    g.stats().record_search_block_probes(probed);
-    let frozen = g.compress_cold_vertices();
-    assert_eq!(frozen, hubs as usize, "every hub must freeze");
-    for h in 0..hubs {
-        assert!(matches!(g.tier(h), Tier::Compressed));
-    }
-    let decode_keys: Vec<(u32, u32)> = (0..probes)
-        .map(|i| (i as u32 % hubs, next(2 * deg) + hubs))
-        .collect();
-    let (decode_hits, decode_d) = time(|| {
-        let mut hits = 0u64;
-        for &(h, k) in &decode_keys {
-            hits += u64::from(g.has_edge(h, k));
-        }
-        black_box(hits)
-    });
-    let want = decode_keys.iter().filter(|&&(_, k)| k < deg + hubs).count() as u64;
-    assert_eq!(
-        decode_hits, want,
-        "compressed-tier probes disagree with the dense oracle"
-    );
-
-    // Size columns: the hub adjacency as the codec stores it vs raw u32s.
-    let raw_bytes = hubs as u64 * deg as u64 * 4;
-    let compressed_bytes =
-        hubs as u64 * CompressedNeighbors::from_sorted(&ns).stored_bytes() as u64;
-
-    let ss = g.struct_snapshot();
+    stats.record_search_scalar_probes(probed);
+    stats.record_search_block_probes(probed);
     EngineReport {
         engine: "LSGraph+Search".to_string(),
         dataset: "synthetic".to_string(),
-        struct_stats: Some(ss),
+        struct_stats: Some(stats.snapshot()),
         search: Some(crate::report::SearchReport {
             probes_per_size: probes as u64,
             scalar_small_nanos: nanos[0].0,
@@ -1705,18 +1661,13 @@ fn search_cell(scale: &Scale) -> EngineReport {
             block_medium_nanos: nanos[1].1,
             scalar_large_nanos: nanos[2].0,
             block_large_nanos: nanos[2].1,
-            decode_probes: probes as u64,
-            decode_nanos: decode_d.as_nanos() as u64,
-            compressed_bytes,
-            raw_bytes,
         }),
         ..EngineReport::default()
     }
 }
 
 /// Search experiment: branch-free block search vs the scalar
-/// baseline over identical probe streams per block size, plus the
-/// compressed cold tier's probe/decode cost and storage ratio.
+/// baseline over identical probe streams per block size.
 pub fn search_report(scale: &Scale) -> BenchReport {
     BenchReport {
         schema_version: SCHEMA_VERSION,
@@ -1729,9 +1680,9 @@ pub fn search_report(scale: &Scale) -> BenchReport {
 }
 
 /// Search experiment, human-readable table: per-probe cost of the scalar
-/// vs block path per block size, and the compressed tier's decode cost.
+/// vs block path per block size.
 pub fn search(scale: &Scale) {
-    println!("# search: scalar vs branch-free block probes, compressed-tier decode");
+    println!("# search: scalar vs branch-free block probes");
     let r = search_report(scale);
     let s = r.engines[0].search.as_ref().expect("search cell");
     println!(
@@ -1751,14 +1702,6 @@ pub fn search(scale: &Scale) {
             format!("{:.2}x", sc as f64 / bl.max(1) as f64)
         );
     }
-    println!(
-        "compressed tier: {} probes, {:.1} ns/probe; {} B stored vs {} B raw ({:.2}x smaller)",
-        s.decode_probes,
-        s.decode_nanos as f64 / s.decode_probes.max(1) as f64,
-        s.compressed_bytes,
-        s.raw_bytes,
-        s.raw_bytes as f64 / s.compressed_bytes.max(1) as f64
-    );
 }
 
 /// Artifact-evaluation style correctness pass: every engine must agree with
@@ -1931,20 +1874,16 @@ mod tests {
         let s = r.engines[0].search.as_ref().expect("search payload");
         let probes = 40_000 * scale.trials.max(1) as u64;
         assert_eq!(s.probes_per_size, probes);
-        assert_eq!(s.decode_probes, probes);
-        assert!(s.compressed_bytes > 0 && s.compressed_bytes < s.raw_bytes);
         // search_cell asserts hit-for-hit agreement between the scalar and
         // block paths; here we pin the deterministic counter volumes.
         let ss = r.engines[0].struct_stats.expect("struct stats");
-        assert_eq!(ss.search_scalar_probes, SEARCH_SIZES.len() as u64 * probes);
-        assert_eq!(ss.search_block_probes, SEARCH_SIZES.len() as u64 * probes);
-        assert_eq!(ss.spill_compressions, 8, "one per hub");
-        assert_eq!(
-            ss.vb_inline_hits, 0,
-            "the hub build is not part of the cell"
-        );
-        assert!(ss.compressed_chunks_decoded > 0);
-        assert!(ss.compressed_bytes_saved > 0);
+        let probed = SEARCH_SIZES.len() as u64 * probes;
+        let want = lsgraph_api::StructSnapshot {
+            search_scalar_probes: probed,
+            search_block_probes: probed,
+            ..Default::default()
+        };
+        assert_eq!(ss, want);
         // Round-trips through JSON and self-compares clean
         // under the regression gate.
         let back = crate::report::BenchReport::from_json(&r.to_json()).unwrap();

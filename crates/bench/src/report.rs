@@ -26,8 +26,9 @@ use lsgraph_api::{CounterSnapshot, HistogramSnapshot, LatencySnapshot, StructSna
 /// Report schema version; bump when renaming or removing fields (additions
 /// need no bump: absent keys read as zero). v9 removed `phase_kernel_nanos`
 /// and made the counter maps sparse; v10 removed the reclamation-backlog
-/// fields (one each in `mixed`, `standing` and `struct_stats`).
-pub const SCHEMA_VERSION: u32 = 10;
+/// fields (one each in `mixed`, `standing` and `struct_stats`); v11 removed
+/// the compressed-tier fields (four in `search`, four in `struct_stats`).
+pub const SCHEMA_VERSION: u32 = 11;
 
 /// A value with one JSON spelling. `Default` is what an absent key reads as.
 trait JsonField: Sized + Default {
@@ -316,8 +317,8 @@ report_object! {
 }
 
 report_object! {
-    /// Intra-block search and compressed-tier measurements for one engine
-    /// cell (only the `search` experiment populates it). Probes are run over
+    /// Intra-block search measurements for one engine cell (only the
+    /// `search` experiment populates it). Probes are run over
     /// identical sorted blocks with both the scalar baseline
     /// (`partition_point`-style binary search) and the branch-free block
     /// search, so the nanos columns are directly comparable.
@@ -336,15 +337,6 @@ report_object! {
         scalar_large_nanos: u64,
         /// Block-search probe wall time over the large blocks.
         block_large_nanos: u64,
-        /// Membership probes issued against the compressed cold tier.
-        decode_probes: u64,
-        /// Wall time of those compressed-tier probes (skip-pointer search plus
-        /// at most one chunk decode each).
-        decode_nanos: u64,
-        /// Bytes the compressed tier stores for the probed adjacency sets.
-        compressed_bytes: u64,
-        /// Bytes the same sets occupy as raw `u32` arrays.
-        raw_bytes: u64,
     }
 }
 
@@ -921,10 +913,6 @@ mod tests {
                         block_medium_nanos: 120_000,
                         scalar_large_nanos: 400_000,
                         block_large_nanos: 220_000,
-                        decode_probes: 5_000,
-                        decode_nanos: 300_000,
-                        compressed_bytes: 9_000,
-                        raw_bytes: 32_768,
                     }),
                 },
                 EngineReport {
@@ -1019,8 +1007,7 @@ mod tests {
             words(
                 "probes_per_size scalar_small_nanos block_small_nanos \
                  scalar_medium_nanos block_medium_nanos scalar_large_nanos \
-                 block_large_nanos decode_probes decode_nanos compressed_bytes \
-                 raw_bytes"
+                 block_large_nanos"
             )
         );
         assert_eq!(

@@ -8,9 +8,9 @@
 //! that choice is one function, [`kind_for`]: bulk load, the upgrade ahead
 //! of an insert, the downgrade after a delete and the LIA's child builder
 //! all ask it (`Spill::grow` lists the two rungs a growing container reaches
-//! later than a built one). Two more arms sit outside the paper's ladder: a
-//! per-vertex **PMA** standing in for the RIA under the §6.2 ablation, and
-//! the opt-in **compressed** frozen form of a spill past `M`.
+//! later than a built one). One more arm sits outside the paper's ladder: a
+//! per-vertex **PMA** standing in for the RIA under the §6.2 ablation. Every
+//! arm stores plain `u32` ids, as the paper does; nothing is compressed.
 //!
 //! `depth` is 0 behind a vertex block and grows by one per LIA level; only
 //! this crate passes anything but 0.
@@ -20,7 +20,6 @@ use lsgraph_api::trace::{span, SpanKind};
 use lsgraph_api::{Footprint, MemoryFootprint, StructStats};
 use lsgraph_pma::{Pma, PmaParams};
 
-use crate::codec::CompressedNeighbors;
 use crate::config::{Config, HighDegreeStore, MediumStore};
 use crate::hitree::lia::{Lia, LiaCursor, LiaStep};
 use crate::hitree::SlotOccupancy;
@@ -41,11 +40,6 @@ pub enum Spill {
     Lia(Box<Lia>),
     /// Per-vertex PMA (ablation replacement for the RIA, depth 0 only).
     Pma(Box<Pma<u32>>),
-    /// Gap-encoded cold form of a spill past `M` ([`Config::compress_cold`]
-    /// only, depth 0 only): frozen delta-gap LEB128 chunks with skip
-    /// pointers. Read-optimized for footprint; any write thaws it back onto
-    /// the ladder first.
-    Compressed(CompressedNeighbors),
 }
 
 /// A rung of the ladder, lowest first.
@@ -76,15 +70,7 @@ fn kind_for(len: usize, depth: usize, cfg: &Config) -> Kind {
 
 impl Spill {
     /// Builds the container for a sorted duplicate-free neighbor slice.
-    ///
-    /// Under [`Config::compress_cold`], a slice the ladder would give a LIA
-    /// freezes straight into the compressed form — this is the path
-    /// checkpoint restore takes, so a restored graph re-derives its frozen
-    /// vertices deterministically from degree + config.
     pub fn from_sorted(ns: &[u32], cfg: &Config) -> Spill {
-        if freezes(ns.len(), cfg) {
-            return Spill::Compressed(CompressedNeighbors::from_sorted(ns));
-        }
         Spill::build(kind_for(ns.len(), 0, cfg), ns, 0, cfg)
     }
 
@@ -115,13 +101,12 @@ impl Spill {
         }
     }
 
-    /// The rung this container sits on; the frozen form counts as the top
-    /// one it replaces.
+    /// The rung this container sits on.
     fn kind(&self) -> Kind {
         match self {
             Spill::Array(_) => Kind::Array,
             Spill::Ria(_) | Spill::Pma(_) => Kind::Medium,
-            Spill::Lia(_) | Spill::Compressed(_) => Kind::Lia,
+            Spill::Lia(_) => Kind::Lia,
         }
     }
 
@@ -132,15 +117,7 @@ impl Spill {
             Spill::Ria(_) => Tier::Ria,
             Spill::Lia(_) => Tier::HiTree,
             Spill::Pma(_) => Tier::Pma,
-            Spill::Compressed(_) => Tier::Compressed,
         }
-    }
-
-    /// Whether [`LsGraph::compress_cold_vertices`](crate::LsGraph) would
-    /// freeze this spill: rebuilt from its ids it would come out compressed,
-    /// and it is not already.
-    pub(crate) fn may_freeze(&self, cfg: &Config) -> bool {
-        !matches!(self, Spill::Compressed(_)) && freezes(self.len(), cfg)
     }
 
     /// Number of stored ids.
@@ -150,7 +127,6 @@ impl Spill {
             Spill::Ria(r) => r.len(),
             Spill::Lia(l) => l.len(),
             Spill::Pma(p) => p.len(),
-            Spill::Compressed(c) => c.len(),
         }
     }
 
@@ -159,15 +135,13 @@ impl Spill {
         self.len() == 0
     }
 
-    /// Returns whether `u` is present. Only the compressed form records
-    /// into `stats` (one chunk decode at most).
-    pub fn contains(&self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
+    /// Returns whether `u` is present.
+    pub fn contains(&self, u: u32, cfg: &Config) -> bool {
         match self {
             Spill::Array(v) => search::find(v, u).is_ok(),
             Spill::Ria(r) => r.contains(u),
-            Spill::Lia(l) => l.contains(u, cfg, stats),
+            Spill::Lia(l) => l.contains(u, cfg),
             Spill::Pma(p) => p.contains(u),
-            Spill::Compressed(c) => c.contains(u, stats),
         }
     }
 
@@ -185,8 +159,9 @@ impl Spill {
         depth: usize,
         stats: &StructStats,
     ) -> bool {
-        self.thaw(cfg, stats);
-        self.grow(cfg, depth, stats);
+        if !self.grow(u, cfg, depth, stats) {
+            return false;
+        }
         match self {
             Spill::Array(v) => match search::find(v, u) {
                 Ok(_) => false,
@@ -199,7 +174,6 @@ impl Spill {
             Spill::Ria(r) => r.insert(u, stats).inserted(),
             Spill::Lia(l) => l.insert(u, cfg, depth, stats),
             Spill::Pma(p) => p.insert(u),
-            Spill::Compressed(_) => unreachable!("thawed above"),
         }
     }
 
@@ -217,9 +191,6 @@ impl Spill {
         depth: usize,
         stats: &StructStats,
     ) -> bool {
-        // A frozen spill cannot absorb writes; thaw it first (misses pay the
-        // thaw too, matching insert).
-        self.thaw(cfg, stats);
         let removed = match self {
             Spill::Array(v) => match search::find(v, u) {
                 Ok(i) => {
@@ -232,7 +203,6 @@ impl Spill {
             Spill::Ria(r) => r.delete(u, stats),
             Spill::Lia(l) => l.delete(u, cfg, depth, stats),
             Spill::Pma(p) => p.delete(u),
-            Spill::Compressed(_) => unreachable!("thawed above"),
         };
         // A child never moves down: its parent drops it when it empties.
         if removed && depth == 0 {
@@ -272,7 +242,6 @@ impl Spill {
             Spill::Ria(r) => r.for_each(f),
             Spill::Lia(l) => l.for_each(f),
             Spill::Pma(p) => p.for_each(&mut *f),
-            Spill::Compressed(c) => c.for_each(f),
         }
     }
 
@@ -291,7 +260,6 @@ impl Spill {
             Spill::Ria(r) => r.for_each_while(f),
             Spill::Lia(l) => l.for_each_while(f),
             Spill::Pma(p) => p.for_each_range_while(0, u32::MAX, &mut *f),
-            Spill::Compressed(c) => c.for_each_while(f),
         }
     }
 
@@ -319,7 +287,7 @@ impl Spill {
                 );
                 out.extend_from_slice(block);
             }),
-            Spill::Lia(_) | Spill::Pma(_) | Spill::Compressed(_) => out.extend(self.iter()),
+            Spill::Lia(_) | Spill::Pma(_) => out.extend(self.iter()),
         }
     }
 
@@ -349,27 +317,16 @@ impl Spill {
             Spill::Ria(r) => r.check_invariants(),
             Spill::Lia(l) => l.check_invariants(cfg),
             Spill::Pma(p) => p.check_invariants(),
-            Spill::Compressed(c) => c.check_invariants(),
         }
     }
 
-    /// Thaws a compressed spill back onto the ladder ahead of a write; a
-    /// no-op on every other arm. The `spill_compress` failpoint covers the
-    /// decode window: a kill here unwinds before `self` is replaced, so the
-    /// vertex keeps its frozen form intact.
-    fn thaw(&mut self, cfg: &Config, stats: &StructStats) {
-        if let Spill::Compressed(c) = self {
-            fail_point!("spill_compress");
-            let ns = c.to_vec();
-            *self = Spill::build(kind_for(ns.len(), 0, cfg), &ns, 0, cfg);
-            stats.record_spill_thaw();
-        }
-    }
-
-    /// Ahead of an insert: rebuilds on the rung the ladder names for the
+    /// Ahead of inserting `u`: rebuilds on the rung the ladder names for the
     /// size this container is about to have, and retrains a LIA that has
     /// doubled since its model was fitted. A kind change counts as a tier
     /// upgrade behind a vertex block and as a node upgrade inside a HITree.
+    /// Returns `false`, having changed nothing, when a rebuild was due but
+    /// `u` is already present: an insert that adds nothing must not rebuild
+    /// or count. Only the (rare) rebuild path looks for `u`.
     ///
     /// Two rungs are reached later than a bulk load reaches them, where the
     /// code this replaced put them; moving either moves measured counters,
@@ -378,7 +335,7 @@ impl Spill {
     /// half again the length the ladder gives an array (a child starts at
     /// `BKS + 1` ids and most never get there): the ladder is asked about
     /// two thirds of its length.
-    fn grow(&mut self, cfg: &Config, depth: usize, stats: &StructStats) {
+    fn grow(&mut self, u: u32, cfg: &Config, depth: usize, stats: &StructStats) -> bool {
         let (asked, retrain) = match self {
             Spill::Array(v) if depth == 0 => (v.len() + 1, false),
             Spill::Array(v) => (v.len() * 2 / 3 + 1, false),
@@ -387,7 +344,10 @@ impl Spill {
         };
         let kind = kind_for(asked, depth, cfg).max(self.kind());
         if !retrain && kind == self.kind() {
-            return;
+            return true;
+        }
+        if self.contains(u, cfg) {
+            return false;
         }
         let _span = span(if retrain {
             SpanKind::LiaRetrain
@@ -408,6 +368,7 @@ impl Spill {
         } else {
             stats.record_node_upgrade();
         }
+        true
     }
 
     /// After a delete at depth 0: rebuilds on a lower rung once even more
@@ -422,19 +383,12 @@ impl Spill {
     }
 }
 
-/// Whether a spill of `len` ids is kept frozen: compression is on and the
-/// ladder would build a LIA for it.
-fn freezes(len: usize, cfg: &Config) -> bool {
-    cfg.compress_cold && kind_for(len, 0, cfg) == Kind::Lia
-}
-
 /// Where a [`SpillIter`] stands in one container.
 enum Cursor<'a> {
     Array(core::slice::Iter<'a, u32>),
     Ria(crate::ria::RiaIter<'a>),
     Lia(&'a Lia, LiaCursor),
     Pma(lsgraph_pma::PmaIter<'a, u32>),
-    Compressed(crate::codec::CompressedIter<'a>),
 }
 
 impl<'a> Cursor<'a> {
@@ -444,7 +398,6 @@ impl<'a> Cursor<'a> {
             Spill::Ria(r) => Cursor::Ria(r.iter()),
             Spill::Lia(l) => Cursor::Lia(l, LiaCursor::default()),
             Spill::Pma(p) => Cursor::Pma(p.iter()),
-            Spill::Compressed(c) => Cursor::Compressed(c.iter()),
         }
     }
 }
@@ -468,7 +421,6 @@ impl Iterator for SpillIter<'_> {
                 Cursor::Array(it) => it.next().copied(),
                 Cursor::Ria(it) => it.next(),
                 Cursor::Pma(it) => it.next(),
-                Cursor::Compressed(it) => it.next(),
                 Cursor::Lia(lia, at) => match lia.step(at) {
                     LiaStep::Yield(v) => Some(v),
                     LiaStep::Child(child) => {
@@ -503,7 +455,6 @@ impl Clone for Spill {
             Spill::Ria(r) => Spill::Ria(r.clone()),
             Spill::Lia(l) => Spill::Lia(l.clone()),
             Spill::Pma(p) => Spill::Pma(p.clone()),
-            Spill::Compressed(c) => Spill::Compressed(c.clone()),
         }
     }
 }
@@ -515,7 +466,6 @@ impl MemoryFootprint for Spill {
             Spill::Ria(r) => r.footprint(),
             Spill::Lia(l) => l.footprint(),
             Spill::Pma(p) => p.footprint(),
-            Spill::Compressed(c) => c.footprint(),
         }
     }
 }
@@ -569,7 +519,7 @@ mod tests {
                     Spill::Array(_) => Tier::Array,
                     Spill::Ria(_) => Tier::Ria,
                     Spill::Lia(_) => Tier::HiTree,
-                    Spill::Pma(_) | Spill::Compressed(_) => unreachable!(),
+                    Spill::Pma(_) => unreachable!(),
                 };
                 assert_eq!(arm, want, "len {}", s.len());
             };
@@ -704,10 +654,6 @@ mod tests {
             (Spill::from_sorted(&spread[..20], &cfg), false),
             (Spill::from_sorted(&spread[..200], &cfg), false),
             (Spill::from_sorted(&spread[..200], &pma), false),
-            (
-                Spill::from_sorted(&spread, &cfg.with_compress_cold(true)),
-                false,
-            ),
             (Spill::from_sorted(&spread, &cfg), false),
             (clustered, true),
         ];
@@ -718,7 +664,6 @@ mod tests {
                 Tier::Array,
                 Tier::Ria,
                 Tier::Pma,
-                Tier::Compressed,
                 Tier::HiTree,
                 Tier::HiTree
             ]
@@ -758,7 +703,7 @@ mod tests {
         }
         assert!(matches!(s, Spill::Pma(_)));
         for u in 0..100u32 {
-            assert!(s.contains(u, &c, &STATS));
+            assert!(s.contains(u, &c));
         }
     }
 
@@ -798,36 +743,52 @@ mod tests {
         }
         assert_eq!(s.len(), 2_000);
         for u in (0..2_000).step_by(13) {
-            assert!(s.contains(u, &c, &STATS));
+            assert!(s.contains(u, &c));
         }
-        assert!(!s.contains(5_000, &c, &STATS));
+        assert!(!s.contains(5_000, &c));
     }
 
+    /// A duplicate insert at each of the four rungs where the next insert
+    /// rebuilds — an array about to become a RIA, a RIA holding `M + 1`, a
+    /// child array at `A + A/2`, a LIA that has doubled — returns `false`
+    /// and leaves the arm, the ids and every counter as they were, behind a
+    /// vertex block and inside a HITree alike.
     #[test]
-    fn compressed_tier_freezes_and_thaws() {
-        let c = cfg().with_compress_cold(true);
-        let ns: Vec<u32> = (0..600u32).map(|i| i * 2).collect();
-        let mut s = Spill::from_sorted(&ns, &c);
-        assert!(matches!(s, Spill::Compressed(_)), "len > m should freeze");
-        assert_eq!(s.len(), 600);
-        assert_eq!(s.to_vec(), ns);
-        assert_eq!(s.iter().collect::<Vec<_>>(), ns);
-        for u in (0..1_200u32).step_by(17) {
-            assert_eq!(s.contains(u, &c, &STATS), u % 2 == 0 && u < 1_200);
+    fn duplicate_insert_at_a_rung_rebuilds_nothing() {
+        let small = Config {
+            a: 8,
+            m: 64,
+            ..Config::default()
+        };
+        for cfg in [Config::default(), small] {
+            let (a, m) = (cfg.a, cfg.m);
+            let ids = |n: usize| (0..n as u32).map(|i| i * 3).collect::<Vec<u32>>();
+            for depth in [0, 1] {
+                let full_array = if depth == 0 { a } else { a + a / 2 };
+                let mut doubled = Spill::build(Kind::Lia, &ids(m + 2), depth, &cfg);
+                for u in (0..m as u32 + 2).map(|i| i * 3 + 1) {
+                    assert!(doubled.insert_at(u, &cfg, depth, &STATS));
+                }
+                let rungs = [
+                    Spill::Array(ids(full_array)),
+                    Spill::build(Kind::Medium, &ids(m + 1), depth, &cfg),
+                    doubled,
+                ];
+                for mut s in rungs {
+                    let (tier, before) = (s.tier(), s.to_vec());
+                    let stats = StructStats::new();
+                    assert!(!s.insert_at(before[before.len() / 2], &cfg, depth, &stats));
+                    assert_eq!(s.tier(), tier, "{tier:?} at depth {depth}");
+                    assert_eq!(s.to_vec(), before);
+                    assert_eq!(stats.snapshot(), Default::default(), "{tier:?} at {depth}");
+                    // The next insert that adds an id does rebuild.
+                    assert!(s.insert_at(u32::MAX, &cfg, depth, &stats));
+                    let snap = stats.snapshot();
+                    let rebuilt = snap.tier_upgrades + snap.hitree_node_upgrades;
+                    assert_eq!(rebuilt + snap.lia_model_retrains, 1, "{tier:?} at {depth}");
+                }
+            }
         }
-        // Any insert thaws back to the writable tier for that degree.
-        assert!(s.insert(1, &c, &STATS));
-        assert!(matches!(s, Spill::Lia(_)), "thaw target is the HITree");
-        assert!(s.contains(1, &c, &STATS));
-        assert_eq!(s.len(), 601);
-        // Deletes thaw too; a miss still pays the thaw (it is a write path).
-        let mut s = Spill::from_sorted(&ns, &c);
-        assert!(s.delete(0, &c, &STATS));
-        assert!(!matches!(s, Spill::Compressed(_)));
-        assert_eq!(s.len(), 599);
-        // With the knob off the same slice stays on the writable ladder.
-        let s = Spill::from_sorted(&ns, &cfg());
-        assert!(matches!(s, Spill::Lia(_)));
     }
 
     #[test]

@@ -58,12 +58,6 @@ pub struct Config {
     pub medium: MediumStore,
     /// High-degree container choice.
     pub high: HighDegreeStore,
-    /// Whether [`LsGraph::compress_cold_vertices`](crate::LsGraph) may
-    /// freeze high-degree spills (`len > m`) into the gap-encoded
-    /// compressed cold tier, and whether checkpoint restore re-derives that
-    /// tier for such vertices. Off by default: the compressed tier trades
-    /// write speed for footprint, so it is opt-in.
-    pub compress_cold: bool,
 }
 
 impl Default for Config {
@@ -75,7 +69,6 @@ impl Default for Config {
             lia_search: LiaSearch::Learned,
             medium: MediumStore::Ria,
             high: HighDegreeStore::HiTree,
-            compress_cold: false,
         }
     }
 }
@@ -107,13 +100,6 @@ impl Config {
     /// Returns a copy with a different `M` (sensitivity sweeps, Fig. 14).
     pub fn with_m(mut self, m: usize) -> Self {
         self.m = m;
-        self
-    }
-
-    /// Returns a copy with the gap-encoded compressed cold tier enabled or
-    /// disabled.
-    pub fn with_compress_cold(mut self, on: bool) -> Self {
-        self.compress_cold = on;
         self
     }
 }

@@ -280,7 +280,7 @@ impl Graph for GraphView {
 
     #[inline]
     fn has_edge(&self, v: VertexId, u: VertexId) -> bool {
-        self.block(v).contains(u, &self.cfg, &self.stats)
+        self.block(v).contains(u, &self.cfg)
     }
 }
 

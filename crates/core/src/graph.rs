@@ -11,7 +11,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::adjacency::Spill;
 use crate::config::{Config, ConfigError};
 use crate::directory::{forward_to_view, GraphView};
 use crate::error::{BatchOutcome, GraphError};
@@ -484,49 +483,6 @@ impl LsGraph {
         // keep any additions made re-entrantly.
         hooks.append(&mut self.hooks);
         self.hooks = hooks;
-    }
-
-    /// Freezes every eligible cold spill (length past the HITree threshold
-    /// `M`) into the gap-encoded compressed tier, returning how many
-    /// vertices were frozen. A no-op returning 0 unless the configuration
-    /// enables [`Config::compress_cold`]. Quarantined vertices are skipped.
-    ///
-    /// Each vertex is all-or-nothing: the replacement block is built off to
-    /// the side and swapped in via the CoW-aware installer, so a kill at the
-    /// `spill_compress` failpoint unwinds to the caller with the vertex
-    /// still intact on its previous tier, and outstanding snapshots keep
-    /// reading the uncompressed version they captured.
-    pub fn compress_cold_vertices(&mut self) -> usize {
-        let cfg = self.view.cfg;
-        if !cfg.compress_cold {
-            return 0;
-        }
-        let mut frozen = 0;
-        let mut ns = Vec::new();
-        for v in 0..self.num_vertices() as VertexId {
-            if self.is_quarantined(v) {
-                continue;
-            }
-            let vb = self.view.block(v);
-            if !vb.spill().is_some_and(|s| s.may_freeze(&cfg)) {
-                continue;
-            }
-            ns.clear();
-            vb.checkpoint_neighbors(&mut ns);
-            let new_vb = VertexBlock::from_sorted_neighbors(&ns, &cfg);
-            let saved = match new_vb.spill() {
-                Some(Spill::Compressed(c)) => c.bytes_saved() as u64,
-                _ => 0,
-            };
-            fail_point!("spill_compress");
-            self.install_block(v, new_vb);
-            // Recorded only once the freeze is actually installed: a killed
-            // attempt above must leave the counters untouched.
-            self.view.stats.record_spill_compression();
-            self.view.stats.record_compressed_bytes_saved(saved);
-            frozen += 1;
-        }
-        frozen
     }
 
     /// Installs `v`'s adjacency from a strictly-ascending duplicate-free

@@ -225,9 +225,9 @@ impl Lia {
     }
 
     /// Returns whether `key` is present (learned search path).
-    pub fn contains(&self, key: u32, cfg: &Config, stats: &StructStats) -> bool {
+    pub fn contains(&self, key: u32, cfg: &Config) -> bool {
         if cfg.lia_search == LiaSearch::Binary {
-            return self.contains_binary(key, cfg, stats);
+            return self.contains_binary(key, cfg);
         }
         let pos = self.model.predict(key);
         let b = pos / BKS;
@@ -240,7 +240,7 @@ impl Lia {
                 let blk = &self.slots[base..base + self.packed_len(b)];
                 search::find(blk, key).is_ok()
             }
-            BlockKind::Delegated => self.child(b).contains(key, cfg, stats),
+            BlockKind::Delegated => self.child(b).contains(key, cfg),
         }
     }
 
@@ -276,7 +276,7 @@ impl Lia {
             // Ablation §6.2: locate by binary search instead of the model.
             // Placement below still follows the model (the structure is
             // unchanged); the ablation measures pure search cost.
-            if self.contains_binary(key, cfg, stats) {
+            if self.contains_binary(key, cfg) {
                 return false;
             }
         }
@@ -541,13 +541,13 @@ impl Lia {
     }
 
     /// Binary-search-based membership (ablation mode).
-    fn contains_binary(&self, key: u32, cfg: &Config, stats: &StructStats) -> bool {
+    fn contains_binary(&self, key: u32, cfg: &Config) -> bool {
         let Some(b) = self.find_block_binary(key) else {
             return false;
         };
         let base = b * BKS;
         match self.kind(b) {
-            BlockKind::Delegated => self.child(b).contains(key, cfg, stats),
+            BlockKind::Delegated => self.child(b).contains(key, cfg),
             BlockKind::Packed => {
                 let blk = &self.slots[base..base + self.packed_len(b)];
                 search::find(blk, key).is_ok()
@@ -782,8 +782,8 @@ mod tests {
             assert!(lia.insert(k, &cfg(), 0, &STATS), "insert {k}");
         }
         lia.check_invariants(&cfg());
-        assert!(lia.contains(100_050, &cfg(), &STATS));
-        assert!(!lia.contains(99_999, &cfg(), &STATS));
+        assert!(lia.contains(100_050, &cfg()));
+        assert!(!lia.contains(99_999, &cfg()));
     }
 
     #[test]
@@ -831,13 +831,13 @@ mod tests {
             ..Config::default()
         };
         for &k in ns.iter().step_by(37) {
-            assert!(lia.contains(k, &bcfg, &STATS), "binary lookup {k}");
-            assert!(lia.contains(k, &cfg(), &STATS), "learned lookup {k}");
+            assert!(lia.contains(k, &bcfg), "binary lookup {k}");
+            assert!(lia.contains(k, &cfg()), "learned lookup {k}");
         }
         for k in [0u32, 2, 4, 10_001] {
             assert_eq!(
-                lia.contains(k, &bcfg, &STATS),
-                lia.contains(k, &cfg(), &STATS),
+                lia.contains(k, &bcfg),
+                lia.contains(k, &cfg()),
                 "absent {k}"
             );
         }

@@ -113,11 +113,7 @@ mod tests {
         t.check_invariants(&cfg);
         assert_eq!(t.to_vec(), oracle.iter().copied().collect::<Vec<_>>());
         for k in (0..5_000).step_by(7) {
-            assert_eq!(
-                t.contains(k, &cfg, &STATS),
-                oracle.contains(&k),
-                "contains {k}"
-            );
+            assert_eq!(t.contains(k, &cfg), oracle.contains(&k), "contains {k}");
         }
     }
 
@@ -139,11 +135,7 @@ mod tests {
         t.check_invariants(&cfg);
         assert_eq!(t.to_vec(), oracle.iter().copied().collect::<Vec<_>>());
         for k in 0..3_000 {
-            assert_eq!(
-                t.contains(k, &cfg, &STATS),
-                oracle.contains(&k),
-                "contains {k}"
-            );
+            assert_eq!(t.contains(k, &cfg), oracle.contains(&k), "contains {k}");
         }
     }
 
@@ -163,7 +155,7 @@ mod tests {
         let all = t.to_vec();
         assert!(all.windows(2).all(|w| w[0] < w[1]));
         for k in 150_000..150_200 {
-            assert!(t.contains(k, &cfg, &STATS), "clustered key {k}");
+            assert!(t.contains(k, &cfg), "clustered key {k}");
         }
     }
 

@@ -10,7 +10,7 @@
 //!   sorted array, a [`Ria`] (Redundant Indexed Array), or a HITree — a
 //!   [`Lia`](hitree::Lia) whose overflowing blocks point at `Spill`s again —
 //!   chosen by how many ids sit behind the pointer ([`adjacency`]'s tier
-//!   ladder),
+//!   ladder); every container stores plain `u32` ids, uncompressed,
 //!
 //! and regulates data movement distance on updates: horizontal movement
 //! within/near cache-line blocks first, array expansion by the space
@@ -35,7 +35,6 @@
 //! ```
 
 pub mod adjacency;
-pub mod codec;
 pub mod config;
 pub mod directory;
 pub mod error;
@@ -49,7 +48,6 @@ pub mod stats;
 pub mod vertex;
 
 pub use adjacency::Spill;
-pub use codec::{CodecError, CompressedNeighbors};
 pub use config::{Config, ConfigError, HighDegreeStore, LiaSearch, MediumStore, BKS, INLINE_CAP};
 pub use directory::GraphView;
 pub use error::{BatchOutcome, GraphError, InvariantError};

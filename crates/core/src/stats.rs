@@ -23,10 +23,9 @@ pub enum Tier {
     Pma,
     /// HITree spill.
     HiTree,
-    /// Gap-encoded compressed cold spill ([`Config::compress_cold`]
-    /// only).
-    ///
-    /// [`Config::compress_cold`]: crate::Config::compress_cold
+    /// A gap-encoded frozen spill, which earlier builds could write. Never
+    /// reported by a live graph; accepted from old images (tag 5) and
+    /// restored onto the writable ladder.
     Compressed,
 }
 
@@ -70,8 +69,6 @@ pub struct TierStats {
     pub pma_vertices: usize,
     /// Vertices spilling into a HITree.
     pub hitree_vertices: usize,
-    /// Vertices frozen into the gap-encoded compressed cold tier.
-    pub compressed_vertices: usize,
     /// Edges stored inline (including the inline prefix of spilled
     /// vertices).
     pub inline_edges: usize,
@@ -87,7 +84,6 @@ impl TierStats {
             + self.ria_vertices
             + self.pma_vertices
             + self.hitree_vertices
-            + self.compressed_vertices
     }
 }
 
@@ -124,7 +120,7 @@ impl GraphView {
                 Tier::Ria => s.ria_vertices += 1,
                 Tier::Pma => s.pma_vertices += 1,
                 Tier::HiTree => s.hitree_vertices += 1,
-                Tier::Compressed => s.compressed_vertices += 1,
+                Tier::Compressed => unreachable!("a live graph never reports the frozen tier"),
             }
         }
         s

@@ -75,17 +75,15 @@ impl VertexBlock {
         self.spill.as_deref()
     }
 
-    /// Returns whether `u` is a neighbor (`stats`: see [`Spill::contains`]).
-    pub fn contains(&self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
+    /// Returns whether `u` is a neighbor.
+    pub fn contains(&self, u: u32, cfg: &Config) -> bool {
         let inl = self.inline_neighbors();
         if let Some(&last) = inl.last() {
             if u <= last {
                 return search::find(inl, u).is_ok();
             }
         }
-        self.spill
-            .as_ref()
-            .is_some_and(|s| s.contains(u, cfg, stats))
+        self.spill.as_ref().is_some_and(|s| s.contains(u, cfg))
     }
 
     /// Inserts neighbor `u`; returns whether it was added. Structural
@@ -253,7 +251,7 @@ impl VertexBlock {
     }
 
     /// The deep per-container half of [`VertexBlock::check_invariants`]
-    /// (RIA index redundancy, LIA placement, codec framing), for a caller
+    /// (RIA index redundancy, LIA placement), for a caller
     /// that has already validated the block.
     pub(crate) fn check_containers(&self, cfg: &Config) {
         if let Some(spill) = &self.spill {
@@ -368,7 +366,7 @@ mod tests {
         assert!(!vb.insert(5, &cfg, &STATS));
         assert_eq!(vb.degree(), 3);
         assert_eq!(vb.to_vec(), vec![1, 5, 9]);
-        assert!(vb.contains(5, &cfg, &STATS) && !vb.contains(2, &cfg, &STATS));
+        assert!(vb.contains(5, &cfg) && !vb.contains(2, &cfg));
         assert!(vb.delete(5, &cfg, &STATS));
         assert!(!vb.delete(5, &cfg, &STATS));
         assert_eq!(vb.to_vec(), vec![1, 9]);
@@ -404,7 +402,7 @@ mod tests {
         assert_eq!(vb.inline_neighbors()[0], 1);
         assert_eq!(vb.degree(), INLINE_CAP + 1);
         assert!(
-            vb.contains(100 + INLINE_CAP as u32 - 1, &cfg, &STATS),
+            vb.contains(100 + INLINE_CAP as u32 - 1, &cfg),
             "evicted key lost"
         );
     }

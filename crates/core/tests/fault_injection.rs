@@ -13,7 +13,7 @@ use std::sync::{Mutex, MutexGuard, Once};
 
 use lsgraph_api::failpoints::{self, FailMode};
 use lsgraph_api::{DynamicGraph, Edge, Graph, VertexId};
-use lsgraph_core::{Config, GraphError, LsGraph, Tier};
+use lsgraph_core::{Config, GraphError, LsGraph};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// Failpoint configuration is process-global; every test serializes here.
@@ -294,95 +294,6 @@ fn faults_at_spill_downgrade_are_contained() {
     );
     assert_eq!(g.neighbors(0), survivors);
     g.check_invariants();
-    failpoints::reset();
-}
-
-/// The `spill_compress` site covers both windows of the compressed cold
-/// tier: the encode window in [`LsGraph::compress_cold_vertices`] (after the
-/// replacement block is built, before it is installed) and the decode window
-/// in the thaw that precedes a write to a frozen vertex. A kill in the
-/// encode window must leave the vertex on its previous tier, oracle-equal; a
-/// kill in the decode window is absorbed by the apply pipeline and
-/// quarantines exactly the frozen vertex.
-#[test]
-fn faults_at_spill_compress_are_contained() {
-    let _l = lock();
-    quiet_failpoint_panics();
-    failpoints::reset();
-    let cold = Config {
-        m: 64,
-        compress_cold: true,
-        ..Config::default()
-    };
-    let mut g = LsGraph::with_config(16, cold);
-    // Vertex 0 grows past M = 64 onto the HITree tier; vertex 1 is a
-    // bystander proving the blast radius later.
-    let grow: Vec<Edge> = (1..=100u32).map(|j| Edge::new(0, j)).collect();
-    g.insert_batch(&grow);
-    g.insert_batch(&[Edge::new(1, 2), Edge::new(1, 3)]);
-    let before = g.neighbors(0);
-    assert_eq!(g.tier(0), Tier::HiTree);
-
-    // Encode window: the kill lands after the replacement block is built
-    // but before it is installed, so the attempt vanishes without a trace.
-    failpoints::configure("spill_compress", FailMode::Nth(1));
-    let attempt =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.compress_cold_vertices()));
-    assert!(attempt.is_err(), "armed compression must panic");
-    assert_eq!(failpoints::fired("spill_compress"), 1, "Nth fires once");
-    failpoints::configure("spill_compress", FailMode::Off);
-    assert_eq!(
-        g.tier(0),
-        Tier::HiTree,
-        "killed freeze must not change tiers"
-    );
-    assert_eq!(g.neighbors(0), before);
-    assert_eq!(g.neighbors(1), vec![2, 3]);
-    assert_eq!(g.num_edges(), before.len() + 2);
-    g.validate_invariants().unwrap();
-    assert_eq!(g.struct_snapshot().spill_compressions, 0);
-    assert_eq!(g.struct_snapshot().vertices_quarantined, 0);
-
-    // Disarmed, the same call freezes for real and stays oracle-equal.
-    assert_eq!(g.compress_cold_vertices(), 1);
-    assert_eq!(g.tier(0), Tier::Compressed);
-    assert_eq!(g.neighbors(0), before);
-    assert!(g.has_edge(0, 50));
-    g.validate_invariants().unwrap();
-    assert_eq!(g.struct_snapshot().spill_compressions, 1);
-
-    // Decode window: a write to the frozen vertex forces a thaw; the armed
-    // kill is absorbed by the apply pipeline and quarantines exactly the
-    // frozen vertex while the bystander's edge still lands.
-    failpoints::configure("spill_compress", FailMode::Nth(1));
-    let outcome = g
-        .try_insert_batch(&[Edge::new(0, 200), Edge::new(1, 4)])
-        .unwrap();
-    assert_eq!(failpoints::fired("spill_compress"), 1);
-    failpoints::configure("spill_compress", FailMode::Off);
-    assert_eq!(outcome.quarantined, vec![0]);
-    assert_eq!(outcome.applied, 1, "bystander's edge applied");
-    assert_eq!(outcome.edges_lost, before.len());
-    assert_eq!(g.degree(0), 0);
-    assert!(g.is_quarantined(0));
-    assert_eq!(g.neighbors(1), vec![2, 3, 4]);
-    g.validate_invariants().unwrap();
-
-    // Repair from the oracle: the replacement adjacency is past M, so the
-    // compress-enabled config re-derives the frozen tier directly, and the
-    // vertex resumes normal (thaw-on-write) service.
-    let mut oracle = before.clone();
-    oracle.push(200);
-    assert_eq!(g.repair_vertex(0, &oracle), Ok(oracle.len()));
-    assert_eq!(g.tier(0), Tier::Compressed);
-    assert_eq!(g.neighbors(0), oracle);
-    assert_eq!(g.insert_batch(&[Edge::new(0, 201)]), 1);
-    assert!(g.has_edge(0, 201));
-    assert!(
-        g.struct_snapshot().spill_thaws >= 1,
-        "the disarmed write must actually thaw"
-    );
-    g.validate_invariants().unwrap();
     failpoints::reset();
 }
 

@@ -7,7 +7,7 @@
 //! (`lia_vertical_premature == 0`) — horizontal packing always comes first.
 
 use lsgraph_api::{DynamicGraph, Edge, Graph, StructStats};
-use lsgraph_core::{Config, LsGraph, Ria};
+use lsgraph_core::{Config, LsGraph, Ria, Tier};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// Mixed insert/delete stream over a RIA: every cross-block ripple stays
@@ -173,42 +173,29 @@ fn snapshot_since_diff_is_exact() {
     assert!(diff.ria_within_block_shifts > 0, "phase 2 was a no-op");
 }
 
-/// Compressed-tier events are counted by the graph they happen in: freezing,
-/// probing and thawing hubs of one graph leaves a second graph's counters at
-/// zero (there is no process-wide sink for them to meet in).
+/// Structural events are counted by the graph they happen in: growing hubs
+/// of one graph through Array → RIA → LIA, probing them and deleting from
+/// them leaves every deterministic counter of a second graph built alongside
+/// at zero (there is no process-wide sink for them to meet in).
 #[test]
-fn compressed_tier_counters_stay_with_their_graph() {
-    let cfg = Config::default().with_m(128).with_compress_cold(true);
-    let build = || {
-        let mut g = LsGraph::with_config(1_024, cfg);
-        for hub in 0..4u32 {
-            let batch: Vec<Edge> = (8..608).map(|d| Edge::new(hub, d)).collect();
-            g.insert_batch(&batch);
+fn ladder_counters_stay_with_their_graph() {
+    let cfg = Config::default().with_m(128);
+    let mut busy = LsGraph::with_config(1_024, cfg);
+    let idle = LsGraph::with_config(1_024, cfg);
+    for hub in 0..4u32 {
+        for chunk in (8..608).collect::<Vec<u32>>().chunks(50) {
+            let batch: Vec<Edge> = chunk.iter().map(|&d| Edge::new(hub, d)).collect();
+            busy.insert_batch(&batch);
         }
-        g
-    };
-    let mut frozen = build();
-    let idle = build();
-    assert_eq!(frozen.compress_cold_vertices(), 4);
-    // Probes past the inline line and off the skip pointers decode a chunk.
-    assert!(frozen.has_edge(0, 500) && !frozen.has_edge(0, 900));
-    // A write to a frozen hub thaws it first.
-    assert_eq!(frozen.insert_batch(&[Edge::new(1, 900)]), 1);
+        assert_eq!(busy.tier(hub), Tier::HiTree);
+    }
+    assert!(busy.has_edge(0, 500) && !busy.has_edge(0, 900));
+    let batch: Vec<Edge> = (8..580).map(|d| Edge::new(1, d)).collect();
+    assert_eq!(busy.delete_batch(&batch), batch.len());
 
-    let s = frozen.struct_snapshot();
-    assert_eq!(s.spill_compressions, 4, "{s:?}");
-    assert!(s.compressed_bytes_saved > 0, "{s:?}");
-    assert!(s.compressed_chunks_decoded > 0, "{s:?}");
-    assert_eq!(s.spill_thaws, 1, "{s:?}");
-    let s = idle.struct_snapshot();
-    assert_eq!(
-        (
-            s.spill_compressions,
-            s.compressed_bytes_saved,
-            s.compressed_chunks_decoded,
-            s.spill_thaws
-        ),
-        (0, 0, 0, 0),
-        "{s:?}"
-    );
+    let s = busy.struct_snapshot();
+    assert!(s.tier_upgrades >= 8 && s.tier_downgrades >= 2, "{s:?}");
+    let s = idle.struct_snapshot().deterministic_fields();
+    let moved: Vec<_> = s.into_iter().filter(|&(_, v)| v != 0).collect();
+    assert!(moved.is_empty(), "{moved:?}");
 }

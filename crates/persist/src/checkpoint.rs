@@ -729,48 +729,61 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The compressed cold tier's record tag must survive both image kinds:
-    /// a frozen vertex checkpoints as tag 5 with its plain ascending
-    /// adjacency, and restoring under a compress-enabled config re-derives
-    /// the frozen tier deterministically from `degree > M`. The tag is
-    /// descriptive, not prescriptive: a compression-disabled engine restores
-    /// the same contents on the writable ladder.
+    /// Earlier builds could freeze a vertex into a gap-encoded tier and
+    /// record it with tag 5. Such images still load: the tag only describes,
+    /// and restore rebuilds every vertex on the writable ladder from its
+    /// degree. Each image's first record, vertex 0 on the HITree, is retagged
+    /// 5 and the frame re-sealed, in a full image and in a delta on top of
+    /// it. An unknown tag (6) is still refused.
     #[test]
-    fn checkpoint_roundtrip_compressed_tier() {
-        let dir = tmpdir("compressed");
-        let cold = Config {
-            compress_cold: true,
-            ..small_cfg()
-        };
-        let mut g = skewed_graph(cold);
-        // Only vertex 0 (degree 900 > M = 256) is cold enough to freeze.
-        assert_eq!(g.compress_cold_vertices(), 1);
-        assert_eq!(g.tier(0), Tier::Compressed);
-        let meta = write_checkpoint(&dir, 1, g.view(), 0, 0, 1).unwrap();
-        let (r, rmeta) = load_checkpoint(&checkpoint_file(&dir, 1), cold).unwrap();
-        assert_eq!(rmeta, meta);
-        assert_same_graph(&r, &g);
-        assert_eq!(r.tier(0), Tier::Compressed);
-        r.check_invariants();
-        let (w, _) = load_checkpoint(&checkpoint_file(&dir, 1), small_cfg()).unwrap();
-        assert_same_graph(&w, &g);
-        assert_eq!(w.tier(0), Tier::HiTree);
-
-        // Delta images carry the tag too: thaw vertex 0 with a write,
-        // re-freeze, and replay the chain.
+    fn tag_5_images_restore_onto_the_writable_ladder() {
+        let dir = tmpdir("tag5");
+        let mut g = skewed_graph(small_cfg());
+        assert_eq!(g.tier(0), Tier::HiTree);
+        write_checkpoint(&dir, 1, g.view(), 0, 0, 1).unwrap();
+        let full_graph: Vec<Vec<u32>> = (0..4).map(|v| g.neighbors(v)).collect();
         g.clear_dirty();
-        g.delete_batch(&(0..40u32).map(|i| Edge::new(0, i + 1)).collect::<Vec<_>>());
-        assert_eq!(g.tier(0), Tier::HiTree, "the delete thawed the vertex");
-        assert_eq!(g.compress_cold_vertices(), 1);
+        g.delete_batch(&[Edge::new(0, 5)]);
         let dirty = g.take_dirty_vertices();
-        assert!(dirty.contains(&0));
+        assert_eq!(dirty, vec![0]);
         write_delta_checkpoint(&dir, 2, 1, g.view(), &dirty, 0, 10, 2).unwrap();
-        let (restored, info) = load_newest_chain(&dir, cold).unwrap();
+
+        // Body: α, A, M, [parent], vertices, edges, WAL position (3 words),
+        // quarantine count (0), record count; then vertex 0's id and tag.
+        // Returns the tag it replaced.
+        let retag = |path: &Path, words: usize, tag: u8| {
+            let raw = fs::read(path).unwrap();
+            let mut body = binio::parse_frame(&raw[8..]).unwrap().0.to_vec();
+            let old = std::mem::replace(&mut body[8 * words + 4], tag);
+            let mut bytes = raw[..8].to_vec();
+            binio::write_frame(&mut bytes, &body).unwrap();
+            fs::write(path, bytes).unwrap();
+            old
+        };
+        assert_eq!(Tier::from_tag(5), Some(Tier::Compressed));
+        let hitree = Tier::HiTree.tag();
+        assert_eq!(retag(&checkpoint_file(&dir, 1), 10, 5), hitree);
+        assert_eq!(retag(&delta_file(&dir, 2), 11, 5), hitree);
+
+        let (r, _) = load_checkpoint(&checkpoint_file(&dir, 1), small_cfg()).unwrap();
+        assert_eq!(r.tier(0), Tier::HiTree);
+        assert_eq!(
+            (0..4).map(|v| r.neighbors(v)).collect::<Vec<_>>(),
+            full_graph
+        );
+        assert_eq!(r.validate_invariants(), Ok(()));
+        let (restored, info) = load_newest_chain(&dir, small_cfg()).unwrap();
         let (d, _) = restored.unwrap();
-        assert_eq!(info.tip_id, 2);
+        assert_eq!((info.tip_id, info.images_discarded), (2, 0));
+        assert_eq!(d.tier(0), Tier::HiTree);
         assert_same_graph(&d, &g);
-        assert_eq!(d.tier(0), Tier::Compressed);
-        d.check_invariants();
+        assert_eq!(d.validate_invariants(), Ok(()));
+
+        assert_eq!(retag(&checkpoint_file(&dir, 1), 10, 6), 5);
+        let Err(err) = load_checkpoint(&checkpoint_file(&dir, 1), small_cfg()) else {
+            panic!("an image with tag 6 loaded");
+        };
+        assert!(err.to_string().contains("unknown tier tag 6"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
