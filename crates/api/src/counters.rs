@@ -22,7 +22,10 @@
 //! not synchronization. Because LSGraph partitions a batch into disjoint
 //! per-source runs, each structural event happens exactly once regardless of
 //! thread interleaving, so counters and max-gauges are deterministic across
-//! runs and thread counts; timers and last-writer-wins gauges are not.
+//! runs and thread counts; timers and last-writer-wins gauges are not. The
+//! batch pipeline's parallel tasks each record into a family of their own,
+//! which the engine's absorbs once per task (`absorb`: a sum or a max per
+//! row), so the totals do not depend on how the runs were split.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -637,6 +640,69 @@ mod tests {
         assert!(snap.phase_sort_nanos >= 1_000_000);
         assert!(snap.phase_apply_nanos >= 500_000);
         assert_eq!(snap.phase_group_nanos, 0);
+    }
+
+    #[test]
+    fn absorb_merges_each_row_by_its_kind() {
+        let into = StructStats::new();
+        into.record_arr_shift(5);
+        into.phase_apply_nanos.store(100, Ordering::Relaxed);
+        into.record_ria_ripple(4, 4, 9);
+        into.record_checkpoint_bytes(77);
+        let before = into.snapshot();
+
+        // A zeroed family changes nothing.
+        into.absorb(&StructStats::new());
+        assert_eq!(into.snapshot(), before);
+
+        let from = StructStats::new();
+        from.record_arr_shift(3);
+        from.phase_apply_nanos.store(20, Ordering::Relaxed);
+        from.record_ria_ripple(2, 2, 6);
+        into.absorb(&from);
+        let s = into.snapshot();
+        // Counters and timers add.
+        assert_eq!((s.arr_shifts, s.phase_apply_nanos), (8, 120));
+        assert_eq!((s.ria_ripples, s.ria_cross_block_moves), (2, 6));
+        // `GaugeMax` keeps the larger; a non-zero `GaugeLast` replaces.
+        assert_eq!((s.ria_max_ripple_span, s.ria_bound), (4, 6));
+        // A `GaugeLast` the source never recorded keeps the target's value.
+        assert_eq!(s.checkpoint_bytes, 77);
+
+        from.reset();
+        from.record_ria_ripple(7, 7, 8);
+        into.absorb(&from);
+        assert_eq!(into.snapshot().ria_max_ripple_span, 7);
+        assert_eq!(into.snapshot().ria_bound, 8);
+        assert_eq!(into.snapshot().ria_bound_exceeded, 0);
+    }
+
+    /// One recording schedule spread over several families in order and
+    /// absorbed in that order ends where recording it all into one family
+    /// does, every row of it.
+    #[test]
+    fn absorbing_locals_equals_recording_into_one() {
+        let record = |s: &StructStats, i: u64| {
+            s.record_vb_inline_insert(i % 4);
+            s.record_arr_shift(i);
+            s.record_ria_ripple(i % 5, i % 3, i % 7);
+            if i.is_multiple_of(6) {
+                s.record_lia_vertical(i.is_multiple_of(12));
+                s.record_cow_block_copies(32);
+            }
+            s.phase_apply_nanos.fetch_add(i * 10, Ordering::Relaxed);
+        };
+        let one = StructStats::new();
+        (0..60).for_each(|i| record(&one, i));
+        for n in [1, 2, 7] {
+            let locals: Vec<StructStats> = (0..n).map(|_| StructStats::new()).collect();
+            for i in 0..60u64 {
+                record(&locals[(i as usize * n) / 60], i);
+            }
+            let merged = StructStats::new();
+            locals.iter().for_each(|l| merged.absorb(l));
+            assert_eq!(merged.snapshot(), one.snapshot(), "{n} locals");
+        }
     }
 
     fn words(list: &str) -> Vec<&str> {

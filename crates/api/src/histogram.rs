@@ -287,7 +287,10 @@ pub struct LatencyStats {
     /// `insert_batch`/`delete_batch` call).
     pub batch_apply: LatencyHistogram,
     /// Wall-clock latency of applying one per-source run (one sample per
-    /// run, recorded from the worker thread that applied it).
+    /// committed run, recorded from the worker thread that applied it): the
+    /// time since the same task's previous run ended or the task started, so
+    /// the first run on a directory page also covers copying the page when a
+    /// snapshot still shares it.
     pub group_apply: LatencyHistogram,
     /// Wall-clock latency of one analytics kernel invocation (one sample
     /// per [`kernel_scope`] guard).

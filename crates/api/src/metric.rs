@@ -60,7 +60,7 @@ pub struct MetricDesc {
 
 /// Expands one metric table — rows of
 /// `/// meaning` + `name: Kind, Gate, "layer", "unit";` — into the atomics
-/// struct `$Stats` (`new`, `reset`, `snapshot`) and its plain-`u64` copy
+/// struct `$Stats` (`new`, `reset`, `snapshot`, `absorb`) and its plain-`u64` copy
 /// `$Snap` (`METRICS`, `since`, `fields`, `from_fields`,
 /// `deterministic_fields`), all in row order.
 macro_rules! metric_family {
@@ -94,6 +94,31 @@ macro_rules! metric_family {
             /// Snapshot of the current values.
             pub fn snapshot(&self) -> $Snap {
                 $Snap { $( $name: self.$name.load(Ordering::Relaxed), )+ }
+            }
+
+            /// Merges `other`'s values into these, row by row: counters
+            /// and timers add, a `GaugeMax` keeps the larger value and a
+            /// `GaugeLast` takes `other`'s. A row that is zero in `other`
+            /// is left alone, so a gauge `other` never recorded survives
+            /// and a mostly-idle `other` costs one load per row. Recording
+            /// into several families and absorbing them all gives the
+            /// totals of recording into one.
+            pub fn absorb(&self, other: &$Stats) {
+                use $crate::metric::MetricKind;
+                $(
+                    let v = other.$name.load(Ordering::Relaxed);
+                    if v != 0 {
+                        match MetricKind::$kind {
+                            MetricKind::Counter | MetricKind::Timer => {
+                                self.$name.fetch_add(v, Ordering::Relaxed);
+                            }
+                            MetricKind::GaugeMax => {
+                                self.$name.fetch_max(v, Ordering::Relaxed);
+                            }
+                            MetricKind::GaugeLast => self.$name.store(v, Ordering::Relaxed),
+                        }
+                    }
+                )+
             }
         }
 

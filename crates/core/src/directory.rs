@@ -17,6 +17,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::Instant;
 
 use lsgraph_api::batch::SrcRun;
 use lsgraph_api::{
@@ -55,6 +56,25 @@ fn page_mut<'a>(page: &'a mut Page, stats: &StructStats) -> &'a mut [VertexBlock
         stats.record_cow_block_copies(PAGE as u64);
     }
     Arc::make_mut(page)
+}
+
+/// One parallel task of [`GraphView::par_apply_disjoint`]: what its runs
+/// applied, the structural events they recorded, and its clock. Lives on the
+/// stack of the thread running the task, so no other worker writes near it.
+struct Task {
+    applied: usize,
+    stats: StructStats,
+    clock: Instant,
+}
+
+impl Task {
+    fn start() -> Self {
+        Task {
+            applied: 0,
+            stats: StructStats::new(),
+            clock: Instant::now(),
+        }
+    }
 }
 
 /// The graph as a reader sees it: the vertex directory, the edge total, the
@@ -129,8 +149,16 @@ impl GraphView {
     }
 
     /// Runs `f` once per run on its source's block and returns the sum of the
-    /// results. Each touched page is made exclusive once ([`page_mut`]) and is
-    /// one parallel task that takes its runs in source order.
+    /// results. Each touched page is made exclusive once ([`page_mut`]) and
+    /// takes its runs in source order; the pages are folded into one [`Task`]
+    /// per parallel chunk.
+    ///
+    /// `f` also gets its task's counters, to record into, and its task's
+    /// clock, which starts when the task does and which `f` may advance. The
+    /// workers thus share no counter: once the pass is over, the view's
+    /// counters absorb each task's, so no structural event of the pass shows
+    /// in them before it ends, and every total is what one shared family
+    /// would hold.
     ///
     /// # Panics
     ///
@@ -139,7 +167,7 @@ impl GraphView {
     pub(crate) fn par_apply_disjoint(
         &mut self,
         runs: &[SrcRun],
-        f: impl Fn(&SrcRun, &mut VertexBlock) -> usize + Sync,
+        f: impl Fn(&SrcRun, &mut VertexBlock, &StructStats, &mut Instant) -> usize + Sync,
     ) -> usize {
         assert!(
             runs.windows(2).all(|w| w[0].src < w[1].src),
@@ -152,24 +180,31 @@ impl GraphView {
         let page_of = |run: &SrcRun| run.src as usize / PAGE;
         // Ascending sources visit pages in ascending order: one forward walk
         // (`nth` on a slice iterator is O(1)) hands out each touched page.
-        let mut tasks: Vec<(&mut Page, &[SrcRun])> = Vec::new();
+        let mut pages: Vec<(&mut Page, &[SrcRun])> = Vec::new();
         let (mut rest, mut next) = (self.pages.iter_mut(), 0);
         for group in runs.chunk_by(|a, b| page_of(a) == page_of(b)) {
             let p = page_of(&group[0]);
             let page = rest.nth(p - next).expect("a source below `n` has a page");
             next = p + 1;
-            tasks.push((page, group));
+            pages.push((page, group));
         }
-        tasks
+        let tasks: Vec<Task> = pages
             .into_par_iter()
-            .map(|(page, group)| {
-                let blocks = page_mut(page, &self.stats);
-                group
-                    .iter()
-                    .map(|run| f(run, &mut blocks[run.src as usize % PAGE]))
-                    .sum::<usize>()
+            .fold(Task::start, |mut task, (page, group)| {
+                let blocks = page_mut(page, &task.stats);
+                for run in group {
+                    let vb = &mut blocks[run.src as usize % PAGE];
+                    task.applied += f(run, vb, &task.stats, &mut task.clock);
+                }
+                task
             })
-            .sum()
+            .collect();
+        let mut applied = 0;
+        for task in &tasks {
+            self.stats.absorb(&task.stats);
+            applied += task.applied;
+        }
+        applied
     }
 
     /// The engine configuration.
@@ -441,7 +476,7 @@ pub(crate) use forward_to_view;
 mod tests {
     use super::*;
     use lsgraph_api::batch::{runs_by_src, sorted_dedup_keys};
-    use lsgraph_api::Edge;
+    use lsgraph_api::{Edge, StructSnapshot};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     const P: u32 = PAGE as u32;
@@ -460,9 +495,10 @@ mod tests {
 
     /// Inserts `u` into `v`'s adjacency through the batch entry point.
     fn insert(g: &mut GraphView, v: u32, u: u32) {
-        let (cfg, stats) = (g.cfg, Arc::clone(&g.stats));
-        g.num_edges +=
-            g.par_apply_disjoint(&[run(v)], |_, vb| usize::from(vb.insert(u, &cfg, &stats)));
+        let cfg = g.cfg;
+        g.num_edges += g.par_apply_disjoint(&[run(v)], |_, vb, task_stats, _| {
+            usize::from(vb.insert(u, &cfg, task_stats))
+        });
     }
 
     fn cow_copies(g: &GraphView) -> u64 {
@@ -485,12 +521,12 @@ mod tests {
         let mut g = view(4 * PAGE);
         let frozen = g.clone();
         let before = page_ptrs(&g);
-        let (cfg, stats) = (g.cfg, Arc::clone(&g.stats));
-        let applied = g.par_apply_disjoint(&runs, |run, vb| {
+        let cfg = g.cfg;
+        let applied = g.par_apply_disjoint(&runs, |run, vb, task_stats, _| {
             assert_eq!(vb.degree(), 0);
             keys[run.start..run.end]
                 .iter()
-                .filter(|&&k| vb.insert(k as u32, &cfg, &stats))
+                .filter(|&&k| vb.insert(k as u32, &cfg, task_stats))
                 .count()
         });
         g.num_edges = applied;
@@ -513,14 +549,62 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly ascending sources")]
     fn repeated_source_is_refused() {
-        view(4).par_apply_disjoint(&[run(1), run(1)], |_, _| 0);
+        view(4).par_apply_disjoint(&[run(1), run(1)], |_, _, _, _| 0);
     }
 
     #[test]
     #[should_panic(expected = "outside the vertex directory")]
     fn out_of_range_source_is_refused() {
         // 4 is inside the first page's allocation but not a vertex.
-        view(4).par_apply_disjoint(&[run(1), run(4)], |_, _| 0);
+        view(4).par_apply_disjoint(&[run(1), run(4)], |_, _, _, _| 0);
+    }
+
+    /// The workers record into their tasks' counters, never the view's:
+    /// while the pass runs, a clone of the view's handle keeps reading what
+    /// it read before the call; after it, the view's counters have moved by
+    /// exactly what the runs recorded, page copies included.
+    #[test]
+    fn tasks_record_locally_and_the_view_absorbs_them_after_the_pass() {
+        // Hubs past the array tier on pages 0, 1 and 3; page 2 untouched.
+        let srcs = [1, 2, P + 5, 3 * P];
+        let batch: Vec<Edge> = (0..4 * 200u32)
+            .map(|i| Edge::new(srcs[i as usize % 4], (i * 7919) % 5_000))
+            .collect();
+        let keys = sorted_dedup_keys(&batch);
+        let runs = runs_by_src(&keys);
+        let mut g = view(4 * PAGE);
+        insert(&mut g, 3, 9);
+        let frozen = g.clone();
+        let shared = Arc::clone(&g.stats);
+        let before = shared.snapshot();
+        assert_ne!(before, StructSnapshot::default());
+        let cfg = g.cfg;
+        let applied = g.par_apply_disjoint(&runs, |run, vb, task_stats, _| {
+            let n = keys[run.start..run.end]
+                .iter()
+                .filter(|&&k| vb.insert(k as u32, &cfg, task_stats))
+                .count();
+            assert!(task_stats.snapshot().vb_inline_hits > 0);
+            assert_eq!(shared.snapshot(), before, "source {}", run.src);
+            n
+        });
+        assert_eq!(applied, keys.len());
+
+        // The same runs, one after another, into one family.
+        let expect = StructStats::new();
+        expect.record_cow_block_copies(3 * PAGE as u64);
+        for run in &runs {
+            let mut vb = VertexBlock::new();
+            for &k in &keys[run.start..run.end] {
+                vb.insert(k as u32, &cfg, &expect);
+            }
+            assert_eq!(g.block(run.src).to_vec(), vb.to_vec());
+        }
+        let moved = shared.snapshot().since(before);
+        assert!(moved.tier_upgrades > 0 && moved.vb_spill_inserts > 0);
+        assert_eq!(moved.cow_block_copies, 3 * PAGE as u64);
+        assert_eq!(moved, expect.snapshot());
+        assert_eq!(frozen.degree(P + 5), 0);
     }
 
     /// A displaced page is freed by the reference counts alone: it lives

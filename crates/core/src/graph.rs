@@ -209,7 +209,7 @@ impl LsGraph {
         let mut g = LsGraph::try_with_config(n, cfg)?;
         let runs = runs_by_src(&keys);
         let failures: Mutex<Vec<VertexId>> = Mutex::new(Vec::new());
-        let applied = g.view.par_apply_disjoint(&runs, |run, vb| {
+        let applied = g.view.par_apply_disjoint(&runs, |run, vb, _, _| {
             let task = || {
                 fail_point!("apply_run");
                 let ns: Vec<u32> = keys[run.start..run.end].iter().map(|&k| k as u32).collect();
@@ -276,7 +276,15 @@ impl LsGraph {
 
     /// Applies `op` to every key of each run, on the run's vertex block, in
     /// parallel with per-run panic isolation; a run's count is how many
-    /// `op` calls returned `true`.
+    /// `op` calls returned `true`. `op` records into its task's counters
+    /// (see [`GraphView::par_apply_disjoint`]), a killed run's partial
+    /// movement included.
+    ///
+    /// Each committed run adds one `group_apply` sample, read off one clock
+    /// read: the time since the task's previous run ended, or since the task
+    /// started. The first run on a page therefore also covers making the
+    /// page exclusive (a copy-on-write under a held snapshot); a panicked
+    /// run's time is in no sample.
     ///
     /// A run whose task panics does not poison the batch: sibling runs
     /// commit normally (each run is handed its source's block alone, so an
@@ -313,27 +321,31 @@ impl LsGraph {
             let latency = Arc::clone(&self.view.latency);
             let _apply = stats.time(Phase::Apply);
             let batch_start = Instant::now();
-            let n = self.view.par_apply_disjoint(runs, |run, vb| {
-                let d_pre = vb.degree();
-                let run_start = Instant::now();
-                let task = || {
-                    fail_point!("apply_run");
-                    keys[run.start..run.end]
-                        .iter()
-                        .filter(|&&k| op(vb, k as u32, &cfg, &stats))
-                        .count()
-                };
-                match catch_unwind(AssertUnwindSafe(task)) {
-                    Ok(n) => {
-                        latency.group_apply.record_duration(run_start.elapsed());
-                        n
+            let n = self
+                .view
+                .par_apply_disjoint(runs, |run, vb, task_stats, clock| {
+                    let d_pre = vb.degree();
+                    let task = || {
+                        fail_point!("apply_run");
+                        keys[run.start..run.end]
+                            .iter()
+                            .filter(|&&k| op(vb, k as u32, &cfg, task_stats))
+                            .count()
+                    };
+                    let outcome = catch_unwind(AssertUnwindSafe(task));
+                    let now = Instant::now();
+                    let took = now - std::mem::replace(clock, now);
+                    match outcome {
+                        Ok(n) => {
+                            latency.group_apply.record_duration(took);
+                            n
+                        }
+                        Err(_) => {
+                            failures.lock().unwrap().push((run.src, d_pre));
+                            0
+                        }
                     }
-                    Err(_) => {
-                        failures.lock().unwrap().push((run.src, d_pre));
-                        0
-                    }
-                }
-            });
+                });
             latency.batch_apply.record_duration(batch_start.elapsed());
             n
         };

@@ -8,11 +8,12 @@
 
 #![cfg(feature = "failpoints")]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard, Once};
 
 use lsgraph_api::failpoints::{self, FailMode};
-use lsgraph_api::{DynamicGraph, Edge, Graph, VertexId};
+use lsgraph_api::{DynamicGraph, Edge, Graph, StructStats, VertexId};
+use lsgraph_core::vertex::VertexBlock;
 use lsgraph_core::{Config, GraphError, LsGraph};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -423,6 +424,92 @@ fn killed_run_spares_its_page_mate_and_the_held_snapshot() {
         assert!(before.quarantined_vertices().is_empty());
         before.check_invariants();
     }
+}
+
+/// Applies `batch`'s runs in source order to standalone blocks, recording
+/// into `stats`, the way the batch pipeline applies each run to its vertex's
+/// block; returns the sources whose run panicked.
+fn replay_runs(
+    blocks: &mut BTreeMap<u32, VertexBlock>,
+    batch: &[Edge],
+    cfg: &Config,
+    stats: &StructStats,
+) -> Vec<u32> {
+    let mut keys: Vec<(u32, u32)> = batch.iter().map(|e| (e.src, e.dst)).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let mut killed = Vec::new();
+    for run in keys.chunk_by(|a, b| a.0 == b.0) {
+        let vb = blocks.entry(run[0].0).or_insert_with(VertexBlock::new);
+        let apply = || {
+            for &(_, u) in run {
+                vb.insert(u, cfg, stats);
+            }
+        };
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(apply)).is_err() {
+            killed.push(run[0].0);
+        }
+    }
+    killed
+}
+
+/// A run killed mid-run has recorded part of its movement into its task's
+/// counters; that part reaches the graph's counters exactly once, next to
+/// every other run's, whatever the width. The expectation replays every run
+/// on its own block, the killed one under the same injection.
+#[test]
+fn killed_run_movement_is_absorbed_exactly_once() {
+    let _l = lock();
+    quiet_failpoint_panics();
+    let cfg = Config::default();
+    // Hub 0 is a RIA; sources 1..150 stay in the array tier, spread over
+    // several pages, and never reach `ria_rebuild`.
+    let light = |base: u32| {
+        (1..150u32).flat_map(move |s| (0..10).map(move |k| Edge::new(s, s * 3 + base + k)))
+    };
+    let setup: Vec<Edge> = (0..400u32)
+        .map(|j| Edge::new(0, j * 10))
+        .chain(light(0))
+        .collect();
+    // A narrow band in the middle of the hub forces repeated rebuilds; the
+    // second one is killed.
+    let killed: Vec<Edge> = (1_000..1_400u32)
+        .filter(|d| !d.is_multiple_of(10))
+        .map(|d| Edge::new(0, d))
+        .chain(light(100))
+        .collect();
+
+    failpoints::reset();
+    let expect = StructStats::new();
+    let mut blocks = BTreeMap::new();
+    assert!(replay_runs(&mut blocks, &setup, &cfg, &expect).is_empty());
+    failpoints::configure("ria_rebuild", FailMode::Nth(2));
+    assert_eq!(replay_runs(&mut blocks, &killed, &cfg, &expect), vec![0]);
+    assert_eq!(failpoints::fired("ria_rebuild"), 1);
+    expect.record_apply_run_panic();
+    expect.record_vertex_quarantined();
+    let expect = expect.snapshot().deterministic_fields();
+
+    let at_width = |threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            failpoints::reset();
+            let mut g = LsGraph::with_config(200, cfg);
+            g.insert_batch(&setup);
+            failpoints::configure("ria_rebuild", FailMode::Nth(2));
+            let outcome = g.try_insert_batch(&killed).unwrap();
+            assert_eq!(failpoints::fired("ria_rebuild"), 1, "{threads} threads");
+            failpoints::reset();
+            assert_eq!(outcome.quarantined, vec![0], "{threads} threads");
+            let got = g.struct_snapshot().deterministic_fields();
+            assert_eq!(got, expect, "{threads} threads");
+            got
+        })
+    };
+    assert_eq!(at_width(1), at_width(8));
 }
 
 /// The dirty set across a quarantine: the run that panicked is dirty (its

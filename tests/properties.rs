@@ -615,6 +615,58 @@ fn lsgraph_layout_is_the_same_with_and_without_readers() {
     }
 }
 
+/// Counter totals are schedule-independent: the same batch stream applied at
+/// widths 1, 2 and 8, with a snapshot held across every other batch so pages
+/// are copied on write, yields identical deterministic counters and one
+/// `group_apply` sample per run at every width.
+#[test]
+fn parallel_counter_totals_match_single_threaded() {
+    let run = |threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            let mut g = LsGraph::with_config(4_096, Config::default().with_m(128));
+            let mut rng = SmallRng::seed_from_u64(42);
+            for round in 0..8u32 {
+                // Skewed sources: 64 hubs accumulate degree past `m`, so the
+                // batches drive the RIA and HITree tiers; the rest spread the
+                // batch over every page.
+                let batch: Vec<Edge> = (0..4_000)
+                    .map(|_| {
+                        let hub = rng.gen_bool(0.75);
+                        let src = rng.gen_range(0..if hub { 64 } else { 4_096 });
+                        Edge::new(src, rng.gen_range(0..4_096))
+                    })
+                    .collect();
+                let held = round.is_multiple_of(2).then(|| g.snapshot());
+                g.insert_batch(&batch);
+                if round % 2 == 1 {
+                    g.delete_batch(&batch[..1_000]);
+                }
+                drop(held);
+            }
+            let runs = g.latency_stats().unwrap().group_apply.count();
+            (g.struct_snapshot(), runs)
+        })
+    };
+    let (single, single_runs) = run(1);
+    // Sanity: the workload moved structure and copied pages.
+    assert!(single.ria_within_block_shifts > 0);
+    assert!(single.vb_inline_hits > 0 && single.hitree_node_upgrades > 0);
+    assert!(single.cow_block_copies > 0);
+    for threads in [2, 8] {
+        let (many, many_runs) = run(threads);
+        assert_eq!(
+            single.deterministic_fields(),
+            many.deterministic_fields(),
+            "{threads} threads"
+        );
+        assert_eq!(single_runs, many_runs, "{threads} threads");
+    }
+}
+
 #[test]
 fn lsgraph_snapshot_quarantine_repair_interleavings() {
     use lsgraph::GraphSnapshot;
