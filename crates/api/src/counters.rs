@@ -229,13 +229,6 @@ metric_family! {
     /// check` treats a nonzero value as an invariant violation.
     subscription_panics: Counter, Invariant, "queries", "events";
 
-    /// Membership/position probes answered by the scalar binary-search
-    /// baseline (recorded by the `repro search` ablation, not the hot path).
-    search_scalar_probes: Counter, Drift, "bench", "probes";
-    /// Probes answered by the branch-free block-compare hybrid search
-    /// (recorded by the `repro search` ablation, not the hot path).
-    search_block_probes: Counter, Drift, "bench", "probes";
-
     /// Nanoseconds in the batch sort+dedup phase.
     phase_sort_nanos: Timer, None, "core", "ns";
     /// Nanoseconds grouping keys into per-source runs.
@@ -482,18 +475,6 @@ impl StructStats {
         self.subscription_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records `n` probes answered by the scalar binary-search baseline.
-    #[inline]
-    pub fn record_search_scalar_probes(&self, n: u64) {
-        self.search_scalar_probes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` probes answered by the branch-free block-compare search.
-    #[inline]
-    pub fn record_search_block_probes(&self, n: u64) {
-        self.search_block_probes.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Starts a scoped timer attributing wall-clock time to `phase`; the
     /// elapsed nanoseconds are added when the returned guard drops. The
     /// guard also carries the phase's trace span (see [`crate::trace`]).
@@ -722,7 +703,7 @@ mod tests {
         // Names are unique and `fields` follows the table; a rename or a
         // count change here must be an intentional schema change.
         let all = names(|_| true);
-        assert_eq!(all.len(), 46);
+        assert_eq!(all.len(), 44);
         let unique: std::collections::BTreeSet<_> = all.iter().collect();
         assert_eq!(unique.len(), all.len());
         let field_names: Vec<_> = StructSnapshot::default().fields().map(|(n, _)| n).into();
@@ -784,7 +765,7 @@ mod tests {
                  hitree_node_upgrades wal_frames_appended recovery_frames_replayed \
                  wal_segments_rotated wal_segments_deleted delta_checkpoints_written \
                  snapshots_taken snapshots_retired cow_block_copies deltas_delivered \
-                 delta_entries_emitted search_scalar_probes search_block_probes"
+                 delta_entries_emitted"
             )
         );
         assert_eq!(

@@ -607,8 +607,8 @@ mod tests {
         stats.record_ria_ripple(2, 5, 6);
         stats.record_subscriptions_active(4);
         let s = r.sample();
-        // 46 struct fields minus 6 gauges; heap gauges only under count-alloc.
-        assert_eq!(s.counters.len(), 40);
+        // 44 struct fields minus 6 gauges; heap gauges only under count-alloc.
+        assert_eq!(s.counters.len(), 38);
         let base_gauges = 6 + if heap_gauges().is_some() { 2 } else { 0 };
         assert_eq!(s.gauges.len(), base_gauges);
         assert_eq!(s.histograms.len(), 4);

@@ -7,12 +7,12 @@
 //! ```
 //!
 //! Experiments: `fig3 fig4 fig12 small ablation fig13 table2 table3 fig14
-//! fig15 fig16 fig17 table4 g500 durability mixed standing search all`. Sizes scale with
+//! fig15 fig16 fig17 table4 g500 durability mixed standing all`. Sizes scale with
 //! `REPRO_SCALE` (extra powers of two), `REPRO_BASE` (log2 base vertex
 //! count, default 15), and `REPRO_TRIALS` (default 3).
 //!
 //! With `--json`, experiments that support it (`fig12`, `small`, `fig13`,
-//! `durability`, `mixed`, `standing`, `search`) write a schema-stable `BENCH_<experiment>.json`
+//! `durability`, `mixed`, `standing`) write a schema-stable `BENCH_<experiment>.json`
 //! with per-engine throughput, phase timings, instrumentation counters,
 //! latency histograms, and footprints instead of printing a table (see
 //! EXPERIMENTS.md for the schema).
@@ -121,7 +121,6 @@ fn run_check(baseline_path: &str, metrics_violations: usize) -> ! {
         "durability" => experiments::durability_report(&scale),
         "mixed" => experiments::mixed_report(&scale),
         "standing" => experiments::standing_report(&scale),
-        "search" => experiments::search_report(&scale),
         other => {
             eprintln!("[repro] no check support for experiment '{other}'");
             std::process::exit(2);
@@ -173,7 +172,7 @@ fn main() {
     let scale = Scale::from_env();
     if args.is_empty() {
         eprintln!(
-            "usage: repro <fig3|fig4|fig12|small|ablation|fig13|table2|table3|fig14|fig15|fig16|fig17|table4|g500|durability|mixed|standing|search|all> [--json] [--trace out.json] [--metrics out.jsonl]\n       repro check --baseline BENCH_<experiment>.json [--metrics out.jsonl]"
+            "usage: repro <fig3|fig4|fig12|small|ablation|fig13|table2|table3|fig14|fig15|fig16|fig17|table4|g500|durability|mixed|standing|all> [--json] [--trace out.json] [--metrics out.jsonl]\n       repro check --baseline BENCH_<experiment>.json [--metrics out.jsonl]"
         );
         std::process::exit(2);
     }
@@ -228,10 +227,6 @@ fn main() {
                     emit(&experiments::standing_report(&scale));
                     continue;
                 }
-                "search" => {
-                    emit(&experiments::search_report(&scale));
-                    continue;
-                }
                 other => {
                     eprintln!("[repro] no JSON mode for '{other}'; printing the table");
                 }
@@ -254,7 +249,6 @@ fn main() {
             "durability" => experiments::durability(&scale),
             "mixed" => experiments::mixed(&scale),
             "standing" => experiments::standing(&scale),
-            "search" => experiments::search(&scale),
             "sortledton" => experiments::sortledton(&scale),
             "verify" => experiments::verify(&scale),
             "g500" => experiments::g500(&scale),

@@ -694,28 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn search_volumes_are_gated() {
-        let base = StructSnapshot {
-            search_scalar_probes: 120_000,
-            search_block_probes: 120_000,
-            ..StructSnapshot::default()
-        };
-        let blown = StructSnapshot {
-            search_scalar_probes: 1_200_000,
-            search_block_probes: 1_200_000,
-            ..StructSnapshot::default()
-        };
-        let b = report(vec![cell("LSGraph+Search", Some(base))]);
-        let c = report(vec![cell("LSGraph+Search", Some(blown))]);
-        let v = compare(&b, &c, CheckOptions::default());
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().all(|x| x.kind == ViolationKind::Regression));
-        for name in ["search_scalar_probes", "search_block_probes"] {
-            assert!(v.iter().any(|x| x.counter == name), "missing {name}");
-        }
-    }
-
-    #[test]
     fn cells_without_struct_stats_are_skipped() {
         let b = report(vec![cell("Aspen", None)]);
         let c = report(vec![cell("Aspen", None)]);

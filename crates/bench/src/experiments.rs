@@ -1561,149 +1561,6 @@ pub fn standing(scale: &Scale) {
     }
 }
 
-/// Block sizes probed by the `search` experiment: the inline-block scale
-/// (one cache line of ids), the RIA-block scale, and the spill/HITree-leaf
-/// scale.
-const SEARCH_SIZES: [usize; 3] = [16, 256, 4096];
-
-/// Distinct blocks the probe stream rotates across per size, so the
-/// microbench is not a single perpetually-hot block.
-const SEARCH_BLOCKS: usize = 32;
-
-/// Measures the one `search` cell: identical membership-probe streams run
-/// through the scalar baseline (`std` binary search — exactly what every
-/// probe site used before the search module) and the branch-free block
-/// search the sites now route through, per block size. `struct_stats` holds
-/// the probe volumes.
-fn search_cell(scale: &Scale) -> EngineReport {
-    use lsgraph_api::StructStats;
-    use lsgraph_core::search;
-    use std::hint::black_box;
-
-    let probes = 40_000 * scale.trials.max(1);
-
-    // Deterministic LCG: the blocks and probe streams are identical run to
-    // run, so every count in the cell is gateable.
-    let mut state = 0x853c_49e6_748f_ea9bu64;
-    let mut next = move |bound: u32| {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        ((state >> 33) as u32) % bound.max(1)
-    };
-
-    let mut nanos = [(0u64, 0u64); SEARCH_SIZES.len()];
-    for (si, &size) in SEARCH_SIZES.iter().enumerate() {
-        // Key space 4x the block size: probes mix hits and misses.
-        let space = (size * 4) as u32;
-        let blocks: Vec<Vec<u32>> = (0..SEARCH_BLOCKS)
-            .map(|_| {
-                let mut b: Vec<u32> = (0..size * 2).map(|_| next(space)).collect();
-                b.sort_unstable();
-                b.dedup();
-                b.truncate(size);
-                b
-            })
-            .collect();
-        let keys: Vec<u32> = (0..probes).map(|_| next(space)).collect();
-
-        // Three passes per side, keeping the fastest: the probe kernels are
-        // a few ns/op, so one scheduler hiccup on a shared box would
-        // otherwise dominate the phase. Inputs go through `black_box` so
-        // neither side's loop can be specialized into a shape real call
-        // sites (opaque runtime slices) never take.
-        let mut scalar_hits = 0u64;
-        let mut scalar_ns = u64::MAX;
-        let mut block_hits = 0u64;
-        let mut block_ns = u64::MAX;
-        for _ in 0..3 {
-            let (h, d) = time(|| {
-                let mut hits = 0u64;
-                for (i, &k) in keys.iter().enumerate() {
-                    let b: &[u32] = black_box(&blocks[i % SEARCH_BLOCKS][..]);
-                    hits += u64::from(b.binary_search(&black_box(k)).is_ok());
-                }
-                black_box(hits)
-            });
-            scalar_hits = h;
-            scalar_ns = scalar_ns.min(d.as_nanos() as u64);
-            let (h, d) = time(|| {
-                let mut hits = 0u64;
-                for (i, &k) in keys.iter().enumerate() {
-                    let b: &[u32] = black_box(&blocks[i % SEARCH_BLOCKS][..]);
-                    hits += u64::from(search::find(b, black_box(k)).is_ok());
-                }
-                black_box(hits)
-            });
-            block_hits = h;
-            block_ns = block_ns.min(d.as_nanos() as u64);
-        }
-        assert_eq!(
-            scalar_hits, block_hits,
-            "probe disagreement at block size {size}"
-        );
-        nanos[si] = (scalar_ns, block_ns);
-    }
-
-    let stats = StructStats::new();
-    let probed = (probes * SEARCH_SIZES.len()) as u64;
-    stats.record_search_scalar_probes(probed);
-    stats.record_search_block_probes(probed);
-    EngineReport {
-        engine: "LSGraph+Search".to_string(),
-        dataset: "synthetic".to_string(),
-        struct_stats: Some(stats.snapshot()),
-        search: Some(crate::report::SearchReport {
-            probes_per_size: probes as u64,
-            scalar_small_nanos: nanos[0].0,
-            block_small_nanos: nanos[0].1,
-            scalar_medium_nanos: nanos[1].0,
-            block_medium_nanos: nanos[1].1,
-            scalar_large_nanos: nanos[2].0,
-            block_large_nanos: nanos[2].1,
-        }),
-        ..EngineReport::default()
-    }
-}
-
-/// Search experiment: branch-free block search vs the scalar
-/// baseline over identical probe streams per block size.
-pub fn search_report(scale: &Scale) -> BenchReport {
-    BenchReport {
-        schema_version: SCHEMA_VERSION,
-        experiment: "search".to_string(),
-        base: scale.base,
-        shift: scale.shift,
-        trials: scale.trials,
-        engines: vec![search_cell(scale)],
-    }
-}
-
-/// Search experiment, human-readable table: per-probe cost of the scalar
-/// vs block path per block size.
-pub fn search(scale: &Scale) {
-    println!("# search: scalar vs branch-free block probes");
-    let r = search_report(scale);
-    let s = r.engines[0].search.as_ref().expect("search cell");
-    println!(
-        "{:>8}{:>14}{:>14}{:>10}",
-        "block", "scalar-ns/op", "block-ns/op", "speedup"
-    );
-    let per = |n: u64| n as f64 / s.probes_per_size.max(1) as f64;
-    for (size, sc, bl) in [
-        (SEARCH_SIZES[0], s.scalar_small_nanos, s.block_small_nanos),
-        (SEARCH_SIZES[1], s.scalar_medium_nanos, s.block_medium_nanos),
-        (SEARCH_SIZES[2], s.scalar_large_nanos, s.block_large_nanos),
-    ] {
-        println!(
-            "{size:>8}{:>14.2}{:>14.2}{:>10}",
-            per(sc),
-            per(bl),
-            format!("{:.2}x", sc as f64 / bl.max(1) as f64)
-        );
-    }
-}
-
 /// Artifact-evaluation style correctness pass: every engine must agree with
 /// a CSR oracle on reads and analytics at the configured scale.
 pub fn verify(scale: &Scale) {
@@ -1861,31 +1718,6 @@ mod tests {
         }
         // The report round-trips through JSON, and a
         // self-comparison under the regression gate is clean.
-        let back = crate::report::BenchReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
-        let v = crate::check::compare(&r, &back, crate::check::CheckOptions::default());
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn smoke_search() {
-        let scale = Scale::tiny();
-        let r = search_report(&scale);
-        let s = r.engines[0].search.as_ref().expect("search payload");
-        let probes = 40_000 * scale.trials.max(1) as u64;
-        assert_eq!(s.probes_per_size, probes);
-        // search_cell asserts hit-for-hit agreement between the scalar and
-        // block paths; here we pin the deterministic counter volumes.
-        let ss = r.engines[0].struct_stats.expect("struct stats");
-        let probed = SEARCH_SIZES.len() as u64 * probes;
-        let want = lsgraph_api::StructSnapshot {
-            search_scalar_probes: probed,
-            search_block_probes: probed,
-            ..Default::default()
-        };
-        assert_eq!(ss, want);
-        // Round-trips through JSON and self-compares clean
-        // under the regression gate.
         let back = crate::report::BenchReport::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
         let v = crate::check::compare(&r, &back, crate::check::CheckOptions::default());

@@ -27,8 +27,9 @@ use lsgraph_api::{CounterSnapshot, HistogramSnapshot, LatencySnapshot, StructSna
 /// need no bump: absent keys read as zero). v9 removed `phase_kernel_nanos`
 /// and made the counter maps sparse; v10 removed the reclamation-backlog
 /// fields (one each in `mixed`, `standing` and `struct_stats`); v11 removed
-/// the compressed-tier fields (four in `search`, four in `struct_stats`).
-pub const SCHEMA_VERSION: u32 = 11;
+/// the compressed-tier fields (four in `search`, four in `struct_stats`);
+/// v12 removed the `search` object and its two `struct_stats` probe counts.
+pub const SCHEMA_VERSION: u32 = 12;
 
 /// A value with one JSON spelling. `Default` is what an absent key reads as.
 trait JsonField: Sized + Default {
@@ -317,30 +318,6 @@ report_object! {
 }
 
 report_object! {
-    /// Intra-block search measurements for one engine cell (only the
-    /// `search` experiment populates it). Probes are run over
-    /// identical sorted blocks with both the scalar baseline
-    /// (`partition_point`-style binary search) and the branch-free block
-    /// search, so the nanos columns are directly comparable.
-    SearchReport {
-        /// Membership probes issued per block size (same for scalar and block).
-        probes_per_size: u64,
-        /// Scalar probe wall time over the small (inline-sized, 16) blocks.
-        scalar_small_nanos: u64,
-        /// Block-search probe wall time over the small blocks.
-        block_small_nanos: u64,
-        /// Scalar probe wall time over the medium (RIA-block-sized, 256) blocks.
-        scalar_medium_nanos: u64,
-        /// Block-search probe wall time over the medium blocks.
-        block_medium_nanos: u64,
-        /// Scalar probe wall time over the large (spill-sized, 4096) blocks.
-        scalar_large_nanos: u64,
-        /// Block-search probe wall time over the large blocks.
-        block_large_nanos: u64,
-    }
-}
-
-report_object! {
     /// Wall time of one analytics kernel on one engine.
     KernelTime {
         /// Kernel name (`bfs`, `bc`, ...).
@@ -383,8 +360,6 @@ report_object! {
         mixed: Option<MixedReport>,
         /// Standing-query measurements (`standing` experiment).
         standing: Option<StandingReport>,
-        /// Intra-block search microbench (`search` experiment).
-        search: Option<SearchReport>,
     }
 }
 
@@ -905,15 +880,6 @@ mod tests {
                         speedup: 30.0,
                         subscription_panics: 0,
                     }),
-                    search: Some(SearchReport {
-                        probes_per_size: 10_000,
-                        scalar_small_nanos: 90_000,
-                        block_small_nanos: 60_000,
-                        scalar_medium_nanos: 200_000,
-                        block_medium_nanos: 120_000,
-                        scalar_large_nanos: 400_000,
-                        block_large_nanos: 220_000,
-                    }),
                 },
                 EngineReport {
                     engine: "Aspen".to_string(),
@@ -936,7 +902,6 @@ mod tests {
                     durability: None,
                     mixed: None,
                     standing: None,
-                    search: None,
                 },
             ],
         }
@@ -976,7 +941,7 @@ mod tests {
             words(
                 "engine dataset batch_size insert_eps delete_eps insert_nanos \
                  delete_nanos struct_stats footprint latency kernels durability \
-                 mixed standing search"
+                 mixed standing"
             )
         );
         assert_eq!(
@@ -1000,14 +965,6 @@ mod tests {
             words(
                 "subscriptions batches deltas_delivered delta_entries \
                  delivery_nanos recompute_nanos speedup subscription_panics"
-            )
-        );
-        assert_eq!(
-            keys_of(e0, "search"),
-            words(
-                "probes_per_size scalar_small_nanos block_small_nanos \
-                 scalar_medium_nanos block_medium_nanos scalar_large_nanos \
-                 block_large_nanos"
             )
         );
         assert_eq!(

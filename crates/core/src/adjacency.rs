@@ -24,7 +24,6 @@ use crate::config::{Config, HighDegreeStore, MediumStore};
 use crate::hitree::lia::{Lia, LiaCursor, LiaStep};
 use crate::hitree::SlotOccupancy;
 use crate::ria::Ria;
-use crate::search;
 use crate::stats::Tier;
 
 /// Ordered `u32` set behind one pointer: a vertex's non-inline neighbors
@@ -138,7 +137,7 @@ impl Spill {
     /// Returns whether `u` is present.
     pub fn contains(&self, u: u32, cfg: &Config) -> bool {
         match self {
-            Spill::Array(v) => search::find(v, u).is_ok(),
+            Spill::Array(v) => v.binary_search(&u).is_ok(),
             Spill::Ria(r) => r.contains(u),
             Spill::Lia(l) => l.contains(u, cfg),
             Spill::Pma(p) => p.contains(u),
@@ -163,7 +162,7 @@ impl Spill {
             return false;
         }
         match self {
-            Spill::Array(v) => match search::find(v, u) {
+            Spill::Array(v) => match v.binary_search(&u) {
                 Ok(_) => false,
                 Err(i) => {
                     stats.record_arr_shift((v.len() - i) as u64);
@@ -192,7 +191,7 @@ impl Spill {
         stats: &StructStats,
     ) -> bool {
         let removed = match self {
-            Spill::Array(v) => match search::find(v, u) {
+            Spill::Array(v) => match v.binary_search(&u) {
                 Ok(i) => {
                     v.remove(i);
                     stats.record_arr_shift((v.len() - i) as u64);

@@ -28,7 +28,6 @@ use super::SlotOccupancy;
 use crate::adjacency::Spill;
 use crate::config::{Config, LiaSearch, BKS};
 use crate::model::{LinearModel, PositionModel};
-use crate::search;
 
 /// Sentinel for "block has no child".
 const NO_CHILD: u32 = u32::MAX;
@@ -238,7 +237,7 @@ impl Lia {
             BlockKind::Packed => {
                 let base = b * BKS;
                 let blk = &self.slots[base..base + self.packed_len(b)];
-                search::find(blk, key).is_ok()
+                blk.binary_search(&key).is_ok()
             }
             BlockKind::Delegated => self.child(b).contains(key, cfg),
         }
@@ -310,7 +309,7 @@ impl Lia {
                             merged.push(self.slots[i]);
                         }
                     }
-                    let at = search::stream_lower_bound(&merged, key);
+                    let at = merged.partition_point(|&x| x < key);
                     merged.insert(at, key);
                     self.settle_block(b, merged, cfg, depth, stats);
                     self.len += 1;
@@ -323,9 +322,8 @@ impl Lia {
             BlockKind::Packed => {
                 let plen = self.packed_len(b);
                 let prefix = &self.slots[base..base + plen];
-                let at = match search::stream_find(prefix, key) {
-                    Ok(_) => return false,
-                    Err(i) => i,
+                let Err(at) = prefix.binary_search(&key) else {
+                    return false;
                 };
                 if plen < BKS {
                     // Horizontal movement within the block: shift the packed
@@ -418,7 +416,7 @@ impl Lia {
             BlockKind::Packed => {
                 let plen = self.packed_len(b);
                 let prefix = &self.slots[base..base + plen];
-                match search::stream_find(prefix, key) {
+                match prefix.binary_search(&key) {
                     Ok(i) => {
                         self.slots.copy_within(base + i + 1..base + plen, base + i);
                         self.types.set(base + plen - 1, SlotType::Unused);
@@ -550,7 +548,7 @@ impl Lia {
             BlockKind::Delegated => self.child(b).contains(key, cfg),
             BlockKind::Packed => {
                 let blk = &self.slots[base..base + self.packed_len(b)];
-                search::find(blk, key).is_ok()
+                blk.binary_search(&key).is_ok()
             }
             BlockKind::ExactOrUnused => (base..base + BKS)
                 .any(|i| self.types.get(i) == SlotType::Edge && self.slots[i] == key),

@@ -42,7 +42,6 @@ pub mod graph;
 pub mod hitree;
 pub mod model;
 pub mod ria;
-pub mod search;
 pub mod snapshot;
 pub mod stats;
 pub mod vertex;

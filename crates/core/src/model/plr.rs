@@ -6,7 +6,6 @@
 //! so the `model_cost` Criterion bench can reproduce that trade-off.
 
 use super::PositionModel;
-use crate::search::lower_bound;
 
 /// One segment of the piecewise model: valid from `start_key`, predicting
 /// `slope * key + intercept`.
@@ -105,8 +104,8 @@ impl PositionModel for PlrModel {
         if self.segments.is_empty() {
             return 0;
         }
-        let i = lower_bound(&self.starts, key);
-        // `lower_bound` returns the first start >= key; the governing segment
+        let i = self.starts.partition_point(|&x| x < key);
+        // `i` is the first start >= key; the governing segment
         // is the previous one unless key matches a start exactly.
         let s = if i < self.starts.len() && self.starts[i] == key {
             i

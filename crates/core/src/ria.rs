@@ -3,8 +3,8 @@
 //! An ordered set of `u32` keys stored in cache-line-sized blocks with a
 //! compact *index array* that redundantly copies each block's first element.
 //! A lookup binary-searches the index array (dense, cache-friendly) and then
-//! scans one block, instead of binary-searching one large gapped array as a
-//! PMA does.
+//! one block, instead of binary-searching one large gapped array as a PMA
+//! does.
 //!
 //! Inserting into a full block moves data *horizontally* across at most
 //! `log2(num_blocks)` neighboring blocks (the paper's locality-aware bound on
@@ -20,10 +20,6 @@ use lsgraph_api::trace::{span, SpanKind};
 use lsgraph_api::{Footprint, MemoryFootprint, StructStats};
 
 use crate::config::BKS;
-use crate::search::{
-    chunk_lower_bound, linear_lower_bound, prefetch_read, rightmost_le, stream_lower_bound,
-    stream_rightmost_le,
-};
 
 /// Outcome of [`Ria::insert`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,33 +121,20 @@ impl Ria {
         }
     }
 
-    /// Locates the block that would hold `key`.
+    /// Locates the block that would hold `key`: the rightmost block whose
+    /// index entry is `<= key`, or block 0 when `key` precedes them all.
     ///
     /// Sound because blocks are never empty while `len > 0` (deletes refill
     /// or rebuild, see [`Ria::refill_empty_block`]), so the index array is
     /// strictly increasing and identifies blocks unambiguously.
     #[inline]
     fn find_block(&self, key: u32) -> usize {
-        rightmost_le(&self.index, key).unwrap_or(0)
-    }
-
-    /// [`Ria::find_block`] for the mutation paths: a sorted batch walks the
-    /// index with highly correlated keys, where the branchy stream probe
-    /// beats the branch-free one (see [`crate::search::stream_lower_bound`]).
-    #[inline]
-    fn find_block_stream(&self, key: u32) -> usize {
-        stream_rightmost_le(&self.index, key).unwrap_or(0)
+        self.index.partition_point(|&x| x <= key).saturating_sub(1)
     }
 
     /// Returns whether `key` is present.
     pub fn contains(&self, key: u32) -> bool {
-        if self.len == 0 {
-            return false;
-        }
-        let b = self.find_block(key);
-        let blk = self.block(b);
-        let i = chunk_lower_bound(blk, key);
-        i < blk.len() && blk[i] == key
+        self.len > 0 && self.block(self.find_block(key)).binary_search(&key).is_ok()
     }
 
     /// Inserts `key`, returning what happened. Structural movement is
@@ -164,12 +147,10 @@ impl Ria {
             self.len = 1;
             return InsertOutcome::Inserted;
         }
-        let b = self.find_block_stream(key);
-        let blk = self.block(b);
-        let i = linear_lower_bound(blk, key);
-        if i < blk.len() && blk[i] == key {
+        let b = self.find_block(key);
+        let Err(i) = self.block(b).binary_search(&key) else {
             return InsertOutcome::Duplicate;
-        }
+        };
         if (self.counts[b] as usize) < BKS {
             self.insert_into_block(b, i, key, stats);
             self.len += 1;
@@ -190,7 +171,7 @@ impl Ria {
         fail_point!("ria_rebuild");
         let mut all = Vec::with_capacity(self.len + 1);
         self.for_each(|x| all.push(x));
-        let pos = stream_lower_bound(&all, key);
+        let pos = all.partition_point(|&x| x < key);
         all.insert(pos, key);
         self.rebuild_from(&all);
         stats.record_ria_rebuild();
@@ -203,13 +184,11 @@ impl Ria {
         if self.len == 0 {
             return false;
         }
-        let b = self.find_block_stream(key);
+        let b = self.find_block(key);
         let cnt = self.counts[b] as usize;
-        let blk = &self.data[b * BKS..b * BKS + cnt];
-        let i = linear_lower_bound(blk, key);
-        if i >= cnt || blk[i] != key {
+        let Ok(i) = self.block(b).binary_search(&key) else {
             return false;
-        }
+        };
         self.data
             .copy_within(b * BKS + i + 1..b * BKS + cnt, b * BKS + i);
         stats.record_ria_within_shift((cnt - i - 1) as u64);
@@ -422,12 +401,6 @@ impl Ria {
         let mut src = 0;
         for b in 0..nb {
             let take = base + usize::from(b < extra);
-            // Pull the source a few blocks ahead into cache while this
-            // block's copy is in flight; the destination is written
-            // streaming and needs no hint.
-            if let Some(ahead) = sorted.get(src + 4 * BKS) {
-                prefetch_read(ahead);
-            }
             self.data[b * BKS..b * BKS + take].copy_from_slice(&sorted[src..src + take]);
             self.counts[b] = take as u16;
             self.index[b] = sorted[src];
@@ -541,6 +514,36 @@ mod tests {
             assert!(!r.contains(k));
         }
         assert_eq!(r.to_vec(), vec![1, 3, 5, 7, 9]);
+    }
+
+    #[test]
+    fn block_location_at_the_index_boundaries() {
+        use std::collections::BTreeSet;
+        // Keys below block 0's first id, on every index entry and either side
+        // of it (between blocks), and at the top of `u32`, held to a
+        // `BTreeSet` by `contains`, `insert` and `delete`.
+        for nb in [1usize, 2, 16, 17] {
+            let ids: Vec<u32> = (1..=(nb * BKS * 5 / 6) as u32).map(|i| i * 10).collect();
+            let r = Ria::from_sorted(&ids, 1.2);
+            assert_eq!(r.num_blocks(), nb);
+            let set: BTreeSet<u32> = ids.iter().copied().collect();
+            let mut keys = vec![0, 1, 9, u32::MAX - 1, u32::MAX];
+            keys.extend(r.index.iter().flat_map(|&x| [x - 1, x, x + 1]));
+            for k in keys {
+                let ctx = format!("{nb} blocks, key {k}");
+                assert_eq!(r.contains(k), set.contains(&k), "{ctx}");
+                let (mut ins, mut want) = (r.clone(), set.clone());
+                assert_eq!(ins.insert(k, &STATS).inserted(), want.insert(k), "{ctx}");
+                ins.check_invariants();
+                assert!(ins.contains(k), "{ctx}");
+                assert_eq!(ins.to_vec(), want.into_iter().collect::<Vec<_>>(), "{ctx}");
+                let (mut del, mut want) = (r.clone(), set.clone());
+                assert_eq!(del.delete(k, &STATS), want.remove(&k), "{ctx}");
+                del.check_invariants();
+                assert!(!del.contains(k), "{ctx}");
+                assert_eq!(del.to_vec(), want.into_iter().collect::<Vec<_>>(), "{ctx}");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@ use lsgraph_api::{Footprint, MemoryFootprint, StructStats};
 
 use crate::adjacency::Spill;
 use crate::config::{Config, INLINE_CAP};
-use crate::search;
 
 /// One vertex's cache-line block.
 ///
@@ -80,7 +79,7 @@ impl VertexBlock {
         let inl = self.inline_neighbors();
         if let Some(&last) = inl.last() {
             if u <= last {
-                return search::find(inl, u).is_ok();
+                return inl.binary_search(&u).is_ok();
             }
         }
         self.spill.as_ref().is_some_and(|s| s.contains(u, cfg))
@@ -93,7 +92,7 @@ impl VertexBlock {
         if n < INLINE_CAP {
             // Everything fits inline.
             debug_assert!(self.spill.is_none());
-            match search::find(&self.inline[..n], u) {
+            match self.inline[..n].binary_search(&u) {
                 Ok(_) => false,
                 Err(i) => {
                     self.inline.copy_within(i..n, i + 1);
@@ -104,7 +103,7 @@ impl VertexBlock {
                 }
             }
         } else {
-            match search::find(&self.inline, u) {
+            match self.inline.binary_search(&u) {
                 Ok(_) => false,
                 Err(i) if i < INLINE_CAP => {
                     // `u` belongs inline: evict the current inline maximum.
@@ -141,7 +140,7 @@ impl VertexBlock {
     /// movement is recorded into `stats`.
     pub fn delete(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
         let n = self.inline_len();
-        match search::find(&self.inline[..n], u) {
+        match self.inline[..n].binary_search(&u) {
             Ok(i) => {
                 self.inline.copy_within(i + 1..n, i);
                 stats.record_vb_inline_shift((n - i - 1) as u64);

@@ -440,7 +440,7 @@ fn replay_runs(
     keys.dedup();
     let mut killed = Vec::new();
     for run in keys.chunk_by(|a, b| a.0 == b.0) {
-        let vb = blocks.entry(run[0].0).or_insert_with(VertexBlock::new);
+        let vb = blocks.entry(run[0].0).or_default();
         let apply = || {
             for &(_, u) in run {
                 vb.insert(u, cfg, stats);

@@ -98,7 +98,6 @@ fn rotating_opts() -> StoreOptions {
         segment_bytes: 600,
         delta_ratio: 1.0,
         max_delta_chain: 8,
-        ..StoreOptions::default()
     }
 }
 

@@ -76,7 +76,6 @@ fn opts() -> StoreOptions {
         segment_bytes: 512,
         delta_ratio: 1.0,
         max_delta_chain: 4,
-        ..StoreOptions::default()
     }
 }
 

@@ -397,8 +397,7 @@ const PAR_SORT_MIN_LEN: usize = 1 << 12;
 
 /// Hints the CPU to pull the cache line holding `p` toward L1. The merge
 /// streams two runs linearly, so a few-iterations-ahead hint hides the DRAM
-/// latency of the next line. This crate cannot depend on `lsgraph-core`'s
-/// `search::prefetch_read` (dependency direction), so the hint lives here.
+/// latency of the next line.
 #[inline(always)]
 fn prefetch_hint<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]

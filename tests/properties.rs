@@ -42,8 +42,8 @@ fn gen_ops(rng: &mut SmallRng, key_space: u32, min_len: usize, max_len: usize) -
         .collect()
 }
 
-/// Applies a stream to an engine and an oracle, asserting counts and final
-/// adjacency equality.
+/// Applies a stream to an engine and an oracle, asserting counts, every
+/// membership probe after each batch, and final adjacency equality.
 fn check_engine<G: DynamicGraph>(mut g: G, stream: &[(bool, Vec<(u32, u32)>)]) {
     let mut oracle: Vec<std::collections::BTreeSet<u32>> = vec![Default::default(); 60];
     for (is_insert, pairs) in stream {
@@ -64,6 +64,11 @@ fn check_engine<G: DynamicGraph>(mut g: G, stream: &[(bool, Vec<(u32, u32)>)]) {
                 .filter(|e| oracle[e.src as usize].remove(&e.dst))
                 .count();
             assert_eq!(g.delete_batch(&batch), expect);
+        }
+        for (u, ns) in oracle.iter().enumerate() {
+            for v in 0..60u32 {
+                assert_eq!(g.has_edge(u as u32, v), ns.contains(&v), "edge ({u}, {v})");
+            }
         }
     }
     let total: usize = oracle.iter().map(|s| s.len()).sum();
@@ -143,8 +148,17 @@ fn ria_behaves_as_sorted_set() {
             }
         }
         r.check_invariants();
+        for k in probe_keys(0..500) {
+            assert_eq!(r.contains(k), oracle.contains(&k), "key {k}");
+        }
         assert_eq!(r.to_vec(), oracle.into_iter().collect::<Vec<_>>());
     }
+}
+
+/// Every key of `space` plus the `u32` boundary keys: what a membership
+/// probe is checked on after a set property's operations.
+fn probe_keys(space: std::ops::Range<u32>) -> impl Iterator<Item = u32> {
+    space.chain([0, 1, u32::MAX - 1, u32::MAX])
 }
 
 /// The container a set property runs against, with the ids already in it:
@@ -194,6 +208,10 @@ fn hitree_behaves_as_sorted_set() {
             }
         }
         t.check_invariants(&cfg);
+        let base = if as_child { CLUSTER } else { 0 };
+        for k in probe_keys(base..base + 500) {
+            assert_eq!(t.contains(k, &cfg), oracle.contains(&k), "key {k}");
+        }
         assert_eq!(t.to_vec(), oracle.into_iter().collect::<Vec<_>>());
     }
 }
@@ -376,6 +394,14 @@ fn extreme_keys_survive() {
             assert_eq!(t.insert(k, &cfg, &STATS), oracle.insert(k));
         }
         t.check_invariants(&cfg);
+        // The key space is all of `u32`: probe every held id and both of its
+        // neighbours, which covers each gap's edges, plus the boundaries.
+        let near = oracle
+            .iter()
+            .flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)]);
+        for k in probe_keys(0..0).chain(near) {
+            assert_eq!(t.contains(k, &cfg), oracle.contains(&k), "key {k}");
+        }
         assert_eq!(t.to_vec(), oracle.into_iter().collect::<Vec<_>>());
     }
 }
