@@ -13,6 +13,15 @@ use lsgraph::baselines::{AspenGraph, PacGraph, TerraceGraph};
 use lsgraph::substrates::{BTreeSet32, Pma, PmaParams};
 use lsgraph::{Config, DynamicGraph, Edge, Graph, LsGraph, Ria, SlotOccupancy, Spill, StructStats};
 
+// The simulator's harness and model (`tests/sim`), for the snapshot sets.
+#[path = "sim/harness.rs"]
+mod harness;
+#[path = "sim/model.rs"]
+mod model;
+
+use harness::Op::{Clear, DropSnap, Repair, Snap};
+use harness::{batch, check_set, page_blocks, Op};
+
 const CASES: u64 = 64;
 
 /// Sink for the structural events of the bare-container properties.
@@ -406,158 +415,77 @@ fn extreme_keys_survive() {
     }
 }
 
+/// Inserts with probability `p`, `len` uniform pairs below `ids`.
+fn random_batch(rng: &mut SmallRng, p: f64, len: std::ops::Range<usize>, ids: u32) -> Op {
+    let insert = rng.gen_bool(p);
+    let len = rng.gen_range(len);
+    batch(insert, harness::pairs(rng, len, ids, ids))
+}
+
+/// The simulator's snapshot sets: every held snapshot reads the model frozen
+/// at its flip after every step. A snapshot before every batch makes each
+/// batch copy every page it touches exactly once, whole; random take/drop
+/// interleavings retire every snapshot taken.
 #[test]
 fn lsgraph_snapshots_stay_frozen_under_random_interleavings() {
-    use lsgraph::GraphSnapshot;
-    use std::collections::BTreeSet;
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0xF000 + case);
-        let cfg = Config {
-            a: 4,
-            m: 16,
-            ..Config::default()
-        };
-        let mut g = LsGraph::with_config(60, cfg);
-        let mut oracle: Vec<BTreeSet<u32>> = vec![Default::default(); 60];
-        // Each held snapshot pairs with its frozen adjacency + edge total.
-        let mut snaps: Vec<(GraphSnapshot, Vec<Vec<u32>>, usize)> = Vec::new();
-        let steps = rng.gen_range(8usize..24);
-        for step in 0..steps {
-            match rng.gen_range(0u32..5) {
-                // Batches dominate; snapshot takes and drops interleave.
-                0..=2 => {
-                    let is_insert = rng.gen_bool(0.6);
-                    let len = rng.gen_range(1usize..60);
-                    let batch: Vec<Edge> = (0..len)
-                        .map(|_| Edge::new(rng.gen_range(0u32..60), rng.gen_range(0u32..60)))
-                        .collect();
-                    if is_insert {
-                        g.insert_batch(&batch);
-                    } else {
-                        g.delete_batch(&batch);
-                    }
-                    for e in &batch {
-                        if is_insert {
-                            oracle[e.src as usize].insert(e.dst);
-                        } else {
-                            oracle[e.src as usize].remove(&e.dst);
-                        }
-                    }
-                }
-                3 => {
-                    let adj: Vec<Vec<u32>> =
-                        oracle.iter().map(|s| s.iter().copied().collect()).collect();
-                    let m = adj.iter().map(Vec::len).sum();
-                    snaps.push((g.snapshot(), adj, m));
-                }
-                _ => {
-                    if !snaps.is_empty() {
-                        let i = rng.gen_range(0..snaps.len());
-                        snaps.swap_remove(i);
-                    }
-                }
-            }
-            // Every snapshot still alive reads exactly its frozen past.
-            for (i, (snap, adj, m)) in snaps.iter().enumerate() {
-                assert_eq!(snap.num_edges(), *m, "case {case} step {step} snap {i}");
-                for v in 0..60u32 {
-                    assert_eq!(
-                        snap.neighbors(v),
-                        adj[v as usize],
-                        "case {case} step {step} snap {i} vertex {v}"
-                    );
-                }
-            }
-        }
-        // The live view converged on the full stream.
-        let total: usize = oracle.iter().map(|s| s.len()).sum();
-        assert_eq!(g.num_edges(), total, "case {case}");
-        for v in 0..60u32 {
-            assert_eq!(
-                g.neighbors(v),
-                oracle[v as usize].iter().copied().collect::<Vec<_>>(),
-                "case {case} vertex {v}"
-            );
-        }
-        snaps.clear();
-        let s = g.stats().snapshot();
-        assert_eq!(s.snapshots_retired, s.snapshots_taken, "case {case}");
-        g.check_invariants();
-    }
+    let page = page_blocks();
+    assert!(page > 1 && page < 120, "the stream spans pages");
+    check_set("snapshots/boundary", "snapshots", 1..=4, |seed| {
+        let mut rng = SmallRng::seed_from_u64(0x51AB_0000 + seed);
+        (0..16)
+            .flat_map(|_| [Snap, random_batch(&mut rng, 0.65, 1..200, 120)])
+            .collect()
+    });
+    check_set("snapshots/interleave", "small", 0..CASES, |seed| {
+        let mut rng = SmallRng::seed_from_u64(0xF000 + seed);
+        (0..rng.gen_range(8..24))
+            .map(|_| match rng.gen_range(0..5) {
+                0..=2 => random_batch(&mut rng, 0.6, 1..60, 60),
+                3 => Snap,
+                _ => DropSnap(rng.gen_range(0..64)),
+            })
+            .collect()
+    });
 }
 
 /// The vertex directory shares fixed-size pages between the writer and its
 /// snapshots, so the cases that matter are at page edges: a table whose size
 /// is no multiple of any page, that inserts grow across several page
-/// boundaries while snapshots of the smaller table are held. One stream;
-/// the live graph and every held snapshot are compared with the oracle —
-/// frozen at the flip, for a snapshot — after every batch.
+/// boundaries while snapshots of the smaller table are held.
 #[test]
 fn lsgraph_snapshots_and_live_graph_match_oracle_while_the_table_grows() {
-    use lsgraph::GraphSnapshot;
-    use std::collections::BTreeSet;
-    fn assert_reads<G: Graph>(g: &G, adj: &[Vec<u32>], ctx: &str) {
-        assert_eq!(g.num_vertices(), adj.len(), "{ctx}: num_vertices");
-        let m: usize = adj.iter().map(Vec::len).sum();
-        assert_eq!(g.num_edges(), m, "{ctx}: num_edges");
-        for (v, ns) in adj.iter().enumerate() {
-            assert_eq!(&g.neighbors(v as u32), ns, "{ctx}: vertex {v}");
+    let grown = check_set("snapshots/growth", "growing", 0..16, |seed| {
+        let mut rng = SmallRng::seed_from_u64(0x23000 + seed);
+        let mut ops = Vec::new();
+        for step in 0..32 {
+            ops.extend(rng.gen_bool(0.5).then_some(Snap));
+            ops.push(random_batch(&mut rng, 0.65, 1..80, 50 + 7 * step));
+            ops.extend(rng.gen_bool(0.3).then(|| DropSnap(rng.gen_range(0..64))));
         }
-    }
-    const START: u32 = 50;
-    for case in 0..16 {
-        let mut rng = SmallRng::seed_from_u64(0x23000 + case);
-        let cfg = Config {
-            a: 4,
-            m: 16,
-            ..Config::default()
-        };
-        let mut g = LsGraph::with_config(START as usize, cfg);
-        let mut oracle: Vec<BTreeSet<u32>> = vec![Default::default(); START as usize];
-        let freeze = |oracle: &[BTreeSet<u32>]| -> Vec<Vec<u32>> {
-            oracle.iter().map(|s| s.iter().copied().collect()).collect()
-        };
-        let mut held: Vec<(GraphSnapshot, Vec<Vec<u32>>)> = Vec::new();
-        for step in 0..32u32 {
-            if rng.gen_bool(0.5) {
-                held.push((g.snapshot(), freeze(&oracle)));
-            }
-            // The id range widens every step, so insert batches keep growing
-            // the table: 50 to past 250 vertices over the stream.
-            let ids = START + 7 * step;
-            let is_insert = rng.gen_bool(0.65);
-            let batch: Vec<Edge> = (0..rng.gen_range(1usize..80))
-                .map(|_| Edge::new(rng.gen_range(0..ids), rng.gen_range(0..ids)))
-                .collect();
-            if is_insert {
-                g.insert_batch(&batch);
-                let top = batch.iter().map(|e| e.src.max(e.dst)).max().unwrap() as usize;
-                if top >= oracle.len() {
-                    oracle.resize(top + 1, Default::default());
-                }
-                for e in &batch {
-                    oracle[e.src as usize].insert(e.dst);
-                }
+        ops
+    });
+    assert!(grown.iter().all(|sim| sim.model.adj.len() > 200), "grew");
+}
+
+/// The post-fault lifecycle under held snapshots: a snapshot pinned between
+/// clear+quarantine and repair keeps the vertex quarantined and empty.
+#[test]
+fn lsgraph_snapshot_quarantine_repair_interleavings() {
+    check_set("snapshots/quarantine", "small", 0..CASES, |seed| {
+        let mut rng = SmallRng::seed_from_u64(0x10000 + seed);
+        let mut ops = Vec::new();
+        for _ in 0..rng.gen_range(6..16) {
+            if rng.gen_bool(0.6) {
+                ops.push(random_batch(&mut rng, 0.6, 1..60, 60));
+                ops.extend(rng.gen_bool(0.4).then_some(Snap));
             } else {
-                g.delete_batch(&batch);
-                for e in &batch {
-                    if let Some(ns) = oracle.get_mut(e.src as usize) {
-                        ns.remove(&e.dst);
-                    }
-                }
+                ops.push(Clear(rng.gen_range(0..60)));
+                ops.extend(rng.gen_bool(0.7).then_some(Snap));
+                ops.push(Repair);
             }
-            let ctx = format!("case {case} step {step}");
-            assert_reads(&g, &freeze(&oracle), &ctx);
-            assert_eq!(g.validate_invariants(), Ok(()), "{ctx}");
-            for (i, (snap, adj)) in held.iter().enumerate() {
-                assert_reads(snap, adj, &format!("{ctx} snap {i}"));
-                assert_eq!(snap.validate_invariants(), Ok(()), "{ctx} snap {i}");
-            }
-            held.retain(|_| rng.gen_bool(0.8));
         }
-        assert!(g.num_vertices() > 200, "case {case}: the table grew");
-        g.check_invariants();
-    }
+        ops
+    });
 }
 
 /// Applies `stream` to two graphs — one bare, one with a fresh snapshot held
@@ -690,102 +618,6 @@ fn parallel_counter_totals_match_single_threaded() {
             "{threads} threads"
         );
         assert_eq!(single_runs, many_runs, "{threads} threads");
-    }
-}
-
-#[test]
-fn lsgraph_snapshot_quarantine_repair_interleavings() {
-    use lsgraph::GraphSnapshot;
-    use std::collections::BTreeSet;
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0x10000 + case);
-        let cfg = Config {
-            a: 4,
-            m: 16,
-            ..Config::default()
-        };
-        let mut g = LsGraph::with_config(60, cfg);
-        let mut oracle: Vec<BTreeSet<u32>> = vec![Default::default(); 60];
-        // Each snapshot freezes adjacency plus the quarantine set at flip.
-        let mut snaps: Vec<(GraphSnapshot, Vec<Vec<u32>>, Vec<u32>)> = Vec::new();
-        let freeze = |oracle: &[BTreeSet<u32>]| -> Vec<Vec<u32>> {
-            oracle.iter().map(|s| s.iter().copied().collect()).collect()
-        };
-        let steps = rng.gen_range(6usize..16);
-        for step in 0..steps {
-            if rng.gen_bool(0.6) {
-                let is_insert = rng.gen_bool(0.6);
-                let len = rng.gen_range(1usize..60);
-                let batch: Vec<Edge> = (0..len)
-                    .map(|_| Edge::new(rng.gen_range(0u32..60), rng.gen_range(0u32..60)))
-                    .collect();
-                if is_insert {
-                    g.insert_batch(&batch);
-                } else {
-                    g.delete_batch(&batch);
-                }
-                for e in &batch {
-                    if is_insert {
-                        oracle[e.src as usize].insert(e.dst);
-                    } else {
-                        oracle[e.src as usize].remove(&e.dst);
-                    }
-                }
-                if rng.gen_bool(0.4) {
-                    snaps.push((g.snapshot(), freeze(&oracle), Vec::new()));
-                }
-            } else {
-                // Post-fault lifecycle on a random vertex: clear, requarantine,
-                // sometimes snapshot the quarantined state, then repair with a
-                // random neighbor list. A snapshot pinned mid-lifecycle must
-                // keep showing the vertex quarantined and empty forever.
-                let v = rng.gen_range(0u32..60);
-                g.clear_vertex(v);
-                g.restore_quarantine_set(&[v]).unwrap();
-                oracle[v as usize].clear();
-                if rng.gen_bool(0.7) {
-                    snaps.push((g.snapshot(), freeze(&oracle), vec![v]));
-                }
-                let mut fixed: Vec<u32> = (0..rng.gen_range(0usize..12))
-                    .map(|_| rng.gen_range(0u32..60))
-                    .collect();
-                fixed.sort_unstable();
-                fixed.dedup();
-                assert_eq!(g.repair_vertex(v, &fixed).unwrap(), fixed.len());
-                oracle[v as usize] = fixed.into_iter().collect();
-            }
-            for (i, (snap, adj, quar)) in snaps.iter().enumerate() {
-                for v in 0..60u32 {
-                    assert_eq!(
-                        snap.neighbors(v),
-                        adj[v as usize],
-                        "case {case} step {step} snap {i} vertex {v}"
-                    );
-                    assert_eq!(
-                        snap.is_quarantined(v),
-                        quar.contains(&v),
-                        "case {case} step {step} snap {i} vertex {v} quarantine"
-                    );
-                }
-                assert_eq!(
-                    &snap.quarantined_vertices(),
-                    quar,
-                    "case {case} step {step} snap {i}"
-                );
-                snap.validate_invariants()
-                    .unwrap_or_else(|e| panic!("case {case} step {step} snap {i}: {e}"));
-            }
-        }
-        // The live graph left every lifecycle repaired, matching the oracle.
-        assert_eq!(g.quarantined_vertices(), Vec::<u32>::new(), "case {case}");
-        for v in 0..60u32 {
-            assert_eq!(
-                g.neighbors(v),
-                oracle[v as usize].iter().copied().collect::<Vec<_>>(),
-                "case {case} vertex {v}"
-            );
-        }
-        g.check_invariants();
     }
 }
 
