@@ -6,7 +6,9 @@
 //! [`metric_family!`](crate::metric) expands into the atomics struct, its
 //! snapshot, the snapshot arithmetic and the [`MetricDesc`](crate::MetricDesc)
 //! list that the metrics registry, `repro check` and the EXPERIMENTS.md
-//! table read. Adding a metric is one row plus its `record_*` method.
+//! table read. Every row records itself (`stats.arr_shifts.record(n)`) by
+//! its kind's rule, so adding a metric is one row; the only methods here
+//! are the recorders that do more than one row's arithmetic.
 //!
 //! - [`OpCounters`]: coarse per-structure search/movement totals, used by the
 //!   PMA-based baselines to regenerate Fig. 4.
@@ -18,7 +20,7 @@
 //!   span against the `log2(num_blocks)` bound, and every vertical
 //!   (child-creating) move records whether a block overflow preceded it.
 //!
-//! All counters are updated with `Ordering::Relaxed`: they are statistics,
+//! All rows are updated with `Ordering::Relaxed`: they are statistics,
 //! not synchronization. Because LSGraph partitions a batch into disjoint
 //! per-source runs, each structural event happens exactly once regardless of
 //! thread interleaving, so counters and max-gauges are deterministic across
@@ -27,10 +29,9 @@
 //! which the engine's absorbs once per task (`absorb`: a sum or a max per
 //! row), so the totals do not depend on how the runs were split.
 
-use core::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use crate::metric::metric_family;
+use crate::metric::{metric_family, Timer};
 use crate::trace;
 
 metric_family! {
@@ -53,38 +54,6 @@ metric_family! {
     move_nanos: Timer, None, "baselines", "ns";
     /// Number of whole-structure rebuilds / array expansions.
     rebuilds: Counter, None, "baselines", "events";
-}
-
-impl OpCounters {
-    /// Adds `n` search steps.
-    #[inline]
-    pub fn add_search(&self, n: u64) {
-        self.search_steps.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `n` moved elements.
-    #[inline]
-    pub fn add_moves(&self, n: u64) {
-        self.elements_moved.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one rebuild/expansion.
-    #[inline]
-    pub fn add_rebuild(&self) {
-        self.rebuilds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds nanoseconds to the search-phase clock.
-    #[inline]
-    pub fn add_search_nanos(&self, n: u64) {
-        self.search_nanos.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds nanoseconds to the move-phase clock.
-    #[inline]
-    pub fn add_move_nanos(&self, n: u64) {
-        self.move_nanos.fetch_add(n, Ordering::Relaxed);
-    }
 }
 
 /// Pipeline phase attributed by a [`PhaseTimer`].
@@ -241,238 +210,39 @@ impl StructStats {
     /// Records an insert satisfied inline, shifting `shifted` elements.
     #[inline]
     pub fn record_vb_inline_insert(&self, shifted: u64) {
-        self.vb_inline_hits.fetch_add(1, Ordering::Relaxed);
-        self.vb_inline_shifts.fetch_add(shifted, Ordering::Relaxed);
-    }
-
-    /// Records `n` elements shifted in an inline array without an insert
-    /// (the delete compaction path).
-    #[inline]
-    pub fn record_vb_inline_shift(&self, n: u64) {
-        self.vb_inline_shifts.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records an inline max evicted to the spill structure.
-    #[inline]
-    pub fn record_vb_spill_eviction(&self) {
-        self.vb_spill_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an insert routed directly to the spill structure.
-    #[inline]
-    pub fn record_vb_spill_insert(&self) {
-        self.vb_spill_inserts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a spill minimum refilled inline after a delete.
-    #[inline]
-    pub fn record_vb_spill_refill(&self) {
-        self.vb_spill_refills.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` elements shifted in a sorted-array spill tier.
-    #[inline]
-    pub fn record_arr_shift(&self, n: u64) {
-        self.arr_shifts.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one spill tier upgrade.
-    #[inline]
-    pub fn record_tier_upgrade(&self) {
-        self.tier_upgrades.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one spill tier downgrade.
-    #[inline]
-    pub fn record_tier_downgrade(&self) {
-        self.tier_downgrades.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` elements shifted within a single RIA block.
-    #[inline]
-    pub fn record_ria_within_shift(&self, n: u64) {
-        self.ria_within_block_shifts.fetch_add(n, Ordering::Relaxed);
+        self.vb_inline_hits.record(1);
+        self.vb_inline_shifts.record(shifted);
     }
 
     /// Records a cross-block ripple insert spanning `span` blocks under
     /// locality bound `bound`, carrying `moved` elements across boundaries.
     #[inline]
     pub fn record_ria_ripple(&self, span: u64, moved: u64, bound: u64) {
-        self.ria_ripples.fetch_add(1, Ordering::Relaxed);
-        self.ria_cross_block_moves
-            .fetch_add(moved, Ordering::Relaxed);
-        self.ria_max_ripple_span.fetch_max(span, Ordering::Relaxed);
-        self.ria_bound.store(bound, Ordering::Relaxed);
+        self.ria_ripples.record(1);
+        self.ria_cross_block_moves.record(moved);
+        self.ria_max_ripple_span.record(span);
+        self.ria_bound.record(bound);
         if span > bound {
-            self.ria_bound_exceeded.fetch_add(1, Ordering::Relaxed);
+            self.ria_bound_exceeded.record(1);
         }
-    }
-
-    /// Records one RIA rebuild.
-    #[inline]
-    pub fn record_ria_rebuild(&self) {
-        self.ria_rebuilds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` elements shifted within one LIA block.
-    #[inline]
-    pub fn record_lia_within_shift(&self, n: u64) {
-        self.lia_within_block_shifts.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records an overflowing LIA block re-packed horizontally.
-    #[inline]
-    pub fn record_lia_pack(&self) {
-        self.lia_horizontal_packs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a vertical child creation; `overflowed` says whether a block
     /// overflow forced it (the only legal reason).
     #[inline]
     pub fn record_lia_vertical(&self, overflowed: bool) {
-        self.lia_vertical_child_creates
-            .fetch_add(1, Ordering::Relaxed);
+        self.lia_vertical_child_creates.record(1);
         if !overflowed {
-            self.lia_vertical_premature.fetch_add(1, Ordering::Relaxed);
+            self.lia_vertical_premature.record(1);
         }
-    }
-
-    /// Records one LIA model retrain.
-    #[inline]
-    pub fn record_lia_retrain(&self) {
-        self.lia_model_retrains.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one HITree node tier upgrade.
-    #[inline]
-    pub fn record_node_upgrade(&self) {
-        self.hitree_node_upgrades.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one contained per-source apply panic.
-    #[inline]
-    pub fn record_apply_run_panic(&self) {
-        self.apply_run_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one vertex quarantined after an apply panic.
-    #[inline]
-    pub fn record_vertex_quarantined(&self) {
-        self.vertices_quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one quarantined vertex restored by `repair_vertex`.
-    #[inline]
-    pub fn record_vertex_repaired(&self) {
-        self.vertices_repaired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one WAL frame appended by the durability layer.
-    #[inline]
-    pub fn record_wal_frame_appended(&self) {
-        self.wal_frames_appended.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the size of the checkpoint image just written (gauge).
-    #[inline]
-    pub fn record_checkpoint_bytes(&self, n: u64) {
-        self.checkpoint_bytes.store(n, Ordering::Relaxed);
-    }
-
-    /// Records one WAL frame replayed during recovery.
-    #[inline]
-    pub fn record_recovery_frame_replayed(&self) {
-        self.recovery_frames_replayed
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` torn/corrupt WAL frames discarded during recovery.
-    #[inline]
-    pub fn record_recovery_frames_discarded(&self, n: u64) {
-        self.recovery_frames_discarded
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one WAL segment sealed and rotated out.
-    #[inline]
-    pub fn record_wal_segment_rotated(&self) {
-        self.wal_segments_rotated.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` WAL segments deleted by retention GC.
-    #[inline]
-    pub fn record_wal_segments_deleted(&self, n: u64) {
-        self.wal_segments_deleted.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records the bytes currently held by live WAL segments (gauge).
-    #[inline]
-    pub fn record_wal_live_bytes(&self, n: u64) {
-        self.wal_live_bytes.store(n, Ordering::Relaxed);
-    }
-
-    /// Records one delta checkpoint image written.
-    #[inline]
-    pub fn record_delta_checkpoint_written(&self) {
-        self.delta_checkpoints_written
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the dirty-vertex count frozen by the latest checkpoint
-    /// (gauge).
-    #[inline]
-    pub fn record_checkpoint_dirty_vertices(&self, n: u64) {
-        self.checkpoint_dirty_vertices.store(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` checkpoint images discarded while rebuilding the
-    /// recovery chain.
-    #[inline]
-    pub fn record_recovery_images_discarded(&self, n: u64) {
-        self.recovery_images_discarded
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one read snapshot taken.
-    #[inline]
-    pub fn record_snapshot_taken(&self) {
-        self.snapshots_taken.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one read snapshot dropped (its last clone).
-    #[inline]
-    pub fn record_snapshot_retired(&self) {
-        self.snapshots_retired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `blocks` vertex blocks (one directory page) copied on write
-    /// under an outstanding snapshot.
-    #[inline]
-    pub fn record_cow_block_copies(&self, blocks: u64) {
-        self.cow_block_copies.fetch_add(blocks, Ordering::Relaxed);
-    }
-
-    /// Records the number of standing-query subscriptions currently
-    /// registered (gauge).
-    #[inline]
-    pub fn record_subscriptions_active(&self, n: u64) {
-        self.subscriptions_active.store(n, Ordering::Relaxed);
     }
 
     /// Records one result delta delivered to a subscriber carrying
     /// `entries` added/removed/changed entries.
     #[inline]
     pub fn record_delta_delivered(&self, entries: u64) {
-        self.deltas_delivered.fetch_add(1, Ordering::Relaxed);
-        self.delta_entries_emitted
-            .fetch_add(entries, Ordering::Relaxed);
-    }
-
-    /// Records one subscription evaluation contained by the panic-safe
-    /// delivery loop.
-    #[inline]
-    pub fn record_subscription_panic(&self) {
-        self.subscription_panics.fetch_add(1, Ordering::Relaxed);
+        self.deltas_delivered.record(1);
+        self.delta_entries_emitted.record(entries);
     }
 
     /// Starts a scoped timer attributing wall-clock time to `phase`; the
@@ -497,7 +267,7 @@ impl StructStats {
 /// nanoseconds into its target counter on drop.
 #[must_use = "the timer records on drop; binding it to `_` drops immediately"]
 pub struct PhaseTimer<'a> {
-    target: &'a AtomicU64,
+    target: &'a Timer,
     start: Instant,
     /// Trace span covering the same scope.
     _span: trace::Span,
@@ -510,8 +280,7 @@ impl PhaseTimer<'_> {
 
 impl Drop for PhaseTimer<'_> {
     fn drop(&mut self) {
-        let nanos = self.start.elapsed().as_nanos() as u64;
-        self.target.fetch_add(nanos, Ordering::Relaxed);
+        self.target.record(self.start.elapsed().as_nanos() as u64);
     }
 }
 
@@ -530,10 +299,10 @@ mod tests {
     #[test]
     fn counters_accumulate_and_reset() {
         let c = OpCounters::new();
-        c.add_search(3);
-        c.add_search(2);
-        c.add_moves(7);
-        c.add_rebuild();
+        c.search_steps.record(3);
+        c.search_steps.record(2);
+        c.elements_moved.record(7);
+        c.rebuilds.record(1);
         let s = c.snapshot();
         assert_eq!(s.search_steps, 5);
         assert_eq!(s.elements_moved, 7);
@@ -545,10 +314,10 @@ mod tests {
     #[test]
     fn snapshot_since() {
         let c = OpCounters::new();
-        c.add_moves(10);
+        c.elements_moved.record(10);
         let a = c.snapshot();
-        c.add_moves(5);
-        c.add_search(1);
+        c.elements_moved.record(5);
+        c.search_steps.record(1);
         let d = c.snapshot().since(a);
         assert_eq!(d.elements_moved, 5);
         assert_eq!(d.search_steps, 1);
@@ -559,15 +328,15 @@ mod tests {
         let s = StructStats::new();
         s.record_vb_inline_insert(3);
         s.record_vb_inline_insert(0);
-        s.record_vb_spill_eviction();
-        s.record_arr_shift(9);
-        s.record_ria_within_shift(4);
+        s.vb_spill_evictions.record(1);
+        s.arr_shifts.record(9);
+        s.ria_within_block_shifts.record(4);
         s.record_ria_ripple(2, 2, 5);
-        s.record_ria_rebuild();
-        s.record_lia_pack();
+        s.ria_rebuilds.record(1);
+        s.lia_horizontal_packs.record(1);
         s.record_lia_vertical(true);
-        s.record_lia_retrain();
-        s.record_node_upgrade();
+        s.lia_model_retrains.record(1);
+        s.hitree_node_upgrades.record(1);
         let snap = s.snapshot();
         assert_eq!(snap.vb_inline_hits, 2);
         assert_eq!(snap.vb_inline_shifts, 3);
@@ -626,10 +395,10 @@ mod tests {
     #[test]
     fn absorb_merges_each_row_by_its_kind() {
         let into = StructStats::new();
-        into.record_arr_shift(5);
-        into.phase_apply_nanos.store(100, Ordering::Relaxed);
+        into.arr_shifts.record(5);
+        into.phase_apply_nanos.record(100);
         into.record_ria_ripple(4, 4, 9);
-        into.record_checkpoint_bytes(77);
+        into.checkpoint_bytes.record(77);
         let before = into.snapshot();
 
         // A zeroed family changes nothing.
@@ -637,8 +406,8 @@ mod tests {
         assert_eq!(into.snapshot(), before);
 
         let from = StructStats::new();
-        from.record_arr_shift(3);
-        from.phase_apply_nanos.store(20, Ordering::Relaxed);
+        from.arr_shifts.record(3);
+        from.phase_apply_nanos.record(20);
         from.record_ria_ripple(2, 2, 6);
         into.absorb(&from);
         let s = into.snapshot();
@@ -665,13 +434,13 @@ mod tests {
     fn absorbing_locals_equals_recording_into_one() {
         let record = |s: &StructStats, i: u64| {
             s.record_vb_inline_insert(i % 4);
-            s.record_arr_shift(i);
+            s.arr_shifts.record(i);
             s.record_ria_ripple(i % 5, i % 3, i % 7);
             if i.is_multiple_of(6) {
                 s.record_lia_vertical(i.is_multiple_of(12));
-                s.record_cow_block_copies(32);
+                s.cow_block_copies.record(32);
             }
-            s.phase_apply_nanos.fetch_add(i * 10, Ordering::Relaxed);
+            s.phase_apply_nanos.record(i * 10);
         };
         let one = StructStats::new();
         (0..60).for_each(|i| record(&one, i));
@@ -737,10 +506,10 @@ mod tests {
         }
         // ... and through the recorders, as callers see it.
         let s = StructStats::new();
-        s.record_ria_within_shift(10);
+        s.ria_within_block_shifts.record(10);
         s.record_ria_ripple(3, 3, 6);
         let a = s.snapshot();
-        s.record_ria_within_shift(5);
+        s.ria_within_block_shifts.record(5);
         s.record_ria_ripple(2, 2, 6);
         let d = s.snapshot().since(a);
         assert_eq!(d.ria_within_block_shifts, 5);

@@ -72,20 +72,12 @@ pub trait MemoryFootprint {
     fn footprint(&self) -> Footprint;
 }
 
-/// `(live, peak)` process heap bytes from the counting allocator, or `None`
-/// when the `count-alloc` feature is off. Self-reported footprints above
-/// measure what structures *claim* to hold; these gauges measure what the
-/// process actually allocated, so the gap between them is unaccounted
-/// overhead (allocator slack, harness buffers, thread stacks' heap use).
-pub fn heap_gauges() -> Option<(u64, u64)> {
-    crate::metrics::heap_gauges()
-}
-
-/// Human-readable `live/peak MB` summary of the process heap gauges, or
+/// Human-readable `live/peak MB` summary of the process heap gauges
+/// ([`crate::metrics::heap_gauges`]), or
 /// `"N/A (build with --features count-alloc)"` when the counting allocator
 /// is compiled out. Table 3 prints this alongside the payload/index splits.
 pub fn heap_summary() -> String {
-    match heap_gauges() {
+    match crate::metrics::heap_gauges() {
         Some((live, peak)) => format!(
             "{:.1} MB live / {:.1} MB peak",
             live as f64 / (1024.0 * 1024.0),
@@ -122,7 +114,7 @@ mod tests {
     #[test]
     fn heap_summary_matches_feature_state() {
         let s = heap_summary();
-        match heap_gauges() {
+        match crate::metrics::heap_gauges() {
             Some(_) => assert!(s.contains("MB live"), "got: {s}"),
             None => assert!(s.starts_with("N/A"), "got: {s}"),
         }

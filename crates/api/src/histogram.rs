@@ -280,25 +280,86 @@ impl HistogramSnapshot {
     }
 }
 
-/// The latency distributions the engine and harness record.
-#[derive(Debug, Default)]
-pub struct LatencyStats {
+/// Expands the list of latency histograms into [`LatencyStats`], its copy
+/// [`LatencySnapshot`] and their methods, all in list order.
+macro_rules! latency_stats {
+    ($( $(#[doc = $doc:literal])+ $name:ident; )+) => {
+        /// The latency distributions the engine and harness record.
+        #[derive(Debug, Default)]
+        pub struct LatencyStats {
+            $( $(#[doc = $doc])+ pub $name: LatencyHistogram, )+
+        }
+
+        impl LatencyStats {
+            /// Creates zeroed stats.
+            pub const fn new() -> Self {
+                LatencyStats { $( $name: LatencyHistogram::new(), )+ }
+            }
+
+            /// Merged snapshot of all histograms.
+            pub fn snapshot(&self) -> LatencySnapshot {
+                LatencySnapshot { $( $name: self.$name.snapshot(), )+ }
+            }
+
+            /// Zeroes all histograms.
+            pub fn reset(&self) {
+                $( self.$name.reset(); )+
+            }
+        }
+
+        /// Point-in-time copy of [`LatencyStats`].
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct LatencySnapshot {
+            $( $(#[doc = $doc])+ pub $name: HistogramSnapshot, )+
+        }
+
+        impl LatencySnapshot {
+            /// Component-wise [`HistogramSnapshot::since`].
+            pub fn since(&self, earlier: &LatencySnapshot) -> LatencySnapshot {
+                LatencySnapshot { $( $name: self.$name.since(&earlier.$name), )+ }
+            }
+
+            /// `(name, histogram)` pairs in the fixed serialization order.
+            pub fn fields(&self) -> [(&'static str, &HistogramSnapshot); [$(stringify!($name)),+].len()] {
+                [$( (stringify!($name), &self.$name) ),+]
+            }
+
+            /// Rebuilds a snapshot from `(name, histogram)` pairs, the
+            /// inverse of `fields`. Unknown names are rejected; missing
+            /// names stay empty.
+            pub fn from_fields<'a>(
+                pairs: impl IntoIterator<Item = (&'a str, HistogramSnapshot)>,
+            ) -> Result<LatencySnapshot, String> {
+                let mut s = LatencySnapshot::default();
+                for (name, h) in pairs {
+                    match name {
+                        $( stringify!($name) => s.$name = h, )+
+                        other => return Err(format!("unknown histogram: {other}")),
+                    }
+                }
+                Ok(s)
+            }
+        }
+    };
+}
+
+latency_stats! {
     /// Wall-clock latency of one whole batch-apply phase (one sample per
     /// `insert_batch`/`delete_batch` call).
-    pub batch_apply: LatencyHistogram,
+    batch_apply;
     /// Wall-clock latency of applying one per-source run (one sample per
     /// committed run, recorded from the worker thread that applied it): the
     /// time since the same task's previous run ended or the task started, so
     /// the first run on a directory page also covers copying the page when a
     /// snapshot still shares it.
-    pub group_apply: LatencyHistogram,
+    group_apply;
     /// Wall-clock latency of one analytics kernel invocation (one sample
     /// per [`kernel_scope`] guard).
-    pub kernel: LatencyHistogram,
+    kernel;
     /// Wall-clock latency of one snapshot read operation, recorded by
     /// readers running against a `GraphSnapshot` while the writer streams
     /// batches (the `repro mixed` experiment).
-    pub reader: LatencyHistogram,
+    reader;
 }
 
 /// Process-wide sink for the analytics kernels: they are generic over
@@ -306,72 +367,9 @@ pub struct LatencyStats {
 static GLOBAL_LATENCY: LatencyStats = LatencyStats::new();
 
 impl LatencyStats {
-    /// Creates zeroed stats.
-    pub const fn new() -> Self {
-        LatencyStats {
-            batch_apply: LatencyHistogram::new(),
-            group_apply: LatencyHistogram::new(),
-            kernel: LatencyHistogram::new(),
-            reader: LatencyHistogram::new(),
-        }
-    }
-
     /// The process-wide default sink (analytics kernels record here).
     pub fn global() -> &'static LatencyStats {
         &GLOBAL_LATENCY
-    }
-
-    /// Merged snapshot of all histograms.
-    pub fn snapshot(&self) -> LatencySnapshot {
-        LatencySnapshot {
-            batch_apply: self.batch_apply.snapshot(),
-            group_apply: self.group_apply.snapshot(),
-            kernel: self.kernel.snapshot(),
-            reader: self.reader.snapshot(),
-        }
-    }
-
-    /// Zeroes all histograms.
-    pub fn reset(&self) {
-        self.batch_apply.reset();
-        self.group_apply.reset();
-        self.kernel.reset();
-        self.reader.reset();
-    }
-}
-
-/// Point-in-time copy of [`LatencyStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LatencySnapshot {
-    /// See [`LatencyStats::batch_apply`].
-    pub batch_apply: HistogramSnapshot,
-    /// See [`LatencyStats::group_apply`].
-    pub group_apply: HistogramSnapshot,
-    /// See [`LatencyStats::kernel`].
-    pub kernel: HistogramSnapshot,
-    /// See [`LatencyStats::reader`].
-    pub reader: HistogramSnapshot,
-}
-
-impl LatencySnapshot {
-    /// Component-wise [`HistogramSnapshot::since`].
-    pub fn since(&self, earlier: &LatencySnapshot) -> LatencySnapshot {
-        LatencySnapshot {
-            batch_apply: self.batch_apply.since(&earlier.batch_apply),
-            group_apply: self.group_apply.since(&earlier.group_apply),
-            kernel: self.kernel.since(&earlier.kernel),
-            reader: self.reader.since(&earlier.reader),
-        }
-    }
-
-    /// `(name, histogram)` pairs in the fixed serialization order.
-    pub fn fields(&self) -> [(&'static str, &HistogramSnapshot); 4] {
-        [
-            ("batch_apply", &self.batch_apply),
-            ("group_apply", &self.group_apply),
-            ("kernel", &self.kernel),
-            ("reader", &self.reader),
-        ]
     }
 }
 

@@ -13,6 +13,7 @@ pub mod footprint;
 pub mod histogram;
 pub mod metric;
 pub mod metrics;
+mod sink;
 pub mod trace;
 
 pub use counters::{CounterSnapshot, OpCounters, Phase, PhaseTimer, StructSnapshot, StructStats};

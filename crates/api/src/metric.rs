@@ -1,6 +1,10 @@
 //! The metric-table machinery: what one row of a table says
-//! ([`MetricDesc`]) and the macro that expands a table into everything
-//! derived from it. The tables themselves live in [`crate::counters`].
+//! ([`MetricDesc`]), the type a row is stored in (one per [`MetricKind`],
+//! each recording with the single relaxed atomic its kind names), and the
+//! macro that expands a table into everything derived from it. The tables
+//! themselves live in [`crate::counters`].
+
+use core::sync::atomic::{AtomicU64, Ordering};
 
 /// How a metric's value evolves. Decides the snapshot arithmetic (`since`),
 /// the Prometheus type, and whether same-seed reruns reproduce the value
@@ -29,6 +33,63 @@ impl MetricKind {
         matches!(self, MetricKind::Counter | MetricKind::GaugeMax)
     }
 }
+
+/// Declares one row type per recording rule: `record(n)` applies the rule
+/// with one relaxed atomic, and `absorb` records another row's value into
+/// this one (skipped when it is zero, so a gauge the source never recorded
+/// survives and an idle source costs one load).
+macro_rules! row_types {
+    ($( $(#[$meta:meta])* $Row:ident: $op:ident; )+) => {$(
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        pub struct $Row(AtomicU64);
+
+        impl $Row {
+            /// A zeroed row.
+            pub const fn new() -> Self {
+                $Row(AtomicU64::new(0))
+            }
+
+            /// Records `n` by the row's rule.
+            #[inline]
+            pub fn record(&self, n: u64) {
+                self.0.$op(n, Ordering::Relaxed);
+            }
+
+            /// The current value.
+            #[inline]
+            pub fn get(&self) -> u64 {
+                self.0.load(Ordering::Relaxed)
+            }
+
+            /// Zeroes the row.
+            pub fn reset(&self) {
+                self.0.store(0, Ordering::Relaxed);
+            }
+
+            /// Records `other`'s value into this row unless it is zero.
+            #[inline]
+            pub fn absorb(&self, other: &$Row) {
+                let v = other.get();
+                if v != 0 {
+                    self.record(v);
+                }
+            }
+        }
+    )+};
+}
+
+row_types! {
+    /// A [`MetricKind::Counter`] row: `record` adds.
+    Counter: fetch_add;
+    /// A [`MetricKind::GaugeMax`] row: `record` keeps the larger value.
+    GaugeMax: fetch_max;
+    /// A [`MetricKind::GaugeLast`] row: `record` stores.
+    GaugeLast: store;
+}
+
+/// A [`MetricKind::Timer`] row adds nanoseconds, as a counter adds events.
+pub type Timer = Counter;
 
 /// The `repro check --baseline` rule a metric is held to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,8 +120,9 @@ pub struct MetricDesc {
 }
 
 /// Expands one metric table — rows of
-/// `/// meaning` + `name: Kind, Gate, "layer", "unit";` — into the atomics
-/// struct `$Stats` (`new`, `reset`, `snapshot`, `absorb`) and its plain-`u64` copy
+/// `/// meaning` + `name: Kind, Gate, "layer", "unit";` — into the struct
+/// `$Stats` of rows, each of its kind's type (`new`, `reset`, `snapshot`,
+/// `absorb`), and its plain-`u64` copy
 /// `$Snap` (`METRICS`, `since`, `fields`, `from_fields`,
 /// `deterministic_fields`), all in row order.
 macro_rules! metric_family {
@@ -77,48 +139,33 @@ macro_rules! metric_family {
         $(#[$stats_meta])*
         #[derive(Debug, Default)]
         pub struct $Stats {
-            $( $(#[doc = $doc])+ pub $name: AtomicU64, )+
+            $( $(#[doc = $doc])+ pub $name: $crate::metric::$kind, )+
         }
 
         impl $Stats {
             /// Creates zeroed metrics.
             pub const fn new() -> Self {
-                $Stats { $( $name: AtomicU64::new(0), )+ }
+                $Stats { $( $name: $crate::metric::$kind::new(), )+ }
             }
 
             /// Resets every metric to zero.
             pub fn reset(&self) {
-                $( self.$name.store(0, Ordering::Relaxed); )+
+                $( self.$name.reset(); )+
             }
 
             /// Snapshot of the current values.
             pub fn snapshot(&self) -> $Snap {
-                $Snap { $( $name: self.$name.load(Ordering::Relaxed), )+ }
+                $Snap { $( $name: self.$name.get(), )+ }
             }
 
-            /// Merges `other`'s values into these, row by row: counters
-            /// and timers add, a `GaugeMax` keeps the larger value and a
-            /// `GaugeLast` takes `other`'s. A row that is zero in `other`
-            /// is left alone, so a gauge `other` never recorded survives
-            /// and a mostly-idle `other` costs one load per row. Recording
-            /// into several families and absorbing them all gives the
-            /// totals of recording into one.
+            /// Merges `other`'s values into these, row by row, each by its
+            /// kind's rule (counters and timers add, a `GaugeMax` keeps the
+            /// larger value, a `GaugeLast` takes `other`'s); a row that is
+            /// zero in `other` is left alone. Recording into several
+            /// families and absorbing them all gives the totals of
+            /// recording into one.
             pub fn absorb(&self, other: &$Stats) {
-                use $crate::metric::MetricKind;
-                $(
-                    let v = other.$name.load(Ordering::Relaxed);
-                    if v != 0 {
-                        match MetricKind::$kind {
-                            MetricKind::Counter | MetricKind::Timer => {
-                                self.$name.fetch_add(v, Ordering::Relaxed);
-                            }
-                            MetricKind::GaugeMax => {
-                                self.$name.fetch_max(v, Ordering::Relaxed);
-                            }
-                            MetricKind::GaugeLast => self.$name.store(v, Ordering::Relaxed),
-                        }
-                    }
-                )+
+                $( self.$name.absorb(&other.$name); )+
             }
         }
 

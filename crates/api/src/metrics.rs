@@ -15,9 +15,8 @@
 //!   [`MetricKind::is_gauge`](crate::MetricKind::is_gauge)), and
 //!   histograms. A [`MetricsRegistry::sample`] is a deterministic,
 //!   pinned-order snapshot.
-//! - A JSONL **time-series sink** ([`stream_to_file`]) mirrors the
-//!   [`crate::trace::stream_to_file`] pattern: a process-global buffered
-//!   sink behind a `Mutex`, a relaxed [`AtomicBool`] fast-path flag, and an
+//! - A JSONL **time-series stream** ([`stream_to_file`]) on the same
+//!   process-global line sink as [`crate::trace::stream_to_file`], with an
 //!   idempotent [`finish_stream`]. Each sample is one fully-formed line
 //!   written with a single `write_all` and flushed immediately, so a
 //!   sampler killed mid-run can never leave a torn line — the file is
@@ -32,19 +31,20 @@
 //!   the future server crate gets `/metrics` for free.
 //! - Under the `count-alloc` feature a counting [`std::alloc::System`]
 //!   wrapper is installed as `#[global_allocator]`, contributing
-//!   process-wide `heap_bytes_live` / `heap_bytes_peak` gauges (see
+//!   process-wide `process_heap_bytes_live` / `_peak` gauges (see
 //!   [`heap_gauges`]); without the feature those gauges are absent and
 //!   [`crate::footprint::heap_summary`] reports `N/A`.
 
-use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+#[cfg(feature = "count-alloc")]
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::counters::{StructSnapshot, StructStats};
 use crate::fail_point;
 use crate::histogram::{bucket_index, bucket_upper_bound, HistogramSnapshot, LatencyStats};
+use crate::sink::LineSink;
 
 /// Schema tag written as the first JSONL line by [`write_header`].
 pub const METRICS_SCHEMA: &str = "lsgraph-metrics-v1";
@@ -109,36 +109,21 @@ mod count_alloc {
     static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 }
 
-/// Live heap bytes from the counting allocator, or `None` when the
-/// `count-alloc` feature is off.
-pub fn heap_bytes_live() -> Option<u64> {
-    #[cfg(feature = "count-alloc")]
-    {
-        Some(count_alloc::LIVE.load(Ordering::Relaxed))
-    }
-    #[cfg(not(feature = "count-alloc"))]
-    {
-        None
-    }
-}
-
-/// Peak heap bytes from the counting allocator, or `None` when the
-/// `count-alloc` feature is off. Monotone non-decreasing over the process
-/// lifetime.
-pub fn heap_bytes_peak() -> Option<u64> {
-    #[cfg(feature = "count-alloc")]
-    {
-        Some(count_alloc::PEAK.load(Ordering::Relaxed))
-    }
-    #[cfg(not(feature = "count-alloc"))]
-    {
-        None
-    }
-}
-
-/// `(live, peak)` heap bytes, or `None` when `count-alloc` is off.
+/// `(live, peak)` heap bytes from the counting allocator, or `None` when the
+/// `count-alloc` feature is off. Peak is monotone over the process lifetime.
+/// Self-reported footprints measure what structures *claim* to hold; these
+/// measure what the process actually allocated, so the gap between them is
+/// unaccounted overhead (allocator slack, harness buffers).
 pub fn heap_gauges() -> Option<(u64, u64)> {
-    Some((heap_bytes_live()?, heap_bytes_peak()?))
+    #[cfg(feature = "count-alloc")]
+    {
+        let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
+        Some((load(&count_alloc::LIVE), load(&count_alloc::PEAK)))
+    }
+    #[cfg(not(feature = "count-alloc"))]
+    {
+        None
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -385,83 +370,41 @@ pub fn parse_prometheus(text: &str) -> Result<RegistrySample, String> {
 }
 
 // ---------------------------------------------------------------------------
-// JSONL time-series sink (the trace::stream_to_file pattern)
+// JSONL time-series stream
 // ---------------------------------------------------------------------------
 
-struct MetricsSink {
-    w: std::io::BufWriter<std::fs::File>,
-    /// Sample lines written so far (the header line is not counted).
-    samples: u64,
-}
+/// The open metrics JSONL file, if any.
+static STREAM: LineSink = LineSink::new();
 
-static SINK: Mutex<Option<MetricsSink>> = Mutex::new(None);
-
-/// Fast-path flag mirroring `SINK.is_some()`, so harness tick sites only
-/// take the sink lock when a metrics stream is actually active.
-static STREAMING: AtomicBool = AtomicBool::new(false);
-
-/// Opens `path` as the process-global metrics JSONL sink. Subsequent
-/// [`Sampler::tick`] calls append one line each. Replaces any previously
-/// active stream; call [`finish_stream`] first if its count matters.
+/// Opens `path` as the process-global metrics JSONL stream. Subsequent
+/// [`Sampler::tick`] calls append one line each. A stream that is already
+/// open is finished first.
 pub fn stream_to_file(path: &Path) -> std::io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    let w = std::io::BufWriter::new(f);
-    let mut guard = SINK.lock().unwrap_or_else(|p| p.into_inner());
-    *guard = Some(MetricsSink { w, samples: 0 });
-    STREAMING.store(true, Ordering::Relaxed);
-    Ok(())
+    STREAM.open(path, "", "", "")
 }
 
-/// Whether a metrics JSONL sink is currently installed.
+/// Whether a metrics JSONL stream is open.
 pub fn is_streaming() -> bool {
-    STREAMING.load(Ordering::Relaxed)
+    STREAM.is_open()
 }
 
 /// Writes the self-describing header line
 /// `{"schema":"lsgraph-metrics-v1","experiment":...,"samples_expected":N}`
 /// so `repro check --metrics` can validate the file standalone. No-op
-/// (returns `Ok(false)`) when no sink is active.
+/// (returns `Ok(false)`) when no stream is open.
 pub fn write_header(experiment: &str, samples_expected: u64) -> std::io::Result<bool> {
-    let mut guard = SINK.lock().unwrap_or_else(|p| p.into_inner());
-    let Some(sink) = guard.as_mut() else {
-        return Ok(false);
-    };
     let line = format!(
         "{{\"schema\":\"{METRICS_SCHEMA}\",\"experiment\":\"{experiment}\",\
          \"samples_expected\":{samples_expected}}}\n"
     );
-    sink.w.write_all(line.as_bytes())?;
-    sink.w.flush()?;
-    Ok(true)
+    STREAM.write(&line, false)
 }
 
-/// Closes the active stream, flushing buffered bytes, and returns the
-/// number of sample lines written. `Ok(None)` when no stream was active —
-/// idempotent, so a drop guard and an explicit call can coexist. JSONL
-/// needs no footer: the file is already complete (every line was flushed
-/// as it was written).
+/// Closes the open stream and returns the number of sample lines written.
+/// `Ok(None)` when no stream was open — idempotent. JSONL needs no footer:
+/// every line was flushed whole as it was written.
 pub fn finish_stream() -> std::io::Result<Option<u64>> {
-    STREAMING.store(false, Ordering::Relaxed);
-    let sink = SINK.lock().unwrap_or_else(|p| p.into_inner()).take();
-    let Some(mut sink) = sink else {
-        return Ok(None);
-    };
-    sink.w.flush()?;
-    Ok(Some(sink.samples))
-}
-
-/// Appends one fully-formed sample line. A single `write_all` + flush per
-/// line: a panic before this call leaves the file untouched; there is no
-/// code path that can write half a line.
-fn write_sample_line(line: &str) -> std::io::Result<bool> {
-    let mut guard = SINK.lock().unwrap_or_else(|p| p.into_inner());
-    let Some(sink) = guard.as_mut() else {
-        return Ok(false);
-    };
-    sink.w.write_all(line.as_bytes())?;
-    sink.w.flush()?;
-    sink.samples += 1;
-    Ok(true)
+    STREAM.finish()
 }
 
 /// Formats one JSONL sample line (newline-terminated).
@@ -565,7 +508,7 @@ impl Sampler {
             extras,
             &sample,
         );
-        let written = write_sample_line(&line)?;
+        let written = STREAM.write(&line, true)?;
         if written {
             self.tick += 1;
         }
@@ -577,8 +520,8 @@ impl Sampler {
 mod tests {
     use super::*;
 
-    /// The sink is process-global; serialize the tests that touch it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    /// The stream is process-global; serialize the tests that touch it.
+    static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn locked() -> std::sync::MutexGuard<'static, ()> {
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -605,7 +548,7 @@ mod tests {
         let (r, stats, _) = small_registry();
         stats.record_vb_inline_insert(3);
         stats.record_ria_ripple(2, 5, 6);
-        stats.record_subscriptions_active(4);
+        stats.subscriptions_active.record(4);
         let s = r.sample();
         // 44 struct fields minus 6 gauges; heap gauges only under count-alloc.
         assert_eq!(s.counters.len(), 38);
@@ -640,7 +583,7 @@ mod tests {
         let (r, stats, latency) = small_registry();
         stats.record_vb_inline_insert(7);
         stats.record_ria_ripple(3, 9, 6);
-        stats.record_checkpoint_bytes(12345);
+        stats.checkpoint_bytes.record(12345);
         latency.batch_apply.record(100);
         latency.batch_apply.record(10_000);
         latency.reader.record(0);
@@ -716,7 +659,7 @@ lsgraph_batch_apply_ns_max 10000
         let (r, stats, _) = small_registry();
         let mut sampler = Sampler::new(r, "OR/bs=16");
         for i in 0..3u64 {
-            stats.record_vb_spill_insert();
+            stats.vb_spill_inserts.record(1);
             assert!(sampler.tick(&[("writer_eps", 1.5 + i as f64)]).unwrap());
         }
         assert_eq!(finish_stream().unwrap(), Some(3));

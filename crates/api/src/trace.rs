@@ -1,42 +1,34 @@
-//! Vendored, no-deps trace shim with chrome://tracing export.
+//! Vendored, no-deps trace shim streaming chrome://tracing JSON.
 //!
-//! Scoped spans ([`span`]/[`span_named`]) record `(kind, name, start, dur)`
-//! into **per-thread ring buffers**; the whole facility is gated on a single
-//! relaxed [`AtomicBool`], so when tracing is disabled (the default) a span
-//! guard costs one atomic load and nothing is allocated.
-//!
-//! Rings are bounded ([`RING_CAP`] events per thread): when a ring fills,
-//! the oldest events are overwritten and a drop counter is kept, so a long
-//! run keeps the *most recent* window — the usual choice for "what just
-//! happened before the spike" debugging.
-//!
-//! [`export_chrome_json`] merges every thread's ring (including threads that
-//! have already exited — rings are kept alive by a global registry) and
-//! writes the `trace_event` JSON array format understood by
-//! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): complete
-//! events (`"ph":"X"`) with microsecond `ts`/`dur` relative to the first
-//! [`enable`] call.
-//!
-//! For long runs where the most-recent-window semantics of the rings would
-//! clip history, [`stream_to_file`] switches the facility into **streaming
-//! mode**: every completed span is appended directly to a buffered file
-//! sink as it drops (bypassing the rings entirely), so an arbitrarily long
-//! traced run loses zero events. [`finish_stream`] terminates the JSON
-//! document with a `droppedEvents: 0` footer and returns the event count.
+//! Spans ([`span`]/[`span_named`]) are on exactly while a stream is open:
+//! [`stream_to_file`] opens one and [`finish_stream`] closes it. With no
+//! stream (the default) opening a span costs one relaxed atomic load and
+//! allocates nothing. With one, each span is appended to the file as one
+//! line when it drops, so an arbitrarily long traced run loses no event,
+//! and finishing closes the document with a `droppedEvents: 0` footer. The
+//! file is the `trace_event` format of `chrome://tracing` and
+//! [Perfetto](https://ui.perfetto.dev): complete events (`"ph":"X"`) with
+//! microsecond `ts`/`dur` since the first stream opened, each under the
+//! `tid` of the thread that recorded it.
 
-use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Capacity of each per-thread event ring.
-pub const RING_CAP: usize = 1 << 15;
+use crate::sink::LineSink;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// The open trace file, if any; open means spans record.
+static STREAM: LineSink = LineSink::new();
+
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
-/// Wall-clock origin for exported timestamps (set on first [`enable`]).
+thread_local! {
+    /// This thread's `tid` in trace output, fixed at its first span.
+    static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Wall-clock origin for timestamps (set by the first [`stream_to_file`]).
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 fn epoch() -> Instant {
@@ -77,98 +69,17 @@ impl SpanKind {
     }
 }
 
-/// One recorded complete event.
-#[derive(Clone, Copy, Debug)]
-struct Event {
-    kind: SpanKind,
-    /// Extra label for named spans (kernel name); `""` means "use kind name".
-    name: &'static str,
-    /// Nanoseconds since [`epoch`].
-    start_ns: u64,
-    dur_ns: u64,
-}
-
-/// Fixed-capacity overwrite-oldest ring of events for one thread.
-struct Ring {
-    tid: u64,
-    events: Vec<Event>,
-    /// Next write position once `events` is full.
-    head: usize,
-    dropped: u64,
-}
-
-impl Ring {
-    fn push(&mut self, e: Event) {
-        if self.events.len() < RING_CAP {
-            self.events.push(e);
-        } else {
-            self.events[self.head] = e;
-            self.head = (self.head + 1) % RING_CAP;
-            self.dropped += 1;
-        }
-    }
-}
-
-/// All rings ever created, so events from exited threads still export.
-static REGISTRY: Mutex<Vec<Arc<Mutex<Ring>>>> = Mutex::new(Vec::new());
-
-/// Incremental on-disk sink for streaming mode ([`stream_to_file`]).
-struct StreamSink {
-    w: std::io::BufWriter<std::fs::File>,
-    /// Events written so far (drives comma placement and the final count).
-    events: u64,
-}
-
-static SINK: Mutex<Option<StreamSink>> = Mutex::new(None);
-
-/// Fast-path flag mirroring `SINK.is_some()`, so `Span::drop` only takes
-/// the sink lock when streaming is actually active.
-static STREAMING: AtomicBool = AtomicBool::new(false);
-
-thread_local! {
-    static MY_RING: Arc<Mutex<Ring>> = {
-        let ring = Arc::new(Mutex::new(Ring {
-            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-            events: Vec::new(),
-            head: 0,
-            dropped: 0,
-        }));
-        REGISTRY.lock().unwrap().push(Arc::clone(&ring));
-        ring
-    };
-}
-
-/// Turns tracing on (spans start recording). Also fixes the export epoch.
-pub fn enable() {
-    epoch();
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Turns tracing off. Already-recorded events are kept until [`reset`].
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Whether spans currently record.
+/// Whether spans currently record, i.e. a trace stream is open.
+#[inline]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    STREAM.is_open()
 }
 
-/// Clears every ring (drop counters included). Tracing state is unchanged.
-pub fn reset() {
-    for ring in REGISTRY.lock().unwrap().iter() {
-        let mut r = ring.lock().unwrap();
-        r.events.clear();
-        r.head = 0;
-        r.dropped = 0;
-    }
-}
-
-/// Scoped span guard: records one complete event on drop (only if tracing
-/// was enabled when the guard was created).
+/// Scoped span guard: streams one complete event on drop (only if a stream
+/// was open when the guard was created).
 #[must_use = "the span records on drop; binding it to `_` drops immediately"]
 pub struct Span {
-    /// `None` when tracing was disabled at creation — drop is then free.
+    /// `None` when tracing was off at creation — drop is then free.
     info: Option<(SpanKind, &'static str, Instant)>,
 }
 
@@ -178,119 +89,62 @@ pub fn span(kind: SpanKind) -> Span {
     span_named(kind, "")
 }
 
-/// Opens a span of `kind` with an extra `name` label (e.g. a kernel name).
+/// Opens a span of `kind` with an extra `name` label (e.g. a kernel name),
+/// shown as `kind:name`.
 #[inline]
 pub fn span_named(kind: SpanKind, name: &'static str) -> Span {
     Span {
-        info: if is_enabled() {
-            Some((kind, name, Instant::now()))
-        } else {
-            None
-        },
+        info: is_enabled().then(|| (kind, name, Instant::now())),
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some((kind, name, start)) = self.info.take() {
-            let ep = epoch();
-            let start_ns = start
-                .checked_duration_since(ep)
-                .map(|d| d.as_nanos().min(u64::MAX as u128) as u64)
-                .unwrap_or(0);
-            let dur_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            let e = Event {
-                kind,
-                name,
-                start_ns,
-                dur_ns,
-            };
-            MY_RING.with(|ring| {
-                let mut r = ring.lock().unwrap();
-                if STREAMING.load(Ordering::Relaxed) && write_streamed(r.tid, &e) {
-                    return;
-                }
-                r.push(e);
-            });
+            let line = event_json(TID.with(|t| *t), kind, name, start);
+            // A failed write loses this event only; the span cannot report it.
+            let _ = STREAM.write(&line, true);
         }
     }
 }
 
-/// Appends one event to the streaming sink. Returns `false` when no sink is
-/// installed (or the write failed), in which case the caller falls back to
-/// the thread's ring so the event is not lost.
-fn write_streamed(tid: u64, e: &Event) -> bool {
-    let mut guard = SINK.lock().unwrap_or_else(|p| p.into_inner());
-    let Some(sink) = guard.as_mut() else {
-        return false;
-    };
-    let sep = if sink.events == 0 { "\n" } else { ",\n" };
-    let line = format!("{sep}    {}", event_json(tid, e));
-    if sink.w.write_all(line.as_bytes()).is_ok() {
-        sink.events += 1;
-        true
-    } else {
-        false
-    }
-}
-
-/// Starts streaming every subsequently recorded span to `path` as
-/// chrome://tracing JSON, bypassing the bounded per-thread rings so no
-/// event is ever dropped. Replaces any previously active stream without
-/// terminating it; call [`finish_stream`] first if its footer matters.
+/// Opens `path` as the trace stream and turns spans on. A stream that is
+/// already open is finished first, footer and all.
 ///
-/// Returns a [`StreamGuard`] that finalizes the stream on drop, so a traced
-/// run that panics still gets a flushed, parseable trace file instead of a
-/// truncated JSON array. [`finish_stream`] is idempotent: callers that want
-/// the event count call it explicitly before the guard drops.
-///
-/// Events already sitting in the rings are not copied over — enable
-/// streaming before the traced workload starts.
+/// Returns a [`StreamGuard`] that finishes the stream on drop, so a traced
+/// run that panics still leaves a flushed, parseable trace file. Callers
+/// that want the event count call [`finish_stream`] before the guard drops.
 pub fn stream_to_file(path: &Path) -> std::io::Result<StreamGuard> {
-    let f = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(f);
-    w.write_all(b"{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [")?;
-    let mut guard = SINK.lock().unwrap_or_else(|p| p.into_inner());
-    *guard = Some(StreamSink { w, events: 0 });
-    STREAMING.store(true, Ordering::Relaxed);
+    epoch();
+    STREAM.open(
+        path,
+        "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n",
+        ",\n",
+        "\n  ],\n  \"droppedEvents\": 0\n}\n",
+    )?;
     Ok(StreamGuard { _private: () })
 }
 
-/// Drop guard returned by [`stream_to_file`]: finalizes the active stream
-/// when dropped (including during a panic unwind), writing the array
-/// terminator and footer so the trace file is never left unparseable.
-#[must_use = "dropping the guard immediately would finalize the stream now"]
+/// Drop guard returned by [`stream_to_file`]: finishes the open trace
+/// stream when dropped, including during a panic unwind.
+#[must_use = "dropping the guard immediately would finish the stream now"]
 pub struct StreamGuard {
     _private: (),
 }
 
 impl Drop for StreamGuard {
     fn drop(&mut self) {
-        // Idempotent: a no-op if the stream was already finished explicitly
-        // (or replaced). Errors are swallowed — drop runs during unwinding,
-        // where the original panic matters more than a flush failure.
+        // Idempotent; errors are swallowed because drop may run while
+        // unwinding, where the original panic matters more.
         let _ = finish_stream();
     }
 }
 
-/// Whether a streaming sink is currently installed.
-pub fn is_streaming() -> bool {
-    STREAMING.load(Ordering::Relaxed)
-}
-
-/// Terminates the active stream: writes the `traceEvents` array terminator
-/// and a `droppedEvents: 0` footer (streaming never drops), flushes, and
-/// returns the number of events written. Returns `Ok(None)` when no stream
-/// was active.
+/// Turns spans off and finishes the trace stream: writes the `traceEvents`
+/// terminator and the `droppedEvents: 0` footer, flushes, and returns the
+/// number of events written. `Ok(None)` when no stream was open.
 pub fn finish_stream() -> std::io::Result<Option<u64>> {
-    STREAMING.store(false, Ordering::Relaxed);
-    let sink = SINK.lock().unwrap_or_else(|p| p.into_inner()).take();
-    let Some(mut sink) = sink else {
-        return Ok(None);
-    };
-    sink.w.write_all(b"\n  ],\n  \"droppedEvents\": 0\n}\n")?;
-    sink.w.flush()?;
-    Ok(Some(sink.events))
+    STREAM.finish()
 }
 
 fn fmt_us(ns: u64) -> String {
@@ -300,95 +154,71 @@ fn fmt_us(ns: u64) -> String {
 }
 
 /// One complete event in chrome://tracing JSON form (no trailing comma).
-fn event_json(tid: u64, e: &Event) -> String {
-    let label = if e.name.is_empty() {
-        e.kind.name().to_string()
+fn event_json(tid: u64, kind: SpanKind, name: &str, start: Instant) -> String {
+    let nanos = |d: std::time::Duration| d.as_nanos().min(u64::MAX as u128) as u64;
+    let start_ns = start.checked_duration_since(epoch()).map_or(0, nanos);
+    let label = if name.is_empty() {
+        kind.name().to_string()
     } else {
-        format!("{}:{}", e.kind.name(), e.name)
+        format!("{}:{}", kind.name(), name)
     };
     format!(
-        "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"ts\": {}, \"dur\": {}}}",
+        "    {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"ts\": {}, \"dur\": {}}}",
         label,
-        e.kind.name(),
+        kind.name(),
         tid,
-        fmt_us(e.start_ns),
-        fmt_us(e.dur_ns)
+        fmt_us(start_ns),
+        fmt_us(nanos(start.elapsed()))
     )
-}
-
-/// Serializes every recorded event as chrome://tracing `trace_event` JSON
-/// (object form, `"traceEvents"` array of `"ph":"X"` complete events).
-/// Events are globally sorted by `(start, tid)` so output is stable for a
-/// fixed set of recorded events. Returns the JSON string and the total
-/// number of events dropped to ring overflow (reported as metadata too).
-pub fn export_chrome_json() -> (String, u64) {
-    let mut all: Vec<(u64, Event)> = Vec::new();
-    let mut dropped = 0u64;
-    let mut dropped_by_thread: Vec<(u64, u64)> = Vec::new();
-    for ring in REGISTRY.lock().unwrap().iter() {
-        let r = ring.lock().unwrap();
-        dropped += r.dropped;
-        if r.dropped > 0 {
-            dropped_by_thread.push((r.tid, r.dropped));
-        }
-        for e in &r.events {
-            all.push((r.tid, *e));
-        }
-    }
-    all.sort_by_key(|&(tid, e)| (e.start_ns, tid, e.dur_ns));
-    dropped_by_thread.sort_unstable();
-
-    let mut out = String::with_capacity(128 + all.len() * 96);
-    out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n");
-    out.push_str(&format!("  \"droppedEvents\": {dropped},\n"));
-    // Per-thread attribution of ring overflow, so a truncated trace names
-    // the thread whose window was clipped. Only overflowing tids appear.
-    out.push_str("  \"droppedEventsByThread\": [");
-    for (i, (tid, n)) in dropped_by_thread.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("[{tid}, {n}]"));
-    }
-    out.push_str("],\n");
-    out.push_str("  \"traceEvents\": [\n");
-    for (i, (tid, e)) in all.iter().enumerate() {
-        out.push_str(&format!(
-            "    {}{}\n",
-            event_json(*tid, e),
-            if i + 1 < all.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    (out, dropped)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
-    /// Tracing state (rings, sink, enabled flag) is process-global;
-    /// serialize the tests that touch it.
+    /// The stream is process-global; serialize the tests that open it.
+    /// Other tests in this binary may still stream `sort`/`apply`/kernel
+    /// spans into an open file, so these tests use the other kinds and
+    /// count events by label.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn locked() -> std::sync::MutexGuard<'static, ()> {
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    // Ring-based recording and export are exercised in one test to avoid
-    // interleaving enable/disable windows under the parallel test runner.
-    #[test]
-    fn spans_record_and_export_only_when_enabled() {
-        let _g = locked();
-        reset();
-        disable();
-        {
-            let _s = span(SpanKind::Sort);
-        }
-        let (json, _) = export_chrome_json();
-        assert!(!json.contains("\"name\": \"sort\""), "disabled span leaked");
+    fn tmp(name: &str) -> std::path::PathBuf {
+        let file = format!("lsgraph_trace_{name}_{}.json", std::process::id());
+        std::env::temp_dir().join(file)
+    }
 
-        enable();
+    /// Reads and deletes a trace file, checking it is a whole document.
+    fn read_document(path: &Path) -> String {
+        let json = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_file(path).ok();
+        assert!(json.starts_with("{\n  \"displayTimeUnit\""), "{json}");
+        assert!(
+            json.ends_with("\n  ],\n  \"droppedEvents\": 0\n}\n"),
+            "{json}"
+        );
+        json
+    }
+
+    fn count(json: &str, label: &str) -> usize {
+        json.matches(&format!("\"name\": \"{label}\"")).count()
+    }
+
+    #[test]
+    fn spans_stream_only_while_a_stream_is_open() {
+        let _g = locked();
+        let path = tmp("open");
+        assert_eq!(finish_stream().unwrap(), None);
+        assert!(!is_enabled());
+        {
+            let _s = span(SpanKind::TierUpgrade);
+        }
+        let _guard = stream_to_file(&path).unwrap();
+        assert!(is_enabled());
         {
             let _s = span(SpanKind::RiaRebuild);
             std::thread::sleep(std::time::Duration::from_micros(100));
@@ -396,147 +226,78 @@ mod tests {
         {
             let _k = span_named(SpanKind::Kernel, "bfs");
         }
-        std::thread::spawn(|| {
-            let _s = span(SpanKind::Apply);
+        let here = TID.with(|t| *t);
+        let there = std::thread::spawn(|| {
+            let _s = span(SpanKind::LiaRetrain);
+            TID.with(|t| *t)
         })
         .join()
         .unwrap();
-        disable();
+        assert_ne!(here, there);
+        assert!(finish_stream().unwrap() >= Some(3));
+        assert!(!is_enabled());
+        {
+            let _s = span(SpanKind::TierUpgrade);
+        }
 
-        let (json, dropped) = export_chrome_json();
-        assert_eq!(dropped, 0);
-        assert!(
-            json.contains("\"droppedEventsByThread\": []"),
-            "no thread overflowed, so the per-thread list must be empty"
+        let json = read_document(&path);
+        assert_eq!(
+            count(&json, "tier_upgrade"),
+            0,
+            "span with no stream leaked"
         );
-        assert!(json.contains("\"name\": \"ria_rebuild\""));
-        assert!(json.contains("\"name\": \"kernel:bfs\""));
-        assert!(json.contains("\"cat\": \"kernel\""));
-        assert!(
-            json.contains("\"name\": \"apply\""),
-            "exited-thread ring lost"
-        );
-        assert!(json.contains("\"ph\": \"X\""));
-        assert!(json.trim_start().starts_with('{'));
-        assert!(json.trim_end().ends_with('}'));
-
-        reset();
-        let (json, _) = export_chrome_json();
-        assert!(!json.contains("ria_rebuild"));
-
-        // Ring overflow is attributed per thread in the export metadata.
-        // Inject a pre-overflowed ring rather than recording RING_CAP+3 real
-        // spans, then remove it so later tests see a clean registry.
-        let fake = Arc::new(Mutex::new(Ring {
-            tid: 7777,
-            events: Vec::new(),
-            head: 0,
-            dropped: 3,
-        }));
-        REGISTRY.lock().unwrap().push(Arc::clone(&fake));
-        let (json, dropped) = export_chrome_json();
-        assert_eq!(dropped, 3);
-        assert!(
-            json.contains("\"droppedEventsByThread\": [[7777, 3]]"),
-            "overflowing tid missing from metadata: {json}"
-        );
-        REGISTRY.lock().unwrap().retain(|r| !Arc::ptr_eq(r, &fake));
+        let event = |label: &str, cat: &str, tid: u64| {
+            format!("\"name\": \"{label}\", \"cat\": \"{cat}\", \"ph\": \"X\", \"pid\": 1, \"tid\": {tid},")
+        };
+        assert!(json.contains(&event("ria_rebuild", "ria_rebuild", here)));
+        assert!(json.contains(&event("kernel:bfs", "kernel", here)));
+        // The exited thread's span is in the file, under its own tid.
+        assert!(json.contains(&event("lia_retrain", "lia_retrain", there)));
     }
 
     #[test]
-    fn streaming_sink_drops_zero_events_past_ring_capacity() {
+    fn opening_a_second_stream_finishes_the_first() {
         let _g = locked();
-        reset();
-        let path = std::env::temp_dir().join(format!(
-            "lsgraph_trace_stream_test_{}.json",
-            std::process::id()
-        ));
-        let _guard = stream_to_file(&path).unwrap();
-        assert!(is_streaming());
-        enable();
-        // Well past RING_CAP: ring mode would overwrite the oldest
-        // `total - RING_CAP` events; streaming must keep every one.
-        let total = RING_CAP as u64 + 100;
-        for _ in 0..total {
-            let _s = span(SpanKind::Apply);
+        let (first, second) = (tmp("first"), tmp("second"));
+        let _guard = stream_to_file(&first).unwrap();
+        for _ in 0..1000 {
+            let _s = span(SpanKind::Group);
         }
-        disable();
-        let written = finish_stream().unwrap().expect("stream was active");
-        assert!(!is_streaming());
-        assert_eq!(written, total, "streamed event count");
-
-        let json = std::fs::read_to_string(&path).unwrap();
+        let _guard = stream_to_file(&second).unwrap();
+        {
+            let _s = span(SpanKind::TierUpgrade);
+        }
+        assert!(finish_stream().unwrap() >= Some(1));
+        assert_eq!(finish_stream().unwrap(), None, "finish is idempotent");
+        let json = read_document(&first);
         assert_eq!(
-            json.matches("\"ph\": \"X\"").count() as u64,
-            total,
-            "every span must appear in the streamed file"
+            (count(&json, "group"), count(&json, "tier_upgrade")),
+            (1000, 0)
         );
-        assert!(json.contains("\"droppedEvents\": 0"));
-        assert!(json.trim_start().starts_with('{'));
-        assert!(json.trim_end().ends_with('}'));
-
-        // The rings were bypassed entirely: nothing recorded, nothing
-        // dropped, so the in-memory export stays empty.
-        let (ring_json, dropped) = export_chrome_json();
-        assert_eq!(dropped, 0);
-        assert!(!ring_json.contains("\"name\": \"apply\""));
-
-        // A second finish with no active stream is a no-op.
-        assert_eq!(finish_stream().unwrap(), None);
-        std::fs::remove_file(&path).ok();
-        reset();
+        let json = read_document(&second);
+        assert_eq!(
+            (count(&json, "group"), count(&json, "tier_upgrade")),
+            (0, 1)
+        );
     }
 
     #[test]
     fn stream_guard_finalizes_on_panic() {
         let _g = locked();
-        reset();
-        let path = std::env::temp_dir().join(format!(
-            "lsgraph_trace_panic_test_{}.json",
-            std::process::id()
-        ));
+        let path = tmp("panic");
         let path2 = path.clone();
         // A traced run that panics mid-stream: the guard unwinds with it
         // and must leave a complete, parseable trace document behind.
         let r = std::panic::catch_unwind(move || {
             let _guard = stream_to_file(&path2).unwrap();
-            enable();
             {
-                let _s = span(SpanKind::Apply);
+                let _s = span(SpanKind::LiaRetrain);
             }
             panic!("traced workload died");
         });
         assert!(r.is_err());
-        disable();
-        assert!(!is_streaming(), "guard must tear down the stream");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"name\": \"apply\""));
-        assert!(json.contains("\"droppedEvents\": 0"));
-        assert!(json.trim_end().ends_with('}'), "file must be finalized");
-        std::fs::remove_file(&path).ok();
-        reset();
-    }
-
-    #[test]
-    fn ring_overwrites_oldest_and_counts_drops() {
-        let mut r = Ring {
-            tid: 99,
-            events: Vec::new(),
-            head: 0,
-            dropped: 0,
-        };
-        for i in 0..(RING_CAP as u64 + 10) {
-            r.push(Event {
-                kind: SpanKind::Sort,
-                name: "",
-                start_ns: i,
-                dur_ns: 0,
-            });
-        }
-        assert_eq!(r.events.len(), RING_CAP);
-        assert_eq!(r.dropped, 10);
-        // Oldest 10 events (start_ns 0..10) were overwritten.
-        assert!(r.events.iter().all(|e| e.start_ns >= 10));
+        assert!(!is_enabled(), "guard must tear down the stream");
+        assert_eq!(count(&read_document(&path), "lia_retrain"), 1);
     }
 
     #[test]

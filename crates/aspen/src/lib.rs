@@ -343,12 +343,12 @@ impl CTreeSet {
         if is_head(x) {
             // Elements after x in the covering chunk move into x's chunk.
             let (pred, steps) = find_pred_steps(&self.root, x);
-            c.add_search(steps);
+            c.search_steps.record(steps);
             match pred {
                 None => {
                     let pre = self.prefix.decode();
                     let cut = pre.partition_point(|&y| y < x);
-                    c.add_moves(pre.len() as u64);
+                    c.elements_moved.record(pre.len() as u64);
                     out.prefix = Arc::new(DeltaChunk::encode(&pre[..cut]));
                     out.root =
                         insert_head(&self.root, x, Arc::new(DeltaChunk::encode(&pre[cut..])));
@@ -356,7 +356,7 @@ impl CTreeSet {
                 Some(p) => {
                     let chunk = p.chunk.decode();
                     let cut = chunk.partition_point(|&y| y < x);
-                    c.add_moves(chunk.len() as u64);
+                    c.elements_moved.record(chunk.len() as u64);
                     let kept = Arc::new(DeltaChunk::encode(&chunk[..cut]));
                     let pruned = with_chunk(&self.root, p.head, kept);
                     out.root = insert_head(&pruned, x, Arc::new(DeltaChunk::encode(&chunk[cut..])));
@@ -364,20 +364,20 @@ impl CTreeSet {
             }
         } else {
             let (pred, steps) = find_pred_steps(&self.root, x);
-            c.add_search(steps);
+            c.search_steps.record(steps);
             match pred {
                 None => {
                     let mut pre = self.prefix.decode();
                     let i = pre.partition_point(|&y| y < x);
                     pre.insert(i, x);
-                    c.add_moves(pre.len() as u64);
+                    c.elements_moved.record(pre.len() as u64);
                     out.prefix = Arc::new(DeltaChunk::encode(&pre));
                 }
                 Some(p) => {
                     let mut chunk = p.chunk.decode();
                     let i = chunk.partition_point(|&y| y < x);
                     chunk.insert(i, x);
-                    c.add_moves(chunk.len() as u64);
+                    c.elements_moved.record(chunk.len() as u64);
                     out.root = with_chunk(&self.root, p.head, Arc::new(DeltaChunk::encode(&chunk)));
                 }
             }
@@ -395,13 +395,13 @@ impl CTreeSet {
     pub fn deleted_with(&self, x: u32, c: &OpCounters) -> Option<CTreeSet> {
         let mut out = self.clone();
         let (pred, steps) = find_pred_steps(&self.root, x);
-        c.add_search(steps);
+        c.search_steps.record(steps);
         match pred {
             None => {
                 let mut pre = self.prefix.decode();
                 let i = pre.binary_search(&x).ok()?;
                 pre.remove(i);
-                c.add_moves(pre.len() as u64);
+                c.elements_moved.record(pre.len() as u64);
                 out.prefix = Arc::new(DeltaChunk::encode(&pre));
             }
             Some(p) if p.head == x => {
@@ -410,19 +410,19 @@ impl CTreeSet {
                 let orphan = p.chunk.decode();
                 let removed = delete_head(&self.root, x);
                 let (pred2, steps2) = find_pred_steps(&removed, x);
-                c.add_search(steps2);
+                c.search_steps.record(steps2);
                 match pred2 {
                     None => {
                         let mut pre = self.prefix.decode();
                         pre.extend_from_slice(&orphan);
-                        c.add_moves(pre.len() as u64);
+                        c.elements_moved.record(pre.len() as u64);
                         out.prefix = Arc::new(DeltaChunk::encode(&pre));
                         out.root = removed;
                     }
                     Some(q) => {
                         let mut chunk = q.chunk.decode();
                         chunk.extend_from_slice(&orphan);
-                        c.add_moves(chunk.len() as u64);
+                        c.elements_moved.record(chunk.len() as u64);
                         out.root =
                             with_chunk(&removed, q.head, Arc::new(DeltaChunk::encode(&chunk)));
                     }
@@ -432,7 +432,7 @@ impl CTreeSet {
                 let mut chunk = p.chunk.decode();
                 let i = chunk.binary_search(&x).ok()?;
                 chunk.remove(i);
-                c.add_moves(chunk.len() as u64);
+                c.elements_moved.record(chunk.len() as u64);
                 out.root = with_chunk(&self.root, p.head, Arc::new(DeltaChunk::encode(&chunk)));
             }
         }
@@ -680,9 +680,9 @@ impl DynamicGraph for AspenGraph {
                 // per-element path copying for point updates.
                 if items.len() * 4 >= set.len().max(8) {
                     let (next, added) = set.merged_with_sorted(&items);
-                    counters.add_rebuild();
-                    counters.add_search(items.len() as u64);
-                    counters.add_moves(next.len() as u64);
+                    counters.rebuilds.record(1);
+                    counters.search_steps.record(items.len() as u64);
+                    counters.elements_moved.record(next.len() as u64);
                     (run.src, next, added)
                 } else {
                     let mut set = set.clone();
@@ -723,9 +723,9 @@ impl DynamicGraph for AspenGraph {
                 let items: Vec<u32> = keys[run.start..run.end].iter().map(|&k| k as u32).collect();
                 if items.len() * 4 >= set.len().max(8) {
                     let (next, removed) = set.minus_sorted(&items);
-                    counters.add_rebuild();
-                    counters.add_search(items.len() as u64);
-                    counters.add_moves(next.len() as u64);
+                    counters.rebuilds.record(1);
+                    counters.search_steps.record(items.len() as u64);
+                    counters.elements_moved.record(next.len() as u64);
                     (run.src, next, removed)
                 } else {
                     let mut set = set.clone();

@@ -180,17 +180,14 @@ fn main() {
         "[repro] base=2^{} shift={} trials={}",
         scale.base, scale.shift, scale.trials
     );
-    // Both guards finalize their stream on drop, so a panicking experiment
-    // still leaves flushed, parseable trace/metrics files behind.
+    // Spans stream to disk as they complete while the trace file is open;
+    // its guard finishes the file on drop, so a panicking experiment still
+    // leaves a parseable trace behind.
     let _trace_guard = trace_path.as_ref().map(|path| {
-        // Stream spans to disk as they complete: a long run never loses
-        // events to ring-buffer overflow.
-        let guard = trace::stream_to_file(std::path::Path::new(path)).unwrap_or_else(|e| {
+        trace::stream_to_file(std::path::Path::new(path)).unwrap_or_else(|e| {
             eprintln!("[repro] cannot open trace file {path}: {e}");
             std::process::exit(1);
-        });
-        trace::enable();
-        guard
+        })
     });
     if let Some(path) = &metrics_path {
         // Install the metrics sink before the experiments run; instrumented
@@ -260,7 +257,6 @@ fn main() {
         }
     }
     if let Some(path) = trace_path {
-        trace::disable();
         match trace::finish_stream() {
             Ok(Some(events)) => {
                 eprintln!("[repro] wrote trace {path} ({events} events, 0 dropped)")

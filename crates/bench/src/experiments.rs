@@ -49,47 +49,25 @@ fn update_batch(graph_scale: u32, size: usize, seed: u64) -> Vec<Edge> {
 }
 
 /// Fig. 12 (+ §6.2 deletion results): insert/delete throughput for every
-/// engine and graph across batch sizes.
+/// engine and graph across batch sizes, the cells of [`fig12_report`].
 pub fn fig12(scale: &Scale) {
     println!("# Fig. 12: update throughput (edges/s), insert|delete");
-    for p in datasets(scale) {
-        let shift = shift_for(&p, scale);
-        let n = p.scaled_vertices(shift);
-        let gscale = p.log_vertices - shift;
-        let base = p.generate(shift, 42);
-        println!("\n## {} (|V|=2^{}, |E|={})", p.name, gscale, base.len());
-        print!("{:>10}", "batch");
-        for k in engines() {
-            print!("{:>22}", k.name());
-        }
-        println!();
-        let mut built: Vec<(EngineKind, Box<dyn crate::Engine>)> = engines()
-            .iter()
-            .map(|&k| (k, build_engine_scaled(k, n, &base, shift)))
-            .collect();
-        for bs in scale.batch_sizes() {
-            print!("{bs:>10}");
-            for (_, g) in built.iter_mut() {
-                let mut ins = Duration::ZERO;
-                let mut del = Duration::ZERO;
-                for t in 0..scale.trials {
-                    let batch = update_batch(gscale, bs, 1_000 + t as u64);
-                    let (_, ti) = time(|| g.insert_batch(&batch));
-                    let (_, td) = time(|| g.delete_batch(&batch));
-                    ins += ti;
-                    del += td;
-                }
-                print!(
-                    "{:>22}",
-                    format!(
-                        "{}|{}",
-                        fmt_tput(bs * scale.trials, ins),
-                        fmt_tput(bs * scale.trials, del)
-                    )
-                );
-            }
+    let r = fig12_report(scale);
+    let edges = |bs: usize| bs * scale.trials;
+    for (i, row) in r.engines.chunks(engines().len()).enumerate() {
+        if i % scale.batch_sizes().len() == 0 {
+            println!("\n## {}", row[0].dataset);
+            print!("{:>10}", "batch");
+            row.iter().for_each(|e| print!("{:>22}", e.engine));
             println!();
         }
+        print!("{:>10}", row[0].batch_size);
+        for e in row {
+            let ins = fmt_tput(edges(e.batch_size), Duration::from_nanos(e.insert_nanos));
+            let del = fmt_tput(edges(e.batch_size), Duration::from_nanos(e.delete_nanos));
+            print!("{:>22}", format!("{ins}|{del}"));
+        }
+        println!();
     }
 }
 
@@ -322,45 +300,27 @@ fn sym(edges: &[Edge]) -> Vec<Edge> {
     out
 }
 
-/// Fig. 13: BFS and BC times normalized to LSGraph.
+/// Fig. 13: BFS and BC times normalized to LSGraph, the cells of
+/// [`fig13_report`].
 pub fn fig13(scale: &Scale) {
     println!("# Fig. 13: BFS / BC time normalized to LSGraph (higher = slower)");
     println!(
         "{:>6}{:>6}{:>10}{:>10}{:>10}{:>10}",
         "graph", "algo", "LSGraph", "Terrace", "Aspen", "PaC-tree"
     );
-    for p in datasets(scale) {
-        let shift = shift_for(&p, scale);
-        let n = p.scaled_vertices(shift);
-        let base = sym(&p.generate(shift, 42));
-        let built: Vec<(EngineKind, Box<dyn crate::Engine>)> = engines()
-            .iter()
-            .map(|&k| (k, build_engine(k, n, &base)))
-            .collect();
-        let src = max_degree_vertex(built[0].1.as_ref());
-        for algo in ["BFS", "BC"] {
-            let mut times = std::collections::HashMap::new();
-            for (k, g) in &built {
-                let d = time_avg(scale.trials, || match algo {
-                    "BFS" => {
-                        lsgraph_analytics::bfs(g.as_ref(), src);
-                    }
-                    _ => {
-                        lsgraph_analytics::betweenness(g.as_ref(), src);
-                    }
-                });
-                times.insert(*k, d.as_secs_f64());
+    let r = fig13_report(scale);
+    use EngineKind::{Aspen, LsGraph, PacTree, Terrace};
+    for row in r.engines.chunks(engines().len()) {
+        for (algo, kernel) in [("BFS", 0), ("BC", 1)] {
+            let wall = |k: EngineKind| {
+                let cell = row.iter().find(|e| e.engine == k.name()).expect("cell");
+                cell.kernels[kernel].wall_nanos as f64
+            };
+            print!("{:>6}{:>6}", row[0].dataset, algo);
+            for k in [LsGraph, Terrace, Aspen, PacTree] {
+                print!("{:>10.2}", wall(k) / wall(LsGraph));
             }
-            let ls = times[&EngineKind::LsGraph];
-            println!(
-                "{:>6}{:>6}{:>10.2}{:>10.2}{:>10.2}{:>10.2}",
-                p.name,
-                algo,
-                1.0,
-                times[&EngineKind::Terrace] / ls,
-                times[&EngineKind::Aspen] / ls,
-                times[&EngineKind::PacTree] / ls,
-            );
+            println!();
         }
     }
 }

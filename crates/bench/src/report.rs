@@ -152,18 +152,10 @@ impl JsonField for LatencySnapshot {
         w.close('}');
     }
     fn read(v: &Json, what: &str) -> Result<Self, String> {
-        let mut lat = LatencySnapshot::default();
-        for (k, h) in v.as_object(what)? {
-            let slot = match k.as_str() {
-                "batch_apply" => &mut lat.batch_apply,
-                "group_apply" => &mut lat.group_apply,
-                "kernel" => &mut lat.kernel,
-                "reader" => &mut lat.reader,
-                other => return Err(format!("{what}: unknown histogram: {other}")),
-            };
-            *slot = parse_histogram(h)?;
-        }
-        Ok(lat)
+        let pairs = v.as_object(what)?.iter();
+        let pairs = pairs.map(|(k, h)| Ok((k.as_str(), parse_histogram(h)?)));
+        LatencySnapshot::from_fields(pairs.collect::<Result<Vec<_>, String>>()?)
+            .map_err(|e| format!("{what}: {e}"))
     }
 }
 

@@ -68,13 +68,13 @@ fn histogram_counts_are_deterministic_across_runs() {
     assert_eq!(la.group_apply.count(), lb.group_apply.count());
 }
 
-/// The chrome://tracing export must be valid JSON (by the harness's own
-/// parser) with the expected envelope, and contain the spans recorded while
-/// tracing was enabled.
+/// A streamed chrome://tracing file must be valid JSON (by the harness's
+/// own parser) with the expected envelope, and contain the spans recorded
+/// while the stream was open.
 #[test]
 fn trace_export_round_trips_through_json_parser() {
-    trace::reset();
-    trace::enable();
+    let path = std::env::temp_dir().join(format!("lsgraph_gate_trace_{}.json", std::process::id()));
+    let _guard = trace::stream_to_file(&path).expect("open trace stream");
     {
         let _s = trace::span(trace::SpanKind::Sort);
         std::thread::sleep(std::time::Duration::from_micros(50));
@@ -82,9 +82,9 @@ fn trace_export_round_trips_through_json_parser() {
     {
         let _k = trace::span_named(trace::SpanKind::Kernel, "bfs");
     }
-    trace::disable();
-    let (doc, dropped) = trace::export_chrome_json();
-    assert_eq!(dropped, 0);
+    assert!(trace::finish_stream().unwrap() >= Some(2));
+    let doc = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
     let v = lsgraph_bench::report::parse_json(&doc).expect("trace JSON parses");
     let s = format!("{v:?}");
     assert!(s.contains("traceEvents"));
@@ -94,5 +94,5 @@ fn trace_export_round_trips_through_json_parser() {
     assert!(doc.contains("\"ph\": \"X\""));
     assert!(doc.contains("\"pid\": 1"));
     assert!(doc.contains("\"displayTimeUnit\""));
-    trace::reset();
+    assert!(doc.contains("\"droppedEvents\": 0"));
 }

@@ -165,7 +165,7 @@ impl Spill {
             Spill::Array(v) => match v.binary_search(&u) {
                 Ok(_) => false,
                 Err(i) => {
-                    stats.record_arr_shift((v.len() - i) as u64);
+                    stats.arr_shifts.record((v.len() - i) as u64);
                     v.insert(i, u);
                     true
                 }
@@ -194,7 +194,7 @@ impl Spill {
             Spill::Array(v) => match v.binary_search(&u) {
                 Ok(i) => {
                     v.remove(i);
-                    stats.record_arr_shift((v.len() - i) as u64);
+                    stats.arr_shifts.record((v.len() - i) as u64);
                     true
                 }
                 Err(_) => false,
@@ -361,11 +361,11 @@ impl Spill {
         let ns = self.to_vec();
         *self = Spill::build(kind, &ns, depth, cfg);
         if retrain {
-            stats.record_lia_retrain();
+            stats.lia_model_retrains.record(1);
         } else if depth == 0 {
-            stats.record_tier_upgrade();
+            stats.tier_upgrades.record(1);
         } else {
-            stats.record_node_upgrade();
+            stats.hitree_node_upgrades.record(1);
         }
         true
     }
@@ -377,7 +377,7 @@ impl Spill {
         if kind_for(2 * self.len() + 1, 0, cfg) < self.kind() {
             fail_point!("spill_downgrade");
             *self = Spill::from_sorted(&self.to_vec(), cfg);
-            stats.record_tier_downgrade();
+            stats.tier_downgrades.record(1);
         }
     }
 }

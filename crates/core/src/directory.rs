@@ -53,7 +53,7 @@ fn empty_page() -> Page {
 /// share it and is freed with the last of them.
 fn page_mut<'a>(page: &'a mut Page, stats: &StructStats) -> &'a mut [VertexBlock; PAGE] {
     if Arc::strong_count(page) > 1 {
-        stats.record_cow_block_copies(PAGE as u64);
+        stats.cow_block_copies.record(PAGE as u64);
     }
     Arc::make_mut(page)
 }
@@ -592,7 +592,7 @@ mod tests {
 
         // The same runs, one after another, into one family.
         let expect = StructStats::new();
-        expect.record_cow_block_copies(3 * PAGE as u64);
+        expect.cow_block_copies.record(3 * PAGE as u64);
         for run in &runs {
             let mut vb = VertexBlock::new();
             for &k in &keys[run.start..run.end] {

@@ -231,8 +231,8 @@ impl LsGraph {
             // force it back to a pristine empty block.
             g.view.install(src, VertexBlock::new());
             g.view.quarantined.insert(src);
-            g.view.stats.record_apply_run_panic();
-            g.view.stats.record_vertex_quarantined();
+            g.view.stats.apply_run_panics.record(1);
+            g.view.stats.vertices_quarantined.record(1);
         }
         for run in &runs {
             g.dirty.insert(run.src);
@@ -365,8 +365,8 @@ impl LsGraph {
             // the pre-batch state and resetting the block here is safe.
             self.install_block(src, VertexBlock::new());
             self.view.quarantined.insert(src);
-            self.view.stats.record_apply_run_panic();
-            self.view.stats.record_vertex_quarantined();
+            self.view.stats.apply_run_panics.record(1);
+            self.view.stats.vertices_quarantined.record(1);
         }
         RunApplyResult {
             applied,
@@ -585,7 +585,7 @@ impl LsGraph {
         self.install_block(v, vb);
         // A quarantined block has degree 0, so the whole adjacency is new.
         self.view.num_edges += ns.len();
-        self.view.stats.record_vertex_repaired();
+        self.view.stats.vertices_repaired.record(1);
         Ok(ns.len())
     }
 
@@ -626,7 +626,7 @@ impl LsGraph {
         // `snapshots_taken` never saw the attempt.
         let view = self.view.clone();
         fail_point!("snapshot_flip");
-        self.view.stats.record_snapshot_taken();
+        self.view.stats.snapshots_taken.record(1);
         GraphSnapshot::new(view)
     }
 

@@ -332,7 +332,7 @@ impl Lia {
                         .copy_within(base + at..base + plen, base + at + 1);
                     self.slots[base + at] = key;
                     self.types.set(base + plen, SlotType::Block);
-                    stats.record_lia_within_shift((plen - at) as u64);
+                    stats.lia_within_block_shifts.record((plen - at) as u64);
                 } else {
                     // Block full: vertical movement (Fig. 10 case 3).
                     let mut merged = Vec::with_capacity(BKS + 1);
@@ -358,7 +358,7 @@ impl Lia {
     ) {
         if merged.len() <= BKS {
             self.write_packed_block(b, &merged);
-            stats.record_lia_pack();
+            stats.lia_horizontal_packs.record(1);
         } else {
             // Vertical movement is only reached when the merged contents
             // overflow the block's BKS slots; `record_lia_vertical(false)`
@@ -420,7 +420,7 @@ impl Lia {
                     Ok(i) => {
                         self.slots.copy_within(base + i + 1..base + plen, base + i);
                         self.types.set(base + plen - 1, SlotType::Unused);
-                        stats.record_lia_within_shift((plen - i - 1) as u64);
+                        stats.lia_within_block_shifts.record((plen - i - 1) as u64);
                         self.len -= 1;
                         true
                     }

@@ -174,7 +174,7 @@ impl Ria {
         let pos = all.partition_point(|&x| x < key);
         all.insert(pos, key);
         self.rebuild_from(&all);
-        stats.record_ria_rebuild();
+        stats.ria_rebuilds.record(1);
         InsertOutcome::InsertedWithRebuild
     }
 
@@ -191,7 +191,7 @@ impl Ria {
         };
         self.data
             .copy_within(b * BKS + i + 1..b * BKS + cnt, b * BKS + i);
-        stats.record_ria_within_shift((cnt - i - 1) as u64);
+        stats.ria_within_block_shifts.record((cnt - i - 1) as u64);
         self.counts[b] -= 1;
         self.len -= 1;
         if self.counts[b] == 0 {
@@ -248,7 +248,7 @@ impl Ria {
         debug_assert!(cnt < BKS && i <= cnt);
         let base = b * BKS;
         self.data.copy_within(base + i..base + cnt, base + i + 1);
-        stats.record_ria_within_shift((cnt - i) as u64);
+        stats.ria_within_block_shifts.record((cnt - i) as u64);
         self.data[base + i] = key;
         self.counts[b] += 1;
         if i == 0 {
@@ -366,17 +366,17 @@ impl Ria {
         if b + 1 < self.counts.len() && self.counts[b + 1] >= 2 {
             let v = self.pop_front(b + 1);
             self.push_back(b, v);
-            stats.record_ria_within_shift(1);
+            stats.ria_within_block_shifts.record(1);
         } else if b > 0 && self.counts[b - 1] >= 2 {
             let v = self.pop_back(b - 1);
             self.push_front(b, v);
-            stats.record_ria_within_shift(1);
+            stats.ria_within_block_shifts.record(1);
         } else {
             let _span = span(SpanKind::RiaRebuild);
             fail_point!("ria_rebuild");
             let all = self.to_vec();
             self.rebuild_from(&all);
-            stats.record_ria_rebuild();
+            stats.ria_rebuilds.record(1);
         }
     }
 
@@ -418,7 +418,7 @@ impl Ria {
             fail_point!("ria_rebuild");
             let all = self.to_vec();
             self.rebuild_from(&all);
-            stats.record_ria_rebuild();
+            stats.ria_rebuilds.record(1);
         }
     }
 

@@ -25,7 +25,7 @@ struct SnapInner {
 
 impl Drop for SnapInner {
     fn drop(&mut self) {
-        self.view.stats.record_snapshot_retired();
+        self.view.stats.snapshots_retired.record(1);
     }
 }
 

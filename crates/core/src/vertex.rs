@@ -111,7 +111,7 @@ impl VertexBlock {
                     self.inline.copy_within(i..INLINE_CAP - 1, i + 1);
                     self.inline[i] = u;
                     stats.record_vb_inline_insert((INLINE_CAP - 1 - i) as u64);
-                    stats.record_vb_spill_eviction();
+                    stats.vb_spill_evictions.record(1);
                     let spill = self
                         .spill
                         .get_or_insert_with(|| Arc::new(Spill::Array(Vec::new())));
@@ -125,7 +125,7 @@ impl VertexBlock {
                         .spill
                         .get_or_insert_with(|| Arc::new(Spill::Array(Vec::new())));
                     if Arc::make_mut(spill).insert(u, cfg, stats) {
-                        stats.record_vb_spill_insert();
+                        stats.vb_spill_inserts.record(1);
                         self.degree += 1;
                         true
                     } else {
@@ -143,7 +143,7 @@ impl VertexBlock {
         match self.inline[..n].binary_search(&u) {
             Ok(i) => {
                 self.inline.copy_within(i + 1..n, i);
-                stats.record_vb_inline_shift((n - i - 1) as u64);
+                stats.vb_inline_shifts.record((n - i - 1) as u64);
                 // Refill the inline line from the spill so it keeps holding
                 // the smallest neighbors.
                 let mut emptied = false;
@@ -151,7 +151,7 @@ impl VertexBlock {
                     let spill = Arc::make_mut(spill);
                     if let Some(min) = spill.pop_min(cfg, stats) {
                         self.inline[n - 1] = min;
-                        stats.record_vb_spill_refill();
+                        stats.vb_spill_refills.record(1);
                     }
                     emptied = spill.is_empty();
                 }

@@ -104,7 +104,7 @@ fn contains(t: &PNode, x: u32) -> bool {
 /// Records descent steps, leaf path-copy moves, and scapegoat rebuilds
 /// into `c`.
 fn insert(t: &Arc<PNode>, x: u32, c: &OpCounters) -> Option<Arc<PNode>> {
-    c.add_search(1);
+    c.search_steps.record(1);
     match t.as_ref() {
         PNode::Leaf(v) => {
             let i = match v.binary_search(&x) {
@@ -116,7 +116,7 @@ fn insert(t: &Arc<PNode>, x: u32, c: &OpCounters) -> Option<Arc<PNode>> {
             nv.push(x);
             nv.extend_from_slice(&v[i..]);
             // Path copying rewrites the whole leaf.
-            c.add_moves(nv.len() as u64);
+            c.elements_moved.record(nv.len() as u64);
             if nv.len() > 2 * LEAF_B {
                 let right: Vec<u32> = nv.split_off(nv.len() / 2);
                 let sep = right[0];
@@ -144,13 +144,13 @@ fn insert(t: &Arc<PNode>, x: u32, c: &OpCounters) -> Option<Arc<PNode>> {
 
 /// Persistent delete; returns `None` when `x` is absent.
 fn delete(t: &Arc<PNode>, x: u32, c: &OpCounters) -> Option<Arc<PNode>> {
-    c.add_search(1);
+    c.search_steps.record(1);
     match t.as_ref() {
         PNode::Leaf(v) => {
             let i = v.binary_search(&x).ok()?;
             let mut nv = (**v).clone();
             nv.remove(i);
-            c.add_moves(nv.len() as u64);
+            c.elements_moved.record(nv.len() as u64);
             Some(Arc::new(PNode::Leaf(Arc::new(nv))))
         }
         PNode::Internal {
@@ -167,7 +167,7 @@ fn delete(t: &Arc<PNode>, x: u32, c: &OpCounters) -> Option<Arc<PNode>> {
                 let mut all = Vec::with_capacity(nl.size() + nr.size());
                 collect(&nl, &mut all);
                 collect(&nr, &mut all);
-                c.add_moves(all.len() as u64);
+                c.elements_moved.record(all.len() as u64);
                 return Some(Arc::new(PNode::Leaf(Arc::new(all))));
             }
             Some(rebalance(nl, nr, *sep, c))
@@ -183,8 +183,8 @@ fn rebalance(left: Arc<PNode>, right: Arc<PNode>, sep: u32, c: &OpCounters) -> A
         let mut all = Vec::with_capacity(total);
         collect(&left, &mut all);
         collect(&right, &mut all);
-        c.add_rebuild();
-        c.add_moves(total as u64);
+        c.rebuilds.record(1);
+        c.elements_moved.record(total as u64);
         build(&all)
     } else {
         internal(left, right, sep)
@@ -513,9 +513,9 @@ impl DynamicGraph for PacGraph {
                 let items: Vec<u32> = keys[run.start..run.end].iter().map(|&k| k as u32).collect();
                 if items.len() * 4 >= set.len().max(8) {
                     let (next, added) = set.merged_with_sorted(&items);
-                    counters.add_rebuild();
-                    counters.add_search(items.len() as u64);
-                    counters.add_moves(next.len() as u64);
+                    counters.rebuilds.record(1);
+                    counters.search_steps.record(items.len() as u64);
+                    counters.elements_moved.record(next.len() as u64);
                     (run.src, next, added)
                 } else {
                     let mut set = set.clone();
@@ -556,9 +556,9 @@ impl DynamicGraph for PacGraph {
                 let items: Vec<u32> = keys[run.start..run.end].iter().map(|&k| k as u32).collect();
                 if items.len() * 4 >= set.len().max(8) {
                     let (next, removed) = set.minus_sorted(&items);
-                    counters.add_rebuild();
-                    counters.add_search(items.len() as u64);
-                    counters.add_moves(next.len() as u64);
+                    counters.rebuilds.record(1);
+                    counters.search_steps.record(items.len() as u64);
+                    counters.elements_moved.record(next.len() as u64);
                     (run.src, next, removed)
                 } else {
                     let mut set = set.clone();

@@ -291,7 +291,7 @@ fn write_image(
     }
     fs::rename(&tmp, &path)?;
     meta.bytes = fs::metadata(&path)?.len();
-    g.stats().record_checkpoint_bytes(meta.bytes);
+    g.stats().checkpoint_bytes.record(meta.bytes);
     Ok(meta)
 }
 

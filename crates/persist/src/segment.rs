@@ -188,7 +188,7 @@ impl SegmentedWal {
             self.rotate(stats)?;
         }
         let seq = self.active.append(op, edges, stats)?;
-        stats.record_wal_live_bytes(self.live_bytes());
+        stats.wal_live_bytes.record(self.live_bytes());
         Ok(seq)
     }
 
@@ -206,8 +206,8 @@ impl SegmentedWal {
         self.active = next;
         self.active_index = next_index;
         self.closed_bytes += sealed;
-        stats.record_wal_segment_rotated();
-        stats.record_wal_live_bytes(self.live_bytes());
+        stats.wal_segments_rotated.record(1);
+        stats.wal_live_bytes.record(self.live_bytes());
         Ok(())
     }
 
@@ -276,8 +276,8 @@ impl SegmentedWal {
             bytes += len;
         }
         if deleted > 0 {
-            stats.record_wal_segments_deleted(deleted);
-            stats.record_wal_live_bytes(self.live_bytes());
+            stats.wal_segments_deleted.record(deleted);
+            stats.wal_live_bytes.record(self.live_bytes());
         }
         Ok((deleted, bytes))
     }

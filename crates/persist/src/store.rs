@@ -221,18 +221,20 @@ impl Store {
                 WalOp::Insert => graph.try_insert_batch(&frame.edges)?,
                 WalOp::Delete => graph.try_delete_batch(&frame.edges)?,
             };
-            graph.stats().record_recovery_frame_replayed();
+            graph.stats().recovery_frames_replayed.record(1);
             frames_replayed += 1;
         }
         graph
             .stats()
-            .record_recovery_frames_discarded(scan.frames_discarded);
+            .recovery_frames_discarded
+            .record(scan.frames_discarded);
         graph
             .stats()
-            .record_recovery_images_discarded(info.images_discarded);
+            .recovery_images_discarded
+            .record(info.images_discarded);
         next_seq += frames_replayed;
         let wal = SegmentedWal::open(dir, scan.end, next_seq, opts.segment_bytes)?;
-        graph.stats().record_wal_live_bytes(wal.live_bytes());
+        graph.stats().wal_live_bytes.record(wal.live_bytes());
         let report = RecoveryReport {
             checkpoint_loaded: ckpt.map(|m| m.id),
             frames_replayed,
@@ -353,10 +355,10 @@ impl Store {
             }
         };
         self.graph.clear_dirty();
-        self.graph.stats().record_checkpoint_dirty_vertices(dirty);
+        self.graph.stats().checkpoint_dirty_vertices.record(dirty);
         self.chain = Some(match continued {
             Some(c) => {
-                self.graph.stats().record_delta_checkpoint_written();
+                self.graph.stats().delta_checkpoints_written.record(1);
                 ChainState {
                     parent_id: id,
                     len: c.len + 1,

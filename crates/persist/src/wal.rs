@@ -140,7 +140,7 @@ impl Wal {
         }
         binio::write_frame(&mut self.buf, &payload).expect("Vec write is infallible");
         self.next_seq += 1;
-        stats.record_wal_frame_appended();
+        stats.wal_frames_appended.record(1);
         if self.buf.len() >= Self::GROUP_COMMIT_BYTES {
             self.flush()?;
         }

@@ -210,7 +210,7 @@ impl<K: PmaKey> Pma<K> {
                 }
             }
         }
-        self.counters.add_search(steps);
+        self.counters.search_steps.record(steps);
         match ans {
             Some(p) => p as usize / self.seg_size,
             None => (0..self.num_segs())
@@ -249,7 +249,7 @@ impl<K: PmaKey> Pma<K> {
                 .copy_within(base + pos..base + cnt, base + pos + 1);
             self.data[base + pos] = key;
             self.counts[s] += 1;
-            self.counters.add_moves((cnt - pos) as u64);
+            self.counters.elements_moved.record((cnt - pos) as u64);
             self.len += 1;
             return true;
         }
@@ -276,7 +276,7 @@ impl<K: PmaKey> Pma<K> {
             .copy_within(base + pos + 1..base + cnt, base + pos);
         self.data[base + cnt - 1] = K::EMPTY;
         self.counts[s] -= 1;
-        self.counters.add_moves((cnt - 1 - pos) as u64);
+        self.counters.elements_moved.record((cnt - 1 - pos) as u64);
         self.len -= 1;
         // Rebalance upward if the leaf fell below its lower bound.
         let lower = self.bound_at_depth(self.depth(), false);
@@ -440,7 +440,7 @@ impl<K: PmaKey> Pma<K> {
                 let at = buf.partition_point(|&x| x < key);
                 buf.insert(at, key);
                 self.write_window(start, w, &buf);
-                self.counters.add_moves(buf.len() as u64);
+                self.counters.elements_moved.record(buf.len() as u64);
                 return;
             }
         }
@@ -450,7 +450,7 @@ impl<K: PmaKey> Pma<K> {
         all.insert(at, key);
         self.resize_for(all.len());
         self.redistribute_all(&all);
-        self.counters.add_rebuild();
+        self.counters.rebuilds.record(1);
     }
 
     /// Walks up from leaf `s` to find the smallest window satisfying its
@@ -474,14 +474,14 @@ impl<K: PmaKey> Pma<K> {
                     buf.extend_from_slice(self.seg(i));
                 }
                 self.write_window(start, w, &buf);
-                self.counters.add_moves(buf.len() as u64);
+                self.counters.elements_moved.record(buf.len() as u64);
                 return;
             }
         }
         let all = self.to_vec();
         self.resize_for(all.len().max(1));
         self.redistribute_all(&all);
-        self.counters.add_rebuild();
+        self.counters.rebuilds.record(1);
     }
 
     /// Evenly redistributes `buf` across the `w` segments starting at
@@ -525,7 +525,7 @@ impl<K: PmaKey> Pma<K> {
     fn redistribute_all(&mut self, sorted: &[K]) {
         let w = self.num_segs();
         self.write_window(0, w, sorted);
-        self.counters.add_moves(sorted.len() as u64);
+        self.counters.elements_moved.record(sorted.len() as u64);
     }
 
     /// Verifies structural invariants.

@@ -120,7 +120,7 @@ impl PostBatchHook for HubHook {
         }
         // A `repair_vertex` rewrote an adjacency behind the batches' back (a
         // count gone stale while nobody subscribed costs one lossy batch).
-        let repairs = self.stats.vertices_repaired.load(Ordering::Relaxed);
+        let repairs = self.stats.vertices_repaired.get();
         let repaired = std::mem::replace(&mut self.repairs, repairs) != repairs;
         let task = Task {
             snapshot: g.snapshot(),
@@ -179,7 +179,7 @@ impl SubscriptionHub {
         let stats = g.stats_handle();
         g.add_post_batch_hook(Box::new(HubHook {
             inner: Arc::clone(&inner),
-            repairs: stats.vertices_repaired.load(Ordering::Relaxed),
+            repairs: stats.vertices_repaired.get(),
             stats,
         }));
         SubscriptionHub {

@@ -178,7 +178,7 @@ impl SubscriptionRegistry {
                     // The maintainer was moved into the closure and died
                     // with it; `state` already records the quarantine.
                     if let Some(stats) = &self.stats {
-                        stats.record_subscription_panic();
+                        stats.subscription_panics.record(1);
                     }
                 }
             }
@@ -256,7 +256,7 @@ impl SubscriptionRegistry {
 
     fn update_active_gauge(&self) {
         if let Some(stats) = &self.stats {
-            stats.record_subscriptions_active(self.subs.len() as u64);
+            stats.subscriptions_active.record(self.subs.len() as u64);
         }
     }
 }

@@ -208,8 +208,8 @@ fn killed_run_movement_is_absorbed_exactly_once() {
     failpoints::configure("ria_rebuild", FailMode::Nth(2));
     assert_eq!(replay_runs(&mut blocks, &killed, &expect), vec![0]);
     assert_eq!(failpoints::fired("ria_rebuild"), 1);
-    expect.record_apply_run_panic();
-    expect.record_vertex_quarantined();
+    expect.apply_run_panics.record(1);
+    expect.vertices_quarantined.record(1);
     let expect = expect.snapshot().deterministic_fields();
 
     let at_width = |threads: usize| {
