@@ -46,10 +46,13 @@ where
     let next: Vec<u32> = frontier
         .par_iter()
         .fold(Vec::new, |mut acc, &v| {
-            g.for_each_neighbor(v, &mut |u| {
-                if cond(u) && update(v, u) {
-                    acc.push(u);
+            g.for_each_neighbor_slice_while(v, &mut |s| {
+                for &u in s {
+                    if cond(u) && update(v, u) {
+                        acc.push(u);
+                    }
                 }
+                true
             });
             acc
         })
@@ -82,11 +85,13 @@ where
             let mut added = false;
             // Pull across in-neighbors (== out-neighbors on symmetric
             // graphs); stop once cond flips, as Ligra does.
-            g.for_each_neighbor_while(d, &mut |s| {
-                if in_frontier[s as usize] && update(s, d) {
-                    added = true;
-                }
-                cond(d)
+            g.for_each_neighbor_slice_while(d, &mut |srcs| {
+                srcs.iter().all(|&s| {
+                    if in_frontier[s as usize] && update(s, d) {
+                        added = true;
+                    }
+                    cond(d)
+                })
             });
             added
         })

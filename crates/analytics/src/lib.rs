@@ -6,8 +6,8 @@
 //! connected components (CC), and triangle counting (TC).
 //!
 //! All kernels treat the graph as **symmetric** (the paper evaluates
-//! symmetrized datasets): pull-style phases read `for_each_neighbor` as the
-//! in-neighbor list, which coincides with out-neighbors exactly when every
+//! symmetrized datasets): pull-style phases read a vertex's out-neighbors as
+//! its in-neighbor list, which coincides with out-neighbors exactly when every
 //! edge has its mirror.
 
 pub mod bc;
@@ -32,4 +32,4 @@ pub use incremental::{IncrementalBfs, IncrementalCc};
 pub use kcore::{degeneracy, kcore};
 pub use pagerank::pagerank;
 pub use subset::VertexSubset;
-pub use tc::{triangle_count, triangle_count_streaming, TcResult};
+pub use tc::{triangle_count, TcResult};

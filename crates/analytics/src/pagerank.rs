@@ -38,7 +38,12 @@ pub fn pagerank<G: Graph + ?Sized>(g: &G, iters: usize, d: f64) -> Vec<f64> {
             .into_par_iter()
             .map(|v| {
                 let mut sum = 0.0;
-                g.for_each_neighbor(v, &mut |u| sum += contrib_ref[u as usize]);
+                g.for_each_neighbor_slice_while(v, &mut |s| {
+                    for &u in s {
+                        sum += contrib_ref[u as usize];
+                    }
+                    true
+                });
                 base + d * (sum + dangling / n as f64)
             })
             .collect();

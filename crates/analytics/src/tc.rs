@@ -43,49 +43,6 @@ fn intersect_count(a: &[u32], b: &[u32]) -> u64 {
     n
 }
 
-/// Counts distinct triangles by *streaming* set intersection over lazy
-/// neighbor iterators — no adjacency materialization at all.
-///
-/// This is the paper's GPM argument in its purest form: ordered neighbor
-/// iteration makes the intersection a merge join directly over the storage
-/// layout. It trades the flat-array locality of [`triangle_count`] for zero
-/// traversal/copy phase; the `structures` bench compares the two.
-pub fn triangle_count_streaming<G: lsgraph_api::IterableGraph + Sync>(g: &G) -> u64 {
-    let _k = lsgraph_api::kernel_scope("tc_streaming");
-    let n = g.num_vertices();
-    let rank = |v: u32| (g.degree(v), v);
-    (0..n as u32)
-        .into_par_iter()
-        .map(|v| {
-            let rv = rank(v);
-            let mut count = 0u64;
-            for u in g.neighbor_iter(v) {
-                if u == v || rank(u) <= rv {
-                    continue;
-                }
-                // Merge-join N(v) with N(u), restricted to higher-ranked
-                // third vertices.
-                let mut a = g.neighbor_iter(v).filter(|&w| w != v && rank(w) > rv);
-                let mut b = g.neighbor_iter(u).filter(|&w| w != u && rank(w) > rank(u));
-                let mut x = a.next();
-                let mut y = b.next();
-                while let (Some(xa), Some(yb)) = (x, y) {
-                    match xa.cmp(&yb) {
-                        core::cmp::Ordering::Less => x = a.next(),
-                        core::cmp::Ordering::Greater => y = b.next(),
-                        core::cmp::Ordering::Equal => {
-                            count += 1;
-                            x = a.next();
-                            y = b.next();
-                        }
-                    }
-                }
-            }
-            count
-        })
-        .sum()
-}
-
 /// Counts distinct triangles of a symmetric graph.
 pub fn triangle_count<G: Graph + ?Sized>(g: &G) -> TcResult {
     let _k = lsgraph_api::kernel_scope("tc");
@@ -100,10 +57,9 @@ pub fn triangle_count<G: Graph + ?Sized>(g: &G) -> TcResult {
         .map(|v| {
             let rv = rank(v);
             let mut out = Vec::new();
-            g.for_each_neighbor(v, &mut |u| {
-                if u != v && rank(u) > rv {
-                    out.push(u);
-                }
+            g.for_each_neighbor_slice_while(v, &mut |s| {
+                out.extend(s.iter().copied().filter(|&u| u != v && rank(u) > rv));
+                true
             });
             out
         })
@@ -203,26 +159,6 @@ mod tests {
             }
         }
         assert_eq!(triangle_count(&g).triangles, expect);
-    }
-
-    #[test]
-    fn streaming_matches_materialized() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let n = 200u32;
-        let pairs: Vec<(u32, u32)> = (0..1_500)
-            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
-            .filter(|&(a, b)| a != b)
-            .collect();
-        let g = sym(&pairs, n as usize);
-        let want = triangle_count(&g).triangles;
-        assert!(want > 0);
-        assert_eq!(triangle_count_streaming(&g), want);
-    }
-
-    #[test]
-    fn streaming_on_cliques_and_self_loops() {
-        let g = sym(&[(0, 1), (1, 2), (0, 2), (1, 1), (2, 2)], 3);
-        assert_eq!(triangle_count_streaming(&g), 1);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Shared traits and types for the LSGraph reproduction workspace.
 //!
-//! Every engine in this workspace — LSGraph itself and the three baselines
-//! (Terrace, Aspen, PaC-tree) — implements [`Graph`] for reads and
-//! [`DynamicGraph`] for batched streaming updates, so the analytics layer
-//! and the benchmark harness are engine-agnostic.
+//! Every engine in this workspace — LSGraph itself and the five baselines
+//! (Terrace, Aspen, PaC-tree, Sortledton, PCSR) — implements [`Graph`] for
+//! reads and [`DynamicGraph`] for batched streaming updates, so the
+//! analytics layer and the benchmark harness are engine-agnostic.
 
 pub mod batch;
 pub mod counters;
@@ -31,6 +31,9 @@ pub use trace::{Span, SpanKind};
 /// Neighbor iteration must be **sorted by destination id** and free of
 /// duplicates — several analytics kernels (notably triangle counting) and the
 /// paper's set-computation argument rely on that ordering.
+///
+/// An engine implements one walk, [`Graph::for_each_neighbor_slice_while`];
+/// every other neighbor read is an adapter over it.
 pub trait Graph: Sync {
     /// Number of vertices (ids are `0..num_vertices()`).
     fn num_vertices(&self) -> usize;
@@ -41,34 +44,49 @@ pub trait Graph: Sync {
     /// Out-degree of `v`.
     fn degree(&self, v: VertexId) -> usize;
 
+    /// Hands the out-neighbors of `v` to `f` as non-empty slices, in the
+    /// engine's own storage unit, until `f` returns `false`. Ids ascend
+    /// strictly within and across slices.
+    ///
+    /// Returns `true` if the walk ran to completion.
+    fn for_each_neighbor_slice_while(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(&[VertexId]) -> bool,
+    ) -> bool;
+
     /// Applies `f` to every out-neighbor of `v` in ascending id order.
-    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId));
+    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
+        self.for_each_neighbor_slice_while(v, &mut |s| {
+            s.iter().for_each(|&u| f(u));
+            true
+        });
+    }
 
     /// Applies `f` to every out-neighbor of `v` in ascending id order until
     /// `f` returns `false`.
     ///
     /// Returns `true` if the iteration ran to completion.
     fn for_each_neighbor_while(&self, v: VertexId, f: &mut dyn FnMut(VertexId) -> bool) -> bool {
-        let mut complete = true;
-        self.for_each_neighbor(v, &mut |u| {
-            if complete {
-                complete = f(u);
-            }
-        });
-        complete
+        self.for_each_neighbor_slice_while(v, &mut |s| s.iter().all(|&u| f(u)))
     }
 
     /// Appends the sorted out-neighbors of `v` to `out`.
-    ///
-    /// Used by kernels such as triangle counting that repeatedly intersect
-    /// adjacency sets and therefore want flat arrays.
     fn copy_neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) {
-        self.for_each_neighbor(v, &mut |u| out.push(u));
+        self.for_each_neighbor_slice_while(v, &mut |s| {
+            out.extend_from_slice(s);
+            true
+        });
     }
 
     /// Returns whether edge `(v, u)` is present.
     fn has_edge(&self, v: VertexId, u: VertexId) -> bool {
-        !self.for_each_neighbor_while(v, &mut |w| w != u)
+        let mut found = false;
+        self.for_each_neighbor_slice_while(v, &mut |s| {
+            found = s.binary_search(&u).is_ok();
+            !found && s[s.len() - 1] < u
+        });
+        found
     }
 
     /// Collects the sorted out-neighbors of `v` into a fresh vector.
@@ -79,21 +97,29 @@ pub trait Graph: Sync {
     }
 }
 
-/// Graphs exposing *lazy* neighbor iterators (a non-object-safe extension
-/// of [`Graph`]).
-///
-/// Kernels built on ordered set computations — triangle counting, pattern
-/// mining joins — can stream two adjacency lists through a merge without
-/// materializing either; this is the access pattern the paper's GPM
-/// motivation describes.
-pub trait IterableGraph: Graph {
-    /// Iterator over a vertex's neighbors in ascending id order.
-    type NeighborIter<'a>: Iterator<Item = VertexId> + 'a
-    where
-        Self: 'a;
+/// Ids per slice in [`buffered_slices`].
+const SLICE_BUF: usize = 64;
 
-    /// Lazily iterates `v`'s sorted neighbors.
-    fn neighbor_iter(&self, v: VertexId) -> Self::NeighborIter<'_>;
+/// The slice walk of an engine whose storage unit is not a `&[VertexId]`
+/// (packed `u64` edge keys, varint chunks): `walk` feeds ids one at a time,
+/// ascending, until its callback returns `false`, and `f` receives them in
+/// slices of up to `SLICE_BUF` ids. Returns `true` if the walk ran to
+/// completion.
+pub fn buffered_slices(
+    f: &mut dyn FnMut(&[VertexId]) -> bool,
+    walk: impl FnOnce(&mut dyn FnMut(VertexId) -> bool) -> bool,
+) -> bool {
+    let mut buf = [0; SLICE_BUF];
+    let mut len = 0;
+    let complete = walk(&mut |u| {
+        buf[len] = u;
+        len += 1;
+        len < SLICE_BUF || {
+            len = 0;
+            f(&buf)
+        }
+    });
+    complete && (len == 0 || f(&buf[..len]))
 }
 
 /// A graph that ingests batched streaming updates.
@@ -212,10 +238,13 @@ mod tests {
         fn degree(&self, v: VertexId) -> usize {
             self.adj[v as usize].len()
         }
-        fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
-            for &u in &self.adj[v as usize] {
-                f(u);
-            }
+        fn for_each_neighbor_slice_while(
+            &self,
+            v: VertexId,
+            f: &mut dyn FnMut(&[VertexId]) -> bool,
+        ) -> bool {
+            // One slice per id: every id is a slice boundary.
+            self.adj[v as usize].chunks(1).all(f)
         }
     }
 
@@ -244,6 +273,34 @@ mod tests {
         });
         assert!(!complete);
         assert_eq!(seen, vec![1, 2]);
+    }
+
+    /// The buffered adapter hands over full slices, then the remainder, and
+    /// stops both itself and the walk feeding it once `f` says so.
+    #[test]
+    fn buffered_slices_fill_flush_and_stop() {
+        let feed =
+            |n: u32, f: &mut dyn FnMut(&[VertexId]) -> bool| buffered_slices(f, |g| (0..n).all(g));
+        for n in [0, 1, 63, 64, 65, 150] {
+            let mut lens = Vec::new();
+            let mut ids = Vec::new();
+            assert!(feed(n, &mut |s| {
+                lens.push(s.len());
+                ids.extend_from_slice(s);
+                true
+            }));
+            assert!(
+                lens.iter().all(|&l| 0 < l && l <= SLICE_BUF),
+                "{n}: {lens:?}"
+            );
+            assert_eq!(ids, (0..n).collect::<Vec<_>>());
+        }
+        let mut calls = 0;
+        assert!(!feed(150, &mut |_| {
+            calls += 1;
+            false
+        }));
+        assert_eq!(calls, 1);
     }
 
     #[test]

@@ -30,7 +30,8 @@ use std::sync::Arc;
 
 use lsgraph_api::batch::{max_vertex_id, runs_by_src, sorted_dedup_keys};
 use lsgraph_api::{
-    CounterSnapshot, DynamicGraph, Edge, Footprint, Graph, MemoryFootprint, OpCounters, VertexId,
+    buffered_slices, CounterSnapshot, DynamicGraph, Edge, Footprint, Graph, MemoryFootprint,
+    OpCounters, VertexId,
 };
 use rayon::prelude::*;
 
@@ -488,14 +489,6 @@ impl CTreeSet {
         (CTreeSet::from_sorted(&kept), removed)
     }
 
-    /// Applies `f` to every element in ascending order.
-    pub fn for_each(&self, f: &mut dyn FnMut(u32)) {
-        self.for_each_while(&mut |x| {
-            f(x);
-            true
-        });
-    }
-
     /// Applies `f` until it returns `false`; returns whether the scan
     /// completed.
     pub fn for_each_while(&self, f: &mut dyn FnMut(u32) -> bool) -> bool {
@@ -508,7 +501,10 @@ impl CTreeSet {
     /// Collects all elements into a sorted vector.
     pub fn to_vec(&self) -> Vec<u32> {
         let mut v = Vec::with_capacity(self.len);
-        self.for_each(&mut |x| v.push(x));
+        self.for_each_while(&mut |x| {
+            v.push(x);
+            true
+        });
         v
     }
 
@@ -644,12 +640,12 @@ impl Graph for AspenGraph {
         self.vertices[v as usize].len()
     }
 
-    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
-        self.vertices[v as usize].for_each(f);
-    }
-
-    fn for_each_neighbor_while(&self, v: VertexId, f: &mut dyn FnMut(VertexId) -> bool) -> bool {
-        self.vertices[v as usize].for_each_while(f)
+    fn for_each_neighbor_slice_while(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(&[VertexId]) -> bool,
+    ) -> bool {
+        buffered_slices(f, |g| self.vertices[v as usize].for_each_while(g))
     }
 
     fn has_edge(&self, v: VertexId, u: VertexId) -> bool {

@@ -124,7 +124,18 @@ fn bench_search(c: &mut Criterion) {
     g.finish();
 }
 
-/// Full scans: the traversal locality behind Fig. 13 / Table 2.
+/// Sums the ids a slice walk hands over.
+fn scan_sum(walk: impl FnOnce(&mut dyn FnMut(&[u32]) -> bool) -> bool) -> u64 {
+    let mut s = 0u64;
+    walk(&mut |xs| {
+        s += xs.iter().map(|&x| x as u64).sum::<u64>();
+        true
+    });
+    s
+}
+
+/// Full scans, each structure walked in its own unit: the traversal
+/// locality behind Fig. 13 / Table 2.
 fn bench_scan(c: &mut Criterion) {
     let n = 200_000;
     let base = keys(n, 5);
@@ -136,32 +147,16 @@ fn bench_scan(c: &mut Criterion) {
     let mut g = c.benchmark_group("scan_200k");
     g.throughput(Throughput::Elements(base.len() as u64));
     g.bench_function("ria", |b| {
-        b.iter(|| {
-            let mut s = 0u64;
-            ria.for_each(|x| s += x as u64);
-            s
-        })
+        b.iter(|| scan_sum(|f| ria.for_each_slice_while(f)))
     });
     g.bench_function("pma", |b| {
-        b.iter(|| {
-            let mut s = 0u64;
-            pma.for_each(|x| s += x as u64);
-            s
-        })
+        b.iter(|| scan_sum(|f| pma.for_each_segment_while(f)))
     });
     g.bench_function("btree", |b| {
-        b.iter(|| {
-            let mut s = 0u64;
-            bt.for_each(&mut |x| s += x as u64);
-            s
-        })
+        b.iter(|| scan_sum(|f| bt.for_each_slice_while(f)))
     });
     g.bench_function("hitree", |b| {
-        b.iter(|| {
-            let mut s = 0u64;
-            tree.for_each(&mut |x| s += x as u64);
-            s
-        })
+        b.iter(|| scan_sum(|f| tree.for_each_slice_while(f)))
     });
     g.finish();
 }
@@ -204,8 +199,8 @@ fn bench_bulkload(c: &mut Criterion) {
     g.finish();
 }
 
-/// Materialized vs streaming triangle counting on a live LSGraph (the GPM
-/// set-computation pattern, Table 2's workload).
+/// Triangle counting on a live LSGraph (the GPM set-computation pattern,
+/// Table 2's workload).
 fn bench_tc(c: &mut Criterion) {
     use lsgraph_api::Edge;
     use lsgraph_core::LsGraph;
@@ -219,47 +214,12 @@ fn bench_tc(c: &mut Criterion) {
     grp.bench_function("materialized", |b| {
         b.iter(|| lsgraph_analytics::triangle_count(&g).triangles)
     });
-    grp.bench_function("streaming", |b| {
-        b.iter(|| lsgraph_analytics::triangle_count_streaming(&g))
-    });
     grp.finish();
-}
-
-/// Callback traversal vs external iterator over the same RIA/HITree.
-fn bench_iteration(c: &mut Criterion) {
-    let base = keys(200_000, 11);
-    let cfg = Config::default();
-    let ria = Ria::from_sorted(&base, 1.2);
-    let tree = Spill::from_sorted(&base, &cfg);
-    let mut g = c.benchmark_group("iteration_200k");
-    g.throughput(Throughput::Elements(base.len() as u64));
-    g.bench_function("ria_for_each", |b| {
-        b.iter(|| {
-            let mut s = 0u64;
-            ria.for_each(|x| s += x as u64);
-            s
-        })
-    });
-    g.bench_function("ria_iter", |b| {
-        b.iter(|| ria.iter().map(|x| x as u64).sum::<u64>())
-    });
-    g.bench_function("hitree_for_each", |b| {
-        b.iter(|| {
-            let mut s = 0u64;
-            tree.for_each(&mut |x| s += x as u64);
-            s
-        })
-    });
-    g.bench_function("hitree_iter", |b| {
-        b.iter(|| tree.iter().map(|x| x as u64).sum::<u64>())
-    });
-    g.finish();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_inserts, bench_search, bench_scan, bench_models, bench_bulkload,
-        bench_tc, bench_iteration
+    targets = bench_inserts, bench_search, bench_scan, bench_models, bench_bulkload, bench_tc
 }
 criterion_main!(benches);

@@ -169,24 +169,10 @@ impl BNode {
         }
     }
 
-    fn for_each_while(&self, f: &mut dyn FnMut(u32) -> bool) -> bool {
+    fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
         match self {
-            BNode::Leaf(v) => {
-                for &k in v {
-                    if !f(k) {
-                        return false;
-                    }
-                }
-                true
-            }
-            BNode::Internal { children, .. } => {
-                for c in children {
-                    if !c.for_each_while(f) {
-                        return false;
-                    }
-                }
-                true
-            }
+            BNode::Leaf(v) => v.is_empty() || f(v),
+            BNode::Internal { children, .. } => children.iter().all(|c| c.for_each_slice_while(f)),
         }
     }
 
@@ -348,25 +334,17 @@ impl BTreeSet32 {
         removed
     }
 
-    /// Applies `f` to every key in ascending order.
-    pub fn for_each(&self, f: &mut dyn FnMut(u32)) {
-        self.root.for_each_while(&mut |k| {
-            f(k);
-            true
-        });
-    }
-
-    /// Applies `f` until it returns `false`; returns whether the scan
-    /// completed.
-    pub fn for_each_while(&self, f: &mut dyn FnMut(u32) -> bool) -> bool {
-        self.root.for_each_while(f)
+    /// Hands the keys to `f` in ascending order, one leaf at a time, until
+    /// `f` returns `false`; returns whether the walk completed.
+    pub fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
+        self.root.for_each_slice_while(f)
     }
 
     /// Removes and returns the smallest key.
     pub fn pop_min(&mut self) -> Option<u32> {
         let mut min = None;
-        self.root.for_each_while(&mut |k| {
-            min = Some(k);
+        self.for_each_slice_while(&mut |s| {
+            min = Some(s[0]);
             false
         });
         let m = min?;
@@ -377,7 +355,10 @@ impl BTreeSet32 {
     /// Collects all keys into a sorted vector.
     pub fn to_vec(&self) -> Vec<u32> {
         let mut v = Vec::with_capacity(self.len);
-        self.for_each(&mut |k| v.push(k));
+        self.for_each_slice_while(&mut |s| {
+            v.extend_from_slice(s);
+            true
+        });
         v
     }
 
@@ -491,14 +472,20 @@ mod tests {
     }
 
     #[test]
-    fn for_each_while_early_exit() {
+    fn slice_walk_goes_leaf_by_leaf_and_stops_early() {
         let t = BTreeSet32::from_sorted(&(0..1_000).collect::<Vec<_>>());
-        let mut seen = 0;
-        assert!(!t.for_each_while(&mut |_| {
-            seen += 1;
-            seen < 5
+        let mut leaves = Vec::new();
+        assert!(t.for_each_slice_while(&mut |s| {
+            leaves.push(s.len());
+            true
         }));
-        assert_eq!(seen, 5);
+        assert!(leaves.len() > 1 && leaves.iter().all(|&l| l > 0));
+        let mut seen = 0;
+        assert!(!t.for_each_slice_while(&mut |_| {
+            seen += 1;
+            seen < 2
+        }));
+        assert_eq!(seen, 2);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use lsgraph_api::{Footprint, MemoryFootprint, StructStats};
 use lsgraph_pma::{Pma, PmaParams};
 
 use crate::config::{Config, HighDegreeStore, MediumStore};
-use crate::hitree::lia::{Lia, LiaCursor, LiaStep};
+use crate::hitree::lia::Lia;
 use crate::hitree::SlotOccupancy;
 use crate::ria::Ria;
 use crate::stats::Tier;
@@ -213,8 +213,8 @@ impl Spill {
     /// Smallest id, or `None` when empty.
     pub fn min_key(&self) -> Option<u32> {
         let mut min = None;
-        self.for_each_while(&mut |x| {
-            min = Some(x);
+        self.for_each_slice_while(&mut |s| {
+            min = Some(s[0]);
             false
         });
         min
@@ -230,72 +230,27 @@ impl Spill {
         Some(min)
     }
 
-    /// Applies `f` to every id in ascending order.
-    pub fn for_each(&self, f: &mut dyn FnMut(u32)) {
-        match self {
-            Spill::Array(v) => {
-                for &x in v {
-                    f(x);
-                }
-            }
-            Spill::Ria(r) => r.for_each(f),
-            Spill::Lia(l) => l.for_each(f),
-            Spill::Pma(p) => p.for_each(&mut *f),
-        }
-    }
-
-    /// Applies `f` until it returns `false`; returns whether the scan
+    /// Hands the ids to `f` in ascending order, as non-empty slices in the
+    /// arm's own unit (the array whole, a RIA block, a LIA stretch, a PMA
+    /// segment), until `f` returns `false`; returns whether the walk
     /// completed.
-    pub fn for_each_while(&self, f: &mut dyn FnMut(u32) -> bool) -> bool {
+    pub fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
         match self {
-            Spill::Array(v) => {
-                for &x in v {
-                    if !f(x) {
-                        return false;
-                    }
-                }
-                true
-            }
-            Spill::Ria(r) => r.for_each_while(f),
-            Spill::Lia(l) => l.for_each_while(f),
-            Spill::Pma(p) => p.for_each_range_while(0, u32::MAX, &mut *f),
+            Spill::Array(v) => v.is_empty() || f(v),
+            Spill::Ria(r) => r.for_each_slice_while(f),
+            Spill::Lia(l) => l.for_each_slice_while(f),
+            Spill::Pma(p) => p.for_each_segment_while(f),
         }
     }
 
     /// Collects all ids into a sorted vector.
     pub fn to_vec(&self) -> Vec<u32> {
         let mut v = Vec::with_capacity(self.len());
-        self.for_each(&mut |x| v.push(x));
+        self.for_each_slice_while(&mut |s| {
+            v.extend_from_slice(s);
+            true
+        });
         v
-    }
-
-    /// Appends every id to `out` in ascending order — the checkpoint
-    /// serialization visitor. An array is one contiguous slice copy and a
-    /// RIA goes block by block through its redundant index
-    /// ([`Ria::for_each_block`]), asserting the index/first-element
-    /// redundancy so a corrupt index cannot serialize silently; the other
-    /// arms walk their iterator.
-    pub fn checkpoint_extend(&self, out: &mut Vec<u32>) {
-        match self {
-            Spill::Array(v) => out.extend_from_slice(v),
-            Spill::Ria(r) => r.for_each_block(|first, block| {
-                debug_assert_eq!(
-                    block.first().copied(),
-                    (!block.is_empty()).then_some(first),
-                    "RIA index entry disagrees with its block"
-                );
-                out.extend_from_slice(block);
-            }),
-            Spill::Lia(_) | Spill::Pma(_) => out.extend(self.iter()),
-        }
-    }
-
-    /// Iterates ids in ascending order.
-    pub fn iter(&self) -> SpillIter<'_> {
-        SpillIter {
-            cur: Cursor::new(self),
-            suspended: Vec::new(),
-        }
     }
 
     /// Adds the slot-type counts of every LIA in this container into `occ`.
@@ -329,7 +284,7 @@ impl Spill {
     ///
     /// Two rungs are reached later than a bulk load reaches them, where the
     /// code this replaced put them; moving either moves measured counters,
-    /// so they wait for the sweep (ROADMAP item 5). A RIA is rebuilt as a
+    /// so they wait for the sweep (ROADMAP item 7). A RIA is rebuilt as a
     /// LIA one insert late, holding `M + 1`. And a child's array runs to
     /// half again the length the ladder gives an array (a child starts at
     /// `BKS + 1` ids and most never get there): the ladder is asked about
@@ -378,63 +333,6 @@ impl Spill {
             fail_point!("spill_downgrade");
             *self = Spill::from_sorted(&self.to_vec(), cfg);
             stats.tier_downgrades.record(1);
-        }
-    }
-}
-
-/// Where a [`SpillIter`] stands in one container.
-enum Cursor<'a> {
-    Array(core::slice::Iter<'a, u32>),
-    Ria(crate::ria::RiaIter<'a>),
-    Lia(&'a Lia, LiaCursor),
-    Pma(lsgraph_pma::PmaIter<'a, u32>),
-}
-
-impl<'a> Cursor<'a> {
-    fn new(spill: &'a Spill) -> Self {
-        match spill {
-            Spill::Array(v) => Cursor::Array(v.iter()),
-            Spill::Ria(r) => Cursor::Ria(r.iter()),
-            Spill::Lia(l) => Cursor::Lia(l, LiaCursor::default()),
-            Spill::Pma(p) => Cursor::Pma(p.iter()),
-        }
-    }
-}
-
-/// Ascending iterator over a [`Spill`]: a cursor into the container being
-/// walked plus the LIA cursors suspended above it, so callers can drive
-/// iteration lazily (streaming set intersection, merge joins) instead of
-/// materializing neighbor arrays. `suspended` stays unallocated until the
-/// walk enters a LIA's child.
-pub struct SpillIter<'a> {
-    cur: Cursor<'a>,
-    suspended: Vec<(&'a Lia, LiaCursor)>,
-}
-
-impl Iterator for SpillIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        loop {
-            let next = match &mut self.cur {
-                Cursor::Array(it) => it.next().copied(),
-                Cursor::Ria(it) => it.next(),
-                Cursor::Pma(it) => it.next(),
-                Cursor::Lia(lia, at) => match lia.step(at) {
-                    LiaStep::Yield(v) => Some(v),
-                    LiaStep::Child(child) => {
-                        self.suspended.push((*lia, at.clone()));
-                        self.cur = Cursor::new(child);
-                        continue;
-                    }
-                    LiaStep::Done => None,
-                },
-            };
-            if next.is_some() {
-                return next;
-            }
-            let (lia, at) = self.suspended.pop()?;
-            self.cur = Cursor::Lia(lia, at);
         }
     }
 }
@@ -632,16 +530,20 @@ mod tests {
         assert!(matches!(child, Spill::Lia(_)));
     }
 
-    /// The one iterator yields `to_vec` on every arm, can be stopped and
-    /// resumed, and allocates only once it enters a LIA's child.
+    /// The one walk hands over every arm's ids — array, RIA, PMA, HITree,
+    /// HITree with children — as non-empty slices, ascending across slice
+    /// boundaries, and a walk told to stop after any id stops right there.
     #[test]
-    fn iter_walks_every_arm_and_allocates_only_for_children() {
+    fn slice_walk_visits_every_arm_in_order() {
         let cfg = cfg();
         let spread: Vec<u32> = (0..600u32).map(|i| i * 1_000).collect();
         let mut clustered = Spill::from_sorted(&spread, &cfg);
+        let mut with_cluster = spread.clone();
         for u in 150_001..150_400 {
             clustered.insert(u, &cfg, &STATS);
+            with_cluster.push(u);
         }
+        with_cluster.sort_unstable();
         let mut occ = SlotOccupancy::default();
         clustered.add_slot_occupancy(&mut occ);
         assert!(occ.child > 0);
@@ -650,11 +552,11 @@ mod tests {
             ..cfg
         };
         let arms = [
-            (Spill::from_sorted(&spread[..20], &cfg), false),
-            (Spill::from_sorted(&spread[..200], &cfg), false),
-            (Spill::from_sorted(&spread[..200], &pma), false),
-            (Spill::from_sorted(&spread, &cfg), false),
-            (clustered, true),
+            (Spill::from_sorted(&spread[..20], &cfg), &spread[..20]),
+            (Spill::from_sorted(&spread[..200], &cfg), &spread[..200]),
+            (Spill::from_sorted(&spread[..200], &pma), &spread[..200]),
+            (Spill::from_sorted(&spread, &cfg), &spread[..]),
+            (clustered, &with_cluster[..]),
         ];
         let tiers: Vec<Tier> = arms.iter().map(|(s, _)| s.tier()).collect();
         assert_eq!(
@@ -667,17 +569,31 @@ mod tests {
                 Tier::HiTree
             ]
         );
-        for (s, enters_child) in &arms {
-            let mut it = s.iter();
-            let head: Vec<u32> = it.by_ref().take(2).collect();
-            let mut all = head;
-            for x in it.by_ref() {
-                all.push(x);
+        for (s, ids) in &arms {
+            let tier = s.tier();
+            let mut slices = Vec::new();
+            assert!(s.for_each_slice_while(&mut |x| {
+                slices.push(x.to_vec());
+                true
+            }));
+            assert!(slices.iter().all(|x| !x.is_empty()), "{tier:?}");
+            assert_eq!(slices.concat(), *ids, "{tier:?}");
+            if tier != Tier::Array {
+                assert!(slices.len() > 1, "{tier:?} walks in its own unit");
             }
-            assert_eq!(all, s.to_vec(), "{:?}", s.tier());
-            assert_eq!(it.next(), None, "exhausted iterators stay exhausted");
-            assert_eq!(it.suspended.capacity() > 0, *enters_child, "{:?}", s.tier());
+            for k in 1..=ids.len() {
+                let mut seen = Vec::new();
+                let complete = s.for_each_slice_while(&mut |x| {
+                    x.iter().all(|&u| {
+                        seen.push(u);
+                        seen.len() < k
+                    })
+                });
+                assert!(!complete, "{tier:?} stop after {k}");
+                assert_eq!(seen, ids[..k], "{tier:?} stop after {k}");
+            }
         }
+        assert!(Spill::Array(Vec::new()).for_each_slice_while(&mut |_| unreachable!()));
     }
 
     #[test]

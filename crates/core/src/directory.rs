@@ -20,15 +20,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use lsgraph_api::batch::SrcRun;
-use lsgraph_api::{
-    Footprint, Graph, IterableGraph, LatencyStats, MemoryFootprint, StructStats, VertexId,
-};
+use lsgraph_api::{Footprint, Graph, LatencyStats, MemoryFootprint, StructStats, VertexId};
 use rayon::prelude::*;
 
 use crate::config::Config;
 use crate::error::InvariantError;
 use crate::stats::Tier;
-use crate::vertex::{NeighborIter, VertexBlock};
+use crate::vertex::VertexBlock;
 
 /// Vertex blocks per page, the unit a view shares with its clones. Larger
 /// makes the flip cheaper and each page a lagging reader pins dearer; DESIGN.md
@@ -304,27 +302,17 @@ impl Graph for GraphView {
     }
 
     #[inline]
-    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
-        self.block(v).for_each(f);
-    }
-
-    #[inline]
-    fn for_each_neighbor_while(&self, v: VertexId, f: &mut dyn FnMut(VertexId) -> bool) -> bool {
-        self.block(v).for_each_while(f)
+    fn for_each_neighbor_slice_while(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(&[VertexId]) -> bool,
+    ) -> bool {
+        self.block(v).for_each_slice_while(f)
     }
 
     #[inline]
     fn has_edge(&self, v: VertexId, u: VertexId) -> bool {
         self.block(v).contains(u, &self.cfg)
-    }
-}
-
-impl IterableGraph for GraphView {
-    type NeighborIter<'a> = NeighborIter<'a>;
-
-    #[inline]
-    fn neighbor_iter(&self, v: VertexId) -> NeighborIter<'_> {
-        self.block(v).iter()
     }
 }
 
@@ -342,8 +330,8 @@ impl MemoryFootprint for GraphView {
 }
 
 /// Gives `$ty` — which must have an inherent `fn view(&self) -> &GraphView`
-/// — the view's whole read surface under its own name: the [`Graph`],
-/// [`IterableGraph`] and [`MemoryFootprint`] impls and the inherent
+/// — the view's whole read surface under its own name: the [`Graph`] and
+/// [`MemoryFootprint`] impls and the inherent
 /// accessors. A macro rather than `Deref` because generic code bounds on the
 /// traits (`G: Graph` is not satisfied through a deref), and because
 /// `LsGraph` must not hand out `&mut GraphView`.
@@ -366,35 +354,17 @@ macro_rules! forward_to_view {
             }
 
             #[inline]
-            fn for_each_neighbor(
+            fn for_each_neighbor_slice_while(
                 &self,
                 v: lsgraph_api::VertexId,
-                f: &mut dyn FnMut(lsgraph_api::VertexId),
-            ) {
-                self.view().for_each_neighbor(v, f);
-            }
-
-            #[inline]
-            fn for_each_neighbor_while(
-                &self,
-                v: lsgraph_api::VertexId,
-                f: &mut dyn FnMut(lsgraph_api::VertexId) -> bool,
+                f: &mut dyn FnMut(&[lsgraph_api::VertexId]) -> bool,
             ) -> bool {
-                self.view().for_each_neighbor_while(v, f)
+                self.view().for_each_neighbor_slice_while(v, f)
             }
 
             #[inline]
             fn has_edge(&self, v: lsgraph_api::VertexId, u: lsgraph_api::VertexId) -> bool {
                 self.view().has_edge(v, u)
-            }
-        }
-
-        impl lsgraph_api::IterableGraph for $ty {
-            type NeighborIter<'a> = $crate::vertex::NeighborIter<'a>;
-
-            #[inline]
-            fn neighbor_iter(&self, v: lsgraph_api::VertexId) -> Self::NeighborIter<'_> {
-                self.view().neighbor_iter(v)
             }
         }
 
@@ -661,7 +631,7 @@ mod tests {
     fn read_panics(g: &GraphView, v: u32) -> bool {
         let reads: [&dyn Fn() -> usize; 3] =
             [&|| g.degree(v), &|| usize::from(g.has_edge(v, 0)), &|| {
-                g.neighbor_iter(v).count()
+                usize::from(g.for_each_neighbor_slice_while(v, &mut |_| true))
             }];
         let panicked = reads.map(|read| catch_unwind(AssertUnwindSafe(read)).is_err());
         assert!(panicked.iter().all(|&p| p == panicked[0]), "vertex {v}");

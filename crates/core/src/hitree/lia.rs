@@ -48,34 +48,6 @@ pub struct Lia {
     built_len: usize,
 }
 
-/// Iteration state over one LIA node's blocks.
-#[derive(Clone, Debug)]
-pub struct LiaCursor {
-    block: usize,
-    pos: usize,
-    last_child: u32,
-}
-
-impl Default for LiaCursor {
-    fn default() -> Self {
-        LiaCursor {
-            block: 0,
-            pos: 0,
-            last_child: NO_CHILD,
-        }
-    }
-}
-
-/// One step of LIA iteration.
-pub enum LiaStep<'a> {
-    /// The next element.
-    Yield(u32),
-    /// Descend into a child node (then resume this cursor).
-    Child(&'a Spill),
-    /// This node is exhausted.
-    Done,
-}
-
 /// What a block's first slot says about how the block is organized.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum BlockKind {
@@ -442,51 +414,39 @@ impl Lia {
         }
     }
 
-    /// Applies `f` to every element in ascending order.
-    pub fn for_each(&self, f: &mut dyn FnMut(u32)) {
-        self.for_each_while(&mut |x| {
-            f(x);
-            true
-        });
-    }
-
-    /// Applies `f` until it returns `false`; returns whether the scan
-    /// completed.
-    pub fn for_each_while(&self, f: &mut dyn FnMut(u32) -> bool) -> bool {
+    /// Hands the elements to `f` in ascending order, one slice per stretch
+    /// of contiguous slots, until `f` returns `false`; returns whether the
+    /// walk completed. A packed block is one slice, an exact/unused block
+    /// one slice per run of consecutive `E` slots, and a child (shared by a
+    /// run of delegated blocks) is walked once, recursively.
+    pub fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
         let mut last_child = NO_CHILD;
-        for b in 0..self.num_blocks() {
+        (0..self.num_blocks()).all(|b| {
+            let base = b * BKS;
             match self.kind(b) {
                 BlockKind::Delegated => {
-                    let idx = self.child_of_block[b];
-                    if idx != last_child {
-                        last_child = idx;
-                        if !self.child(b).for_each_while(f) {
-                            return false;
-                        }
-                    }
+                    let prev = std::mem::replace(&mut last_child, self.child_of_block[b]);
+                    prev == last_child || self.child(b).for_each_slice_while(f)
                 }
                 BlockKind::Packed => {
-                    let base = b * BKS;
-                    for i in base..base + self.packed_len(b) {
-                        if !f(self.slots[i]) {
-                            return false;
-                        }
-                    }
+                    last_child = NO_CHILD;
+                    f(&self.slots[base..base + self.packed_len(b)])
                 }
                 BlockKind::ExactOrUnused => {
-                    let base = b * BKS;
-                    for i in base..base + BKS {
-                        if self.types.get(i) == SlotType::Edge && !f(self.slots[i]) {
-                            return false;
+                    last_child = NO_CHILD;
+                    // A run ends at the first slot that is not `E`.
+                    let mut run = base;
+                    (base..=base + BKS).all(|i| {
+                        if i < base + BKS && self.types.get(i) == SlotType::Edge {
+                            return true;
                         }
-                    }
+                        let slice = &self.slots[run..i];
+                        run = i + 1;
+                        slice.is_empty() || f(slice)
+                    })
                 }
             }
-            if self.kind(b) != BlockKind::Delegated {
-                last_child = NO_CHILD;
-            }
-        }
-        true
+        })
     }
 
     /// First element of block `b` (descending into children), or `None` when
@@ -558,55 +518,11 @@ impl Lia {
     /// Collects all elements into a sorted vector.
     pub fn to_vec(&self) -> Vec<u32> {
         let mut v = Vec::with_capacity(self.len);
-        self.for_each(&mut |x| v.push(x));
+        self.for_each_slice_while(&mut |s| {
+            v.extend_from_slice(s);
+            true
+        });
         v
-    }
-
-    /// Advances an external cursor by one step (iterator support:
-    /// [`SpillIter`](crate::adjacency::SpillIter) suspends one cursor per LIA
-    /// level it has descended through).
-    pub(crate) fn step<'a>(&'a self, cur: &mut LiaCursor) -> LiaStep<'a> {
-        while cur.block < self.num_blocks() {
-            let base = cur.block * BKS;
-            match self.kind(cur.block) {
-                BlockKind::Delegated => {
-                    let idx = self.child_of_block[cur.block];
-                    cur.block += 1;
-                    cur.pos = 0;
-                    if idx != cur.last_child {
-                        cur.last_child = idx;
-                        return LiaStep::Child(
-                            self.children[idx as usize]
-                                .as_deref()
-                                .expect("delegated block must have a live child"),
-                        );
-                    }
-                }
-                BlockKind::Packed => {
-                    if cur.pos < self.packed_len(cur.block) {
-                        let v = self.slots[base + cur.pos];
-                        cur.pos += 1;
-                        return LiaStep::Yield(v);
-                    }
-                    cur.block += 1;
-                    cur.pos = 0;
-                    cur.last_child = NO_CHILD;
-                }
-                BlockKind::ExactOrUnused => {
-                    while cur.pos < BKS {
-                        let i = base + cur.pos;
-                        cur.pos += 1;
-                        if self.types.get(i) == SlotType::Edge {
-                            return LiaStep::Yield(self.slots[i]);
-                        }
-                    }
-                    cur.block += 1;
-                    cur.pos = 0;
-                    cur.last_child = NO_CHILD;
-                }
-            }
-        }
-        LiaStep::Done
     }
 
     /// Adds this node's (and recursively its children's) slot-type counts

@@ -187,12 +187,12 @@ mod tests {
     }
 
     #[test]
-    fn for_each_while_early_exit() {
+    fn slice_walk_early_exit() {
         let cfg = small_cfg();
         let v: Vec<u32> = (0..1000).collect();
         let t = Spill::from_sorted(&v, &cfg);
         let mut n = 0;
-        assert!(!t.for_each_while(&mut |_| {
+        assert!(!t.for_each_slice_while(&mut |_| {
             n += 1;
             n < 10
         }));
@@ -231,18 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn iter_matches_to_vec_across_kinds() {
-        let cfg = small_cfg();
-        for n in [0usize, 1, 30, 100, 1_000, 20_000] {
-            let v: Vec<u32> = (0..n as u32).map(|i| i * 5 + 2).collect();
-            let t = Spill::from_sorted(&v, &cfg);
-            let it: Vec<u32> = t.iter().collect();
-            assert_eq!(it, v, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn iter_after_heavy_mutation() {
+    fn walk_after_heavy_mutation() {
         let cfg = small_cfg();
         let mut rng = SmallRng::seed_from_u64(55);
         let mut t = Spill::from_sorted(&[], &cfg);
@@ -257,24 +246,11 @@ mod tests {
                 oracle.remove(&k);
             }
         }
-        let it: Vec<u32> = t.iter().collect();
-        assert_eq!(it, oracle.into_iter().collect::<Vec<_>>());
+        assert_eq!(t.to_vec(), oracle.into_iter().collect::<Vec<_>>());
     }
 
     #[test]
-    fn iter_is_lazy_and_resumable() {
-        let cfg = small_cfg();
-        let t = Spill::from_sorted(&(0..1_000).collect::<Vec<_>>(), &cfg);
-        let mut it = t.iter();
-        assert_eq!(it.next(), Some(0));
-        assert_eq!(it.next(), Some(1));
-        let rest: Vec<u32> = it.collect();
-        assert_eq!(rest.len(), 998);
-        assert_eq!(rest[0], 2);
-    }
-
-    #[test]
-    fn clustered_tree_with_children_iterates_in_order() {
+    fn clustered_tree_with_children_walks_in_order() {
         let cfg = small_cfg();
         let mut base: Vec<u32> = (0..300u32).map(|i| i * 1_000).collect();
         let mut t = Spill::from_sorted(&base, &cfg);
@@ -283,7 +259,6 @@ mod tests {
             base.push(k);
         }
         base.sort_unstable();
-        let it: Vec<u32> = t.iter().collect();
-        assert_eq!(it, base);
+        assert_eq!(t.to_vec(), base);
     }
 }

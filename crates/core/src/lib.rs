@@ -52,7 +52,6 @@ pub use directory::GraphView;
 pub use error::{BatchOutcome, GraphError, InvariantError};
 pub use graph::{BatchEvent, BatchKind, LsGraph, PostBatchHook};
 pub use hitree::SlotOccupancy;
-pub use ria::{Ria, RiaIter};
+pub use ria::Ria;
 pub use snapshot::GraphSnapshot;
 pub use stats::{Tier, TierStats};
-pub use vertex::NeighborIter;

@@ -110,15 +110,20 @@ impl Ria {
         &self.data[b * BKS..b * BKS + self.counts[b] as usize]
     }
 
-    /// Walks the occupied blocks in order via the redundant index array,
-    /// calling `f(index_entry, block_elements)` per block — the
-    /// serialization visitor checkpoints use. For every non-empty block the
-    /// index entry equals the block's first element (the RIA's core
-    /// redundancy invariant).
-    pub fn for_each_block(&self, mut f: impl FnMut(u32, &[u32])) {
-        for b in 0..self.counts.len() {
-            f(self.index[b], self.block(b));
-        }
+    /// Hands every occupied block to `f` in order until `f` returns
+    /// `false`; returns whether the walk completed. Each block's index entry
+    /// is its first element (the RIA's core redundancy), asserted in debug
+    /// builds so a corrupt index cannot be walked (or checkpointed) silently.
+    pub fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
+        (0..self.counts.len()).all(|b| {
+            let block = self.block(b);
+            debug_assert_eq!(
+                block.first().copied(),
+                (!block.is_empty()).then_some(self.index[b]),
+                "RIA index entry disagrees with its block"
+            );
+            block.is_empty() || f(block)
+        })
     }
 
     /// Locates the block that would hold `key`: the rightmost block whose
@@ -169,8 +174,7 @@ impl Ria {
         // Movement would exceed the locality bound: expand with factor α.
         let _span = span(SpanKind::RiaRebuild);
         fail_point!("ria_rebuild");
-        let mut all = Vec::with_capacity(self.len + 1);
-        self.for_each(|x| all.push(x));
+        let mut all = self.to_vec();
         let pos = all.partition_point(|&x| x < key);
         all.insert(pos, key);
         self.rebuild_from(&all);
@@ -203,43 +207,14 @@ impl Ria {
         true
     }
 
-    /// Applies `f` to every element in ascending order.
-    #[inline]
-    pub fn for_each(&self, mut f: impl FnMut(u32)) {
-        for b in 0..self.counts.len() {
-            for &x in self.block(b) {
-                f(x);
-            }
-        }
-    }
-
-    /// Applies `f` to every element in ascending order until it returns
-    /// `false`; returns whether the scan completed.
-    pub fn for_each_while(&self, mut f: impl FnMut(u32) -> bool) -> bool {
-        for b in 0..self.counts.len() {
-            for &x in self.block(b) {
-                if !f(x) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Collects every element into a sorted vector.
     pub fn to_vec(&self) -> Vec<u32> {
         let mut v = Vec::with_capacity(self.len);
-        self.for_each(|x| v.push(x));
+        self.for_each_slice_while(&mut |s| {
+            v.extend_from_slice(s);
+            true
+        });
         v
-    }
-
-    /// Iterates elements in ascending order.
-    pub fn iter(&self) -> RiaIter<'_> {
-        RiaIter {
-            ria: self,
-            block: 0,
-            pos: 0,
-        }
     }
 
     /// Inserts `key` at in-block position `i` of block `b`, which has space.
@@ -449,40 +424,6 @@ impl Ria {
     }
 }
 
-/// Ascending iterator over a [`Ria`].
-#[derive(Clone, Debug)]
-pub struct RiaIter<'a> {
-    ria: &'a Ria,
-    block: usize,
-    pos: usize,
-}
-
-impl Iterator for RiaIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        while self.block < self.ria.counts.len() {
-            if self.pos < self.ria.counts[self.block] as usize {
-                let v = self.ria.data[self.block * BKS + self.pos];
-                self.pos += 1;
-                return Some(v);
-            }
-            self.block += 1;
-            self.pos = 0;
-        }
-        None
-    }
-}
-
-impl<'a> IntoIterator for &'a Ria {
-    type Item = u32;
-    type IntoIter = RiaIter<'a>;
-
-    fn into_iter(self) -> RiaIter<'a> {
-        self.iter()
-    }
-}
-
 impl MemoryFootprint for Ria {
     fn footprint(&self) -> Footprint {
         Footprint::new(
@@ -631,16 +572,21 @@ mod tests {
     }
 
     #[test]
-    fn for_each_while_stops_early() {
+    fn slice_walk_hands_over_blocks_and_stops_early() {
         let r = Ria::from_sorted(&(0..100).collect::<Vec<_>>(), 1.2);
+        let mut blocks = 0;
+        assert!(r.for_each_slice_while(&mut |s| {
+            blocks += 1;
+            s.len() <= BKS
+        }));
+        assert_eq!(blocks, r.num_blocks());
         let mut n = 0;
-        let complete = r.for_each_while(|x| {
+        assert!(!r.for_each_slice_while(&mut |_| {
             n += 1;
-            x < 10
-        });
-        assert!(!complete);
-        // Elements 0..=10 are visited; the call with x = 10 returns false.
-        assert_eq!(n, 11);
+            n < 3
+        }));
+        assert_eq!(n, 3);
+        assert!(Ria::new(1.2).for_each_slice_while(&mut |_| unreachable!()));
     }
 
     #[test]

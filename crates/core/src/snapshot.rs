@@ -32,8 +32,7 @@ impl Drop for SnapInner {
 /// An immutable point-in-time view of an [`LsGraph`](crate::LsGraph).
 ///
 /// Obtained from [`LsGraph::snapshot`](crate::LsGraph::snapshot); implements
-/// [`Graph`](lsgraph_api::Graph)/[`IterableGraph`](lsgraph_api::IterableGraph),
-/// so every analytics kernel runs against it unchanged while the writer keeps
+/// [`Graph`](lsgraph_api::Graph), so every analytics kernel runs against it unchanged while the writer keeps
 /// applying batches. Cloning the handle is O(1) (one reference bump on the
 /// shared state), so a single snapshot fans out to any number of reader
 /// threads.

@@ -179,54 +179,34 @@ impl VertexBlock {
         }
     }
 
-    /// Applies `f` to every neighbor in ascending order.
-    pub fn for_each(&self, f: &mut dyn FnMut(u32)) {
-        for &u in self.inline_neighbors() {
-            f(u);
-        }
-        if let Some(spill) = &self.spill {
-            spill.for_each(f);
-        }
-    }
-
-    /// Applies `f` until it returns `false`; returns whether the scan
-    /// completed.
-    pub fn for_each_while(&self, f: &mut dyn FnMut(u32) -> bool) -> bool {
-        for &u in self.inline_neighbors() {
-            if !f(u) {
-                return false;
-            }
-        }
-        match &self.spill {
-            Some(spill) => spill.for_each_while(f),
-            None => true,
-        }
+    /// Hands the neighbors to `f` in ascending order — the inline line as
+    /// one slice, then the spill's ([`Spill::for_each_slice_while`]) —
+    /// until `f` returns `false`; returns whether the walk completed.
+    #[inline]
+    pub fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
+        let inline = self.inline_neighbors();
+        (inline.is_empty() || f(inline))
+            && self
+                .spill
+                .as_ref()
+                .is_none_or(|s| s.for_each_slice_while(f))
     }
 
     /// Collects all neighbors into a sorted vector.
     pub fn to_vec(&self) -> Vec<u32> {
-        let mut v = Vec::with_capacity(self.degree());
-        self.for_each(&mut |x| v.push(x));
+        let mut v = Vec::new();
+        self.checkpoint_neighbors(&mut v);
         v
     }
 
-    /// Appends all neighbors to `out` in ascending order for checkpointing:
-    /// the inline line first, then the spill walked tier-natively
-    /// ([`Spill::checkpoint_extend`]).
+    /// Appends all neighbors to `out` in ascending order, a slice at a time
+    /// — the checkpoint serialization visitor.
     pub fn checkpoint_neighbors(&self, out: &mut Vec<u32>) {
         out.reserve(self.degree());
-        out.extend_from_slice(self.inline_neighbors());
-        if let Some(spill) = &self.spill {
-            spill.checkpoint_extend(out);
-        }
-    }
-
-    /// Iterates neighbors in ascending order (inline line, then spill).
-    pub fn iter(&self) -> NeighborIter<'_> {
-        NeighborIter {
-            inline: self.inline_neighbors().iter(),
-            spill: self.spill.as_deref().map(Spill::iter),
-        }
+        self.for_each_slice_while(&mut |s| {
+            out.extend_from_slice(s);
+            true
+        });
     }
 
     /// Bytes spent beyond the block itself, split payload/index.
@@ -299,23 +279,6 @@ impl VertexBlock {
             return Err("adjacency not strictly ascending".into());
         }
         Ok(())
-    }
-}
-
-/// Ascending iterator over one vertex's neighbors.
-pub struct NeighborIter<'a> {
-    inline: core::slice::Iter<'a, u32>,
-    spill: Option<crate::adjacency::SpillIter<'a>>,
-}
-
-impl Iterator for NeighborIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        if let Some(&v) = self.inline.next() {
-            return Some(v);
-        }
-        self.spill.as_mut()?.next()
     }
 }
 

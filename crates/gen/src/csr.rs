@@ -4,7 +4,7 @@
 //! CSR snapshot validate the streaming engines' results on the same edge
 //! set, and CSR traversal provides the static-baseline timings.
 
-use lsgraph_api::{Edge, Footprint, Graph, IterableGraph, MemoryFootprint, VertexId};
+use lsgraph_api::{Edge, Footprint, Graph, MemoryFootprint, VertexId};
 use rayon::prelude::*;
 
 /// Compressed sparse row graph.
@@ -51,31 +51,17 @@ impl Graph for Csr {
         self.offsets[v as usize + 1] - self.offsets[v as usize]
     }
 
-    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
-        for &u in self.neighbors_slice(v) {
-            f(u);
-        }
-    }
-
-    fn for_each_neighbor_while(&self, v: VertexId, f: &mut dyn FnMut(VertexId) -> bool) -> bool {
-        for &u in self.neighbors_slice(v) {
-            if !f(u) {
-                return false;
-            }
-        }
-        true
+    fn for_each_neighbor_slice_while(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(&[VertexId]) -> bool,
+    ) -> bool {
+        let row = self.neighbors_slice(v);
+        row.is_empty() || f(row)
     }
 
     fn has_edge(&self, v: VertexId, u: VertexId) -> bool {
         self.neighbors_slice(v).binary_search(&u).is_ok()
-    }
-}
-
-impl IterableGraph for Csr {
-    type NeighborIter<'a> = core::iter::Copied<core::slice::Iter<'a, u32>>;
-
-    fn neighbor_iter(&self, v: VertexId) -> Self::NeighborIter<'_> {
-        self.neighbors_slice(v).iter().copied()
     }
 }
 

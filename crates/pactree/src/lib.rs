@@ -76,13 +76,10 @@ fn build(sorted: &[u32]) -> Arc<PNode> {
 }
 
 fn collect(t: &PNode, out: &mut Vec<u32>) {
-    match t {
-        PNode::Leaf(v) => out.extend_from_slice(v),
-        PNode::Internal { left, right, .. } => {
-            collect(left, out);
-            collect(right, out);
-        }
-    }
+    for_each_leaf(t, &mut |s| {
+        out.extend_from_slice(s);
+        true
+    });
 }
 
 fn contains(t: &PNode, x: u32) -> bool {
@@ -191,17 +188,10 @@ fn rebalance(left: Arc<PNode>, right: Arc<PNode>, sep: u32, c: &OpCounters) -> A
     }
 }
 
-fn for_each_node(t: &PNode, f: &mut dyn FnMut(u32) -> bool) -> bool {
+fn for_each_leaf(t: &PNode, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
     match t {
-        PNode::Leaf(v) => {
-            for &x in v.iter() {
-                if !f(x) {
-                    return false;
-                }
-            }
-            true
-        }
-        PNode::Internal { left, right, .. } => for_each_node(left, f) && for_each_node(right, f),
+        PNode::Leaf(v) => v.is_empty() || f(v),
+        PNode::Internal { left, right, .. } => for_each_leaf(left, f) && for_each_leaf(right, f),
     }
 }
 
@@ -320,18 +310,10 @@ impl PacSet {
         (PacSet::from_sorted(&kept), removed)
     }
 
-    /// Applies `f` to every element in ascending order.
-    pub fn for_each(&self, f: &mut dyn FnMut(u32)) {
-        for_each_node(&self.root, &mut |x| {
-            f(x);
-            true
-        });
-    }
-
-    /// Applies `f` until it returns `false`; returns whether the scan
-    /// completed.
-    pub fn for_each_while(&self, f: &mut dyn FnMut(u32) -> bool) -> bool {
-        for_each_node(&self.root, f)
+    /// Hands the elements to `f` in ascending order, one leaf at a time,
+    /// until `f` returns `false`; returns whether the walk completed.
+    pub fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
+        for_each_leaf(&self.root, f)
     }
 
     /// Collects all elements into a sorted vector.
@@ -481,12 +463,12 @@ impl Graph for PacGraph {
         self.vertices[v as usize].len()
     }
 
-    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
-        self.vertices[v as usize].for_each(f);
-    }
-
-    fn for_each_neighbor_while(&self, v: VertexId, f: &mut dyn FnMut(VertexId) -> bool) -> bool {
-        self.vertices[v as usize].for_each_while(f)
+    fn for_each_neighbor_slice_while(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(&[VertexId]) -> bool,
+    ) -> bool {
+        self.vertices[v as usize].for_each_slice_while(f)
     }
 
     fn has_edge(&self, v: VertexId, u: VertexId) -> bool {

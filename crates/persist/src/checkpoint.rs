@@ -3,9 +3,9 @@
 //!
 //! A **full** checkpoint serializes every non-empty vertex through the
 //! engine's tier-native walk ([`GraphView::checkpoint_vertex`]): the inline
-//! line, then the spill container traversed per tier — sorted array as a
-//! slice, RIA block-by-block via its redundant index, HITree through its
-//! iterator. Each record carries the vertex's tier tag, so images document
+//! line, then the spill container a slice at a time in its own unit —
+//! sorted array whole, RIA block by block via its redundant index, HITree
+//! stretch by stretch. Each record carries the vertex's tier tag, so images document
 //! the hierarchy they froze even though restore rebuilds tiers
 //! deterministically from degree.
 //!

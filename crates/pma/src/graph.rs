@@ -7,7 +7,8 @@
 //! vertices (Fig. 2).
 
 use lsgraph_api::{
-    CounterSnapshot, DynamicGraph, Edge, Footprint, Graph, MemoryFootprint, VertexId,
+    buffered_slices, CounterSnapshot, DynamicGraph, Edge, Footprint, Graph, MemoryFootprint,
+    VertexId,
 };
 
 use crate::pma::{Pma, PmaParams};
@@ -65,7 +66,9 @@ impl PmaGraph {
     pub fn check_invariants(&self) {
         self.edges.check_invariants();
         let mut deg = vec![0u32; self.degree.len()];
-        self.edges.for_each(|k| deg[(k >> 32) as usize] += 1);
+        for k in self.edges.to_vec() {
+            deg[(k >> 32) as usize] += 1;
+        }
         assert_eq!(deg, self.degree, "degree accounting mismatch");
     }
 }
@@ -83,22 +86,19 @@ impl Graph for PmaGraph {
         self.degree[v as usize] as usize
     }
 
-    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
-        if self.degree[v as usize] == 0 {
-            return;
-        }
-        let from = (v as u64) << 32;
-        let to = (v as u64 + 1) << 32;
-        self.edges.for_each_range(from, to, |k| f(k as u32));
-    }
-
-    fn for_each_neighbor_while(&self, v: VertexId, f: &mut dyn FnMut(VertexId) -> bool) -> bool {
+    fn for_each_neighbor_slice_while(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(&[VertexId]) -> bool,
+    ) -> bool {
         if self.degree[v as usize] == 0 {
             return true;
         }
         let from = (v as u64) << 32;
         let to = (v as u64 + 1) << 32;
-        self.edges.for_each_range_while(from, to, |k| f(k as u32))
+        buffered_slices(f, |g| {
+            self.edges.for_each_range_while(from, to, |k| g(k as u32))
+        })
     }
 
     fn has_edge(&self, v: VertexId, u: VertexId) -> bool {

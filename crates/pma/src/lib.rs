@@ -17,4 +17,4 @@ mod graph;
 mod pma;
 
 pub use graph::PmaGraph;
-pub use pma::{Pma, PmaIter, PmaKey, PmaParams};
+pub use pma::{Pma, PmaKey, PmaParams};

@@ -286,31 +286,10 @@ impl<K: PmaKey> Pma<K> {
         true
     }
 
-    /// Applies `f` to every key in ascending order.
-    pub fn for_each(&self, mut f: impl FnMut(K)) {
-        for s in 0..self.num_segs() {
-            for &k in self.seg(s) {
-                f(k);
-            }
-        }
-    }
-
-    /// Applies `f` to keys in `[from, to)` in ascending order.
-    pub fn for_each_range(&self, from: K, to: K, mut f: impl FnMut(K)) {
-        if self.len == 0 || to <= from {
-            return;
-        }
-        let start = self.find_seg(from);
-        for s in start..self.num_segs() {
-            for &k in self.seg(s) {
-                if k >= to {
-                    return;
-                }
-                if k >= from {
-                    f(k);
-                }
-            }
-        }
+    /// Hands each non-empty segment's sorted prefix to `f` in order until
+    /// `f` returns `false`; returns whether the walk completed.
+    pub fn for_each_segment_while(&self, mut f: impl FnMut(&[K]) -> bool) -> bool {
+        (0..self.num_segs()).all(|s| self.counts[s] == 0 || f(self.seg(s)))
     }
 
     /// Applies `f` to keys in `[from, to)` until it returns `false`;
@@ -336,7 +315,10 @@ impl<K: PmaKey> Pma<K> {
     /// Counts keys in `[from, to)`.
     pub fn count_range(&self, from: K, to: K) -> usize {
         let mut n = 0;
-        self.for_each_range(from, to, |_| n += 1);
+        self.for_each_range_while(from, to, |_| {
+            n += 1;
+            true
+        });
         n
     }
 
@@ -383,17 +365,11 @@ impl<K: PmaKey> Pma<K> {
     /// Collects all keys into a sorted vector.
     pub fn to_vec(&self) -> Vec<K> {
         let mut v = Vec::with_capacity(self.len);
-        self.for_each(|k| v.push(k));
+        self.for_each_segment_while(|seg| {
+            v.extend_from_slice(seg);
+            true
+        });
         v
-    }
-
-    /// Iterates keys in ascending order.
-    pub fn iter(&self) -> PmaIter<'_, K> {
-        PmaIter {
-            pma: self,
-            seg: 0,
-            off: 0,
-        }
     }
 
     /// Height of the implicit rebalance tree (root depth 0, leaves deepest).
@@ -560,40 +536,6 @@ impl<K: PmaKey> Pma<K> {
     }
 }
 
-/// Ascending iterator over a [`Pma`].
-#[derive(Clone, Debug)]
-pub struct PmaIter<'a, K: PmaKey> {
-    pma: &'a Pma<K>,
-    seg: usize,
-    off: usize,
-}
-
-impl<K: PmaKey> Iterator for PmaIter<'_, K> {
-    type Item = K;
-
-    fn next(&mut self) -> Option<K> {
-        while self.seg < self.pma.num_segs() {
-            if self.off < self.pma.counts[self.seg] as usize {
-                let v = self.pma.data[self.seg * self.pma.seg_size + self.off];
-                self.off += 1;
-                return Some(v);
-            }
-            self.seg += 1;
-            self.off = 0;
-        }
-        None
-    }
-}
-
-impl<'a, K: PmaKey> IntoIterator for &'a Pma<K> {
-    type Item = K;
-    type IntoIter = PmaIter<'a, K>;
-
-    fn into_iter(self) -> PmaIter<'a, K> {
-        self.iter()
-    }
-}
-
 impl<K: PmaKey> Default for Pma<K> {
     fn default() -> Self {
         Pma::new()
@@ -693,7 +635,10 @@ mod tests {
             PmaParams::default(),
         );
         let mut got = Vec::new();
-        p.for_each_range(30, 60, |k| got.push(k));
+        assert!(p.for_each_range_while(30, 60, |k| {
+            got.push(k);
+            true
+        }));
         assert_eq!(got, vec![30, 33, 36, 39, 42, 45, 48, 51, 54, 57]);
         assert_eq!(p.count_range(0, 3000), 1000);
         assert_eq!(p.count_range(2997, 10_000), 1);
@@ -735,7 +680,7 @@ mod tests {
         assert!(!p.contains(0));
         assert!(!p.delete(3));
         assert_eq!(p.count_range(0, u64::MAX - 1), 0);
-        p.for_each(|_| panic!("no elements expected"));
+        assert!(p.for_each_segment_while(|_| panic!("no elements expected")));
     }
 
     #[test]

@@ -189,17 +189,9 @@ impl Graph for Counting<'_> {
         self.read();
         self.g.degree(v)
     }
-    fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32)) {
+    fn for_each_neighbor_slice_while(&self, v: u32, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
         self.read();
-        self.g.for_each_neighbor(v, f)
-    }
-    fn for_each_neighbor_while(&self, v: u32, f: &mut dyn FnMut(u32) -> bool) -> bool {
-        self.read();
-        self.g.for_each_neighbor_while(v, f)
-    }
-    fn copy_neighbors_into(&self, v: u32, out: &mut Vec<u32>) {
-        self.read();
-        self.g.copy_neighbors_into(v, out)
+        self.g.for_each_neighbor_slice_while(v, f)
     }
     fn has_edge(&self, v: u32, u: u32) -> bool {
         self.read();

@@ -83,17 +83,10 @@ impl Neighborhood {
         }
     }
 
-    fn for_each_while(&self, f: &mut dyn FnMut(u32) -> bool) -> bool {
+    fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
         match self {
-            Neighborhood::Small(v) => {
-                for &x in v {
-                    if !f(x) {
-                        return false;
-                    }
-                }
-                true
-            }
-            Neighborhood::Large(l) => l.for_each_while(f),
+            Neighborhood::Small(v) => v.is_empty() || f(v),
+            Neighborhood::Large(l) => l.for_each_slice_while(f),
         }
     }
 
@@ -161,14 +154,11 @@ impl SortledtonGraph {
     pub fn check_invariants(&self) {
         let mut total = 0;
         for (v, nb) in self.vertices.iter().enumerate() {
-            let mut prev = None;
-            nb.for_each_while(&mut |x| {
-                if let Some(p) = prev {
-                    assert!(p < x, "vertex {v}: order violation");
-                }
-                prev = Some(x);
-                true
-            });
+            let ns = self.neighbors(v as VertexId);
+            assert!(
+                ns.windows(2).all(|w| w[0] < w[1]),
+                "vertex {v}: order violation"
+            );
             if let Neighborhood::Large(l) = nb {
                 l.check_invariants();
             }
@@ -191,15 +181,12 @@ impl Graph for SortledtonGraph {
         self.vertices[v as usize].len()
     }
 
-    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
-        self.vertices[v as usize].for_each_while(&mut |x| {
-            f(x);
-            true
-        });
-    }
-
-    fn for_each_neighbor_while(&self, v: VertexId, f: &mut dyn FnMut(VertexId) -> bool) -> bool {
-        self.vertices[v as usize].for_each_while(f)
+    fn for_each_neighbor_slice_while(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(&[VertexId]) -> bool,
+    ) -> bool {
+        self.vertices[v as usize].for_each_slice_while(f)
     }
 
     fn has_edge(&self, v: VertexId, u: VertexId) -> bool {

@@ -279,16 +279,14 @@ impl UnrolledSkipList {
         true
     }
 
-    /// Applies `f` in ascending order until it returns `false`; returns
-    /// whether the scan completed.
-    pub fn for_each_while(&self, f: &mut dyn FnMut(u32) -> bool) -> bool {
+    /// Hands the keys to `f` in ascending order, one block at a time, until
+    /// `f` returns `false`; returns whether the walk completed.
+    pub fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
         let mut cur = self.head[0];
         while cur != NIL {
             let node = &self.blocks[cur as usize];
-            for &x in &node.keys {
-                if !f(x) {
-                    return false;
-                }
+            if !node.keys.is_empty() && !f(&node.keys) {
+                return false;
             }
             cur = node.forward[0];
         }
@@ -298,8 +296,8 @@ impl UnrolledSkipList {
     /// Collects all keys into a sorted vector.
     pub fn to_vec(&self) -> Vec<u32> {
         let mut v = Vec::with_capacity(self.len);
-        self.for_each_while(&mut |x| {
-            v.push(x);
+        self.for_each_slice_while(&mut |s| {
+            v.extend_from_slice(s);
             true
         });
         v
@@ -455,7 +453,7 @@ mod tests {
     fn early_exit_scan() {
         let l = UnrolledSkipList::from_sorted(&(0..1_000).collect::<Vec<_>>());
         let mut n = 0;
-        assert!(!l.for_each_while(&mut |_| {
+        assert!(!l.for_each_slice_while(&mut |_| {
             n += 1;
             n < 7
         }));

@@ -19,7 +19,8 @@ use std::time::Instant;
 
 use lsgraph_api::batch::{max_vertex_id, runs_by_src, sorted_dedup_keys, SrcRun};
 use lsgraph_api::{
-    CounterSnapshot, DynamicGraph, Edge, Footprint, Graph, MemoryFootprint, VertexId,
+    buffered_slices, CounterSnapshot, DynamicGraph, Edge, Footprint, Graph, MemoryFootprint,
+    VertexId,
 };
 use lsgraph_btree::BTreeSet32;
 use lsgraph_pma::{Pma, PmaParams};
@@ -200,7 +201,10 @@ impl TerraceGraph {
             let from = (v as u64) << 32;
             let to = (v as u64 + 1) << 32;
             let mut spill: Vec<u32> = Vec::with_capacity(tv.spill_len());
-            self.pma.for_each_range(from, to, |k| spill.push(k as u32));
+            self.pma.for_each_range_while(from, to, |k| {
+                spill.push(k as u32);
+                true
+            });
             for &s in &spill {
                 self.pma.delete(((v as u64) << 32) | s as u64);
             }
@@ -325,8 +329,11 @@ impl TerraceGraph {
                 .take()
                 .expect("checked above");
             let t0 = Instant::now();
-            tree.for_each(&mut |w| {
-                self.pma.insert(((v as u64) << 32) | w as u64);
+            tree.for_each_slice_while(&mut |ws| {
+                for &w in ws {
+                    self.pma.insert(((v as u64) << 32) | w as u64);
+                }
+                true
             });
             self.pma_nanos += t0.elapsed().as_nanos() as u64;
         }
@@ -380,42 +387,24 @@ impl Graph for TerraceGraph {
         self.vertices[v as usize].degree as usize
     }
 
-    fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId)) {
+    fn for_each_neighbor_slice_while(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(&[VertexId]) -> bool,
+    ) -> bool {
         let tv = &self.vertices[v as usize];
-        for &u in tv.inline_neighbors() {
-            f(u);
+        let inline = tv.inline_neighbors();
+        if !inline.is_empty() && !f(inline) {
+            return false;
         }
         if let Some(tree) = &tv.tree {
-            tree.for_each(f);
-        } else if tv.degree as usize > INLINE_CAP {
-            self.pma.for_each_range_hinted_while(
-                self.hint_for(v),
-                (v as u64) << 32,
-                (v as u64 + 1) << 32,
-                |k| {
-                    f(k as u32);
-                    true
-                },
-            );
-        }
-    }
-
-    fn for_each_neighbor_while(&self, v: VertexId, f: &mut dyn FnMut(VertexId) -> bool) -> bool {
-        let tv = &self.vertices[v as usize];
-        for &u in tv.inline_neighbors() {
-            if !f(u) {
-                return false;
-            }
-        }
-        if let Some(tree) = &tv.tree {
-            tree.for_each_while(f)
-        } else if tv.degree as usize > INLINE_CAP {
-            self.pma.for_each_range_hinted_while(
-                self.hint_for(v),
-                (v as u64) << 32,
-                (v as u64 + 1) << 32,
-                |k| f(k as u32),
-            )
+            tree.for_each_slice_while(f)
+        } else if tv.spill_len() > 0 {
+            let (from, to) = ((v as u64) << 32, (v as u64 + 1) << 32);
+            buffered_slices(f, |g| {
+                self.pma
+                    .for_each_range_hinted_while(self.hint_for(v), from, to, |k| g(k as u32))
+            })
         } else {
             true
         }

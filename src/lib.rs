@@ -47,8 +47,8 @@
 //! ```
 
 pub use lsgraph_api::{
-    CounterSnapshot, DynamicGraph, Edge, Footprint, Gate, Graph, IterableGraph, MemoryFootprint,
-    MetricDesc, MetricKind, OpCounters, Phase, PhaseTimer, StructSnapshot, StructStats, VertexId,
+    CounterSnapshot, DynamicGraph, Edge, Footprint, Gate, Graph, MemoryFootprint, MetricDesc,
+    MetricKind, OpCounters, Phase, PhaseTimer, StructSnapshot, StructStats, VertexId,
 };
 pub use lsgraph_core::{
     BatchEvent, BatchKind, BatchOutcome, Config, ConfigError, GraphSnapshot, GraphView,

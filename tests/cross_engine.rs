@@ -1,10 +1,17 @@
 //! Cross-engine differential tests: all four engines (plus the CSR ground
 //! truth) must agree on every read and every analytics result over the same
-//! edge stream.
+//! edge stream, and every engine's one neighbor walk keeps the slice-walk
+//! contract.
 
-use lsgraph::baselines::{AspenGraph, PacGraph, TerraceGraph};
+use std::collections::BTreeSet;
+
+use lsgraph::baselines::{AspenGraph, PacGraph, SortledtonGraph, TerraceGraph};
 use lsgraph::gen::{rmat, Csr, RmatParams};
-use lsgraph::{analytics, Config, DynamicGraph, Edge, Graph, LsGraph};
+use lsgraph::substrates::PmaGraph;
+use lsgraph::{
+    analytics, Config, DynamicGraph, Edge, Graph, GraphSnapshot, LsGraph, MediumStore, Tier,
+};
+use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 const SCALE: u32 = 11;
 const N: usize = 1 << SCALE;
@@ -183,4 +190,136 @@ fn betweenness_agrees_within_epsilon() {
             );
         }
     }
+}
+
+/// Holds `g`'s walk of `v` to the slice-walk contract and to `want`: every
+/// slice non-empty, ids strictly ascending across slice boundaries, the
+/// concatenation equal to the model; a per-id walk told to stop after the
+/// k-th id visits exactly k ids, for every k; `copy_neighbors_into` appends.
+fn check_walk(name: &str, g: &dyn Graph, v: u32, want: &BTreeSet<u32>) {
+    let ctx = format!("{name} vertex {v}");
+    let mut slices: Vec<Vec<u32>> = Vec::new();
+    assert!(g.for_each_neighbor_slice_while(v, &mut |s| {
+        slices.push(s.to_vec());
+        true
+    }));
+    assert!(slices.iter().all(|s| !s.is_empty()), "{ctx}: empty slice");
+    let ids = slices.concat();
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ctx}: not ascending");
+    assert!(ids.iter().eq(want), "{ctx}: differs from the model");
+    assert_eq!(g.degree(v), ids.len(), "{ctx}");
+    assert!(g.for_each_neighbor_while(v, &mut |_| true), "{ctx}");
+    for k in 1..=ids.len() {
+        let mut seen = Vec::new();
+        let complete = g.for_each_neighbor_while(v, &mut |u| {
+            seen.push(u);
+            seen.len() < k
+        });
+        assert!(!complete && seen == ids[..k], "{ctx}: stop after {k}");
+    }
+    let mut out = vec![u32::MAX];
+    g.copy_neighbors_into(v, &mut out);
+    assert_eq!((out[0], &out[1..]), (u32::MAX, &ids[..]), "{ctx}: append");
+}
+
+/// Random insert/delete batches over sources whose id ranges spread their
+/// degrees across every container: LSGraph's inline line, array, RIA (or the
+/// PMA ablation's per-vertex PMA) and HITree; Terrace's inline line, shared
+/// PMA and B-tree; Sortledton's vector and skip list; PCSR's packed keys;
+/// Aspen's chunks; PaC-tree's leaves; `Csr` rows. A snapshot is checked
+/// against the model it was taken at after the writer has moved on.
+#[test]
+fn slice_walk_contract_holds_on_every_engine() {
+    const RANGE: [u32; 7] = [1, 10, 24, 60, 160, 700, 2_400];
+    let n = RANGE.len();
+    let cfg = Config {
+        a: 8,
+        m: 64,
+        ..Config::default()
+    };
+    let mut ls = LsGraph::with_config(n, cfg);
+    let mut ablation = LsGraph::with_config(
+        n,
+        Config {
+            medium: MediumStore::Pma,
+            ..cfg
+        },
+    );
+    let mut terrace = TerraceGraph::new(n);
+    let mut aspen = AspenGraph::new(n);
+    let mut pac = PacGraph::new(n);
+    let mut sortledton = SortledtonGraph::new(n);
+    let mut pcsr = PmaGraph::new(n);
+    let mut model = vec![BTreeSet::new(); n];
+    let mut held: Option<(GraphSnapshot, Vec<BTreeSet<u32>>)> = None;
+    let mut tiers = Vec::new();
+    let mut rng = SmallRng::seed_from_u64(0x5_11CE);
+    for round in 0..48 {
+        let batch: Vec<Edge> = (0..400)
+            .map(|_| {
+                let v = rng.gen_range(0..n as u32);
+                Edge::new(v, rng.gen_range(0..RANGE[v as usize]))
+            })
+            .collect();
+        let insert = round < 8 || rng.gen_bool(0.7);
+        let writers: [&mut dyn DynamicGraph; 7] = [
+            &mut ls,
+            &mut ablation,
+            &mut terrace,
+            &mut aspen,
+            &mut pac,
+            &mut sortledton,
+            &mut pcsr,
+        ];
+        for g in writers {
+            if insert {
+                g.insert_batch(&batch);
+            } else {
+                g.delete_batch(&batch);
+            }
+        }
+        for e in &batch {
+            let ns = &mut model[e.src as usize];
+            if insert {
+                ns.insert(e.dst);
+            } else {
+                ns.remove(&e.dst);
+            }
+        }
+        if round % 8 != 7 {
+            continue;
+        }
+        if let Some((snap, frozen)) = held.take() {
+            for v in 0..n as u32 {
+                check_walk("LSGraph snapshot", &snap, v, &frozen[v as usize]);
+            }
+        }
+        held = Some((ls.snapshot(), model.clone()));
+        tiers.extend((0..n as u32).map(|v| ls.tier(v)));
+        let edges: Vec<Edge> = (0..n as u32)
+            .flat_map(|v| model[v as usize].iter().map(move |&u| Edge::new(v, u)))
+            .collect();
+        let csr = Csr::from_edges(n, &edges);
+        let readers: [(&str, &dyn Graph); 8] = [
+            ("LSGraph", &ls),
+            ("LSGraph PMA ablation", &ablation),
+            ("Terrace", &terrace),
+            ("Aspen", &aspen),
+            ("PaC-tree", &pac),
+            ("Sortledton", &sortledton),
+            ("PCSR", &pcsr),
+            ("CSR", &csr),
+        ];
+        for (name, g) in readers {
+            for v in 0..n as u32 {
+                check_walk(name, g, v, &model[v as usize]);
+            }
+        }
+    }
+    let want = [Tier::Inline, Tier::Array, Tier::Ria, Tier::HiTree];
+    assert!(want.iter().all(|t| tiers.contains(t)), "{tiers:?}");
+    assert!(
+        model[n - 1].len() > 1_024 + 13,
+        "Terrace's B-tree tier reached"
+    );
 }

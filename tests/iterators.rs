@@ -1,10 +1,27 @@
-//! Lazy neighbor iteration across the stack: iterator results must match
-//! callback traversal on every tier, and the streaming triangle count must
-//! agree with the materialized kernel on a live engine.
+//! Neighbour walks on the live engine: the slice walk must hand over
+//! non-empty, ascending slices whose concatenation equals the callback
+//! traversal on every tier, under the PMA ablation and after random
+//! mutation.
 
-use lsgraph::analytics::{triangle_count, triangle_count_streaming};
-use lsgraph::gen::{rmat, RmatParams};
-use lsgraph::{Config, DynamicGraph, Edge, Graph, IterableGraph, LsGraph};
+use lsgraph::{Config, DynamicGraph, Edge, Graph, LsGraph, MediumStore, Tier};
+
+/// `v`'s neighbours by the slice walk, each slice checked non-empty.
+fn walk_slices(g: &dyn Graph, v: u32) -> Vec<u32> {
+    let mut ids = Vec::new();
+    assert!(g.for_each_neighbor_slice_while(v, &mut |s| {
+        assert!(!s.is_empty(), "vertex {v}: empty slice");
+        ids.extend_from_slice(s);
+        true
+    }));
+    ids
+}
+
+/// `v`'s neighbours by the per-id callback traversal.
+fn walk_ids(g: &dyn Graph, v: u32) -> Vec<u32> {
+    let mut ids = Vec::new();
+    g.for_each_neighbor(v, &mut |u| ids.push(u));
+    ids
+}
 
 #[test]
 fn neighbor_iter_matches_for_each_on_every_tier() {
@@ -18,15 +35,17 @@ fn neighbor_iter_matches_for_each_on_every_tier() {
         let batch: Vec<Edge> = (0..d).map(|i| Edge::new(v, i * 2 + 1)).collect();
         g.insert_batch(&batch);
     }
+    let tiers: Vec<Tier> = (0..4u32).map(|v| g.tier(v)).collect();
+    assert_eq!(tiers, [Tier::Inline, Tier::Array, Tier::Ria, Tier::HiTree]);
     for v in 0..5u32 {
-        let via_iter: Vec<u32> = g.neighbor_iter(v).collect();
-        assert_eq!(via_iter, g.neighbors(v), "vertex {v}");
+        let via_slices = walk_slices(&g, v);
+        assert_eq!(via_slices, walk_ids(&g, v), "vertex {v}");
+        assert_eq!(via_slices, g.neighbors(v), "vertex {v}");
     }
 }
 
 #[test]
 fn neighbor_iter_under_pma_ablation() {
-    use lsgraph::MediumStore;
     let cfg = Config {
         m: 512,
         medium: MediumStore::Pma,
@@ -35,35 +54,10 @@ fn neighbor_iter_under_pma_ablation() {
     let mut g = LsGraph::with_config(2, cfg);
     let batch: Vec<Edge> = (0..300u32).map(|i| Edge::new(0, i * 3)).collect();
     g.insert_batch(&batch);
-    let via_iter: Vec<u32> = g.neighbor_iter(0).collect();
-    assert_eq!(via_iter, g.neighbors(0));
-}
-
-#[test]
-fn streaming_tc_on_live_engine() {
-    let scale = 11;
-    let edges: Vec<Edge> = rmat(scale, 40_000, RmatParams::paper(), 9)
-        .iter()
-        .flat_map(|e| [*e, e.reversed()])
-        .collect();
-    let mut g = LsGraph::from_edges(
-        1 << scale,
-        &edges,
-        Config {
-            m: 256,
-            ..Config::default()
-        },
-    );
-    let want = triangle_count(&g).triangles;
-    assert!(want > 0);
-    assert_eq!(triangle_count_streaming(&g), want);
-    // Still agrees after mutation.
-    let batch: Vec<Edge> = rmat(scale, 10_000, RmatParams::paper(), 10)
-        .iter()
-        .flat_map(|e| [*e, e.reversed()])
-        .collect();
-    g.insert_batch(&batch);
-    assert_eq!(triangle_count_streaming(&g), triangle_count(&g).triangles);
+    assert_eq!(g.tier(0), Tier::Pma);
+    let via_slices = walk_slices(&g, 0);
+    assert_eq!(via_slices, walk_ids(&g, 0));
+    assert_eq!(via_slices, g.neighbors(0));
 }
 
 #[test]
@@ -86,9 +80,9 @@ fn iterator_is_sorted_on_random_mutations() {
             g.delete_batch(&batch);
         }
         for v in 0..4u32 {
-            let it: Vec<u32> = g.neighbor_iter(v).collect();
-            assert!(it.windows(2).all(|w| w[0] < w[1]), "vertex {v} unsorted");
-            assert_eq!(it.len(), g.degree(v));
+            let ids = walk_slices(&g, v);
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "vertex {v} unsorted");
+            assert_eq!(ids.len(), g.degree(v));
         }
     }
 }
