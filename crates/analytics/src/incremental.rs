@@ -4,17 +4,27 @@
 //! (§3.1) is that "most recent streaming graph systems employ incremental
 //! computation", whose accesses into the adjacency structure arrive in
 //! random order. This module is such a consumer: it maintains single-source
-//! BFS distances across insertion batches, re-relaxing only the affected
-//! region instead of recomputing from scratch — and issuing exactly the
-//! random per-vertex neighbor probes the RIA/HITree layout is designed to
-//! serve.
+//! BFS distances across insertion and deletion batches, re-touching only the
+//! affected region instead of recomputing from scratch — and issuing exactly
+//! the random per-vertex neighbor probes the RIA/HITree layout is designed
+//! to serve.
 //!
-//! Edge *insertions* only ever shorten distances, so the repair is a
-//! monotone relaxation seeded by the endpoints of the new edges. Deletions
-//! can lengthen distances and require (partial) recomputation; this
-//! maintainer recomputes on deletion, which matches how trimming-based
-//! systems (e.g. KickStarter) fall back on unsafe deletions.
+//! Edge *insertions* only ever shorten distances, so their repair is a
+//! monotone relaxation seeded by the endpoints of the new edges. *Deletions*
+//! only lengthen them, and only where a cut edge was some vertex's last
+//! support: the repair is KickStarter's trimming in Ramalingam–Reps form. The
+//! heads of cut tree edges are checked level by level, ascending; one that
+//! still has a valid neighbour a level up keeps its distance, one that has
+//! none is invalidated and passes the check on to its own tree children.
+//! Only the invalidated region is then relaxed again, from its valid
+//! boundary. The worst case is one sequential traversal of that region.
+//!
+//! The delete repair reads a vertex's adjacency as its in-edges, so it holds
+//! only on symmetric graphs (every edge with its mirror) — the contract of
+//! every kernel in this crate.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use lsgraph_api::{Edge, Graph};
@@ -32,20 +42,16 @@ pub const INF: u32 = u32::MAX;
 /// [`distances`](Self::distances)), so a consumer that mirrors the result
 /// pays for the change, not for the graph. A source beyond the vertex table
 /// reaches nothing until the table grows to hold it.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct IncrementalBfs {
     src: u32,
-    dist: Vec<u32>,
-    /// `dist` as the previous call left it: the old side of the next report.
-    prev: Vec<u32>,
-}
-
-/// Views the distances as atomics for the parallel relaxation.
-fn as_atomic(dist: &mut [u32]) -> &[AtomicU32] {
-    // SAFETY: `AtomicU32` has the size, alignment and bit validity of `u32`,
-    // and the exclusive borrow rules out non-atomic access while the view
-    // lives (what the unstable `AtomicU32::from_mut_slice` does).
-    unsafe { &*(dist as *mut [u32] as *const [AtomicU32]) }
+    /// The distances the relaxations write (atomically in the parallel
+    /// ones); equal to `settled` between calls.
+    dist: Vec<AtomicU32>,
+    /// `dist` as the previous call left it: what
+    /// [`distances`](Self::distances) returns and the old side of the next
+    /// report.
+    settled: Vec<u32>,
 }
 
 impl IncrementalBfs {
@@ -54,7 +60,7 @@ impl IncrementalBfs {
         let mut me = IncrementalBfs {
             src,
             dist: Vec::new(),
-            prev: Vec::new(),
+            settled: Vec::new(),
         };
         me.recompute(g);
         me
@@ -67,18 +73,46 @@ impl IncrementalBfs {
 
     /// Current distances (hops; [`INF`] = unreachable).
     pub fn distances(&self) -> &[u32] {
-        &self.dist
+        &self.settled
     }
 
-    /// Full recomputation (used at construction and after deletions): one
-    /// traversal, then one pass over the old and new distances for the
+    /// Grows the table to `n` vertices. Returns the source if the table
+    /// just grew to hold it, now at distance 0 with its neighbours still to
+    /// relax (a source in the table is at 0 otherwise).
+    fn grow(&mut self, n: usize) -> Option<u32> {
+        if n > self.dist.len() {
+            self.dist.resize_with(n, || AtomicU32::new(INF));
+            self.settled.resize(n, INF);
+        }
+        let d = self.dist.get_mut(self.src as usize)?.get_mut();
+        (*d == INF).then(|| {
+            *d = 0;
+            self.src
+        })
+    }
+
+    /// Reports each of `touched` (ascending, distinct) whose distance moved
+    /// as `(v, old)`, and settles it: the sparse twin of `recompute`'s pass.
+    fn settle(&mut self, touched: impl IntoIterator<Item = u32>) -> Vec<(u32, u32)> {
+        touched
+            .into_iter()
+            .filter_map(|v| {
+                let new = *self.dist[v as usize].get_mut();
+                let old = std::mem::replace(&mut self.settled[v as usize], new);
+                (old != new).then_some((v, old))
+            })
+            .collect()
+    }
+
+    /// Full recomputation (used at construction and after lossy batches):
+    /// one traversal, then one pass over the old and new distances for the
     /// report.
     pub fn recompute<G: Graph + ?Sized>(&mut self, g: &G) -> Vec<(u32, u32)> {
         let n = g.num_vertices();
         self.dist.clear();
-        self.dist.resize(n, INF);
-        self.prev.resize(n, INF);
-        let dist = as_atomic(&mut self.dist);
+        self.dist.resize_with(n, || AtomicU32::new(INF));
+        self.settled.resize(n, INF);
+        let dist = self.dist.as_slice();
         let mut frontier = VertexSubset::empty();
         if (self.src as usize) < n {
             dist[self.src as usize].store(0, Ordering::Relaxed);
@@ -99,9 +133,10 @@ impl IncrementalBfs {
             );
         }
         let mut changes = Vec::new();
-        for (v, (p, &d)) in self.prev.iter_mut().zip(&self.dist).enumerate() {
-            if *p != d {
-                changes.push((v as u32, std::mem::replace(p, d)));
+        for (v, (old, d)) in self.settled.iter_mut().zip(&mut self.dist).enumerate() {
+            let new = *d.get_mut();
+            if *old != new {
+                changes.push((v as u32, std::mem::replace(old, new)));
             }
         }
         changes
@@ -115,31 +150,23 @@ impl IncrementalBfs {
     /// adjacency.
     pub fn on_insert<G: Graph + ?Sized>(&mut self, g: &G, batch: &[Edge]) -> Vec<(u32, u32)> {
         let n = g.num_vertices();
-        if n > self.dist.len() {
-            self.dist.resize(n, INF);
-            self.prev.resize(n, INF);
-        }
-        let dist = as_atomic(&mut self.dist);
-        let mut seeds: Vec<u32> = Vec::new();
-        // The table grew to hold a source that was beyond it.
-        if (self.src as usize) < n && dist[self.src as usize].load(Ordering::Relaxed) == INF {
-            dist[self.src as usize].store(0, Ordering::Relaxed);
-            seeds.push(self.src);
-        }
+        let mut seeds: Vec<u32> = self.grow(n).into_iter().collect();
         // Seed: endpoints improved directly by a new edge.
         for e in batch {
             let (s, d) = (e.src as usize, e.dst as usize);
             if s >= n || d >= n {
                 continue;
             }
-            let ds = dist[s].load(Ordering::Relaxed);
-            if ds != INF && ds + 1 < dist[d].load(Ordering::Relaxed) {
-                dist[d].store(ds + 1, Ordering::Relaxed);
+            let ds = *self.dist[s].get_mut();
+            let dd = self.dist[d].get_mut();
+            if ds != INF && ds + 1 < *dd {
+                *dd = ds + 1;
                 seeds.push(e.dst);
             }
         }
         seeds.sort_unstable();
         seeds.dedup();
+        let dist = self.dist.as_slice();
         let mut improved: Vec<u32> = Vec::new();
         let mut frontier = VertexSubset::Sparse(seeds);
         // Monotone relaxation: propagate improvements until quiescent.
@@ -157,19 +184,114 @@ impl IncrementalBfs {
         }
         improved.sort_unstable();
         improved.dedup();
-        improved
-            .into_iter()
-            .map(|v| {
-                let old = std::mem::replace(&mut self.prev[v as usize], self.dist[v as usize]);
-                (v, old)
-            })
-            .collect()
+        self.settle(improved)
     }
 
-    /// Handles a deletion batch: falls back to full recomputation (the safe
-    /// strategy for non-monotone updates).
-    pub fn on_delete<G: Graph + ?Sized>(&mut self, g: &G) -> Vec<(u32, u32)> {
-        self.recompute(g)
+    /// Repairs distances after `batch` was deleted from `g` (call after the
+    /// graph update; `g` must no longer contain the batch), touching only
+    /// what the batch cut:
+    ///
+    /// 1. *Candidates:* the head `v` of every batch edge `(u, v)`, in both
+    ///    orientations, with `dist[v] == dist[u] + 1` — a tree edge.
+    /// 2. *Invalidate*, level by level, ascending: a candidate at `d` keeps
+    ///    its distance if a neighbour that is not invalidated sits at
+    ///    `d − 1` (the walk stops at the first); otherwise it is
+    ///    invalidated and its neighbours at `d + 1` become candidates.
+    /// 3. *Repair:* each invalidated vertex is seeded with one more than the
+    ///    least distance among its valid neighbours, and a unit-weight heap
+    ///    relaxation from those seeds reaches invalidated vertices only.
+    ///
+    /// That is one adjacency walk per candidate and at most three per
+    /// invalidated vertex: a batch that changes no distance reads at most
+    /// 2·|batch| adjacencies, and the worst case is one sequential traversal
+    /// of the region the batch disconnected from its old parents.
+    ///
+    /// The support check in step 2 reads a vertex's adjacency as its
+    /// in-edges, so `g` must be symmetric (every edge with its mirror, the
+    /// batch included), as for every kernel in this crate; edges the graph
+    /// did not hold, duplicates, self-loops and ids beyond the table are
+    /// harmless.
+    pub fn on_delete<G: Graph + ?Sized>(&mut self, g: &G, batch: &[Edge]) -> Vec<(u32, u32)> {
+        let n = g.num_vertices();
+        let grown = self.grow(n);
+        let dist = self.dist.as_mut_slice();
+        let mut levels = BinaryHeap::new();
+        for e in batch {
+            for (u, v) in [(e.src as usize, e.dst), (e.dst as usize, e.src)] {
+                if u >= n || v as usize >= n {
+                    continue;
+                }
+                let du = *dist[u].get_mut();
+                if du != INF && *dist[v as usize].get_mut() == du + 1 {
+                    levels.push(Reverse((du + 1, v)));
+                }
+            }
+        }
+        let (mut cut, mut last, mut children) = (Vec::new(), None, Vec::new());
+        while let Some(Reverse((d, v))) = levels.pop() {
+            // Every push of `(d, v)` precedes its first pop, so duplicates
+            // pop back to back.
+            if last.replace((d, v)) == Some((d, v)) {
+                continue;
+            }
+            // An invalidated vertex is at `INF`, so it supports nothing.
+            let unsupported = g.for_each_neighbor_slice_while(v, &mut |s| {
+                s.iter().all(|&u| {
+                    let du = *dist[u as usize].get_mut();
+                    if du == d + 1 {
+                        children.push(u);
+                    }
+                    du != d - 1
+                })
+            });
+            if unsupported {
+                *dist[v as usize].get_mut() = INF;
+                cut.push(v);
+                levels.extend(children.iter().map(|&w| Reverse((d + 1, w))));
+            }
+            children.clear();
+        }
+        let seeds: Vec<(u32, u32)> = cut
+            .iter()
+            .map(|&v| {
+                let mut best = INF;
+                g.for_each_neighbor_slice_while(v, &mut |s| {
+                    for &u in s {
+                        best = best.min(*dist[u as usize].get_mut());
+                    }
+                    true
+                });
+                (best.saturating_add(1), v)
+            })
+            .collect();
+        let mut relax = BinaryHeap::new();
+        for (d, v) in seeds.into_iter().chain(grown.map(|s| (0, s))) {
+            if d != INF {
+                *dist[v as usize].get_mut() = d;
+                relax.push(Reverse((d, v)));
+            }
+        }
+        let mut touched = cut;
+        touched.extend(grown);
+        while let Some(Reverse((d, v))) = relax.pop() {
+            if d > *dist[v as usize].get_mut() {
+                continue;
+            }
+            g.for_each_neighbor_slice_while(v, &mut |s| {
+                for &w in s {
+                    let dw = dist[w as usize].get_mut();
+                    if d + 1 < *dw {
+                        *dw = d + 1;
+                        relax.push(Reverse((d + 1, w)));
+                        touched.push(w);
+                    }
+                }
+                true
+            });
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        self.settle(touched)
     }
 }
 
@@ -177,8 +299,7 @@ impl IncrementalBfs {
 /// forest — O(α) per inserted edge instead of a full label-propagation pass.
 ///
 /// Insertions only merge components (monotone), so union-find is exact;
-/// deletions can split components and trigger a rebuild, mirroring
-/// [`IncrementalBfs`]'s strategy.
+/// deletions can split components and trigger a rebuild.
 #[derive(Clone, Debug)]
 pub struct IncrementalCc {
     parent: Vec<u32>,
@@ -359,15 +480,115 @@ mod tests {
         }
     }
 
+    /// Deletes `cut` from `edges`, repairs, and holds the repair to a fresh
+    /// BFS on the result: equal distances, and a report equal to the diff of
+    /// before and after, ascending. Returns the report.
+    fn cut_and_check(
+        inc: &mut IncrementalBfs,
+        n: usize,
+        edges: &mut Vec<Edge>,
+        cut: &[Edge],
+    ) -> Vec<(u32, u32)> {
+        edges.retain(|e| !cut.contains(e));
+        let g = Csr::from_edges(n, edges);
+        let before = inc.distances().to_vec();
+        let report = inc.on_delete(&g, cut);
+        let fresh = IncrementalBfs::new(&g, inc.source());
+        assert_eq!(inc.distances(), fresh.distances(), "distances");
+        let diff: Vec<(u32, u32)> = (0..n as u32)
+            .zip(before.iter().zip(fresh.distances()))
+            .filter(|&(_, (old, new))| old != new)
+            .map(|(v, (&old, _))| (v, old))
+            .collect();
+        assert_eq!(report, diff, "report");
+        report
+    }
+
     #[test]
-    fn deletion_falls_back_to_recompute() {
-        let edges = sym(&[(0, 1), (1, 2), (0, 2)]);
-        let g = Csr::from_edges(3, &edges);
-        let mut inc = IncrementalBfs::new(&g, 0);
+    fn deletion_repairs_the_lost_shortcut() {
+        let mut edges = sym(&[(0, 1), (1, 2), (0, 2)]);
+        let mut inc = IncrementalBfs::new(&Csr::from_edges(3, &edges), 0);
         assert_eq!(inc.distances(), &[0, 1, 1]);
         // Remove 0-2: distance of 2 grows to 2.
-        let g2 = Csr::from_edges(3, &sym(&[(0, 1), (1, 2)]));
-        inc.on_delete(&g2);
+        let report = cut_and_check(&mut inc, 3, &mut edges, &sym(&[(0, 2)]));
+        assert_eq!(report, vec![(2, 1)]);
         assert_eq!(inc.distances(), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn random_symmetric_deletes_match_recompute() {
+        const N: u32 = 200;
+        let pairs = |rng: &mut SmallRng, len| -> Vec<(u32, u32)> {
+            (0..len)
+                .map(|_| (rng.gen_range(0..N), rng.gen_range(0..N)))
+                .collect()
+        };
+        for seed in [5u64, 41, 97, 211] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut edges = sym(&pairs(&mut rng, 500));
+            let mut inc = IncrementalBfs::new(&Csr::from_edges(N as usize, &edges), 0);
+            let mut moved = 0;
+            for _ in 0..30 {
+                // Present edges (a quarter of them twice), then one the
+                // graph may not hold, a self-loop and ids at or past the
+                // table.
+                let len = rng.gen_range(1..40);
+                let mut cut: Vec<(u32, u32)> = (0..len)
+                    .map(|_| edges[rng.gen_range(0..edges.len())])
+                    .map(|e| (e.src, e.dst))
+                    .collect();
+                cut.extend_from_within(..len / 4);
+                cut.extend(pairs(&mut rng, 1));
+                cut.extend([(3, 3), (0, N), (N + 7, 1)]);
+                moved += cut_and_check(&mut inc, N as usize, &mut edges, &sym(&cut)).len();
+                // Regrow so later cuts still find tree edges.
+                let grow = sym(&pairs(&mut rng, 20));
+                edges.extend_from_slice(&grow);
+                inc.on_insert(&Csr::from_edges(N as usize, &edges), &grow);
+            }
+            assert!(moved > 0, "seed {seed}: some cut moved a distance");
+        }
+    }
+
+    #[test]
+    fn cutting_every_edge_of_the_source_strands_the_rest() {
+        let mut edges = sym(&[(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]);
+        let mut inc = IncrementalBfs::new(&Csr::from_edges(5, &edges), 0);
+        let report = cut_and_check(&mut inc, 5, &mut edges, &sym(&[(0, 1), (0, 2)]));
+        assert_eq!(report, vec![(1, 1), (2, 1), (3, 2), (4, 3)]);
+        assert_eq!(inc.distances(), &[0, INF, INF, INF, INF]);
+    }
+
+    #[test]
+    fn a_cut_bridge_sends_its_subtree_to_inf() {
+        // A triangle on the source, a bridge 2-3, and a subtree under 3.
+        let mut edges = sym(&[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (3, 5), (5, 6)]);
+        let mut inc = IncrementalBfs::new(&Csr::from_edges(7, &edges), 0);
+        let report = cut_and_check(&mut inc, 7, &mut edges, &sym(&[(2, 3)]));
+        assert_eq!(report, vec![(3, 2), (4, 3), (5, 3), (6, 4)]);
+        assert_eq!(inc.distances(), &[0, 1, 1, INF, INF, INF, INF]);
+    }
+
+    #[test]
+    fn a_cut_lengthens_a_chain_by_several_levels() {
+        // A ten-cycle: cutting 0-9 turns it into a path, and 9 goes from one
+        // hop to nine.
+        let ring: Vec<(u32, u32)> = (0..10).map(|v| (v, (v + 1) % 10)).collect();
+        let mut edges = sym(&ring);
+        let mut inc = IncrementalBfs::new(&Csr::from_edges(10, &edges), 0);
+        assert_eq!(inc.distances(), &[0, 1, 2, 3, 4, 5, 4, 3, 2, 1]);
+        let report = cut_and_check(&mut inc, 10, &mut edges, &sym(&[(9, 0)]));
+        assert_eq!(report, vec![(6, 4), (7, 3), (8, 2), (9, 1)]);
+        assert_eq!(inc.distances(), &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn a_vertex_that_keeps_a_second_parent_keeps_its_distance() {
+        // 3 hangs under both 1 and 2; losing 1-3 leaves 2-3 in support.
+        let mut edges = sym(&[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]);
+        let mut inc = IncrementalBfs::new(&Csr::from_edges(5, &edges), 0);
+        let report = cut_and_check(&mut inc, 5, &mut edges, &sym(&[(1, 3)]));
+        assert!(report.is_empty(), "{report:?}");
+        assert_eq!(inc.distances(), &[0, 1, 1, 2, 3]);
     }
 }

@@ -18,8 +18,10 @@
 //!   expiry for the windowed counts). Delivery is delta-native: the
 //!   maintainer absorbs a committed batch and returns the [`ResultDelta`],
 //!   which the registry applies to the kept result in place — O(|batch| +
-//!   |Δ|) for an insert batch, one traversal per traversal subscription
-//!   for a delete or lossy batch, never a rebuild of the result.
+//!   affected) adjacency reads for an insert or delete batch (a delete
+//!   re-checks only the heads of the tree edges it cut), one traversal per
+//!   traversal subscription for a lossy batch, never a rebuild of the
+//!   result.
 //! * [`SubscriptionHub`] — the engine binding: a
 //!   [`PostBatchHook`](lsgraph_core::PostBatchHook) that snapshots the
 //!   freshly published graph (one count per directory page, see [`hub`])

@@ -5,10 +5,15 @@
 //! query's result, entry for entry what diffing a materialization taken
 //! before against one taken after would give — without building either:
 //!
-//! * k-hop and component membership → [`IncrementalBfs`] (monotone
-//!   relaxation on inserts, one traversal plus one pass over the old and new
-//!   distances on deletes and lossy commits); membership is k-hop with no
-//!   cutoff and value 1 — the component exactly when the graph is symmetric.
+//! * k-hop and component membership → [`IncrementalBfs`]: a monotone
+//!   relaxation on inserts; on deletes, KickStarter-style trimming in
+//!   Ramalingam–Reps form, which re-checks only the heads of cut tree edges
+//!   and relaxes only the vertices that lost their last support, so both
+//!   read O(|batch| + affected) adjacencies; one traversal plus one pass over
+//!   the old and new distances on lossy commits. Membership is k-hop with no
+//!   cutoff and value 1 — the component exactly when the graph is symmetric,
+//!   which the delete repair needs as well (it reads a vertex's adjacency as
+//!   its in-edges).
 //! * windowed counts → a [`BatchWindow`], whose candidate map settles each
 //!   edge's presence from the batches themselves.
 
@@ -26,7 +31,7 @@ use crate::window::BatchWindow;
 pub type Changes = (Vec<(u32, u64)>, Vec<(u32, u64)>, Vec<(u32, u64, u64)>);
 
 /// The incremental state behind one subscription.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum Maintainer {
     /// Maintains hop distances for [`StandingQuery::KHop`] and
     /// [`StandingQuery::ComponentMembership`].
@@ -116,7 +121,7 @@ impl Maintainer {
                 let changes = match kind {
                     _ if lossy => bfs.recompute(g),
                     BatchKind::Insert => bfs.on_insert(g, batch),
-                    BatchKind::Delete => bfs.on_delete(g),
+                    BatchKind::Delete => bfs.on_delete(g, batch),
                 };
                 let dist = bfs.distances();
                 for (v, old) in changes {

@@ -8,8 +8,10 @@
 //!   for entry; replaying the deltas must reconstruct `result()`, which must
 //!   equal [`StandingQuery::oracle`].
 //! * **Complexity:** a graph wrapper counts adjacency reads, and a batch
-//!   that changes no result must cost O(|batch|) of them, a delete batch at
-//!   most one traversal per traversal subscription.
+//!   that changes no result must cost O(|batch|) of them — a delete batch
+//!   whose cut tree edges all leave another parent at most 2·|batch| — and a
+//!   delete batch that cuts a subtree O(|batch| + affected vertices), far
+//!   below one traversal.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -199,23 +201,38 @@ impl Graph for Counting<'_> {
     }
 }
 
+/// Adjacency walks the delete repair may spend per batch edge and per
+/// vertex whose distance moves: one support check per candidate, then a
+/// seed walk and a relaxation walk per invalidated vertex.
+const WALKS_PER_ENTRY: u64 = 3;
+
 #[test]
 fn graph_reads_follow_the_batch_not_the_graph() {
     const N: u32 = 1 << 16;
+    /// The top ids form a path hung from a neighbour of the source at one
+    /// end and from a far vertex at the other, so that cutting its near end
+    /// moves a known stretch of it.
+    const PATH: u32 = 64;
+    const ER: u32 = N - PATH;
     const BATCH: usize = 256;
     let queries = [
         StandingQuery::KHop { src: 0, k: 2 },
         StandingQuery::ComponentMembership { src: 0 },
         StandingQuery::WindowedEdgeCount { window: 4 },
     ];
-    let mut edges = sym(erdos_renyi(N, 4 << 16, 7).iter().map(|e| (e.src, e.dst)));
+    let mut edges = sym(erdos_renyi(ER, 4 << 16, 7).iter().map(|e| (e.src, e.dst)));
+    let er = IncrementalBfs::new(&Csr::from_edges(ER as usize, &edges), 0);
+    let near = (1..ER).find(|&v| er.distances()[v as usize] == 1).unwrap();
+    let far = (1..ER).find(|&v| er.distances()[v as usize] == 6).unwrap();
+    edges.extend(sym([(near, ER), (N - 1, far)]));
+    edges.extend(sym((ER..N - 1).map(|v| (v, v + 1))));
     let g0 = Csr::from_edges(N as usize, &edges);
     let mut maintainers: Vec<_> = queries.iter().map(|q| Maintainer::new(q, &g0)).collect();
 
     // New edges that move nothing: both ends at one BFS level past the
     // k-hop cutoff, so no distance improves and no component merges.
     let bfs = IncrementalBfs::new(&g0, 0);
-    let level: Vec<u32> = (0..N)
+    let level: Vec<u32> = (0..ER)
         .filter(|&v| bfs.distances()[v as usize] == 4)
         .collect();
     let batch = sym(level
@@ -243,27 +260,76 @@ fn graph_reads_follow_the_batch_not_the_graph() {
             );
         }
     }
-
-    // A delete batch: one traversal per traversal subscription, measured
-    // as what one from-scratch BFS reads on the same graph; none for the
-    // windowed count.
-    let cut = sym(edges.iter().take(BATCH / 2).map(|e| (e.src, e.dst)));
-    let cut_set: BTreeSet<(u32, u32)> = cut.iter().map(|e| (e.src, e.dst)).collect();
-    edges.retain(|e| !cut_set.contains(&(e.src, e.dst)));
-    let g2 = Csr::from_edges(N as usize, &edges);
-    let counting = Counting::new(&g2);
+    // What one from-scratch BFS reads, for scale.
     IncrementalBfs::new(&counting, 0);
     let traversal = counting.take();
     assert!(
         traversal >= N as u64 / 2,
         "the BFS reaches most of the graph"
     );
-    mirror.push(3, BatchKind::Delete, &cut);
-    for (m, q) in maintainers.iter_mut().zip(&queries) {
-        m.apply(&counting, 3, BatchKind::Delete, &cut, false);
-        let reads = counting.take();
-        let allowed = if q.window().is_some() { 0 } else { traversal };
+
+    // Tree edges whose heads keep another parent: no distance moves, and
+    // the repair reads at most two adjacencies per batch edge; the windowed
+    // count reads none.
+    let bfs = IncrementalBfs::new(&g1, 0);
+    let dist = bfs.distances();
+    let cut = sym((0..ER)
+        .filter(|&v| dist[v as usize] == 5)
+        .filter_map(|v| {
+            let parents: Vec<u32> = g1
+                .neighbors(v)
+                .into_iter()
+                .filter(|&u| dist[u as usize] == 4)
+                .collect();
+            (parents.len() >= 2).then(|| (parents[0], v))
+        })
+        .take(BATCH / 2));
+    assert_eq!(
+        cut.len(),
+        BATCH,
+        "level 5 holds enough twice-parented vertices"
+    );
+    let mut deliver = |edges: &mut Vec<Edge>, seq: u64, cut: &[Edge]| {
+        let cut_set: BTreeSet<Edge> = cut.iter().copied().collect();
+        edges.retain(|e| !cut_set.contains(e));
+        let g = Csr::from_edges(N as usize, edges);
+        let counting = Counting::new(&g);
+        mirror.push(seq, BatchKind::Delete, cut);
+        let out: Vec<_> = maintainers
+            .iter_mut()
+            .zip(&queries)
+            .map(|(m, q)| {
+                let delta = m.apply(&counting, seq, BatchKind::Delete, cut, false);
+                assert_eq!(m.materialize(&g), q.oracle(&g, &mirror), "{q:?}");
+                (q, delta, counting.take())
+            })
+            .collect();
+        (g, out)
+    };
+    for (q, delta, reads) in deliver(&mut edges, 3, &cut).1 {
+        let allowed = if q.window().is_some() {
+            0
+        } else {
+            2 * cut.len() as u64
+        };
         assert!(reads <= allowed, "{q:?}: {reads} reads, {allowed} allowed");
-        assert_eq!(m.materialize(&g2), q.oracle(&g2, &mirror), "{q:?}");
+        assert_eq!(delta, Default::default(), "{q:?}");
+    }
+
+    // Cutting the path's near end moves the stretch of it that was closer
+    // to the source that way: the repair reads O(|batch| + that stretch).
+    let before = IncrementalBfs::new(&Csr::from_edges(N as usize, &edges), 0);
+    let cut = sym([(near, ER)]);
+    let (g, out) = deliver(&mut edges, 4, &cut);
+    let after = IncrementalBfs::new(&g, 0);
+    let moved = (0..N as usize)
+        .filter(|&v| before.distances()[v] != after.distances()[v])
+        .count() as u64;
+    assert!(moved >= PATH as u64 / 4, "{moved} vertices moved");
+    let allowed = WALKS_PER_ENTRY * (cut.len() as u64 + moved);
+    assert!(100 * allowed < traversal, "{allowed} vs {traversal}");
+    for (q, _, reads) in out {
+        let allowed = if q.window().is_some() { 0 } else { allowed };
+        assert!(reads <= allowed, "{q:?}: {reads} reads, {allowed} allowed");
     }
 }

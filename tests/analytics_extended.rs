@@ -52,10 +52,10 @@ fn incremental_bfs_tracks_live_lsgraph() {
         let fresh = IncrementalBfs::new(&g, src);
         assert_eq!(inc.distances(), fresh.distances(), "round {round}");
     }
-    // A deletion round falls back to recomputation.
+    // A deletion round repairs only what it cut.
     let del = sym(&rmat(SCALE, 4_000, RmatParams::paper(), 30));
     g.delete_batch(&del);
-    inc.on_delete(&g);
+    inc.on_delete(&g, &del);
     let fresh = IncrementalBfs::new(&g, src);
     assert_eq!(inc.distances(), fresh.distances());
 }

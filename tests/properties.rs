@@ -648,7 +648,8 @@ fn incremental_maintainers_survive_deletion_streams() {
         let mut snaps = Vec::new();
         for round in 0..24 {
             // Heavier deletes than the generic streams: this is the
-            // non-monotone path (recompute/rebuild) under test.
+            // non-monotone path (support-checked repair / rebuild) under
+            // test.
             let is_insert = rng.gen_bool(0.55);
             let batch: Vec<Edge> = if !is_insert && round % 5 == 4 {
                 // Targeted: sever the source's current neighborhood, which
@@ -675,7 +676,7 @@ fn incremental_maintainers_survive_deletion_streams() {
                 cc.on_insert(&batch);
             } else {
                 g.delete_batch(&batch);
-                bfs.on_delete(&g);
+                bfs.on_delete(&g, &batch);
                 cc.on_delete(&g);
             }
             // Snapshot churn: pin the post-batch state, drop an older pin,

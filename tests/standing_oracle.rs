@@ -7,6 +7,12 @@
 //! mid-delivery (`subscription_deliver`: survivors stay oracle-equal, the
 //! restarted one reconverges) and commits lossy batches under probabilistic
 //! `apply_run` kills followed by repairs.
+//!
+//! A third set aims its deletes at the anchor's neighbourhood, where the
+//! random 96-id deletes rarely land: every delete pair has one end among the
+//! anchor's low ids, so the traversal maintainers' support-checked repair
+//! runs on cut tree edges, under held snapshots and, with the feature, under
+//! `apply_run` kills.
 
 #[path = "sim/harness.rs"]
 mod harness;
@@ -33,6 +39,14 @@ const QUERIES: [StandingQuery; 4] = [
 fn symmetric(rng: &mut SmallRng) -> Op {
     let (insert, len) = (rng.gen_bool(0.7), rng.gen_range(1..32));
     let pairs = pairs(rng, len, 96, 96).into_iter();
+    batch(insert, pairs.flat_map(|(a, b)| [(a, b), (b, a)]).collect())
+}
+
+/// A mirrored batch whose every pair has one end below 4, next to the
+/// anchor: a delete cuts BFS-tree edges near the source.
+fn anchored(rng: &mut SmallRng, insert: bool) -> Op {
+    let len = rng.gen_range(1..12);
+    let pairs = pairs(rng, len, 4, 96).into_iter();
     batch(insert, pairs.flat_map(|(a, b)| [(a, b), (b, a)]).collect())
 }
 
@@ -89,5 +103,40 @@ fn subscriptions_match_from_scratch_kernels_every_batch() {
     });
     for sim in sims.iter().filter(|_| kills) {
         assert_eq!(sim.fires.get("subscription_deliver"), Some(&1));
+    }
+}
+
+#[test]
+fn anchored_deletes_repair_only_what_they_cut() {
+    let kills = cfg!(feature = "failpoints");
+    let sims = check_set("standing/anchored", "standing", SEEDS, |seed| {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
+        let mut ops: Vec<Op> = QUERIES.iter().map(|&q| Subscribe(q)).collect();
+        for t in 0..24 {
+            // Grow next to the anchor and away from it, then cut next to it
+            // with a snapshot held across the cut (dropped every other round).
+            ops.extend([symmetric(&mut rng), anchored(&mut rng, true), Snap]);
+            let cut = anchored(&mut rng, false);
+            if kills && t % 3 == 2 {
+                let kill = Arm(
+                    "apply_run",
+                    Probability {
+                        p: 0.1,
+                        seed: seed ^ t,
+                    },
+                );
+                ops.extend([kill, cut, Disarm("apply_run"), Repair]);
+            } else {
+                ops.push(cut);
+            }
+            ops.push(Quiesce);
+            if t % 2 == 1 {
+                ops.push(DropSnap(rng.gen_range(0..4)));
+            }
+        }
+        ops
+    });
+    for sim in sims.iter().filter(|_| kills) {
+        assert!(sim.fires.get("apply_run").is_some_and(|&n| n > 0));
     }
 }
