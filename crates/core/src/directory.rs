@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use lsgraph_api::batch::SrcRun;
+use lsgraph_api::batch::{Run, SortedBatch};
 use lsgraph_api::{Footprint, Graph, LatencyStats, MemoryFootprint, StructStats, VertexId};
 use rayon::prelude::*;
 
@@ -148,8 +148,8 @@ impl GraphView {
 
     /// Runs `f` once per run on its source's block and returns the sum of the
     /// results. Each touched page is made exclusive once ([`page_mut`]) and
-    /// takes its runs in source order; the pages are folded into one [`Task`]
-    /// per parallel chunk.
+    /// takes its runs in source order ([`SortedBatch::slots_mut`]); the pages
+    /// are folded into one [`Task`] per parallel chunk.
     ///
     /// `f` also gets its task's counters, to record into, and its task's
     /// clock, which starts when the task does and which `f` may advance. The
@@ -160,37 +160,25 @@ impl GraphView {
     ///
     /// # Panics
     ///
-    /// Panics unless the runs' sources are strictly ascending and inside the
-    /// directory.
+    /// Panics if a run's source is outside the directory.
     pub(crate) fn par_apply_disjoint(
         &mut self,
-        runs: &[SrcRun],
-        f: impl Fn(&SrcRun, &mut VertexBlock, &StructStats, &mut Instant) -> usize + Sync,
+        batch: &SortedBatch,
+        f: impl Fn(Run<'_>, &mut VertexBlock, &StructStats, &mut Instant) -> usize + Sync,
     ) -> usize {
         assert!(
-            runs.windows(2).all(|w| w[0].src < w[1].src),
-            "apply runs must have strictly ascending sources"
-        );
-        assert!(
-            runs.last().is_none_or(|r| (r.src as usize) < self.n),
+            batch
+                .runs()
+                .next_back()
+                .is_none_or(|r| (r.src as usize) < self.n),
             "apply run source outside the vertex directory"
         );
-        let page_of = |run: &SrcRun| run.src as usize / PAGE;
-        // Ascending sources visit pages in ascending order: one forward walk
-        // (`nth` on a slice iterator is O(1)) hands out each touched page.
-        let mut pages: Vec<(&mut Page, &[SrcRun])> = Vec::new();
-        let (mut rest, mut next) = (self.pages.iter_mut(), 0);
-        for group in runs.chunk_by(|a, b| page_of(a) == page_of(b)) {
-            let p = page_of(&group[0]);
-            let page = rest.nth(p - next).expect("a source below `n` has a page");
-            next = p + 1;
-            pages.push((page, group));
-        }
-        let tasks: Vec<Task> = pages
+        let tasks: Vec<Task> = batch
+            .slots_mut::<_, PAGE>(&mut self.pages)
             .into_par_iter()
-            .fold(Task::start, |mut task, (page, group)| {
+            .fold(Task::start, |mut task, (page, runs)| {
                 let blocks = page_mut(page, &task.stats);
-                for run in group {
+                for run in runs.iter().map(|r| batch.run(r)) {
                     let vb = &mut blocks[run.src as usize % PAGE];
                     task.applied += f(run, vb, &task.stats, &mut task.clock);
                 }
@@ -445,19 +433,10 @@ pub(crate) use forward_to_view;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsgraph_api::batch::{runs_by_src, sorted_dedup_keys};
     use lsgraph_api::{Edge, StructSnapshot};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     const P: u32 = PAGE as u32;
-
-    fn run(src: u32) -> SrcRun {
-        SrcRun {
-            src,
-            start: 0,
-            end: 0,
-        }
-    }
 
     fn view(n: usize) -> GraphView {
         GraphView::new(n, Config::default())
@@ -466,7 +445,8 @@ mod tests {
     /// Inserts `u` into `v`'s adjacency through the batch entry point.
     fn insert(g: &mut GraphView, v: u32, u: u32) {
         let cfg = g.cfg;
-        g.num_edges += g.par_apply_disjoint(&[run(v)], |_, vb, task_stats, _| {
+        let batch = SortedBatch::new(&[Edge::new(v, u)]);
+        g.num_edges += g.par_apply_disjoint(&batch, |_, vb, task_stats, _| {
             usize::from(vb.insert(u, &cfg, task_stats))
         });
     }
@@ -486,17 +466,16 @@ mod tests {
         let batch: Vec<Edge> = (0..40u32)
             .map(|i| Edge::new(srcs[i as usize % 5], 1_000 + i))
             .collect();
-        let keys = sorted_dedup_keys(&batch);
-        let runs = runs_by_src(&keys);
+        let batch = SortedBatch::new(&batch);
         let mut g = view(4 * PAGE);
         let frozen = g.clone();
         let before = page_ptrs(&g);
         let cfg = g.cfg;
-        let applied = g.par_apply_disjoint(&runs, |run, vb, task_stats, _| {
+        let applied = g.par_apply_disjoint(&batch, |run, vb, task_stats, _| {
             assert_eq!(vb.degree(), 0);
-            keys[run.start..run.end]
+            run.dsts
                 .iter()
-                .filter(|&&k| vb.insert(k as u32, &cfg, task_stats))
+                .filter(|&&u| vb.insert(u, &cfg, task_stats))
                 .count()
         });
         g.num_edges = applied;
@@ -517,16 +496,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly ascending sources")]
-    fn repeated_source_is_refused() {
-        view(4).par_apply_disjoint(&[run(1), run(1)], |_, _, _, _| 0);
-    }
-
-    #[test]
     #[should_panic(expected = "outside the vertex directory")]
     fn out_of_range_source_is_refused() {
         // 4 is inside the first page's allocation but not a vertex.
-        view(4).par_apply_disjoint(&[run(1), run(4)], |_, _, _, _| 0);
+        let batch = SortedBatch::new(&[Edge::new(1, 0), Edge::new(4, 0)]);
+        view(4).par_apply_disjoint(&batch, |_, _, _, _| 0);
     }
 
     /// The workers record into their tasks' counters, never the view's:
@@ -540,8 +514,7 @@ mod tests {
         let batch: Vec<Edge> = (0..4 * 200u32)
             .map(|i| Edge::new(srcs[i as usize % 4], (i * 7919) % 5_000))
             .collect();
-        let keys = sorted_dedup_keys(&batch);
-        let runs = runs_by_src(&keys);
+        let batch = SortedBatch::new(&batch);
         let mut g = view(4 * PAGE);
         insert(&mut g, 3, 9);
         let frozen = g.clone();
@@ -549,24 +522,25 @@ mod tests {
         let before = shared.snapshot();
         assert_ne!(before, StructSnapshot::default());
         let cfg = g.cfg;
-        let applied = g.par_apply_disjoint(&runs, |run, vb, task_stats, _| {
-            let n = keys[run.start..run.end]
+        let applied = g.par_apply_disjoint(&batch, |run, vb, task_stats, _| {
+            let n = run
+                .dsts
                 .iter()
-                .filter(|&&k| vb.insert(k as u32, &cfg, task_stats))
+                .filter(|&&u| vb.insert(u, &cfg, task_stats))
                 .count();
             assert!(task_stats.snapshot().vb_inline_hits > 0);
             assert_eq!(shared.snapshot(), before, "source {}", run.src);
             n
         });
-        assert_eq!(applied, keys.len());
+        assert_eq!(applied, batch.len());
 
         // The same runs, one after another, into one family.
         let expect = StructStats::new();
         expect.cow_block_copies.record(3 * PAGE as u64);
-        for run in &runs {
+        for run in batch.runs() {
             let mut vb = VertexBlock::new();
-            for &k in &keys[run.start..run.end] {
-                vb.insert(k as u32, &cfg, &expect);
+            for &u in run.dsts {
+                vb.insert(u, &cfg, &expect);
             }
             assert_eq!(g.block(run.src).to_vec(), vb.to_vec());
         }

@@ -1,7 +1,7 @@
 //! The LSGraph engine: the live [`GraphView`] + the writer-only state around
 //! it + the parallel batch-update pipeline (paper §5, Fig. 11).
 
-use lsgraph_api::batch::{max_vertex_id, runs_by_src, sorted_dedup_keys, SrcRun};
+use lsgraph_api::batch::{sorted_dedup_keys, SortedBatch};
 use lsgraph_api::fail_point;
 use lsgraph_api::{
     DynamicGraph, Edge, Graph, LatencySnapshot, LatencyStats, MemoryFootprint, Phase,
@@ -204,17 +204,14 @@ impl LsGraph {
         edges: &[Edge],
         cfg: Config,
     ) -> Result<(Self, BatchOutcome), GraphError> {
-        let keys = sorted_dedup_keys(edges);
-        let n = n.max(max_vertex_id(edges).map_or(0, |m| m as usize + 1));
-        let mut g = LsGraph::try_with_config(n, cfg)?;
-        let runs = runs_by_src(&keys);
+        let batch = SortedBatch::new(edges);
+        let mut g = LsGraph::try_with_config(n.max(batch.id_bound()), cfg)?;
         let failures: Mutex<Vec<VertexId>> = Mutex::new(Vec::new());
-        let applied = g.view.par_apply_disjoint(&runs, |run, vb, _, _| {
+        let applied = g.view.par_apply_disjoint(&batch, |run, vb, _, _| {
             let task = || {
                 fail_point!("apply_run");
-                let ns: Vec<u32> = keys[run.start..run.end].iter().map(|&k| k as u32).collect();
-                *vb = VertexBlock::from_sorted_neighbors(&ns, &cfg);
-                ns.len()
+                *vb = VertexBlock::from_sorted_neighbors(run.dsts, &cfg);
+                run.dsts.len()
             };
             match catch_unwind(AssertUnwindSafe(task)) {
                 Ok(cnt) => cnt,
@@ -234,14 +231,14 @@ impl LsGraph {
             g.view.stats.apply_run_panics.record(1);
             g.view.stats.vertices_quarantined.record(1);
         }
-        for run in &runs {
+        for run in batch.runs() {
             g.dirty.insert(run.src);
         }
         g.view.num_edges = applied;
         let outcome = BatchOutcome {
             applied,
             quarantined,
-            edges_lost: keys.len() - applied,
+            edges_lost: batch.len() - applied,
             skipped_quarantined: 0,
         };
         Ok((g, outcome))
@@ -259,9 +256,9 @@ impl LsGraph {
         self.view.stats.snapshot()
     }
 
-    /// Ensures the vertex table covers ids up to `max_id`.
-    fn grow_to(&mut self, max_id: u32) {
-        self.view.grow_to(max_id as usize + 1);
+    /// Ensures the vertex table covers ids below `n`.
+    fn grow_to(&mut self, n: usize) {
+        self.view.grow_to(n);
         self.dirty.grow_to(self.view.num_vertices());
     }
 
@@ -274,9 +271,9 @@ impl LsGraph {
         self.dirty.insert(v);
     }
 
-    /// Applies `op` to every key of each run, on the run's vertex block, in
-    /// parallel with per-run panic isolation; a run's count is how many
-    /// `op` calls returned `true`. `op` records into its task's counters
+    /// Applies `op` to every destination of each run, on the run's vertex
+    /// block, in parallel with per-run panic isolation; a run's count is how
+    /// many `op` calls returned `true`. `op` records into its task's counters
     /// (see [`GraphView::par_apply_disjoint`]), a killed run's partial
     /// movement included.
     ///
@@ -295,23 +292,15 @@ impl LsGraph {
     /// are skipped entirely.
     fn apply_runs(
         &mut self,
-        keys: &[u64],
-        runs: &[SrcRun],
+        mut batch: SortedBatch,
         op: impl Fn(&mut VertexBlock, u32, &Config, &StructStats) -> bool + Sync,
     ) -> RunApplyResult {
-        let offered = runs.len();
-        let live_runs: Vec<SrcRun>;
-        let runs = if self.view.quarantined.is_empty() {
-            runs
-        } else {
-            live_runs = runs
-                .iter()
-                .filter(|run| !self.view.quarantined.contains(&run.src))
-                .copied()
-                .collect();
-            &live_runs
-        };
-        let skipped_quarantined = offered - runs.len();
+        let offered = batch.runs().len();
+        if !self.view.quarantined.is_empty() {
+            let quarantined = &self.view.quarantined;
+            batch.retain_sources(|src| !quarantined.contains(&src));
+        }
+        let skipped_quarantined = offered - batch.runs().len();
         let failures: Mutex<Vec<(VertexId, usize)>> = Mutex::new(Vec::new());
         let applied = {
             // The directory is lent out mutably for the pass, so the tasks
@@ -323,13 +312,13 @@ impl LsGraph {
             let batch_start = Instant::now();
             let n = self
                 .view
-                .par_apply_disjoint(runs, |run, vb, task_stats, clock| {
+                .par_apply_disjoint(&batch, |run, vb, task_stats, clock| {
                     let d_pre = vb.degree();
                     let task = || {
                         fail_point!("apply_run");
-                        keys[run.start..run.end]
+                        run.dsts
                             .iter()
-                            .filter(|&&k| op(vb, k as u32, &cfg, task_stats))
+                            .filter(|&&u| op(vb, u, &cfg, task_stats))
                             .count()
                     };
                     let outcome = catch_unwind(AssertUnwindSafe(task));
@@ -354,7 +343,7 @@ impl LsGraph {
         // Every run that reached its block dirtied it (a committed run
         // mutated it, a panicked run is reset below); runs skipped for
         // quarantine touched nothing.
-        for run in runs {
+        for run in batch.runs() {
             self.dirty.insert(run.src);
         }
         for &(src, _) in &panicked {
@@ -412,36 +401,33 @@ impl LsGraph {
         self.apply_batch(BatchKind::Delete, batch)
     }
 
-    /// The batch pipeline: sort and deduplicate, size the key set to the
-    /// table, group by source, apply, account, notify.
+    /// The batch pipeline: sort and deduplicate, group by source, size the
+    /// runs to the table, apply, account, notify.
     fn apply_batch(&mut self, kind: BatchKind, batch: &[Edge]) -> Result<BatchOutcome, GraphError> {
         if batch.is_empty() {
             return Ok(BatchOutcome::default());
         }
-        let mut keys = {
+        let keys = {
             let _t = self.view.stats.time(Phase::Sort);
             sorted_dedup_keys(batch)
         };
-        match kind {
+        let mut sorted = {
+            let _t = self.view.stats.time(Phase::Group);
+            SortedBatch::from_keys(&keys)
+        };
+        drop(keys);
+        let r = match kind {
             BatchKind::Insert => {
-                if let Some(max_id) = max_vertex_id(batch) {
-                    self.grow_to(max_id);
-                }
+                self.grow_to(sorted.id_bound());
+                self.apply_runs(sorted, VertexBlock::insert)
             }
             // Ignore runs for vertices beyond the table; those edges cannot
             // exist.
             BatchKind::Delete => {
-                let n = self.num_vertices() as u64;
-                keys.retain(|&k| (k >> 32) < n);
+                let n = self.num_vertices();
+                sorted.retain_sources(|src| (src as usize) < n);
+                self.apply_runs(sorted, VertexBlock::delete)
             }
-        }
-        let runs = {
-            let _t = self.view.stats.time(Phase::Group);
-            runs_by_src(&keys)
-        };
-        let r = match kind {
-            BatchKind::Insert => self.apply_runs(&keys, &runs, VertexBlock::insert),
-            BatchKind::Delete => self.apply_runs(&keys, &runs, VertexBlock::delete),
         };
         let edges_lost: usize = r.panicked.iter().map(|&(_, d_pre)| d_pre).sum();
         // Quarantining dropped each failed source's full pre-batch adjacency
@@ -505,7 +491,7 @@ impl LsGraph {
     /// only changes layout, never content.
     pub fn restore_vertex_from_sorted(&mut self, v: VertexId, ns: &[u32]) {
         debug_assert!(ns.windows(2).all(|w| w[0] < w[1]));
-        self.grow_to(v);
+        self.grow_to(v as usize + 1);
         self.view.num_edges -= self.degree(v);
         let vb = VertexBlock::from_sorted_neighbors(ns, &self.view.cfg);
         self.install_block(v, vb);

@@ -4,8 +4,8 @@
 //! CSR snapshot validate the streaming engines' results on the same edge
 //! set, and CSR traversal provides the static-baseline timings.
 
+use lsgraph_api::batch::SortedBatch;
 use lsgraph_api::{Edge, Footprint, Graph, MemoryFootprint, VertexId};
-use rayon::prelude::*;
 
 /// Compressed sparse row graph.
 pub struct Csr {
@@ -14,21 +14,22 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Builds a CSR from an edge list (sorted + deduped internally).
+    /// Builds a CSR from an edge list (sorted + deduped internally), over at
+    /// least `n` vertices and every id the list names.
     pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
-        let mut keys: Vec<u64> = edges.iter().map(|e| e.key()).collect();
-        keys.par_sort_unstable();
-        keys.dedup();
-        let n = n.max(keys.last().map_or(0, |&k| (k >> 32) as usize + 1));
+        let batch = SortedBatch::new(edges);
+        let n = n.max(batch.id_bound());
         let mut offsets = vec![0usize; n + 1];
-        for &k in &keys {
-            offsets[(k >> 32) as usize + 1] += 1;
+        for run in batch.runs() {
+            offsets[run.src as usize + 1] = run.dsts.len();
         }
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        let targets: Vec<u32> = keys.iter().map(|&k| k as u32).collect();
-        Csr { offsets, targets }
+        Csr {
+            offsets,
+            targets: batch.into_dsts(),
+        }
     }
 
     /// The sorted neighbor slice of `v`.
@@ -95,11 +96,17 @@ mod tests {
         assert!(!g.has_edge(1, 0));
     }
 
+    /// The table covers the largest id named as source *or* destination,
+    /// as every engine's does.
     #[test]
     fn grows_to_max_id() {
         let g = Csr::from_edges(0, &[Edge::new(5, 9)]);
-        assert_eq!(g.num_vertices(), 6);
+        assert_eq!(g.num_vertices(), 10);
         assert_eq!(g.neighbors_slice(5), &[9]);
+        assert_eq!(g.neighbors_slice(9), &[] as &[u32]);
+        let g = Csr::from_edges(2, &[Edge::new(0, 5)]);
+        assert_eq!(g.num_vertices(), 6);
+        assert_eq!(g.degree(5), 0);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! burst of inserts into one vertex's range shifts edges belonging to other
 //! vertices (Fig. 2).
 
+use lsgraph_api::batch::SortedBatch;
 use lsgraph_api::{
     buffered_slices, CounterSnapshot, DynamicGraph, Edge, Footprint, Graph, MemoryFootprint,
     VertexId,
@@ -37,15 +38,15 @@ impl PmaGraph {
         }
     }
 
-    /// Bulk-loads from an edge list (duplicates and self-loop edges kept as
-    /// given, except duplicate edges which collapse).
+    /// Bulk-loads from an edge list (self-loops kept, duplicates
+    /// collapsed), over at least `n` vertices and every id the list names.
     pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
-        let mut keys: Vec<u64> = edges.iter().map(|e| e.key()).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let mut degree = vec![0u32; n];
-        for &k in &keys {
-            degree[(k >> 32) as usize] += 1;
+        let batch = SortedBatch::new(edges);
+        let mut degree = vec![0u32; n.max(batch.id_bound())];
+        let mut keys = Vec::with_capacity(batch.len());
+        for run in batch.runs() {
+            degree[run.src as usize] = run.dsts.len() as u32;
+            keys.extend(run.dsts.iter().map(|&u| Edge::new(run.src, u).key()));
         }
         PmaGraph {
             edges: Pma::from_sorted(&keys, PmaParams::default()),
@@ -108,29 +109,37 @@ impl Graph for PmaGraph {
 
 impl DynamicGraph for PmaGraph {
     fn insert_batch(&mut self, batch: &[Edge]) -> usize {
-        let mut keys: Vec<u64> = batch.iter().map(|e| e.key()).collect();
-        keys.sort_unstable();
-        keys.dedup();
+        let batch = SortedBatch::new(batch);
+        let n = self.degree.len().max(batch.id_bound());
+        self.degree.resize(n, 0);
         let mut added = 0;
-        for k in keys {
-            if self.edges.insert(k) {
-                self.degree[(k >> 32) as usize] += 1;
-                added += 1;
-            }
+        for run in batch.runs() {
+            let edges = &mut self.edges;
+            let n = run
+                .dsts
+                .iter()
+                .filter(|&&u| edges.insert(Edge::new(run.src, u).key()))
+                .count();
+            self.degree[run.src as usize] += n as u32;
+            added += n;
         }
         added
     }
 
     fn delete_batch(&mut self, batch: &[Edge]) -> usize {
-        let mut keys: Vec<u64> = batch.iter().map(|e| e.key()).collect();
-        keys.sort_unstable();
-        keys.dedup();
+        let mut batch = SortedBatch::new(batch);
+        let n = self.degree.len();
+        batch.retain_sources(|src| (src as usize) < n);
         let mut removed = 0;
-        for k in keys {
-            if self.edges.delete(k) {
-                self.degree[(k >> 32) as usize] -= 1;
-                removed += 1;
-            }
+        for run in batch.runs() {
+            let edges = &mut self.edges;
+            let n = run
+                .dsts
+                .iter()
+                .filter(|&&u| edges.delete(Edge::new(run.src, u).key()))
+                .count();
+            self.degree[run.src as usize] -= n as u32;
+            removed += n;
         }
         removed
     }
@@ -179,6 +188,24 @@ mod tests {
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.delete_batch(&edges(&[(1, 2), (9, 9)])), 1);
         assert_eq!(g.neighbors(1), vec![3]);
+        g.check_invariants();
+    }
+
+    /// An id past the table grows it, as on every other engine, and the
+    /// degree index stays in step with the PMA.
+    #[test]
+    fn ids_past_the_table_grow_it() {
+        let g = PmaGraph::from_edges(4, &edges(&[(9, 1), (0, 12)]));
+        assert_eq!(g.num_vertices(), 13);
+        assert_eq!((g.degree(9), g.degree(0)), (1, 1));
+        assert_eq!(g.neighbors(9), vec![1]);
+        g.check_invariants();
+        let mut g = PmaGraph::new(4);
+        assert_eq!(g.insert_batch(&edges(&[(9, 1), (2, 3), (9, 0)])), 3);
+        assert_eq!(g.num_vertices(), 10);
+        assert_eq!(g.neighbors(9), vec![0, 1]);
+        assert_eq!(g.delete_batch(&edges(&[(9, 1), (30, 1)])), 1);
+        assert_eq!(g.num_vertices(), 10);
         g.check_invariants();
     }
 

@@ -1,5 +1,5 @@
-//! Cross-engine differential tests: all four engines (plus the CSR ground
-//! truth) must agree on every read and every analytics result over the same
+//! Cross-engine differential tests: LSGraph and the four baselines it is
+//! measured against (plus the CSR ground truth) must agree on every read and every analytics result over the same
 //! edge stream, and every engine's one neighbor walk keeps the slice-walk
 //! contract.
 
@@ -25,6 +25,7 @@ struct Engines {
     terrace: TerraceGraph,
     aspen: AspenGraph,
     pac: PacGraph,
+    sortledton: SortledtonGraph,
     oracle: Csr,
 }
 
@@ -35,17 +36,37 @@ impl Engines {
             terrace: TerraceGraph::from_edges(N, edges),
             aspen: AspenGraph::from_edges(N, edges),
             pac: PacGraph::from_edges(N, edges),
+            sortledton: SortledtonGraph::from_edges(N, edges),
             oracle: Csr::from_edges(N, edges),
         }
     }
 
-    fn each(&self) -> [(&str, &dyn Graph); 4] {
+    fn each(&self) -> [(&str, &dyn Graph); 5] {
         [
             ("LSGraph", &self.ls),
             ("Terrace", &self.terrace),
             ("Aspen", &self.aspen),
             ("PaC-tree", &self.pac),
+            ("Sortledton", &self.sortledton),
         ]
+    }
+
+    /// Applies one batch to every engine (the oracle is rebuilt by callers).
+    fn update(&mut self, insert: bool, batch: &[Edge]) {
+        let engines: [&mut dyn DynamicGraph; 5] = [
+            &mut self.ls,
+            &mut self.terrace,
+            &mut self.aspen,
+            &mut self.pac,
+            &mut self.sortledton,
+        ];
+        for g in engines {
+            if insert {
+                g.insert_batch(batch);
+            } else {
+                g.delete_batch(batch);
+            }
+        }
     }
 }
 
@@ -75,17 +96,11 @@ fn neighbors_match_after_update_rounds() {
     for round in 0..4u64 {
         if round == 3 {
             let del = sym(&rmat(SCALE, 8_000, RmatParams::paper(), 2)); // subset of base seed
-            e.ls.delete_batch(&del);
-            e.terrace.delete_batch(&del);
-            e.aspen.delete_batch(&del);
-            e.pac.delete_batch(&del);
+            e.update(false, &del);
             deleted = del;
         } else {
             let batch = sym(&rmat(SCALE, 10_000, RmatParams::paper(), 10 + round));
-            e.ls.insert_batch(&batch);
-            e.terrace.insert_batch(&batch);
-            e.aspen.insert_batch(&batch);
-            e.pac.insert_batch(&batch);
+            e.update(true, &batch);
             all.extend_from_slice(&batch);
         }
     }
@@ -97,12 +112,7 @@ fn neighbors_match_after_update_rounds() {
             .collect()
     };
     let oracle = Csr::from_edges(N, &remaining);
-    for (name, g) in [
-        ("LSGraph", &e.ls as &dyn Graph),
-        ("Terrace", &e.terrace),
-        ("Aspen", &e.aspen),
-        ("PaC-tree", &e.pac),
-    ] {
+    for (name, g) in e.each() {
         assert_eq!(g.num_edges(), oracle.num_edges(), "{name}");
         for v in 0..N as u32 {
             assert_eq!(
