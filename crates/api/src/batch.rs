@@ -14,7 +14,6 @@ use std::ops::Range;
 use rayon::prelude::*;
 
 use crate::edge::Edge;
-use crate::OpCounters;
 
 /// Sorts a batch by `(src, dst)` in parallel and removes duplicates.
 pub fn sorted_dedup_keys(batch: &[Edge]) -> Vec<u64> {
@@ -226,45 +225,6 @@ pub fn par_apply<T: Send>(
             .sum();
     });
     work.iter().map(|(_, (_, out))| out).sum()
-}
-
-/// Updates each run's functional set `table[src]` in place, in parallel,
-/// and returns how many elements changed: one `bulk` rebuild when the run
-/// is a sizeable fraction of the set (run × 4 ≥ max(len, 8)), per-element
-/// path copying with `point` otherwise. Aspen's and the PaC-tree's update
-/// rule, for insert and delete alike.
-///
-/// # Panics
-///
-/// As [`par_apply`].
-pub fn par_update_sets<S: Send>(
-    table: &mut [S],
-    batch: &SortedBatch,
-    counters: &OpCounters,
-    len: fn(&S) -> usize,
-    bulk: fn(&S, &[u32]) -> (S, usize),
-    point: fn(&S, u32, &OpCounters) -> Option<S>,
-) -> usize {
-    par_apply(table, batch, |run, set| {
-        let items = run.dsts;
-        if items.len() * 4 >= len(set).max(8) {
-            let (next, changed) = bulk(set, items);
-            counters.rebuilds.record(1);
-            counters.search_steps.record(items.len() as u64);
-            counters.elements_moved.record(len(&next) as u64);
-            *set = next;
-            changed
-        } else {
-            let mut changed = 0;
-            for &u in items {
-                if let Some(next) = point(set, u, counters) {
-                    *set = next;
-                    changed += 1;
-                }
-            }
-            changed
-        }
-    })
 }
 
 #[cfg(test)]

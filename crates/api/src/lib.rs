@@ -13,6 +13,7 @@ pub mod footprint;
 pub mod histogram;
 pub mod metric;
 pub mod metrics;
+pub mod set;
 mod sink;
 pub mod trace;
 
@@ -24,6 +25,7 @@ pub use histogram::{
 };
 pub use metric::{Gate, MetricDesc, MetricKind};
 pub use metrics::{MetricsRegistry, RegistrySample, Sampler};
+pub use set::{NeighborSet, SetTable};
 pub use trace::{Span, SpanKind};
 
 /// Read-only view of a graph.
@@ -195,12 +197,26 @@ pub trait DynamicGraph: Graph {
     fn reset_instrumentation(&mut self) {}
 
     /// Cheap non-panicking structural self-check, run by the benchmark
-    /// harness after every measured cell so a silently-corrupt engine cannot
-    /// produce a plausible-looking report. The default is a no-op `Ok`;
-    /// LSGraph overrides this with its invariant validator.
+    /// harness after an engine's measured cells so a silently-corrupt
+    /// engine cannot produce a plausible-looking report. It records into no
+    /// counter. The default is a no-op `Ok`; every engine in the workspace
+    /// overrides it (LSGraph with its invariant validator, the baselines
+    /// with their `check_invariants` through [`catch_invariants`]).
     fn validate_structure(&self) -> Result<(), String> {
         Ok(())
     }
+}
+
+/// Runs a panicking invariant check and reports a panic as `Err` with its
+/// message: [`DynamicGraph::validate_structure`] for an engine whose checks
+/// assert.
+pub fn catch_invariants(check: impl FnOnce()) -> Result<(), String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(check)).map_err(|p| {
+        p.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "invariant check panicked".to_string())
+    })
 }
 
 #[cfg(test)]

@@ -28,12 +28,8 @@ pub use varint::DeltaChunk;
 
 use std::sync::Arc;
 
-use lsgraph_api::batch::{par_apply, par_update_sets, SortedBatch};
-use lsgraph_api::{
-    buffered_slices, CounterSnapshot, DynamicGraph, Edge, Footprint, Graph, MemoryFootprint,
-    OpCounters, VertexId,
-};
-use rayon::prelude::*;
+use lsgraph_api::set::{bulk_or_path_copy, difference, union, NeighborSet, SetTable};
+use lsgraph_api::{buffered_slices, CounterSnapshot, Footprint, MemoryFootprint, OpCounters};
 
 /// Expected chunk size: one in this many elements is a head.
 pub const CHUNK_FACTOR: u64 = 32;
@@ -271,71 +267,10 @@ pub struct CTreeSet {
 }
 
 impl CTreeSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        CTreeSet {
-            prefix: Arc::new(DeltaChunk::default()),
-            root: None,
-            len: 0,
-        }
-    }
-
-    /// Builds from a sorted duplicate-free slice.
-    pub fn from_sorted(sorted: &[u32]) -> Self {
-        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
-        let first_head = sorted.iter().position(|&x| is_head(x));
-        let Some(fh) = first_head else {
-            return CTreeSet {
-                prefix: Arc::new(DeltaChunk::encode(sorted)),
-                root: None,
-                len: sorted.len(),
-            };
-        };
-        let prefix = Arc::new(DeltaChunk::encode(&sorted[..fh]));
-        let mut root: Link = None;
-        let mut i = fh;
-        while i < sorted.len() {
-            let head = sorted[i];
-            let mut j = i + 1;
-            while j < sorted.len() && !is_head(sorted[j]) {
-                j += 1;
-            }
-            root = insert_head(&root, head, Arc::new(DeltaChunk::encode(&sorted[i + 1..j])));
-            i = j;
-        }
-        CTreeSet {
-            prefix,
-            root,
-            len: sorted.len(),
-        }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Returns whether `x` is present.
-    pub fn contains(&self, x: u32) -> bool {
-        match find_pred(&self.root, x) {
-            None => self.prefix.contains(x),
-            Some(n) => n.head == x || n.chunk.contains(x),
-        }
-    }
-
-    /// Returns a new set with `x` inserted, or `None` if already present.
-    pub fn inserted(&self, x: u32) -> Option<CTreeSet> {
-        self.inserted_with(x, &OpCounters::new())
-    }
-
-    /// Like [`CTreeSet::inserted`], recording treap descent steps and
-    /// chunk re-encode element counts into `c`.
-    pub fn inserted_with(&self, x: u32, c: &OpCounters) -> Option<CTreeSet> {
+    /// Returns a new set with `x` inserted, or `None` if already present,
+    /// recording treap descent steps and chunk re-encode element counts
+    /// into `c`.
+    fn inserted_with(&self, x: u32, c: &OpCounters) -> Option<CTreeSet> {
         if self.contains(x) {
             return None;
         }
@@ -386,14 +321,9 @@ impl CTreeSet {
         Some(out)
     }
 
-    /// Returns a new set with `x` removed, or `None` if absent.
-    pub fn deleted(&self, x: u32) -> Option<CTreeSet> {
-        self.deleted_with(x, &OpCounters::new())
-    }
-
-    /// Like [`CTreeSet::deleted`], recording treap descent steps and chunk
-    /// re-encode element counts into `c`.
-    pub fn deleted_with(&self, x: u32, c: &OpCounters) -> Option<CTreeSet> {
+    /// Returns a new set with `x` removed, or `None` if absent, recording
+    /// treap descent steps and chunk re-encode element counts into `c`.
+    fn deleted_with(&self, x: u32, c: &OpCounters) -> Option<CTreeSet> {
         let mut out = self.clone();
         let (pred, steps) = find_pred_steps(&self.root, x);
         c.search_steps.record(steps);
@@ -441,54 +371,6 @@ impl CTreeSet {
         Some(out)
     }
 
-    /// Returns a new set containing the union with a sorted duplicate-free
-    /// slice, plus the number of genuinely new elements — Aspen's bulk
-    /// `multi_insert`, used when a batch touches a large fraction of the
-    /// set (rebuilding beats per-element path copying there).
-    pub fn merged_with_sorted(&self, items: &[u32]) -> (CTreeSet, usize) {
-        debug_assert!(items.windows(2).all(|w| w[0] < w[1]));
-        let cur = self.to_vec();
-        let mut merged = Vec::with_capacity(cur.len() + items.len());
-        let mut added = 0;
-        let (mut i, mut j) = (0, 0);
-        while i < cur.len() || j < items.len() {
-            if j >= items.len() || (i < cur.len() && cur[i] < items[j]) {
-                merged.push(cur[i]);
-                i += 1;
-            } else if i >= cur.len() || items[j] < cur[i] {
-                merged.push(items[j]);
-                j += 1;
-                added += 1;
-            } else {
-                merged.push(cur[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-        (CTreeSet::from_sorted(&merged), added)
-    }
-
-    /// Returns a new set without the elements of a sorted duplicate-free
-    /// slice, plus the number actually removed (bulk `multi_delete`).
-    pub fn minus_sorted(&self, items: &[u32]) -> (CTreeSet, usize) {
-        debug_assert!(items.windows(2).all(|w| w[0] < w[1]));
-        let cur = self.to_vec();
-        let mut kept = Vec::with_capacity(cur.len());
-        let mut j = 0;
-        for &x in &cur {
-            while j < items.len() && items[j] < x {
-                j += 1;
-            }
-            if j < items.len() && items[j] == x {
-                j += 1;
-            } else {
-                kept.push(x);
-            }
-        }
-        let removed = cur.len() - kept.len();
-        (CTreeSet::from_sorted(&kept), removed)
-    }
-
     /// Applies `f` until it returns `false`; returns whether the scan
     /// completed.
     pub fn for_each_while(&self, f: &mut dyn FnMut(u32) -> bool) -> bool {
@@ -507,13 +389,71 @@ impl CTreeSet {
         });
         v
     }
+}
+
+impl MemoryFootprint for CTreeSet {
+    fn footprint(&self) -> Footprint {
+        Footprint::new(self.prefix.byte_len(), 0) + footprint_node(&self.root)
+    }
+}
+
+impl NeighborSet for CTreeSet {
+    type Ctx = OpCounters;
+
+    fn from_sorted(sorted: &[u32]) -> Self {
+        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+        let first_head = sorted.iter().position(|&x| is_head(x));
+        let Some(fh) = first_head else {
+            return CTreeSet {
+                prefix: Arc::new(DeltaChunk::encode(sorted)),
+                root: None,
+                len: sorted.len(),
+            };
+        };
+        let prefix = Arc::new(DeltaChunk::encode(&sorted[..fh]));
+        let mut root: Link = None;
+        let mut i = fh;
+        while i < sorted.len() {
+            let head = sorted[i];
+            let mut j = i + 1;
+            while j < sorted.len() && !is_head(sorted[j]) {
+                j += 1;
+            }
+            root = insert_head(&root, head, Arc::new(DeltaChunk::encode(&sorted[i + 1..j])));
+            i = j;
+        }
+        CTreeSet {
+            prefix,
+            root,
+            len: sorted.len(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn contains(&self, x: u32) -> bool {
+        match find_pred(&self.root, x) {
+            None => self.prefix.contains(x),
+            Some(n) => n.head == x || n.chunk.contains(x),
+        }
+    }
+
+    fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
+        buffered_slices(f, |g| self.for_each_while(g))
+    }
+
+    fn insert_run(&mut self, run: &[u32], c: &OpCounters) -> usize {
+        bulk_or_path_copy(self, run, c, union, Self::inserted_with)
+    }
+
+    fn delete_run(&mut self, run: &[u32], c: &OpCounters) -> usize {
+        bulk_or_path_copy(self, run, c, difference, Self::deleted_with)
+    }
 
     /// Verifies ordering, head selection, and length accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violated invariant.
-    pub fn check_invariants(&self) {
+    fn check_invariants(&self) {
         let v = self.to_vec();
         assert_eq!(v.len(), self.len, "len mismatch");
         assert!(v.windows(2).all(|w| w[0] < w[1]), "not sorted/dedup");
@@ -539,162 +479,23 @@ impl CTreeSet {
         }
         walk(&self.root, None, None, u64::MAX);
     }
-}
 
-impl MemoryFootprint for CTreeSet {
-    fn footprint(&self) -> Footprint {
-        Footprint::new(self.prefix.byte_len(), 0) + footprint_node(&self.root)
+    fn counters(c: &OpCounters) -> Option<CounterSnapshot> {
+        Some(c.snapshot())
     }
 }
 
 /// The Aspen streaming-graph baseline: one functional C-tree per vertex.
-pub struct AspenGraph {
-    vertices: Vec<CTreeSet>,
-    num_edges: usize,
-    counters: OpCounters,
-}
-
-impl AspenGraph {
-    /// Creates an empty graph over `n` vertices.
-    pub fn new(n: usize) -> Self {
-        AspenGraph {
-            vertices: vec![CTreeSet::new(); n],
-            num_edges: 0,
-            counters: OpCounters::new(),
-        }
-    }
-
-    /// Snapshot of the update-path operation counters.
-    pub fn counters(&self) -> CounterSnapshot {
-        self.counters.snapshot()
-    }
-
-    /// Resets the operation counters to zero.
-    pub fn reset_counters(&mut self) {
-        self.counters.reset();
-    }
-
-    /// Bulk-loads from an edge list in parallel.
-    pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
-        let batch = SortedBatch::new(edges);
-        let mut vertices = vec![CTreeSet::new(); n.max(batch.id_bound())];
-        let num_edges = par_apply(&mut vertices, &batch, |run, set| {
-            *set = CTreeSet::from_sorted(run.dsts);
-            run.dsts.len()
-        });
-        AspenGraph {
-            vertices,
-            num_edges,
-            counters: OpCounters::new(),
-        }
-    }
-
-    /// O(V) snapshot sharing all edge structure (functional trees).
-    pub fn snapshot(&self) -> AspenGraph {
-        AspenGraph {
-            vertices: self.vertices.clone(),
-            num_edges: self.num_edges,
-            counters: OpCounters::new(),
-        }
-    }
-
-    /// Verifies every vertex's C-tree invariants and edge accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violated invariant.
-    pub fn check_invariants(&self) {
-        let mut total = 0;
-        for set in &self.vertices {
-            set.check_invariants();
-            total += set.len();
-        }
-        assert_eq!(total, self.num_edges);
-    }
-}
-
-impl Graph for AspenGraph {
-    fn num_vertices(&self) -> usize {
-        self.vertices.len()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    fn degree(&self, v: VertexId) -> usize {
-        self.vertices[v as usize].len()
-    }
-
-    fn for_each_neighbor_slice_while(
-        &self,
-        v: VertexId,
-        f: &mut dyn FnMut(&[VertexId]) -> bool,
-    ) -> bool {
-        buffered_slices(f, |g| self.vertices[v as usize].for_each_while(g))
-    }
-
-    fn has_edge(&self, v: VertexId, u: VertexId) -> bool {
-        self.vertices[v as usize].contains(u)
-    }
-}
-
-impl DynamicGraph for AspenGraph {
-    fn insert_batch(&mut self, batch: &[Edge]) -> usize {
-        let batch = SortedBatch::new(batch);
-        let n = self.vertices.len().max(batch.id_bound());
-        self.vertices.resize(n, CTreeSet::new());
-        let added = par_update_sets(
-            &mut self.vertices,
-            &batch,
-            &self.counters,
-            CTreeSet::len,
-            CTreeSet::merged_with_sorted,
-            CTreeSet::inserted_with,
-        );
-        self.num_edges += added;
-        added
-    }
-
-    fn delete_batch(&mut self, batch: &[Edge]) -> usize {
-        let mut batch = SortedBatch::new(batch);
-        let n = self.vertices.len();
-        batch.retain_sources(|src| (src as usize) < n);
-        let removed = par_update_sets(
-            &mut self.vertices,
-            &batch,
-            &self.counters,
-            CTreeSet::len,
-            CTreeSet::minus_sorted,
-            CTreeSet::deleted_with,
-        );
-        self.num_edges -= removed;
-        removed
-    }
-
-    fn op_counters(&self) -> Option<CounterSnapshot> {
-        Some(self.counters.snapshot())
-    }
-
-    fn reset_instrumentation(&mut self) {
-        self.counters.reset();
-    }
-}
-
-impl MemoryFootprint for AspenGraph {
-    fn footprint(&self) -> Footprint {
-        self.vertices
-            .par_iter()
-            .map(|s| s.footprint())
-            .reduce(Footprint::default, Footprint::add)
-            + Footprint::new(0, self.vertices.len() * core::mem::size_of::<CTreeSet>())
-    }
-}
+pub type AspenGraph = SetTable<CTreeSet>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsgraph_api::{DynamicGraph, Edge, Graph};
     use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    /// Sink for the point updates' counts.
+    static C: OpCounters = OpCounters::new();
 
     #[test]
     fn ctree_roundtrip() {
@@ -709,18 +510,18 @@ mod tests {
     #[test]
     fn ctree_insert_delete_differential() {
         let mut rng = SmallRng::seed_from_u64(31);
-        let mut s = CTreeSet::new();
+        let mut s = CTreeSet::default();
         let mut oracle = std::collections::BTreeSet::new();
         for _ in 0..15_000 {
             let x = rng.gen_range(0..3_000u32);
             if rng.gen_bool(0.6) {
-                let ours = s.inserted(x);
+                let ours = s.inserted_with(x, &C);
                 assert_eq!(ours.is_some(), oracle.insert(x), "insert {x}");
                 if let Some(next) = ours {
                     s = next;
                 }
             } else {
-                let ours = s.deleted(x);
+                let ours = s.deleted_with(x, &C);
                 assert_eq!(ours.is_some(), oracle.remove(&x), "delete {x}");
                 if let Some(next) = ours {
                     s = next;
@@ -736,11 +537,12 @@ mod tests {
         let base: Vec<u32> = (0..2_000).map(|i| i * 3).collect();
         let s = CTreeSet::from_sorted(&base);
         let items: Vec<u32> = (0..1_500).map(|i| i * 4).collect();
-        let (bulk, added) = s.merged_with_sorted(&items);
+        let mut bulk = s.clone();
+        let added = bulk.insert_run(&items, &C);
         let mut slow = s.clone();
         let mut slow_added = 0;
         for &x in &items {
-            if let Some(next) = slow.inserted(x) {
+            if let Some(next) = slow.inserted_with(x, &C) {
                 slow = next;
                 slow_added += 1;
             }
@@ -755,8 +557,8 @@ mod tests {
         let base: Vec<u32> = (0..2_000).collect();
         let s = CTreeSet::from_sorted(&base);
         let items: Vec<u32> = (0..3_000).step_by(2).collect();
-        let (bulk, removed) = s.minus_sorted(&items);
-        assert_eq!(removed, 1_000);
+        let mut bulk = s.clone();
+        assert_eq!(bulk.delete_run(&items, &C), 1_000);
         assert_eq!(bulk.to_vec(), (1..2_000).step_by(2).collect::<Vec<_>>());
         bulk.check_invariants();
     }
@@ -765,8 +567,8 @@ mod tests {
     fn persistence_old_versions_unchanged() {
         let s0 = CTreeSet::from_sorted(&(0..1_000).collect::<Vec<_>>());
         let v0 = s0.to_vec();
-        let s1 = s0.inserted(5_000).expect("new element");
-        let s2 = s1.deleted(500).expect("present");
+        let s1 = s0.inserted_with(5_000, &C).expect("new element");
+        let s2 = s1.deleted_with(500, &C).expect("present");
         assert_eq!(s0.to_vec(), v0, "original mutated");
         assert!(s1.contains(5_000) && s1.contains(500));
         assert!(!s2.contains(500));

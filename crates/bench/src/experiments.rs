@@ -92,14 +92,6 @@ fn measure_cell(
         ins += ti;
         del += td;
     }
-    // Structural self-check after the measured updates: a cell that leaves
-    // the engine in an invalid state must not produce a baseline.
-    if let Err(e) = g.validate_structure() {
-        panic!(
-            "structure invalid after {}/{dataset}/bs={bs}: {e}",
-            kind.name()
-        );
-    }
     let edges = (bs * trials) as f64;
     EngineReport {
         engine: kind.name().to_string(),
@@ -114,6 +106,18 @@ fn measure_cell(
         footprint: Some(measure_footprint(g.as_ref())),
         latency: g.latency_stats(),
         ..EngineReport::default()
+    }
+}
+
+/// Structural self-check after an engine's measured updates: a run that
+/// leaves an engine in an invalid state must not produce a baseline. It
+/// walks the whole graph, so a caller runs it after an engine's last cell,
+/// never between interleaved cells, where it would cool the caches of the
+/// engine measured next (on a 2-core host, fig12's cells read 2–13 %
+/// slower that way).
+fn validate(g: &(impl crate::Engine + ?Sized), kind: EngineKind, dataset: &str) {
+    if let Err(e) = g.validate_structure() {
+        panic!("structure invalid after {}/{dataset}: {e}", kind.name());
     }
 }
 
@@ -154,6 +158,9 @@ pub fn fig12_report(scale: &Scale) -> BenchReport {
                 out.push(measure_cell(g, *k, p.name, gscale, bs, scale.trials));
             }
         }
+        for (k, g) in &built {
+            validate(g.as_ref(), *k, p.name);
+        }
     }
     BenchReport {
         schema_version: SCHEMA_VERSION,
@@ -176,6 +183,7 @@ pub fn small_batches_report(scale: &Scale) -> BenchReport {
     for k in engines() {
         let mut g = build_engine_scaled(k, n, &base, shift);
         out.push(measure_cell(&mut g, k, p.name, gscale, 10, 200));
+        validate(g.as_ref(), k, p.name);
     }
     BenchReport {
         schema_version: SCHEMA_VERSION,

@@ -16,11 +16,8 @@
 
 use std::sync::Arc;
 
-use lsgraph_api::batch::{par_apply, par_update_sets, SortedBatch};
-use lsgraph_api::{
-    CounterSnapshot, DynamicGraph, Edge, Footprint, Graph, MemoryFootprint, OpCounters, VertexId,
-};
-use rayon::prelude::*;
+use lsgraph_api::set::{bulk_or_path_copy, difference, union, NeighborSet, SetTable};
+use lsgraph_api::{CounterSnapshot, Footprint, MemoryFootprint, OpCounters};
 
 /// Target minimum leaf size; leaves hold at most `2 * LEAF_B` keys.
 pub const LEAF_B: usize = 32;
@@ -213,107 +210,16 @@ pub struct PacSet {
 }
 
 impl PacSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        PacSet {
-            root: Arc::new(PNode::Leaf(Arc::new(Vec::new()))),
-        }
-    }
-
-    /// Builds from a sorted duplicate-free slice.
-    pub fn from_sorted(sorted: &[u32]) -> Self {
-        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
-        PacSet {
-            root: build(sorted),
-        }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.root.size()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Returns whether `x` is present.
-    pub fn contains(&self, x: u32) -> bool {
-        contains(&self.root, x)
-    }
-
-    /// Returns a new set with `x` inserted, or `None` if already present.
-    pub fn inserted(&self, x: u32) -> Option<PacSet> {
-        self.inserted_with(x, &OpCounters::new())
-    }
-
-    /// Like [`PacSet::inserted`], recording operation costs into `c`.
-    pub fn inserted_with(&self, x: u32, c: &OpCounters) -> Option<PacSet> {
+    /// Returns a new set with `x` inserted, or `None` if already present,
+    /// recording operation costs into `c`.
+    fn inserted_with(&self, x: u32, c: &OpCounters) -> Option<PacSet> {
         insert(&self.root, x, c).map(|root| PacSet { root })
     }
 
-    /// Returns a new set with `x` removed, or `None` if absent.
-    pub fn deleted(&self, x: u32) -> Option<PacSet> {
-        self.deleted_with(x, &OpCounters::new())
-    }
-
-    /// Like [`PacSet::deleted`], recording operation costs into `c`.
-    pub fn deleted_with(&self, x: u32, c: &OpCounters) -> Option<PacSet> {
+    /// Returns a new set with `x` removed, or `None` if absent, recording
+    /// operation costs into `c`.
+    fn deleted_with(&self, x: u32, c: &OpCounters) -> Option<PacSet> {
         delete(&self.root, x, c).map(|root| PacSet { root })
-    }
-
-    /// Returns a new set containing the union with a sorted duplicate-free
-    /// slice, plus the count of genuinely new elements — the join-based bulk
-    /// update PaC-trees are designed around.
-    pub fn merged_with_sorted(&self, items: &[u32]) -> (PacSet, usize) {
-        debug_assert!(items.windows(2).all(|w| w[0] < w[1]));
-        let cur = self.to_vec();
-        let mut merged = Vec::with_capacity(cur.len() + items.len());
-        let mut added = 0;
-        let (mut i, mut j) = (0, 0);
-        while i < cur.len() || j < items.len() {
-            if j >= items.len() || (i < cur.len() && cur[i] < items[j]) {
-                merged.push(cur[i]);
-                i += 1;
-            } else if i >= cur.len() || items[j] < cur[i] {
-                merged.push(items[j]);
-                j += 1;
-                added += 1;
-            } else {
-                merged.push(cur[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-        (PacSet::from_sorted(&merged), added)
-    }
-
-    /// Returns a new set without the elements of a sorted duplicate-free
-    /// slice, plus the number actually removed (bulk difference).
-    pub fn minus_sorted(&self, items: &[u32]) -> (PacSet, usize) {
-        debug_assert!(items.windows(2).all(|w| w[0] < w[1]));
-        let cur = self.to_vec();
-        let mut kept = Vec::with_capacity(cur.len());
-        let mut j = 0;
-        for &x in &cur {
-            while j < items.len() && items[j] < x {
-                j += 1;
-            }
-            if j < items.len() && items[j] == x {
-                j += 1;
-            } else {
-                kept.push(x);
-            }
-        }
-        let removed = cur.len() - kept.len();
-        (PacSet::from_sorted(&kept), removed)
-    }
-
-    /// Hands the elements to `f` in ascending order, one leaf at a time,
-    /// until `f` returns `false`; returns whether the walk completed.
-    pub fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
-        for_each_leaf(&self.root, f)
     }
 
     /// Collects all elements into a sorted vector.
@@ -322,13 +228,55 @@ impl PacSet {
         collect(&self.root, &mut v);
         v
     }
+}
+
+impl Default for PacSet {
+    fn default() -> Self {
+        PacSet {
+            root: Arc::new(PNode::Leaf(Arc::new(Vec::new()))),
+        }
+    }
+}
+
+impl MemoryFootprint for PacSet {
+    fn footprint(&self) -> Footprint {
+        footprint_node(&self.root)
+    }
+}
+
+impl NeighborSet for PacSet {
+    type Ctx = OpCounters;
+
+    fn from_sorted(sorted: &[u32]) -> Self {
+        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+        PacSet {
+            root: build(sorted),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.root.size()
+    }
+
+    fn contains(&self, x: u32) -> bool {
+        contains(&self.root, x)
+    }
+
+    /// Hands the elements over one leaf at a time.
+    fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
+        for_each_leaf(&self.root, f)
+    }
+
+    fn insert_run(&mut self, run: &[u32], c: &OpCounters) -> usize {
+        bulk_or_path_copy(self, run, c, union, Self::inserted_with)
+    }
+
+    fn delete_run(&mut self, run: &[u32], c: &OpCounters) -> usize {
+        bulk_or_path_copy(self, run, c, difference, Self::deleted_with)
+    }
 
     /// Verifies ordering, separator ranges, size accounting, and leaf caps.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violated invariant.
-    pub fn check_invariants(&self) {
+    fn check_invariants(&self) {
         fn walk(t: &PNode, lo: Option<u32>, hi: Option<u32>) -> usize {
             match t {
                 PNode::Leaf(v) => {
@@ -357,168 +305,23 @@ impl PacSet {
         let n = walk(&self.root, None, None);
         assert_eq!(n, self.len());
     }
-}
 
-impl Default for PacSet {
-    fn default() -> Self {
-        PacSet::new()
-    }
-}
-
-impl MemoryFootprint for PacSet {
-    fn footprint(&self) -> Footprint {
-        footprint_node(&self.root)
+    fn counters(c: &OpCounters) -> Option<CounterSnapshot> {
+        Some(c.snapshot())
     }
 }
 
 /// The PaC-tree streaming-graph baseline: one functional set per vertex.
-pub struct PacGraph {
-    vertices: Vec<PacSet>,
-    num_edges: usize,
-    counters: OpCounters,
-}
-
-impl PacGraph {
-    /// Creates an empty graph over `n` vertices.
-    pub fn new(n: usize) -> Self {
-        PacGraph {
-            vertices: vec![PacSet::new(); n],
-            num_edges: 0,
-            counters: OpCounters::new(),
-        }
-    }
-
-    /// Snapshot of the update-path operation counters.
-    pub fn counters(&self) -> CounterSnapshot {
-        self.counters.snapshot()
-    }
-
-    /// Resets the operation counters to zero.
-    pub fn reset_counters(&mut self) {
-        self.counters.reset();
-    }
-
-    /// Bulk-loads from an edge list in parallel.
-    pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
-        let batch = SortedBatch::new(edges);
-        let mut vertices = vec![PacSet::new(); n.max(batch.id_bound())];
-        let num_edges = par_apply(&mut vertices, &batch, |run, set| {
-            *set = PacSet::from_sorted(run.dsts);
-            run.dsts.len()
-        });
-        PacGraph {
-            vertices,
-            num_edges,
-            counters: OpCounters::new(),
-        }
-    }
-
-    /// O(V) snapshot sharing all edge structure.
-    pub fn snapshot(&self) -> PacGraph {
-        PacGraph {
-            vertices: self.vertices.clone(),
-            num_edges: self.num_edges,
-            counters: OpCounters::new(),
-        }
-    }
-
-    /// Verifies every vertex set and edge accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violated invariant.
-    pub fn check_invariants(&self) {
-        let mut total = 0;
-        for set in &self.vertices {
-            set.check_invariants();
-            total += set.len();
-        }
-        assert_eq!(total, self.num_edges);
-    }
-}
-
-impl Graph for PacGraph {
-    fn num_vertices(&self) -> usize {
-        self.vertices.len()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    fn degree(&self, v: VertexId) -> usize {
-        self.vertices[v as usize].len()
-    }
-
-    fn for_each_neighbor_slice_while(
-        &self,
-        v: VertexId,
-        f: &mut dyn FnMut(&[VertexId]) -> bool,
-    ) -> bool {
-        self.vertices[v as usize].for_each_slice_while(f)
-    }
-
-    fn has_edge(&self, v: VertexId, u: VertexId) -> bool {
-        self.vertices[v as usize].contains(u)
-    }
-}
-
-impl DynamicGraph for PacGraph {
-    fn insert_batch(&mut self, batch: &[Edge]) -> usize {
-        let batch = SortedBatch::new(batch);
-        let n = self.vertices.len().max(batch.id_bound());
-        self.vertices.resize(n, PacSet::new());
-        let added = par_update_sets(
-            &mut self.vertices,
-            &batch,
-            &self.counters,
-            PacSet::len,
-            PacSet::merged_with_sorted,
-            PacSet::inserted_with,
-        );
-        self.num_edges += added;
-        added
-    }
-
-    fn delete_batch(&mut self, batch: &[Edge]) -> usize {
-        let mut batch = SortedBatch::new(batch);
-        let n = self.vertices.len();
-        batch.retain_sources(|src| (src as usize) < n);
-        let removed = par_update_sets(
-            &mut self.vertices,
-            &batch,
-            &self.counters,
-            PacSet::len,
-            PacSet::minus_sorted,
-            PacSet::deleted_with,
-        );
-        self.num_edges -= removed;
-        removed
-    }
-
-    fn op_counters(&self) -> Option<CounterSnapshot> {
-        Some(self.counters.snapshot())
-    }
-
-    fn reset_instrumentation(&mut self) {
-        self.counters.reset();
-    }
-}
-
-impl MemoryFootprint for PacGraph {
-    fn footprint(&self) -> Footprint {
-        self.vertices
-            .par_iter()
-            .map(|s| s.footprint())
-            .reduce(Footprint::default, Footprint::add)
-            + Footprint::new(0, self.vertices.len() * core::mem::size_of::<PacSet>())
-    }
-}
+pub type PacGraph = SetTable<PacSet>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsgraph_api::{DynamicGraph, Edge, Graph};
     use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    /// Sink for the point updates' counts.
+    static C: OpCounters = OpCounters::new();
 
     #[test]
     fn build_roundtrip_various_sizes() {
@@ -533,18 +336,18 @@ mod tests {
     #[test]
     fn differential_vs_btreeset() {
         let mut rng = SmallRng::seed_from_u64(23);
-        let mut s = PacSet::new();
+        let mut s = PacSet::default();
         let mut oracle = std::collections::BTreeSet::new();
         for _ in 0..20_000 {
             let x = rng.gen_range(0..4_000u32);
             if rng.gen_bool(0.6) {
-                let next = s.inserted(x);
+                let next = s.inserted_with(x, &C);
                 assert_eq!(next.is_some(), oracle.insert(x));
                 if let Some(n) = next {
                     s = n;
                 }
             } else {
-                let next = s.deleted(x);
+                let next = s.deleted_with(x, &C);
                 assert_eq!(next.is_some(), oracle.remove(&x));
                 if let Some(n) = next {
                     s = n;
@@ -559,25 +362,23 @@ mod tests {
     fn bulk_merge_and_minus() {
         let s = PacSet::from_sorted(&(0..5_000).map(|i| i * 2).collect::<Vec<_>>());
         let odds: Vec<u32> = (0..5_000).map(|i| i * 2 + 1).collect();
-        let (merged, added) = s.merged_with_sorted(&odds);
-        assert_eq!(added, 5_000);
+        let mut merged = s.clone();
+        assert_eq!(merged.insert_run(&odds, &C), 5_000);
         assert_eq!(merged.to_vec(), (0..10_000).collect::<Vec<_>>());
         merged.check_invariants();
-        let (back, removed) = merged.minus_sorted(&odds);
-        assert_eq!(removed, 5_000);
+        let mut back = merged.clone();
+        assert_eq!(back.delete_run(&odds, &C), 5_000);
         assert_eq!(back.to_vec(), s.to_vec());
         back.check_invariants();
         // Re-merging existing elements adds nothing.
-        let (same, zero) = back.merged_with_sorted(&[0, 2, 4]);
-        assert_eq!(zero, 0);
-        assert_eq!(same.len(), back.len());
+        assert_eq!(back.clone().insert_run(&[0, 2, 4], &C), 0);
     }
 
     #[test]
     fn persistence() {
         let s0 = PacSet::from_sorted(&(0..10_000).collect::<Vec<_>>());
-        let s1 = s0.inserted(50_000).expect("new");
-        let s2 = s1.deleted(1234).expect("present");
+        let s1 = s0.inserted_with(50_000, &C).expect("new");
+        let s2 = s1.deleted_with(1234, &C).expect("present");
         assert_eq!(s0.len(), 10_000);
         assert!(s0.contains(1234));
         assert!(!s2.contains(1234));
@@ -587,9 +388,9 @@ mod tests {
 
     #[test]
     fn ascending_inserts_stay_balanced() {
-        let mut s = PacSet::new();
+        let mut s = PacSet::default();
         for x in 0..50_000u32 {
-            s = s.inserted(x).expect("unique");
+            s = s.inserted_with(x, &C).expect("unique");
         }
         s.check_invariants();
         // Depth must be logarithmic, not linear: walk the left spine.

@@ -8,8 +8,8 @@
 
 use lsgraph_api::batch::SortedBatch;
 use lsgraph_api::{
-    buffered_slices, CounterSnapshot, DynamicGraph, Edge, Footprint, Graph, MemoryFootprint,
-    VertexId,
+    buffered_slices, catch_invariants, CounterSnapshot, DynamicGraph, Edge, Footprint, Graph,
+    MemoryFootprint, VertexId,
 };
 
 use crate::pma::{Pma, PmaParams};
@@ -151,6 +151,10 @@ impl DynamicGraph for PmaGraph {
     fn reset_instrumentation(&mut self) {
         self.edges.counters.reset();
     }
+
+    fn validate_structure(&self) -> Result<(), String> {
+        catch_invariants(|| self.check_invariants())
+    }
 }
 
 impl MemoryFootprint for PmaGraph {
@@ -230,5 +234,18 @@ mod tests {
         assert!(g.has_edge(0, 1) && g.has_edge(1, 0));
         assert!(g.has_edge(3, 2));
         assert_eq!(g.num_edges(), 4);
+    }
+
+    /// The harness's self-check runs the invariant check without moving a
+    /// counter, and reports a corrupted degree table as `Err`.
+    #[test]
+    fn validation_records_nothing_and_catches_a_miscount() {
+        let mut g = PmaGraph::from_edges(4, &edges(&[(0, 1), (0, 3), (2, 1)]));
+        g.delete_batch(&edges(&[(0, 3)]));
+        let counted = g.op_counters();
+        assert_eq!(g.validate_structure(), Ok(()));
+        assert_eq!(g.op_counters(), counted);
+        g.degree[2] += 1;
+        assert!(g.validate_structure().is_err());
     }
 }

@@ -16,46 +16,33 @@ mod skiplist;
 
 pub use skiplist::UnrolledSkipList;
 
-use lsgraph_api::batch::{par_apply, SortedBatch};
-use lsgraph_api::{DynamicGraph, Edge, Footprint, Graph, MemoryFootprint, VertexId};
-use rayon::prelude::*;
+use lsgraph_api::set::{NeighborSet, SetTable};
+use lsgraph_api::{Footprint, MemoryFootprint};
 
 /// Neighborhood size above which a vector becomes an unrolled skip list
 /// (Sortledton's "small vs large neighborhood" split).
 pub const VECTOR_THRESHOLD: usize = 128;
 
-/// One vertex's adjacency.
+/// One vertex's adjacency: a sorted vector up to [`VECTOR_THRESHOLD`] ids,
+/// an unrolled skip list above it until it shrinks below half of that.
+#[derive(Clone, Debug)]
+pub struct SortledtonSet(Neighborhood);
+
 #[derive(Clone, Debug)]
 enum Neighborhood {
     Small(Vec<u32>),
     Large(Box<UnrolledSkipList>),
 }
 
-impl Neighborhood {
-    /// Builds from a sorted duplicate-free slice.
-    fn from_sorted(ns: &[u32]) -> Self {
-        if ns.len() > VECTOR_THRESHOLD {
-            Neighborhood::Large(Box::new(UnrolledSkipList::from_sorted(ns)))
-        } else {
-            Neighborhood::Small(ns.to_vec())
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Neighborhood::Small(v) => v.len(),
-            Neighborhood::Large(l) => l.len(),
-        }
-    }
-
+impl SortledtonSet {
     fn insert(&mut self, u: u32) -> bool {
-        match self {
+        match &mut self.0 {
             Neighborhood::Small(v) => match v.binary_search(&u) {
                 Ok(_) => false,
                 Err(i) => {
                     v.insert(i, u);
                     if v.len() > VECTOR_THRESHOLD {
-                        *self = Neighborhood::from_sorted(v);
+                        *self = SortledtonSet::from_sorted(v);
                     }
                     true
                 }
@@ -65,7 +52,7 @@ impl Neighborhood {
     }
 
     fn delete(&mut self, u: u32) -> bool {
-        let removed = match self {
+        match &mut self.0 {
             Neighborhood::Small(v) => match v.binary_search(&u) {
                 Ok(i) => {
                     v.remove(i);
@@ -73,34 +60,82 @@ impl Neighborhood {
                 }
                 Err(_) => false,
             },
-            Neighborhood::Large(l) => l.delete(u),
-        };
-        if removed {
-            if let Neighborhood::Large(l) = self {
-                if l.len() * 2 < VECTOR_THRESHOLD {
-                    *self = Neighborhood::Small(l.to_vec());
+            Neighborhood::Large(l) => {
+                let removed = l.delete(u);
+                if removed && l.len() * 2 < VECTOR_THRESHOLD {
+                    self.0 = Neighborhood::Small(l.to_vec());
                 }
+                removed
             }
         }
-        removed
+    }
+}
+
+impl Default for SortledtonSet {
+    fn default() -> Self {
+        SortledtonSet(Neighborhood::Small(Vec::new()))
+    }
+}
+
+impl NeighborSet for SortledtonSet {
+    type Ctx = ();
+
+    fn from_sorted(ns: &[u32]) -> Self {
+        SortledtonSet(if ns.len() > VECTOR_THRESHOLD {
+            Neighborhood::Large(Box::new(UnrolledSkipList::from_sorted(ns)))
+        } else {
+            Neighborhood::Small(ns.to_vec())
+        })
+    }
+
+    fn len(&self) -> usize {
+        match &self.0 {
+            Neighborhood::Small(v) => v.len(),
+            Neighborhood::Large(l) => l.len(),
+        }
     }
 
     fn contains(&self, u: u32) -> bool {
-        match self {
+        match &self.0 {
             Neighborhood::Small(v) => v.binary_search(&u).is_ok(),
             Neighborhood::Large(l) => l.contains(u),
         }
     }
 
     fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
-        match self {
+        match &self.0 {
             Neighborhood::Small(v) => v.is_empty() || f(v),
             Neighborhood::Large(l) => l.for_each_slice_while(f),
         }
     }
 
+    fn insert_run(&mut self, run: &[u32], _: &()) -> usize {
+        run.iter().filter(|&&u| self.insert(u)).count()
+    }
+
+    fn delete_run(&mut self, run: &[u32], _: &()) -> usize {
+        run.iter().filter(|&&u| self.delete(u)).count()
+    }
+
+    /// Verifies the order and the arm's size range, and a skip list's own
+    /// invariants.
+    fn check_invariants(&self) {
+        match &self.0 {
+            Neighborhood::Small(v) => {
+                assert!(v.windows(2).all(|w| w[0] < w[1]), "order violation");
+                assert!(v.len() <= VECTOR_THRESHOLD, "vector past the threshold");
+            }
+            Neighborhood::Large(l) => {
+                l.check_invariants();
+                assert!(l.len() * 2 >= VECTOR_THRESHOLD, "skip list not shrunk");
+            }
+        }
+    }
+}
+
+impl MemoryFootprint for SortledtonSet {
     fn footprint(&self) -> Footprint {
-        match self {
+        match &self.0 {
             Neighborhood::Small(v) => Footprint::new(v.capacity() * core::mem::size_of::<u32>(), 0),
             Neighborhood::Large(l) => l.footprint(),
         }
@@ -108,138 +143,25 @@ impl Neighborhood {
 }
 
 /// The Sortledton streaming-graph baseline.
-pub struct SortledtonGraph {
-    vertices: Vec<Neighborhood>,
-    num_edges: usize,
-}
-
-impl SortledtonGraph {
-    /// Creates an empty graph over `n` vertices.
-    pub fn new(n: usize) -> Self {
-        SortledtonGraph {
-            vertices: vec![Neighborhood::Small(Vec::new()); n],
-            num_edges: 0,
-        }
-    }
-
-    /// Bulk-loads from an edge list in parallel.
-    pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
-        let batch = SortedBatch::new(edges);
-        let mut vertices = vec![Neighborhood::Small(Vec::new()); n.max(batch.id_bound())];
-        let num_edges = par_apply(&mut vertices, &batch, |run, nb| {
-            *nb = Neighborhood::from_sorted(run.dsts);
-            run.dsts.len()
-        });
-        SortledtonGraph {
-            vertices,
-            num_edges,
-        }
-    }
-
-    /// Verifies per-vertex invariants and edge accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violated invariant.
-    pub fn check_invariants(&self) {
-        let mut total = 0;
-        for (v, nb) in self.vertices.iter().enumerate() {
-            let ns = self.neighbors(v as VertexId);
-            assert!(
-                ns.windows(2).all(|w| w[0] < w[1]),
-                "vertex {v}: order violation"
-            );
-            if let Neighborhood::Large(l) = nb {
-                l.check_invariants();
-            }
-            total += nb.len();
-        }
-        assert_eq!(total, self.num_edges);
-    }
-}
-
-impl Graph for SortledtonGraph {
-    fn num_vertices(&self) -> usize {
-        self.vertices.len()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    fn degree(&self, v: VertexId) -> usize {
-        self.vertices[v as usize].len()
-    }
-
-    fn for_each_neighbor_slice_while(
-        &self,
-        v: VertexId,
-        f: &mut dyn FnMut(&[VertexId]) -> bool,
-    ) -> bool {
-        self.vertices[v as usize].for_each_slice_while(f)
-    }
-
-    fn has_edge(&self, v: VertexId, u: VertexId) -> bool {
-        self.vertices[v as usize].contains(u)
-    }
-}
-
-impl DynamicGraph for SortledtonGraph {
-    fn insert_batch(&mut self, batch: &[Edge]) -> usize {
-        let batch = SortedBatch::new(batch);
-        let n = self.vertices.len().max(batch.id_bound());
-        self.vertices.resize(n, Neighborhood::Small(Vec::new()));
-        let added = par_apply(&mut self.vertices, &batch, |run, nb| {
-            run.dsts.iter().filter(|&&u| nb.insert(u)).count()
-        });
-        self.num_edges += added;
-        added
-    }
-
-    fn delete_batch(&mut self, batch: &[Edge]) -> usize {
-        let mut batch = SortedBatch::new(batch);
-        let n = self.vertices.len();
-        batch.retain_sources(|src| (src as usize) < n);
-        let removed = par_apply(&mut self.vertices, &batch, |run, nb| {
-            run.dsts.iter().filter(|&&u| nb.delete(u)).count()
-        });
-        self.num_edges -= removed;
-        removed
-    }
-}
-
-impl MemoryFootprint for SortledtonGraph {
-    fn footprint(&self) -> Footprint {
-        self.vertices
-            .par_iter()
-            .map(Neighborhood::footprint)
-            .reduce(Footprint::default, Footprint::add)
-            + Footprint::new(
-                0,
-                self.vertices.len() * core::mem::size_of::<Neighborhood>(),
-            )
-    }
-}
+pub type SortledtonGraph = SetTable<SortledtonSet>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsgraph_api::{DynamicGraph, Edge, Graph};
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     #[test]
     fn small_to_large_transition() {
-        let mut g = SortledtonGraph::new(2);
-        let batch: Vec<Edge> = (0..500u32).map(|i| Edge::new(0, i)).collect();
-        assert_eq!(g.insert_batch(&batch), 500);
-        assert!(matches!(g.vertices[0], Neighborhood::Large(_)));
-        assert_eq!(g.neighbors(0), (0..500).collect::<Vec<_>>());
-        g.check_invariants();
+        let mut set = SortledtonSet::default();
+        assert_eq!(set.insert_run(&(0..500).collect::<Vec<_>>(), &()), 500);
+        assert!(matches!(set.0, Neighborhood::Large(_)));
+        set.check_invariants();
         // Shrink back down.
-        let del: Vec<Edge> = (40..500u32).map(|i| Edge::new(0, i)).collect();
-        g.delete_batch(&del);
-        assert!(matches!(g.vertices[0], Neighborhood::Small(_)));
-        assert_eq!(g.neighbors(0), (0..40).collect::<Vec<_>>());
-        g.check_invariants();
+        assert_eq!(set.delete_run(&(40..500).collect::<Vec<_>>(), &()), 460);
+        assert!(matches!(set.0, Neighborhood::Small(_)));
+        assert_eq!(set.len(), 40);
+        set.check_invariants();
     }
 
     #[test]

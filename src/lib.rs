@@ -10,8 +10,11 @@
 //! * [`gen`] — R-MAT / Kronecker / temporal generators and loaders,
 //! * [`queries`] — standing-query subscriptions delivering per-batch
 //!   [`ResultDelta`](queries::ResultDelta)s from incremental maintainers,
-//! * [`baselines`] — Terrace, Aspen, and PaC-tree re-implementations,
-//! * [`substrates`] — the PMA and B-tree containers the baselines build on.
+//! * [`baselines`] — Terrace, Aspen, PaC-tree and Sortledton
+//!   re-implementations, with the per-vertex sets of the last three,
+//! * [`substrates`] — the containers the baselines build on (PMA, B-tree,
+//!   unrolled skip list, Aspen's `DeltaChunk`) and PCSR, the graph of one
+//!   PMA.
 //!
 //! # Quick start
 //!
@@ -48,7 +51,8 @@
 
 pub use lsgraph_api::{
     CounterSnapshot, DynamicGraph, Edge, Footprint, Gate, Graph, MemoryFootprint, MetricDesc,
-    MetricKind, OpCounters, Phase, PhaseTimer, StructSnapshot, StructStats, VertexId,
+    MetricKind, NeighborSet, OpCounters, Phase, PhaseTimer, SetTable, StructSnapshot, StructStats,
+    VertexId,
 };
 pub use lsgraph_core::{
     BatchEvent, BatchKind, BatchOutcome, Config, ConfigError, GraphSnapshot, GraphView,
@@ -88,7 +92,7 @@ pub mod metrics {
 pub mod baselines {
     pub use lsgraph_aspen::{AspenGraph, CTreeSet};
     pub use lsgraph_pactree::{PacGraph, PacSet};
-    pub use lsgraph_sortledton::SortledtonGraph;
+    pub use lsgraph_sortledton::{SortledtonGraph, SortledtonSet, VECTOR_THRESHOLD};
     pub use lsgraph_terrace::TerraceGraph;
 }
 

@@ -1,7 +1,8 @@
-//! Cross-engine differential tests: LSGraph and the four baselines it is
-//! measured against (plus the CSR ground truth) must agree on every read and every analytics result over the same
-//! edge stream, and every engine's one neighbor walk keeps the slice-walk
-//! contract.
+//! Cross-engine differential tests: LSGraph and the five baselines it is
+//! measured against (Terrace, Aspen, PaC-tree, Sortledton and PCSR), plus
+//! the CSR ground truth, must agree on every read and every analytics
+//! result over the same edge stream, and every engine's one neighbor walk
+//! keeps the slice-walk contract.
 
 use std::collections::BTreeSet;
 
@@ -26,6 +27,7 @@ struct Engines {
     aspen: AspenGraph,
     pac: PacGraph,
     sortledton: SortledtonGraph,
+    pcsr: PmaGraph,
     oracle: Csr,
 }
 
@@ -37,28 +39,31 @@ impl Engines {
             aspen: AspenGraph::from_edges(N, edges),
             pac: PacGraph::from_edges(N, edges),
             sortledton: SortledtonGraph::from_edges(N, edges),
+            pcsr: PmaGraph::from_edges(N, edges),
             oracle: Csr::from_edges(N, edges),
         }
     }
 
-    fn each(&self) -> [(&str, &dyn Graph); 5] {
+    fn each(&self) -> [(&str, &dyn Graph); 6] {
         [
             ("LSGraph", &self.ls),
             ("Terrace", &self.terrace),
             ("Aspen", &self.aspen),
             ("PaC-tree", &self.pac),
             ("Sortledton", &self.sortledton),
+            ("PCSR", &self.pcsr),
         ]
     }
 
     /// Applies one batch to every engine (the oracle is rebuilt by callers).
     fn update(&mut self, insert: bool, batch: &[Edge]) {
-        let engines: [&mut dyn DynamicGraph; 5] = [
+        let engines: [&mut dyn DynamicGraph; 6] = [
             &mut self.ls,
             &mut self.terrace,
             &mut self.aspen,
             &mut self.pac,
             &mut self.sortledton,
+            &mut self.pcsr,
         ];
         for g in engines {
             if insert {

@@ -1,6 +1,7 @@
 //! Randomized differential tests: every engine behaves as an adjacency-set
-//! oracle under interleaved batch streams, and the core ordered-set
-//! structures behave as `BTreeSet` under random operation sequences.
+//! oracle under interleaved batch streams, and every per-vertex set (any
+//! `NeighborSet`, the containers outside that contract through test-local
+//! newtypes) behaves as `BTreeSet` under random runs.
 //!
 //! These were originally proptest properties; they are now driven by seeded
 //! `SmallRng` loops (the build is offline, so the proptest crate is
@@ -9,9 +10,18 @@
 
 use rand::prelude::*;
 
-use lsgraph::baselines::{AspenGraph, PacGraph, SortledtonGraph, TerraceGraph};
+use std::collections::BTreeSet;
+use std::ops::Range;
+
+use lsgraph::baselines::{
+    AspenGraph, CTreeSet, PacGraph, PacSet, SortledtonGraph, SortledtonSet, TerraceGraph,
+    VECTOR_THRESHOLD,
+};
 use lsgraph::substrates::{BTreeSet32, Pma, PmaGraph, PmaParams};
-use lsgraph::{Config, DynamicGraph, Edge, Graph, LsGraph, Ria, SlotOccupancy, Spill, StructStats};
+use lsgraph::{
+    Config, DynamicGraph, Edge, Footprint, Graph, LsGraph, MemoryFootprint, NeighborSet,
+    SlotOccupancy, Spill, StructStats,
+};
 
 // The simulator's harness and model (`tests/sim`), for the snapshot sets.
 #[path = "sim/harness.rs"]
@@ -50,18 +60,19 @@ fn gen_batches(rng: &mut SmallRng, ids: u32) -> Vec<(bool, Vec<(u32, u32)>)> {
         .collect()
 }
 
-/// Random (insert?, key) operation sequence.
-fn gen_ops(rng: &mut SmallRng, key_space: u32, min_len: usize, max_len: usize) -> Vec<(bool, u32)> {
-    let len = rng.gen_range(min_len..max_len);
-    (0..len)
-        .map(|_| (rng.gen_bool(0.5), rng.gen_range(0u32..key_space)))
-        .collect()
+/// Applies [`CASES`] seeded streams, each to a fresh engine `new()` built
+/// over [`TABLE`] vertices, through [`check_stream`].
+fn check_engine<G: DynamicGraph>(seed: u64, new: impl Fn() -> G) {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(seed + case);
+        check_stream(new(), &gen_batches(&mut rng, IDS));
+    }
 }
 
-/// Applies a stream to an engine built over [`TABLE`] vertices and to an
-/// oracle, asserting counts, the table's growth, every membership probe
-/// after each batch, and final adjacency equality.
-fn check_engine<G: DynamicGraph>(mut g: G, stream: &[(bool, Vec<(u32, u32)>)]) {
+/// Applies a stream to an engine and to an oracle, asserting counts, the
+/// table's growth, every membership probe after each batch, and final
+/// adjacency equality.
+fn check_stream<G: DynamicGraph>(mut g: G, stream: &[(bool, Vec<(u32, u32)>)]) {
     let mut oracle: Vec<std::collections::BTreeSet<u32>> = vec![Default::default(); IDS as usize];
     let mut n = TABLE;
     for (is_insert, pairs) in stream {
@@ -105,93 +116,43 @@ fn check_engine<G: DynamicGraph>(mut g: G, stream: &[(bool, Vec<(u32, u32)>)]) {
 
 #[test]
 fn lsgraph_matches_oracle() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0x1000 + case);
-        let stream = gen_batches(&mut rng, IDS);
-        check_engine(LsGraph::with_config(TABLE, Config::default()), &stream);
-    }
+    check_engine(0x1000, || LsGraph::with_config(TABLE, Config::default()));
 }
 
+/// Tiny thresholds force RIA/HITree tiers even on small degrees.
 #[test]
 fn lsgraph_small_tiers_match_oracle() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0x2000 + case);
-        let stream = gen_batches(&mut rng, IDS);
-        // Tiny thresholds force RIA/HITree tiers even on small degrees.
-        let cfg = Config {
-            a: 4,
-            m: 16,
-            ..Config::default()
-        };
-        check_engine(LsGraph::with_config(TABLE, cfg), &stream);
-    }
+    let cfg = Config {
+        a: 4,
+        m: 16,
+        ..Config::default()
+    };
+    check_engine(0x2000, || LsGraph::with_config(TABLE, cfg));
 }
 
 #[test]
 fn terrace_matches_oracle() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0x3000 + case);
-        let stream = gen_batches(&mut rng, IDS);
-        check_engine(TerraceGraph::new(TABLE), &stream);
-    }
+    check_engine(0x3000, || TerraceGraph::new(TABLE));
 }
 
 #[test]
 fn aspen_matches_oracle() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0x4000 + case);
-        let stream = gen_batches(&mut rng, IDS);
-        check_engine(AspenGraph::new(TABLE), &stream);
-    }
+    check_engine(0x4000, || AspenGraph::new(TABLE));
 }
 
 #[test]
 fn pactree_matches_oracle() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0x5000 + case);
-        let stream = gen_batches(&mut rng, IDS);
-        check_engine(PacGraph::new(TABLE), &stream);
-    }
+    check_engine(0x5000, || PacGraph::new(TABLE));
 }
 
 #[test]
 fn sortledton_matches_oracle() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0x5400 + case);
-        let stream = gen_batches(&mut rng, IDS);
-        check_engine(SortledtonGraph::new(TABLE), &stream);
-    }
+    check_engine(0x5400, || SortledtonGraph::new(TABLE));
 }
 
 #[test]
 fn pcsr_matches_oracle() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0x5800 + case);
-        let stream = gen_batches(&mut rng, IDS);
-        check_engine(PmaGraph::new(TABLE), &stream);
-    }
-}
-
-#[test]
-fn ria_behaves_as_sorted_set() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0x6000 + case);
-        let ops = gen_ops(&mut rng, 500, 1, 400);
-        let mut r = Ria::new(1.2);
-        let mut oracle = std::collections::BTreeSet::new();
-        for (ins, k) in ops {
-            if ins {
-                assert_eq!(r.insert(k, &STATS).inserted(), oracle.insert(k));
-            } else {
-                assert_eq!(r.delete(k, &STATS), oracle.remove(&k));
-            }
-        }
-        r.check_invariants();
-        for k in probe_keys(0..500) {
-            assert_eq!(r.contains(k), oracle.contains(&k), "key {k}");
-        }
-        assert_eq!(r.to_vec(), oracle.into_iter().collect::<Vec<_>>());
-    }
+    check_engine(0x5800, || PmaGraph::new(TABLE));
 }
 
 /// Every key of `space` plus the `u32` boundary keys: what a membership
@@ -226,72 +187,280 @@ fn spill_under_test(
     (t, held)
 }
 
-#[test]
-fn hitree_behaves_as_sorted_set() {
-    const CLUSTER: u32 = 1 << 31;
-    for (case, as_child) in (0..CASES).flat_map(|c| [(c, false), (c, true)]) {
-        let mut rng = SmallRng::seed_from_u64(0x7000 + case);
-        let ops = gen_ops(&mut rng, 500, 1, 400);
-        let cfg = Config {
-            a: 8,
-            m: 64,
-            ..Config::default()
+/// Runs a set property makes on one container: half grow it, half drain it.
+const RUNS: usize = 16;
+
+/// An id from `keys`, or now and then one of the `u32` boundary ids.
+fn gen_id(rng: &mut SmallRng, keys: &Range<u32>) -> u32 {
+    if rng.gen_bool(0.05) {
+        [0, 1, u32::MAX - 1, u32::MAX][rng.gen_range(0..4)]
+    } else {
+        rng.gen_range(keys.clone())
+    }
+}
+
+/// The set property, one instantiation per container: seeded cases start
+/// empty or from `from_sorted`, and each goes through [`check_runs`]. Returns
+/// the largest length any case reached.
+fn check_neighbor_set<S: NeighborSet>(seed: u64, keys: Range<u32>) -> usize {
+    let ctx = S::Ctx::default();
+    let mut top = 0;
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(seed + case);
+        let held: BTreeSet<u32> = match case % 2 {
+            0 => BTreeSet::new(),
+            _ => (0..rng.gen_range(1..200))
+                .map(|_| gen_id(&mut rng, &keys))
+                .collect(),
         };
-        let (mut t, mut oracle) = spill_under_test(&cfg, as_child.then_some(&[CLUSTER]));
-        for (ins, k) in ops {
-            let k = if as_child { CLUSTER + k } else { k };
-            if ins {
-                assert_eq!(t.insert(k, &cfg, &STATS), oracle.insert(k));
-            } else {
-                assert_eq!(t.delete(k, &cfg, &STATS), oracle.remove(&k));
-            }
+        let set = S::from_sorted(&held.iter().copied().collect::<Vec<_>>());
+        top = top.max(check_runs(set, held, &keys, &ctx, &mut rng));
+    }
+    top
+}
+
+/// Applies [`RUNS`] random runs to `set` and to `model` (which holds what
+/// `set` holds) and checks after each: the returned count and `len`,
+/// `contains` over [`probe_keys`] (every id of `keys`, or, when `keys` is
+/// too wide to list, each held and each run id and both its neighbours),
+/// the slice walk and `check_invariants`. Runs may be empty and name held
+/// ids (inserts), absent ids (deletes) and the `u32` boundary ids; a delete
+/// draws half its ids from those held, and the last run deletes
+/// everything. Returns the largest length reached.
+fn check_runs<S: NeighborSet>(
+    mut set: S,
+    mut model: BTreeSet<u32>,
+    keys: &Range<u32>,
+    ctx: &S::Ctx,
+    rng: &mut SmallRng,
+) -> usize {
+    let mut top = set.len();
+    for step in 0..RUNS {
+        let last = step == RUNS - 1;
+        let insert = !last && rng.gen_bool(if step < RUNS / 2 { 0.75 } else { 0.25 });
+        let mut run: Vec<u32> = (0..rng.gen_range(0..65))
+            .map(|_| match model.len() {
+                n if !insert && n > 0 && rng.gen_bool(0.5) => {
+                    *model.iter().nth(rng.gen_range(0..n)).unwrap()
+                }
+                _ => gen_id(rng, keys),
+            })
+            .collect();
+        if last {
+            run.extend(&model);
         }
-        t.check_invariants(&cfg);
-        let base = if as_child { CLUSTER } else { 0 };
-        for k in probe_keys(base..base + 500) {
-            assert_eq!(t.contains(k, &cfg), oracle.contains(&k), "key {k}");
+        run.sort_unstable();
+        run.dedup();
+        let (got, want) = if insert {
+            let want = run.iter().filter(|&&u| model.insert(u)).count();
+            (set.insert_run(&run, ctx), want)
+        } else {
+            let want = run.iter().filter(|&&u| model.remove(&u)).count();
+            (set.delete_run(&run, ctx), want)
+        };
+        assert_eq!((got, set.len()), (want, model.len()), "step {step}");
+        let probes: Vec<u32> = if keys.len() <= 1 << 12 {
+            probe_keys(keys.clone()).collect()
+        } else {
+            let near = model.iter().chain(&run);
+            let near = near.flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)]);
+            probe_keys(0..0).chain(near).collect()
+        };
+        for k in probes {
+            assert_eq!(set.contains(k), model.contains(&k), "step {step}: key {k}");
         }
-        assert_eq!(t.to_vec(), oracle.into_iter().collect::<Vec<_>>());
+        let mut slices = Vec::new();
+        set.for_each_slice_while(&mut |s| {
+            slices.push(s.to_vec());
+            true
+        });
+        assert!(slices.iter().all(|s| !s.is_empty()), "step {step}");
+        assert!(slices.concat().iter().eq(&model), "step {step}");
+        assert_eq!(set.for_each_slice_while(&mut |_| false), model.is_empty());
+        set.check_invariants();
+        top = top.max(set.len());
+    }
+    assert!(model.is_empty());
+    top
+}
+
+/// `Spill` as a [`NeighborSet`]: at the default `Config` when `M` is 0
+/// (the array, then the RIA rung), else at `a = 8` and `m = M` (every rung).
+struct SpillSet<const M: usize>(Spill);
+
+impl<const M: usize> SpillSet<M> {
+    fn cfg() -> Config {
+        match M {
+            0 => Config::default(),
+            m => Config {
+                a: 8,
+                m,
+                ..Config::default()
+            },
+        }
+    }
+}
+
+impl<const M: usize> Default for SpillSet<M> {
+    fn default() -> Self {
+        Self::from_sorted(&[])
+    }
+}
+
+impl<const M: usize> MemoryFootprint for SpillSet<M> {
+    fn footprint(&self) -> Footprint {
+        self.0.footprint()
+    }
+}
+
+impl<const M: usize> NeighborSet for SpillSet<M> {
+    type Ctx = ();
+    fn from_sorted(sorted: &[u32]) -> Self {
+        SpillSet(Spill::from_sorted(sorted, &Self::cfg()))
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn contains(&self, x: u32) -> bool {
+        self.0.contains(x, &Self::cfg())
+    }
+    fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
+        self.0.for_each_slice_while(f)
+    }
+    fn insert_run(&mut self, run: &[u32], _: &()) -> usize {
+        let cfg = Self::cfg();
+        run.iter()
+            .filter(|&&u| self.0.insert(u, &cfg, &STATS))
+            .count()
+    }
+    fn delete_run(&mut self, run: &[u32], _: &()) -> usize {
+        let cfg = Self::cfg();
+        run.iter()
+            .filter(|&&u| self.0.delete(u, &cfg, &STATS))
+            .count()
+    }
+    fn check_invariants(&self) {
+        self.0.check_invariants(&Self::cfg());
+    }
+}
+
+/// `BTreeSet32` as a [`NeighborSet`].
+#[derive(Default)]
+struct BTreeSet32Set(BTreeSet32);
+
+impl MemoryFootprint for BTreeSet32Set {
+    fn footprint(&self) -> Footprint {
+        self.0.footprint()
+    }
+}
+
+impl NeighborSet for BTreeSet32Set {
+    type Ctx = ();
+    fn from_sorted(sorted: &[u32]) -> Self {
+        BTreeSet32Set(BTreeSet32::from_sorted(sorted))
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn contains(&self, x: u32) -> bool {
+        self.0.contains(x)
+    }
+    fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
+        self.0.for_each_slice_while(f)
+    }
+    fn insert_run(&mut self, run: &[u32], _: &()) -> usize {
+        run.iter().filter(|&&u| self.0.insert(u)).count()
+    }
+    fn delete_run(&mut self, run: &[u32], _: &()) -> usize {
+        run.iter().filter(|&&u| self.0.delete(u)).count()
+    }
+    fn check_invariants(&self) {
+        self.0.check_invariants();
+    }
+}
+
+/// The PMA, over `u64` keys as PCSR and Terrace use it, as a
+/// [`NeighborSet`].
+#[derive(Default)]
+struct PmaSet(Pma<u64>);
+
+impl MemoryFootprint for PmaSet {
+    fn footprint(&self) -> Footprint {
+        self.0.footprint()
+    }
+}
+
+impl NeighborSet for PmaSet {
+    type Ctx = ();
+    fn from_sorted(sorted: &[u32]) -> Self {
+        let keys: Vec<u64> = sorted.iter().map(|&u| u as u64).collect();
+        PmaSet(Pma::from_sorted(&keys, PmaParams::dense()))
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn contains(&self, x: u32) -> bool {
+        self.0.contains(x as u64)
+    }
+    fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
+        self.0
+            .for_each_segment_while(|seg| f(&seg.iter().map(|&k| k as u32).collect::<Vec<_>>()))
+    }
+    fn insert_run(&mut self, run: &[u32], _: &()) -> usize {
+        run.iter().filter(|&&u| self.0.insert(u as u64)).count()
+    }
+    fn delete_run(&mut self, run: &[u32], _: &()) -> usize {
+        run.iter().filter(|&&u| self.0.delete(u as u64)).count()
+    }
+    fn check_invariants(&self) {
+        self.0.check_invariants();
     }
 }
 
 #[test]
-fn pma_behaves_as_sorted_set() {
+fn ctree_and_pacset_behave_as_sorted_sets() {
+    check_neighbor_set::<CTreeSet>(0xC000, 0..500);
+    check_neighbor_set::<PacSet>(0xC100, 0..500);
+}
+
+/// Above [`VECTOR_THRESHOLD`] ids the set is a skip list, and it shrinks
+/// back to a vector as the runs drain it.
+#[test]
+fn sortledton_set_behaves_as_sorted_set() {
+    assert!(check_neighbor_set::<SortledtonSet>(0xB000, 0..512) > VECTOR_THRESHOLD);
+}
+
+/// `Spill` at the default `Config`: the array, then the RIA rung.
+#[test]
+fn ria_behaves_as_sorted_set() {
+    let a = SpillSet::<0>::cfg().a;
+    assert!(check_neighbor_set::<SpillSet<0>>(0x6000, 0..500) > a);
+}
+
+/// `Spill` at `a = 8`, `m = 64`, from empty (every rung, at depth 0) and
+/// from a LIA whose blocks near `CLUSTER` are delegated to a child, where
+/// the runs land (depth 1).
+#[test]
+fn hitree_behaves_as_sorted_set() {
+    const CLUSTER: u32 = 1 << 31;
+    let cfg = SpillSet::<64>::cfg();
+    assert!(check_neighbor_set::<SpillSet<64>>(0x7000, 0..500) > cfg.m);
     for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0x8000 + case);
-        let ops = gen_ops(&mut rng, 500, 1, 400);
-        let mut p = Pma::<u64>::with_params(PmaParams::dense());
-        let mut oracle = std::collections::BTreeSet::new();
-        for (ins, k) in ops {
-            let k = k as u64;
-            if ins {
-                assert_eq!(p.insert(k), oracle.insert(k));
-            } else {
-                assert_eq!(p.delete(k), oracle.remove(&k));
-            }
-        }
-        p.check_invariants();
-        assert_eq!(p.to_vec(), oracle.into_iter().collect::<Vec<_>>());
+        let mut rng = SmallRng::seed_from_u64(0x7100 + case);
+        let (spill, held) = spill_under_test(&cfg, Some(&[CLUSTER]));
+        let keys = CLUSTER..CLUSTER + 500;
+        check_runs(SpillSet::<64>(spill), held, &keys, &(), &mut rng);
     }
 }
 
 #[test]
 fn btree_behaves_as_sorted_set() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0x9000 + case);
-        let ops = gen_ops(&mut rng, 500, 1, 400);
-        let mut t = BTreeSet32::new();
-        let mut oracle = std::collections::BTreeSet::new();
-        for (ins, k) in ops {
-            if ins {
-                assert_eq!(t.insert(k), oracle.insert(k));
-            } else {
-                assert_eq!(t.delete(k), oracle.remove(&k));
-            }
-        }
-        t.check_invariants();
-        assert_eq!(t.to_vec(), oracle.into_iter().collect::<Vec<_>>());
-    }
+    check_neighbor_set::<BTreeSet32Set>(0x9000, 0..500);
+}
+
+#[test]
+fn pma_behaves_as_sorted_set() {
+    check_neighbor_set::<PmaSet>(0x8000, 0..500);
 }
 
 #[test]
@@ -315,70 +484,6 @@ fn delta_chunk_roundtrips() {
         for probe in keys.iter().take(20) {
             assert!(c.contains(*probe));
         }
-    }
-}
-
-#[test]
-fn skiplist_behaves_as_sorted_set() {
-    use lsgraph::substrates::UnrolledSkipList;
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0xB000 + case);
-        let ops = gen_ops(&mut rng, 400, 1, 500);
-        let mut l = UnrolledSkipList::new();
-        let mut oracle = std::collections::BTreeSet::new();
-        for (ins, k) in ops {
-            if ins {
-                assert_eq!(l.insert(k), oracle.insert(k));
-            } else {
-                assert_eq!(l.delete(k), oracle.remove(&k));
-            }
-        }
-        l.check_invariants();
-        assert_eq!(l.to_vec(), oracle.into_iter().collect::<Vec<_>>());
-    }
-}
-
-#[test]
-fn ctree_and_pacset_behave_as_sorted_sets() {
-    use lsgraph::baselines::{CTreeSet, PacSet};
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0xC000 + case);
-        let ops = gen_ops(&mut rng, 400, 1, 300);
-        let mut ct = CTreeSet::new();
-        let mut pt = PacSet::new();
-        let mut oracle = std::collections::BTreeSet::new();
-        for (ins, k) in ops {
-            if ins {
-                let want = oracle.insert(k);
-                let cn = ct.inserted(k);
-                let pn = pt.inserted(k);
-                assert_eq!(cn.is_some(), want);
-                assert_eq!(pn.is_some(), want);
-                if let Some(n) = cn {
-                    ct = n;
-                }
-                if let Some(n) = pn {
-                    pt = n;
-                }
-            } else {
-                let want = oracle.remove(&k);
-                let cn = ct.deleted(k);
-                let pn = pt.deleted(k);
-                assert_eq!(cn.is_some(), want);
-                assert_eq!(pn.is_some(), want);
-                if let Some(n) = cn {
-                    ct = n;
-                }
-                if let Some(n) = pn {
-                    pt = n;
-                }
-            }
-        }
-        ct.check_invariants();
-        pt.check_invariants();
-        let want: Vec<u32> = oracle.into_iter().collect();
-        assert_eq!(ct.to_vec(), want.clone());
-        assert_eq!(pt.to_vec(), want);
     }
 }
 
@@ -417,39 +522,19 @@ fn neighbor_slices_equal_callback_traversal() {
     }
 }
 
+/// `u32` boundary ids round-trip through every tier and through the
+/// children at either end of a LIA: `Spill` at `a = 8`, `m = 32`, from
+/// empty and from a LIA with children near 0 and `u32::MAX`, under runs over
+/// all of `u32`.
 #[test]
 fn extreme_keys_survive() {
-    // u32 boundary values must round-trip through every tier, behind a
-    // vertex block and inside the children at either end of a LIA.
-    for (case, as_child) in (0..CASES).flat_map(|c| [(c, false), (c, true)]) {
+    let cfg = SpillSet::<32>::cfg();
+    for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xE000 + case);
-        let len = rng.gen_range(1usize..200);
-        let mut keys: Vec<u32> = (0..len).map(|_| rng.gen()).collect();
-        // Force boundary coverage in every case.
-        for (i, b) in [0u32, 1, u32::MAX, u32::MAX - 1].into_iter().enumerate() {
-            if i < keys.len() {
-                keys[i] = b;
-            }
+        for clusters in [None, Some(&[2, u32::MAX - 50][..])] {
+            let (spill, held) = spill_under_test(&cfg, clusters);
+            check_runs(SpillSet::<32>(spill), held, &(0..u32::MAX), &(), &mut rng);
         }
-        let cfg = Config {
-            a: 8,
-            m: 32,
-            ..Config::default()
-        };
-        let (mut t, mut oracle) = spill_under_test(&cfg, as_child.then_some(&[2, u32::MAX - 50]));
-        for k in keys {
-            assert_eq!(t.insert(k, &cfg, &STATS), oracle.insert(k));
-        }
-        t.check_invariants(&cfg);
-        // The key space is all of `u32`: probe every held id and both of its
-        // neighbours, which covers each gap's edges, plus the boundaries.
-        let near = oracle
-            .iter()
-            .flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)]);
-        for k in probe_keys(0..0).chain(near) {
-            assert_eq!(t.contains(k, &cfg), oracle.contains(&k), "key {k}");
-        }
-        assert_eq!(t.to_vec(), oracle.into_iter().collect::<Vec<_>>());
     }
 }
 
