@@ -17,12 +17,14 @@ pub fn pagerank<G: Graph + ?Sized>(g: &G, iters: usize, d: f64) -> Vec<f64> {
     let base = (1.0 - d) / n as f64;
     let mut score = vec![1.0 / n as f64; n];
     let mut contrib = vec![0.0f64; n];
+    // Degrees do not change across iterations: read each once.
+    let degree: Vec<usize> = (0..n as u32).into_par_iter().map(|v| g.degree(v)).collect();
     for _ in 0..iters {
         // Dangling mass is shared evenly.
         let dangling: f64 = (0..n as u32)
             .into_par_iter()
             .map(|v| {
-                if g.degree(v) == 0 {
+                if degree[v as usize] == 0 {
                     score[v as usize]
                 } else {
                     0.0
@@ -30,7 +32,7 @@ pub fn pagerank<G: Graph + ?Sized>(g: &G, iters: usize, d: f64) -> Vec<f64> {
             })
             .sum();
         contrib.par_iter_mut().enumerate().for_each(|(v, c)| {
-            let deg = g.degree(v as u32);
+            let deg = degree[v];
             *c = if deg > 0 { score[v] / deg as f64 } else { 0.0 };
         });
         let contrib_ref = &contrib;

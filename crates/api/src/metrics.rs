@@ -60,16 +60,20 @@ mod count_alloc {
 
     pub static LIVE: AtomicU64 = AtomicU64::new(0);
     pub static PEAK: AtomicU64 = AtomicU64::new(0);
+    /// Calls that handed out a block: `alloc`, `alloc_zeroed`, `realloc`.
+    pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
     #[inline]
     fn add(n: u64) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         let live = LIVE.fetch_add(n, Ordering::Relaxed).wrapping_add(n);
         PEAK.fetch_max(live, Ordering::Relaxed);
     }
 
-    /// [`System`] wrapper counting live and peak heap bytes. Counts layout
-    /// sizes, not allocator-internal overhead — a deterministic lower bound
-    /// that matches what `Footprint` self-reporting measures against.
+    /// [`System`] wrapper counting live and peak heap bytes and allocation
+    /// calls. Counts layout sizes, not allocator-internal overhead — a
+    /// deterministic lower bound that matches what `Footprint`
+    /// self-reporting measures against.
     pub struct CountingAlloc;
 
     // SAFETY: defers every allocation to `System`; the atomics only observe.
@@ -119,6 +123,21 @@ pub fn heap_gauges() -> Option<(u64, u64)> {
     {
         let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
         Some((load(&count_alloc::LIVE), load(&count_alloc::PEAK)))
+    }
+    #[cfg(not(feature = "count-alloc"))]
+    {
+        None
+    }
+}
+
+/// Allocation calls (`alloc`, `alloc_zeroed` and `realloc`) the counting
+/// allocator has served since the process started, or `None` when the
+/// `count-alloc` feature is off. Process-wide: a census of one operation
+/// reads it before and after, with no other thread allocating in between.
+pub fn heap_allocations() -> Option<u64> {
+    #[cfg(feature = "count-alloc")]
+    {
+        Some(count_alloc::ALLOCS.load(Ordering::Relaxed))
     }
     #[cfg(not(feature = "count-alloc"))]
     {
@@ -695,9 +714,11 @@ lsgraph_batch_apply_ns_max 10000
     #[test]
     fn allocator_gauges_track_live_and_peak_monotonically() {
         let (live0, peak0) = heap_gauges().expect("count-alloc on");
+        let allocs0 = heap_allocations().expect("count-alloc on");
         assert!(peak0 >= live0);
         let buf = vec![0u8; 1 << 20];
         let (live1, peak1) = heap_gauges().unwrap();
+        assert!(heap_allocations().unwrap() > allocs0, "the Vec is counted");
         assert!(live1 >= live0 + (1 << 20), "live must grow with the Vec");
         assert!(peak1 >= live1, "peak bounds live");
         assert!(peak1 >= peak0, "peak is monotone");
@@ -716,6 +737,7 @@ lsgraph_batch_apply_ns_max 10000
     #[test]
     fn allocator_gauges_absent_without_the_feature() {
         assert_eq!(heap_gauges(), None);
+        assert_eq!(heap_allocations(), None);
         let (r, _, _) = small_registry();
         assert!(r
             .sample()

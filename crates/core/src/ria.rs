@@ -40,16 +40,28 @@ impl InsertOutcome {
     }
 }
 
+/// Words of one RIA buffer of `nb` blocks: `nb` index entries, `nb` `u16`
+/// counts two to a word, then `nb` blocks of `BKS` slots.
+const fn words(nb: usize) -> usize {
+    nb + nb.div_ceil(2) + nb * BKS
+}
+
 /// Redundant Indexed Array: an ordered `u32` set in gapped cache-line blocks.
+///
+/// Index, counts and blocks share one allocation, so a lookup, a walk and
+/// the copy a snapshot forces ([`Clone`]) each touch one heap object. With
+/// `nb` blocks, `buf` holds in order:
+///
+/// - `[0, nb)`: the index array — word `b` is block `b`'s first element;
+/// - `nb.div_ceil(2)` words of counts — block `b`'s occupancy is the low
+///   (even `b`) or high (odd `b`) half of word `nb + b / 2`;
+/// - `nb * BKS` slots of blocks — each keeps its elements sorted in a
+///   contiguous prefix.
 #[derive(Clone, Debug)]
 pub struct Ria {
-    /// First element of each block, redundantly copied (the "index array").
-    index: Vec<u32>,
-    /// Block storage: `num_blocks * BKS` slots; each block keeps its elements
-    /// sorted in a contiguous prefix.
-    data: Vec<u32>,
-    /// Occupancy of each block's prefix.
-    counts: Vec<u16>,
+    /// The one buffer, exactly [`words`]`(nb)` long: its length is the only
+    /// record of `nb`.
+    buf: Vec<u32>,
     /// Total number of elements.
     len: usize,
     /// Space amplification factor `α` used on rebuilds.
@@ -64,26 +76,26 @@ impl Ria {
     /// Panics if `alpha <= 1.0`; [`Config::validate`](crate::Config::validate)
     /// rejects such configurations before they reach this layer.
     pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 1.0, "space amplification factor must exceed 1.0");
-        Ria {
-            index: vec![0],
-            data: vec![0; BKS],
-            counts: vec![0],
-            len: 0,
-            alpha,
-        }
+        Ria::from_sorted(&[], alpha)
     }
 
     /// Builds a RIA from a sorted, duplicate-free slice.
     ///
     /// Elements are spread evenly across `ceil(len * α / BKS)` blocks so no
     /// block starts full and none is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alpha <= 1.0`, as [`Ria::new`] does.
     pub fn from_sorted(sorted: &[u32], alpha: f64) -> Self {
-        let mut ria = Ria::new(alpha);
-        if !sorted.is_empty() {
-            debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
-            ria.rebuild_from(sorted);
-        }
+        assert!(alpha > 1.0, "space amplification factor must exceed 1.0");
+        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+        let mut ria = Ria {
+            buf: Vec::new(),
+            len: 0,
+            alpha,
+        };
+        ria.rebuild_from(sorted);
         ria
     }
 
@@ -99,15 +111,45 @@ impl Ria {
         self.len == 0
     }
 
-    /// Number of blocks currently allocated.
+    /// Number of blocks currently allocated: `2 · words(nb)` is
+    /// `nb · (2·BKS + 3) + nb % 2`, and the odd remainder is below the
+    /// divisor.
     #[inline]
     pub fn num_blocks(&self) -> usize {
-        self.counts.len()
+        2 * self.buf.len() / (2 * BKS + 3)
+    }
+
+    /// The index array: each block's first element.
+    #[inline]
+    fn index(&self) -> &[u32] {
+        &self.buf[..self.num_blocks()]
+    }
+
+    /// Occupancy of block `b`.
+    #[inline]
+    fn count(&self, b: usize) -> usize {
+        ((self.buf[self.num_blocks() + b / 2] >> (16 * (b & 1))) & 0xFFFF) as usize
+    }
+
+    #[inline]
+    fn set_count(&mut self, b: usize, count: usize) {
+        debug_assert!(count <= BKS);
+        let w = self.num_blocks() + b / 2;
+        let shift = 16 * (b & 1);
+        self.buf[w] = self.buf[w] & !(0xFFFF << shift) | (count as u32) << shift;
+    }
+
+    /// Position in `buf` of block `b`'s first slot.
+    #[inline]
+    fn slot(&self, b: usize) -> usize {
+        let nb = self.num_blocks();
+        nb + nb.div_ceil(2) + b * BKS
     }
 
     #[inline]
     fn block(&self, b: usize) -> &[u32] {
-        &self.data[b * BKS..b * BKS + self.counts[b] as usize]
+        let s = self.slot(b);
+        &self.buf[s..s + self.count(b)]
     }
 
     /// Hands every occupied block to `f` in order until `f` returns
@@ -115,11 +157,11 @@ impl Ria {
     /// is its first element (the RIA's core redundancy), asserted in debug
     /// builds so a corrupt index cannot be walked (or checkpointed) silently.
     pub fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
-        (0..self.counts.len()).all(|b| {
+        (0..self.num_blocks()).all(|b| {
             let block = self.block(b);
             debug_assert_eq!(
                 block.first().copied(),
-                (!block.is_empty()).then_some(self.index[b]),
+                (!block.is_empty()).then_some(self.buf[b]),
                 "RIA index entry disagrees with its block"
             );
             block.is_empty() || f(block)
@@ -134,7 +176,9 @@ impl Ria {
     /// strictly increasing and identifies blocks unambiguously.
     #[inline]
     fn find_block(&self, key: u32) -> usize {
-        self.index.partition_point(|&x| x <= key).saturating_sub(1)
+        self.index()
+            .partition_point(|&x| x <= key)
+            .saturating_sub(1)
     }
 
     /// Returns whether `key` is present.
@@ -146,9 +190,10 @@ impl Ria {
     /// recorded into `stats`.
     pub fn insert(&mut self, key: u32, stats: &StructStats) -> InsertOutcome {
         if self.len == 0 {
-            self.data[0] = key;
-            self.counts[0] = 1;
-            self.index[0] = key;
+            let s = self.slot(0);
+            self.buf[s] = key;
+            self.set_count(0, 1);
+            self.buf[0] = key;
             self.len = 1;
             return InsertOutcome::Inserted;
         }
@@ -156,14 +201,14 @@ impl Ria {
         let Err(i) = self.block(b).binary_search(&key) else {
             return InsertOutcome::Duplicate;
         };
-        if (self.counts[b] as usize) < BKS {
+        if self.count(b) < BKS {
             self.insert_into_block(b, i, key, stats);
             self.len += 1;
             return InsertOutcome::Inserted;
         }
         // Position conflict with a full block: bounded horizontal movement.
         if let Some(donor) = self.find_donor(b) {
-            let bound = self.counts.len().ilog2() as u64 + 1;
+            let bound = self.num_blocks().ilog2() as u64 + 1;
             let span = donor.abs_diff(b) as u64;
             self.ripple_insert(b, i, key, donor, stats);
             // One element crosses each block boundary between b and donor.
@@ -189,19 +234,19 @@ impl Ria {
             return false;
         }
         let b = self.find_block(key);
-        let cnt = self.counts[b] as usize;
+        let cnt = self.count(b);
         let Ok(i) = self.block(b).binary_search(&key) else {
             return false;
         };
-        self.data
-            .copy_within(b * BKS + i + 1..b * BKS + cnt, b * BKS + i);
+        let s = self.slot(b);
+        self.buf.copy_within(s + i + 1..s + cnt, s + i);
         stats.ria_within_block_shifts.record((cnt - i - 1) as u64);
-        self.counts[b] -= 1;
+        self.set_count(b, cnt - 1);
         self.len -= 1;
-        if self.counts[b] == 0 {
+        if cnt == 1 {
             self.refill_empty_block(b, stats);
         } else if i == 0 {
-            self.index[b] = self.data[b * BKS];
+            self.buf[b] = self.buf[s];
         }
         self.maybe_shrink(stats);
         true
@@ -219,28 +264,28 @@ impl Ria {
 
     /// Inserts `key` at in-block position `i` of block `b`, which has space.
     fn insert_into_block(&mut self, b: usize, i: usize, key: u32, stats: &StructStats) {
-        let cnt = self.counts[b] as usize;
+        let cnt = self.count(b);
         debug_assert!(cnt < BKS && i <= cnt);
-        let base = b * BKS;
-        self.data.copy_within(base + i..base + cnt, base + i + 1);
+        let s = self.slot(b);
+        self.buf.copy_within(s + i..s + cnt, s + i + 1);
         stats.ria_within_block_shifts.record((cnt - i) as u64);
-        self.data[base + i] = key;
-        self.counts[b] += 1;
+        self.buf[s + i] = key;
+        self.set_count(b, cnt + 1);
         if i == 0 {
-            self.index[b] = key;
+            self.buf[b] = key;
         }
     }
 
     /// Finds the nearest block with a free slot within the locality bound of
     /// `log2(num_blocks) + 1` blocks on each side (paper §4.2), or `None`.
     fn find_donor(&self, b: usize) -> Option<usize> {
-        let nb = self.counts.len();
+        let nb = self.num_blocks();
         let bound = nb.ilog2() as usize + 1;
         for d in 1..=bound {
-            if b + d < nb && (self.counts[b + d] as usize) < BKS {
+            if b + d < nb && self.count(b + d) < BKS {
                 return Some(b + d);
             }
-            if d <= b && (self.counts[b - d] as usize) < BKS {
+            if d <= b && self.count(b - d) < BKS {
                 return Some(b - d);
             }
         }
@@ -252,8 +297,8 @@ impl Ria {
     /// which has a free slot. Each intermediate block moves exactly one
     /// element, so the movement distance is bounded by `|donor - b|` blocks.
     fn ripple_insert(&mut self, b: usize, i: usize, key: u32, donor: usize, stats: &StructStats) {
-        debug_assert_eq!(self.counts[b] as usize, BKS);
-        debug_assert!((self.counts[donor] as usize) < BKS);
+        debug_assert_eq!(self.count(b), BKS);
+        debug_assert!(self.count(donor) < BKS);
         if donor > b {
             // Carry the block maximum rightward.
             let mut carry = if i == BKS {
@@ -288,42 +333,43 @@ impl Ria {
     }
 
     fn pop_back(&mut self, b: usize) -> u32 {
-        let cnt = self.counts[b] as usize;
+        let cnt = self.count(b);
         debug_assert!(cnt > 0);
-        self.counts[b] -= 1;
-        self.data[b * BKS + cnt - 1]
+        self.set_count(b, cnt - 1);
+        self.buf[self.slot(b) + cnt - 1]
     }
 
     fn pop_front(&mut self, b: usize) -> u32 {
-        let cnt = self.counts[b] as usize;
+        let cnt = self.count(b);
         debug_assert!(cnt > 0);
-        let base = b * BKS;
-        let v = self.data[base];
-        self.data.copy_within(base + 1..base + cnt, base);
-        self.counts[b] -= 1;
-        if self.counts[b] > 0 {
-            self.index[b] = self.data[base];
+        let s = self.slot(b);
+        let v = self.buf[s];
+        self.buf.copy_within(s + 1..s + cnt, s);
+        self.set_count(b, cnt - 1);
+        if cnt > 1 {
+            self.buf[b] = self.buf[s];
         }
         v
     }
 
     fn push_front(&mut self, b: usize, v: u32) {
-        let cnt = self.counts[b] as usize;
+        let cnt = self.count(b);
         debug_assert!(cnt < BKS);
-        let base = b * BKS;
-        self.data.copy_within(base..base + cnt, base + 1);
-        self.data[base] = v;
-        self.counts[b] += 1;
-        self.index[b] = v;
+        let s = self.slot(b);
+        self.buf.copy_within(s..s + cnt, s + 1);
+        self.buf[s] = v;
+        self.set_count(b, cnt + 1);
+        self.buf[b] = v;
     }
 
     fn push_back(&mut self, b: usize, v: u32) {
-        let cnt = self.counts[b] as usize;
+        let cnt = self.count(b);
         debug_assert!(cnt < BKS);
-        self.data[b * BKS + cnt] = v;
-        self.counts[b] += 1;
+        let s = self.slot(b);
+        self.buf[s + cnt] = v;
+        self.set_count(b, cnt + 1);
         if cnt == 0 {
-            self.index[b] = v;
+            self.buf[b] = v;
         }
     }
 
@@ -333,16 +379,16 @@ impl Ria {
     /// are down to a single element — a state only reachable at very low
     /// occupancy, where the shrink path would rebuild shortly anyway.
     fn refill_empty_block(&mut self, b: usize, stats: &StructStats) {
-        debug_assert_eq!(self.counts[b], 0);
+        debug_assert_eq!(self.count(b), 0);
         if self.len == 0 {
             self.rebuild_from(&[]);
             return;
         }
-        if b + 1 < self.counts.len() && self.counts[b + 1] >= 2 {
+        if b + 1 < self.num_blocks() && self.count(b + 1) >= 2 {
             let v = self.pop_front(b + 1);
             self.push_back(b, v);
             stats.ria_within_block_shifts.record(1);
-        } else if b > 0 && self.counts[b - 1] >= 2 {
+        } else if b > 0 && self.count(b - 1) >= 2 {
             let v = self.pop_back(b - 1);
             self.push_front(b, v);
             stats.ria_within_block_shifts.record(1);
@@ -355,40 +401,40 @@ impl Ria {
         }
     }
 
-    /// Rebuilds from a sorted slice, redistributing evenly with factor `α`.
+    /// Rebuilds from a sorted slice into a fresh buffer, redistributing
+    /// evenly with factor `α` (one empty block when the slice is empty).
     fn rebuild_from(&mut self, sorted: &[u32]) {
         let n = sorted.len();
+        let nb = if n == 0 {
+            1
+        } else {
+            let capacity = ((n as f64 * self.alpha).ceil() as usize).max(n);
+            capacity.div_ceil(BKS).max(1)
+        };
+        debug_assert!(n.div_ceil(nb) <= BKS);
+        self.buf = vec![0; words(nb)];
+        self.len = n;
         if n == 0 {
-            self.index = vec![0];
-            self.data = vec![0; BKS];
-            self.counts = vec![0];
-            self.len = 0;
             return;
         }
-        let capacity = ((n as f64 * self.alpha).ceil() as usize).max(n);
-        let nb = capacity.div_ceil(BKS).max(1);
-        debug_assert!(n.div_ceil(nb) <= BKS);
-        self.index = vec![0; nb];
-        self.data = vec![0; nb * BKS];
-        self.counts = vec![0; nb];
         let base = n / nb;
         let extra = n % nb;
         let mut src = 0;
         for b in 0..nb {
             let take = base + usize::from(b < extra);
-            self.data[b * BKS..b * BKS + take].copy_from_slice(&sorted[src..src + take]);
-            self.counts[b] = take as u16;
-            self.index[b] = sorted[src];
+            let s = self.slot(b);
+            self.buf[s..s + take].copy_from_slice(&sorted[src..src + take]);
+            self.set_count(b, take);
+            self.buf[b] = sorted[src];
             src += take;
         }
         debug_assert_eq!(src, n);
-        self.len = n;
     }
 
     /// Shrinks after heavy deletion (occupancy below 25%) to bound memory.
     fn maybe_shrink(&mut self, stats: &StructStats) {
-        let capacity = self.counts.len() * BKS;
-        if self.counts.len() > 1 && self.len * 4 < capacity {
+        let nb = self.num_blocks();
+        if nb > 1 && self.len * 4 < nb * BKS {
             let _span = span(SpanKind::RiaRebuild);
             fail_point!("ria_rebuild");
             let all = self.to_vec();
@@ -403,16 +449,20 @@ impl Ria {
     ///
     /// Panics with a description of the first violated invariant.
     pub fn check_invariants(&self) {
-        assert_eq!(self.index.len(), self.counts.len());
-        assert_eq!(self.data.len(), self.counts.len() * BKS);
-        let total: usize = self.counts.iter().map(|&c| c as usize).sum();
-        assert_eq!(total, self.len, "count sum mismatch");
+        let nb = self.num_blocks();
+        assert_eq!(self.buf.len(), words(nb), "buffer is not whole blocks");
+        if nb % 2 == 1 {
+            assert_eq!(self.buf[nb + nb / 2] >> 16, 0, "count pad in use");
+        }
+        let mut total = 0;
         let mut prev: Option<u32> = None;
-        for b in 0..self.counts.len() {
+        for b in 0..nb {
+            assert!(self.count(b) <= BKS, "block {b} overfull");
+            total += self.count(b);
             let blk = self.block(b);
             if self.len > 0 {
                 assert!(!blk.is_empty(), "empty block {b} while len = {}", self.len);
-                assert_eq!(self.index[b], blk[0], "index mismatch at block {b}");
+                assert_eq!(self.buf[b], blk[0], "index mismatch at block {b}");
             }
             for &x in blk {
                 if let Some(p) = prev {
@@ -421,15 +471,19 @@ impl Ria {
                 prev = Some(x);
             }
         }
+        assert_eq!(total, self.len, "count sum mismatch");
     }
 }
 
 impl MemoryFootprint for Ria {
+    /// `nb × (4·BKS + 4 + 2)` bytes: the blocks as payload, one `u32` index
+    /// entry and one `u16` count per block as index. An odd `nb`'s last
+    /// counts word carries a 2-byte pad, which is slack and not counted.
     fn footprint(&self) -> Footprint {
+        let nb = self.num_blocks();
         Footprint::new(
-            self.data.len() * core::mem::size_of::<u32>(),
-            self.index.len() * core::mem::size_of::<u32>()
-                + self.counts.len() * core::mem::size_of::<u16>(),
+            nb * BKS * core::mem::size_of::<u32>(),
+            nb * (core::mem::size_of::<u32>() + core::mem::size_of::<u16>()),
         )
     }
 }
@@ -469,7 +523,7 @@ mod tests {
             assert_eq!(r.num_blocks(), nb);
             let set: BTreeSet<u32> = ids.iter().copied().collect();
             let mut keys = vec![0, 1, 9, u32::MAX - 1, u32::MAX];
-            keys.extend(r.index.iter().flat_map(|&x| [x - 1, x, x + 1]));
+            keys.extend(r.index().iter().flat_map(|&x| [x - 1, x, x + 1]));
             for k in keys {
                 let ctx = format!("{nb} blocks, key {k}");
                 assert_eq!(r.contains(k), set.contains(&k), "{ctx}");
@@ -529,7 +583,7 @@ mod tests {
     fn from_sorted_no_empty_blocks() {
         let v: Vec<u32> = (0..333).collect();
         let r = Ria::from_sorted(&v, 1.2);
-        assert!(r.counts.iter().all(|&c| c > 0));
+        assert!((0..r.num_blocks()).all(|b| r.count(b) > 0));
     }
 
     #[test]
@@ -587,6 +641,65 @@ mod tests {
         }));
         assert_eq!(n, 3);
         assert!(Ria::new(1.2).for_each_slice_while(&mut |_| unreachable!()));
+    }
+
+    /// Fills every block of an odd and an even block count to all `BKS`
+    /// ids and empties one slot of each again: every count round-trips
+    /// through its half of a packed word without touching its neighbour's,
+    /// and an odd count's pad half stays zero.
+    #[test]
+    fn packed_counts_round_trip_for_odd_and_even_block_counts() {
+        for nb in [1usize, 2, 3, 4, 5] {
+            let ids: Vec<u32> = (0..(nb * BKS * 5 / 6) as u32).map(|i| i * 100).collect();
+            let mut r = Ria::from_sorted(&ids, 1.2);
+            assert_eq!(r.num_blocks(), nb);
+            let mut want: std::collections::BTreeSet<u32> = ids.into_iter().collect();
+            for b in 0..nb {
+                let first = r.index()[b];
+                let before: Vec<usize> = (0..nb).map(|c| r.count(c)).collect();
+                let mut k = 1;
+                while r.count(b) < BKS {
+                    assert_eq!(r.insert(first + k, &STATS), InsertOutcome::Inserted);
+                    want.insert(first + k);
+                    k += 1;
+                }
+                for c in (0..nb).filter(|&c| c != b) {
+                    assert_eq!(r.count(c), before[c], "{nb} blocks: block {c} moved");
+                }
+            }
+            assert!((0..nb).all(|b| r.count(b) == BKS), "{nb} blocks");
+            assert_eq!(r.len(), nb * BKS);
+            if nb % 2 == 1 {
+                assert_eq!(r.buf[nb + nb / 2] >> 16, 0, "{nb} blocks: pad");
+            }
+            r.check_invariants();
+            assert_eq!(r.to_vec(), want.iter().copied().collect::<Vec<_>>());
+            for b in 0..nb {
+                let last = *r.block(b).last().unwrap();
+                assert!(r.delete(last, &STATS));
+                assert_eq!(r.count(b), BKS - 1, "{nb} blocks: block {b}");
+            }
+            r.check_invariants();
+        }
+    }
+
+    /// The footprint is the three-array formula, and a clone — the copy a
+    /// snapshot forces — is one buffer of its source's length.
+    #[test]
+    fn footprint_is_six_bytes_of_index_per_block_and_clones_keep_it() {
+        for n in [0usize, 1, 14, 27, 40, 53, 1_000] {
+            let r = Ria::from_sorted(&(0..n as u32).collect::<Vec<_>>(), 1.2);
+            let nb = r.num_blocks();
+            let fp = r.footprint();
+            assert_eq!(fp.payload_bytes, nb * 4 * BKS, "{n} ids");
+            assert_eq!(fp.index_bytes, nb * (4 + 2), "{n} ids");
+            assert_eq!(r.buf.len(), words(nb), "{n} ids");
+            let c = r.clone();
+            assert_eq!(c.buf.len(), r.buf.len(), "{n} ids");
+            assert_eq!(c.footprint(), fp, "{n} ids");
+            assert_eq!(c.to_vec(), r.to_vec(), "{n} ids");
+            c.check_invariants();
+        }
     }
 
     #[test]

@@ -310,12 +310,14 @@ mod tests {
     }
 
     /// The container behind the pointer is no wider than its widest paper
-    /// arm: the ablation's PMA is boxed, not carried by every spill.
+    /// arm: the ablation's PMA is boxed, not carried by every spill. A RIA
+    /// is one buffer plus two words, so the `Arc` inner (two counts and the
+    /// spill) fits one 64-byte line.
     #[test]
     fn spill_is_no_larger_than_a_ria() {
         use core::mem::size_of;
         assert!(size_of::<Spill>() <= size_of::<crate::ria::Ria>());
-        assert!(size_of::<Spill>() <= 88);
+        assert!(size_of::<Spill>() <= 48);
     }
 
     #[test]
