@@ -7,7 +7,7 @@ use lsgraph_api::Graph;
 use crate::edge_map::edge_map;
 use crate::subset::VertexSubset;
 
-/// Sentinel for "unvisited".
+/// Sentinel for "unvisited": an unreachable vertex's parent or distance.
 pub const UNREACHED: u32 = u32::MAX;
 
 /// Frontier-based BFS from `src`; returns the parent of each vertex

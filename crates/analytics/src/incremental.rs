@@ -29,11 +29,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use lsgraph_api::{Edge, Graph};
 
+use crate::bfs::UNREACHED;
 use crate::edge_map::edge_map;
 use crate::subset::VertexSubset;
-
-/// Sentinel distance for unreachable vertices.
-pub const INF: u32 = u32::MAX;
 
 /// Maintains BFS hop distances from a fixed source across updates.
 ///
@@ -71,7 +69,7 @@ impl IncrementalBfs {
         self.src
     }
 
-    /// Current distances (hops; [`INF`] = unreachable).
+    /// Current distances (hops; [`UNREACHED`] = unreachable).
     pub fn distances(&self) -> &[u32] {
         &self.settled
     }
@@ -81,11 +79,11 @@ impl IncrementalBfs {
     /// relax (a source in the table is at 0 otherwise).
     fn grow(&mut self, n: usize) -> Option<u32> {
         if n > self.dist.len() {
-            self.dist.resize_with(n, || AtomicU32::new(INF));
-            self.settled.resize(n, INF);
+            self.dist.resize_with(n, || AtomicU32::new(UNREACHED));
+            self.settled.resize(n, UNREACHED);
         }
         let d = self.dist.get_mut(self.src as usize)?.get_mut();
-        (*d == INF).then(|| {
+        (*d == UNREACHED).then(|| {
             *d = 0;
             self.src
         })
@@ -110,8 +108,8 @@ impl IncrementalBfs {
     pub fn recompute<G: Graph + ?Sized>(&mut self, g: &G) -> Vec<(u32, u32)> {
         let n = g.num_vertices();
         self.dist.clear();
-        self.dist.resize_with(n, || AtomicU32::new(INF));
-        self.settled.resize(n, INF);
+        self.dist.resize_with(n, || AtomicU32::new(UNREACHED));
+        self.settled.resize(n, UNREACHED);
         let dist = self.dist.as_slice();
         let mut frontier = VertexSubset::empty();
         if (self.src as usize) < n {
@@ -126,10 +124,10 @@ impl IncrementalBfs {
                 &frontier,
                 |_s, d| {
                     dist[d as usize]
-                        .compare_exchange(INF, level, Ordering::Relaxed, Ordering::Relaxed)
+                        .compare_exchange(UNREACHED, level, Ordering::Relaxed, Ordering::Relaxed)
                         .is_ok()
                 },
-                |d| dist[d as usize].load(Ordering::Relaxed) == INF,
+                |d| dist[d as usize].load(Ordering::Relaxed) == UNREACHED,
             );
         }
         let mut changes = Vec::new();
@@ -159,7 +157,7 @@ impl IncrementalBfs {
             }
             let ds = *self.dist[s].get_mut();
             let dd = self.dist[d].get_mut();
-            if ds != INF && ds + 1 < *dd {
+            if ds != UNREACHED && ds + 1 < *dd {
                 *dd = ds + 1;
                 seeds.push(e.dst);
             }
@@ -222,7 +220,7 @@ impl IncrementalBfs {
                     continue;
                 }
                 let du = *dist[u].get_mut();
-                if du != INF && *dist[v as usize].get_mut() == du + 1 {
+                if du != UNREACHED && *dist[v as usize].get_mut() == du + 1 {
                     levels.push(Reverse((du + 1, v)));
                 }
             }
@@ -234,7 +232,7 @@ impl IncrementalBfs {
             if last.replace((d, v)) == Some((d, v)) {
                 continue;
             }
-            // An invalidated vertex is at `INF`, so it supports nothing.
+            // An invalidated vertex is at `UNREACHED`, so it supports nothing.
             let unsupported = g.for_each_neighbor_slice_while(v, &mut |s| {
                 s.iter().all(|&u| {
                     let du = *dist[u as usize].get_mut();
@@ -245,7 +243,7 @@ impl IncrementalBfs {
                 })
             });
             if unsupported {
-                *dist[v as usize].get_mut() = INF;
+                *dist[v as usize].get_mut() = UNREACHED;
                 cut.push(v);
                 levels.extend(children.iter().map(|&w| Reverse((d + 1, w))));
             }
@@ -254,7 +252,7 @@ impl IncrementalBfs {
         let seeds: Vec<(u32, u32)> = cut
             .iter()
             .map(|&v| {
-                let mut best = INF;
+                let mut best = UNREACHED;
                 g.for_each_neighbor_slice_while(v, &mut |s| {
                     for &u in s {
                         best = best.min(*dist[u as usize].get_mut());
@@ -266,7 +264,7 @@ impl IncrementalBfs {
             .collect();
         let mut relax = BinaryHeap::new();
         for (d, v) in seeds.into_iter().chain(grown.map(|s| (0, s))) {
-            if d != INF {
+            if d != UNREACHED {
                 *dist[v as usize].get_mut() = d;
                 relax.push(Reverse((d, v)));
             }
@@ -295,135 +293,11 @@ impl IncrementalBfs {
     }
 }
 
-/// Maintains connected components across insertion batches with a union-find
-/// forest — O(α) per inserted edge instead of a full label-propagation pass.
-///
-/// Insertions only merge components (monotone), so union-find is exact;
-/// deletions can split components and trigger a rebuild.
-#[derive(Clone, Debug)]
-pub struct IncrementalCc {
-    parent: Vec<u32>,
-}
-
-impl IncrementalCc {
-    /// Builds the forest for the current graph.
-    pub fn new<G: Graph + ?Sized>(g: &G) -> Self {
-        let mut cc = IncrementalCc {
-            parent: (0..g.num_vertices() as u32).collect(),
-        };
-        for v in 0..g.num_vertices() as u32 {
-            g.for_each_neighbor(v, &mut |u| cc.union(v, u));
-        }
-        cc
-    }
-
-    fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            // Path halving.
-            let gp = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
-
-    fn union(&mut self, a: u32, b: u32) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            // Union by smaller root id keeps labels deterministic.
-            let (lo, hi) = (ra.min(rb), ra.max(rb));
-            self.parent[hi as usize] = lo;
-        }
-    }
-
-    /// Applies an insertion batch (edges may reference ids beyond the
-    /// current forest; it grows as needed).
-    pub fn on_insert(&mut self, batch: &[Edge]) {
-        if let Some(max) = batch.iter().map(|e| e.src.max(e.dst)).max() {
-            if max as usize >= self.parent.len() {
-                let start = self.parent.len() as u32;
-                self.parent.extend(start..=max);
-            }
-        }
-        for e in batch {
-            self.union(e.src, e.dst);
-        }
-    }
-
-    /// Deletions may split components: rebuild from the post-delete graph.
-    pub fn on_delete<G: Graph + ?Sized>(&mut self, g: &G) {
-        *self = IncrementalCc::new(g);
-    }
-
-    /// Component labels in the same canonical form as
-    /// [`connected_components`](crate::connected_components): every vertex
-    /// labelled with its component's minimum vertex id.
-    pub fn labels(&mut self) -> Vec<u32> {
-        let n = self.parent.len();
-        let mut out = vec![0u32; n];
-        for v in 0..n as u32 {
-            out[v as usize] = self.find(v);
-        }
-        // Roots are already component minima because unions keep the
-        // smaller id as root and path compression preserves roots.
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lsgraph_gen::Csr;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
-
-    #[test]
-    fn incremental_cc_matches_label_propagation() {
-        let mut rng = SmallRng::seed_from_u64(19);
-        let n = 400u32;
-        let mut edges: Vec<Edge> = Vec::new();
-        let mut cc = IncrementalCc::new(&Csr::from_edges(n as usize, &edges));
-        for _ in 0..12 {
-            let batch: Vec<Edge> = (0..40)
-                .flat_map(|_| {
-                    let a = rng.gen_range(0..n);
-                    let b = rng.gen_range(0..n);
-                    [Edge::new(a, b), Edge::new(b, a)]
-                })
-                .collect();
-            edges.extend_from_slice(&batch);
-            cc.on_insert(&batch);
-            let g = Csr::from_edges(n as usize, &edges);
-            assert_eq!(cc.labels(), crate::connected_components(&g));
-        }
-    }
-
-    #[test]
-    fn incremental_cc_rebuild_after_delete() {
-        // Two components joined by a bridge, then the bridge is removed.
-        let full = [
-            Edge::new(0, 1),
-            Edge::new(1, 0),
-            Edge::new(1, 2),
-            Edge::new(2, 1),
-        ];
-        let g_full = Csr::from_edges(3, &full);
-        let mut cc = IncrementalCc::new(&g_full);
-        assert_eq!(cc.labels(), vec![0, 0, 0]);
-        let g_cut = Csr::from_edges(3, &full[..2]);
-        cc.on_delete(&g_cut);
-        assert_eq!(cc.labels(), vec![0, 0, 2]);
-    }
-
-    #[test]
-    fn incremental_cc_grows_for_new_ids() {
-        let mut cc = IncrementalCc::new(&Csr::from_edges(2, &[]));
-        cc.on_insert(&[Edge::new(5, 1)]);
-        let labels = cc.labels();
-        assert_eq!(labels.len(), 6);
-        assert_eq!(labels[5], 1);
-        assert_eq!(labels[1], 1);
-        assert_eq!(labels[4], 4);
-    }
 
     fn sym(pairs: &[(u32, u32)]) -> Vec<Edge> {
         pairs
@@ -451,12 +325,12 @@ mod tests {
         let mut edges = sym(&[(0, 1), (3, 4)]);
         let g = Csr::from_edges(5, &edges);
         let mut inc = IncrementalBfs::new(&g, 0);
-        assert_eq!(inc.distances(), &[0, 1, INF, INF, INF]);
+        assert_eq!(inc.distances(), &[0, 1, UNREACHED, UNREACHED, UNREACHED]);
         let batch = sym(&[(1, 3)]);
         edges.extend_from_slice(&batch);
         let g2 = Csr::from_edges(5, &edges);
         inc.on_insert(&g2, &batch);
-        assert_eq!(inc.distances(), &[0, 1, INF, 2, 3]);
+        assert_eq!(inc.distances(), &[0, 1, UNREACHED, 2, 3]);
     }
 
     #[test]
@@ -556,7 +430,10 @@ mod tests {
         let mut inc = IncrementalBfs::new(&Csr::from_edges(5, &edges), 0);
         let report = cut_and_check(&mut inc, 5, &mut edges, &sym(&[(0, 1), (0, 2)]));
         assert_eq!(report, vec![(1, 1), (2, 1), (3, 2), (4, 3)]);
-        assert_eq!(inc.distances(), &[0, INF, INF, INF, INF]);
+        assert_eq!(
+            inc.distances(),
+            &[0, UNREACHED, UNREACHED, UNREACHED, UNREACHED]
+        );
     }
 
     #[test]
@@ -566,7 +443,10 @@ mod tests {
         let mut inc = IncrementalBfs::new(&Csr::from_edges(7, &edges), 0);
         let report = cut_and_check(&mut inc, 7, &mut edges, &sym(&[(2, 3)]));
         assert_eq!(report, vec![(3, 2), (4, 3), (5, 3), (6, 4)]);
-        assert_eq!(inc.distances(), &[0, 1, 1, INF, INF, INF, INF]);
+        assert_eq!(
+            inc.distances(),
+            &[0, 1, 1, UNREACHED, UNREACHED, UNREACHED, UNREACHED]
+        );
     }
 
     #[test]

@@ -10,26 +10,20 @@
 //! its in-neighbor list, which coincides with out-neighbors exactly when every
 //! edge has its mirror.
 
-pub mod bc;
-pub mod bfs;
-pub mod cc;
-pub mod edge_map;
-pub mod gpm;
-pub mod incremental;
-pub mod kcore;
-pub mod pagerank;
-pub mod subset;
-pub mod tc;
+mod bc;
+mod bfs;
+mod cc;
+mod edge_map;
+mod incremental;
+mod pagerank;
+mod subset;
+mod tc;
 
 pub use bc::betweenness;
-pub use bfs::bfs;
+pub use bfs::{bfs, distances_from_parents, UNREACHED};
 pub use cc::connected_components;
 pub use edge_map::edge_map;
-pub use gpm::{
-    average_clustering, clustering_coefficients, count_4cliques, count_4cycles, local_triangles,
-};
-pub use incremental::{IncrementalBfs, IncrementalCc};
-pub use kcore::{degeneracy, kcore};
+pub use incremental::IncrementalBfs;
 pub use pagerank::pagerank;
 pub use subset::VertexSubset;
 pub use tc::{triangle_count, TcResult};

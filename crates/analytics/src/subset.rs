@@ -38,15 +38,6 @@ impl VertexSubset {
         self.len() == 0
     }
 
-    /// Membership test (`n` is required context for sparse sets only in
-    /// debug assertions).
-    pub fn contains(&self, v: u32) -> bool {
-        match self {
-            VertexSubset::Sparse(ids) => ids.contains(&v),
-            VertexSubset::Dense(bits, _) => bits[v as usize],
-        }
-    }
-
     /// Converts to a dense bitmap over `n` vertices.
     pub fn to_dense(&self, n: usize) -> Vec<bool> {
         match self {
@@ -92,7 +83,5 @@ mod tests {
         assert_eq!(bits, vec![false, true, true, false, true, false]);
         let d = VertexSubset::Dense(bits, 3);
         assert_eq!(d.to_sparse(), vec![1, 2, 4]);
-        assert!(d.contains(4) && !d.contains(0));
-        assert!(s.contains(2) && !s.contains(3));
     }
 }

@@ -308,17 +308,8 @@ mod tests {
             Edge::new(0, 9),
             Edge::new(1, 5),
         ];
-        let keys = sorted_dedup_keys(&batch);
-        let edges: Vec<Edge> = keys.iter().map(|&k| Edge::from_key(k)).collect();
-        assert_eq!(
-            edges,
-            vec![
-                Edge::new(0, 9),
-                Edge::new(1, 5),
-                Edge::new(2, 0),
-                Edge::new(2, 1)
-            ]
-        );
+        let want = [(0, 9), (1, 5), (2, 0), (2, 1)].map(|(u, v)| Edge::new(u, v).key());
+        assert_eq!(sorted_dedup_keys(&batch), want);
     }
 
     #[test]

@@ -247,7 +247,7 @@ impl StructStats {
 
     /// Starts a scoped timer attributing wall-clock time to `phase`; the
     /// elapsed nanoseconds are added when the returned guard drops. The
-    /// guard also carries the phase's trace span (see [`crate::trace`]).
+    /// guard also carries the phase's trace [`Span`](crate::Span).
     #[inline]
     pub fn time(&self, phase: Phase) -> PhaseTimer<'_> {
         let (target, span_kind) = match phase {
@@ -273,21 +273,9 @@ pub struct PhaseTimer<'a> {
     _span: trace::Span,
 }
 
-impl PhaseTimer<'_> {
-    /// Stops the timer early, recording the elapsed time now.
-    pub fn stop(self) {}
-}
-
 impl Drop for PhaseTimer<'_> {
     fn drop(&mut self) {
         self.target.record(self.start.elapsed().as_nanos() as u64);
-    }
-}
-
-impl StructSnapshot {
-    /// Total horizontal RIA movement (within-block + cross-block).
-    pub fn ria_horizontal_moves(self) -> u64 {
-        self.ria_within_block_shifts + self.ria_cross_block_moves
     }
 }
 
@@ -382,9 +370,8 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         {
-            let t = s.time(Phase::Apply);
+            let _t = s.time(Phase::Apply);
             std::thread::sleep(std::time::Duration::from_millis(1));
-            t.stop();
         }
         let snap = s.snapshot();
         assert!(snap.phase_sort_nanos >= 1_000_000);

@@ -32,12 +32,6 @@ impl Edge {
         }
     }
 
-    /// Returns whether this edge is a self loop.
-    #[inline]
-    pub const fn is_self_loop(self) -> bool {
-        self.src == self.dst
-    }
-
     /// Packs the edge into a single `u64` key ordered by `(src, dst)`.
     ///
     /// Used by engines (PMA/Terrace) that keep the whole edge set in one
@@ -45,15 +39,6 @@ impl Edge {
     #[inline]
     pub const fn key(self) -> u64 {
         ((self.src as u64) << 32) | self.dst as u64
-    }
-
-    /// Inverse of [`Edge::key`].
-    #[inline]
-    pub const fn from_key(key: u64) -> Self {
-        Edge {
-            src: (key >> 32) as VertexId,
-            dst: key as u32,
-        }
     }
 }
 
@@ -69,9 +54,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn key_roundtrip() {
+    fn key_packs_src_above_dst() {
         let e = Edge::new(0xDEAD_BEEF, 0x1234_5678);
-        assert_eq!(Edge::from_key(e.key()), e);
+        assert_eq!(e.key(), 0xDEAD_BEEF_1234_5678);
     }
 
     #[test]
@@ -85,9 +70,7 @@ mod tests {
     }
 
     #[test]
-    fn reversed_and_self_loop() {
+    fn reversed_swaps_the_endpoints() {
         assert_eq!(Edge::new(3, 7).reversed(), Edge::new(7, 3));
-        assert!(Edge::new(5, 5).is_self_loop());
-        assert!(!Edge::new(5, 6).is_self_loop());
     }
 }

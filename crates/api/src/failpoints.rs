@@ -20,7 +20,7 @@
 //! Configuration is **process-global** (sites are reached from deep inside
 //! container code where threading a handle through would distort the very
 //! code paths under test), so tests that configure failpoints must
-//! serialize on a shared lock and call [`reset`] when done.
+//! serialize on a shared lock and call [`reset_failpoints`] when done.
 
 use std::sync::Mutex;
 
@@ -44,7 +44,7 @@ use std::sync::Mutex;
 /// | `delta_checkpoint` | a dirty-vertex delta image is serialized to disk |
 /// | `spill_downgrade` | a sparse spill container downgrades to a lower tier |
 /// | `subscription_deliver` | a standing-query subscription evaluates its per-batch delta |
-pub const SITES: [&str; 16] = [
+pub const FAILPOINT_SITES: [&str; 16] = [
     "ria_rebuild",
     "lia_retrain",
     "hitree_vertical",
@@ -83,7 +83,8 @@ pub enum FailMode {
 #[derive(Clone, Copy, Debug)]
 struct SiteState {
     mode: FailMode,
-    /// Evaluations of this site since the last [`reset`]/[`configure`].
+    /// Evaluations of this site since the last [`reset_failpoints`] or
+    /// [`configure_failpoint`].
     hits: u64,
     /// Times this site actually fired.
     fired: u64,
@@ -95,13 +96,14 @@ const OFF: SiteState = SiteState {
     fired: 0,
 };
 
-static REGISTRY: Mutex<[SiteState; SITES.len()]> = Mutex::new([OFF; SITES.len()]);
+static REGISTRY: Mutex<[SiteState; FAILPOINT_SITES.len()]> =
+    Mutex::new([OFF; FAILPOINT_SITES.len()]);
 
 fn site_index(site: &str) -> usize {
-    SITES
+    FAILPOINT_SITES
         .iter()
         .position(|&s| s == site)
-        .unwrap_or_else(|| panic!("unknown failpoint site '{site}' (known: {SITES:?})"))
+        .unwrap_or_else(|| panic!("unknown failpoint site '{site}' (known: {FAILPOINT_SITES:?})"))
 }
 
 /// splitmix64 finalizer: a high-quality 64-bit mix.
@@ -116,9 +118,9 @@ fn mix(mut x: u64) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics if `site` is not one of [`SITES`] (catches typos at the test
-/// site rather than silently never firing).
-pub fn configure(site: &str, mode: FailMode) {
+/// Panics if `site` is not one of [`FAILPOINT_SITES`] (catches typos at the
+/// test site rather than silently never firing).
+pub fn configure_failpoint(site: &str, mode: FailMode) {
     let i = site_index(site);
     let mut reg = REGISTRY.lock().unwrap();
     reg[i] = SiteState {
@@ -129,18 +131,13 @@ pub fn configure(site: &str, mode: FailMode) {
 }
 
 /// Disarms every site and zeroes all counters.
-pub fn reset() {
+pub fn reset_failpoints() {
     let mut reg = REGISTRY.lock().unwrap();
-    *reg = [OFF; SITES.len()];
-}
-
-/// Evaluations of `site` since it was last configured/reset.
-pub fn hits(site: &str) -> u64 {
-    REGISTRY.lock().unwrap()[site_index(site)].hits
+    *reg = [OFF; FAILPOINT_SITES.len()];
 }
 
 /// Times `site` actually fired since it was last configured/reset.
-pub fn fired(site: &str) -> u64 {
+pub fn failpoint_fired(site: &str) -> u64 {
     REGISTRY.lock().unwrap()[site_index(site)].fired
 }
 
@@ -148,7 +145,7 @@ pub fn fired(site: &str) -> u64 {
 ///
 /// Called by the [`fail_point!`](crate::fail_point) macro; not meant to be
 /// called directly outside of tests.
-pub fn should_fire(site: &str) -> bool {
+pub fn failpoint_should_fire(site: &str) -> bool {
     let i = site_index(site);
     let mut reg = REGISTRY.lock().unwrap();
     let s = &mut reg[i];
@@ -175,7 +172,7 @@ pub fn should_fire(site: &str) -> bool {
 #[macro_export]
 macro_rules! fail_point {
     ($site:expr) => {
-        if $crate::failpoints::should_fire($site) {
+        if $crate::failpoint_should_fire($site) {
             panic!("failpoint '{}' fired", $site);
         }
     };
@@ -204,36 +201,40 @@ mod tests {
     #[test]
     fn off_by_default_and_after_reset() {
         let _g = locked();
-        reset();
-        for site in SITES {
-            assert!(!should_fire(site), "{site} fired while off");
+        reset_failpoints();
+        for site in FAILPOINT_SITES {
+            assert!(!failpoint_should_fire(site), "{site} fired while off");
         }
-        configure("apply_run", FailMode::Nth(1));
-        assert!(should_fire("apply_run"));
-        reset();
-        assert!(!should_fire("apply_run"));
-        reset();
+        configure_failpoint("apply_run", FailMode::Nth(1));
+        assert!(failpoint_should_fire("apply_run"));
+        reset_failpoints();
+        assert!(!failpoint_should_fire("apply_run"));
+        reset_failpoints();
     }
 
     #[test]
     fn nth_fires_exactly_once_on_the_nth_hit() {
         let _g = locked();
-        reset();
-        configure("ria_rebuild", FailMode::Nth(3));
-        let fires: Vec<bool> = (0..6).map(|_| should_fire("ria_rebuild")).collect();
+        reset_failpoints();
+        configure_failpoint("ria_rebuild", FailMode::Nth(3));
+        let fires: Vec<bool> = (0..6)
+            .map(|_| failpoint_should_fire("ria_rebuild"))
+            .collect();
         assert_eq!(fires, [false, false, true, false, false, false]);
-        assert_eq!(hits("ria_rebuild"), 6);
-        assert_eq!(fired("ria_rebuild"), 1);
-        reset();
+        assert_eq!(REGISTRY.lock().unwrap()[site_index("ria_rebuild")].hits, 6);
+        assert_eq!(failpoint_fired("ria_rebuild"), 1);
+        reset_failpoints();
     }
 
     #[test]
     fn probability_is_deterministic_per_seed_and_seed_sensitive() {
         let _g = locked();
-        reset();
+        reset_failpoints();
         let run = |seed: u64| -> Vec<bool> {
-            configure("tier_upgrade", FailMode::Probability { p: 0.5, seed });
-            (0..64).map(|_| should_fire("tier_upgrade")).collect()
+            configure_failpoint("tier_upgrade", FailMode::Probability { p: 0.5, seed });
+            (0..64)
+                .map(|_| failpoint_should_fire("tier_upgrade"))
+                .collect()
         };
         let a1 = run(42);
         let a2 = run(42);
@@ -245,33 +246,33 @@ mod tests {
             (10..=54).contains(&fired_n),
             "p=0.5 over 64 draws fired {fired_n} times"
         );
-        reset();
+        reset_failpoints();
     }
 
     #[test]
     fn probability_extremes() {
         let _g = locked();
-        reset();
-        configure("lia_retrain", FailMode::Probability { p: 0.0, seed: 7 });
-        assert!((0..100).all(|_| !should_fire("lia_retrain")));
-        configure("lia_retrain", FailMode::Probability { p: 1.0, seed: 7 });
-        assert!((0..100).all(|_| should_fire("lia_retrain")));
-        reset();
+        reset_failpoints();
+        configure_failpoint("lia_retrain", FailMode::Probability { p: 0.0, seed: 7 });
+        assert!((0..100).all(|_| !failpoint_should_fire("lia_retrain")));
+        configure_failpoint("lia_retrain", FailMode::Probability { p: 1.0, seed: 7 });
+        assert!((0..100).all(|_| failpoint_should_fire("lia_retrain")));
+        reset_failpoints();
     }
 
     #[test]
     #[should_panic(expected = "unknown failpoint site")]
     fn unknown_site_is_rejected() {
-        configure("no_such_site", FailMode::Nth(1));
+        configure_failpoint("no_such_site", FailMode::Nth(1));
     }
 
     #[test]
     fn sites_are_distinct_and_independent() {
         let _g = locked();
-        reset();
-        configure("apply_run", FailMode::Nth(1));
-        assert!(!should_fire("hitree_vertical"));
-        assert!(should_fire("apply_run"));
-        reset();
+        reset_failpoints();
+        configure_failpoint("apply_run", FailMode::Nth(1));
+        assert!(!failpoint_should_fire("hitree_vertical"));
+        assert!(failpoint_should_fire("apply_run"));
+        reset_failpoints();
     }
 }

@@ -72,8 +72,8 @@ pub trait MemoryFootprint {
     fn footprint(&self) -> Footprint;
 }
 
-/// Human-readable `live/peak MB` summary of the process heap gauges
-/// ([`crate::metrics::heap_gauges`]), or
+/// Human-readable `live/peak MB` summary of the counting allocator's
+/// process heap gauges, or
 /// `"N/A (build with --features count-alloc)"` when the counting allocator
 /// is compiled out. Table 3 prints this alongside the payload/index splits.
 pub fn heap_summary() -> String {

@@ -34,12 +34,12 @@ use std::time::{Duration, Instant};
 use crate::trace::{self, SpanKind};
 
 /// Number of log2 buckets; covers every representable `u64` nanosecond value.
-pub const NUM_BUCKETS: usize = 64;
+const NUM_BUCKETS: usize = 64;
 
 /// Number of per-thread shard slots per histogram. Threads are assigned
 /// round-robin, so more than `NUM_SHARDS` concurrent threads merely share
 /// slots (still correct: buckets are atomic), they do not lose updates.
-pub const NUM_SHARDS: usize = 16;
+const NUM_SHARDS: usize = 16;
 
 /// Next shard slot to hand out; threads take one on first record.
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
@@ -60,7 +60,7 @@ pub fn bucket_index(v: u64) -> usize {
 /// Inclusive upper bound of bucket `b`: 0 for bucket 0, `2^b - 1` otherwise,
 /// and `u64::MAX` for the last bucket, which holds everything from `2^62`.
 #[inline]
-pub fn bucket_upper_bound(b: usize) -> u64 {
+fn bucket_upper_bound(b: usize) -> u64 {
     match b {
         0 => 0,
         1..=62 => (1u64 << b) - 1,
@@ -160,7 +160,7 @@ impl LatencyHistogram {
 /// Point-in-time merged copy of a [`LatencyHistogram`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Sample count per log2 bucket (see [`bucket_index`]).
+    /// Sample count per log2 bucket: 0 for 0 ns, else `floor(log2(v)) + 1`.
     pub buckets: [u64; NUM_BUCKETS],
     /// Sum of all recorded nanosecond values.
     pub sum: u64,

@@ -6,27 +6,37 @@
 //! analytics layer and the benchmark harness are engine-agnostic.
 
 pub mod batch;
-pub mod counters;
-pub mod edge;
-pub mod failpoints;
-pub mod footprint;
-pub mod histogram;
-pub mod metric;
-pub mod metrics;
-pub mod set;
+mod counters;
+mod edge;
+mod failpoints;
+mod footprint;
+mod histogram;
+mod metric;
+mod metrics;
+mod set;
 mod sink;
-pub mod trace;
+mod trace;
 
 pub use counters::{CounterSnapshot, OpCounters, Phase, PhaseTimer, StructSnapshot, StructStats};
 pub use edge::{Edge, VertexId};
-pub use footprint::{Footprint, MemoryFootprint};
+#[doc(hidden)]
+pub use failpoints::failpoint_should_fire;
+pub use failpoints::{
+    configure_failpoint, failpoint_fired, reset_failpoints, FailMode, FAILPOINT_SITES,
+};
+pub use footprint::{heap_summary, Footprint, MemoryFootprint};
 pub use histogram::{
     kernel_scope, HistogramSnapshot, KernelScope, LatencyHistogram, LatencySnapshot, LatencyStats,
 };
 pub use metric::{Gate, MetricDesc, MetricKind};
-pub use metrics::{MetricsRegistry, RegistrySample, Sampler};
-pub use set::{NeighborSet, SetTable};
-pub use trace::{Span, SpanKind};
+pub use metrics::{
+    finish_metrics_stream, heap_allocations, is_metrics_streaming, stream_metrics_to_file,
+    write_metrics_header, MetricsRegistry, RegistrySample, Sampler, METRICS_SCHEMA,
+};
+pub use set::{bulk_or_path_copy, sorted_difference, sorted_union, NeighborSet, SetTable};
+pub use trace::{
+    finish_trace_stream, span, span_named, stream_trace_to_file, Span, SpanKind, StreamGuard,
+};
 
 /// Read-only view of a graph.
 ///

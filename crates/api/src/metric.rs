@@ -29,7 +29,7 @@ impl MetricKind {
     }
 
     /// Identical across reruns and thread counts for a fixed input.
-    pub const fn is_deterministic(self) -> bool {
+    pub(crate) const fn is_deterministic(self) -> bool {
         matches!(self, MetricKind::Counter | MetricKind::GaugeMax)
     }
 }

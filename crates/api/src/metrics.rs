@@ -1,4 +1,4 @@
-//! Unified metrics registry, time-series sampling, and Prometheus export.
+//! Unified metrics registry and time-series sampling.
 //!
 //! The observability pieces grown so far — [`StructStats`] counters and
 //! gauges (the persist and queries layers record into the owning engine's
@@ -15,25 +15,21 @@
 //!   [`MetricKind::is_gauge`](crate::MetricKind::is_gauge)), and
 //!   histograms. A [`MetricsRegistry::sample`] is a deterministic,
 //!   pinned-order snapshot.
-//! - A JSONL **time-series stream** ([`stream_to_file`]) on the same
-//!   process-global line sink as [`crate::trace::stream_to_file`], with an
-//!   idempotent [`finish_stream`]. Each sample is one fully-formed line
-//!   written with a single `write_all` and flushed immediately, so a
-//!   sampler killed mid-run can never leave a torn line — the file is
-//!   always a valid JSONL prefix.
+//! - A JSONL **time-series stream** ([`stream_metrics_to_file`]) on the
+//!   same process-global line sink as [`crate::stream_trace_to_file`], with
+//!   an idempotent [`finish_metrics_stream`]. Each sample is one
+//!   fully-formed line written with a single `write_all` and flushed
+//!   immediately, so a sampler killed mid-run can never leave a torn line —
+//!   the file is always a valid JSONL prefix.
 //! - [`Sampler`] snapshots a registry on demand (deterministic tick counts
 //!   under `repro`, where the harness ticks once per writer round). It
 //!   evaluates the `metrics_sample` failpoint at the top of every tick,
 //!   before any byte is written.
-//! - [`RegistrySample::render_prometheus`] renders Prometheus text
-//!   exposition (counters as `*_total`, log2 histogram buckets as
-//!   cumulative `le` buckets), and [`parse_prometheus`] round-trips it —
-//!   the future server crate gets `/metrics` for free.
 //! - Under the `count-alloc` feature a counting [`std::alloc::System`]
 //!   wrapper is installed as `#[global_allocator]`, contributing
 //!   process-wide `process_heap_bytes_live` / `_peak` gauges (see
 //!   [`heap_gauges`]); without the feature those gauges are absent and
-//!   [`crate::footprint::heap_summary`] reports `N/A`.
+//!   [`crate::heap_summary`] reports `N/A`.
 
 use std::path::Path;
 #[cfg(feature = "count-alloc")]
@@ -43,10 +39,10 @@ use std::time::Instant;
 
 use crate::counters::{StructSnapshot, StructStats};
 use crate::fail_point;
-use crate::histogram::{bucket_index, bucket_upper_bound, HistogramSnapshot, LatencyStats};
+use crate::histogram::{HistogramSnapshot, LatencyStats};
 use crate::sink::LineSink;
 
-/// Schema tag written as the first JSONL line by [`write_header`].
+/// Schema tag written as the first JSONL line by [`write_metrics_header`].
 pub const METRICS_SCHEMA: &str = "lsgraph-metrics-v1";
 
 // ---------------------------------------------------------------------------
@@ -153,8 +149,8 @@ pub fn heap_allocations() -> Option<u64> {
 ///
 /// Sources are registered with a `prefix`; every metric they expose is
 /// named `{prefix}_{field}`. Registration order is sampling order, so a
-/// registry's [`sample`](MetricsRegistry::sample) has pinned field order —
-/// the property the Prometheus golden test and the JSONL schema rely on.
+/// registry's [`sample`](MetricsRegistry::sample) has pinned field order,
+/// which the JSONL schema relies on.
 #[derive(Default)]
 pub struct MetricsRegistry {
     structs: Vec<(String, Arc<StructStats>)>,
@@ -221,12 +217,6 @@ impl MetricsRegistry {
             histograms,
         }
     }
-
-    /// Renders the current state as Prometheus text exposition (see
-    /// [`RegistrySample::render_prometheus`]).
-    pub fn render_prometheus(&self) -> String {
-        self.sample().render_prometheus()
-    }
 }
 
 /// One pinned-order snapshot of a [`MetricsRegistry`].
@@ -240,154 +230,6 @@ pub struct RegistrySample {
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
-impl RegistrySample {
-    /// Renders the sample in Prometheus text exposition format:
-    ///
-    /// - counters as `# TYPE {name}_total counter` + `{name}_total v`
-    /// - gauges as `# TYPE {name} gauge` + `{name} v`
-    /// - histograms as `# TYPE {name}_ns histogram` with **cumulative**
-    ///   `le`-labelled buckets (one line per non-empty log2 bucket, upper
-    ///   bound `2^b - 1`, plus the mandatory `+Inf`), `_sum`, `_count`, and
-    ///   a non-standard `{name}_ns_max` gauge so the exact tracked maximum
-    ///   survives the round trip ([`parse_prometheus`] reattaches it).
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            out.push_str(&format!("# TYPE {name}_total counter\n{name}_total {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
-        }
-        for (name, h) in &self.histograms {
-            out.push_str(&format!("# TYPE {name}_ns histogram\n"));
-            let mut cum = 0u64;
-            for (b, c) in h.nonzero_buckets() {
-                cum += c;
-                out.push_str(&format!(
-                    "{name}_ns_bucket{{le=\"{}\"}} {cum}\n",
-                    bucket_upper_bound(b)
-                ));
-            }
-            out.push_str(&format!("{name}_ns_bucket{{le=\"+Inf\"}} {cum}\n"));
-            out.push_str(&format!("{name}_ns_sum {}\n", h.sum));
-            out.push_str(&format!("{name}_ns_count {}\n", h.count()));
-            out.push_str(&format!(
-                "# TYPE {name}_ns_max gauge\n{name}_ns_max {}\n",
-                h.max
-            ));
-        }
-        out
-    }
-}
-
-/// Parses text produced by [`RegistrySample::render_prometheus`] back into
-/// a [`RegistrySample`] — the round-trip half of the exposition golden
-/// test, and a free correctness check for any future `/metrics` endpoint.
-pub fn parse_prometheus(text: &str) -> Result<RegistrySample, String> {
-    // (name, type) in declaration order; plain samples; histogram buckets.
-    let mut types: Vec<(String, String)> = Vec::new();
-    let mut values: Vec<(String, u64)> = Vec::new();
-    let mut buckets: Vec<(String, String, u64)> = Vec::new(); // (hist, le, cum)
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut it = rest.split_whitespace();
-            let name = it.next().ok_or("TYPE line missing name")?;
-            let ty = it.next().ok_or("TYPE line missing type")?;
-            types.push((name.to_string(), ty.to_string()));
-            continue;
-        }
-        if line.starts_with('#') {
-            continue;
-        }
-        let (lhs, rhs) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("malformed sample line: {line}"))?;
-        let value: u64 = rhs
-            .parse()
-            .map_err(|_| format!("non-integer value in: {line}"))?;
-        if let Some((name, labels)) = lhs.split_once('{') {
-            let le = labels
-                .strip_prefix("le=\"")
-                .and_then(|s| s.strip_suffix("\"}"))
-                .ok_or_else(|| format!("unsupported labels in: {line}"))?;
-            let hist = name
-                .strip_suffix("_bucket")
-                .ok_or_else(|| format!("labelled non-bucket sample: {line}"))?;
-            buckets.push((hist.to_string(), le.to_string(), value));
-        } else {
-            values.push((lhs.to_string(), value));
-        }
-    }
-    let value_of = |name: &str| -> Result<u64, String> {
-        values
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .ok_or_else(|| format!("missing sample: {name}"))
-    };
-    let hist_names: Vec<&str> = types
-        .iter()
-        .filter(|(_, t)| t == "histogram")
-        .map(|(n, _)| n.as_str())
-        .collect();
-    let mut out = RegistrySample::default();
-    for (name, ty) in &types {
-        match ty.as_str() {
-            "counter" => {
-                let base = name
-                    .strip_suffix("_total")
-                    .ok_or_else(|| format!("counter without _total suffix: {name}"))?;
-                out.counters.push((base.to_string(), value_of(name)?));
-            }
-            "gauge" => {
-                // `{hist}_max` gauges belong to their histogram, not the
-                // flat gauge list.
-                if hist_names.iter().any(|h| name == &format!("{h}_max")) {
-                    continue;
-                }
-                out.gauges.push((name.clone(), value_of(name)?));
-            }
-            "histogram" => {
-                let mut pairs = Vec::new();
-                let mut prev_cum = 0u64;
-                let mut inf_cum = 0u64;
-                for (_, le, cum) in buckets.iter().filter(|(h, _, _)| h == name) {
-                    if le == "+Inf" {
-                        inf_cum = *cum;
-                        continue;
-                    }
-                    let bound: u64 = le
-                        .parse()
-                        .map_err(|_| format!("bad le bound {le} for {name}"))?;
-                    let b = if bound == 0 { 0 } else { bucket_index(bound) };
-                    pairs.push((b, cum - prev_cum));
-                    prev_cum = *cum;
-                }
-                let sum = value_of(&format!("{name}_sum"))?;
-                let count = value_of(&format!("{name}_count"))?;
-                let max = value_of(&format!("{name}_max"))?;
-                let snap = HistogramSnapshot::from_parts(pairs, sum, max)?;
-                if snap.count() != count || inf_cum != count {
-                    return Err(format!(
-                        "histogram {name}: bucket total {} / +Inf {inf_cum} != count {count}",
-                        snap.count()
-                    ));
-                }
-                let base = name
-                    .strip_suffix("_ns")
-                    .ok_or_else(|| format!("histogram without _ns suffix: {name}"))?;
-                out.histograms.push((base.to_string(), snap));
-            }
-            other => return Err(format!("unknown metric type: {other}")),
-        }
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------------
 // JSONL time-series stream
 // ---------------------------------------------------------------------------
@@ -398,12 +240,12 @@ static STREAM: LineSink = LineSink::new();
 /// Opens `path` as the process-global metrics JSONL stream. Subsequent
 /// [`Sampler::tick`] calls append one line each. A stream that is already
 /// open is finished first.
-pub fn stream_to_file(path: &Path) -> std::io::Result<()> {
+pub fn stream_metrics_to_file(path: &Path) -> std::io::Result<()> {
     STREAM.open(path, "", "", "")
 }
 
 /// Whether a metrics JSONL stream is open.
-pub fn is_streaming() -> bool {
+pub fn is_metrics_streaming() -> bool {
     STREAM.is_open()
 }
 
@@ -411,7 +253,7 @@ pub fn is_streaming() -> bool {
 /// `{"schema":"lsgraph-metrics-v1","experiment":...,"samples_expected":N}`
 /// so `repro check --metrics` can validate the file standalone. No-op
 /// (returns `Ok(false)`) when no stream is open.
-pub fn write_header(experiment: &str, samples_expected: u64) -> std::io::Result<bool> {
+pub fn write_metrics_header(experiment: &str, samples_expected: u64) -> std::io::Result<bool> {
     let line = format!(
         "{{\"schema\":\"{METRICS_SCHEMA}\",\"experiment\":\"{experiment}\",\
          \"samples_expected\":{samples_expected}}}\n"
@@ -422,7 +264,7 @@ pub fn write_header(experiment: &str, samples_expected: u64) -> std::io::Result<
 /// Closes the open stream and returns the number of sample lines written.
 /// `Ok(None)` when no stream was open — idempotent. JSONL needs no footer:
 /// every line was flushed whole as it was written.
-pub fn finish_stream() -> std::io::Result<Option<u64>> {
+pub fn finish_metrics_stream() -> std::io::Result<Option<u64>> {
     STREAM.finish()
 }
 
@@ -515,7 +357,7 @@ impl Sampler {
     /// written, so an injected kill perturbs neither engine counters nor
     /// the JSONL stream.
     pub fn tick(&mut self, extras: &[(&str, f64)]) -> std::io::Result<bool> {
-        if !is_streaming() {
+        if !is_metrics_streaming() {
             return Ok(false);
         }
         fail_point!("metrics_sample");
@@ -598,51 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_round_trips_the_registry() {
-        let (r, stats, latency) = small_registry();
-        stats.record_vb_inline_insert(7);
-        stats.record_ria_ripple(3, 9, 6);
-        stats.checkpoint_bytes.record(12345);
-        latency.batch_apply.record(100);
-        latency.batch_apply.record(10_000);
-        latency.reader.record(0);
-        let sample = r.sample();
-        let text = sample.render_prometheus();
-        let back = parse_prometheus(&text).expect("parse rendered exposition");
-        assert_eq!(back, sample, "render → parse must round-trip exactly");
-    }
-
-    /// Golden test: exact exposition text for a tiny hand-built sample,
-    /// pinning name mangling, TYPE lines, bucket bounds, and field order.
-    #[test]
-    fn prometheus_exposition_golden() {
-        let h = crate::histogram::LatencyHistogram::new();
-        h.record(100); // bucket 7, le = 127
-        h.record(10_000); // bucket 14, le = 16383
-        let sample = RegistrySample {
-            counters: vec![("lsgraph_vb_inline_hits".to_string(), 2)],
-            gauges: vec![("lsgraph_wal_live_bytes".to_string(), 0)],
-            histograms: vec![("lsgraph_batch_apply".to_string(), h.snapshot())],
-        };
-        let expected = "\
-# TYPE lsgraph_vb_inline_hits_total counter
-lsgraph_vb_inline_hits_total 2
-# TYPE lsgraph_wal_live_bytes gauge
-lsgraph_wal_live_bytes 0
-# TYPE lsgraph_batch_apply_ns histogram
-lsgraph_batch_apply_ns_bucket{le=\"127\"} 1
-lsgraph_batch_apply_ns_bucket{le=\"16383\"} 2
-lsgraph_batch_apply_ns_bucket{le=\"+Inf\"} 2
-lsgraph_batch_apply_ns_sum 10100
-lsgraph_batch_apply_ns_count 2
-# TYPE lsgraph_batch_apply_ns_max gauge
-lsgraph_batch_apply_ns_max 10000
-";
-        assert_eq!(sample.render_prometheus(), expected);
-        assert_eq!(parse_prometheus(expected).unwrap(), sample);
-    }
-
-    #[test]
     fn histogram_shard_merges_are_visible_from_the_sampler_thread() {
         // 8 recording threads, each recording a known count; the sampler
         // (a 9th thread) must see the full merged multiset.
@@ -672,18 +469,22 @@ lsgraph_batch_apply_ns_max 10000
     fn jsonl_sink_writes_header_and_whole_lines() {
         let _g = locked();
         let path = tmp("sink");
-        stream_to_file(&path).unwrap();
-        assert!(is_streaming());
-        assert!(write_header("mixed", 3).unwrap());
+        stream_metrics_to_file(&path).unwrap();
+        assert!(is_metrics_streaming());
+        assert!(write_metrics_header("mixed", 3).unwrap());
         let (r, stats, _) = small_registry();
         let mut sampler = Sampler::new(r, "OR/bs=16");
         for i in 0..3u64 {
             stats.vb_spill_inserts.record(1);
             assert!(sampler.tick(&[("writer_eps", 1.5 + i as f64)]).unwrap());
         }
-        assert_eq!(finish_stream().unwrap(), Some(3));
-        assert!(!is_streaming());
-        assert_eq!(finish_stream().unwrap(), None, "finish is idempotent");
+        assert_eq!(finish_metrics_stream().unwrap(), Some(3));
+        assert!(!is_metrics_streaming());
+        assert_eq!(
+            finish_metrics_stream().unwrap(),
+            None,
+            "finish is idempotent"
+        );
 
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -703,7 +504,7 @@ lsgraph_batch_apply_ns_max 10000
     #[test]
     fn tick_without_sink_is_a_cheap_no_op() {
         let _g = locked();
-        assert_eq!(finish_stream().unwrap(), None);
+        assert_eq!(finish_metrics_stream().unwrap(), None);
         let (r, _, _) = small_registry();
         let mut sampler = Sampler::new(r, "none");
         assert!(!sampler.tick(&[]).unwrap());

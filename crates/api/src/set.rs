@@ -66,7 +66,7 @@ pub trait NeighborSet: Default + MemoryFootprint + Send + Sync {
 /// The functional sets' run update (Aspen's and the PaC-tree's rule, for
 /// insert and delete alike): when the run is a sizeable fraction of the set
 /// (run × 4 ≥ max(len, 8)), one rebuild from the set's ids `merge`d with the
-/// run ([`union`] or [`difference`]); per-id path copying with `point`
+/// run ([`sorted_union`] or [`sorted_difference`]); per-id path copying with `point`
 /// otherwise. Returns how many ids changed.
 pub fn bulk_or_path_copy<S: NeighborSet>(
     set: &mut S,
@@ -101,7 +101,7 @@ pub fn bulk_or_path_copy<S: NeighborSet>(
 }
 
 /// `ids` ∪ `run`, both strictly ascending.
-pub fn union(ids: &[u32], run: &[u32]) -> Vec<u32> {
+pub fn sorted_union(ids: &[u32], run: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(ids.len() + run.len());
     let (mut i, mut j) = (0, 0);
     while i < ids.len() && j < run.len() {
@@ -116,7 +116,7 @@ pub fn union(ids: &[u32], run: &[u32]) -> Vec<u32> {
 }
 
 /// `ids` ∖ `run`, both strictly ascending.
-pub fn difference(ids: &[u32], run: &[u32]) -> Vec<u32> {
+pub fn sorted_difference(ids: &[u32], run: &[u32]) -> Vec<u32> {
     let mut kept = Vec::with_capacity(ids.len());
     let mut j = 0;
     for &x in ids {
@@ -290,11 +290,11 @@ mod tests {
             self.0.is_empty() || f(&self.0)
         }
         fn insert_run(&mut self, run: &[u32], c: &OpCounters) -> usize {
-            bulk_or_path_copy(self, run, c, union, VecSet::with)
+            bulk_or_path_copy(self, run, c, sorted_union, VecSet::with)
         }
         fn delete_run(&mut self, run: &[u32], _: &OpCounters) -> usize {
             let before = self.0.len();
-            self.0 = difference(&self.0, run);
+            self.0 = sorted_difference(&self.0, run);
             before - self.0.len()
         }
         fn check_invariants(&self) {

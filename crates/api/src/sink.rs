@@ -1,6 +1,6 @@
 //! The one file sink behind both streams, the trace
-//! ([`crate::trace::stream_to_file`]) and the metrics JSONL
-//! ([`crate::metrics::stream_to_file`]): each is a process-global
+//! ([`crate::stream_trace_to_file`]) and the metrics JSONL
+//! ([`crate::stream_metrics_to_file`]): each is a process-global
 //! [`LineSink`]. A line is written whole with one `write_all` and flushed, so
 //! a process killed mid-run leaves a prefix of whole lines; [`LineSink::finish`]
 //! is idempotent, and opening a stream finishes the one it replaces.

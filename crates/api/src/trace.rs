@@ -1,12 +1,12 @@
 //! Vendored, no-deps trace shim streaming chrome://tracing JSON.
 //!
 //! Spans ([`span`]/[`span_named`]) are on exactly while a stream is open:
-//! [`stream_to_file`] opens one and [`finish_stream`] closes it. With no
-//! stream (the default) opening a span costs one relaxed atomic load and
-//! allocates nothing. With one, each span is appended to the file as one
-//! line when it drops, so an arbitrarily long traced run loses no event,
-//! and finishing closes the document with a `droppedEvents: 0` footer. The
-//! file is the `trace_event` format of `chrome://tracing` and
+//! [`stream_trace_to_file`] opens one and [`finish_trace_stream`] closes it.
+//! With no stream (the default) opening a span costs one relaxed atomic
+//! load and allocates nothing. With one, each span is appended to the file
+//! as one line when it drops, so an arbitrarily long traced run loses no
+//! event, and finishing closes the document with a `droppedEvents: 0`
+//! footer. The file is the `trace_event` format of `chrome://tracing` and
 //! [Perfetto](https://ui.perfetto.dev): complete events (`"ph":"X"`) with
 //! microsecond `ts`/`dur` since the first stream opened, each under the
 //! `tid` of the thread that recorded it.
@@ -28,7 +28,8 @@ thread_local! {
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Wall-clock origin for timestamps (set by the first [`stream_to_file`]).
+/// Wall-clock origin for timestamps (set by the first
+/// [`stream_trace_to_file`]).
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 fn epoch() -> Instant {
@@ -71,7 +72,7 @@ impl SpanKind {
 
 /// Whether spans currently record, i.e. a trace stream is open.
 #[inline]
-pub fn is_enabled() -> bool {
+fn is_enabled() -> bool {
     STREAM.is_open()
 }
 
@@ -113,8 +114,9 @@ impl Drop for Span {
 ///
 /// Returns a [`StreamGuard`] that finishes the stream on drop, so a traced
 /// run that panics still leaves a flushed, parseable trace file. Callers
-/// that want the event count call [`finish_stream`] before the guard drops.
-pub fn stream_to_file(path: &Path) -> std::io::Result<StreamGuard> {
+/// that want the event count call [`finish_trace_stream`] before the guard
+/// drops.
+pub fn stream_trace_to_file(path: &Path) -> std::io::Result<StreamGuard> {
     epoch();
     STREAM.open(
         path,
@@ -125,7 +127,7 @@ pub fn stream_to_file(path: &Path) -> std::io::Result<StreamGuard> {
     Ok(StreamGuard { _private: () })
 }
 
-/// Drop guard returned by [`stream_to_file`]: finishes the open trace
+/// Drop guard returned by [`stream_trace_to_file`]: finishes the open trace
 /// stream when dropped, including during a panic unwind.
 #[must_use = "dropping the guard immediately would finish the stream now"]
 pub struct StreamGuard {
@@ -136,14 +138,14 @@ impl Drop for StreamGuard {
     fn drop(&mut self) {
         // Idempotent; errors are swallowed because drop may run while
         // unwinding, where the original panic matters more.
-        let _ = finish_stream();
+        let _ = finish_trace_stream();
     }
 }
 
 /// Turns spans off and finishes the trace stream: writes the `traceEvents`
 /// terminator and the `droppedEvents: 0` footer, flushes, and returns the
 /// number of events written. `Ok(None)` when no stream was open.
-pub fn finish_stream() -> std::io::Result<Option<u64>> {
+pub fn finish_trace_stream() -> std::io::Result<Option<u64>> {
     STREAM.finish()
 }
 
@@ -212,12 +214,12 @@ mod tests {
     fn spans_stream_only_while_a_stream_is_open() {
         let _g = locked();
         let path = tmp("open");
-        assert_eq!(finish_stream().unwrap(), None);
+        assert_eq!(finish_trace_stream().unwrap(), None);
         assert!(!is_enabled());
         {
             let _s = span(SpanKind::TierUpgrade);
         }
-        let _guard = stream_to_file(&path).unwrap();
+        let _guard = stream_trace_to_file(&path).unwrap();
         assert!(is_enabled());
         {
             let _s = span(SpanKind::RiaRebuild);
@@ -234,7 +236,7 @@ mod tests {
         .join()
         .unwrap();
         assert_ne!(here, there);
-        assert!(finish_stream().unwrap() >= Some(3));
+        assert!(finish_trace_stream().unwrap() >= Some(3));
         assert!(!is_enabled());
         {
             let _s = span(SpanKind::TierUpgrade);
@@ -259,16 +261,16 @@ mod tests {
     fn opening_a_second_stream_finishes_the_first() {
         let _g = locked();
         let (first, second) = (tmp("first"), tmp("second"));
-        let _guard = stream_to_file(&first).unwrap();
+        let _guard = stream_trace_to_file(&first).unwrap();
         for _ in 0..1000 {
             let _s = span(SpanKind::Group);
         }
-        let _guard = stream_to_file(&second).unwrap();
+        let _guard = stream_trace_to_file(&second).unwrap();
         {
             let _s = span(SpanKind::TierUpgrade);
         }
-        assert!(finish_stream().unwrap() >= Some(1));
-        assert_eq!(finish_stream().unwrap(), None, "finish is idempotent");
+        assert!(finish_trace_stream().unwrap() >= Some(1));
+        assert_eq!(finish_trace_stream().unwrap(), None, "finish is idempotent");
         let json = read_document(&first);
         assert_eq!(
             (count(&json, "group"), count(&json, "tier_upgrade")),
@@ -289,7 +291,7 @@ mod tests {
         // A traced run that panics mid-stream: the guard unwinds with it
         // and must leave a complete, parseable trace document behind.
         let r = std::panic::catch_unwind(move || {
-            let _guard = stream_to_file(&path2).unwrap();
+            let _guard = stream_trace_to_file(&path2).unwrap();
             {
                 let _s = span(SpanKind::LiaRetrain);
             }

@@ -28,8 +28,8 @@ pub use varint::DeltaChunk;
 
 use std::sync::Arc;
 
-use lsgraph_api::set::{bulk_or_path_copy, difference, union, NeighborSet, SetTable};
 use lsgraph_api::{buffered_slices, CounterSnapshot, Footprint, MemoryFootprint, OpCounters};
+use lsgraph_api::{bulk_or_path_copy, sorted_difference, sorted_union, NeighborSet, SetTable};
 
 /// Expected chunk size: one in this many elements is a head.
 pub const CHUNK_FACTOR: u64 = 32;
@@ -445,11 +445,11 @@ impl NeighborSet for CTreeSet {
     }
 
     fn insert_run(&mut self, run: &[u32], c: &OpCounters) -> usize {
-        bulk_or_path_copy(self, run, c, union, Self::inserted_with)
+        bulk_or_path_copy(self, run, c, sorted_union, Self::inserted_with)
     }
 
     fn delete_run(&mut self, run: &[u32], c: &OpCounters) -> usize {
-        bulk_or_path_copy(self, run, c, difference, Self::deleted_with)
+        bulk_or_path_copy(self, run, c, sorted_difference, Self::deleted_with)
     }
 
     /// Verifies ordering, head selection, and length accounting.

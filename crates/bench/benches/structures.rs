@@ -9,8 +9,8 @@ use std::hint::black_box;
 
 use lsgraph_api::StructStats;
 use lsgraph_btree::BTreeSet32;
-use lsgraph_core::model::{LinearModel, PlrModel, PositionModel};
 use lsgraph_core::{Config, LiaSearch, Ria, Spill};
+use lsgraph_core::{LinearModel, PlrModel, PositionModel};
 use lsgraph_pma::{Pma, PmaParams};
 
 fn keys(n: usize, seed: u64) -> Vec<u32> {

@@ -33,12 +33,10 @@
 //! `check --baseline BENCH_<exp>.json` re-runs that experiment at the
 //! baseline's recorded scale and exits nonzero if any invariant counter is
 //! nonzero or a structural counter regressed past tolerance; see
-//! `lsgraph_bench::check`. `check --metrics <path>` validates a recorded
+//! `lsgraph_bench::compare`. `check --metrics <path>` validates a recorded
 //! metrics stream instead (exact sample count, contiguous ticks, monotone
 //! counters); the two flags compose.
 
-use lsgraph_api::{metrics, trace};
-use lsgraph_bench::{check, experiments};
 use lsgraph_bench::{BenchReport, Scale};
 
 fn emit(report: &BenchReport) {
@@ -73,7 +71,7 @@ fn check_metrics_file(path: &str) -> usize {
             std::process::exit(2);
         }
     };
-    let errs = check::check_metrics(&text);
+    let errs = lsgraph_bench::check_metrics(&text);
     for e in &errs {
         eprintln!("[repro] [metrics] {e}");
     }
@@ -115,24 +113,25 @@ fn run_check(baseline_path: &str, metrics_violations: usize) -> ! {
         baseline.experiment, scale.base, scale.shift, scale.trials
     );
     let current = match baseline.experiment.as_str() {
-        "fig12" => experiments::fig12_report(&scale),
-        "small" => experiments::small_batches_report(&scale),
-        "fig13" => experiments::fig13_report(&scale),
-        "durability" => experiments::durability_report(&scale),
-        "mixed" => experiments::mixed_report(&scale),
-        "standing" => experiments::standing_report(&scale),
+        "fig12" => lsgraph_bench::fig12_report(&scale),
+        "small" => lsgraph_bench::small_batches_report(&scale),
+        "fig13" => lsgraph_bench::fig13_report(&scale),
+        "durability" => lsgraph_bench::durability_report(&scale),
+        "mixed" => lsgraph_bench::mixed_report(&scale),
+        "standing" => lsgraph_bench::standing_report(&scale),
         other => {
             eprintln!("[repro] no check support for experiment '{other}'");
             std::process::exit(2);
         }
     };
-    let violations = check::compare(&baseline, &current, check::CheckOptions::default());
+    let violations =
+        lsgraph_bench::compare(&baseline, &current, lsgraph_bench::CheckOptions::default());
     for v in &violations {
         eprintln!("[repro] {}", v.human());
     }
     print!(
         "{}",
-        check::violations_json(&baseline.experiment, &violations)
+        lsgraph_bench::violations_json(&baseline.experiment, &violations)
     );
     if violations.is_empty() && metrics_violations == 0 {
         eprintln!(
@@ -184,7 +183,7 @@ fn main() {
     // its guard finishes the file on drop, so a panicking experiment still
     // leaves a parseable trace behind.
     let _trace_guard = trace_path.as_ref().map(|path| {
-        trace::stream_to_file(std::path::Path::new(path)).unwrap_or_else(|e| {
+        lsgraph_api::stream_trace_to_file(std::path::Path::new(path)).unwrap_or_else(|e| {
             eprintln!("[repro] cannot open trace file {path}: {e}");
             std::process::exit(1);
         })
@@ -192,7 +191,7 @@ fn main() {
     if let Some(path) = &metrics_path {
         // Install the metrics sink before the experiments run; instrumented
         // experiments (currently `mixed`) write the header and tick samples.
-        if let Err(e) = metrics::stream_to_file(std::path::Path::new(path)) {
+        if let Err(e) = lsgraph_api::stream_metrics_to_file(std::path::Path::new(path)) {
             eprintln!("[repro] cannot open metrics stream {path}: {e}");
             std::process::exit(1);
         }
@@ -201,27 +200,27 @@ fn main() {
         if json {
             match arg.as_str() {
                 "fig12" | "del" => {
-                    emit(&experiments::fig12_report(&scale));
+                    emit(&lsgraph_bench::fig12_report(&scale));
                     continue;
                 }
                 "small" => {
-                    emit(&experiments::small_batches_report(&scale));
+                    emit(&lsgraph_bench::small_batches_report(&scale));
                     continue;
                 }
                 "fig13" => {
-                    emit(&experiments::fig13_report(&scale));
+                    emit(&lsgraph_bench::fig13_report(&scale));
                     continue;
                 }
                 "durability" => {
-                    emit(&experiments::durability_report(&scale));
+                    emit(&lsgraph_bench::durability_report(&scale));
                     continue;
                 }
                 "mixed" => {
-                    emit(&experiments::mixed_report(&scale));
+                    emit(&lsgraph_bench::mixed_report(&scale));
                     continue;
                 }
                 "standing" => {
-                    emit(&experiments::standing_report(&scale));
+                    emit(&lsgraph_bench::standing_report(&scale));
                     continue;
                 }
                 other => {
@@ -230,26 +229,26 @@ fn main() {
             }
         }
         match arg.as_str() {
-            "fig3" => experiments::fig3(&scale),
-            "fig4" => experiments::fig4(&scale),
-            "fig12" | "del" => experiments::fig12(&scale),
-            "small" => experiments::small_batches(&scale),
-            "ablation" => experiments::ablation(&scale),
-            "fig13" => experiments::fig13(&scale),
-            "table2" => experiments::table2(&scale),
-            "table3" => experiments::table3(&scale),
-            "fig14" => experiments::fig14(&scale),
-            "fig15" => experiments::fig15(&scale),
-            "fig16" => experiments::fig16(&scale),
-            "fig17" => experiments::fig17(&scale),
-            "table4" => experiments::table4(&scale),
-            "durability" => experiments::durability(&scale),
-            "mixed" => experiments::mixed(&scale),
-            "standing" => experiments::standing(&scale),
-            "sortledton" => experiments::sortledton(&scale),
-            "verify" => experiments::verify(&scale),
-            "g500" => experiments::g500(&scale),
-            "all" => experiments::all(&scale),
+            "fig3" => lsgraph_bench::fig3(&scale),
+            "fig4" => lsgraph_bench::fig4(&scale),
+            "fig12" | "del" => lsgraph_bench::fig12(&scale),
+            "small" => lsgraph_bench::small_batches(&scale),
+            "ablation" => lsgraph_bench::ablation(&scale),
+            "fig13" => lsgraph_bench::fig13(&scale),
+            "table2" => lsgraph_bench::table2(&scale),
+            "table3" => lsgraph_bench::table3(&scale),
+            "fig14" => lsgraph_bench::fig14(&scale),
+            "fig15" => lsgraph_bench::fig15(&scale),
+            "fig16" => lsgraph_bench::fig16(&scale),
+            "fig17" => lsgraph_bench::fig17(&scale),
+            "table4" => lsgraph_bench::table4(&scale),
+            "durability" => lsgraph_bench::durability(&scale),
+            "mixed" => lsgraph_bench::mixed(&scale),
+            "standing" => lsgraph_bench::standing(&scale),
+            "sortledton" => lsgraph_bench::sortledton(&scale),
+            "verify" => lsgraph_bench::verify(&scale),
+            "g500" => lsgraph_bench::g500(&scale),
+            "all" => lsgraph_bench::all(&scale),
             other => {
                 eprintln!("unknown experiment: {other}");
                 std::process::exit(2);
@@ -257,7 +256,7 @@ fn main() {
         }
     }
     if let Some(path) = trace_path {
-        match trace::finish_stream() {
+        match lsgraph_api::finish_trace_stream() {
             Ok(Some(events)) => {
                 eprintln!("[repro] wrote trace {path} ({events} events, 0 dropped)")
             }
@@ -269,7 +268,7 @@ fn main() {
         }
     }
     if let Some(path) = metrics_path {
-        match metrics::finish_stream() {
+        match lsgraph_api::finish_metrics_stream() {
             Ok(Some(samples)) => {
                 eprintln!("[repro] wrote metrics {path} ({samples} samples)")
             }

@@ -8,7 +8,7 @@
 //! compare counters cell by cell.
 //!
 //! Which rule a structural counter is held to is its `gate` column in the
-//! metric table (`lsgraph_api::counters`; EXPERIMENTS.md renders it):
+//! metric table (`crates/api/src/counters.rs`; EXPERIMENTS.md renders it):
 //!
 //! - **Invariants** ([`Gate::Invariant`]): counters
 //!   that stay at zero in a correct build — those the paper's design proves
@@ -301,10 +301,10 @@ pub fn check_metrics(text: &str) -> Vec<String> {
         Err(e) => return vec![format!("metrics header is not valid JSON: {e}")],
     };
     match jget(&header, "schema") {
-        Some(Json::Str(s)) if s == lsgraph_api::metrics::METRICS_SCHEMA => {}
+        Some(Json::Str(s)) if s == lsgraph_api::METRICS_SCHEMA => {}
         other => errs.push(format!(
             "metrics header schema must be \"{}\", got {other:?}",
-            lsgraph_api::metrics::METRICS_SCHEMA
+            lsgraph_api::METRICS_SCHEMA
         )),
     }
     if !matches!(jget(&header, "experiment"), Some(Json::Str(_))) {

@@ -6,7 +6,7 @@ use std::time::Duration;
 use lsgraph_api::{DynamicGraph, Edge, Graph, MemoryFootprint};
 use lsgraph_aspen::AspenGraph;
 use lsgraph_core::{Config, HighDegreeStore, LiaSearch, LsGraph, MediumStore};
-use lsgraph_gen::{rmat, temporal::TEMPORAL_PROFILES, DatasetProfile, RmatParams};
+use lsgraph_gen::{rmat, DatasetProfile, RmatParams, TEMPORAL_PROFILES};
 use lsgraph_pactree::PacGraph;
 use lsgraph_terrace::TerraceGraph;
 
@@ -471,7 +471,7 @@ pub fn table3(scale: &Scale) {
     }
     // Self-reported splits above vs what the process actually allocated;
     // the gap is allocator slack plus harness overhead.
-    println!("# process heap: {}", lsgraph_api::footprint::heap_summary());
+    println!("# process heap: {}", lsgraph_api::heap_summary());
 }
 
 /// §6.2 component ablation: PMA-for-RIA, RIA-only, binary search in LIA.
@@ -1266,12 +1266,12 @@ pub fn mixed_report(scale: &Scale) -> BenchReport {
     let gscale = p.log_vertices - shift;
     let n = p.scaled_vertices(shift);
     let base = p.generate(shift, 42);
-    if lsgraph_api::metrics::is_streaming() {
+    if lsgraph_api::is_metrics_streaming() {
         // Deterministic sample budget: (rounds + 1 quiescence tick) per
         // cell. `repro check --metrics` asserts the file hits it exactly.
         let rounds = 8 * scale.trials.max(1) as u64;
         let expected = scale.batch_sizes().len() as u64 * (rounds + 1);
-        lsgraph_api::metrics::write_header("mixed", expected).expect("metrics header failed");
+        lsgraph_api::write_metrics_header("mixed", expected).expect("metrics header failed");
     }
     let engines = scale
         .batch_sizes()
@@ -1548,7 +1548,7 @@ pub fn verify(scale: &Scale) {
     let src = max_degree_vertex(&oracle);
     let want_dist = {
         let par = lsgraph_analytics::bfs(&oracle, src);
-        lsgraph_analytics::bfs::distances_from_parents(&oracle, src, &par)
+        lsgraph_analytics::distances_from_parents(&oracle, src, &par)
     };
     let want_cc = lsgraph_analytics::connected_components(&oracle);
     let want_tc = lsgraph_analytics::triangle_count(&oracle).triangles;
@@ -1562,7 +1562,7 @@ pub fn verify(scale: &Scale) {
             }
         }
         let par = lsgraph_analytics::bfs(g.as_ref(), src);
-        if lsgraph_analytics::bfs::distances_from_parents(g.as_ref(), src, &par) != want_dist {
+        if lsgraph_analytics::distances_from_parents(g.as_ref(), src, &par) != want_dist {
             fails.push("bfs");
         }
         if lsgraph_analytics::connected_components(g.as_ref()) != want_cc {

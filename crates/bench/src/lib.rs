@@ -6,16 +6,19 @@
 //! EXPERIMENTS.md records the mapping from each function to the paper
 //! artifact and the expected qualitative result.
 
-pub mod check;
-pub mod experiments;
-pub mod report;
-pub mod runner;
+mod check;
+mod experiments;
+mod report;
+mod runner;
 
-pub use check::{compare, CheckOptions, Violation, ViolationKind};
-pub use report::{BenchReport, EngineReport, FootprintReport, KernelTime, SCHEMA_VERSION};
-pub use runner::{
-    build_engine, build_engine_scaled, engines, scaled_config, time, EngineKind, Scale,
+pub use check::{check_metrics, compare, violations_json, CheckOptions, Violation, ViolationKind};
+pub use experiments::{
+    ablation, all, durability, durability_report, fig12, fig12_report, fig13, fig13_report, fig14,
+    fig15, fig16, fig17, fig3, fig4, g500, mixed, mixed_report, small_batches,
+    small_batches_report, sortledton, standing, standing_report, table2, table3, table4, verify,
 };
+pub use report::{parse_json, BenchReport, Json};
+pub use runner::{build_engine, engines, EngineKind, Scale};
 
 use lsgraph_api::{DynamicGraph, MemoryFootprint};
 

@@ -358,7 +358,7 @@ report_object! {
 report_object! {
     /// A full experiment report.
     BenchReport {
-        /// Schema version ([`SCHEMA_VERSION`] at write time).
+        /// Schema version (`SCHEMA_VERSION` at write time).
         schema_version: u32,
         /// Experiment id (`fig12`, `small`, ...).
         experiment: String,

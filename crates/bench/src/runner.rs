@@ -132,11 +132,6 @@ impl Scale {
         self.base + self.shift
     }
 
-    /// Base-graph edge count at this scale.
-    pub fn base_edges(&self) -> usize {
-        1usize << (self.graph_scale() + 4)
-    }
-
     /// Batch sizes for the Fig. 12-style sweeps (the paper sweeps
     /// 10^4..10^8; we sweep the same number of magnitudes scaled down).
     pub fn batch_sizes(&self) -> Vec<usize> {

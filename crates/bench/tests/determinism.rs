@@ -6,13 +6,13 @@
 //! differ between runs. This is what makes `BENCH_*.json` trajectories
 //! comparable across commits.
 
-use lsgraph_bench::{experiments, Scale};
+use lsgraph_bench::{small_batches_report, Scale};
 
 #[test]
 fn same_seed_runs_reproduce_counters_exactly() {
     let scale = Scale::tiny();
-    let a = experiments::small_batches_report(&scale);
-    let b = experiments::small_batches_report(&scale);
+    let a = small_batches_report(&scale);
+    let b = small_batches_report(&scale);
     assert_eq!(a.engines.len(), b.engines.len());
     for (x, y) in a.engines.iter().zip(&b.engines) {
         assert_eq!(x.engine, y.engine);

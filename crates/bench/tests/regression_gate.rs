@@ -3,8 +3,10 @@
 //! same-seed runs, and the trace export round-tripping through the
 //! harness's own JSON parser.
 
-use lsgraph_api::trace;
-use lsgraph_bench::{check, experiments, BenchReport, Scale};
+use lsgraph_api::{finish_trace_stream, span, span_named, stream_trace_to_file, SpanKind};
+use lsgraph_bench::{
+    compare, parse_json, small_batches_report, BenchReport, CheckOptions, Scale, ViolationKind,
+};
 
 /// A clean same-seed re-run must pass the gate, and perturbing a gated
 /// counter in the baseline must fail it — the ISSUE's injected-regression
@@ -12,10 +14,10 @@ use lsgraph_bench::{check, experiments, BenchReport, Scale};
 #[test]
 fn gate_passes_clean_run_and_fails_perturbed_baseline() {
     let scale = Scale::tiny();
-    let baseline = experiments::small_batches_report(&scale);
-    let current = experiments::small_batches_report(&scale);
-    let opts = check::CheckOptions::default();
-    let clean = check::compare(&baseline, &current, opts);
+    let baseline = small_batches_report(&scale);
+    let current = small_batches_report(&scale);
+    let opts = CheckOptions::default();
+    let clean = compare(&baseline, &current, opts);
     assert!(clean.is_empty(), "clean run flagged: {clean:?}");
 
     // Inject a regression: pretend the baseline had (almost) no structural
@@ -33,16 +35,16 @@ fn gate_passes_clean_run_and_fails_perturbed_baseline() {
         "tiny-scale run produced too few tier upgrades ({real}) to exercise the gate"
     );
     ss.tier_upgrades = 0;
-    let v = check::compare(&perturbed, &current, opts);
+    let v = compare(&perturbed, &current, opts);
     assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].kind, check::ViolationKind::Regression);
+    assert_eq!(v[0].kind, ViolationKind::Regression);
     assert_eq!(v[0].counter, "tier_upgrades");
     assert_eq!(v[0].current, real);
 
     // The gate also survives a serialization round trip of both documents.
     let baseline2 = BenchReport::from_json(&baseline.to_json()).unwrap();
     let current2 = BenchReport::from_json(&current.to_json()).unwrap();
-    assert!(check::compare(&baseline2, &current2, opts).is_empty());
+    assert!(compare(&baseline2, &current2, opts).is_empty());
 }
 
 /// Latency histogram *counts* are deterministic across same-seed runs (one
@@ -51,8 +53,8 @@ fn gate_passes_clean_run_and_fails_perturbed_baseline() {
 #[test]
 fn histogram_counts_are_deterministic_across_runs() {
     let scale = Scale::tiny();
-    let a = experiments::small_batches_report(&scale);
-    let b = experiments::small_batches_report(&scale);
+    let a = small_batches_report(&scale);
+    let b = small_batches_report(&scale);
     let la = a
         .engines
         .iter()
@@ -74,18 +76,18 @@ fn histogram_counts_are_deterministic_across_runs() {
 #[test]
 fn trace_export_round_trips_through_json_parser() {
     let path = std::env::temp_dir().join(format!("lsgraph_gate_trace_{}.json", std::process::id()));
-    let _guard = trace::stream_to_file(&path).expect("open trace stream");
+    let _guard = stream_trace_to_file(&path).expect("open trace stream");
     {
-        let _s = trace::span(trace::SpanKind::Sort);
+        let _s = span(SpanKind::Sort);
         std::thread::sleep(std::time::Duration::from_micros(50));
     }
     {
-        let _k = trace::span_named(trace::SpanKind::Kernel, "bfs");
+        let _k = span_named(SpanKind::Kernel, "bfs");
     }
-    assert!(trace::finish_stream().unwrap() >= Some(2));
+    assert!(finish_trace_stream().unwrap() >= Some(2));
     let doc = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    let v = lsgraph_bench::report::parse_json(&doc).expect("trace JSON parses");
+    let v = parse_json(&doc).expect("trace JSON parses");
     let s = format!("{v:?}");
     assert!(s.contains("traceEvents"));
     assert!(s.contains("kernel:bfs"));

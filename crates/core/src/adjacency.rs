@@ -16,8 +16,7 @@
 //! this crate passes anything but 0.
 
 use lsgraph_api::fail_point;
-use lsgraph_api::trace::{span, SpanKind};
-use lsgraph_api::{Footprint, MemoryFootprint, StructStats};
+use lsgraph_api::{span, Footprint, MemoryFootprint, SpanKind, StructStats};
 use lsgraph_pma::{Pma, PmaParams};
 
 use crate::config::{Config, HighDegreeStore, MediumStore};

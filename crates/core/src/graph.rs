@@ -365,23 +365,12 @@ impl LsGraph {
     }
 
     /// Removes every out-edge of `v`, returning how many were removed
-    /// (vertex deletion for directed use; for symmetric graphs pair with
-    /// [`LsGraph::clear_vertex_undirected`]).
+    /// (vertex deletion for directed use: in-edges stay).
     pub fn clear_vertex(&mut self, v: VertexId) -> usize {
         let removed = self.degree(v);
         self.install_block(v, VertexBlock::new());
         self.view.num_edges -= removed;
         removed
-    }
-
-    /// Removes `v`'s out-edges *and* their mirrors from the neighbors'
-    /// adjacency — full vertex deletion on a symmetric graph. Returns the
-    /// number of directed edges removed.
-    pub fn clear_vertex_undirected(&mut self, v: VertexId) -> usize {
-        let ns = self.neighbors(v);
-        let mirrors: Vec<Edge> = ns.iter().map(|&u| Edge::new(u, v)).collect();
-        let back = self.delete_batch(&mirrors);
-        back + self.clear_vertex(v)
     }
 
     /// Inserts a batch, surfacing contained per-vertex faults as a
@@ -901,20 +890,6 @@ mod tests {
         assert!(g.has_edge(1, 0), "in-edges untouched by directed clear");
         g.check_invariants();
         assert_eq!(g.clear_vertex(3), 0);
-    }
-
-    #[test]
-    fn clear_vertex_undirected() {
-        let mut g = LsGraph::new(5);
-        g.insert_batch_undirected(&edges(&[(0, 1), (0, 2), (0, 3), (1, 2)]));
-        let removed = g.clear_vertex_undirected(0);
-        assert_eq!(removed, 6);
-        assert_eq!(g.degree(0), 0);
-        for v in 1..4u32 {
-            assert!(!g.has_edge(v, 0), "mirror edge ({v},0) must be gone");
-        }
-        assert!(g.has_edge(1, 2) && g.has_edge(2, 1));
-        g.check_invariants();
     }
 
     /// The dirty set against a `BTreeSet` of what each operation must mark:

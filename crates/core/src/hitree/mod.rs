@@ -1,6 +1,6 @@
 //! HITree — the *Hybrid Indexed Tree* (paper §3.2, Fig. 8).
 //!
-//! A high-degree vertex's spill is a HITree: a [`Lia`] (learned placement,
+//! A high-degree vertex's spill is a HITree: a [`Lia`](lia::Lia) (learned placement,
 //! horizontal-then-vertical conflict resolution) whose overflowing blocks
 //! point at further [`Spill`](crate::adjacency::Spill)s — RIAs, arrays, or
 //! LIAs again. The hybrid combines the PMA-like cache locality of gapped
@@ -10,8 +10,6 @@
 
 pub(crate) mod lia;
 pub mod typevec;
-
-pub use lia::Lia;
 
 /// LIA slot occupancy by slot type, aggregated over a subtree (the paper's
 /// §3.2 U/E/B/C entries).

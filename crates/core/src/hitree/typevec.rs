@@ -52,12 +52,6 @@ impl TypeVec {
         self.len
     }
 
-    /// Whether there are no slots.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Returns the type of slot `i`.
     ///
     /// # Panics

@@ -4,13 +4,13 @@
 //! stores each vertex's adjacency in a degree-tiered, hierarchically indexed
 //! representation:
 //!
-//! * one cache-line [`vertex block`](vertex::VertexBlock) per vertex with
-//!   inline neighbors,
+//! * one cache-line [`vertex block`](VertexBlock) per vertex with inline
+//!   neighbors,
 //! * one container, [`Spill`], behind the block's pointer for the rest: a
 //!   sorted array, a [`Ria`] (Redundant Indexed Array), or a HITree — a
-//!   [`Lia`](hitree::Lia) whose overflowing blocks point at `Spill`s again —
-//!   chosen by how many ids sit behind the pointer ([`adjacency`]'s tier
-//!   ladder); every container stores plain `u32` ids, uncompressed,
+//!   LIA whose overflowing blocks point at `Spill`s again — chosen by how
+//!   many ids sit behind the pointer (the tier ladder); every container
+//!   stores plain `u32` ids, uncompressed,
 //!
 //! and regulates data movement distance on updates: horizontal movement
 //! within/near cache-line blocks first, array expansion by the space
@@ -34,17 +34,17 @@
 //! assert_eq!(g.degree(0), 0);
 //! ```
 
-pub mod adjacency;
-pub mod config;
-pub mod directory;
-pub mod error;
-pub mod graph;
-pub mod hitree;
-pub mod model;
-pub mod ria;
-pub mod snapshot;
-pub mod stats;
-pub mod vertex;
+mod adjacency;
+mod config;
+mod directory;
+mod error;
+mod graph;
+mod hitree;
+mod model;
+mod ria;
+mod snapshot;
+mod stats;
+mod vertex;
 
 pub use adjacency::Spill;
 pub use config::{Config, ConfigError, HighDegreeStore, LiaSearch, MediumStore, BKS, INLINE_CAP};
@@ -52,6 +52,8 @@ pub use directory::GraphView;
 pub use error::{BatchOutcome, GraphError, InvariantError};
 pub use graph::{BatchEvent, BatchKind, LsGraph, PostBatchHook};
 pub use hitree::SlotOccupancy;
-pub use ria::Ria;
+pub use model::{LinearModel, PlrModel, PositionModel};
+pub use ria::{InsertOutcome, Ria};
 pub use snapshot::GraphSnapshot;
 pub use stats::{Tier, TierStats};
+pub use vertex::VertexBlock;

@@ -56,9 +56,9 @@ impl LinearModel {
         }
     }
 
-    /// Raw (unclamped) prediction, exposed for error-bound tests.
+    /// Raw (unclamped) prediction.
     #[inline]
-    pub fn predict_f64(&self, key: u32) -> f64 {
+    fn predict_f64(&self, key: u32) -> f64 {
         self.slope * key as f64 + self.intercept
     }
 }
@@ -72,11 +72,6 @@ impl PositionModel for LinearModel {
         } else {
             (p as usize).min(self.slots - 1)
         }
-    }
-
-    #[inline]
-    fn slots(&self) -> usize {
-        self.slots
     }
 
     fn param_bytes(&self) -> usize {
@@ -108,7 +103,6 @@ mod tests {
         assert_eq!(m.predict(123), 0);
         let m = LinearModel::fit(&[42], 16);
         assert_eq!(m.predict(42), 0);
-        assert_eq!(m.slots(), 16);
     }
 
     #[test]

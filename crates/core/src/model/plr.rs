@@ -127,10 +127,6 @@ impl PositionModel for PlrModel {
         clamped.clamp(lo.min(self.slots - 1), self.max_slot[s])
     }
 
-    fn slots(&self) -> usize {
-        self.slots
-    }
-
     fn param_bytes(&self) -> usize {
         self.starts.len() * core::mem::size_of::<u32>()
             + self.segments.len() * core::mem::size_of::<Segment>()

@@ -16,8 +16,7 @@
 //! distributed evenly at build time), so it is memory-efficient.
 
 use lsgraph_api::fail_point;
-use lsgraph_api::trace::{span, SpanKind};
-use lsgraph_api::{Footprint, MemoryFootprint, StructStats};
+use lsgraph_api::{span, Footprint, MemoryFootprint, SpanKind, StructStats};
 
 use crate::config::BKS;
 
@@ -219,9 +218,23 @@ impl Ria {
         // Movement would exceed the locality bound: expand with factor α.
         let _span = span(SpanKind::RiaRebuild);
         fail_point!("ria_rebuild");
-        let mut all = self.to_vec();
-        let pos = all.partition_point(|&x| x < key);
-        all.insert(pos, key);
+        let mut all = Vec::with_capacity(self.len + 1);
+        let mut placed = false;
+        self.for_each_slice_while(&mut |s| {
+            if !placed && key < s[s.len() - 1] {
+                let p = s.partition_point(|&x| x < key);
+                all.extend_from_slice(&s[..p]);
+                all.push(key);
+                all.extend_from_slice(&s[p..]);
+                placed = true;
+            } else {
+                all.extend_from_slice(s);
+            }
+            true
+        });
+        if !placed {
+            all.push(key);
+        }
         self.rebuild_from(&all);
         stats.ria_rebuilds.record(1);
         InsertOutcome::InsertedWithRebuild

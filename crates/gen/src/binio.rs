@@ -1,12 +1,10 @@
-//! Shared binary I/O helpers: a hand-rolled CRC32 and length-prefixed,
-//! checksummed frames.
+//! Binary I/O helpers: a hand-rolled CRC32 and length-prefixed, checksummed
+//! frames.
 //!
-//! Both the edge-list [`loader`](crate::loader) and the durability layer
-//! (`lsgraph-persist`) write binary files that must detect truncation and
-//! corruption without external dependencies. This module gives them one
-//! shared vocabulary:
+//! The durability layer (`lsgraph-persist`) writes binary files that must
+//! detect truncation and corruption without external dependencies:
 //!
-//! - [`crc32`] / [`Crc32`]: the CRC-32/ISO-HDLC checksum (the ubiquitous
+//! - [`crc32`]: the CRC-32/ISO-HDLC checksum (the ubiquitous
 //!   IEEE 802.3 polynomial, reflected, init/xorout `0xFFFF_FFFF`) — the same
 //!   algorithm as zlib's `crc32()`, implemented with a compile-time 256-entry
 //!   table.
@@ -19,7 +17,7 @@
 use std::io::{self, Write};
 
 /// Bytes occupied by a frame header (length + checksum).
-pub const FRAME_HEADER_LEN: usize = 8;
+const FRAME_HEADER_LEN: usize = 8;
 
 /// CRC-32/ISO-HDLC lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {
@@ -42,44 +40,11 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// Streaming CRC-32/ISO-HDLC hasher for data that arrives in chunks.
-#[derive(Clone, Copy, Debug)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
-}
-
-impl Crc32 {
-    /// Creates a hasher in the initial state.
-    pub const fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Feeds `data` into the checksum.
-    pub fn update(&mut self, data: &[u8]) {
-        let mut c = self.state;
-        for &b in data {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.state = c;
-    }
-
-    /// Returns the checksum of everything fed so far.
-    pub fn finalize(self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
-/// One-shot CRC-32/ISO-HDLC of `data`.
+/// CRC-32/ISO-HDLC of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut h = Crc32::new();
-    h.update(data);
-    h.finalize()
+    !data.iter().fold(!0u32, |c, &b| {
+        CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+    })
 }
 
 /// Writes one frame: `u32 LE len | u32 LE crc32(payload) | payload`.
@@ -129,16 +94,6 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
-    }
-
-    #[test]
-    fn streaming_equals_one_shot() {
-        let data = b"split across several updates";
-        let mut h = Crc32::new();
-        for chunk in data.chunks(5) {
-            h.update(chunk);
-        }
-        assert_eq!(h.finalize(), crc32(data));
     }
 
     #[test]

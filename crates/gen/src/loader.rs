@@ -1,10 +1,10 @@
-//! Edge-list loaders: SNAP-style text and a compact binary format.
+//! Edge-list loader: SNAP-style text.
 //!
-//! When the paper's real datasets are available locally, these loaders let
+//! When the paper's real datasets are available locally, this loader lets
 //! the benchmark harness run on them instead of the synthetic stand-ins.
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader};
 use std::path::Path;
 
 use lsgraph_api::Edge;
@@ -41,105 +41,6 @@ pub fn load_snap_text(path: &Path) -> io::Result<Vec<Edge>> {
     Ok(edges)
 }
 
-/// Magic header of the legacy (checksum-less) binary edge format; still
-/// readable, no longer written.
-const MAGIC_V1: &[u8; 8] = b"LSGEDGE1";
-
-/// Magic header of the current binary edge format, which appends a CRC32
-/// trailer over the payload so truncation *and* corruption are detectable.
-const MAGIC: &[u8; 8] = b"LSGEDGE2";
-
-/// Writes edges in the compact binary format: magic, a u64 LE edge count
-/// (the same length header [`load_binary`] validates against the file size),
-/// little-endian u32 pairs, and a CRC32 trailer over the payload bytes.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the underlying writer.
-pub fn save_binary(path: &Path, edges: &[Edge]) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(MAGIC)?;
-    w.write_all(&(edges.len() as u64).to_le_bytes())?;
-    let mut crc = crate::binio::Crc32::new();
-    for e in edges {
-        let mut pair = [0u8; 8];
-        pair[0..4].copy_from_slice(&e.src.to_le_bytes());
-        pair[4..8].copy_from_slice(&e.dst.to_le_bytes());
-        crc.update(&pair);
-        w.write_all(&pair)?;
-    }
-    w.write_all(&crc.finalize().to_le_bytes())?;
-    w.flush()
-}
-
-/// Reads edges written by [`save_binary`] (either format version).
-///
-/// # Errors
-///
-/// Returns `InvalidData` on a bad magic header, a truncated payload, or (for
-/// the current format) a CRC32 trailer mismatch.
-pub fn load_binary(path: &Path) -> io::Result<Vec<Edge>> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    let has_trailer = match &magic {
-        m if m == MAGIC => true,
-        m if m == MAGIC_V1 => false,
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: not an LSGEDGE1/LSGEDGE2 file", path.display()),
-            ))
-        }
-    };
-    let mut lenb = [0u8; 8];
-    r.read_exact(&mut lenb)?;
-    let len = u64::from_le_bytes(lenb) as usize;
-    // Sanity-check the header against the actual file size before trusting
-    // it with an allocation: a corrupt length would otherwise drive a
-    // multi-GB `Vec::with_capacity` long before the payload read fails.
-    let trailer = if has_trailer { 4 } else { 0 };
-    let payload = std::fs::metadata(path)?
-        .len()
-        .saturating_sub((MAGIC.len() + lenb.len() + trailer) as u64);
-    if !matches!((len as u64).checked_mul(8), Some(claimed) if claimed <= payload) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "{}: header claims {len} edges but only {payload} payload bytes follow",
-                path.display()
-            ),
-        ));
-    }
-    let mut edges = Vec::with_capacity(len);
-    let mut crc = crate::binio::Crc32::new();
-    let mut buf = [0u8; 8];
-    for _ in 0..len {
-        r.read_exact(&mut buf)?;
-        crc.update(&buf);
-        edges.push(Edge::new(
-            u32::from_le_bytes(buf[0..4].try_into().expect("4-byte slice")),
-            u32::from_le_bytes(buf[4..8].try_into().expect("4-byte slice")),
-        ));
-    }
-    if has_trailer {
-        let mut crcb = [0u8; 4];
-        r.read_exact(&mut crcb)?;
-        let expect = u32::from_le_bytes(crcb);
-        let got = crc.finalize();
-        if got != expect {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{}: payload checksum {got:#010x} != trailer {expect:#010x}",
-                    path.display()
-                ),
-            ));
-        }
-    }
-    Ok(edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,86 +66,6 @@ mod tests {
         let p = tmp("bad.txt");
         std::fs::write(&p, "0 x\n").unwrap();
         assert!(load_snap_text(&p).is_err());
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let p = tmp("edges.bin");
-        let edges: Vec<Edge> = (0..1_000u32)
-            .map(|i| Edge::new(i, i.wrapping_mul(7) % 100))
-            .collect();
-        save_binary(&p, &edges).unwrap();
-        assert_eq!(load_binary(&p).unwrap(), edges);
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn binary_rejects_wrong_magic() {
-        let p = tmp("notbin.bin");
-        std::fs::write(&p, b"WRONGMAGIC____").unwrap();
-        assert!(load_binary(&p).is_err());
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn binary_rejects_truncated_payload() {
-        let p = tmp("truncated.bin");
-        let edges: Vec<Edge> = (0..100u32).map(|i| Edge::new(i, i + 1)).collect();
-        save_binary(&p, &edges).unwrap();
-        // Chop off the last 20 bytes: the header still claims 100 edges.
-        let bytes = std::fs::read(&p).unwrap();
-        std::fs::write(&p, &bytes[..bytes.len() - 20]).unwrap();
-        let err = load_binary(&p).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("claims 100 edges"), "{err}");
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn binary_rejects_flipped_payload_byte() {
-        let p = tmp("corrupt.bin");
-        let edges: Vec<Edge> = (0..100u32).map(|i| Edge::new(i, i + 1)).collect();
-        save_binary(&p, &edges).unwrap();
-        // Flip one payload bit; the length header stays consistent, so only
-        // the CRC32 trailer can catch this.
-        let mut bytes = std::fs::read(&p).unwrap();
-        bytes[100] ^= 0x40;
-        std::fs::write(&p, &bytes).unwrap();
-        let err = load_binary(&p).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("checksum"), "{err}");
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn binary_reads_legacy_v1_files() {
-        let p = tmp("legacy.bin");
-        let edges: Vec<Edge> = (0..50u32).map(|i| Edge::new(i, 2 * i)).collect();
-        // Hand-write the checksum-less LSGEDGE1 layout.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
-        bytes.extend_from_slice(&(edges.len() as u64).to_le_bytes());
-        for e in &edges {
-            bytes.extend_from_slice(&e.src.to_le_bytes());
-            bytes.extend_from_slice(&e.dst.to_le_bytes());
-        }
-        std::fs::write(&p, &bytes).unwrap();
-        assert_eq!(load_binary(&p).unwrap(), edges);
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn binary_rejects_oversized_length_header() {
-        let p = tmp("oversized.bin");
-        // A valid magic followed by an absurd length and no payload must be
-        // rejected up front, not after attempting a huge allocation.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
-        std::fs::write(&p, &bytes).unwrap();
-        let err = load_binary(&p).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_file(&p).ok();
     }
 }

@@ -63,21 +63,12 @@ impl DatasetProfile {
         1usize << self.log_vertices.saturating_sub(scale_shift)
     }
 
-    /// Number of edges preserving the real average degree at that scale.
-    pub fn scaled_edges(&self, scale_shift: u32) -> usize {
-        (self.scaled_vertices(scale_shift) as f64 * self.avg_degree) as usize
-    }
-
     /// Generates the scaled stand-in graph with the paper's R-MAT
-    /// parameters.
+    /// parameters and the real average degree.
     pub fn generate(&self, scale_shift: u32, seed: u64) -> Vec<Edge> {
         let scale = self.log_vertices.saturating_sub(scale_shift);
-        rmat(
-            scale,
-            self.scaled_edges(scale_shift),
-            RmatParams::paper(),
-            seed,
-        )
+        let m = (self.scaled_vertices(scale_shift) as f64 * self.avg_degree) as usize;
+        rmat(scale, m, RmatParams::paper(), seed)
     }
 }
 
@@ -94,8 +85,8 @@ mod tests {
     #[test]
     fn scaling_preserves_average_degree() {
         let p = DatasetProfile::by_name("OR").unwrap();
-        let n = p.scaled_vertices(8);
-        let m = p.scaled_edges(8);
+        let n = p.scaled_vertices(12);
+        let m = p.generate(12, 1).len();
         let avg = m as f64 / n as f64;
         assert!((avg - p.avg_degree).abs() < 1.0);
     }

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use lsgraph_api::set::{bulk_or_path_copy, difference, union, NeighborSet, SetTable};
+use lsgraph_api::{bulk_or_path_copy, sorted_difference, sorted_union, NeighborSet, SetTable};
 use lsgraph_api::{CounterSnapshot, Footprint, MemoryFootprint, OpCounters};
 
 /// Target minimum leaf size; leaves hold at most `2 * LEAF_B` keys.
@@ -268,11 +268,11 @@ impl NeighborSet for PacSet {
     }
 
     fn insert_run(&mut self, run: &[u32], c: &OpCounters) -> usize {
-        bulk_or_path_copy(self, run, c, union, Self::inserted_with)
+        bulk_or_path_copy(self, run, c, sorted_union, Self::inserted_with)
     }
 
     fn delete_run(&mut self, run: &[u32], c: &OpCounters) -> usize {
-        bulk_or_path_copy(self, run, c, difference, Self::deleted_with)
+        bulk_or_path_copy(self, run, c, sorted_difference, Self::deleted_with)
     }
 
     /// Verifies ordering, separator ranges, size accounting, and leaf caps.

@@ -22,7 +22,7 @@
 //!
 //! On-disk layout, shared by both kinds: an 8-byte magic (`LSGCKPT1` for a
 //! full image `checkpoint-<id>.img`, `LSGCKPD1` for a delta
-//! `checkpoint-<id>.dlt`), then one [`binio`] frame
+//! `checkpoint-<id>.dlt`), then one [`write_frame`] frame
 //! (`u32 len | u32 CRC32 | body`), so a torn or bit-flipped image fails
 //! closed exactly like a torn WAL frame. The body is
 //!
@@ -57,7 +57,7 @@ use std::path::{Path, PathBuf};
 
 use lsgraph_api::{fail_point, Graph};
 use lsgraph_core::{Config, GraphView, LsGraph, Tier};
-use lsgraph_gen::binio;
+use lsgraph_gen::{parse_frame, write_frame};
 
 /// The two image kinds. They share the frame and the body grammar and
 /// differ in magic, file extension, and whether a parent id follows the
@@ -286,7 +286,7 @@ fn write_image(
     {
         let mut f = File::create(&tmp)?;
         f.write_all(kind.magic())?;
-        binio::write_frame(&mut f, &body)?;
+        write_frame(&mut f, &body)?;
         f.sync_data()?;
     }
     fs::rename(&tmp, &path)?;
@@ -359,7 +359,7 @@ fn parse_image(path: &Path, kind: ImageKind, cfg: &Config) -> io::Result<ParsedI
         let magic = String::from_utf8_lossy(magic);
         return Err(invalid(path, format_args!("not an {magic} image")));
     }
-    let (body, consumed) = binio::parse_frame(&raw[magic.len()..])
+    let (body, consumed) = parse_frame(&raw[magic.len()..])
         .ok_or_else(|| invalid(path, "torn or corrupt checkpoint frame"))?;
     if magic.len() + consumed != raw.len() {
         return Err(invalid(path, "trailing bytes after image frame"));
@@ -462,7 +462,7 @@ fn parse_image(path: &Path, kind: ImageKind, cfg: &Config) -> io::Result<ParsedI
 ///
 /// `InvalidData` for a bad magic, torn frame, config mismatch, or any
 /// structural inconsistency; other I/O errors propagate.
-pub fn load_checkpoint(path: &Path, cfg: Config) -> io::Result<(LsGraph, CheckpointMeta)> {
+fn load_checkpoint(path: &Path, cfg: Config) -> io::Result<(LsGraph, CheckpointMeta)> {
     let image = parse_image(path, ImageKind::Full, &cfg)?;
     if image.neighbors.len() != image.num_edges {
         return Err(invalid(
@@ -494,7 +494,7 @@ pub fn load_checkpoint(path: &Path, cfg: Config) -> io::Result<(LsGraph, Checkpo
 ///
 /// `InvalidData` on any validation failure (with `g` unmodified); other
 /// I/O errors propagate.
-pub fn apply_delta_checkpoint(
+fn apply_delta_checkpoint(
     path: &Path,
     g: &mut LsGraph,
     expect_parent: u64,
@@ -753,10 +753,10 @@ mod tests {
         // Returns the tag it replaced.
         let retag = |path: &Path, words: usize, tag: u8| {
             let raw = fs::read(path).unwrap();
-            let mut body = binio::parse_frame(&raw[8..]).unwrap().0.to_vec();
+            let mut body = parse_frame(&raw[8..]).unwrap().0.to_vec();
             let old = std::mem::replace(&mut body[8 * words + 4], tag);
             let mut bytes = raw[..8].to_vec();
-            binio::write_frame(&mut bytes, &body).unwrap();
+            write_frame(&mut bytes, &body).unwrap();
             fs::write(path, bytes).unwrap();
             old
         };
@@ -812,12 +812,12 @@ mod tests {
         let full = fs::read(checkpoint_file(&dir, 1)).unwrap();
         let delta = fs::read(delta_file(&dir, 2)).unwrap();
         assert_eq!(
-            (full.len(), binio::crc32(&full)),
+            (full.len(), lsgraph_gen::crc32(&full)),
             (4156, 2_160_554_020),
             "full image bytes moved"
         );
         assert_eq!(
-            (delta.len(), binio::crc32(&delta)),
+            (delta.len(), lsgraph_gen::crc32(&delta)),
             (3952, 150_772_469),
             "delta image bytes moved"
         );
@@ -837,7 +837,7 @@ mod tests {
         words.extend(tail);
         let body: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         let mut bytes = kind.magic().to_vec();
-        binio::write_frame(&mut bytes, &body).unwrap();
+        write_frame(&mut bytes, &body).unwrap();
         let path = kind.file(dir, 2);
         fs::write(&path, bytes).unwrap();
         path

@@ -7,20 +7,20 @@
 //! updates survive a crash — and keeps the on-disk footprint bounded
 //! while doing so:
 //!
-//! - [`wal`] — every batch is appended as a length-prefixed, CRC32-checked
+//! - `wal` — every batch is appended as a length-prefixed, CRC32-checked
 //!   frame *before* it is applied (write-ahead rule), with group-commit
 //!   buffering and explicit [`Store::sync`] durability points.
-//! - [`segment`] — the WAL split into fixed-budget rotating files
+//! - `segment` — the WAL split into fixed-budget rotating files
 //!   (`wal.000000`, `wal.000001`, …) with crash-safe rotation, positions
 //!   as `(segment, offset)` pairs, and whole-segment deletion for GC.
-//! - [`checkpoint`] — full images (the hierarchical representation walked
+//! - `checkpoint` — full images (the hierarchical representation walked
 //!   tier-natively into a versioned, self-validating binary) plus
 //!   dirty-vertex **delta** images that name their parent and only apply
 //!   on exactly that state, forming validated recovery chains.
-//! - [`retention`] — the GC rule (delete only what is strictly older than
+//! - `retention` — the GC rule (delete only what is strictly older than
 //!   the newest chain *proved* recoverable by loading it) and chain
 //!   compaction (fold deltas into a full image at the tip id).
-//! - [`store`] — recovery: newest recoverable chain + WAL-tail replay
+//! - `store` — recovery: newest recoverable chain + WAL-tail replay
 //!   through the normal batch pipeline, truncating the log at the first
 //!   torn or corrupt frame, degrading gracefully past corrupt deltas, and
 //!   reporting it all in a [`RecoveryReport`]. Checkpoints are also
@@ -39,14 +39,13 @@
 //! (`wal_append`, `wal_sync`, `wal_rotate`, `checkpoint_write`,
 //! `delta_checkpoint`, `segment_gc`, `recovery_replay`).
 
-pub mod checkpoint;
-pub mod retention;
-pub mod segment;
-pub mod store;
-pub mod wal;
+mod checkpoint;
+mod retention;
+mod segment;
+mod store;
+mod wal;
 
-pub use checkpoint::{ChainInfo, CheckpointMeta};
+pub use checkpoint::{delta_file, load_newest_chain, ChainInfo, CheckpointMeta};
 pub use retention::GcReport;
-pub use segment::{SegmentedWal, WalPosition};
-pub use store::{PendingCheckpoint, RecoveryReport, Store, StoreError, StoreOptions, WAL_FILE};
-pub use wal::{Wal, WalOp};
+pub use segment::{list_segments, segment_file, WalPosition};
+pub use store::{PendingCheckpoint, RecoveryReport, Store, StoreError, StoreOptions};

@@ -50,24 +50,15 @@ pub struct GcReport {
     pub segment_cutoff: u64,
 }
 
-/// The deletion cutoffs derived from one verified chain.
-#[derive(Clone, Copy, Debug)]
-pub struct RetentionCut {
-    /// Newest recoverable chain's base full image.
-    pub base_id: u64,
-    /// The chain tip's meta; replay resumes at its WAL position, so
-    /// segments below `tip.wal_segment` are dead.
-    pub tip: CheckpointMeta,
-}
-
 /// Verifies the newest recoverable chain by fully loading it, then deletes
 /// every image file strictly older than its base. The `segment_gc`
 /// failpoint is evaluated before each unlink, so crash tests can kill
-/// mid-GC and assert the survivors still recover. Returns the cutoffs for
-/// the caller to also reclaim WAL segments (the segmented WAL owns its own
-/// bookkeeping), or `None` when no chain verifies — in which case nothing
-/// at all is deleted: with no recoverable image the WAL is the only copy
-/// of history.
+/// mid-GC and assert the survivors still recover. Returns the verified
+/// chain's tip, whose WAL position is where replay resumes, so the caller
+/// reclaims the WAL segments below `tip.wal_segment` (the segmented WAL
+/// owns its own bookkeeping), or `None` when no chain verifies — in which
+/// case nothing at all is deleted: with no recoverable image the WAL is the
+/// only copy of history.
 ///
 /// # Errors
 ///
@@ -76,14 +67,10 @@ pub fn collect_image_garbage(
     dir: &Path,
     cfg: Config,
     report: &mut GcReport,
-) -> io::Result<Option<RetentionCut>> {
+) -> io::Result<Option<CheckpointMeta>> {
     let (restored, info) = checkpoint::load_newest_chain(dir, cfg)?;
     let Some((_, tip)) = restored else {
         return Ok(None);
-    };
-    let cut = RetentionCut {
-        base_id: info.base_id,
-        tip,
     };
     report.chain_base_id = info.base_id;
     report.segment_cutoff = tip.wal_segment;
@@ -98,7 +85,7 @@ pub fn collect_image_garbage(
         report.images_deleted += 1;
         report.image_bytes_deleted += len;
     }
-    Ok(Some(cut))
+    Ok(Some(tip))
 }
 
 /// Folds the newest recoverable delta chain into a full image at the
@@ -183,12 +170,12 @@ mod tests {
         let dir = tmpdir("gc-images");
         let g = two_chains(&dir);
         let mut report = GcReport::default();
-        let cut = collect_image_garbage(&dir, cfg(), &mut report)
+        let tip = collect_image_garbage(&dir, cfg(), &mut report)
             .unwrap()
             .unwrap();
-        assert_eq!(cut.base_id, 3);
-        assert_eq!(cut.tip.id, 4);
-        assert_eq!(cut.tip.wal_segment, 2);
+        assert_eq!(report.chain_base_id, 3);
+        assert_eq!(tip.id, 4);
+        assert_eq!(tip.wal_segment, 2);
         assert_eq!(report.images_deleted, 2, "full 1 and delta 2");
         assert!(report.image_bytes_deleted > 0);
         assert!(!checkpoint_file(&dir, 1).exists());

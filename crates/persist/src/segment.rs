@@ -46,7 +46,7 @@ pub fn segment_file(dir: &Path, index: u64) -> PathBuf {
 
 /// Extracts the index from a `wal.NNNNNN` file name; `None` for anything
 /// else (including the legacy single-file `wal.log`).
-pub fn segment_index_from_path(path: &Path) -> Option<u64> {
+fn segment_index_from_path(path: &Path) -> Option<u64> {
     let digits = path.file_name()?.to_str()?.strip_prefix("wal.")?;
     if digits.len() != 6 || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
@@ -236,11 +236,6 @@ impl SegmentedWal {
         self.closed_bytes + self.active.logical_len()
     }
 
-    /// Index of the active (append) segment.
-    pub fn active_index(&self) -> u64 {
-        self.active_index
-    }
-
     /// The sequence number the next appended frame will get.
     pub fn next_seq(&self) -> u64 {
         self.active.next_seq()
@@ -310,14 +305,14 @@ mod tests {
             w.append(WalOp::Insert, &batch(10), &stats).unwrap();
         }
         w.sync().unwrap();
-        assert!(w.active_index() > 0, "small budget must rotate");
+        assert!(w.active_index > 0, "small budget must rotate");
         assert_eq!(
             stats.snapshot().wal_segments_rotated,
-            w.active_index(),
+            w.active_index,
             "one rotation per sealed segment"
         );
         let segs = list_segments(&dir).unwrap();
-        assert_eq!(segs.len() as u64, w.active_index() + 1);
+        assert_eq!(segs.len() as u64, w.active_index + 1);
         let s = scan_from(&dir, WalPosition::default(), 0).unwrap();
         assert_eq!(s.frames.len(), 10);
         assert_eq!(s.frames_discarded, 0);
@@ -357,7 +352,7 @@ mod tests {
             w.append(WalOp::Insert, &batch(10), &stats).unwrap();
         }
         w.sync().unwrap();
-        assert!(w.active_index() >= 2, "need at least three segments");
+        assert!(w.active_index >= 2, "need at least three segments");
         // Tear a frame in segment 1: everything from there on is lost.
         let p1 = segment_file(&dir, 1);
         let bytes = fs::read(&p1).unwrap();
@@ -377,7 +372,7 @@ mod tests {
         assert!(s.frames.len() < 9);
         // Reopening at the scan end truncates segment 1 and deletes 2+.
         let w = SegmentedWal::open(&dir, s.end, s.frames.len() as u64, SMALL).unwrap();
-        assert_eq!(w.active_index(), 1);
+        assert_eq!(w.active_index, 1);
         assert_eq!(list_segments(&dir).unwrap(), vec![0, 1]);
         let again = scan_from(&dir, WalPosition::default(), 0).unwrap();
         assert_eq!(again.frames.len(), s.frames.len());
@@ -416,7 +411,7 @@ mod tests {
             w.append(WalOp::Insert, &batch(10), &stats).unwrap();
         }
         w.sync().unwrap();
-        let active = w.active_index();
+        let active = w.active_index;
         assert!(active >= 2);
         let (n, bytes) = w.delete_segments_below(2, &stats).unwrap();
         assert_eq!(n, 2);
@@ -468,13 +463,13 @@ mod tests {
         let mut w = SegmentedWal::open(&dir, WalPosition::default(), 0, 64).unwrap();
         w.append(WalOp::Insert, &batch(10), &stats).unwrap();
         w.sync().unwrap();
-        assert_eq!(w.active_index(), 0, "single oversized frame stays put");
+        assert_eq!(w.active_index, 0, "single oversized frame stays put");
         drop(w);
         let s = scan_from(&dir, WalPosition::default(), 0).unwrap();
         let mut w = SegmentedWal::open(&dir, s.end, 1, 64).unwrap();
-        assert_eq!(w.active_index(), 0);
+        assert_eq!(w.active_index, 0);
         w.append(WalOp::Insert, &batch(1), &stats).unwrap();
-        assert_eq!(w.active_index(), 1, "append past a full segment rotates");
+        assert_eq!(w.active_index, 1, "append past a full segment rotates");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -38,7 +38,7 @@ use crate::wal::WalOp;
 /// Name of the legacy single-file write-ahead log. A store directory laid
 /// out by an older build is migrated on open: `wal.log` becomes segment
 /// `wal.000000` and rotation proceeds from there.
-pub const WAL_FILE: &str = "wal.log";
+const WAL_FILE: &str = "wal.log";
 
 /// Tuning knobs for a [`Store`], all with conservative defaults.
 #[derive(Clone, Copy, Debug)]
@@ -424,11 +424,11 @@ impl Store {
     /// Propagates I/O errors from the verification load or the unlinks.
     pub fn run_retention(&mut self) -> Result<GcReport, StoreError> {
         let mut report = GcReport::default();
-        let cut = retention::collect_image_garbage(&self.dir, *self.graph.config(), &mut report)?;
-        if let Some(cut) = cut {
+        let tip = retention::collect_image_garbage(&self.dir, *self.graph.config(), &mut report)?;
+        if let Some(tip) = tip {
             let (n, bytes) = self
                 .wal
-                .delete_segments_below(cut.tip.wal_segment, self.graph.stats())?;
+                .delete_segments_below(tip.wal_segment, self.graph.stats())?;
             report.segments_deleted = n;
             report.segment_bytes_deleted = bytes;
         }
@@ -436,7 +436,7 @@ impl Store {
     }
 
     /// Folds the current delta chain into a full image at the chain tip's
-    /// id (see [`retention::compact_chain`]); `Ok(None)` when there is no
+    /// id (see `retention::compact_chain`); `Ok(None)` when there is no
     /// chain to fold. After compaction the next checkpoint chains deltas
     /// off the freshly compacted full image.
     ///
@@ -528,24 +528,6 @@ pub struct PendingCheckpoint {
 }
 
 impl PendingCheckpoint {
-    /// The checkpoint id the image will carry.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// WAL position the image covers; replay resumes here.
-    pub fn wal_position(&self) -> WalPosition {
-        WalPosition {
-            segment: self.wal_segment,
-            offset: self.wal_offset,
-        }
-    }
-
-    /// The frozen state the image will serialize.
-    pub fn snapshot(&self) -> &GraphSnapshot {
-        &self.snapshot
-    }
-
     /// Serializes the frozen snapshot into its (full) image, consuming the
     /// pending checkpoint (and releasing the snapshot's hold on retired
     /// block versions).
@@ -861,7 +843,6 @@ mod tests {
             // Freeze the checkpoint, then hand the image write to another
             // thread while this one keeps logging and applying batches.
             let pending = store.begin_checkpoint().unwrap();
-            assert_eq!(pending.id(), 1);
             let writer = std::thread::spawn(move || pending.write().unwrap());
             run(&mut store, &batches[half..]);
             store.sync().unwrap();

@@ -3,7 +3,7 @@
 //! Every update batch is appended to the log *before* the in-memory engine
 //! applies it, so a crash can lose at most the batches that were never
 //! acknowledged by a [`Wal::sync`]. Frames use the shared
-//! [`lsgraph_gen::binio`] layout (`u32 LE len | u32 LE CRC32 | payload`);
+//! [`lsgraph_gen::write_frame`] layout (`u32 LE len | u32 LE CRC32 | payload`);
 //! the payload is
 //!
 //! ```text
@@ -26,7 +26,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use lsgraph_api::{fail_point, Edge, StructStats};
-use lsgraph_gen::binio;
+use lsgraph_gen::{parse_frame, write_frame};
 
 /// Operation carried by one WAL frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,7 +138,7 @@ impl Wal {
             payload.extend_from_slice(&e.src.to_le_bytes());
             payload.extend_from_slice(&e.dst.to_le_bytes());
         }
-        binio::write_frame(&mut self.buf, &payload).expect("Vec write is infallible");
+        write_frame(&mut self.buf, &payload).expect("Vec write is infallible");
         self.next_seq += 1;
         stats.wal_frames_appended.record(1);
         if self.buf.len() >= Self::GROUP_COMMIT_BYTES {
@@ -173,11 +173,6 @@ impl Wal {
     /// Log length in bytes including still-buffered frames.
     pub fn logical_len(&self) -> u64 {
         self.file_len + self.buf.len() as u64
-    }
-
-    /// Bytes durably written to the file (excludes the group-commit buffer).
-    pub fn synced_len(&self) -> u64 {
-        self.file_len
     }
 
     /// The sequence number the next appended frame will get.
@@ -240,7 +235,7 @@ pub fn scan(path: &Path, from: u64, mut expect_seq: u64) -> io::Result<WalScan> 
     };
     let mut pos = 0usize;
     while pos < tail.len() {
-        let Some((payload, consumed)) = binio::parse_frame(&tail[pos..]) else {
+        let Some((payload, consumed)) = parse_frame(&tail[pos..]) else {
             break;
         };
         let Some(frame) = decode_payload(payload) else {
@@ -283,10 +278,10 @@ mod tests {
         assert_eq!(wal.append(WalOp::Delete, &batch(2), &stats).unwrap(), 1);
         assert_eq!(stats.snapshot().wal_frames_appended, 2);
         // Buffered, not yet in the file.
-        assert_eq!(wal.synced_len(), 0);
+        assert_eq!(wal.file_len, 0);
         assert!(wal.logical_len() > 0);
         wal.sync().unwrap();
-        assert_eq!(wal.synced_len(), wal.logical_len());
+        assert_eq!(wal.file_len, wal.logical_len());
         let scan = scan(&path, 0, 0).unwrap();
         assert_eq!(scan.frames.len(), 2);
         assert_eq!(scan.frames[0].op, WalOp::Insert);
@@ -295,7 +290,7 @@ mod tests {
         assert_eq!(scan.frames[1].seq, 1);
         assert_eq!(scan.bytes_discarded, 0);
         assert_eq!(scan.frames_discarded, 0);
-        assert_eq!(scan.valid_len, wal.synced_len());
+        assert_eq!(scan.valid_len, wal.file_len);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -359,8 +354,8 @@ mod tests {
         // (without fsync — sync() is still the durability point).
         let big: Vec<Edge> = (0..20_000u32).map(|i| Edge::new(i, i)).collect();
         wal.append(WalOp::Insert, &big, &stats).unwrap();
-        assert!(wal.synced_len() > 0, "threshold crossing must flush");
-        assert_eq!(wal.synced_len(), wal.logical_len());
+        assert!(wal.file_len > 0, "threshold crossing must flush");
+        assert_eq!(wal.file_len, wal.logical_len());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,14 +2,17 @@
 //! (`recovery_frames_replayed`, `recovery_frames_discarded`,
 //! `recovery_images_discarded`) are recorded into the engine's
 //! `StructStats` at `Store::open`, and must therefore be visible through
-//! the metrics registry — in Prometheus text exposition and in the JSONL
-//! time-series stream — without any persist-specific plumbing.
+//! the metrics registry — in its samples and in the JSONL time-series
+//! stream — without any persist-specific plumbing.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use lsgraph_api::{metrics, Edge, MetricsRegistry, Sampler};
+use lsgraph_api::{
+    finish_metrics_stream, stream_metrics_to_file, write_metrics_header, Edge, MetricsRegistry,
+    Sampler,
+};
 use lsgraph_core::Config;
-use lsgraph_persist::{checkpoint, segment, Store, StoreOptions};
+use lsgraph_persist::{delta_file, segment_file, Store, StoreOptions};
 
 /// The JSONL sink is process-global; serialize tests that stream.
 static LOCK: Mutex<()> = Mutex::new(());
@@ -26,7 +29,7 @@ fn cfg() -> Config {
 }
 
 #[test]
-fn recovery_counters_surface_in_prometheus_and_jsonl() {
+fn recovery_counters_surface_in_registry_samples_and_jsonl() {
     let _l = lock();
     let dir = std::env::temp_dir().join(format!("lsgraph-recmetrics-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -49,12 +52,12 @@ fn recovery_counters_surface_in_prometheus_and_jsonl() {
     // (→ recovery_images_discarded) and tear the WAL tail mid-frame
     // (→ recovery_frames_discarded); the surviving frames replay
     // (→ recovery_frames_replayed).
-    let delta = checkpoint::delta_file(&dir, 2);
+    let delta = delta_file(&dir, 2);
     let mut bytes = std::fs::read(&delta).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     std::fs::write(&delta, &bytes).unwrap();
-    let seg0 = segment::segment_file(&dir, 0);
+    let seg0 = segment_file(&dir, 0);
     let bytes = std::fs::read(&seg0).unwrap();
     std::fs::write(&seg0, &bytes[..bytes.len() - 5]).unwrap();
 
@@ -65,36 +68,36 @@ fn recovery_counters_surface_in_prometheus_and_jsonl() {
 
     let mut registry = MetricsRegistry::new();
     registry.register_struct_stats("lsgraph", store.graph().stats_handle());
-    let sample = Arc::new(registry);
+    let registry = Arc::new(registry);
 
-    // Prometheus exposition carries all three, with the observed values.
-    let text = sample.render_prometheus();
-    for (name, want) in [
-        (
-            "lsgraph_recovery_frames_replayed_total",
-            report.frames_replayed,
-        ),
-        ("lsgraph_recovery_frames_discarded_total", 1),
-        ("lsgraph_recovery_images_discarded_total", 1),
-    ] {
-        assert!(
-            text.contains(&format!("{name} {want}")),
-            "missing `{name} {want}` in exposition:\n{text}"
-        );
-    }
-    // And the WAL/checkpoint durability counters ride along.
-    assert!(text.contains("lsgraph_wal_segments_rotated_total"));
-    assert!(text.contains("lsgraph_delta_checkpoints_written_total"));
-    assert!(text.contains("# TYPE lsgraph_wal_live_bytes gauge"));
+    // A registry sample carries all three, with the observed values.
+    let sample = registry.sample();
+    let counter = |name: &str| {
+        let row = sample.counters.iter().find(|(n, _)| n == name);
+        row.map(|&(_, v)| v)
+    };
+    assert_eq!(
+        counter("lsgraph_recovery_frames_replayed"),
+        Some(report.frames_replayed)
+    );
+    assert_eq!(counter("lsgraph_recovery_frames_discarded"), Some(1));
+    assert_eq!(counter("lsgraph_recovery_images_discarded"), Some(1));
+    // And the WAL/checkpoint durability rows ride along.
+    assert!(counter("lsgraph_wal_segments_rotated").is_some());
+    assert!(counter("lsgraph_delta_checkpoints_written").is_some());
+    assert!(sample
+        .gauges
+        .iter()
+        .any(|(n, _)| n == "lsgraph_wal_live_bytes"));
 
     // One JSONL tick: the same names appear in the counters object.
     let path =
         std::env::temp_dir().join(format!("lsgraph_recmetrics_{}.jsonl", std::process::id()));
-    metrics::stream_to_file(&path).unwrap();
-    assert!(metrics::write_header("recovery", 1).unwrap());
-    let mut sampler = Sampler::new(sample, "recovery/m=128");
+    stream_metrics_to_file(&path).unwrap();
+    assert!(write_metrics_header("recovery", 1).unwrap());
+    let mut sampler = Sampler::new(registry, "recovery/m=128");
     assert!(sampler.tick(&[]).unwrap());
-    assert_eq!(metrics::finish_stream().unwrap(), Some(1));
+    assert_eq!(finish_metrics_stream().unwrap(), Some(1));
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
     let line = text.lines().nth(1).expect("header + one sample");

@@ -202,7 +202,6 @@ impl SubscriptionHub {
         SubscriptionHandle {
             inner: Arc::clone(&self.inner),
             id,
-            cancel_on_drop: true,
         }
     }
 
@@ -267,13 +266,11 @@ impl Drop for SubscriptionHub {
 
 /// Client handle to one registered standing query.
 ///
-/// Dropping the handle cancels the subscription; call
-/// [`detach`](Self::detach) to keep it running unobserved.
-#[must_use = "dropping the handle cancels the subscription; call detach() to keep it registered"]
+/// Dropping the handle cancels the subscription.
+#[must_use = "dropping the handle cancels the subscription"]
 pub struct SubscriptionHandle {
     inner: Arc<HubInner>,
     id: SubscriptionId,
-    cancel_on_drop: bool,
 }
 
 impl SubscriptionHandle {
@@ -316,22 +313,13 @@ impl SubscriptionHandle {
     pub fn cancel(self) {
         drop(self);
     }
-
-    /// Keeps the subscription registered (still delivering, still counted
-    /// in `subscriptions_active`) after the handle is gone.
-    pub fn detach(mut self) -> SubscriptionId {
-        self.cancel_on_drop = false;
-        self.id
-    }
 }
 
 impl Drop for SubscriptionHandle {
     fn drop(&mut self) {
-        if self.cancel_on_drop {
-            let mut reg = lock(&self.inner.registry);
-            reg.cancel(self.id);
-            self.inner.active.store(reg.len(), Ordering::Release);
-        }
+        let mut reg = lock(&self.inner.registry);
+        reg.cancel(self.id);
+        self.inner.active.store(reg.len(), Ordering::Release);
     }
 }
 
@@ -456,21 +444,6 @@ mod tests {
         assert_eq!(sub.result(), [(0, 1), (1, 1)].into_iter().collect());
         let last = sub.poll().pop().unwrap();
         assert_eq!(last.removed, vec![(2, 1)]);
-        hub.shutdown();
-    }
-
-    #[test]
-    fn detach_keeps_delivering_without_a_handle() {
-        let mut g = LsGraph::with_config(4, Config::default());
-        let hub = SubscriptionHub::attach(&mut g);
-        let id = hub
-            .subscribe(&g, StandingQuery::WindowedEdgeCount { window: 4 })
-            .detach();
-        let _ = id;
-        g.insert_batch_undirected(&sym(&[(0, 1)]));
-        hub.quiesce();
-        assert_eq!(hub.active(), 1);
-        assert_eq!(g.struct_stats().unwrap().deltas_delivered, 1);
         hub.shutdown();
     }
 }

@@ -24,9 +24,8 @@
 //!   result.
 //! * [`SubscriptionHub`] — the engine binding: a
 //!   [`PostBatchHook`](lsgraph_core::PostBatchHook) that snapshots the
-//!   freshly published graph (one count per directory page, see [`hub`])
-//!   and enqueues the
-//!   batch for a dedicated delivery thread, so the writer's batch path
+//!   freshly published graph (one count per directory page) and enqueues
+//!   the batch for a dedicated delivery thread, so the writer's batch path
 //!   **never blocks on delivery**; [`SubscriptionHandle`]s poll deltas and
 //!   materialized results.
 //!
@@ -65,14 +64,14 @@
 //! hub.shutdown();
 //! ```
 
-pub mod delta;
-pub mod hub;
-pub mod maintain;
-pub mod query;
-pub mod registry;
-pub mod window;
+mod delta;
+mod hub;
+mod maintain;
+mod query;
+mod registry;
+mod window;
 
-pub use delta::{ResultDelta, SubscriptionId};
+pub use delta::{diff, ResultDelta, SubscriptionId};
 pub use hub::{SubscriptionHandle, SubscriptionHub};
 pub use maintain::Maintainer;
 pub use query::StandingQuery;

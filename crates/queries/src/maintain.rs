@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use lsgraph_analytics::{incremental::INF, IncrementalBfs};
+use lsgraph_analytics::{IncrementalBfs, UNREACHED};
 use lsgraph_api::{Edge, Graph};
 use lsgraph_core::BatchKind;
 
@@ -36,7 +36,7 @@ pub enum Maintainer {
     /// Maintains hop distances for [`StandingQuery::KHop`] and
     /// [`StandingQuery::ComponentMembership`].
     Reach {
-        /// Hop cutoff (inclusive; below [`INF`]).
+        /// Hop cutoff (inclusive; below [`UNREACHED`]).
         k: u32,
         /// Whether a member's value is its hop distance (k-hop) or 1.
         hops: bool,
@@ -77,13 +77,13 @@ impl Maintainer {
                     g.num_vertices()
                 );
                 Maintainer::Reach {
-                    k: k.min(INF - 1),
+                    k: k.min(UNREACHED - 1),
                     hops: true,
                     bfs: IncrementalBfs::new(g, src),
                 }
             }
             StandingQuery::ComponentMembership { src } => Maintainer::Reach {
-                k: INF - 1,
+                k: UNREACHED - 1,
                 hops: false,
                 bfs: IncrementalBfs::new(g, src),
             },

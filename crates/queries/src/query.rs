@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use lsgraph_analytics::{bfs, connected_components};
+use lsgraph_analytics::{bfs, connected_components, distances_from_parents, UNREACHED};
 use lsgraph_api::{Edge, Graph};
 
 use crate::window::BatchWindow;
@@ -78,11 +78,11 @@ impl StandingQuery {
                 if (src as usize) >= n {
                     return BTreeMap::new();
                 }
-                let parents = bfs::bfs(g, src);
-                let dist = bfs::distances_from_parents(g, src, &parents);
+                let parents = bfs(g, src);
+                let dist = distances_from_parents(g, src, &parents);
                 dist.iter()
                     .enumerate()
-                    .filter(|&(_, &d)| d != bfs::UNREACHED && d <= k)
+                    .filter(|&(_, &d)| d != UNREACHED && d <= k)
                     .map(|(v, &d)| (v as u32, d as u64))
                     .collect()
             }
@@ -113,7 +113,7 @@ impl StandingQuery {
 }
 
 /// The window's candidate edges filtered to those still present in `g`.
-pub fn present_window_edges<G: Graph + ?Sized>(g: &G, window: &BatchWindow) -> Vec<Edge> {
+fn present_window_edges<G: Graph + ?Sized>(g: &G, window: &BatchWindow) -> Vec<Edge> {
     let n = g.num_vertices();
     window
         .candidate_edges()

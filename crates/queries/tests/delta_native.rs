@@ -22,7 +22,7 @@ use lsgraph_analytics::IncrementalBfs;
 use lsgraph_api::{Edge, Graph};
 use lsgraph_core::BatchKind;
 use lsgraph_gen::{erdos_renyi, Csr};
-use lsgraph_queries::delta::diff;
+use lsgraph_queries::diff;
 use lsgraph_queries::{BatchWindow, Maintainer, StandingQuery, SubscriptionRegistry};
 
 const SEEDS: [u64; 4] = [5, 17, 61, 103];

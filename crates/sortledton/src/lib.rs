@@ -16,8 +16,8 @@ mod skiplist;
 
 pub use skiplist::UnrolledSkipList;
 
-use lsgraph_api::set::{NeighborSet, SetTable};
 use lsgraph_api::{Footprint, MemoryFootprint};
+use lsgraph_api::{NeighborSet, SetTable};
 
 /// Neighborhood size above which a vector becomes an unrolled skip list
 /// (Sortledton's "small vs large neighborhood" split).

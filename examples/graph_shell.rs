@@ -32,8 +32,6 @@ fn help() {
          \x20 pagerank <iters>              top-5 vertices by score\n\
          \x20 components                    component count + giant size\n\
          \x20 triangles                     triangle count\n\
-         \x20 kcore                         degeneracy\n\
-         \x20 clustering                    average clustering coefficient\n\
          \x20 stats                         tier population + memory\n\
          \x20 help | quit"
     );
@@ -75,7 +73,7 @@ fn main() {
                 }
                 _ => println!("usage: gen temporal <n>=2> <edges>"),
             },
-            ["load", path] => match gen::loader::load_snap_text(std::path::Path::new(path)) {
+            ["load", path] => match gen::load_snap_text(std::path::Path::new(path)) {
                 Ok(edges) => {
                     g = LsGraph::from_edges(0, &edges, Config::default());
                     println!("loaded |V|={} |E|={}", g.num_vertices(), g.num_edges());
@@ -115,7 +113,7 @@ fn main() {
             ["bfs", src] => match int(src) {
                 Some(s) if (s as usize) < g.num_vertices() => {
                     let parents = analytics::bfs(&g, s);
-                    let dist = analytics::bfs::distances_from_parents(&g, s, &parents);
+                    let dist = analytics::distances_from_parents(&g, s, &parents);
                     let reached = dist.iter().filter(|&&d| d != u32::MAX).count();
                     let ecc = dist.iter().filter(|&&d| d != u32::MAX).max().unwrap_or(&0);
                     println!("reached {reached} vertices, eccentricity {ecc}");
@@ -145,13 +143,6 @@ fn main() {
             ["triangles"] => {
                 let tc = analytics::triangle_count(&g);
                 println!("{} triangles in {:?}", tc.triangles, tc.total);
-            }
-            ["kcore"] => println!("degeneracy = {}", analytics::degeneracy(&g)),
-            ["clustering"] => {
-                println!(
-                    "average clustering = {:.4}",
-                    analytics::average_clustering(&g)
-                )
             }
             ["stats"] => {
                 let s = g.tier_stats();

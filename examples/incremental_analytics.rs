@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use lsgraph::analytics::{incremental::INF, IncrementalBfs};
+use lsgraph::analytics::{IncrementalBfs, UNREACHED};
 use lsgraph::{gen, Config, DynamicGraph, Edge, Graph, LsGraph};
 
 fn main() {
@@ -48,11 +48,11 @@ fn main() {
         let full = t0.elapsed();
         assert_eq!(inc.distances(), fresh.distances(), "repair must be exact");
 
-        let reached = inc.distances().iter().filter(|&&d| d != INF).count();
+        let reached = inc.distances().iter().filter(|&&d| d != UNREACHED).count();
         let ecc = inc
             .distances()
             .iter()
-            .filter(|&&d| d != INF)
+            .filter(|&&d| d != UNREACHED)
             .max()
             .copied()
             .unwrap_or(0);

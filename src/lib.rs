@@ -65,7 +65,7 @@ pub mod analytics {
     pub use lsgraph_analytics::*;
 }
 
-/// Graph generators and dataset loaders.
+/// Graph generators and the SNAP edge-list loader.
 pub mod gen {
     pub use lsgraph_gen::*;
 }
@@ -81,10 +81,10 @@ pub mod queries {
     };
 }
 
-/// Live metrics: unified registry over engine counters/histograms, JSONL
-/// time-series sampling, allocator gauges, and Prometheus exposition.
+/// Live metrics: a unified registry over engine counters and histograms,
+/// and the counting allocator's gauges.
 pub mod metrics {
-    pub use lsgraph_api::metrics::*;
+    pub use lsgraph_api::{heap_allocations, MetricsRegistry, RegistrySample};
 }
 
 /// The baseline engines the paper compares against (plus Sortledton, which

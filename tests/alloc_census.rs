@@ -1,15 +1,15 @@
 //! Allocation census of the RIA tier, read from the counting allocator
 //! (`cargo test --features count-alloc --test alloc_census`).
 //!
-//! A RIA is one buffer: building one, cloning one, and the copy-on-write a
-//! held snapshot forces on a RIA-tier vertex each cost a fixed number of
-//! heap allocations, pinned here. The counter is process-wide, so this file
+//! A RIA is one buffer: building one, cloning one, rebuilding one on an
+//! insert, and the copy-on-write a held snapshot forces on a RIA-tier vertex
+//! each cost a fixed number of heap allocations, pinned here. The counter is process-wide, so this file
 //! holds exactly one test: no sibling allocates while it counts.
 
 #![cfg(feature = "count-alloc")]
 
 use lsgraph::metrics::heap_allocations;
-use lsgraph::{Config, DynamicGraph, Edge, Graph, LsGraph, Spill, Tier};
+use lsgraph::{Config, DynamicGraph, Edge, Graph, LsGraph, Ria, Spill, StructStats, Tier};
 
 /// Allocations `f` makes.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
@@ -33,6 +33,25 @@ fn a_ria_is_one_allocation() {
     let (copy, copied) = allocations(|| spill.clone());
     assert_eq!(copied, 1, "cloning a RIA copies its one buffer");
     drop((spill, copy));
+
+    // Fill the gaps with odd ids until one insert finds no donor within the
+    // locality bound and rebuilds the RIA at α.
+    let stats = StructStats::new();
+    let mut ria = Ria::from_sorted(spill_ids, cfg.alpha);
+    let mut rebuild = None;
+    for u in (spill_ids[0] + 1..).step_by(2).take(spill_ids.len()) {
+        let (_, n) = allocations(|| ria.insert(u, &stats));
+        if stats.ria_rebuilds.get() > 0 {
+            rebuild = Some(n);
+            break;
+        }
+        assert_eq!(n, 0, "an insert that moves ids in place allocates nothing");
+    }
+    assert_eq!(
+        rebuild,
+        Some(2),
+        "a rebuilding insert allocates the merged ids and the new buffer"
+    );
 
     let edges: Vec<Edge> = ns.iter().map(|&u| Edge::new(0, u)).collect();
     let n = 2 * ns.len() + 2;

@@ -1,10 +1,8 @@
-//! Extended analytics over live engines: k-core, incremental BFS, and the
-//! full kernel family on the LSGraph engine itself (not just the CSR
-//! oracle).
+//! Extended analytics over live engines: incremental BFS and the full
+//! kernel family on the LSGraph engine itself (not just the CSR oracle).
 
 use lsgraph::analytics::{self, IncrementalBfs};
-use lsgraph::baselines::{AspenGraph, PacGraph, TerraceGraph};
-use lsgraph::gen::{rmat, Csr, RmatParams};
+use lsgraph::gen::{rmat, RmatParams};
 use lsgraph::{Config, DynamicGraph, Edge, Graph, LsGraph};
 
 const SCALE: u32 = 11;
@@ -12,29 +10,6 @@ const N: usize = 1 << SCALE;
 
 fn sym(edges: &[Edge]) -> Vec<Edge> {
     edges.iter().flat_map(|e| [*e, e.reversed()]).collect()
-}
-
-#[test]
-fn kcore_agrees_across_engines() {
-    let edges = sym(&rmat(SCALE, 30_000, RmatParams::paper(), 21));
-    let oracle = Csr::from_edges(N, &edges);
-    let want = analytics::kcore(&oracle);
-    assert!(
-        *want.iter().max().expect("vertices") >= 2,
-        "workload too sparse"
-    );
-    let ls = LsGraph::from_edges(N, &edges, Config::default());
-    let tr = TerraceGraph::from_edges(N, &edges);
-    let asp = AspenGraph::from_edges(N, &edges);
-    let pac = PacGraph::from_edges(N, &edges);
-    assert_eq!(analytics::kcore(&ls), want, "LSGraph");
-    assert_eq!(analytics::kcore(&tr), want, "Terrace");
-    assert_eq!(analytics::kcore(&asp), want, "Aspen");
-    assert_eq!(analytics::kcore(&pac), want, "PaC-tree");
-    assert_eq!(
-        analytics::degeneracy(&ls),
-        *want.iter().max().expect("nonempty")
-    );
 }
 
 #[test]
@@ -88,10 +63,6 @@ fn full_kernel_family_runs_on_updated_engine() {
     assert!(tc.triangles > 0);
     let bc = analytics::betweenness(&g, src);
     assert!(bc.iter().all(|&d| d >= 0.0));
-    let core = analytics::kcore(&g);
-    for (v, &c) in core.iter().enumerate() {
-        assert!(c as usize <= g.degree(v as u32), "coreness bound at {v}");
-    }
 }
 
 #[test]

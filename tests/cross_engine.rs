@@ -138,11 +138,11 @@ fn bfs_distances_agree() {
         .expect("vertices");
     let want = {
         let p = analytics::bfs(&e.oracle, src);
-        analytics::bfs::distances_from_parents(&e.oracle, src, &p)
+        analytics::distances_from_parents(&e.oracle, src, &p)
     };
     for (name, g) in e.each() {
         let p = analytics::bfs(g, src);
-        let d = analytics::bfs::distances_from_parents(g, src, &p);
+        let d = analytics::distances_from_parents(g, src, &p);
         assert_eq!(d, want, "{name}");
     }
 }

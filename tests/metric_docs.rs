@@ -1,9 +1,9 @@
 //! EXPERIMENTS.md's metric table is rendered from the metric declarations
-//! (`lsgraph_api::counters`), not written by hand: this test renders it and
+//! (`StructSnapshot::METRICS`), not written by hand: this test renders it and
 //! compares it with the text between the markers. After adding, renaming or
 //! re-classifying a metric, paste the block the failure prints.
 //!
-//! The failpoint catalogue (`lsgraph_api::failpoints::SITES`) is spelled by
+//! The failpoint catalogue (`lsgraph_api::FAILPOINT_SITES`) is spelled by
 //! hand in two more places — EXPERIMENTS.md's site table and README's list of
 //! core sites; the second test names whatever they list that the catalogue
 //! does not, and the other way round.
@@ -90,7 +90,7 @@ fn failpoint_site_lists_match_the_catalogue() {
         .collect();
     let table_sites: Vec<&str> = rows.iter().map(|r| r.0).collect();
     assert_eq!(
-        drift(&table_sites, &lsgraph_api::failpoints::SITES),
+        drift(&table_sites, &lsgraph_api::FAILPOINT_SITES),
         none,
         "EXPERIMENTS.md failpoint table: (stale rows, sites without a row)"
     );

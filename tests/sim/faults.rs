@@ -6,8 +6,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lsgraph::{Config, DynamicGraph, Edge, Graph, LsGraph, StructStats};
-use lsgraph_api::failpoints::{self, FailMode, FailMode::*};
-use lsgraph_core::vertex::VertexBlock;
+use lsgraph_api::{configure_failpoint, failpoint_fired, reset_failpoints, FailMode, FailMode::*};
+use lsgraph_core::VertexBlock;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use crate::harness::{batch, check_set, lock, named, Op, Op::*, Setup, TempDir, CORE_SITES};
@@ -201,13 +201,13 @@ fn killed_run_movement_is_absorbed_exactly_once() {
         .chain(light(100))
         .collect();
 
-    failpoints::reset();
+    reset_failpoints();
     let expect = StructStats::new();
     let mut blocks = BTreeMap::new();
     assert!(replay_runs(&mut blocks, &setup, &expect).is_empty());
-    failpoints::configure("ria_rebuild", FailMode::Nth(2));
+    configure_failpoint("ria_rebuild", FailMode::Nth(2));
     assert_eq!(replay_runs(&mut blocks, &killed, &expect), vec![0]);
-    assert_eq!(failpoints::fired("ria_rebuild"), 1);
+    assert_eq!(failpoint_fired("ria_rebuild"), 1);
     expect.apply_run_panics.record(1);
     expect.vertices_quarantined.record(1);
     let expect = expect.snapshot().deterministic_fields();
@@ -218,13 +218,13 @@ fn killed_run_movement_is_absorbed_exactly_once() {
             .build()
             .unwrap();
         pool.install(|| {
-            failpoints::reset();
+            reset_failpoints();
             let mut g = LsGraph::with_config(200, Config::default());
             g.insert_batch(&setup);
-            failpoints::configure("ria_rebuild", FailMode::Nth(2));
+            configure_failpoint("ria_rebuild", FailMode::Nth(2));
             let outcome = g.try_insert_batch(&killed).unwrap();
-            assert_eq!(failpoints::fired("ria_rebuild"), 1, "{threads} threads");
-            failpoints::reset();
+            assert_eq!(failpoint_fired("ria_rebuild"), 1, "{threads} threads");
+            reset_failpoints();
             assert_eq!(outcome.quarantined, vec![0], "{threads} threads");
             let got = g.struct_snapshot().deterministic_fields();
             assert_eq!(got, expect, "{threads} threads");
@@ -240,13 +240,13 @@ fn killed_run_movement_is_absorbed_exactly_once() {
 #[test]
 fn dirty_set_tracks_a_quarantined_run_exactly() {
     let _l = lock();
-    failpoints::reset();
+    reset_failpoints();
     let mut g = LsGraph::with_config(8, Setup::named("core").cfg);
     g.insert_batch(&edges(&[(0, 1), (5, 2)]));
     assert_eq!(g.take_dirty_vertices(), vec![0, 5]);
-    failpoints::configure("apply_run", FailMode::Nth(1));
+    configure_failpoint("apply_run", FailMode::Nth(1));
     let outcome = g.try_insert_batch(&edges(&[(5, 3)])).unwrap();
-    failpoints::reset();
+    reset_failpoints();
     assert_eq!(outcome.quarantined, vec![5]);
     assert_eq!(g.take_dirty_vertices(), vec![5]);
     let outcome = g.try_insert_batch(&edges(&[(5, 4), (6, 4)])).unwrap();
@@ -267,10 +267,10 @@ fn try_from_edges_contains_bulk_load_faults() {
         .collect();
     let mut model = Model::new(400);
     model.apply(lsgraph::BatchKind::Insert, &edges);
-    failpoints::reset();
-    failpoints::configure("apply_run", chance(0.2, 9));
+    reset_failpoints();
+    configure_failpoint("apply_run", chance(0.2, 9));
     let (mut g, outcome) = LsGraph::try_from_edges(400, &edges, Setup::named("core").cfg).unwrap();
-    failpoints::reset();
+    reset_failpoints();
     assert!(!outcome.quarantined.is_empty(), "p=0.2, 50 runs");
     model.quarantined = outcome.quarantined.iter().copied().collect();
     assert_reads(g.view(), &model.frozen(), "bulk load");
@@ -292,12 +292,12 @@ fn try_from_edges_contains_bulk_load_faults() {
 #[test]
 fn killed_sampler_never_corrupts_metrics_stream_or_engine_counters() {
     let _l = lock();
-    failpoints::reset();
+    reset_failpoints();
     let dir = TempDir::new("sampler", 0);
     std::fs::create_dir_all(&dir.0).unwrap();
     let path = dir.0.join("metrics.jsonl");
-    lsgraph_api::metrics::stream_to_file(&path).unwrap();
-    assert!(lsgraph_api::metrics::write_header("fault", 2).unwrap());
+    lsgraph_api::stream_metrics_to_file(&path).unwrap();
+    assert!(lsgraph_api::write_metrics_header("fault", 2).unwrap());
 
     let mut g = LsGraph::with_config(200, Setup::named("core").cfg);
     let mut rng = SmallRng::seed_from_u64(0xFA17);
@@ -315,21 +315,21 @@ fn killed_sampler_never_corrupts_metrics_stream_or_engine_counters() {
     // written, so the killed tick leaves the counters and the JSONL prefix
     // untouched.
     let before = g.stats_handle().snapshot();
-    failpoints::configure("metrics_sample", FailMode::Nth(1));
+    configure_failpoint("metrics_sample", FailMode::Nth(1));
     let killed = catch_unwind(AssertUnwindSafe(|| {
         let _ = sampler.tick(&[("writer_eps", 1.0)]);
     }));
     assert!(killed.is_err(), "armed metrics_sample tick must panic");
-    assert_eq!(failpoints::fired("metrics_sample"), 1);
+    assert_eq!(failpoint_fired("metrics_sample"), 1);
     assert_eq!(sampler.ticks(), 1, "killed tick must not count");
     assert_eq!(g.stats_handle().snapshot(), before, "counters moved");
-    failpoints::reset();
+    reset_failpoints();
 
     // Sampling resumes cleanly, and the engine keeps working underneath.
     g.try_insert_batch(&edges(&core_batch(&mut rng))).unwrap();
     assert!(sampler.tick(&[("writer_eps", 0.0)]).unwrap());
     assert_eq!(sampler.ticks(), 2);
-    assert_eq!(lsgraph_api::metrics::finish_stream().unwrap(), Some(2));
+    assert_eq!(lsgraph_api::finish_metrics_stream().unwrap(), Some(2));
     g.validate_invariants().unwrap();
 
     // Whole lines only: a header plus exactly the two surviving samples.

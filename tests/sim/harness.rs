@@ -12,8 +12,12 @@ use std::sync::{Mutex, MutexGuard, Once};
 use lsgraph::queries::{BatchWindow, StandingQuery, SubscriptionHandle, SubscriptionHub};
 use lsgraph::{BatchKind, Config, DynamicGraph, Edge, Graph, GraphSnapshot, LsGraph};
 use lsgraph::{StructSnapshot, VertexId};
-use lsgraph_api::failpoints::{self, FailMode, SITES};
-use lsgraph_persist::{checkpoint, segment, RecoveryReport, Store, StoreOptions};
+use lsgraph_api::{
+    configure_failpoint, failpoint_fired, reset_failpoints, FailMode, FAILPOINT_SITES,
+};
+use lsgraph_persist::{
+    delta_file, list_segments, load_newest_chain, segment_file, RecoveryReport, Store, StoreOptions,
+};
 use rand::{rngs::SmallRng, Rng};
 
 use crate::model::{assert_reads, edges, surface, trim_to, Frozen, Model};
@@ -157,7 +161,7 @@ pub fn lock() -> Option<MutexGuard<'static, ()>> {
 fn is_failpoint(msg: &str) -> bool {
     msg.strip_prefix("failpoint '")
         .and_then(|rest| rest.strip_suffix("' fired"))
-        .is_some_and(|site| SITES.contains(&site))
+        .is_some_and(|site| FAILPOINT_SITES.contains(&site))
 }
 
 fn message(payload: &(dyn Any + Send)) -> String {
@@ -250,7 +254,7 @@ pub struct Sim {
     /// Snapshots taken and subscriptions restarted on the current graph.
     taken: u64,
     restarts: u64,
-    seen: [u64; SITES.len()],
+    seen: [u64; FAILPOINT_SITES.len()],
     page: u64,
     /// The table grew under a held snapshot (page copies then unmodeled).
     cow_unknown: bool,
@@ -263,7 +267,7 @@ pub struct Sim {
 
 impl Sim {
     fn open(setup: Setup, set: &str, seed: u64) -> Sim {
-        failpoints::reset();
+        reset_failpoints();
         let dir = TempDir::new(set, seed);
         let (store, report) = Store::open_with(&dir.0, setup.n, setup.cfg, setup.opts).unwrap();
         assert_eq!(report, RecoveryReport::default(), "a fresh directory");
@@ -368,8 +372,8 @@ impl Sim {
     /// fires (one quarantined vertex each) happened since the last call.
     fn bank(&mut self) -> u64 {
         let mut engine = 0;
-        for (i, site) in SITES.iter().enumerate() {
-            let new = failpoints::fired(site) - self.seen[i];
+        for (i, site) in FAILPOINT_SITES.iter().enumerate() {
+            let new = failpoint_fired(site) - self.seen[i];
             self.seen[i] += new;
             if new > 0 {
                 *self.fires.entry(site).or_default() += new;
@@ -385,8 +389,8 @@ impl Sim {
 
     fn configure(&mut self, site: &str, mode: FailMode) {
         self.bank();
-        failpoints::configure(site, mode);
-        self.seen[SITES.iter().position(|s| *s == site).unwrap()] = 0;
+        configure_failpoint(site, mode);
+        self.seen[FAILPOINT_SITES.iter().position(|s| *s == site).unwrap()] = 0;
     }
 
     /// Runs a store operation; a failpoint unwinding out of it is a kill.
@@ -470,7 +474,7 @@ impl Sim {
         );
         // The chain a recovery would load is the live graph: quarantine
         // marks included, no adjacency record for a quarantined vertex.
-        let (chain, info) = checkpoint::load_newest_chain(&self.dir.0, self.setup.cfg).unwrap();
+        let (chain, info) = load_newest_chain(&self.dir.0, self.setup.cfg).unwrap();
         let (image, tip) = chain.expect("a recoverable chain after a checkpoint");
         assert_eq!(tip.id, meta.id, "the newest chain ends at the new image");
         let (mut want, delta) = (self.model.frozen(), info.chain_len > 0);
@@ -561,12 +565,12 @@ impl Sim {
         let (floor, (segment, offset)) = newest.map_or((0, (0, 0)), |c| (c.0, c.1));
         self.crash();
         let dir = &self.dir.0;
-        let last = *segment::list_segments(dir).unwrap().last().unwrap();
+        let last = *list_segments(dir).unwrap().last().unwrap();
         // Only frames past the newest image's replay position are read.
         let (path, start) = match *op {
-            Op::CorruptImage(id) => (checkpoint::delta_file(dir, id), 0),
-            _ if last == segment => (segment::segment_file(dir, last), offset),
-            _ => (segment::segment_file(dir, last), 0),
+            Op::CorruptImage(id) => (delta_file(dir, id), 0),
+            _ if last == segment => (segment_file(dir, last), offset),
+            _ => (segment_file(dir, last), 0),
         };
         let mut bytes = std::fs::read(&path).unwrap_or_default();
         let span = bytes.len().saturating_sub(start);
@@ -653,7 +657,7 @@ impl Sim {
     /// Disarms everything, drains the hub and drops every snapshot, checks
     /// once more (every snapshot retired), and closes the store.
     fn finish(&mut self) {
-        for site in SITES {
+        for site in FAILPOINT_SITES {
             self.configure(site, FailMode::Off);
         }
         self.hub.iter().for_each(SubscriptionHub::quiesce);

@@ -26,8 +26,7 @@ use std::collections::BTreeSet;
 use std::sync::mpsc;
 
 use lsgraph::{BatchKind, DynamicGraph, Graph, GraphSnapshot, LsGraph};
-use lsgraph_api::failpoints::SITES;
-use lsgraph_api::failpoints::{FailMode, FailMode::*};
+use lsgraph_api::{FailMode, FailMode::*, FAILPOINT_SITES};
 use lsgraph_core::GraphError;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -57,7 +56,10 @@ const COVERAGE: [&[&str]; 6] = [
 #[test]
 fn failpoint_catalogue_is_covered() {
     let covered: BTreeSet<&str> = COVERAGE.iter().flat_map(|s| s.iter().copied()).collect();
-    assert_eq!(covered, SITES.into_iter().collect::<BTreeSet<_>>());
+    assert_eq!(
+        covered,
+        FAILPOINT_SITES.into_iter().collect::<BTreeSet<_>>()
+    );
 }
 
 pub fn chance(p: f64, seed: u64) -> FailMode {

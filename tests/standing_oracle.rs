@@ -20,7 +20,7 @@ mod harness;
 mod model;
 
 use lsgraph::queries::StandingQuery::{self, *};
-use lsgraph_api::failpoints::FailMode::{Nth, Probability};
+use lsgraph_api::FailMode::{Nth, Probability};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use harness::{batch, check_set, pairs, Op, Op::*};
