@@ -511,29 +511,6 @@ mod tests {
         assert_eq!(sampler.ticks(), 0);
     }
 
-    #[cfg(feature = "count-alloc")]
-    #[test]
-    fn allocator_gauges_track_live_and_peak_monotonically() {
-        let (live0, peak0) = heap_gauges().expect("count-alloc on");
-        let allocs0 = heap_allocations().expect("count-alloc on");
-        assert!(peak0 >= live0);
-        let buf = vec![0u8; 1 << 20];
-        let (live1, peak1) = heap_gauges().unwrap();
-        assert!(heap_allocations().unwrap() > allocs0, "the Vec is counted");
-        assert!(live1 >= live0 + (1 << 20), "live must grow with the Vec");
-        assert!(peak1 >= live1, "peak bounds live");
-        assert!(peak1 >= peak0, "peak is monotone");
-        drop(buf);
-        let (live2, peak2) = heap_gauges().unwrap();
-        assert!(live2 < live1, "live must shrink after drop");
-        assert!(peak2 >= peak1, "peak never shrinks");
-        // And the registry surfaces them as process gauges.
-        let (r, _, _) = small_registry();
-        let s = r.sample();
-        assert!(s.gauges.iter().any(|(n, _)| n == "process_heap_bytes_live"));
-        assert!(s.gauges.iter().any(|(n, _)| n == "process_heap_bytes_peak"));
-    }
-
     #[cfg(not(feature = "count-alloc"))]
     #[test]
     fn allocator_gauges_absent_without_the_feature() {

@@ -2,21 +2,19 @@
 
 use lsgraph_api::{Footprint, MemoryFootprint, OpCounters};
 
-/// Keys storable in a [`Pma`].
+/// Keys storable in a [`Pma`]: every value of the type, its maximum
+/// included. A segment's keys are the prefix its count names; the slots past
+/// it are never read.
 pub trait PmaKey: Copy + Ord + core::fmt::Debug + Send + Sync {
-    /// Sentinel meaning "empty slot"; never stored as a real key.
-    const EMPTY: Self;
-    /// Smallest real key.
+    /// Smallest key, and what fresh slots hold.
     const MIN: Self;
 }
 
 impl PmaKey for u64 {
-    const EMPTY: Self = u64::MAX;
     const MIN: Self = 0;
 }
 
 impl PmaKey for u32 {
-    const EMPTY: Self = u32::MAX;
     const MIN: Self = 0;
 }
 
@@ -104,7 +102,7 @@ impl<K: PmaKey> Pma<K> {
         params.validate();
         let seg_size = 8;
         Pma {
-            data: vec![K::EMPTY; seg_size * 2],
+            data: vec![K::MIN; seg_size * 2],
             counts: vec![0; 2],
             seg_size,
             len: 0,
@@ -230,7 +228,6 @@ impl<K: PmaKey> Pma<K> {
 
     /// Inserts `key`; returns `false` if it was already present.
     pub fn insert(&mut self, key: K) -> bool {
-        debug_assert_ne!(key, K::EMPTY, "sentinel key cannot be stored");
         if self.len == 0 {
             self.data[0] = key;
             self.counts[0] = 1;
@@ -274,7 +271,6 @@ impl<K: PmaKey> Pma<K> {
         let base = s * self.seg_size;
         self.data
             .copy_within(base + pos + 1..base + cnt, base + pos);
-        self.data[base + cnt - 1] = K::EMPTY;
         self.counts[s] -= 1;
         self.counters.elements_moved.record((cnt - 1 - pos) as u64);
         self.len -= 1;
@@ -471,9 +467,6 @@ impl<K: PmaKey> Pma<K> {
             debug_assert!(take <= self.seg_size);
             let off = (start + i) * self.seg_size;
             self.data[off..off + take].copy_from_slice(&buf[src..src + take]);
-            for slot in &mut self.data[off + take..off + self.seg_size] {
-                *slot = K::EMPTY;
-            }
             self.counts[start + i] = take as u32;
             src += take;
         }
@@ -494,7 +487,7 @@ impl<K: PmaKey> Pma<K> {
             seg = (cap.ilog2() as usize).next_power_of_two().max(8);
         }
         self.seg_size = seg;
-        self.data = vec![K::EMPTY; cap];
+        self.data = vec![K::MIN; cap];
         self.counts = vec![0; cap / seg];
     }
 
@@ -518,19 +511,11 @@ impl<K: PmaKey> Pma<K> {
         for s in 0..self.num_segs() {
             let cnt = self.counts[s] as usize;
             assert!(cnt <= self.seg_size);
-            for (i, &k) in self.data[s * self.seg_size..(s + 1) * self.seg_size]
-                .iter()
-                .enumerate()
-            {
-                if i < cnt {
-                    assert_ne!(k, K::EMPTY);
-                    if let Some(p) = prev {
-                        assert!(p < k, "order violation");
-                    }
-                    prev = Some(k);
-                } else {
-                    assert_eq!(k, K::EMPTY, "stale slot past prefix");
+            for &k in self.seg(s) {
+                if let Some(p) = prev {
+                    assert!(p < k, "order violation");
                 }
+                prev = Some(k);
             }
         }
     }

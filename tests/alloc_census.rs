@@ -1,15 +1,28 @@
-//! Allocation census of the RIA tier, read from the counting allocator
-//! (`cargo test --features count-alloc --test alloc_census`).
+//! The counting allocator's readings
+//! (`cargo test --features count-alloc --test alloc_census`): the live and
+//! peak heap gauges a metrics sample reports, and an allocation census of
+//! the RIA tier.
 //!
 //! A RIA is one buffer: building one, cloning one, rebuilding one on an
 //! insert, and the copy-on-write a held snapshot forces on a RIA-tier vertex
-//! each cost a fixed number of heap allocations, pinned here. The counter is process-wide, so this file
-//! holds exactly one test: no sibling allocates while it counts.
+//! each cost a fixed number of heap allocations, pinned here. The counters
+//! are process-wide, so this file holds exactly one test: no sibling
+//! allocates or frees while it reads them.
 
 #![cfg(feature = "count-alloc")]
 
-use lsgraph::metrics::heap_allocations;
+use lsgraph::metrics::{heap_allocations, MetricsRegistry};
 use lsgraph::{Config, DynamicGraph, Edge, Graph, LsGraph, Ria, Spill, StructStats, Tier};
+
+/// `(live, peak)` heap bytes as a metrics sample reports them.
+fn heap_gauges() -> (u64, u64) {
+    let gauges = MetricsRegistry::new().sample().gauges;
+    let gauge = |name| gauges.iter().find(|(n, _)| n == name).expect(name).1;
+    (
+        gauge("process_heap_bytes_live"),
+        gauge("process_heap_bytes_peak"),
+    )
+}
 
 /// Allocations `f` makes.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
@@ -19,6 +32,27 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 #[test]
+fn allocation_census() {
+    allocator_gauges_track_live_and_peak_monotonically();
+    a_ria_is_one_allocation();
+}
+
+fn allocator_gauges_track_live_and_peak_monotonically() {
+    let (live0, peak0) = heap_gauges();
+    let allocs0 = heap_allocations().expect("count-alloc on");
+    assert!(peak0 >= live0);
+    let buf = vec![0u8; 1 << 20];
+    let (live1, peak1) = heap_gauges();
+    assert!(heap_allocations().unwrap() > allocs0, "the Vec is counted");
+    assert!(live1 >= live0 + (1 << 20), "live must grow with the Vec");
+    assert!(peak1 >= live1, "peak bounds live");
+    assert!(peak1 >= peak0, "peak is monotone");
+    drop(buf);
+    let (live2, peak2) = heap_gauges();
+    assert!(live2 < live1, "live must shrink after drop");
+    assert!(peak2 >= peak1, "peak never shrinks");
+}
+
 fn a_ria_is_one_allocation() {
     let cfg = Config::default();
     // 13 inline ids, then a spill between `a` and `M`: a RIA. Even ids,

@@ -1,7 +1,8 @@
-//! Randomized differential tests: every engine behaves as an adjacency-set
-//! oracle under interleaved batch streams, and every per-vertex set (any
-//! `NeighborSet`, the containers outside that contract through test-local
-//! newtypes) behaves as `BTreeSet` under random runs.
+//! Randomized differential tests: every per-vertex set (any `NeighborSet`,
+//! the containers outside that contract through test-local newtypes)
+//! behaves as `BTreeSet` under random runs, and the simulator's snapshot
+//! sets hold LSGraph's snapshots to the model. (Every engine is driven
+//! against the model by the simulator's engine axis, `tests/cross_engine.rs`.)
 //!
 //! These were originally proptest properties; they are now driven by seeded
 //! `SmallRng` loops (the build is offline, so the proptest crate is
@@ -13,11 +14,8 @@ use rand::prelude::*;
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-use lsgraph::baselines::{
-    AspenGraph, CTreeSet, PacGraph, PacSet, SortledtonGraph, SortledtonSet, TerraceGraph,
-    VECTOR_THRESHOLD,
-};
-use lsgraph::substrates::{BTreeSet32, Pma, PmaGraph, PmaParams};
+use lsgraph::baselines::{CTreeSet, PacSet, SortledtonSet, VECTOR_THRESHOLD};
+use lsgraph::substrates::{BTreeSet32, Pma, PmaKey, PmaParams};
 use lsgraph::{
     Config, DynamicGraph, Edge, Footprint, Graph, LsGraph, MemoryFootprint, NeighborSet,
     SlotOccupancy, Spill, StructStats,
@@ -36,124 +34,6 @@ const CASES: u64 = 64;
 
 /// Sink for the structural events of the bare-container properties.
 static STATS: StructStats = StructStats::new();
-
-/// Vertices each engine under [`check_engine`] starts with.
-const TABLE: usize = 60;
-
-/// Ids a stream draws from: wider than the table, so some inserts grow it
-/// and some deletes name sources past it.
-const IDS: u32 = 80;
-
-/// A batched update stream over a small id space (dense collisions on
-/// purpose): 1..12 batches of 1..80 (src, dst) pairs in `0..ids`.
-fn gen_batches(rng: &mut SmallRng, ids: u32) -> Vec<(bool, Vec<(u32, u32)>)> {
-    let num_batches = rng.gen_range(1usize..12);
-    (0..num_batches)
-        .map(|_| {
-            let is_insert = rng.gen_bool(0.5);
-            let len = rng.gen_range(1usize..80);
-            let pairs = (0..len)
-                .map(|_| (rng.gen_range(0..ids), rng.gen_range(0..ids)))
-                .collect();
-            (is_insert, pairs)
-        })
-        .collect()
-}
-
-/// Applies [`CASES`] seeded streams, each to a fresh engine `new()` built
-/// over [`TABLE`] vertices, through [`check_stream`].
-fn check_engine<G: DynamicGraph>(seed: u64, new: impl Fn() -> G) {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(seed + case);
-        check_stream(new(), &gen_batches(&mut rng, IDS));
-    }
-}
-
-/// Applies a stream to an engine and to an oracle, asserting counts, the
-/// table's growth, every membership probe after each batch, and final
-/// adjacency equality.
-fn check_stream<G: DynamicGraph>(mut g: G, stream: &[(bool, Vec<(u32, u32)>)]) {
-    let mut oracle: Vec<std::collections::BTreeSet<u32>> = vec![Default::default(); IDS as usize];
-    let mut n = TABLE;
-    for (is_insert, pairs) in stream {
-        let batch: Vec<Edge> = pairs.iter().map(|&(a, b)| Edge::new(a, b)).collect();
-        // Dedup the way engines must: by (src, dst).
-        let mut uniq = batch.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        if *is_insert {
-            let expect: usize = uniq
-                .iter()
-                .filter(|e| oracle[e.src as usize].insert(e.dst))
-                .count();
-            assert_eq!(g.insert_batch(&batch), expect);
-            n = n.max(1 + pairs.iter().map(|&(a, b)| a.max(b) as usize).max().unwrap());
-        } else {
-            let expect: usize = uniq
-                .iter()
-                .filter(|e| oracle[e.src as usize].remove(&e.dst))
-                .count();
-            assert_eq!(g.delete_batch(&batch), expect);
-        }
-        assert_eq!(g.num_vertices(), n);
-        for (u, ns) in oracle.iter().enumerate().take(n) {
-            for v in 0..IDS {
-                assert_eq!(g.has_edge(u as u32, v), ns.contains(&v), "edge ({u}, {v})");
-            }
-        }
-        assert!(oracle[n..].iter().all(|ns| ns.is_empty()));
-    }
-    let total: usize = oracle.iter().map(|s| s.len()).sum();
-    assert_eq!(g.num_edges(), total);
-    for v in 0..n as u32 {
-        assert_eq!(
-            g.neighbors(v),
-            oracle[v as usize].iter().copied().collect::<Vec<_>>(),
-            "vertex {v}"
-        );
-    }
-}
-
-#[test]
-fn lsgraph_matches_oracle() {
-    check_engine(0x1000, || LsGraph::with_config(TABLE, Config::default()));
-}
-
-/// Tiny thresholds force RIA/HITree tiers even on small degrees.
-#[test]
-fn lsgraph_small_tiers_match_oracle() {
-    let cfg = Config {
-        a: 4,
-        m: 16,
-        ..Config::default()
-    };
-    check_engine(0x2000, || LsGraph::with_config(TABLE, cfg));
-}
-
-#[test]
-fn terrace_matches_oracle() {
-    check_engine(0x3000, || TerraceGraph::new(TABLE));
-}
-
-#[test]
-fn aspen_matches_oracle() {
-    check_engine(0x4000, || AspenGraph::new(TABLE));
-}
-
-#[test]
-fn pactree_matches_oracle() {
-    check_engine(0x5000, || PacGraph::new(TABLE));
-}
-
-#[test]
-fn sortledton_matches_oracle() {
-    check_engine(0x5400, || SortledtonGraph::new(TABLE));
-}
-
-#[test]
-fn pcsr_matches_oracle() {
-    check_engine(0x5800, || PmaGraph::new(TABLE));
-}
 
 /// Every key of `space` plus the `u32` boundary keys: what a membership
 /// probe is checked on after a set property's operations.
@@ -379,38 +259,40 @@ impl NeighborSet for BTreeSet32Set {
     }
 }
 
-/// The PMA, over `u64` keys as PCSR and Terrace use it, as a
-/// [`NeighborSet`].
+/// The PMA as a [`NeighborSet`]: over `u64` keys as PCSR and Terrace use
+/// it, and over `u32` keys as LSGraph's `MediumStore::Pma` arm does, where
+/// `u32::MAX` is an id like any other.
 #[derive(Default)]
-struct PmaSet(Pma<u64>);
+struct PmaSet<K: PmaKey>(Pma<K>);
 
-impl MemoryFootprint for PmaSet {
+impl<K: PmaKey> MemoryFootprint for PmaSet<K> {
     fn footprint(&self) -> Footprint {
         self.0.footprint()
     }
 }
 
-impl NeighborSet for PmaSet {
+impl<K: PmaKey + Default + From<u32> + Into<u64>> NeighborSet for PmaSet<K> {
     type Ctx = ();
     fn from_sorted(sorted: &[u32]) -> Self {
-        let keys: Vec<u64> = sorted.iter().map(|&u| u as u64).collect();
+        let keys: Vec<K> = sorted.iter().map(|&u| K::from(u)).collect();
         PmaSet(Pma::from_sorted(&keys, PmaParams::dense()))
     }
     fn len(&self) -> usize {
         self.0.len()
     }
     fn contains(&self, x: u32) -> bool {
-        self.0.contains(x as u64)
+        self.0.contains(K::from(x))
     }
     fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
+        let id = |&k: &K| k.into() as u32;
         self.0
-            .for_each_segment_while(|seg| f(&seg.iter().map(|&k| k as u32).collect::<Vec<_>>()))
+            .for_each_segment_while(|seg| f(&seg.iter().map(id).collect::<Vec<_>>()))
     }
     fn insert_run(&mut self, run: &[u32], _: &()) -> usize {
-        run.iter().filter(|&&u| self.0.insert(u as u64)).count()
+        run.iter().filter(|&&u| self.0.insert(K::from(u))).count()
     }
     fn delete_run(&mut self, run: &[u32], _: &()) -> usize {
-        run.iter().filter(|&&u| self.0.delete(u as u64)).count()
+        run.iter().filter(|&&u| self.0.delete(K::from(u))).count()
     }
     fn check_invariants(&self) {
         self.0.check_invariants();
@@ -458,9 +340,11 @@ fn btree_behaves_as_sorted_set() {
     check_neighbor_set::<BTreeSet32Set>(0x9000, 0..500);
 }
 
+/// Both key widths draw the `u32` boundary ids, `u32::MAX` among them.
 #[test]
 fn pma_behaves_as_sorted_set() {
-    check_neighbor_set::<PmaSet>(0x8000, 0..500);
+    check_neighbor_set::<PmaSet<u64>>(0x8000, 0..500);
+    check_neighbor_set::<PmaSet<u32>>(0x8100, 0..500);
 }
 
 #[test]
@@ -483,41 +367,6 @@ fn delta_chunk_roundtrips() {
         assert_eq!(c.len(), keys.len());
         for probe in keys.iter().take(20) {
             assert!(c.contains(*probe));
-        }
-    }
-}
-
-/// The slice walk hands over, in non-empty slices, exactly what the
-/// per-id callback traversal visits, on every tier under random mutation.
-#[test]
-fn neighbor_slices_equal_callback_traversal() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0xD000 + case);
-        let stream = gen_batches(&mut rng, TABLE as u32);
-        let cfg = Config {
-            a: 4,
-            m: 16,
-            ..Config::default()
-        };
-        let mut g = LsGraph::with_config(TABLE, cfg);
-        for (is_insert, pairs) in &stream {
-            let batch: Vec<Edge> = pairs.iter().map(|&(a, b)| Edge::new(a, b)).collect();
-            if *is_insert {
-                g.insert_batch(&batch);
-            } else {
-                g.delete_batch(&batch);
-            }
-        }
-        for v in 0..g.num_vertices() as u32 {
-            let mut slices = Vec::new();
-            g.for_each_neighbor_slice_while(v, &mut |s| {
-                slices.push(s.to_vec());
-                true
-            });
-            assert!(slices.iter().all(|s| !s.is_empty()));
-            let mut visited = Vec::new();
-            g.for_each_neighbor(v, &mut |u| visited.push(u));
-            assert_eq!(slices.concat(), visited);
         }
     }
 }

@@ -1,26 +1,32 @@
-//! The simulator: an op grammar over one durable [`Store`], one step
-//! function, one check after every step, and a shrinker that turns a failing
-//! seed into a minimal trace printed as Rust to paste back in.
+//! The simulator: one op grammar, two runners — one over a durable
+//! [`Store`] and the engine axis (`Axis`), which drives any engine of the
+//! workspace — one check after every step against the one model, and a
+//! shrinker that turns a failing seed into a minimal trace printed as Rust
+//! to paste back in. A seed set or trace names what it runs on: a store
+//! setup (`Setup::named`) or `"<engine>/<setup>"` on the axis.
 
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, Once};
 
+use lsgraph::baselines::{AspenGraph, PacGraph, SortledtonGraph, TerraceGraph};
+use lsgraph::gen::{rmat, Csr, RmatParams};
 use lsgraph::queries::{BatchWindow, StandingQuery, SubscriptionHandle, SubscriptionHub};
-use lsgraph::{BatchKind, Config, DynamicGraph, Edge, Graph, GraphSnapshot, LsGraph};
-use lsgraph::{StructSnapshot, VertexId};
+use lsgraph::substrates::PmaGraph;
+use lsgraph::{analytics, BatchKind, Config, DynamicGraph, Edge, Graph, GraphSnapshot, LsGraph};
+use lsgraph::{HighDegreeStore, LiaSearch, MediumStore, StructSnapshot, Tier, VertexId};
 use lsgraph_api::{
     configure_failpoint, failpoint_fired, reset_failpoints, FailMode, FAILPOINT_SITES,
 };
 use lsgraph_persist::{
     delta_file, list_segments, load_newest_chain, segment_file, RecoveryReport, Store, StoreOptions,
 };
-use rand::{rngs::SmallRng, Rng};
+use rand::{rngs::SmallRng, Rng, SeedableRng};
 
-use crate::model::{assert_reads, edges, surface, trim_to, Frozen, Model};
+use crate::model::{assert_adjacency, assert_reads, edges, surface, trim_to, Frozen, Model};
 
 /// One step of a trace. While a kill has the store down only `Crash`, which
 /// brings it back, and the failpoint ops act. (The binaries that include this file
@@ -238,6 +244,9 @@ pub struct Sim {
     pub quarantine_log: Vec<Vec<VertexId>>,
     /// The live graph's counters when the run ended.
     pub stats: StructSnapshot,
+    /// What an engine-axis run reached (read by `tests/cross_engine.rs`).
+    #[allow(dead_code)]
+    pub reach: Reach,
     subs: Vec<Sub>,
     hub: Option<SubscriptionHub>,
     store: Option<Store>,
@@ -671,49 +680,347 @@ impl Sim {
     }
 }
 
-/// Runs `ops` from a fresh directory; `Err` is the first failed check.
-fn run(setup: Setup, set: &str, seed: u64, ops: &[Op]) -> Result<Sim, String> {
-    catch_unwind(|| {
-        let mut sim = Sim::open(setup, set, seed);
-        ops.iter().enumerate().for_each(|(i, op)| sim.step(i, op));
-        sim.finish();
-        sim
+/// What an engine-axis run reached: the tiers an LSGraph vertex was in,
+/// the largest degree and the largest triangle count.
+#[derive(Debug, Default)]
+pub struct Reach {
+    pub tiers: HashSet<Tier>,
+    pub degree: usize,
+    pub triangles: u64,
+}
+
+/// Vertex `v` of the `spread` setup draws its ids below `RANGE[v]`, so
+/// degrees spread across every container of every engine.
+pub const RANGE: [u32; 8] = [1, 10, 16, 24, 60, 160, 700, 2_400];
+
+/// `m` R-MAT edges on 2^11 vertices, each also reversed; the `rmat` setup
+/// bulk-loads seed 1's.
+pub fn rmat_batch(m: usize, seed: u64) -> Vec<(u32, u32)> {
+    let both = |e: &Edge| [(e.src, e.dst), (e.dst, e.src)];
+    let edges = rmat(11, m, RmatParams::paper(), seed);
+    edges.iter().flat_map(both).collect()
+}
+
+/// An engine of the axis, or a snapshot one holds.
+enum Engine {
+    Ls(LsGraph),
+    LsSnap(GraphSnapshot),
+    Aspen(AspenGraph),
+    Pac(PacGraph),
+    /// Terrace, Sortledton and PCSR, which take no snapshot.
+    Other(Box<dyn DynamicGraph>),
+}
+
+impl Engine {
+    /// Bulk-loads engine `name`. Each ablation runs where its switch acts:
+    /// the PMA arm holds every medium spill up to the default `M`; the other
+    /// two change the ladder above `M = 16`.
+    fn load(name: &str, n: usize, edges: &[Edge]) -> Engine {
+        let mut cfg = Config::default();
+        if matches!(name, "LSGraph-a4m16" | "LSGraph-RiaOnly" | "LSGraph-Binary") {
+            (cfg.a, cfg.m) = (4, 16);
+        }
+        match name {
+            "LSGraph" | "LSGraph-a4m16" => {}
+            "LSGraph-PMA" => cfg.medium = MediumStore::Pma,
+            "LSGraph-RiaOnly" => cfg.high = HighDegreeStore::RiaOnly,
+            "LSGraph-Binary" => cfg.lia_search = LiaSearch::Binary,
+            "Aspen" => return Engine::Aspen(AspenGraph::from_edges(n, edges)),
+            "PaC-tree" => return Engine::Pac(PacGraph::from_edges(n, edges)),
+            "Terrace" => return Engine::Other(Box::new(TerraceGraph::from_edges(n, edges))),
+            "Sortledton" => return Engine::Other(Box::new(SortledtonGraph::from_edges(n, edges))),
+            "PCSR" => return Engine::Other(Box::new(PmaGraph::from_edges(n, edges))),
+            _ => panic!("no engine `{name}`"),
+        }
+        Engine::Ls(LsGraph::from_edges(n, edges, cfg))
+    }
+
+    /// The reads, a live engine's through its writer.
+    fn graph(&mut self) -> &dyn Graph {
+        match self {
+            Engine::LsSnap(s) => s,
+            g => g.writer(),
+        }
+    }
+
+    fn writer(&mut self) -> &mut dyn DynamicGraph {
+        match self {
+            Engine::Ls(g) => g,
+            Engine::LsSnap(_) => unreachable!("a snapshot is never written"),
+            Engine::Aspen(g) => g,
+            Engine::Pac(g) => g,
+            Engine::Other(g) => &mut **g,
+        }
+    }
+
+    fn validate(&mut self) -> Result<(), String> {
+        match self {
+            Engine::LsSnap(s) => s.validate_invariants().map_err(|e| e.to_string()),
+            g => g.writer().validate_structure(),
+        }
+    }
+
+    /// A snapshot later writes do not reach, where the engine takes one.
+    fn snapshot(&self) -> Option<Engine> {
+        match self {
+            Engine::Ls(g) => Some(Engine::LsSnap(g.snapshot())),
+            Engine::Aspen(g) => Some(Engine::Aspen(g.snapshot())),
+            Engine::Pac(g) => Some(Engine::Pac(g.snapshot())),
+            _ => None,
+        }
+    }
+}
+
+/// The engine axis: one engine bulk-loaded from a setup, driven by the
+/// grammar's inserts, deletes and snapshots, and held to the model after
+/// every step through the reads every engine shares.
+struct Axis {
+    live: Engine,
+    model: Model,
+    /// Held snapshots and what each must read.
+    snaps: Vec<(Engine, Frozen)>,
+    /// Whether checks walk the vertices; every how many steps the kernels
+    /// are checked.
+    walks: bool,
+    kernels: Option<usize>,
+    reach: Reach,
+}
+
+impl Axis {
+    fn open(engine: &str, setup: &str) -> Axis {
+        let mut rng = SmallRng::seed_from_u64(60);
+        let (n, load, walks, kernels) = match setup {
+            // No vertex: the first insert grows the table.
+            "empty" => (0, Vec::new(), true, Some(1)),
+            // The seed sets draw ids up to 80, past the table.
+            "small" => (60, pairs(&mut rng, 100, 60, 60), true, None),
+            "spread" => (RANGE.len(), Vec::new(), true, None),
+            "rmat" => (1 << 11, rmat_batch(20_000, 1), false, Some(3)),
+            _ => panic!("no engine setup `{setup}`"),
+        };
+        let (load, mut model) = (edges(&load), Model::new(n));
+        model.apply(BatchKind::Insert, &load);
+        let live = Engine::load(engine, n, &load);
+        let (snaps, reach) = (Vec::new(), Reach::default());
+        Axis {
+            live,
+            model,
+            snaps,
+            walks,
+            kernels,
+            reach,
+        }
+    }
+
+    fn run(mut self, ops: &[Op]) -> Sim {
+        self.check("load", true);
+        for (i, op) in ops.iter().enumerate() {
+            match op {
+                Op::Insert(pairs) => self.batch(BatchKind::Insert, pairs, i),
+                Op::Delete(pairs) => self.batch(BatchKind::Delete, pairs, i),
+                Op::Snap => {
+                    let frozen = self.model.frozen();
+                    self.snaps.extend(self.live.snapshot().map(|s| (s, frozen)));
+                }
+                Op::DropSnap(_) if self.snaps.is_empty() => {}
+                Op::DropSnap(at) => drop(self.snaps.swap_remove(at % self.snaps.len())),
+                _ => panic!("step {i}: {op:?} is not on the engine axis"),
+            }
+            let kernels = self.kernels.is_some_and(|k| (i + 1) % k == 0);
+            self.check(&format!("step {i}"), kernels || i + 1 == ops.len());
+        }
+        Sim {
+            model: self.model,
+            reach: self.reach,
+            ..Sim::default()
+        }
+    }
+
+    fn batch(&mut self, kind: BatchKind, pairs: &[(u32, u32)], i: usize) {
+        let (edges, g) = (edges(pairs), self.live.writer());
+        let got = match kind {
+            BatchKind::Insert => g.insert_batch(&edges),
+            BatchKind::Delete => g.delete_batch(&edges),
+        };
+        let want = self.model.outcome(kind, &edges, &[]).applied;
+        assert_eq!(got, want, "step {i}: edges applied");
+        self.model.apply(kind, &edges);
+    }
+
+    /// Checks every held snapshot and the live graph, with `kernels` the
+    /// kernels too on a setup that checks them.
+    fn check(&mut self, ctx: &str, kernels: bool) {
+        for (i, (snap, want)) in self.snaps.iter_mut().enumerate() {
+            check_reads(snap, want, self.walks, &format!("{ctx}: snapshot {i}"));
+        }
+        let want = self.model.frozen();
+        check_reads(&mut self.live, &want, self.walks, ctx);
+        let top = want.adj.iter().map(Vec::len).max().unwrap_or(0);
+        self.reach.degree = self.reach.degree.max(top);
+        if let Engine::Ls(g) = &self.live {
+            let tiers = (0..g.num_vertices() as u32).map(|v| g.tier(v));
+            self.reach.tiers.extend(tiers);
+        }
+        if kernels && self.kernels.is_some() {
+            let triangles = check_kernels(self.live.graph(), &want, ctx);
+            self.reach.triangles = self.reach.triangles.max(triangles);
+        }
+    }
+}
+
+/// Holds `g` to `want`: the adjacency reads and the structural self-check;
+/// on every vertex holding an edge, and at either end of the table,
+/// `has_edge` at and beside its first and last neighbour, at its middle
+/// one, at the table's first id and end, and at the largest id; with `walks`, the slice-walk
+/// contract: every slice non-empty, ids strictly ascending, a per-id walk
+/// told to stop after the k-th id visiting exactly k ids (k at and either
+/// side of each of the first eight slice ends), `copy_neighbors_into`
+/// appending.
+fn check_reads(g: &mut Engine, want: &Frozen, walks: bool, ctx: &str) {
+    let (nv, r) = (want.adj.len(), g.graph());
+    assert_adjacency(r, &want.adj, ctx);
+    for (v, ns) in want.adj.iter().enumerate() {
+        if ns.is_empty() && v != 0 && v + 1 != nv {
+            continue;
+        }
+        let (v, mid) = (v as u32, ns.len() / 2);
+        let near = |(&a, &b): (&u32, &u32)| [a.wrapping_sub(1), a, ns[mid], b, b.saturating_add(1)];
+        let near = ns.first().zip(ns.last()).map(near).into_iter().flatten();
+        for u in near.chain([0, nv as u32, u32::MAX]) {
+            let has = ns.binary_search(&u).is_ok();
+            assert_eq!(r.has_edge(v, u), has, "{ctx}: has_edge({v}, {u})");
+        }
+        if !walks {
+            continue;
+        }
+        let mut slices: Vec<Vec<u32>> = Vec::new();
+        let complete = r.for_each_neighbor_slice_while(v, &mut |s| {
+            slices.push(s.to_vec());
+            true
+        });
+        let (ids, empty) = (slices.concat(), slices.iter().any(Vec::is_empty));
+        assert!(
+            complete && !empty,
+            "{ctx}: {v}: an empty or stopped slice walk"
+        );
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ctx}: {v}: unsorted");
+        let mut end = 0;
+        let ends = slices.iter().take(8).flat_map(|s| {
+            end += s.len();
+            [end - 1, end, end + 1]
+        });
+        for k in ends.filter(|&k| k >= 1 && k <= ids.len()) {
+            let mut seen = Vec::new();
+            let complete = r.for_each_neighbor_while(v, &mut |u| {
+                seen.push(u);
+                seen.len() < k
+            });
+            assert!(!complete && seen == ids[..k], "{ctx}: {v}: stop after {k}");
+        }
+        let mut out = vec![u32::MAX];
+        r.copy_neighbors_into(v, &mut out);
+        assert!(out[0] == u32::MAX && out[1..] == ids, "{ctx}: {v}: append");
+    }
+    g.validate()
+        .unwrap_or_else(|e| panic!("{ctx}: invariants: {e}"));
+}
+
+/// BFS distances, CC labels and the triangle count; five PageRank
+/// iterations and BC.
+type Kernels = ((Vec<u32>, Vec<u32>, u64), [Vec<f64>; 2]);
+
+fn kernels(g: &dyn Graph, src: u32) -> Kernels {
+    let dist = analytics::distances_from_parents(g, src, &analytics::bfs(g, src));
+    let cc = analytics::connected_components(g);
+    let tc = analytics::triangle_count(g).triangles;
+    let pr = analytics::pagerank(g, 5, 0.85);
+    ((dist, cc, tc), [pr, analytics::betweenness(g, src)])
+}
+
+/// Holds the kernels on `g`, from the vertex of largest degree, to those on
+/// a `Csr` of `want`: BFS, CC and TC exactly, PageRank within 1e-10 and BC
+/// within 1e-6 of `1 + |want|`. Returns the triangle count. Every engine
+/// reaches the same states, so each state's `Csr` results are computed once
+/// per process.
+fn check_kernels(g: &dyn Graph, want: &Frozen, ctx: &str) -> u64 {
+    static EXACT: Mutex<Vec<(Vec<Vec<u32>>, Kernels)>> = Mutex::new(Vec::new());
+    let all = want.adj.iter().enumerate();
+    let all = all.flat_map(|(v, ns)| ns.iter().map(move |&u| Edge::new(v as u32, u)));
+    let csr = Csr::from_edges(want.adj.len(), &all.collect::<Vec<_>>());
+    let Some(src) = (0..want.adj.len() as u32).max_by_key(|&v| csr.degree(v)) else {
+        return 0;
+    };
+    // An entry is pushed only once its results are complete, so a guard a
+    // panicking check poisoned still holds whole entries.
+    let mut seen = EXACT.lock().unwrap_or_else(|e| e.into_inner());
+    if !seen.iter().any(|(adj, _)| *adj == want.adj) {
+        seen.push((want.adj.clone(), kernels(&csr, src)));
+    }
+    let (exact, [pr, bc]) = seen
+        .iter()
+        .find(|(adj, _)| *adj == want.adj)
+        .unwrap()
+        .1
+        .clone();
+    drop(seen);
+    let (got, [got_pr, got_bc]) = kernels(g, src);
+    assert_eq!(got, exact, "{ctx}: BFS distances, CC labels, triangles");
+    let near = |a: &[f64], b: &[f64], eps: fn(f64) -> f64| {
+        a.iter().zip(b).all(|(x, y)| (x - y).abs() < eps(*y))
+    };
+    assert!(near(&got_pr, &pr, |_| 1e-10), "{ctx}: PageRank");
+    assert!(near(&got_bc, &bc, |y| 1e-6 * (1.0 + y.abs())), "{ctx}: BC");
+    exact.2
+}
+
+/// Runs `ops` on `target` from a fresh start; `Err` is the first failed
+/// check. A target is a store setup (`Setup::named`) or, spelled
+/// `"<engine>/<setup>"`, an engine of the axis on one of its setups
+/// (`Axis::open`).
+fn run(target: &str, set: &str, seed: u64, ops: &[Op]) -> Result<Sim, String> {
+    catch_unwind(|| match target.split_once('/') {
+        Some((engine, setup)) => Axis::open(engine, setup).run(ops),
+        None => {
+            let mut sim = Sim::open(Setup::named(target), set, seed);
+            ops.iter().enumerate().for_each(|(i, op)| sim.step(i, op));
+            sim.finish();
+            sim
+        }
     })
     .map_err(|p| message(&*p))
 }
 
-/// Runs one named seed set. A failing seed is shrunk and reported with a
-/// trace to paste back in as a named trace.
+/// Runs one named seed set on `target`. A failing seed is shrunk and
+/// reported with a trace to paste back in as a named trace.
 pub fn check_set(
     set: &str,
-    name: &str,
+    target: &str,
     seeds: impl IntoIterator<Item = u64>,
     gen: impl Fn(u64) -> Vec<Op>,
 ) -> Vec<Sim> {
     let _l = lock();
-    let setup = Setup::named(name);
     let report = |seed, failure: String, ops: Vec<Op>| {
         let (generated, want) = (ops.len(), signature(&failure));
         QUIET.set(true);
         let shrunk = shrink(ops, |c| {
-            run(setup, set, seed, c).is_err_and(|m| signature(&m) == want)
+            run(target, set, seed, c).is_err_and(|m| signature(&m) == want)
         });
-        let fails = run(setup, set, seed, &shrunk).err().unwrap_or_default();
+        let fails = run(target, set, seed, &shrunk).err().unwrap_or_default();
         QUIET.set(false);
         let trace: String = shrunk
             .iter()
             .map(|op| format!("        {},\n", literal(op)))
             .collect();
         panic!(
-            "seed set `{set}` seed {seed} failed: {failure}\n{generated} generated ops shrink to {}, \
-             failing with: {fails}\npaste as a named trace to reproduce:\n\n    \
-             named(\"{set}-{seed}\", {name:?}, vec![\n{trace}    ]);\n",
+            "seed set `{set}` on `{target}` seed {seed} failed: {failure}\n{generated} generated \
+             ops shrink to {}, failing with: {fails}\npaste as a named trace to reproduce:\n\n    \
+             named(\"{set}-{seed}\", {target:?}, vec![\n{trace}    ]);\n",
             shrunk.len()
         )
     };
     let run_seed = |seed| {
         let ops = gen(seed);
-        run(setup, set, seed, &ops).unwrap_or_else(|failure| report(seed, failure, ops))
+        run(target, set, seed, &ops).unwrap_or_else(|failure| report(seed, failure, ops))
     };
     seeds.into_iter().map(run_seed).collect()
 }
@@ -755,11 +1062,11 @@ fn shrink(mut ops: Vec<Op>, fails: impl Fn(&[Op]) -> bool) -> Vec<Op> {
     ops
 }
 
-/// Runs a fixed trace: a shrunk failure pasted back, or a deterministic case
-/// (`tests/standing_oracle.rs` runs seed sets only).
+/// Runs a fixed trace on `target`: a shrunk failure pasted back, or a
+/// deterministic case (`tests/standing_oracle.rs` runs seed sets only).
 #[allow(dead_code)]
-pub fn named(name: &str, setup: &str, ops: Vec<Op>) -> Sim {
+pub fn named(name: &str, target: &str, ops: Vec<Op>) -> Sim {
     let _l = lock();
-    run(Setup::named(setup), name, 0, &ops)
-        .unwrap_or_else(|f| panic!("named trace `{name}` failed: {f}"))
+    run(target, name, 0, &ops)
+        .unwrap_or_else(|f| panic!("named trace `{name}` on `{target}` failed: {f}"))
 }

@@ -6,14 +6,16 @@
 //! from-scratch oracle.
 //!
 //! The named seed sets below replace per-suite drivers; the snapshot sets
-//! run from `tests/properties.rs` and the standing set from
-//! `tests/standing_oracle.rs`, which include this harness. A failing seed is
+//! run from `tests/properties.rs`, the standing set from
+//! `tests/standing_oracle.rs` and the engine axis from
+//! `tests/cross_engine.rs`, which include this harness. A failing seed is
 //! shrunk to a minimal trace and printed as Rust to paste back in as a named
 //! trace. The sets that arm failpoints, and the kill paths of the others,
 //! need `--features failpoints`:
 //!
 //! ```text
-//! cargo test --test sim --test properties --test standing_oracle --features failpoints
+//! cargo test --test sim --test properties --test standing_oracle --test cross_engine \
+//!     --features failpoints
 //! ```
 
 mod harness;

@@ -133,18 +133,24 @@ pub fn trim_to<T: Default + PartialEq>(adj: &mut Vec<T>, nv: usize, delta: bool)
     }
 }
 
+/// Asserts any engine's `g` reads exactly `adj`: the vertex count, each
+/// vertex's neighbours and degree, and the exact edge total.
+pub fn assert_adjacency(g: &dyn Graph, adj: &[Vec<u32>], ctx: &str) {
+    assert_eq!(g.num_vertices(), adj.len(), "{ctx}: num_vertices");
+    for (v, ns) in adj.iter().enumerate() {
+        assert_eq!(&g.neighbors(v as u32), ns, "{ctx}: vertex {v}");
+        assert_eq!(g.degree(v as u32), ns.len(), "{ctx}: degree of {v}");
+    }
+    let m: usize = adj.iter().map(Vec::len).sum();
+    assert_eq!(g.num_edges(), m, "{ctx}: num_edges");
+}
+
 /// Asserts `g` reads exactly `want`: per-vertex adjacency and degree
 /// (quarantined vertices empty), the quarantine set, the exact edge total,
 /// and the structural invariants.
 pub fn assert_reads(g: &GraphView, want: &Frozen, ctx: &str) {
-    assert_eq!(g.num_vertices(), want.adj.len(), "{ctx}: num_vertices");
     assert_eq!(g.quarantined_vertices(), want.quarantined, "{ctx}: Q");
-    for (v, ns) in want.adj.iter().enumerate() {
-        assert_eq!(&g.neighbors(v as u32), ns, "{ctx}: vertex {v}");
-        assert_eq!(g.degree(v as u32), ns.len(), "{ctx}: degree of {v}");
-    }
-    let m: usize = want.adj.iter().map(Vec::len).sum();
-    assert_eq!(g.num_edges(), m, "{ctx}: num_edges");
+    assert_adjacency(g, &want.adj, ctx);
     g.validate_invariants()
         .unwrap_or_else(|e| panic!("{ctx}: invariants: {e}"));
     if let Some(s) = &want.surface {
