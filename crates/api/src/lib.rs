@@ -206,20 +206,27 @@ pub trait DynamicGraph: Graph {
     /// measured updates.
     fn reset_instrumentation(&mut self) {}
 
-    /// Cheap non-panicking structural self-check, run by the benchmark
-    /// harness after an engine's measured cells so a silently-corrupt
-    /// engine cannot produce a plausible-looking report. It records into no
-    /// counter. The default is a no-op `Ok`; every engine in the workspace
-    /// overrides it (LSGraph with its invariant validator, the baselines
-    /// with their `check_invariants` through [`catch_invariants`]).
+    /// Verifies every structural invariant of the engine, container
+    /// internals included, and records into no counter. It walks the whole
+    /// graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violated invariant.
+    fn check_invariants(&self);
+
+    /// [`DynamicGraph::check_invariants`] with a panic reported as `Err`
+    /// carrying its message (through [`catch_invariants`]). The benchmark
+    /// harness runs it after an engine's measured cells, so a
+    /// silently-corrupt engine cannot produce a plausible-looking report,
+    /// and the simulator after every step.
     fn validate_structure(&self) -> Result<(), String> {
-        Ok(())
+        catch_invariants(|| self.check_invariants())
     }
 }
 
 /// Runs a panicking invariant check and reports a panic as `Err` with its
-/// message: [`DynamicGraph::validate_structure`] for an engine whose checks
-/// assert.
+/// message: the body of [`DynamicGraph::validate_structure`].
 pub fn catch_invariants(check: impl FnOnce()) -> Result<(), String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(check)).map_err(|p| {
         p.downcast_ref::<String>()

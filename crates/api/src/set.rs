@@ -13,8 +13,7 @@ use rayon::prelude::*;
 
 use crate::batch::{par_apply, SortedBatch};
 use crate::{
-    catch_invariants, CounterSnapshot, DynamicGraph, Edge, Footprint, Graph, MemoryFootprint,
-    OpCounters, VertexId,
+    CounterSnapshot, DynamicGraph, Edge, Footprint, Graph, MemoryFootprint, OpCounters, VertexId,
 };
 
 /// An ordered, duplicate-free set of `u32` destination ids: one vertex's
@@ -170,22 +169,6 @@ impl<S: NeighborSet + Clone> SetTable<S> {
     }
 }
 
-impl<S: NeighborSet> SetTable<S> {
-    /// Verifies every vertex's set and the edge accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violated invariant.
-    pub fn check_invariants(&self) {
-        let mut total = 0;
-        for set in &self.sets {
-            set.check_invariants();
-            total += set.len();
-        }
-        assert_eq!(total, self.num_edges, "edge accounting");
-    }
-}
-
 impl<S: NeighborSet> Graph for SetTable<S> {
     fn num_vertices(&self) -> usize {
         self.sets.len()
@@ -245,8 +228,14 @@ impl<S: NeighborSet + Clone> DynamicGraph for SetTable<S> {
         self.ctx = S::Ctx::default();
     }
 
-    fn validate_structure(&self) -> Result<(), String> {
-        catch_invariants(|| self.check_invariants())
+    /// Every vertex's set, then the edge accounting.
+    fn check_invariants(&self) {
+        let mut total = 0;
+        for set in &self.sets {
+            set.check_invariants();
+            total += set.len();
+        }
+        assert_eq!(total, self.num_edges, "edge accounting");
     }
 }
 

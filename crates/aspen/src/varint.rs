@@ -120,16 +120,6 @@ impl DeltaChunk {
         });
         found
     }
-
-    /// First (smallest) value.
-    pub fn first(&self) -> Option<u32> {
-        let mut v = None;
-        self.for_each_while(&mut |x| {
-            v = Some(x);
-            false
-        });
-        v
-    }
 }
 
 #[cfg(test)]
@@ -179,8 +169,6 @@ mod tests {
             seen < 3
         }));
         assert_eq!(seen, 3);
-        assert_eq!(c.first(), Some(1));
-        assert_eq!(DeltaChunk::default().first(), None);
     }
 
     #[test]

@@ -352,16 +352,6 @@ impl BTreeSet32 {
         Some(m)
     }
 
-    /// Collects all keys into a sorted vector.
-    pub fn to_vec(&self) -> Vec<u32> {
-        let mut v = Vec::with_capacity(self.len);
-        self.for_each_slice_while(&mut |s| {
-            v.extend_from_slice(s);
-            true
-        });
-        v
-    }
-
     /// Verifies tree invariants.
     ///
     /// # Panics
@@ -390,6 +380,18 @@ impl MemoryFootprint for BTreeSet32 {
 mod tests {
     use super::*;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    impl BTreeSet32 {
+        /// All keys, ascending.
+        fn to_vec(&self) -> Vec<u32> {
+            let mut v = Vec::with_capacity(self.len);
+            self.for_each_slice_while(&mut |s| {
+                v.extend_from_slice(s);
+                true
+            });
+            v
+        }
+    }
 
     #[test]
     fn insert_contains_delete_small() {

@@ -6,8 +6,8 @@
 //! its writer-only state; a [`GraphSnapshot`](crate::GraphSnapshot) holds a
 //! clone of that view; the checkpoint codec in `lsgraph-persist` takes
 //! `&GraphView`. Every read — `degree`, neighbor walks, `tier`,
-//! `checkpoint_vertex`, `validate_invariants`, `footprint` — therefore has
-//! one body, and live graph, snapshot and image cannot drift apart.
+//! `check_invariants`, `footprint` — therefore has one body, and live graph,
+//! snapshot and image cannot drift apart.
 //!
 //! A page is [`PAGE`] blocks in one allocation behind one reference count:
 //! a sorted batch walks blocks in address order, a read is one indexed load
@@ -20,12 +20,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use lsgraph_api::batch::{Run, SortedBatch};
-use lsgraph_api::{Footprint, Graph, LatencyStats, MemoryFootprint, StructStats, VertexId};
+use lsgraph_api::{
+    catch_invariants, Footprint, Graph, LatencyStats, MemoryFootprint, StructStats, VertexId,
+};
 use rayon::prelude::*;
 
 use crate::config::Config;
-use crate::error::InvariantError;
-use crate::stats::Tier;
 use crate::vertex::VertexBlock;
 
 /// Vertex blocks per page, the unit a view shares with its clones. Larger
@@ -79,9 +79,10 @@ impl Task {
 /// quarantine set, the configuration, and handles to the instrumentation.
 ///
 /// Obtained from [`LsGraph::view`](crate::LsGraph::view) or
-/// [`GraphSnapshot::view`](crate::GraphSnapshot::view); both types forward
-/// their whole read surface here. Cloning is the snapshot flip: one
-/// reference bump per page, no block and no adjacency payload.
+/// [`GraphSnapshot::view`](crate::GraphSnapshot::view); both types deref to
+/// it and forward their `Graph` and `MemoryFootprint` impls to it. Cloning
+/// is the snapshot flip: one reference bump per page, no block and no
+/// adjacency payload.
 #[derive(Clone)]
 pub struct GraphView {
     /// Private, with `n`: what resizes or re-points the table is in this file.
@@ -214,62 +215,34 @@ impl GraphView {
         self.quarantined.iter().copied().collect()
     }
 
-    /// Tier tag of `v` plus its adjacency appended to `out` in ascending
-    /// order, walked tier-natively (see
-    /// [`VertexBlock::checkpoint_neighbors`]) — the per-vertex checkpoint
-    /// serialization visitor.
-    pub fn checkpoint_vertex(&self, v: VertexId, out: &mut Vec<u32>) -> Tier {
-        let tier = self.tier(v);
-        self.block(v).checkpoint_neighbors(out);
-        tier
-    }
-
-    /// Verifies per-vertex structural consistency (inline ordering, degree
-    /// accounting, spill ordering), quarantine state, and global edge
-    /// accounting, reporting the first violation as a value.
-    pub fn validate_invariants(&self) -> Result<(), InvariantError> {
-        let mut total = 0;
-        for (v, vb) in self.blocks().enumerate() {
-            vb.validate().map_err(|detail| InvariantError {
-                vertex: Some(v as VertexId),
-                detail,
-            })?;
-            total += vb.degree();
-        }
-        for &q in &self.quarantined {
-            let detail = match ((q as usize) < self.n).then(|| self.degree(q)) {
-                Some(0) => continue,
-                Some(d) => format!("quarantined vertex has degree {d}, expected 0"),
-                None => format!("quarantined vertex out of range (table has {})", self.n),
-            };
-            let vertex = Some(q);
-            return Err(InvariantError { vertex, detail });
-        }
-        if total != self.num_edges {
-            return Err(InvariantError {
-                vertex: None,
-                detail: format!(
-                    "edge accounting: degrees sum to {total} but num_edges is {}",
-                    self.num_edges
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// [`GraphView::validate_invariants`] must hold, then every spill
-    /// container's own deep structural checks.
+    /// Verifies every structural invariant: each vertex's block, container
+    /// internals included ([`VertexBlock::check_invariants`]), that each
+    /// quarantined vertex is in the table with degree 0, and that the
+    /// degrees sum to the edge total.
     ///
     /// # Panics
     ///
-    /// Panics on the first violated invariant.
+    /// Panics on the first violated invariant, naming the vertex when the
+    /// invariant is one block's (a block does not know its own id).
     pub fn check_invariants(&self) {
-        if let Err(e) = self.validate_invariants() {
-            panic!("{e}");
+        let mut total = 0;
+        for (v, vb) in self.blocks().enumerate() {
+            if let Err(e) = catch_invariants(|| vb.check_invariants(&self.cfg)) {
+                panic!("vertex {v}: {e}");
+            }
+            total += vb.degree();
         }
-        for vb in self.blocks() {
-            vb.check_containers(&self.cfg);
+        for &q in &self.quarantined {
+            assert!(
+                (q as usize) < self.n,
+                "quarantined vertex {q} outside the table"
+            );
+            assert_eq!(self.degree(q), 0, "quarantined vertex {q} has edges");
         }
+        assert_eq!(
+            total, self.num_edges,
+            "degrees disagree with the edge total"
+        );
     }
 }
 
@@ -318,11 +291,11 @@ impl MemoryFootprint for GraphView {
 }
 
 /// Gives `$ty` — which must have an inherent `fn view(&self) -> &GraphView`
-/// — the view's whole read surface under its own name: the [`Graph`] and
-/// [`MemoryFootprint`] impls and the inherent
-/// accessors. A macro rather than `Deref` because generic code bounds on the
-/// traits (`G: Graph` is not satisfied through a deref), and because
-/// `LsGraph` must not hand out `&mut GraphView`.
+/// — the view's whole read surface: its inherent methods through
+/// `Deref<Target = GraphView>`, and the [`Graph`] and [`MemoryFootprint`]
+/// impls, which generic code bounds on (`G: Graph` is not satisfied through
+/// a deref). There is no `DerefMut`: `LsGraph` must not hand out
+/// `&mut GraphView`.
 macro_rules! forward_to_view {
     ($ty:ty) => {
         impl lsgraph_api::Graph for $ty {
@@ -362,68 +335,12 @@ macro_rules! forward_to_view {
             }
         }
 
-        impl $ty {
-            /// The engine configuration.
-            pub fn config(&self) -> &$crate::config::Config {
-                self.view().config()
-            }
+        impl std::ops::Deref for $ty {
+            type Target = $crate::GraphView;
 
-            /// The structural counters (live handle; snapshot them with
-            /// [`StructStats::snapshot`](lsgraph_api::StructStats::snapshot)).
-            pub fn stats(&self) -> &lsgraph_api::StructStats {
-                self.view().stats()
-            }
-
-            /// The tier of vertex `v`.
-            pub fn tier(&self, v: lsgraph_api::VertexId) -> $crate::stats::Tier {
-                self.view().tier(v)
-            }
-
-            /// Tier population statistics across the whole graph.
-            pub fn tier_stats(&self) -> $crate::stats::TierStats {
-                self.view().tier_stats()
-            }
-
-            /// LIA slot occupancy aggregated over every HITree spill.
-            pub fn lia_slot_occupancy(&self) -> $crate::hitree::SlotOccupancy {
-                self.view().lia_slot_occupancy()
-            }
-
-            /// Tier tag of `v` plus its adjacency appended to `out`; see
-            /// [`GraphView::checkpoint_vertex`]($crate::GraphView::checkpoint_vertex).
-            pub fn checkpoint_vertex(
-                &self,
-                v: lsgraph_api::VertexId,
-                out: &mut Vec<u32>,
-            ) -> $crate::stats::Tier {
-                self.view().checkpoint_vertex(v, out)
-            }
-
-            /// Whether `v` is quarantined after an apply panic.
-            pub fn is_quarantined(&self, v: lsgraph_api::VertexId) -> bool {
-                self.view().is_quarantined(v)
-            }
-
-            /// The quarantined vertices, ascending.
-            pub fn quarantined_vertices(&self) -> Vec<lsgraph_api::VertexId> {
-                self.view().quarantined_vertices()
-            }
-
-            /// Structural self-check reporting the first violation as a
-            /// value; see
-            /// [`GraphView::validate_invariants`]($crate::GraphView::validate_invariants).
-            pub fn validate_invariants(&self) -> Result<(), $crate::error::InvariantError> {
-                self.view().validate_invariants()
-            }
-
-            /// Verifies every structural invariant, container internals
-            /// included.
-            ///
-            /// # Panics
-            ///
-            /// Panics on the first violated invariant.
-            pub fn check_invariants(&self) {
-                self.view().check_invariants()
+            #[inline]
+            fn deref(&self) -> &$crate::GraphView {
+                self.view()
             }
         }
     };
@@ -484,8 +401,8 @@ mod tests {
             assert_eq!((g.degree(src), frozen.degree(src)), (8, 0), "source {src}");
         }
         assert_eq!(g.degree(1), 0);
-        assert_eq!(g.validate_invariants(), Ok(()));
-        assert_eq!(frozen.validate_invariants(), Ok(()));
+        g.check_invariants();
+        frozen.check_invariants();
         // Every touched page was shared with the clone, so each was copied
         // once — not once per source on it — and the untouched page was not.
         assert_eq!(cow_copies(&g), 3 * PAGE as u64);
@@ -631,7 +548,7 @@ mod tests {
                 assert!(read_panics(&g, v as u32), "n {n}, live, vertex {v}");
                 assert!(read_panics(&frozen, v as u32), "n {n}, clone, vertex {v}");
             }
-            assert_eq!(g.validate_invariants(), Ok(()));
+            g.check_invariants();
         }
     }
 
@@ -648,7 +565,7 @@ mod tests {
             assert_eq!(g.num_vertices(), grown);
             insert(&mut g, grown as u32 - 1, 5);
             assert_eq!(g.degree(grown as u32 - 1), 1);
-            assert_eq!(g.validate_invariants(), Ok(()));
+            g.check_invariants();
         }
         g.grow_to(n);
         assert_eq!(g.num_vertices(), 3 * PAGE + 1, "the table never shrinks");
@@ -661,7 +578,7 @@ mod tests {
         assert_eq!(frozen.degree(P + 2), 1);
         assert!(read_panics(&frozen, n as u32));
         assert!(read_panics(&frozen, n as u32 + 1));
-        assert_eq!(frozen.validate_invariants(), Ok(()));
+        frozen.check_invariants();
     }
 
     /// Cloning the view touches page counts only; a hub's spill gains a

@@ -10,8 +10,10 @@
 //! * [`BatchOutcome`] — the batch itself succeeded, but one or more
 //!   per-vertex apply tasks panicked and were contained; the affected
 //!   vertices are quarantined and listed here.
-//! * [`InvariantError`] — a non-panicking structural self-check failed
-//!   (see `LsGraph::validate_invariants`).
+//!
+//! A structural self-check is not an error value: `check_invariants` panics
+//! on the first violated invariant, and
+//! `DynamicGraph::validate_structure` reports that panic as `Err`.
 
 use std::error::Error;
 use std::fmt;
@@ -97,26 +99,6 @@ impl BatchOutcome {
     }
 }
 
-/// A failed structural self-check from `LsGraph::validate_invariants`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InvariantError {
-    /// The vertex whose structure is inconsistent, when attributable.
-    pub vertex: Option<VertexId>,
-    /// Human-readable description of the violated invariant.
-    pub detail: String,
-}
-
-impl fmt::Display for InvariantError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.vertex {
-            Some(v) => write!(f, "invariant violated at vertex {v}: {}", self.detail),
-            None => write!(f, "invariant violated: {}", self.detail),
-        }
-    }
-}
-
-impl Error for InvariantError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,12 +113,6 @@ mod tests {
         assert!(e.to_string().contains("4 vertices"));
         let e = GraphError::NotQuarantined(3);
         assert!(e.to_string().contains("not quarantined"));
-        let iv = InvariantError {
-            vertex: Some(2),
-            detail: "degree mismatch".into(),
-        };
-        assert!(iv.to_string().contains("vertex 2"));
-        assert!(iv.to_string().contains("degree mismatch"));
     }
 
     #[test]

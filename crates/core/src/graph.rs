@@ -657,14 +657,16 @@ impl DynamicGraph for LsGraph {
         self.view.latency.reset();
     }
 
-    fn validate_structure(&self) -> Result<(), String> {
-        self.validate_invariants().map_err(|e| e.to_string())
+    fn check_invariants(&self) {
+        self.view.check_invariants();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adjacency::Spill;
+    use crate::stats::Tier;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use std::collections::BTreeSet;
 
@@ -953,5 +955,41 @@ mod tests {
             }
         }
         g.check_invariants();
+    }
+
+    /// A corrupt container whose ids still ascend: a RIA index word off its
+    /// block's first id, then a LIA id one slot right of where the model
+    /// predicts it. The live graph's `validate_structure` names the broken
+    /// invariant, and so does a snapshot held over the corrupt state.
+    #[test]
+    fn validation_reaches_inside_the_containers() {
+        let cases = [
+            (200, Tier::Ria, "index mismatch"),
+            (6_000, Tier::HiTree, "not at predicted position"),
+        ];
+        for (degree, tier, broken) in cases {
+            let hub: Vec<Edge> = (0..degree).map(|u| Edge::new(1, 3 * u)).collect();
+            let mut g = LsGraph::from_edges(3, &hub, Config::default());
+            assert_eq!(g.tier(1), tier);
+            assert_eq!(g.validate_structure(), Ok(()));
+            let mut vb = g.view.block(1).clone();
+            match vb.spill_mut() {
+                Spill::Ria(r) => r.corrupt_index(),
+                Spill::Lia(l) => l.misplace_edge(),
+                _ => unreachable!(),
+            }
+            g.view.install(1, vb);
+            let snap = g.snapshot();
+            for err in [
+                g.validate_structure(),
+                lsgraph_api::catch_invariants(|| snap.check_invariants()),
+            ] {
+                let err = err.unwrap_err();
+                assert!(
+                    err.starts_with("vertex 1: ") && err.contains(broken),
+                    "{err}"
+                );
+            }
+        }
     }
 }

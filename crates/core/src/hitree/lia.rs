@@ -647,6 +647,25 @@ impl MemoryFootprint for Lia {
 mod tests {
     use super::*;
 
+    impl Lia {
+        /// Moves the first `E` slot that has a `U` slot after it in its
+        /// block one slot right: the ids still ascend, but one no longer
+        /// sits where the model predicts it. For the engine's corruption
+        /// test.
+        pub(crate) fn misplace_edge(&mut self) {
+            let i = (0..self.slots.len() - 1)
+                .find(|&i| {
+                    (i + 1) % BKS != 0
+                        && self.types.get(i) == SlotType::Edge
+                        && self.types.get(i + 1) == SlotType::Unused
+                })
+                .expect("no E slot before a gap");
+            self.slots[i + 1] = self.slots[i];
+            self.types.set(i, SlotType::Unused);
+            self.types.set(i + 1, SlotType::Edge);
+        }
+    }
+
     /// Sink for the structural events these tests do not look at.
     static STATS: StructStats = StructStats::new();
 

@@ -49,7 +49,7 @@ mod vertex;
 pub use adjacency::Spill;
 pub use config::{Config, ConfigError, HighDegreeStore, LiaSearch, MediumStore, BKS, INLINE_CAP};
 pub use directory::GraphView;
-pub use error::{BatchOutcome, GraphError, InvariantError};
+pub use error::{BatchOutcome, GraphError};
 pub use graph::{BatchEvent, BatchKind, LsGraph, PostBatchHook};
 pub use hitree::SlotOccupancy;
 pub use model::{LinearModel, PlrModel, PositionModel};

@@ -505,6 +505,16 @@ impl MemoryFootprint for Ria {
 mod tests {
     use super::*;
 
+    impl Ria {
+        /// Moves the last block's index word off its block's first id. The
+        /// blocks still hold the same ascending ids; only the redundant
+        /// index lies. For the engine's corruption test.
+        pub(crate) fn corrupt_index(&mut self) {
+            let b = self.num_blocks() - 1;
+            self.buf[b] += 1;
+        }
+    }
+
     /// Sink for the structural events these tests do not look at.
     static STATS: StructStats = StructStats::new();
 

@@ -194,19 +194,12 @@ impl VertexBlock {
 
     /// Collects all neighbors into a sorted vector.
     pub fn to_vec(&self) -> Vec<u32> {
-        let mut v = Vec::new();
-        self.checkpoint_neighbors(&mut v);
-        v
-    }
-
-    /// Appends all neighbors to `out` in ascending order, a slice at a time
-    /// — the checkpoint serialization visitor.
-    pub fn checkpoint_neighbors(&self, out: &mut Vec<u32>) {
-        out.reserve(self.degree());
+        let mut v = Vec::with_capacity(self.degree());
         self.for_each_slice_while(&mut |s| {
-            out.extend_from_slice(s);
+            v.extend_from_slice(s);
             true
         });
+        v
     }
 
     /// Bytes spent beyond the block itself, split payload/index.
@@ -216,69 +209,27 @@ impl VertexBlock {
             .map_or(Footprint::default(), |s| s.footprint())
     }
 
-    /// [`VertexBlock::validate`] must hold, then the spill container's own
-    /// deep structural checks.
+    /// Verifies the block: the spill container's own structure (RIA index
+    /// redundancy, LIA placement, recursively), then the inline/spill split,
+    /// the degree and the strictly ascending order of the whole adjacency.
+    /// The container goes first so that its own check, not the walk's debug
+    /// assertion on a RIA index, names what broke.
     ///
     /// # Panics
     ///
     /// Panics on the first violated invariant.
     pub fn check_invariants(&self, cfg: &Config) {
-        if let Err(e) = self.validate() {
-            panic!("vertex block invariant violated: {e}");
-        }
-        self.check_containers(cfg);
-    }
-
-    /// The deep per-container half of [`VertexBlock::check_invariants`]
-    /// (RIA index redundancy, LIA placement), for a caller
-    /// that has already validated the block.
-    pub(crate) fn check_containers(&self, cfg: &Config) {
         if let Some(spill) = &self.spill {
             spill.check_invariants(cfg);
-        }
-    }
-
-    /// Checks the inline/spill split and the full sorted order of the
-    /// adjacency (which any container-level corruption surfaces through
-    /// `to_vec`), reporting the first violation as a value so a corrupt
-    /// block never unwinds a validator.
-    pub fn validate(&self) -> Result<(), String> {
-        let inl = self.inline_neighbors();
-        if !inl.windows(2).all(|w| w[0] < w[1]) {
-            return Err("inline neighbors unsorted".into());
-        }
-        let spill_len = self.spill.as_ref().map_or(0, |s| s.len());
-        if self.degree as usize != inl.len() + spill_len {
-            return Err(format!(
-                "degree {} != inline {} + spill {}",
-                self.degree,
-                inl.len(),
-                spill_len
-            ));
-        }
-        if let Some(spill) = &self.spill {
-            if spill.is_empty() {
-                return Err("empty spill retained".into());
-            }
-            if inl.len() != INLINE_CAP {
-                return Err(format!(
-                    "spill present but inline line holds {} of {INLINE_CAP}",
-                    inl.len()
-                ));
-            }
+            assert!(!spill.is_empty(), "empty spill retained");
+            assert_eq!(self.inline_len(), INLINE_CAP, "spill behind a partial line");
         }
         let all = self.to_vec();
-        if all.len() != self.degree as usize {
-            return Err(format!(
-                "iteration yields {} neighbors but degree is {}",
-                all.len(),
-                self.degree
-            ));
-        }
-        if !all.windows(2).all(|w| w[0] < w[1]) {
-            return Err("adjacency not strictly ascending".into());
-        }
-        Ok(())
+        assert_eq!(all.len(), self.degree(), "degree disagrees with the walk");
+        assert!(
+            all.windows(2).all(|w| w[0] < w[1]),
+            "adjacency not strictly ascending"
+        );
     }
 }
 
@@ -297,6 +248,11 @@ mod tests {
         /// the spill. For the directory's sharing tests.
         pub(crate) fn spill_owners(&self) -> usize {
             self.spill.as_ref().map_or(0, Arc::strong_count)
+        }
+
+        /// The spill, made exclusive. For the engine's corruption test.
+        pub(crate) fn spill_mut(&mut self) -> &mut Spill {
+            Arc::make_mut(self.spill.as_mut().expect("no spill"))
         }
     }
 

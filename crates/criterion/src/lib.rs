@@ -71,17 +71,6 @@ impl Criterion {
             throughput: None,
         }
     }
-
-    pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        run_one(name, self.sample_size, None, &mut f);
-        self
-    }
-
-    /// Called by `criterion_main!` in real criterion; a no-op here.
-    pub fn final_summary(&self) {}
 }
 
 pub struct BenchmarkGroup<'a> {

@@ -221,13 +221,6 @@ impl PacSet {
     fn deleted_with(&self, x: u32, c: &OpCounters) -> Option<PacSet> {
         delete(&self.root, x, c).map(|root| PacSet { root })
     }
-
-    /// Collects all elements into a sorted vector.
-    pub fn to_vec(&self) -> Vec<u32> {
-        let mut v = Vec::with_capacity(self.len());
-        collect(&self.root, &mut v);
-        v
-    }
 }
 
 impl Default for PacSet {
@@ -319,6 +312,15 @@ mod tests {
     use super::*;
     use lsgraph_api::{DynamicGraph, Edge, Graph};
     use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    impl PacSet {
+        /// All elements, ascending.
+        fn to_vec(&self) -> Vec<u32> {
+            let mut v = Vec::with_capacity(self.len());
+            collect(&self.root, &mut v);
+            v
+        }
+    }
 
     /// Sink for the point updates' counts.
     static C: OpCounters = OpCounters::new();

@@ -2,12 +2,12 @@
 //! recovery-chain loader that stitches them back together.
 //!
 //! A **full** checkpoint serializes every non-empty vertex through the
-//! engine's tier-native walk ([`GraphView::checkpoint_vertex`]): the inline
-//! line, then the spill container a slice at a time in its own unit —
-//! sorted array whole, RIA block by block via its redundant index, HITree
-//! stretch by stretch. Each record carries the vertex's tier tag, so images document
-//! the hierarchy they froze even though restore rebuilds tiers
-//! deterministically from degree.
+//! engine's one neighbor walk (`copy_neighbors_into` on a [`GraphView`]):
+//! the inline line, then the spill container a slice at a time in its own
+//! unit — sorted array whole, RIA block by block via its redundant index,
+//! HITree stretch by stretch. Each record carries the vertex's tier tag, so
+//! images document the hierarchy they froze even though restore rebuilds
+//! tiers deterministically from degree.
 //!
 //! A **delta** checkpoint serializes only the vertices dirtied since the
 //! previous image, plus the full quarantine set; its cost scales with the
@@ -263,7 +263,7 @@ fn write_image(
     let mut ns = Vec::new();
     for v in vertices {
         ns.clear();
-        let tier = g.checkpoint_vertex(v, &mut ns);
+        g.copy_neighbors_into(v, &mut ns);
         if ns.is_empty() && kind == ImageKind::Full {
             continue;
         }
@@ -272,7 +272,7 @@ fn write_image(
             "quarantined vertex {v} has a non-empty adjacency"
         );
         body.extend_from_slice(&v.to_le_bytes());
-        body.push(tier.tag());
+        body.push(g.tier(v).tag());
         body.extend_from_slice(&(ns.len() as u32).to_le_bytes());
         for &u in &ns {
             body.extend_from_slice(&u.to_le_bytes());
@@ -771,13 +771,13 @@ mod tests {
             (0..4).map(|v| r.neighbors(v)).collect::<Vec<_>>(),
             full_graph
         );
-        assert_eq!(r.validate_invariants(), Ok(()));
+        r.check_invariants();
         let (restored, info) = load_newest_chain(&dir, small_cfg()).unwrap();
         let (d, _) = restored.unwrap();
         assert_eq!((info.tip_id, info.images_discarded), (2, 0));
         assert_eq!(d.tier(0), Tier::HiTree);
         assert_same_graph(&d, &g);
-        assert_eq!(d.validate_invariants(), Ok(()));
+        d.check_invariants();
 
         assert_eq!(retag(&checkpoint_file(&dir, 1), 10, 6), 5);
         let Err(err) = load_checkpoint(&checkpoint_file(&dir, 1), small_cfg()) else {

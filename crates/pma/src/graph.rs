@@ -8,8 +8,8 @@
 
 use lsgraph_api::batch::SortedBatch;
 use lsgraph_api::{
-    buffered_slices, catch_invariants, CounterSnapshot, DynamicGraph, Edge, Footprint, Graph,
-    MemoryFootprint, VertexId,
+    buffered_slices, CounterSnapshot, DynamicGraph, Edge, Footprint, Graph, MemoryFootprint,
+    VertexId,
 };
 
 use crate::pma::{Pma, PmaParams};
@@ -21,23 +21,6 @@ pub struct PmaGraph {
 }
 
 impl PmaGraph {
-    /// Creates an empty graph over `n` vertices with Terrace-like density
-    /// bounds.
-    pub fn new(n: usize) -> Self {
-        PmaGraph {
-            edges: Pma::new(),
-            degree: vec![0; n],
-        }
-    }
-
-    /// Creates an empty graph with explicit PMA density bounds.
-    pub fn with_params(n: usize, params: PmaParams) -> Self {
-        PmaGraph {
-            edges: Pma::with_params(params),
-            degree: vec![0; n],
-        }
-    }
-
     /// Bulk-loads from an edge list (self-loops kept, duplicates
     /// collapsed), over at least `n` vertices and every id the list names.
     pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
@@ -57,20 +40,6 @@ impl PmaGraph {
     /// Snapshot of the underlying PMA's search/movement counters (Fig. 4).
     pub fn counters(&self) -> CounterSnapshot {
         self.edges.counters.snapshot()
-    }
-
-    /// Verifies PMA invariants and degree accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violated invariant.
-    pub fn check_invariants(&self) {
-        self.edges.check_invariants();
-        let mut deg = vec![0u32; self.degree.len()];
-        for k in self.edges.to_vec() {
-            deg[(k >> 32) as usize] += 1;
-        }
-        assert_eq!(deg, self.degree, "degree accounting mismatch");
     }
 }
 
@@ -152,8 +121,14 @@ impl DynamicGraph for PmaGraph {
         self.edges.counters.reset();
     }
 
-    fn validate_structure(&self) -> Result<(), String> {
-        catch_invariants(|| self.check_invariants())
+    /// PMA invariants and degree accounting.
+    fn check_invariants(&self) {
+        self.edges.check_invariants();
+        let mut deg = vec![0u32; self.degree.len()];
+        for k in self.edges.to_vec() {
+            deg[(k >> 32) as usize] += 1;
+        }
+        assert_eq!(deg, self.degree, "degree accounting mismatch");
     }
 }
 
@@ -186,7 +161,7 @@ mod tests {
 
     #[test]
     fn batch_updates() {
-        let mut g = PmaGraph::new(10);
+        let mut g = PmaGraph::from_edges(10, &[]);
         assert_eq!(g.insert_batch(&edges(&[(1, 2), (1, 3), (2, 4), (1, 2)])), 3);
         assert_eq!(g.insert_batch(&edges(&[(1, 2)])), 0);
         assert_eq!(g.num_edges(), 3);
@@ -204,7 +179,7 @@ mod tests {
         assert_eq!((g.degree(9), g.degree(0)), (1, 1));
         assert_eq!(g.neighbors(9), vec![1]);
         g.check_invariants();
-        let mut g = PmaGraph::new(4);
+        let mut g = PmaGraph::from_edges(4, &[]);
         assert_eq!(g.insert_batch(&edges(&[(9, 1), (2, 3), (9, 0)])), 3);
         assert_eq!(g.num_vertices(), 10);
         assert_eq!(g.neighbors(9), vec![0, 1]);
@@ -215,7 +190,7 @@ mod tests {
 
     #[test]
     fn neighbors_sorted_after_many_inserts() {
-        let mut g = PmaGraph::new(3);
+        let mut g = PmaGraph::from_edges(3, &[]);
         let mut batch = Vec::new();
         for i in (0..500u32).rev() {
             batch.push(Edge::new(1, i * 2));
@@ -229,7 +204,7 @@ mod tests {
 
     #[test]
     fn undirected_helper() {
-        let mut g = PmaGraph::new(5);
+        let mut g = PmaGraph::from_edges(5, &[]);
         g.insert_batch_undirected(&edges(&[(0, 1), (2, 3)]));
         assert!(g.has_edge(0, 1) && g.has_edge(1, 0));
         assert!(g.has_edge(3, 2));

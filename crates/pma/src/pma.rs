@@ -134,12 +134,6 @@ impl<K: PmaKey> Pma<K> {
         self.len == 0
     }
 
-    /// Total slot capacity.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.data.len()
-    }
-
     #[inline]
     fn num_segs(&self) -> usize {
         self.counts.len()
@@ -578,7 +572,7 @@ mod tests {
         assert_eq!(p.to_vec(), (0..20_000).collect::<Vec<_>>());
         // Root density bound keeps occupancy at or below root_upper after
         // any growth; allow slack for inserts since the last resize.
-        let occ = p.len() as f64 / p.capacity() as f64;
+        let occ = p.len() as f64 / p.data.len() as f64;
         assert!(occ <= 0.8, "occupancy {occ}");
         assert!(p.counters.snapshot().rebuilds > 0);
     }
@@ -602,13 +596,13 @@ mod tests {
     #[test]
     fn delete_and_shrink() {
         let mut p = Pma::<u64>::from_sorted(&(0..10_000).collect::<Vec<_>>(), PmaParams::default());
-        let cap_before = p.capacity();
+        let cap_before = p.data.len();
         for k in 0..9_000u64 {
             assert!(p.delete(k), "delete {k}");
         }
         p.check_invariants();
         assert_eq!(p.len(), 1_000);
-        assert!(p.capacity() < cap_before, "should shrink");
+        assert!(p.data.len() < cap_before, "should shrink");
         assert!(!p.delete(0));
         assert_eq!(p.to_vec(), (9_000..10_000).collect::<Vec<_>>());
     }
@@ -653,7 +647,7 @@ mod tests {
         let p = Pma::from_sorted(&v, PmaParams::default());
         p.check_invariants();
         assert_eq!(p.len(), 50_000);
-        let occ = p.len() as f64 / p.capacity() as f64;
+        let occ = p.len() as f64 / p.data.len() as f64;
         assert!(occ <= 0.25 + 1e-9, "occupancy {occ} above root bound");
         assert!(occ >= 0.0625, "occupancy {occ} absurdly low");
     }

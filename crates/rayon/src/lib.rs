@@ -530,10 +530,6 @@ impl ThreadPool {
         let _restore = pool::WidthGuard::set(self.num_threads);
         f()
     }
-
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
-    }
 }
 
 #[derive(Default)]

@@ -79,14 +79,8 @@ impl UnrolledSkipList {
 
     /// Number of stored keys.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the set is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Deterministic tower height with promotion probability 1/4.
@@ -422,7 +416,7 @@ mod tests {
         for k in 0..5_000 {
             assert!(l.delete(k), "delete {k}");
         }
-        assert!(l.is_empty());
+        assert_eq!(l.len(), 0);
         l.check_invariants();
         let slab = l.blocks.len();
         for k in 0..5_000u32 {

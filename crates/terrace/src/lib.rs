@@ -19,8 +19,8 @@ use std::time::Instant;
 
 use lsgraph_api::batch::{par_apply, SortedBatch};
 use lsgraph_api::{
-    buffered_slices, catch_invariants, CounterSnapshot, DynamicGraph, Edge, Footprint, Graph,
-    MemoryFootprint, VertexId,
+    buffered_slices, CounterSnapshot, DynamicGraph, Edge, Footprint, Graph, MemoryFootprint,
+    VertexId,
 };
 use lsgraph_btree::BTreeSet32;
 use lsgraph_pma::{Pma, PmaParams};
@@ -74,18 +74,6 @@ pub struct TerraceGraph {
 }
 
 impl TerraceGraph {
-    /// Creates an empty graph over `n` vertices.
-    pub fn new(n: usize) -> Self {
-        TerraceGraph {
-            vertices: vec![TVertex::default(); n],
-            pma: Pma::with_params(PmaParams::default()),
-            hints: std::sync::RwLock::new(None),
-            num_edges: 0,
-            pma_nanos: 0,
-            update_nanos: 0,
-        }
-    }
-
     /// Drops the offset cache (called by every update path).
     fn invalidate_hints(&mut self) {
         *self.hints.get_mut().expect("hints lock poisoned") = None;
@@ -321,47 +309,6 @@ impl TerraceGraph {
             self.pma_nanos += t0.elapsed().as_nanos() as u64;
         }
     }
-
-    /// Verifies per-vertex and PMA invariants.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violated invariant.
-    pub fn check_invariants(&self) {
-        self.pma.check_invariants();
-        // Tallied by one walk, not per-vertex range counts: a range count
-        // searches, and a search records into the PMA's counters.
-        let mut in_pma = vec![0; self.vertices.len()];
-        self.pma.for_each_segment_while(|seg| {
-            seg.iter().for_each(|&k| in_pma[(k >> 32) as usize] += 1);
-            true
-        });
-        let mut total = 0;
-        for (v, tv) in self.vertices.iter().enumerate() {
-            let inl = tv.inline_neighbors();
-            assert!(
-                inl.windows(2).all(|w| w[0] < w[1]),
-                "inline unsorted at {v}"
-            );
-            let tree_len = tv.tree.as_ref().map_or(0, |t| t.len());
-            let pma_len = if tv.tree.is_none() && tv.degree as usize > INLINE_CAP {
-                in_pma[v]
-            } else {
-                0
-            };
-            assert_eq!(
-                tv.degree as usize,
-                inl.len() + tree_len + pma_len,
-                "degree accounting at {v}"
-            );
-            if let Some(t) = &tv.tree {
-                t.check_invariants();
-                assert!(!t.is_empty());
-            }
-            total += tv.degree as usize;
-        }
-        assert_eq!(total, self.num_edges);
-    }
 }
 
 impl Graph for TerraceGraph {
@@ -484,8 +431,41 @@ impl DynamicGraph for TerraceGraph {
         TerraceGraph::reset_instrumentation(self);
     }
 
-    fn validate_structure(&self) -> Result<(), String> {
-        catch_invariants(|| self.check_invariants())
+    /// Per-vertex and PMA invariants.
+    fn check_invariants(&self) {
+        self.pma.check_invariants();
+        // Tallied by one walk, not per-vertex range counts: a range count
+        // searches, and a search records into the PMA's counters.
+        let mut in_pma = vec![0; self.vertices.len()];
+        self.pma.for_each_segment_while(|seg| {
+            seg.iter().for_each(|&k| in_pma[(k >> 32) as usize] += 1);
+            true
+        });
+        let mut total = 0;
+        for (v, tv) in self.vertices.iter().enumerate() {
+            let inl = tv.inline_neighbors();
+            assert!(
+                inl.windows(2).all(|w| w[0] < w[1]),
+                "inline unsorted at {v}"
+            );
+            let tree_len = tv.tree.as_ref().map_or(0, |t| t.len());
+            let pma_len = if tv.tree.is_none() && tv.degree as usize > INLINE_CAP {
+                in_pma[v]
+            } else {
+                0
+            };
+            assert_eq!(
+                tv.degree as usize,
+                inl.len() + tree_len + pma_len,
+                "degree accounting at {v}"
+            );
+            if let Some(t) = &tv.tree {
+                t.check_invariants();
+                assert!(!t.is_empty());
+            }
+            total += tv.degree as usize;
+        }
+        assert_eq!(total, self.num_edges);
     }
 }
 
@@ -513,7 +493,7 @@ mod tests {
 
     #[test]
     fn basic_insert_read() {
-        let mut g = TerraceGraph::new(4);
+        let mut g = TerraceGraph::from_edges(4, &[]);
         assert_eq!(g.insert_batch(&edges(&[(0, 2), (0, 1), (1, 3)])), 3);
         assert_eq!(g.neighbors(0), vec![1, 2]);
         assert_eq!(g.degree(1), 1);
@@ -522,7 +502,7 @@ mod tests {
 
     #[test]
     fn medium_tier_uses_pma() {
-        let mut g = TerraceGraph::new(2);
+        let mut g = TerraceGraph::from_edges(2, &[]);
         let batch: Vec<Edge> = (0..100u32).map(|i| Edge::new(0, i)).collect();
         g.insert_batch(&batch);
         assert_eq!(g.degree(0), 100);
@@ -533,7 +513,7 @@ mod tests {
 
     #[test]
     fn high_tier_migrates_to_btree() {
-        let mut g = TerraceGraph::new(2);
+        let mut g = TerraceGraph::from_edges(2, &[]);
         let batch: Vec<Edge> = (0..3_000u32).map(|i| Edge::new(0, i)).collect();
         g.insert_batch(&batch);
         assert!(g.vertices[0].tree.is_some(), "should have migrated");
@@ -551,7 +531,7 @@ mod tests {
             .map(|_| Edge::new(rng.gen_range(0..40), rng.gen_range(0..5_000)))
             .collect();
         let bulk = TerraceGraph::from_edges(5_000, &es);
-        let mut inc = TerraceGraph::new(5_000);
+        let mut inc = TerraceGraph::from_edges(5_000, &[]);
         for chunk in es.chunks(1_111) {
             inc.insert_batch(chunk);
         }
@@ -585,7 +565,7 @@ mod tests {
 
     #[test]
     fn delete_from_every_tier() {
-        let mut g = TerraceGraph::new(1);
+        let mut g = TerraceGraph::from_edges(1, &[]);
         let batch: Vec<Edge> = (0..2_500u32).map(|i| Edge::new(0, i)).collect();
         g.insert_batch(&batch);
         // Delete inline, PMA-era, and btree-era neighbors.
@@ -601,7 +581,7 @@ mod tests {
 
     #[test]
     fn demotion_after_heavy_deletes() {
-        let mut g = TerraceGraph::new(1);
+        let mut g = TerraceGraph::from_edges(1, &[]);
         let batch: Vec<Edge> = (0..3_000u32).map(|i| Edge::new(0, i)).collect();
         g.insert_batch(&batch);
         assert!(g.vertices[0].tree.is_some());
@@ -616,7 +596,7 @@ mod tests {
 
     #[test]
     fn instrumentation_reports_pma_share() {
-        let mut g = TerraceGraph::new(10);
+        let mut g = TerraceGraph::from_edges(10, &[]);
         let batch: Vec<Edge> = (0..500u32).map(|i| Edge::new(i % 10, i)).collect();
         g.insert_batch(&batch);
         let share = g.pma_time_share();
@@ -631,7 +611,7 @@ mod tests {
         // Vertex 0 in the B-tree tier, vertex 1 in the PMA tier.
         let mut batch: Vec<Edge> = (0..2_000u32).map(|i| Edge::new(0, i)).collect();
         batch.extend((0..100u32).map(|i| Edge::new(1, i)));
-        let mut g = TerraceGraph::new(2);
+        let mut g = TerraceGraph::from_edges(2, &[]);
         g.insert_batch(&batch);
         let counted = g.op_counters();
         assert_eq!(g.validate_structure(), Ok(()));

@@ -19,7 +19,8 @@ use lsgraph::substrates::PmaGraph;
 use lsgraph::{analytics, BatchKind, Config, DynamicGraph, Edge, Graph, GraphSnapshot, LsGraph};
 use lsgraph::{HighDegreeStore, LiaSearch, MediumStore, StructSnapshot, Tier, VertexId};
 use lsgraph_api::{
-    configure_failpoint, failpoint_fired, reset_failpoints, FailMode, FAILPOINT_SITES,
+    catch_invariants, configure_failpoint, failpoint_fired, reset_failpoints, FailMode,
+    FAILPOINT_SITES,
 };
 use lsgraph_persist::{
     delta_file, list_segments, load_newest_chain, segment_file, RecoveryReport, Store, StoreOptions,
@@ -755,7 +756,7 @@ impl Engine {
 
     fn validate(&mut self) -> Result<(), String> {
         match self {
-            Engine::LsSnap(s) => s.validate_invariants().map_err(|e| e.to_string()),
+            Engine::LsSnap(s) => catch_invariants(|| s.check_invariants()),
             g => g.writer().validate_structure(),
         }
     }

@@ -7,6 +7,7 @@ use std::collections::BTreeSet;
 
 use lsgraph::{BatchKind, BatchOutcome, Edge, Footprint, Graph, GraphView, MemoryFootprint};
 use lsgraph::{Tier, TierStats, VertexId};
+use lsgraph_api::catch_invariants;
 
 #[derive(Clone, Debug, Default)]
 pub struct Model {
@@ -29,15 +30,11 @@ pub struct Frozen {
 }
 
 /// Everything else a reader can ask, as one comparable value: per vertex the
-/// checkpoint tier, the tier and the checkpoint adjacency; the footprint and
-/// the tier statistics.
-pub type Surface = (Vec<(Tier, Tier, Vec<u32>)>, Footprint, TierStats);
+/// tier and the adjacency; the footprint and the tier statistics.
+pub type Surface = (Vec<(Tier, Vec<u32>)>, Footprint, TierStats);
 
 pub fn surface(g: &GraphView) -> Surface {
-    let per_vertex = (0..g.num_vertices() as u32).map(|v| {
-        let mut ns = Vec::new();
-        (g.checkpoint_vertex(v, &mut ns), g.tier(v), ns)
-    });
+    let per_vertex = (0..g.num_vertices() as u32).map(|v| (g.tier(v), g.neighbors(v)));
     (per_vertex.collect(), g.footprint(), g.tier_stats())
 }
 
@@ -151,8 +148,7 @@ pub fn assert_adjacency(g: &dyn Graph, adj: &[Vec<u32>], ctx: &str) {
 pub fn assert_reads(g: &GraphView, want: &Frozen, ctx: &str) {
     assert_eq!(g.quarantined_vertices(), want.quarantined, "{ctx}: Q");
     assert_adjacency(g, &want.adj, ctx);
-    g.validate_invariants()
-        .unwrap_or_else(|e| panic!("{ctx}: invariants: {e}"));
+    catch_invariants(|| g.check_invariants()).unwrap_or_else(|e| panic!("{ctx}: invariants: {e}"));
     if let Some(s) = &want.surface {
         assert!(surface(g) == *s, "{ctx}: read surface");
     }
