@@ -207,10 +207,11 @@ metric_family! {
 }
 
 impl StructStats {
-    /// Records an insert satisfied inline, shifting `shifted` elements.
+    /// Records `hits` ids of a run inserted into an inline line, shifting
+    /// `shifted` of the line's elements.
     #[inline]
-    pub fn record_vb_inline_insert(&self, shifted: u64) {
-        self.vb_inline_hits.record(1);
+    pub fn record_vb_inline_insert(&self, hits: u64, shifted: u64) {
+        self.vb_inline_hits.record(hits);
         self.vb_inline_shifts.record(shifted);
     }
 
@@ -314,8 +315,8 @@ mod tests {
     #[test]
     fn struct_stats_record_and_reset() {
         let s = StructStats::new();
-        s.record_vb_inline_insert(3);
-        s.record_vb_inline_insert(0);
+        s.record_vb_inline_insert(1, 3);
+        s.record_vb_inline_insert(1, 0);
         s.vb_spill_evictions.record(1);
         s.arr_shifts.record(9);
         s.ria_within_block_shifts.record(4);
@@ -420,7 +421,7 @@ mod tests {
     #[test]
     fn absorbing_locals_equals_recording_into_one() {
         let record = |s: &StructStats, i: u64| {
-            s.record_vb_inline_insert(i % 4);
+            s.record_vb_inline_insert(1, i % 4);
             s.arr_shifts.record(i);
             s.record_ria_ripple(i % 5, i % 3, i % 7);
             if i.is_multiple_of(6) {

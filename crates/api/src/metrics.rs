@@ -407,7 +407,7 @@ mod tests {
     #[test]
     fn sample_classifies_counters_vs_gauges_in_schema_order() {
         let (r, stats, _) = small_registry();
-        stats.record_vb_inline_insert(3);
+        stats.record_vb_inline_insert(1, 3);
         stats.record_ria_ripple(2, 5, 6);
         stats.subscriptions_active.record(4);
         let s = r.sample();

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Experiments: `fig3 fig4 fig12 small ablation fig13 table2 table3 fig14
-//! fig15 fig16 fig17 table4 g500 durability mixed standing all`. Sizes scale with
+//! fig15 fig16 fig17 table4 g500 durability mixed standing frontdel all`. Sizes scale with
 //! `REPRO_SCALE` (extra powers of two), `REPRO_BASE` (log2 base vertex
 //! count, default 15), and `REPRO_TRIALS` (default 3).
 //!
@@ -171,7 +171,7 @@ fn main() {
     let scale = Scale::from_env();
     if args.is_empty() {
         eprintln!(
-            "usage: repro <fig3|fig4|fig12|small|ablation|fig13|table2|table3|fig14|fig15|fig16|fig17|table4|g500|durability|mixed|standing|all> [--json] [--trace out.json] [--metrics out.jsonl]\n       repro check --baseline BENCH_<experiment>.json [--metrics out.jsonl]"
+            "usage: repro <fig3|fig4|fig12|small|ablation|fig13|table2|table3|fig14|fig15|fig16|fig17|table4|g500|durability|mixed|standing|frontdel|all> [--json] [--trace out.json] [--metrics out.jsonl]\n       repro check --baseline BENCH_<experiment>.json [--metrics out.jsonl]"
         );
         std::process::exit(2);
     }
@@ -248,6 +248,7 @@ fn main() {
             "sortledton" => lsgraph_bench::sortledton(&scale),
             "verify" => lsgraph_bench::verify(&scale),
             "g500" => lsgraph_bench::g500(&scale),
+            "frontdel" => lsgraph_bench::frontdel(&scale),
             "all" => lsgraph_bench::all(&scale),
             other => {
                 eprintln!("unknown experiment: {other}");

@@ -1581,6 +1581,48 @@ pub fn verify(scale: &Scale) {
     assert!(ok, "verification failed");
 }
 
+/// Front deletes (ROADMAP item 12): one hub of 50 000 ids at the default
+/// `Config` deletes its smallest `k` ids or its largest `k`, as one batch
+/// and in 256-edge batches, for k = 5 000 / 10 000 / 20 000. A sliding
+/// window expiring a hub's oldest neighbours deletes the smallest ids
+/// first; the refill that keeps the inline line holding the smallest ids
+/// must not make that the slow end. Fixed size; the best of `trials`
+/// fresh hubs per cell.
+pub fn frontdel(scale: &Scale) {
+    const HUB: u32 = 50_000;
+    println!("# front deletes: one hub of {HUB} ids, ns per deleted edge");
+    println!(
+        "{:>8}{:>8}{:>12}{:>12}{:>10}",
+        "k", "batch", "smallest", "largest", "ratio"
+    );
+    let hub: Vec<Edge> = (0..HUB).map(|u| Edge::new(0, u)).collect();
+    let cell = |ids: std::ops::Range<u32>, batch: usize| {
+        let doomed: Vec<Edge> = ids.map(|u| Edge::new(0, u)).collect();
+        (0..scale.trials.max(1))
+            .map(|_| {
+                let mut g = LsGraph::from_edges(1, &hub, Config::default());
+                let (_, d) = time(|| {
+                    for b in doomed.chunks(batch) {
+                        g.delete_batch(b);
+                    }
+                });
+                assert_eq!(g.degree(0), hub.len() - doomed.len());
+                d.as_nanos() as f64 / doomed.len() as f64
+            })
+            .fold(f64::MAX, f64::min)
+    };
+    for k in [5_000, 10_000, 20_000] {
+        for batch in [k as usize, 256] {
+            let small = cell(0..k, batch);
+            let large = cell(HUB - k..HUB, batch);
+            println!(
+                "{k:>8}{batch:>8}{small:>12.1}{large:>12.1}{:>10.2}",
+                small / large
+            );
+        }
+    }
+}
+
 /// Runs every experiment in paper order.
 pub fn all(scale: &Scale) {
     fig3(scale);

@@ -14,7 +14,7 @@ mod runner;
 pub use check::{check_metrics, compare, violations_json, CheckOptions, Violation, ViolationKind};
 pub use experiments::{
     ablation, all, durability, durability_report, fig12, fig12_report, fig13, fig13_report, fig14,
-    fig15, fig16, fig17, fig3, fig4, g500, mixed, mixed_report, small_batches,
+    fig15, fig16, fig17, fig3, fig4, frontdel, g500, mixed, mixed_report, small_batches,
     small_batches_report, sortledton, standing, standing_report, table2, table3, table4, verify,
 };
 pub use report::{parse_json, BenchReport, Json};

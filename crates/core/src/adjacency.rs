@@ -6,9 +6,10 @@
 //! **LIA** whose overflowing blocks point at further `Spill`s (the HITree).
 //! Which of the three is chosen by how many ids sit behind the pointer, and
 //! that choice is one function, [`kind_for`]: bulk load, the upgrade ahead
-//! of an insert, the downgrade after a delete and the LIA's child builder
-//! all ask it (`Spill::grow` lists the two rungs a growing container reaches
-//! later than a built one). One more arm sits outside the paper's ladder: a
+//! of an insert run, the downgrade after a delete run and the LIA's child
+//! builder all ask it (`Spill::rung` lists the two rungs a growing container
+//! reaches later than a built one), and a run that changes rung rebuilds
+//! once. One more arm sits outside the paper's ladder: a
 //! per-vertex **PMA** standing in for the RIA under the §6.2 ablation. Every
 //! arm stores plain `u32` ids, as the paper does; nothing is compressed.
 //!
@@ -23,6 +24,7 @@ use crate::config::{Config, HighDegreeStore, MediumStore};
 use crate::hitree::lia::Lia;
 use crate::hitree::SlotOccupancy;
 use crate::ria::Ria;
+use crate::run::{count_fresh, merge_into, merged_ids, remove_from};
 use crate::stats::Tier;
 
 /// Ordered `u32` set behind one pointer: a vertex's non-inline neighbors
@@ -143,70 +145,120 @@ impl Spill {
         }
     }
 
-    /// Inserts `u`, first moving up the ladder if this kind is full;
-    /// returns whether it was added. Structural movement is recorded into
-    /// `stats`.
+    /// Inserts `u`; returns whether it was added. One id is a run of one
+    /// ([`Spill::insert_run`]).
     pub fn insert(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
-        self.insert_at(u, cfg, 0, stats)
+        self.insert_run(&[u], cfg, stats) == 1
     }
 
-    pub(crate) fn insert_at(
+    /// Deletes `u`; returns whether it was present. One id is a run of one
+    /// ([`Spill::delete_run`]).
+    pub fn delete(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
+        self.delete_run(&[u], cfg, stats) == 1
+    }
+
+    /// Inserts the ids of a strictly ascending run, first moving up the
+    /// ladder — once, at the length the run leaves — if it outgrows this
+    /// kind; returns how many were added. Structural movement is recorded
+    /// into `stats`.
+    pub fn insert_run(&mut self, run: &[u32], cfg: &Config, stats: &StructStats) -> usize {
+        self.insert_run_at(run, cfg, 0, stats)
+    }
+
+    pub(crate) fn insert_run_at(
         &mut self,
-        u: u32,
+        run: &[u32],
         cfg: &Config,
         depth: usize,
         stats: &StructStats,
-    ) -> bool {
-        if !self.grow(u, cfg, depth, stats) {
-            return false;
+    ) -> usize {
+        if run.is_empty() {
+            return 0;
+        }
+        if let Some(added) = self.grow(run, cfg, depth, stats) {
+            return added;
         }
         match self {
-            Spill::Array(v) => match v.binary_search(&u) {
-                Ok(_) => false,
+            // A run of one takes the per-id body, one search and one move:
+            // at one id it beats the merge below (EXPERIMENTS.md, "Runs").
+            Spill::Array(v) if run.len() == 1 => match v.binary_search(&run[0]) {
+                Ok(_) => 0,
                 Err(i) => {
                     stats.arr_shifts.record((v.len() - i) as u64);
-                    v.insert(i, u);
-                    true
+                    v.insert(i, run[0]);
+                    1
                 }
             },
-            Spill::Ria(r) => r.insert(u, stats).inserted(),
-            Spill::Lia(l) => l.insert(u, cfg, depth, stats),
-            Spill::Pma(p) => p.insert(u),
+            Spill::Array(v) => {
+                let (old, fresh) = (v.len(), count_fresh(v, run));
+                if fresh > 0 {
+                    // Capacity doubles as it would for the ids one at a time,
+                    // so the footprint does not depend on how they were run.
+                    if old + fresh > v.capacity() {
+                        let mut cap = v.capacity();
+                        while cap < old + fresh {
+                            cap = (cap * 2).max(4);
+                        }
+                        v.reserve_exact(cap - old);
+                    }
+                    // Placeholders, overwritten by the merge.
+                    v.extend_from_slice(&run[..fresh]);
+                    stats
+                        .arr_shifts
+                        .record(merge_into(v, old, run, fresh) as u64);
+                }
+                fresh
+            }
+            Spill::Ria(r) => r.insert_run(run, stats),
+            Spill::Lia(l) => l.insert_run(run, cfg, depth, stats),
+            Spill::Pma(p) => run.iter().filter(|&&u| p.insert(u)).count(),
         }
     }
 
-    /// Deletes `u`, moving a vertex's spill down the ladder with 2×
-    /// hysteresis; returns whether it was present. Structural movement is
-    /// recorded into `stats`.
-    pub fn delete(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
-        self.delete_at(u, cfg, 0, stats)
-    }
-
-    pub(crate) fn delete_at(
-        &mut self,
-        u: u32,
-        cfg: &Config,
-        depth: usize,
-        stats: &StructStats,
-    ) -> bool {
-        let removed = match self {
-            Spill::Array(v) => match v.binary_search(&u) {
-                Ok(i) => {
-                    v.remove(i);
-                    stats.arr_shifts.record((v.len() - i) as u64);
-                    true
-                }
-                Err(_) => false,
-            },
-            Spill::Ria(r) => r.delete(u, stats),
-            Spill::Lia(l) => l.delete(u, cfg, depth, stats),
-            Spill::Pma(p) => p.delete(u),
-        };
-        // A child never moves down: its parent drops it when it empties.
-        if removed && depth == 0 {
+    /// Deletes the ids of a strictly ascending run, then moves a vertex's
+    /// spill down the ladder with 2× hysteresis ([`Spill::shrink`]); returns
+    /// how many were present. Structural movement is recorded into `stats`.
+    pub fn delete_run(&mut self, run: &[u32], cfg: &Config, stats: &StructStats) -> usize {
+        let removed = self.delete_run_at(run, cfg, 0, stats);
+        if removed > 0 {
             self.shrink(cfg, stats);
         }
         removed
+    }
+
+    /// Deletes the ids of a strictly ascending run without moving down the
+    /// ladder: a child never does (its parent drops it when it empties),
+    /// and a vertex's spill does once its block is done with it.
+    pub(crate) fn delete_run_at(
+        &mut self,
+        run: &[u32],
+        cfg: &Config,
+        depth: usize,
+        stats: &StructStats,
+    ) -> usize {
+        if run.is_empty() {
+            return 0;
+        }
+        match self {
+            Spill::Array(v) if run.len() == 1 => match v.binary_search(&run[0]) {
+                Ok(i) => {
+                    v.remove(i);
+                    stats.arr_shifts.record((v.len() - i) as u64);
+                    1
+                }
+                Err(_) => 0,
+            },
+            Spill::Array(v) => {
+                let (kept, moved) = remove_from(v, run);
+                let removed = v.len() - kept;
+                v.truncate(kept);
+                stats.arr_shifts.record(moved as u64);
+                removed
+            }
+            Spill::Ria(r) => r.delete_run(run, stats),
+            Spill::Lia(l) => l.delete_run(run, cfg, depth, stats),
+            Spill::Pma(p) => run.iter().filter(|&&u| p.delete(u)).count(),
+        }
     }
 
     /// Smallest id, or `None` when empty.
@@ -219,14 +271,26 @@ impl Spill {
         min
     }
 
-    /// Removes and returns the smallest neighbor (used to refill a vertex
-    /// block's inline line after an inline delete), recording structural
-    /// movement into `stats`.
-    pub fn pop_min(&mut self, cfg: &Config, stats: &StructStats) -> Option<u32> {
-        let min = self.min_key()?;
-        let removed = self.delete(min, cfg, stats);
-        debug_assert!(removed);
-        Some(min)
+    /// Moves the `out.len()` smallest ids (all of them, if it holds fewer)
+    /// into `out` and returns how many: one walk from the front and one
+    /// delete run, which refill a vertex block's inline line. The caller
+    /// settles the rung ([`Spill::shrink`]).
+    pub(crate) fn take_front(
+        &mut self,
+        out: &mut [u32],
+        cfg: &Config,
+        stats: &StructStats,
+    ) -> usize {
+        let mut n = 0;
+        self.for_each_slice_while(&mut |s| {
+            let take = s.len().min(out.len() - n);
+            out[n..n + take].copy_from_slice(&s[..take]);
+            n += take;
+            n < out.len()
+        });
+        let taken = self.delete_run_at(&out[..n], cfg, 0, stats);
+        debug_assert_eq!(taken, n);
+        n
     }
 
     /// Hands the ids to `f` in ascending order, as non-empty slices in the
@@ -273,35 +337,28 @@ impl Spill {
         }
     }
 
-    /// Ahead of inserting `u`: rebuilds on the rung the ladder names for the
-    /// size this container is about to have, and retrains a LIA that has
-    /// doubled since its model was fitted. A kind change counts as a tier
-    /// upgrade behind a vertex block and as a node upgrade inside a HITree.
-    /// Returns `false`, having changed nothing, when a rebuild was due but
-    /// `u` is already present: an insert that adds nothing must not rebuild
-    /// or count. Only the (rare) rebuild path looks for `u`.
-    ///
-    /// Two rungs are reached later than a bulk load reaches them, where the
-    /// code this replaced put them; moving either moves measured counters,
-    /// so they wait for the sweep (ROADMAP item 7). A RIA is rebuilt as a
-    /// LIA one insert late, holding `M + 1`. And a child's array runs to
-    /// half again the length the ladder gives an array (a child starts at
-    /// `BKS + 1` ids and most never get there): the ladder is asked about
-    /// two thirds of its length.
-    fn grow(&mut self, u: u32, cfg: &Config, depth: usize, stats: &StructStats) -> bool {
-        let (asked, retrain) = match self {
-            Spill::Array(v) if depth == 0 => (v.len() + 1, false),
-            Spill::Array(v) => (v.len() * 2 / 3 + 1, false),
-            Spill::Lia(l) => (l.len(), l.len() >= l.built_len().saturating_mul(2)),
-            _ => (self.len(), false),
-        };
-        let kind = kind_for(asked, depth, cfg).max(self.kind());
-        if !retrain && kind == self.kind() {
-            return true;
+    /// Ahead of inserting a run: rebuilds once, around the run, on the rung
+    /// the ladder names for the length the run leaves, and retrains a LIA
+    /// that has doubled since its model was fitted. A kind change counts as
+    /// a tier upgrade behind a vertex block and as a node upgrade inside a
+    /// HITree. Returns how many ids the rebuild added, or `None` — having
+    /// changed nothing — when no rebuild is due and the arm takes the run.
+    /// A run of ids already present is found before anything changes: an
+    /// insert that adds nothing must not rebuild or count. Only the (rare)
+    /// rebuild path looks for them.
+    fn grow(
+        &mut self,
+        run: &[u32],
+        cfg: &Config,
+        depth: usize,
+        stats: &StructStats,
+    ) -> Option<usize> {
+        self.rung(self.len() + run.len() - 1, cfg, depth)?;
+        let fresh = run.iter().filter(|&&u| !self.contains(u, cfg)).count();
+        if fresh == 0 {
+            return Some(0);
         }
-        if self.contains(u, cfg) {
-            return false;
-        }
+        let (kind, retrain) = self.rung(self.len() + fresh - 1, cfg, depth)?;
         let _span = span(if retrain {
             SpanKind::LiaRetrain
         } else {
@@ -312,7 +369,7 @@ impl Spill {
         } else {
             "tier_upgrade"
         });
-        let ns = self.to_vec();
+        let ns = merged_ids(self.len(), run, true, |f| self.for_each_slice_while(f));
         *self = Spill::build(kind, &ns, depth, cfg);
         if retrain {
             stats.lia_model_retrains.record(1);
@@ -321,13 +378,36 @@ impl Spill {
         } else {
             stats.hitree_node_upgrades.record(1);
         }
-        true
+        Some(fresh)
     }
 
-    /// After a delete at depth 0: rebuilds on a lower rung once even more
+    /// The rebuild due, if any, when the last id of a run goes in with
+    /// `held` ids already here: the rung the ladder names, and whether it
+    /// is a LIA's retrain. A run of one asks what an insert of one id always
+    /// asked, so growth id by id climbs as it did.
+    ///
+    /// Two rungs are reached later than a bulk load reaches them, where the
+    /// code this replaced put them; moving either moves measured counters,
+    /// so they wait for the sweep (ROADMAP item 7). A RIA is rebuilt as a
+    /// LIA one insert late, holding `M + 1`. And a child's array runs to
+    /// half again the length the ladder gives an array (a child starts at
+    /// `BKS + 1` ids and most never get there): the ladder is asked about
+    /// two thirds of its length.
+    fn rung(&self, held: usize, cfg: &Config, depth: usize) -> Option<(Kind, bool)> {
+        let (asked, retrain) = match self {
+            Spill::Array(_) if depth == 0 => (held + 1, false),
+            Spill::Array(_) => (held * 2 / 3 + 1, false),
+            Spill::Lia(l) => (held, held >= l.built_len().saturating_mul(2)),
+            _ => (held, false),
+        };
+        let kind = kind_for(asked, depth, cfg).max(self.kind());
+        (retrain || kind != self.kind()).then_some((kind, retrain))
+    }
+
+    /// After deletes at depth 0: rebuilds on a lower rung once even more
     /// than twice the ids would sit there (`2·len < A`, `2·len < M`), so
     /// oscillating workloads do not thrash.
-    fn shrink(&mut self, cfg: &Config, stats: &StructStats) {
+    pub(crate) fn shrink(&mut self, cfg: &Config, stats: &StructStats) {
         if kind_for(2 * self.len() + 1, 0, cfg) < self.kind() {
             fail_point!("spill_downgrade");
             *self = Spill::from_sorted(&self.to_vec(), cfg);
@@ -482,7 +562,7 @@ mod tests {
                 }
                 assert_eq!(built.to_vec(), grown.to_vec());
                 if let Some(&u) = ns.get(len) {
-                    assert!(grown.insert_at(u, &cfg, depth, &STATS));
+                    assert_eq!(grown.insert_run_at(&[u], &cfg, depth, &STATS), 1);
                 }
             }
             assert!(matches!(grown, Spill::Lia(_)));
@@ -504,13 +584,13 @@ mod tests {
         let stats = StructStats::new();
         let mut child = Spill::from_sorted_child(&[], &cfg, 1, usize::MAX);
         for u in 0..(cfg.a + cfg.a / 2) as u32 {
-            child.insert_at(u, &cfg, 1, &stats);
+            child.insert_run_at(&[u], &cfg, 1, &stats);
         }
         assert!(matches!(child, Spill::Array(_)));
-        child.insert_at(1_000, &cfg, 1, &stats);
+        child.insert_run_at(&[1_000], &cfg, 1, &stats);
         assert!(matches!(child, Spill::Ria(_)));
         for u in 0..(cfg.a + cfg.a / 2) as u32 {
-            child.delete_at(u, &cfg, 1, &stats);
+            child.delete_run_at(&[u], &cfg, 1, &stats);
         }
         assert!(matches!(child, Spill::Ria(_)), "a child never moves down");
         let snap = stats.snapshot();
@@ -633,18 +713,24 @@ mod tests {
         assert_eq!(s.to_vec(), (960..1_000).collect::<Vec<_>>());
     }
 
+    /// The front take hands over the smallest ids of every arm, fewer when
+    /// the container holds fewer, and leaves the rest.
     #[test]
-    fn pop_min_across_tiers() {
+    fn take_front_across_tiers() {
         let cfg = cfg();
         for n in [10usize, 100, 600] {
-            let mut s =
-                Spill::from_sorted(&(0..n as u32).map(|i| i * 2 + 4).collect::<Vec<_>>(), &cfg);
-            assert_eq!(s.pop_min(&cfg, &STATS), Some(4));
-            assert_eq!(s.pop_min(&cfg, &STATS), Some(6));
-            assert_eq!(s.len(), n - 2);
+            let ids: Vec<u32> = (0..n as u32).map(|i| i * 2 + 4).collect();
+            let mut s = Spill::from_sorted(&ids, &cfg);
+            let mut out = [0; 3];
+            assert_eq!(s.take_front(&mut out, &cfg, &STATS), 3);
+            assert_eq!(out, [4, 6, 8]);
+            assert_eq!(s.to_vec(), ids[3..]);
+            s.check_invariants(&cfg);
+            let mut all = vec![0; n];
+            assert_eq!(s.take_front(&mut all, &cfg, &STATS), n - 3);
+            assert_eq!(all[..n - 3], ids[3..]);
+            assert!(s.is_empty());
         }
-        let mut empty = Spill::Array(Vec::new());
-        assert_eq!(empty.pop_min(&cfg, &STATS), None);
     }
 
     #[test]
@@ -681,7 +767,7 @@ mod tests {
                 let full_array = if depth == 0 { a } else { a + a / 2 };
                 let mut doubled = Spill::build(Kind::Lia, &ids(m + 2), depth, &cfg);
                 for u in (0..m as u32 + 2).map(|i| i * 3 + 1) {
-                    assert!(doubled.insert_at(u, &cfg, depth, &STATS));
+                    assert_eq!(doubled.insert_run_at(&[u], &cfg, depth, &STATS), 1);
                 }
                 let rungs = [
                     Spill::Array(ids(full_array)),
@@ -691,12 +777,13 @@ mod tests {
                 for mut s in rungs {
                     let (tier, before) = (s.tier(), s.to_vec());
                     let stats = StructStats::new();
-                    assert!(!s.insert_at(before[before.len() / 2], &cfg, depth, &stats));
+                    let dup = [before[before.len() / 2]];
+                    assert_eq!(s.insert_run_at(&dup, &cfg, depth, &stats), 0);
                     assert_eq!(s.tier(), tier, "{tier:?} at depth {depth}");
                     assert_eq!(s.to_vec(), before);
                     assert_eq!(stats.snapshot(), Default::default(), "{tier:?} at {depth}");
                     // The next insert that adds an id does rebuild.
-                    assert!(s.insert_at(u32::MAX, &cfg, depth, &stats));
+                    assert_eq!(s.insert_run_at(&[u32::MAX], &cfg, depth, &stats), 1);
                     let snap = stats.snapshot();
                     let rebuilt = snap.tier_upgrades + snap.hitree_node_upgrades;
                     assert_eq!(rebuilt + snap.lia_model_retrains, 1, "{tier:?} at {depth}");

@@ -364,7 +364,7 @@ mod tests {
         let cfg = g.cfg;
         let batch = SortedBatch::new(&[Edge::new(v, u)]);
         g.num_edges += g.par_apply_disjoint(&batch, |_, vb, task_stats, _| {
-            usize::from(vb.insert(u, &cfg, task_stats))
+            vb.insert_run(&[u], &cfg, task_stats)
         });
     }
 
@@ -390,10 +390,7 @@ mod tests {
         let cfg = g.cfg;
         let applied = g.par_apply_disjoint(&batch, |run, vb, task_stats, _| {
             assert_eq!(vb.degree(), 0);
-            run.dsts
-                .iter()
-                .filter(|&&u| vb.insert(u, &cfg, task_stats))
-                .count()
+            vb.insert_run(run.dsts, &cfg, task_stats)
         });
         g.num_edges = applied;
         assert_eq!(applied, 40);
@@ -440,11 +437,7 @@ mod tests {
         assert_ne!(before, StructSnapshot::default());
         let cfg = g.cfg;
         let applied = g.par_apply_disjoint(&batch, |run, vb, task_stats, _| {
-            let n = run
-                .dsts
-                .iter()
-                .filter(|&&u| vb.insert(u, &cfg, task_stats))
-                .count();
+            let n = vb.insert_run(run.dsts, &cfg, task_stats);
             assert!(task_stats.snapshot().vb_inline_hits > 0);
             assert_eq!(shared.snapshot(), before, "source {}", run.src);
             n
@@ -456,9 +449,7 @@ mod tests {
         expect.cow_block_copies.record(3 * PAGE as u64);
         for run in batch.runs() {
             let mut vb = VertexBlock::new();
-            for &u in run.dsts {
-                vb.insert(u, &cfg, &expect);
-            }
+            vb.insert_run(run.dsts, &cfg, &expect);
             assert_eq!(g.block(run.src).to_vec(), vb.to_vec());
         }
         let moved = shared.snapshot().since(before);

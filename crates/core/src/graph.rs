@@ -264,18 +264,22 @@ impl LsGraph {
 
     /// Replaces `v`'s block wholesale (see [`GraphView::install`]) and marks
     /// it dirty. Used by every whole-block replacement path (quarantine
-    /// reset, clear, restore, repair); batched per-edge mutation goes
+    /// reset, clear, restore, repair); batched per-run mutation goes
     /// through [`GraphView::par_apply_disjoint`] instead.
     fn install_block(&mut self, v: VertexId, vb: VertexBlock) {
         self.view.install(v, vb);
         self.dirty.insert(v);
     }
 
-    /// Applies `op` to every destination of each run, on the run's vertex
-    /// block, in parallel with per-run panic isolation; a run's count is how
-    /// many `op` calls returned `true`. `op` records into its task's counters
-    /// (see [`GraphView::par_apply_disjoint`]), a killed run's partial
-    /// movement included.
+    /// Applies `op` once per run — the run's vertex block and its whole
+    /// ascending destination slice — in parallel with per-run panic
+    /// isolation; a run's count is what `op` returns, the ids it changed.
+    /// The run is the unit of apply all the way down: the block merges it
+    /// against its inline line and hands the rest to its container in one
+    /// call ([`VertexBlock::insert_run`], [`VertexBlock::delete_run`]). `op`
+    /// records into its task's counters (see
+    /// [`GraphView::par_apply_disjoint`]), a killed run's partial movement
+    /// included.
     ///
     /// Each committed run adds one `group_apply` sample, read off one clock
     /// read: the time since the task's previous run ended, or since the task
@@ -293,7 +297,7 @@ impl LsGraph {
     fn apply_runs(
         &mut self,
         mut batch: SortedBatch,
-        op: impl Fn(&mut VertexBlock, u32, &Config, &StructStats) -> bool + Sync,
+        op: impl Fn(&mut VertexBlock, &[u32], &Config, &StructStats) -> usize + Sync,
     ) -> RunApplyResult {
         let offered = batch.runs().len();
         if !self.view.quarantined.is_empty() {
@@ -316,10 +320,7 @@ impl LsGraph {
                     let d_pre = vb.degree();
                     let task = || {
                         fail_point!("apply_run");
-                        run.dsts
-                            .iter()
-                            .filter(|&&u| op(vb, u, &cfg, task_stats))
-                            .count()
+                        op(vb, run.dsts, &cfg, task_stats)
                     };
                     let outcome = catch_unwind(AssertUnwindSafe(task));
                     let now = Instant::now();
@@ -408,14 +409,14 @@ impl LsGraph {
         let r = match kind {
             BatchKind::Insert => {
                 self.grow_to(sorted.id_bound());
-                self.apply_runs(sorted, VertexBlock::insert)
+                self.apply_runs(sorted, VertexBlock::insert_run)
             }
             // Ignore runs for vertices beyond the table; those edges cannot
             // exist.
             BatchKind::Delete => {
                 let n = self.num_vertices();
                 sorted.retain_sources(|src| (src as usize) < n);
-                self.apply_runs(sorted, VertexBlock::delete)
+                self.apply_runs(sorted, VertexBlock::delete_run)
             }
         };
         let edges_lost: usize = r.panicked.iter().map(|&(_, d_pre)| d_pre).sum();

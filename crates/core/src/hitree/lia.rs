@@ -21,13 +21,14 @@
 //! on.
 
 use lsgraph_api::fail_point;
-use lsgraph_api::{Footprint, MemoryFootprint, StructStats};
+use lsgraph_api::{sorted_union, Footprint, MemoryFootprint, StructStats};
 
 use super::typevec::{SlotType, TypeVec};
 use super::SlotOccupancy;
 use crate::adjacency::Spill;
 use crate::config::{Config, LiaSearch, BKS};
 use crate::model::{LinearModel, PositionModel};
+use crate::run::{count_fresh, merge_into, remove_from};
 
 /// Sentinel for "block has no child".
 const NO_CHILD: u32 = u32::MAX;
@@ -233,89 +234,131 @@ impl Lia {
             .expect("delegated block must have a live child")
     }
 
-    /// Inserts `key` (Algorithm 2, LIA branch). Returns whether it was
-    /// added. Horizontal packs, within-block shifts, and vertical child
-    /// creations are recorded into `stats`.
-    pub(crate) fn insert(
+    /// Inserts the ids of a strictly ascending run (Algorithm 2, LIA
+    /// branch, a block's share at a time); returns how many were added.
+    /// Horizontal packs, within-block shifts, and vertical child creations
+    /// are recorded into `stats`.
+    pub(crate) fn insert_run(
         &mut self,
-        key: u32,
+        run: &[u32],
         cfg: &Config,
         depth: usize,
         stats: &StructStats,
-    ) -> bool {
+    ) -> usize {
         if cfg.lia_search == LiaSearch::Binary {
             // Ablation §6.2: locate by binary search instead of the model.
             // Placement below still follows the model (the structure is
             // unchanged); the ablation measures pure search cost.
-            if self.contains_binary(key, cfg) {
-                return false;
-            }
+            let fresh: Vec<u32> = run
+                .iter()
+                .copied()
+                .filter(|&u| !self.contains_binary(u, cfg))
+                .collect();
+            return self.place_run(&fresh, cfg, depth, stats);
         }
-        let pos = self.model.predict(key);
-        let b = pos / BKS;
+        self.place_run(run, cfg, depth, stats)
+    }
+
+    fn place_run(&mut self, run: &[u32], cfg: &Config, depth: usize, stats: &StructStats) -> usize {
+        let mut added = 0;
+        let mut rest = run;
+        while let Some(&first) = rest.first() {
+            let b = self.model.predict(first) / BKS;
+            let (ids, tail) = rest.split_at(self.share(b, rest));
+            added += match self.kind(b) {
+                BlockKind::Delegated => self.child_mut(b).insert_run_at(ids, cfg, depth + 1, stats),
+                BlockKind::Packed => self.merge_packed(b, ids, cfg, depth, stats),
+                BlockKind::ExactOrUnused => self.place_exact(b, ids, cfg, depth, stats),
+            };
+            rest = tail;
+        }
+        self.len += added;
+        added
+    }
+
+    /// How many ids at the front of `run` — the first of which the model
+    /// sends to block `b` — go where it goes: to block `b`, or to the child
+    /// `b` shares with its neighbours. Predictions are monotone, so they are
+    /// a prefix.
+    fn share(&self, b: usize, run: &[u32]) -> usize {
+        let child = self.child_of_block[b];
+        1 + run[1..]
+            .iter()
+            .take_while(|&&u| {
+                let c = self.model.predict(u) / BKS;
+                c == b || (child != NO_CHILD && self.child_of_block[c] == child)
+            })
+            .count()
+    }
+
+    /// Merges `ids` into packed block `b`: within the block while its `B`
+    /// prefix has room (horizontal movement), else into a child (vertical,
+    /// Fig. 10 case 3).
+    fn merge_packed(
+        &mut self,
+        b: usize,
+        ids: &[u32],
+        cfg: &Config,
+        depth: usize,
+        stats: &StructStats,
+    ) -> usize {
         let base = b * BKS;
-        match self.kind(b) {
-            BlockKind::Delegated => {
-                let inserted = self.child_mut(b).insert_at(key, cfg, depth + 1, stats);
-                if inserted {
-                    self.len += 1;
+        let plen = self.packed_len(b);
+        let fresh = count_fresh(&self.slots[base..base + plen], ids);
+        if fresh > 0 && plen + fresh <= BKS {
+            let moved = merge_into(&mut self.slots[base..base + BKS], plen, ids, fresh);
+            self.types
+                .set_range(base + plen..base + plen + fresh, SlotType::Block);
+            stats.lia_within_block_shifts.record(moved as u64);
+        } else if fresh > 0 {
+            let merged = sorted_union(&self.slots[base..base + plen], ids);
+            self.settle_block(b, merged, cfg, depth, stats);
+        }
+        fresh
+    }
+
+    /// Places `ids` in exact/unused block `b`: each at its predicted slot
+    /// when every new one has a free slot of its own; otherwise the block's
+    /// exact-placed elements and the new ids are repacked horizontally (or
+    /// go vertical).
+    fn place_exact(
+        &mut self,
+        b: usize,
+        ids: &[u32],
+        cfg: &Config,
+        depth: usize,
+        stats: &StructStats,
+    ) -> usize {
+        let (mut fresh, mut last) = (0, usize::MAX);
+        for &u in ids {
+            let pos = self.model.predict(u);
+            match self.types.get(pos) {
+                SlotType::Edge if self.slots[pos] == u => {}
+                SlotType::Unused if pos != last => {
+                    fresh += 1;
+                    last = pos;
                 }
-                inserted
-            }
-            BlockKind::ExactOrUnused => match self.types.get(pos) {
-                SlotType::Unused => {
-                    self.slots[pos] = key;
-                    self.types.set(pos, SlotType::Edge);
-                    self.len += 1;
-                    true
-                }
-                SlotType::Edge => {
-                    if self.slots[pos] == key {
-                        return false;
-                    }
-                    // Conflict: gather the block's exact-placed elements plus
-                    // the new key and repack horizontally (or go vertical).
-                    let mut merged = Vec::with_capacity(BKS + 1);
-                    for i in base..base + BKS {
-                        if self.types.get(i) == SlotType::Edge {
-                            merged.push(self.slots[i]);
-                        }
-                    }
-                    let at = merged.partition_point(|&x| x < key);
-                    merged.insert(at, key);
+                _ => {
+                    // Conflict: gather the block's exact-placed elements
+                    // plus the new ids and repack.
+                    let base = b * BKS;
+                    let held: Vec<u32> = (base..base + BKS)
+                        .filter(|&i| self.types.get(i) == SlotType::Edge)
+                        .map(|i| self.slots[i])
+                        .collect();
+                    let merged = sorted_union(&held, ids);
+                    let fresh = merged.len() - held.len();
                     self.settle_block(b, merged, cfg, depth, stats);
-                    self.len += 1;
-                    true
+                    return fresh;
                 }
-                SlotType::Block | SlotType::Child => {
-                    unreachable!("kind() classified block {b} as ExactOrUnused")
-                }
-            },
-            BlockKind::Packed => {
-                let plen = self.packed_len(b);
-                let prefix = &self.slots[base..base + plen];
-                let Err(at) = prefix.binary_search(&key) else {
-                    return false;
-                };
-                if plen < BKS {
-                    // Horizontal movement within the block: shift the packed
-                    // suffix right by one slot.
-                    self.slots
-                        .copy_within(base + at..base + plen, base + at + 1);
-                    self.slots[base + at] = key;
-                    self.types.set(base + plen, SlotType::Block);
-                    stats.lia_within_block_shifts.record((plen - at) as u64);
-                } else {
-                    // Block full: vertical movement (Fig. 10 case 3).
-                    let mut merged = Vec::with_capacity(BKS + 1);
-                    merged.extend_from_slice(&self.slots[base..base + plen]);
-                    merged.insert(at, key);
-                    self.settle_block(b, merged, cfg, depth, stats);
-                }
-                self.len += 1;
-                true
             }
         }
+        for &u in ids {
+            let pos = self.model.predict(u);
+            self.slots[pos] = u;
+            self.types.set(pos, SlotType::Edge);
+        }
+        fresh
     }
 
     /// Stores `merged` (sorted, len may exceed BKS) into block `b`, packing
@@ -350,56 +393,55 @@ impl Lia {
         }
     }
 
-    /// Deletes `key`; returns whether it was present.
-    pub(crate) fn delete(
+    /// Deletes the ids of a strictly ascending run, a block's share at a
+    /// time; returns how many were present.
+    pub(crate) fn delete_run(
         &mut self,
-        key: u32,
+        run: &[u32],
         cfg: &Config,
         depth: usize,
         stats: &StructStats,
-    ) -> bool {
-        let pos = self.model.predict(key);
-        let b = pos / BKS;
-        let base = b * BKS;
-        match self.kind(b) {
-            BlockKind::Delegated => {
-                let idx = self.child_of_block[b];
-                let removed = self.child_mut(b).delete_at(key, cfg, depth + 1, stats);
-                if removed {
-                    self.len -= 1;
-                    if self.children[idx as usize]
-                        .as_ref()
-                        .is_some_and(|c| c.is_empty())
-                    {
+    ) -> usize {
+        let mut removed = 0;
+        let mut rest = run;
+        while let Some(&first) = rest.first() {
+            let b = self.model.predict(first) / BKS;
+            let (ids, tail) = rest.split_at(self.share(b, rest));
+            let base = b * BKS;
+            removed += match self.kind(b) {
+                BlockKind::Delegated => {
+                    let idx = self.child_of_block[b];
+                    let child = self.child_mut(b);
+                    let removed = child.delete_run_at(ids, cfg, depth + 1, stats);
+                    if child.is_empty() {
                         self.remove_child(idx);
                     }
+                    removed
                 }
-                removed
-            }
-            BlockKind::ExactOrUnused => {
-                if self.types.get(pos) == SlotType::Edge && self.slots[pos] == key {
-                    self.types.set(pos, SlotType::Unused);
-                    self.len -= 1;
-                    true
-                } else {
-                    false
+                BlockKind::ExactOrUnused => ids
+                    .iter()
+                    .filter(|&&u| {
+                        let pos = self.model.predict(u);
+                        let hit = self.types.get(pos) == SlotType::Edge && self.slots[pos] == u;
+                        if hit {
+                            self.types.set(pos, SlotType::Unused);
+                        }
+                        hit
+                    })
+                    .count(),
+                BlockKind::Packed => {
+                    let plen = self.packed_len(b);
+                    let (kept, moved) = remove_from(&mut self.slots[base..base + plen], ids);
+                    self.types
+                        .set_range(base + kept..base + plen, SlotType::Unused);
+                    stats.lia_within_block_shifts.record(moved as u64);
+                    plen - kept
                 }
-            }
-            BlockKind::Packed => {
-                let plen = self.packed_len(b);
-                let prefix = &self.slots[base..base + plen];
-                match prefix.binary_search(&key) {
-                    Ok(i) => {
-                        self.slots.copy_within(base + i + 1..base + plen, base + i);
-                        self.types.set(base + plen - 1, SlotType::Unused);
-                        stats.lia_within_block_shifts.record((plen - i - 1) as u64);
-                        self.len -= 1;
-                        true
-                    }
-                    Err(_) => false,
-                }
-            }
+            };
+            rest = tail;
         }
+        self.len -= removed;
+        removed
     }
 
     /// Drops child `idx` and reverts its blocks to plain unused space.
@@ -712,7 +754,7 @@ mod tests {
         let ns: Vec<u32> = (0..200).map(|i| i * 1_000).collect();
         let mut lia = Lia::build(&ns, &cfg(), 0);
         for k in 100_001..100_100u32 {
-            assert!(lia.insert(k, &cfg(), 0, &STATS), "insert {k}");
+            assert_eq!(lia.insert_run(&[k], &cfg(), 0, &STATS), 1, "insert {k}");
         }
         lia.check_invariants(&cfg());
         assert!(lia.contains(100_050, &cfg()));
@@ -724,7 +766,7 @@ mod tests {
         let ns: Vec<u32> = (0..500).map(|i| i * 7).collect();
         let mut lia = Lia::build(&ns, &cfg(), 0);
         for &k in &ns {
-            assert!(!lia.insert(k, &cfg(), 0, &STATS), "duplicate {k}");
+            assert_eq!(lia.insert_run(&[k], &cfg(), 0, &STATS), 0, "duplicate {k}");
         }
         assert_eq!(lia.len(), 500);
     }
@@ -737,8 +779,8 @@ mod tests {
         ns.dedup();
         let mut lia = Lia::build(&ns, &cfg(), 0);
         for &k in &ns {
-            assert!(lia.delete(k, &cfg(), 0, &STATS), "delete {k}");
-            assert!(!lia.delete(k, &cfg(), 0, &STATS), "double delete {k}");
+            assert_eq!(lia.delete_run(&[k], &cfg(), 0, &STATS), 1, "delete {k}");
+            assert_eq!(lia.delete_run(&[k], &cfg(), 0, &STATS), 0, "again {k}");
         }
         assert!(lia.is_empty());
         lia.check_invariants(&cfg());

@@ -42,6 +42,7 @@ mod graph;
 mod hitree;
 mod model;
 mod ria;
+mod run;
 mod snapshot;
 mod stats;
 mod vertex;
@@ -53,7 +54,7 @@ pub use error::{BatchOutcome, GraphError};
 pub use graph::{BatchEvent, BatchKind, LsGraph, PostBatchHook};
 pub use hitree::SlotOccupancy;
 pub use model::{LinearModel, PlrModel, PositionModel};
-pub use ria::{InsertOutcome, Ria};
+pub use ria::Ria;
 pub use snapshot::GraphSnapshot;
 pub use stats::{Tier, TierStats};
 pub use vertex::VertexBlock;

@@ -18,26 +18,10 @@
 use lsgraph_api::fail_point;
 use lsgraph_api::{span, Footprint, MemoryFootprint, SpanKind, StructStats};
 
+use std::ops::Range;
+
 use crate::config::BKS;
-
-/// Outcome of [`Ria::insert`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InsertOutcome {
-    /// The key was added without rebuilding.
-    Inserted,
-    /// The key was added, and the array was rebuilt/expanded to make room.
-    InsertedWithRebuild,
-    /// The key was already present; nothing changed.
-    Duplicate,
-}
-
-impl InsertOutcome {
-    /// Whether the key was actually added.
-    #[inline]
-    pub fn inserted(self) -> bool {
-        !matches!(self, InsertOutcome::Duplicate)
-    }
-}
+use crate::run::{count_fresh, merge_into, merged_ids, remove_from};
 
 /// Words of one RIA buffer of `nb` blocks: `nb` index entries, `nb` `u16`
 /// counts two to a word, then `nb` blocks of `BKS` slots.
@@ -171,13 +155,31 @@ impl Ria {
     /// index entry is `<= key`, or block 0 when `key` precedes them all.
     ///
     /// Sound because blocks are never empty while `len > 0` (deletes refill
-    /// or rebuild, see [`Ria::refill_empty_block`]), so the index array is
+    /// or rebuild, see [`Ria::refill_empty_blocks`]), so the index array is
     /// strictly increasing and identifies blocks unambiguously.
     #[inline]
     fn find_block(&self, key: u32) -> usize {
-        self.index()
+        self.find_block_from(0, key)
+    }
+
+    /// [`Ria::find_block`] for a key no smaller than block `from`'s first:
+    /// a run's next id, searched for forward of the block its last id was
+    /// placed in.
+    #[inline]
+    fn find_block_from(&self, from: usize, key: u32) -> usize {
+        from + self.index()[from..]
             .partition_point(|&x| x <= key)
             .saturating_sub(1)
+    }
+
+    /// How many ids at the front of `run` — the first of which block `b`
+    /// would hold — go to block `b`: those below the next block's first.
+    #[inline]
+    fn share(&self, b: usize, run: &[u32]) -> usize {
+        match self.index().get(b + 1) {
+            Some(&next) => run.partition_point(|&x| x < next),
+            None => run.len(),
+        }
     }
 
     /// Returns whether `key` is present.
@@ -185,84 +187,99 @@ impl Ria {
         self.len > 0 && self.block(self.find_block(key)).binary_search(&key).is_ok()
     }
 
-    /// Inserts `key`, returning what happened. Structural movement is
-    /// recorded into `stats`.
-    pub fn insert(&mut self, key: u32, stats: &StructStats) -> InsertOutcome {
-        if self.len == 0 {
-            let s = self.slot(0);
-            self.buf[s] = key;
-            self.set_count(0, 1);
-            self.buf[0] = key;
-            self.len = 1;
-            return InsertOutcome::Inserted;
-        }
-        let b = self.find_block(key);
-        let Err(i) = self.block(b).binary_search(&key) else {
-            return InsertOutcome::Duplicate;
-        };
-        if self.count(b) < BKS {
-            self.insert_into_block(b, i, key, stats);
-            self.len += 1;
-            return InsertOutcome::Inserted;
-        }
-        // Position conflict with a full block: bounded horizontal movement.
-        if let Some(donor) = self.find_donor(b) {
-            let bound = self.num_blocks().ilog2() as u64 + 1;
-            let span = donor.abs_diff(b) as u64;
-            self.ripple_insert(b, i, key, donor, stats);
-            // One element crosses each block boundary between b and donor.
-            stats.record_ria_ripple(span, span, bound);
-            self.len += 1;
-            return InsertOutcome::Inserted;
-        }
-        // Movement would exceed the locality bound: expand with factor α.
-        let _span = span(SpanKind::RiaRebuild);
-        fail_point!("ria_rebuild");
-        let mut all = Vec::with_capacity(self.len + 1);
-        let mut placed = false;
-        self.for_each_slice_while(&mut |s| {
-            if !placed && key < s[s.len() - 1] {
-                let p = s.partition_point(|&x| x < key);
-                all.extend_from_slice(&s[..p]);
-                all.push(key);
-                all.extend_from_slice(&s[p..]);
-                placed = true;
-            } else {
-                all.extend_from_slice(s);
-            }
-            true
-        });
-        if !placed {
-            all.push(key);
-        }
-        self.rebuild_from(&all);
-        stats.ria_rebuilds.record(1);
-        InsertOutcome::InsertedWithRebuild
+    /// Inserts `key`; returns whether it was added. One id is a run of one
+    /// ([`Ria::insert_run`]).
+    pub fn insert(&mut self, key: u32, stats: &StructStats) -> bool {
+        self.insert_run(&[key], stats) == 1
     }
 
-    /// Deletes `key`; returns whether it was present. Structural movement is
-    /// recorded into `stats`.
+    /// Deletes `key`; returns whether it was present. One id is a run of
+    /// one ([`Ria::delete_run`]).
     pub fn delete(&mut self, key: u32, stats: &StructStats) -> bool {
-        if self.len == 0 {
-            return false;
+        self.delete_run(&[key], stats) == 1
+    }
+
+    /// Inserts the ids of a strictly ascending run; returns how many were
+    /// added. Structural movement is recorded into `stats`.
+    ///
+    /// The run is placed a block's share at a time, walking the index
+    /// forward once. A share that fits its block merges into it in place;
+    /// one that does not goes in id by id, a full block carrying an id to a
+    /// donor within the locality bound. The first id with no donor rebuilds
+    /// the array once, at `α`, around every id of the run still to place.
+    pub fn insert_run(&mut self, run: &[u32], stats: &StructStats) -> usize {
+        let before = self.len;
+        let (mut b, mut rest, mut shifts) = (0, run, 0);
+        while let Some(&first) = rest.first() {
+            b = self.find_block_from(b, first);
+            let (ids, tail) = rest.split_at(self.share(b, rest));
+            let placed = if let [key] = *ids {
+                // One id is one search and one move, as on its own.
+                self.place(b, key, &mut shifts, stats)
+            } else {
+                let (cnt, s) = (self.count(b), self.slot(b));
+                let fresh = count_fresh(&self.buf[s..s + cnt], ids);
+                if cnt + fresh <= BKS {
+                    if fresh > 0 {
+                        shifts += merge_into(&mut self.buf[s..s + BKS], cnt, ids, fresh);
+                        self.set_count(b, cnt + fresh);
+                        self.buf[b] = self.buf[s];
+                        self.len += fresh;
+                    }
+                    true
+                } else {
+                    // The share overflows its block: id by id, each where
+                    // the ripples before it have left its block.
+                    let stuck = ids.iter().position(|&key| {
+                        !self.place(self.find_block(key), key, &mut shifts, stats)
+                    });
+                    rest = &rest[stuck.unwrap_or(0)..];
+                    stuck.is_none()
+                }
+            };
+            if !placed {
+                self.rebuild_around(rest, true, stats);
+                break;
+            }
+            rest = tail;
         }
-        let b = self.find_block(key);
-        let cnt = self.count(b);
-        let Ok(i) = self.block(b).binary_search(&key) else {
-            return false;
-        };
-        let s = self.slot(b);
-        self.buf.copy_within(s + i + 1..s + cnt, s + i);
-        stats.ria_within_block_shifts.record((cnt - i - 1) as u64);
-        self.set_count(b, cnt - 1);
-        self.len -= 1;
-        if cnt == 1 {
-            self.refill_empty_block(b, stats);
-        } else if i == 0 {
-            self.buf[b] = self.buf[s];
+        stats.ria_within_block_shifts.record(shifts as u64);
+        self.len - before
+    }
+
+    /// Deletes the ids of a strictly ascending run; returns how many were
+    /// present. Structural movement is recorded into `stats`.
+    ///
+    /// The run is taken out a block's share at a time, walking the index
+    /// forward once. The blocks it empties are refilled afterwards
+    /// ([`Ria::refill_empty_blocks`]), and an array left below a quarter
+    /// full is rebuilt once ([`Ria::maybe_shrink`]).
+    pub fn delete_run(&mut self, run: &[u32], stats: &StructStats) -> usize {
+        let before = self.len;
+        let (mut b, mut rest, mut shifts) = (0, run, 0);
+        let mut emptied = 0..0;
+        while let (Some(&first), true) = (rest.first(), self.len > 0) {
+            b = self.find_block_from(b, first);
+            let (ids, tail) = rest.split_at(self.share(b, rest));
+            let (cnt, s) = (self.count(b), self.slot(b));
+            let (kept, moved) = remove_from(&mut self.buf[s..s + cnt], ids);
+            shifts += moved;
+            self.len -= cnt - kept;
+            self.set_count(b, kept);
+            if kept > 0 {
+                self.buf[b] = self.buf[s];
+            } else if kept < cnt {
+                // Blocks are visited in order: the first emptied stays first.
+                emptied = if emptied.is_empty() { b } else { emptied.start }..b + 1;
+            }
+            rest = tail;
+        }
+        stats.ria_within_block_shifts.record(shifts as u64);
+        if !emptied.is_empty() {
+            self.refill_empty_blocks(emptied, stats);
         }
         self.maybe_shrink(stats);
-        true
+        before - self.len
     }
 
     /// Collects every element into a sorted vector.
@@ -275,18 +292,44 @@ impl Ria {
         v
     }
 
-    /// Inserts `key` at in-block position `i` of block `b`, which has space.
-    fn insert_into_block(&mut self, b: usize, i: usize, key: u32, stats: &StructStats) {
+    /// Places `key` in block `b`, the block that would hold it: into the
+    /// block if it has room, else by carrying an id to a donor within the
+    /// locality bound. Returns `false`, having changed nothing, when there is
+    /// no such donor; in-block shifts are added to `shifts`.
+    fn place(&mut self, b: usize, key: u32, shifts: &mut usize, stats: &StructStats) -> bool {
+        let Err(i) = self.block(b).binary_search(&key) else {
+            return true;
+        };
+        if self.count(b) < BKS {
+            *shifts += self.insert_into_block(b, i, key);
+        } else {
+            // Position conflict with a full block: bounded horizontal movement.
+            let Some(donor) = self.find_donor(b) else {
+                return false;
+            };
+            let bound = self.num_blocks().ilog2() as u64 + 1;
+            let span = donor.abs_diff(b) as u64;
+            *shifts += self.ripple_insert(b, i, key, donor);
+            // One element crosses each block boundary between b and donor.
+            stats.record_ria_ripple(span, span, bound);
+        }
+        self.len += 1;
+        true
+    }
+
+    /// Inserts `key` at in-block position `i` of block `b`, which has space;
+    /// returns how many ids it shifted.
+    fn insert_into_block(&mut self, b: usize, i: usize, key: u32) -> usize {
         let cnt = self.count(b);
         debug_assert!(cnt < BKS && i <= cnt);
         let s = self.slot(b);
         self.buf.copy_within(s + i..s + cnt, s + i + 1);
-        stats.ria_within_block_shifts.record((cnt - i) as u64);
         self.buf[s + i] = key;
         self.set_count(b, cnt + 1);
         if i == 0 {
             self.buf[b] = key;
         }
+        cnt - i
     }
 
     /// Finds the nearest block with a free slot within the locality bound of
@@ -309,16 +352,18 @@ impl Ria {
     /// by carrying the displaced boundary element block-by-block to `donor`,
     /// which has a free slot. Each intermediate block moves exactly one
     /// element, so the movement distance is bounded by `|donor - b|` blocks.
-    fn ripple_insert(&mut self, b: usize, i: usize, key: u32, donor: usize, stats: &StructStats) {
+    /// Returns how many ids shifted inside block `b`.
+    fn ripple_insert(&mut self, b: usize, i: usize, key: u32, donor: usize) -> usize {
         debug_assert_eq!(self.count(b), BKS);
         debug_assert!(self.count(donor) < BKS);
         if donor > b {
             // Carry the block maximum rightward.
+            let mut shifted = 0;
             let mut carry = if i == BKS {
                 key
             } else {
                 let max = self.pop_back(b);
-                self.insert_into_block(b, i, key, stats);
+                shifted = self.insert_into_block(b, i, key);
                 max
             };
             for k in b + 1..donor {
@@ -327,13 +372,15 @@ impl Ria {
                 carry = next;
             }
             self.push_front(donor, carry);
+            shifted
         } else {
             // Carry the block minimum leftward.
+            let mut shifted = 0;
             let mut carry = if i == 0 {
                 key
             } else {
                 let min = self.pop_front(b);
-                self.insert_into_block(b, i - 1, key, stats);
+                shifted = self.insert_into_block(b, i - 1, key);
                 min
             };
             for k in (donor + 1..b).rev() {
@@ -342,6 +389,7 @@ impl Ria {
                 carry = next;
             }
             self.push_back(donor, carry);
+            shifted
         }
     }
 
@@ -386,42 +434,65 @@ impl Ria {
         }
     }
 
-    /// Restores the no-empty-block invariant after a delete emptied block
-    /// `b`: steal one element from an adjacent block that can spare one (a
-    /// horizontal move, paper §4.2 "Delete"), or rebuild when both neighbors
-    /// are down to a single element — a state only reachable at very low
-    /// occupancy, where the shrink path would rebuild shortly anyway.
-    fn refill_empty_block(&mut self, b: usize, stats: &StructStats) {
-        debug_assert_eq!(self.count(b), 0);
+    /// Restores the no-empty-block invariant after a delete run emptied
+    /// blocks in `range`: each steals one element from an adjacent block
+    /// that can spare one (a horizontal move, paper §4.2 "Delete"). Should
+    /// a block have no such neighbour — a state only reachable at very low
+    /// occupancy, or when a run empties blocks side by side — the array is
+    /// rebuilt once instead.
+    fn refill_empty_blocks(&mut self, range: Range<usize>, stats: &StructStats) {
         if self.len == 0 {
             self.rebuild_from(&[]);
             return;
         }
-        if b + 1 < self.num_blocks() && self.count(b + 1) >= 2 {
-            let v = self.pop_front(b + 1);
-            self.push_back(b, v);
+        for b in range {
+            if self.count(b) > 0 {
+                continue;
+            }
+            if b + 1 < self.num_blocks() && self.count(b + 1) >= 2 {
+                let v = self.pop_front(b + 1);
+                self.push_back(b, v);
+            } else if b > 0 && self.count(b - 1) >= 2 {
+                let v = self.pop_back(b - 1);
+                self.push_front(b, v);
+            } else {
+                self.rebuild_around(&[], false, stats);
+                return;
+            }
             stats.ria_within_block_shifts.record(1);
-        } else if b > 0 && self.count(b - 1) >= 2 {
-            let v = self.pop_back(b - 1);
-            self.push_front(b, v);
-            stats.ria_within_block_shifts.record(1);
-        } else {
-            let _span = span(SpanKind::RiaRebuild);
-            fail_point!("ria_rebuild");
-            let all = self.to_vec();
-            self.rebuild_from(&all);
-            stats.ria_rebuilds.record(1);
         }
+    }
+
+    /// Rebuilds at `α` around `run`, merged in (`insert`) or taken out:
+    /// one allocation for the ids, one for the new buffer.
+    ///
+    /// An insert's rebuild leaves the room an insert of the run's next id
+    /// alone would have left (`α` times one more than the current length),
+    /// or just the room the merged ids need if that is more: a run leaves no
+    /// more blocks than its ids placed one at a time would have.
+    fn rebuild_around(&mut self, run: &[u32], insert: bool, stats: &StructStats) {
+        let _span = span(SpanKind::RiaRebuild);
+        fail_point!("ria_rebuild");
+        let all = merged_ids(self.len, run, insert, |f| self.for_each_slice_while(f));
+        let room = if insert { self.len + 1 } else { all.len() };
+        self.rebuild_with_room(&all, room);
+        stats.ria_rebuilds.record(1);
     }
 
     /// Rebuilds from a sorted slice into a fresh buffer, redistributing
     /// evenly with factor `α` (one empty block when the slice is empty).
     fn rebuild_from(&mut self, sorted: &[u32]) {
+        self.rebuild_with_room(sorted, sorted.len());
+    }
+
+    /// [`Ria::rebuild_from`] with `α` applied to `room` ids instead of the
+    /// slice's length, never leaving fewer slots than the slice needs.
+    fn rebuild_with_room(&mut self, sorted: &[u32], room: usize) {
         let n = sorted.len();
         let nb = if n == 0 {
             1
         } else {
-            let capacity = ((n as f64 * self.alpha).ceil() as usize).max(n);
+            let capacity = ((room as f64 * self.alpha).ceil() as usize).max(n);
             capacity.div_ceil(BKS).max(1)
         };
         debug_assert!(n.div_ceil(nb) <= BKS);
@@ -448,11 +519,7 @@ impl Ria {
     fn maybe_shrink(&mut self, stats: &StructStats) {
         let nb = self.num_blocks();
         if nb > 1 && self.len * 4 < nb * BKS {
-            let _span = span(SpanKind::RiaRebuild);
-            fail_point!("ria_rebuild");
-            let all = self.to_vec();
-            self.rebuild_from(&all);
-            stats.ria_rebuilds.record(1);
+            self.rebuild_around(&[], false, stats);
         }
     }
 
@@ -522,7 +589,7 @@ mod tests {
     fn insert_and_contains() {
         let mut r = Ria::new(1.2);
         for k in [5u32, 1, 9, 3, 7] {
-            assert!(r.insert(k, &STATS).inserted());
+            assert!(r.insert(k, &STATS));
         }
         r.check_invariants();
         for k in [1u32, 3, 5, 7, 9] {
@@ -551,7 +618,7 @@ mod tests {
                 let ctx = format!("{nb} blocks, key {k}");
                 assert_eq!(r.contains(k), set.contains(&k), "{ctx}");
                 let (mut ins, mut want) = (r.clone(), set.clone());
-                assert_eq!(ins.insert(k, &STATS).inserted(), want.insert(k), "{ctx}");
+                assert_eq!(ins.insert(k, &STATS), want.insert(k), "{ctx}");
                 ins.check_invariants();
                 assert!(ins.contains(k), "{ctx}");
                 assert_eq!(ins.to_vec(), want.into_iter().collect::<Vec<_>>(), "{ctx}");
@@ -567,8 +634,8 @@ mod tests {
     #[test]
     fn duplicates_rejected() {
         let mut r = Ria::new(1.2);
-        assert_eq!(r.insert(4, &STATS), InsertOutcome::Inserted);
-        assert_eq!(r.insert(4, &STATS), InsertOutcome::Duplicate);
+        assert!(r.insert(4, &STATS));
+        assert!(!r.insert(4, &STATS));
         assert_eq!(r.len(), 1);
     }
 
@@ -632,7 +699,7 @@ mod tests {
         }
         assert!(r.is_empty());
         r.check_invariants();
-        assert!(r.insert(42, &STATS).inserted());
+        assert!(r.insert(42, &STATS));
         assert_eq!(r.to_vec(), vec![42]);
     }
 
@@ -682,7 +749,7 @@ mod tests {
                 let before: Vec<usize> = (0..nb).map(|c| r.count(c)).collect();
                 let mut k = 1;
                 while r.count(b) < BKS {
-                    assert_eq!(r.insert(first + k, &STATS), InsertOutcome::Inserted);
+                    assert!(r.insert(first + k, &STATS));
                     want.insert(first + k);
                     k += 1;
                 }
@@ -749,7 +816,7 @@ mod tests {
         for _ in 0..20_000 {
             let k = rng.gen_range(0..2_000u32);
             if rng.gen_bool(0.6) {
-                assert_eq!(r.insert(k, &STATS).inserted(), oracle.insert(k));
+                assert_eq!(r.insert(k, &STATS), oracle.insert(k));
             } else {
                 assert_eq!(r.delete(k, &STATS), oracle.remove(&k));
             }

@@ -12,6 +12,7 @@ use lsgraph_api::{Footprint, MemoryFootprint, StructStats};
 
 use crate::adjacency::Spill;
 use crate::config::{Config, INLINE_CAP};
+use crate::run::{count_fresh, merge_into, remove_from};
 
 /// One vertex's cache-line block.
 ///
@@ -85,20 +86,85 @@ impl VertexBlock {
         self.spill.as_ref().is_some_and(|s| s.contains(u, cfg))
     }
 
-    /// Inserts neighbor `u`; returns whether it was added. Structural
-    /// movement is recorded into `stats`.
-    pub fn insert(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
+    /// Inserts the ids of a strictly ascending run; returns how many were
+    /// added. Structural movement is recorded into `stats`, once per run.
+    ///
+    /// The ids at or below the line's last one — all of them while the line
+    /// has room — merge into the line. What the line cannot hold, its
+    /// largest ids old or new, goes to the spill ahead of the ids above the
+    /// line, in one [`Spill::insert_run`] after one [`Arc::make_mut`].
+    pub fn insert_run(&mut self, run: &[u32], cfg: &Config, stats: &StructStats) -> usize {
+        // A run of one takes the per-id body (EXPERIMENTS.md, "Runs").
+        if let [u] = *run {
+            return usize::from(self.insert_one(u, cfg, stats));
+        }
+        let n = self.inline_len();
+        let split = match self.inline[..n].last() {
+            Some(&last) if n == INLINE_CAP => run.partition_point(|&u| u <= last),
+            _ => run.len(),
+        };
+        let (lo, hi) = run.split_at(split);
+        let fresh = count_fresh(&self.inline[..n], lo);
+        let (hits, shifts, evicted, spilled) = if n + fresh <= INLINE_CAP {
+            let shifts = merge_into(&mut self.inline, n, lo, fresh);
+            (fresh, shifts, 0, self.spill_insert(hi, cfg, stats))
+        } else {
+            // The line overflows: its `over` largest ids, old or new, go to
+            // the spill ahead of `hi`, staged on the stack when they are
+            // few, and the rest merge into the line.
+            let over = n + fresh - INLINE_CAP;
+            let (mut stack, mut heap) = ([0; INLINE_CAP], Vec::new());
+            let spill_run = match over + hi.len() {
+                len if len <= stack.len() => &mut stack[..len],
+                len => {
+                    heap.resize(len, 0);
+                    &mut heap[..]
+                }
+            };
+            spill_run[over..].copy_from_slice(hi);
+            let (mut i, mut j, mut evicted) = (n, lo.len(), 0);
+            for slot in spill_run[..over].iter_mut().rev() {
+                if i > 0 && (j == 0 || self.inline[i - 1] >= lo[j - 1]) {
+                    j -= usize::from(j > 0 && lo[j - 1] == self.inline[i - 1]);
+                    i -= 1;
+                    evicted += 1;
+                    *slot = self.inline[i];
+                } else {
+                    j -= 1;
+                    *slot = lo[j];
+                }
+            }
+            let hits = fresh - (over - evicted);
+            let shifts = merge_into(&mut self.inline, i, &lo[..j], hits);
+            let spilled = self.spill_insert(spill_run, cfg, stats);
+            (hits, shifts, evicted, spilled)
+        };
+        // Most runs leave most rows at zero; those are not recorded.
+        if hits > 0 {
+            stats.record_vb_inline_insert(hits as u64, shifts as u64);
+        }
+        if evicted > 0 {
+            stats.vb_spill_evictions.record(evicted as u64);
+        }
+        if spilled > evicted {
+            stats.vb_spill_inserts.record((spilled - evicted) as u64);
+        }
+        let added = hits + spilled - evicted;
+        self.degree += added as u32;
+        added
+    }
+
+    /// [`VertexBlock::insert_run`] for a run of one id.
+    fn insert_one(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
         let n = self.inline_len();
         if n < INLINE_CAP {
-            // Everything fits inline.
-            debug_assert!(self.spill.is_none());
             match self.inline[..n].binary_search(&u) {
                 Ok(_) => false,
                 Err(i) => {
                     self.inline.copy_within(i..n, i + 1);
                     self.inline[i] = u;
                     self.degree += 1;
-                    stats.record_vb_inline_insert((n - i) as u64);
+                    stats.record_vb_inline_insert(1, (n - i) as u64);
                     true
                 }
             }
@@ -106,77 +172,106 @@ impl VertexBlock {
             match self.inline.binary_search(&u) {
                 Ok(_) => false,
                 Err(i) if i < INLINE_CAP => {
-                    // `u` belongs inline: evict the current inline maximum.
                     let evicted = self.inline[INLINE_CAP - 1];
                     self.inline.copy_within(i..INLINE_CAP - 1, i + 1);
                     self.inline[i] = u;
-                    stats.record_vb_inline_insert((INLINE_CAP - 1 - i) as u64);
+                    stats.record_vb_inline_insert(1, (INLINE_CAP - 1 - i) as u64);
                     stats.vb_spill_evictions.record(1);
-                    let spill = self
-                        .spill
-                        .get_or_insert_with(|| Arc::new(Spill::Array(Vec::new())));
-                    let added = Arc::make_mut(spill).insert(evicted, cfg, stats);
-                    debug_assert!(added, "evicted inline neighbor was already spilled");
+                    self.spill_insert(&[evicted], cfg, stats);
                     self.degree += 1;
                     true
                 }
                 Err(_) => {
-                    let spill = self
-                        .spill
-                        .get_or_insert_with(|| Arc::new(Spill::Array(Vec::new())));
-                    if Arc::make_mut(spill).insert(u, cfg, stats) {
+                    let added = self.spill_insert(&[u], cfg, stats) == 1;
+                    if added {
                         stats.vb_spill_inserts.record(1);
                         self.degree += 1;
-                        true
-                    } else {
-                        false
                     }
+                    added
                 }
             }
         }
     }
 
-    /// Deletes neighbor `u`; returns whether it was present. Structural
-    /// movement is recorded into `stats`.
-    pub fn delete(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
+    /// [`VertexBlock::delete_run`] for a run of one id.
+    fn delete_one(&mut self, u: u32, cfg: &Config, stats: &StructStats) -> bool {
         let n = self.inline_len();
-        match self.inline[..n].binary_search(&u) {
-            Ok(i) => {
-                self.inline.copy_within(i + 1..n, i);
-                stats.vb_inline_shifts.record((n - i - 1) as u64);
-                // Refill the inline line from the spill so it keeps holding
-                // the smallest neighbors.
-                let mut emptied = false;
-                if let Some(spill) = self.spill.as_mut() {
-                    let spill = Arc::make_mut(spill);
-                    if let Some(min) = spill.pop_min(cfg, stats) {
-                        self.inline[n - 1] = min;
-                        stats.vb_spill_refills.record(1);
-                    }
-                    emptied = spill.is_empty();
-                }
-                if emptied {
-                    self.spill = None;
-                }
-                self.degree -= 1;
-                true
+        let inline = self.inline[..n].binary_search(&u);
+        if let Ok(i) = inline {
+            self.inline.copy_within(i + 1..n, i);
+            stats.vb_inline_shifts.record((n - i - 1) as u64);
+        }
+        let Some(spill) = self.spill.as_mut() else {
+            self.degree -= u32::from(inline.is_ok());
+            return inline.is_ok();
+        };
+        let spill = Arc::make_mut(spill);
+        if inline.is_ok() {
+            let refilled = spill.take_front(&mut self.inline[n - 1..n], cfg, stats);
+            stats.vb_spill_refills.record(refilled as u64);
+        } else if spill.delete_run_at(&[u], cfg, 0, stats) == 0 {
+            return false;
+        }
+        if spill.is_empty() {
+            self.spill = None;
+        } else {
+            spill.shrink(cfg, stats);
+        }
+        self.degree -= 1;
+        true
+    }
+
+    /// Inserts `ids`, all above the line, into the spill, creating it if
+    /// need be; returns how many were added.
+    fn spill_insert(&mut self, ids: &[u32], cfg: &Config, stats: &StructStats) -> usize {
+        if ids.is_empty() {
+            return 0;
+        }
+        let spill = self
+            .spill
+            .get_or_insert_with(|| Arc::new(Spill::Array(Vec::new())));
+        Arc::make_mut(spill).insert_run(ids, cfg, stats)
+    }
+
+    /// Deletes the ids of a strictly ascending run; returns how many were
+    /// present. Structural movement is recorded into `stats`, once per run.
+    ///
+    /// The line's hits come out of the line and the run's spill part out
+    /// of the spill; only then is the line refilled, by one front take of
+    /// as many ids from the spill ([`Spill::take_front`]), so it keeps
+    /// holding the smallest neighbors without pulling in an id the run
+    /// deletes. The spill is settled on its rung once.
+    pub fn delete_run(&mut self, run: &[u32], cfg: &Config, stats: &StructStats) -> usize {
+        // A run of one takes the per-id body (EXPERIMENTS.md, "Runs").
+        if let [u] = *run {
+            return usize::from(self.delete_one(u, cfg, stats));
+        }
+        let n = self.inline_len();
+        let Some(&last) = self.inline[..n].last() else {
+            return 0;
+        };
+        let (lo, hi) = run.split_at(run.partition_point(|&u| u <= last));
+        let (kept, shifts) = remove_from(&mut self.inline[..n], lo);
+        if shifts > 0 {
+            stats.vb_inline_shifts.record(shifts as u64);
+        }
+        let mut spill_removed = 0;
+        if let Some(spill) = self.spill.as_mut().filter(|_| kept < n || !hi.is_empty()) {
+            let spill = Arc::make_mut(spill);
+            spill_removed = spill.delete_run_at(hi, cfg, 0, stats);
+            if kept < n {
+                let refilled = spill.take_front(&mut self.inline[kept..n], cfg, stats);
+                stats.vb_spill_refills.record(refilled as u64);
             }
-            Err(_) => {
-                let Some(spill) = self.spill.as_mut() else {
-                    return false;
-                };
-                let spill = Arc::make_mut(spill);
-                if spill.delete(u, cfg, stats) {
-                    if spill.is_empty() {
-                        self.spill = None;
-                    }
-                    self.degree -= 1;
-                    true
-                } else {
-                    false
-                }
+            if spill.is_empty() {
+                self.spill = None;
+            } else if spill_removed + n - kept > 0 {
+                spill.shrink(cfg, stats);
             }
         }
+        let removed = spill_removed + n - kept;
+        self.degree -= removed as u32;
+        removed
     }
 
     /// Hands the neighbors to `f` in ascending order — the inline line as
@@ -281,14 +376,14 @@ mod tests {
         let cfg = Config::default();
         let mut vb = VertexBlock::new();
         for u in [9u32, 1, 5] {
-            assert!(vb.insert(u, &cfg, &STATS));
+            assert_eq!(vb.insert_run(&[u], &cfg, &STATS), 1);
         }
-        assert!(!vb.insert(5, &cfg, &STATS));
+        assert_eq!(vb.insert_run(&[5], &cfg, &STATS), 0);
         assert_eq!(vb.degree(), 3);
         assert_eq!(vb.to_vec(), vec![1, 5, 9]);
         assert!(vb.contains(5, &cfg) && !vb.contains(2, &cfg));
-        assert!(vb.delete(5, &cfg, &STATS));
-        assert!(!vb.delete(5, &cfg, &STATS));
+        assert_eq!(vb.delete_run(&[5], &cfg, &STATS), 1);
+        assert_eq!(vb.delete_run(&[5], &cfg, &STATS), 0);
         assert_eq!(vb.to_vec(), vec![1, 9]);
         vb.check_invariants(&cfg);
     }
@@ -298,7 +393,7 @@ mod tests {
         let cfg = Config::default();
         let mut vb = VertexBlock::new();
         for u in (0..40u32).rev() {
-            assert!(vb.insert(u, &cfg, &STATS));
+            assert_eq!(vb.insert_run(&[u], &cfg, &STATS), 1);
         }
         vb.check_invariants(&cfg);
         assert_eq!(vb.degree(), 40);
@@ -317,7 +412,7 @@ mod tests {
             &(100..100 + INLINE_CAP as u32).collect::<Vec<_>>(),
             &cfg,
         );
-        assert!(vb.insert(1, &cfg, &STATS));
+        assert_eq!(vb.insert_run(&[1], &cfg, &STATS), 1);
         vb.check_invariants(&cfg);
         assert_eq!(vb.inline_neighbors()[0], 1);
         assert_eq!(vb.degree(), INLINE_CAP + 1);
@@ -331,7 +426,7 @@ mod tests {
     fn delete_inline_pulls_from_spill() {
         let cfg = Config::default();
         let mut vb = VertexBlock::from_sorted_neighbors(&(0..30).collect::<Vec<_>>(), &cfg);
-        assert!(vb.delete(0, &cfg, &STATS));
+        assert_eq!(vb.delete_run(&[0], &cfg, &STATS), 1);
         vb.check_invariants(&cfg);
         assert_eq!(vb.to_vec(), (1..30).collect::<Vec<_>>());
         // Inline must still be full (smallest 13 of the remaining 29).
@@ -343,7 +438,7 @@ mod tests {
         let cfg = Config::default();
         let mut vb = VertexBlock::from_sorted_neighbors(&(0..20).collect::<Vec<_>>(), &cfg);
         for u in 13..20u32 {
-            assert!(vb.delete(u, &cfg, &STATS));
+            assert_eq!(vb.delete_run(&[u], &cfg, &STATS), 1);
         }
         assert!(vb.spill.is_none(), "spill should be dropped when empty");
         assert_eq!(vb.to_vec(), (0..13).collect::<Vec<_>>());
@@ -357,7 +452,7 @@ mod tests {
         let bulk = VertexBlock::from_sorted_neighbors(&ns, &cfg);
         let mut inc = VertexBlock::new();
         for &u in ns.iter().rev() {
-            inc.insert(u, &cfg, &STATS);
+            inc.insert_run(&[u], &cfg, &STATS);
         }
         assert_eq!(bulk.to_vec(), inc.to_vec());
         bulk.check_invariants(&cfg);
@@ -389,9 +484,9 @@ mod tests {
         for _ in 0..20_000 {
             let u = rng.gen_range(0..1_500u32);
             if rng.gen_bool(0.6) {
-                assert_eq!(vb.insert(u, &cfg, &STATS), oracle.insert(u));
+                assert_eq!(vb.insert_run(&[u], &cfg, &STATS) == 1, oracle.insert(u));
             } else {
-                assert_eq!(vb.delete(u, &cfg, &STATS), oracle.remove(&u));
+                assert_eq!(vb.delete_run(&[u], &cfg, &STATS) == 1, oracle.remove(&u));
             }
         }
         vb.check_invariants(&cfg);

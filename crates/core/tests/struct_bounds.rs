@@ -22,14 +22,14 @@ fn ria_mixed_stream_respects_locality_bound() {
     let mut r = Ria::from_sorted(&base, 1.2);
     let mut oracle: std::collections::BTreeSet<u32> = base.iter().copied().collect();
     for k in 50_000..52_000u32 {
-        assert_eq!(r.insert(k, &stats).inserted(), oracle.insert(k));
+        assert_eq!(r.insert(k, &stats), oracle.insert(k));
     }
     // Interleave random inserts and deletes across the whole range.
     let mut rng = SmallRng::seed_from_u64(99);
     for _ in 0..30_000 {
         let k = rng.gen_range(0..100_000u32);
         if rng.gen_bool(0.6) {
-            assert_eq!(r.insert(k, &stats).inserted(), oracle.insert(k));
+            assert_eq!(r.insert(k, &stats), oracle.insert(k));
         } else {
             assert_eq!(r.delete(k, &stats), oracle.remove(&k));
         }
@@ -59,13 +59,15 @@ fn hitree_verticals_only_after_block_overflow() {
     let n = 5_000usize;
     let mut g = LsGraph::with_config(n, cfg);
     // Insert the hub's neighbors in seeded shuffled batches (clustered keys
-    // exercise packing; spread keys exercise child creation).
+    // exercise packing; spread keys exercise child creation). A batch is one
+    // run, and a run climbs the ladder at most once, so the batches are
+    // small enough for the hub to stop on every rung.
     let mut dsts: Vec<u32> = (1..n as u32).collect();
     let mut rng = SmallRng::seed_from_u64(7);
     for i in (1..dsts.len()).rev() {
         dsts.swap(i, rng.gen_range(0..i + 1));
     }
-    for chunk in dsts.chunks(256) {
+    for chunk in dsts.chunks(32) {
         let batch: Vec<Edge> = chunk.iter().map(|&d| Edge::new(0, d)).collect();
         g.insert_batch(&batch);
     }
@@ -158,8 +160,10 @@ fn ladder_counters_stay_with_their_graph() {
     let batch: Vec<Edge> = (8..580).map(|d| Edge::new(1, d)).collect();
     assert_eq!(busy.delete_batch(&batch), batch.len());
 
+    // The one delete run takes hub 1 down the ladder once, to the array.
     let s = busy.struct_snapshot();
-    assert!(s.tier_upgrades >= 8 && s.tier_downgrades >= 2, "{s:?}");
+    assert!(s.tier_upgrades >= 8 && s.tier_downgrades >= 1, "{s:?}");
+    assert_eq!(busy.tier(1), Tier::Array);
     let s = idle.struct_snapshot().deterministic_fields();
     let moved: Vec<_> = s.into_iter().filter(|&(_, v)| v != 0).collect();
     assert!(moved.is_empty(), "{moved:?}");

@@ -4,7 +4,8 @@
 //! the RIA tier.
 //!
 //! A RIA is one buffer: building one, cloning one, rebuilding one on an
-//! insert, and the copy-on-write a held snapshot forces on a RIA-tier vertex
+//! insert or on a run that takes an array past `a`, and the copy-on-write a
+//! held snapshot forces on a RIA-tier vertex — once per run, however long —
 //! each cost a fixed number of heap allocations, pinned here. The counters
 //! are process-wide, so this file holds exactly one test: no sibling
 //! allocates or frees while it reads them.
@@ -87,6 +88,18 @@ fn a_ria_is_one_allocation() {
         "a rebuilding insert allocates the merged ids and the new buffer"
     );
 
+    // One insert run that takes an array past `a` rebuilds it once, as the
+    // RIA the ladder names for the run's final length.
+    let mut spill = Spill::from_sorted(&spill_ids[..cfg.a], &cfg);
+    let run: Vec<u32> = spill_ids[..cfg.a].iter().map(|&u| u + 1).collect();
+    let (added, n) = allocations(|| spill.insert_run(&run, &cfg, &stats));
+    assert_eq!((added, spill.tier()), (cfg.a, Tier::Ria));
+    assert_eq!(
+        n, 2,
+        "a run past `a` allocates the merged ids and one RIA buffer"
+    );
+    drop(spill);
+
     let edges: Vec<Edge> = ns.iter().map(|&u| Edge::new(0, u)).collect();
     let n = 2 * ns.len() + 2;
     let mut free = LsGraph::from_edges(n, &edges, cfg);
@@ -105,4 +118,19 @@ fn a_ria_is_one_allocation() {
         "a held snapshot costs the page, the spill's Arc and the RIA buffer"
     );
     assert!(!snap.view().has_edge(0, 201) && held.has_edge(0, 201));
+
+    // A run of many ids under a held snapshot copies them once too.
+    let run: Vec<Edge> = (0..8).map(|i| Edge::new(0, 48 * i + 81)).collect();
+    let (_, without) = allocations(|| free.insert_batch(&run));
+    let again = held.snapshot();
+    let (_, with) = allocations(|| held.insert_batch(&run));
+    assert_eq!(
+        with - without,
+        3,
+        "one run copies the page, the Arc and the buffer once"
+    );
+    assert_eq!(free.tier(0), Tier::Ria);
+    assert!(run
+        .iter()
+        .all(|e| held.has_edge(0, e.dst) && !again.view().has_edge(0, e.dst)));
 }

@@ -20,6 +20,7 @@ use lsgraph::{
     Config, DynamicGraph, Edge, Footprint, Graph, LsGraph, MemoryFootprint, NeighborSet,
     SlotOccupancy, Spill, StructStats,
 };
+use lsgraph_core::{VertexBlock, INLINE_CAP};
 
 // The simulator's harness and model (`tests/sim`), for the snapshot sets.
 #[path = "sim/harness.rs"]
@@ -103,8 +104,9 @@ fn check_neighbor_set<S: NeighborSet>(seed: u64, keys: Range<u32>) -> usize {
 /// `set` holds) and checks after each: the returned count and `len`,
 /// `contains` over [`probe_keys`] (every id of `keys`, or, when `keys` is
 /// too wide to list, each held and each run id and both its neighbours),
-/// the slice walk and `check_invariants`. Runs may be empty and name held
-/// ids (inserts), absent ids (deletes) and the `u32` boundary ids; a delete
+/// the slice walk and `check_invariants`. Runs may be empty, one in eight
+/// draws up to 299 ids so that a single run can cross a rung, and runs name
+/// held ids (inserts), absent ids (deletes) and the `u32` boundary ids; a delete
 /// draws half its ids from those held, and the last run deletes
 /// everything. Returns the largest length reached.
 fn check_runs<S: NeighborSet>(
@@ -118,7 +120,10 @@ fn check_runs<S: NeighborSet>(
     for step in 0..RUNS {
         let last = step == RUNS - 1;
         let insert = !last && rng.gen_bool(if step < RUNS / 2 { 0.75 } else { 0.25 });
-        let mut run: Vec<u32> = (0..rng.gen_range(0..65))
+        // Now and then a run long enough to carry a container across a rung
+        // (past `A`, past `M / 2`) in one call.
+        let len = if rng.gen_bool(0.125) { 65..300 } else { 0..65 };
+        let mut run: Vec<u32> = (0..rng.gen_range(len))
             .map(|_| match model.len() {
                 n if !insert && n > 0 && rng.gen_bool(0.5) => {
                     *model.iter().nth(rng.gen_range(0..n)).unwrap()
@@ -208,16 +213,53 @@ impl<const M: usize> NeighborSet for SpillSet<M> {
         self.0.for_each_slice_while(f)
     }
     fn insert_run(&mut self, run: &[u32], _: &()) -> usize {
-        let cfg = Self::cfg();
-        run.iter()
-            .filter(|&&u| self.0.insert(u, &cfg, &STATS))
-            .count()
+        self.0.insert_run(run, &Self::cfg(), &STATS)
     }
     fn delete_run(&mut self, run: &[u32], _: &()) -> usize {
-        let cfg = Self::cfg();
-        run.iter()
-            .filter(|&&u| self.0.delete(u, &cfg, &STATS))
-            .count()
+        self.0.delete_run(run, &Self::cfg(), &STATS)
+    }
+    fn check_invariants(&self) {
+        self.0.check_invariants(&Self::cfg());
+    }
+}
+
+/// A vertex's whole adjacency, its inline line and its spill, as a
+/// [`NeighborSet`] at `a = 8`, `m = 64`: the line's merge, the front take
+/// that refills it and every rung behind it.
+#[derive(Default)]
+struct VertexSet(VertexBlock);
+
+impl VertexSet {
+    fn cfg() -> Config {
+        SpillSet::<64>::cfg()
+    }
+}
+
+impl MemoryFootprint for VertexSet {
+    fn footprint(&self) -> Footprint {
+        self.0.footprint()
+    }
+}
+
+impl NeighborSet for VertexSet {
+    type Ctx = ();
+    fn from_sorted(sorted: &[u32]) -> Self {
+        VertexSet(VertexBlock::from_sorted_neighbors(sorted, &Self::cfg()))
+    }
+    fn len(&self) -> usize {
+        self.0.degree()
+    }
+    fn contains(&self, x: u32) -> bool {
+        self.0.contains(x, &Self::cfg())
+    }
+    fn for_each_slice_while(&self, f: &mut dyn FnMut(&[u32]) -> bool) -> bool {
+        self.0.for_each_slice_while(f)
+    }
+    fn insert_run(&mut self, run: &[u32], _: &()) -> usize {
+        self.0.insert_run(run, &Self::cfg(), &STATS)
+    }
+    fn delete_run(&mut self, run: &[u32], _: &()) -> usize {
+        self.0.delete_run(run, &Self::cfg(), &STATS)
     }
     fn check_invariants(&self) {
         self.0.check_invariants(&Self::cfg());
@@ -333,6 +375,13 @@ fn hitree_behaves_as_sorted_set() {
         let keys = CLUSTER..CLUSTER + 500;
         check_runs(SpillSet::<64>(spill), held, &keys, &(), &mut rng);
     }
+}
+
+/// `VertexBlock` at `a = 8`, `m = 64`: the inline line, then every rung.
+#[test]
+fn vertex_block_behaves_as_sorted_set() {
+    let cfg = VertexSet::cfg();
+    assert!(check_neighbor_set::<VertexSet>(0x7800, 0..500) > cfg.m + INLINE_CAP);
 }
 
 #[test]

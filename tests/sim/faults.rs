@@ -36,8 +36,10 @@ fn core_batch(rng: &mut SmallRng) -> Vec<(u32, u32)> {
 /// the failpoint seed, so every (site, seed) sees the same batches.
 fn core_trace(site: &'static str, seed: u64) -> Vec<Op> {
     let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
-    // `apply_run` is evaluated once per run, the structural sites far less.
-    let p = if site == "apply_run" { 0.02 } else { 0.25 };
+    // `apply_run` is evaluated once per run, the structural sites far less:
+    // a run rebuilds a container at most once, so a hub's whole round
+    // reaches `lia_retrain` once at most.
+    let p = if site == "apply_run" { 0.02 } else { 0.75 };
     (0..12u64)
         .flat_map(|round| {
             let b = batch(round % 3 != 2, core_batch(&mut rng));
@@ -167,11 +169,8 @@ fn replay_runs(blocks: &mut Blocks, batch: &[Edge], stats: &StructStats) -> Vec<
     let keys: Vec<(u32, u32)> = keys.into_iter().collect();
     let killed = keys.chunk_by(|a, b| a.0 == b.0).filter(|run| {
         let vb = blocks.entry(run[0].0).or_default();
-        let apply = || {
-            for &(_, u) in *run {
-                vb.insert(u, &Config::default(), stats);
-            }
-        };
+        let dsts: Vec<u32> = run.iter().map(|&(_, u)| u).collect();
+        let apply = || vb.insert_run(&dsts, &Config::default(), stats);
         catch_unwind(AssertUnwindSafe(apply)).is_err()
     });
     killed.map(|run| run[0].0).collect()
@@ -193,8 +192,9 @@ fn killed_run_movement_is_absorbed_exactly_once() {
         .map(|j| Edge::new(0, j * 10))
         .chain(light(0))
         .collect();
-    // A narrow band in the middle of the hub forces repeated rebuilds; the
-    // second one is killed.
+    // A narrow band in the middle of the hub overflows its blocks: the run
+    // fills their gaps and ripples into their neighbours until no donor is
+    // left, then rebuilds once, and that rebuild is killed.
     let killed: Vec<Edge> = (1_000..1_400u32)
         .filter(|d| !d.is_multiple_of(10))
         .map(|d| Edge::new(0, d))
@@ -205,9 +205,14 @@ fn killed_run_movement_is_absorbed_exactly_once() {
     let expect = StructStats::new();
     let mut blocks = BTreeMap::new();
     assert!(replay_runs(&mut blocks, &setup, &expect).is_empty());
-    configure_failpoint("ria_rebuild", FailMode::Nth(2));
+    configure_failpoint("ria_rebuild", FailMode::Nth(1));
+    let ripples = expect.ria_ripples.get();
     assert_eq!(replay_runs(&mut blocks, &killed, &expect), vec![0]);
     assert_eq!(failpoint_fired("ria_rebuild"), 1);
+    assert!(
+        expect.ria_ripples.get() > ripples,
+        "the run moved ids first"
+    );
     expect.apply_run_panics.record(1);
     expect.vertices_quarantined.record(1);
     let expect = expect.snapshot().deterministic_fields();
@@ -221,7 +226,7 @@ fn killed_run_movement_is_absorbed_exactly_once() {
             reset_failpoints();
             let mut g = LsGraph::with_config(200, Config::default());
             g.insert_batch(&setup);
-            configure_failpoint("ria_rebuild", FailMode::Nth(2));
+            configure_failpoint("ria_rebuild", FailMode::Nth(1));
             let outcome = g.try_insert_batch(&killed).unwrap();
             assert_eq!(failpoint_fired("ria_rebuild"), 1, "{threads} threads");
             reset_failpoints();
