@@ -4,9 +4,8 @@
 //! The paper's pipeline sorts a batch by source then destination id, dedups
 //! it, and splits it into per-source groups so each group is applied by one
 //! thread without locking. [`SortedBatch`] is that pipeline's product, and
-//! every engine builds one per batch. One walk, `disjoint_mut`, lends each
-//! group its own stretch of a table, under [`par_apply`] and
-//! [`SortedBatch::slots_mut`]. The sort runs in parallel and its time is
+//! every engine builds one per batch. One walk, [`par_apply`], lends each
+//! group of runs its own stretch of a table. The sort runs in parallel and its time is
 //! charged to the update, exactly as the paper charges it to throughput.
 
 use std::ops::Range;
@@ -89,7 +88,7 @@ impl SortedBatch {
     }
 
     /// The source and destinations of `r`, a run of this batch as
-    /// [`SortedBatch::slots_mut`] hands them out.
+    /// [`par_apply`] hands them out.
     pub fn run(&self, r: &SrcRun) -> Run<'_> {
         Run {
             src: r.src,
@@ -144,27 +143,6 @@ impl SortedBatch {
     pub fn into_dsts(self) -> Vec<u32> {
         self.dsts
     }
-
-    /// Lends each slot `table[src / PER]` that some run's source falls in to
-    /// that slot's runs, ascending, each read with [`SortedBatch::run`]: a
-    /// table of pages of `PER` vertices gets each touched page once, with
-    /// the runs on it. (`PER` is a constant so that the division per run is
-    /// a shift.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if a run's slot is outside `table`.
-    pub fn slots_mut<'t, 'b, T, const PER: usize>(
-        &'b self,
-        table: &'t mut [T],
-    ) -> Vec<(&'t mut T, &'b [SrcRun])> {
-        let slot = |r: &SrcRun| r.src as usize / PER;
-        let groups = self.runs.chunk_by(|a, b| slot(a) == slot(b));
-        disjoint_mut(table, groups.map(|g| (slot(&g[0])..slot(&g[0]) + 1, g)))
-            .into_iter()
-            .map(|(one, g)| (&mut one[0], g))
-            .collect()
-    }
 }
 
 /// Pairs each item with its own stretch `table[range]`. The walk goes
@@ -198,33 +176,52 @@ fn disjoint_mut<T, I>(
     out
 }
 
-/// Runs `f` once per run of `batch` on the run's own slot `table[src]`, on
-/// the pool, and sums the results. The runs are cut into as many groups as
-/// a parallel call has chunks (threads²), and each group borrows the
-/// stretch of `table` from its first source to its last, so lending the
-/// slots costs one step per group, not one per run.
+/// Runs `f` on every slot `table[src / PER]` that some run's source falls
+/// in, with the runs on that slot (ascending, each read with
+/// [`SortedBatch::run`]), on the pool. The runs are cut into as many groups
+/// as a parallel call has chunks (threads²), never inside a slot; each group
+/// is one task, which starts from its own `task()` and borrows the stretch
+/// of `table` from its first slot to its last, so lending the slots costs
+/// one step per group, not one per run or per slot. Returns the tasks'
+/// states in source order. (`PER` is a constant so that the division per
+/// run is a shift.)
 ///
 /// # Panics
 ///
-/// Panics if a run's source is outside `table`.
-pub fn par_apply<T: Send>(
+/// Panics if a run's slot is outside `table`.
+pub fn par_apply<T: Send, A: Send, const PER: usize>(
     table: &mut [T],
     batch: &SortedBatch,
-    f: impl Fn(Run<'_>, &mut T) -> usize + Sync + Send,
-) -> usize {
+    task: impl Fn() -> A + Sync,
+    f: impl Fn(&mut A, &mut T, &[SrcRun]) + Sync,
+) -> Vec<A> {
+    let slot = |r: &SrcRun| r.src as usize / PER;
     let threads = rayon::current_num_threads();
     let per = batch.runs.len().div_ceil(threads * threads).max(1);
-    let stretch = |g: &[SrcRun]| g[0].src as usize..g[g.len() - 1].src as usize + 1;
-    let groups = batch.runs.chunks(per).map(|g| (stretch(g), (g, 0)));
+    let mut groups = Vec::new();
+    let mut rest = &batch.runs[..];
+    while !rest.is_empty() {
+        let mut end = per.min(rest.len());
+        while end < rest.len() && slot(&rest[end]) == slot(&rest[end - 1]) {
+            end += 1;
+        }
+        let (group, tail) = rest.split_at(end);
+        let stretch = slot(&group[0])..slot(&group[end - 1]) + 1;
+        groups.push((stretch, (group, None)));
+        rest = tail;
+    }
     let mut work = disjoint_mut(table, groups);
     work.par_iter_mut().for_each(|(slots, (runs, out))| {
-        let base = runs[0].src as usize;
-        *out = runs
-            .iter()
-            .map(|r| f(batch.run(r), &mut slots[r.src as usize - base]))
-            .sum();
+        let (base, mut state) = (slot(&runs[0]), task());
+        for on_slot in runs.chunk_by(|a, b| slot(a) == slot(b)) {
+            f(&mut state, &mut slots[slot(&on_slot[0]) - base], on_slot);
+        }
+        *out = Some(state);
     });
-    work.iter().map(|(_, (_, out))| out).sum()
+    let states = work.into_iter().map(|(_, (_, state))| state);
+    states
+        .map(|s| s.expect("the pool ran every group"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -338,8 +335,25 @@ mod tests {
         );
     }
 
+    /// Sums each run's length into its slot, one task per group.
+    fn fill<const PER: usize>(table: &mut [Vec<u32>], batch: &SortedBatch) -> usize {
+        let tasks = par_apply::<_, _, PER>(
+            table,
+            batch,
+            || 0,
+            |n, slot, runs| {
+                for run in runs.iter().map(|r| batch.run(r)) {
+                    assert_eq!(run.src as usize / PER, runs[0].src as usize / PER);
+                    slot.extend_from_slice(run.dsts);
+                    *n += run.dsts.len();
+                }
+            },
+        );
+        tasks.into_iter().sum()
+    }
+
     #[test]
-    fn slots_group_runs_by_page_and_par_apply_gives_each_run_its_own() {
+    fn par_apply_hands_each_slot_its_runs_once() {
         let batch = SortedBatch::new(&[
             Edge::new(9, 1),
             Edge::new(0, 2),
@@ -347,17 +361,11 @@ mod tests {
             Edge::new(2, 4),
             Edge::new(5, 0),
         ]);
-        let mut pages = [0usize; 3];
-        for (page, runs) in batch.slots_mut::<_, 4>(&mut pages) {
-            *page = runs.iter().map(|r| batch.run(r).dsts.len()).sum();
-        }
-        assert_eq!(pages, [3, 1, 1]);
+        let mut pages = vec![Vec::new(); 3];
+        assert_eq!(fill::<4>(&mut pages, &batch), 5);
+        assert_eq!(pages, [vec![2, 3, 4], vec![0], vec![1]]);
         let mut table = vec![Vec::new(); 10];
-        let n = par_apply(&mut table, &batch, |run, slot| {
-            slot.extend_from_slice(run.dsts);
-            run.dsts.len()
-        });
-        assert_eq!(n, 5);
+        assert_eq!(fill::<1>(&mut table, &batch), 5);
         assert_eq!(table[2], [3, 4]);
         assert_eq!(table[9], [1]);
         assert!(table[1].is_empty());
@@ -374,14 +382,20 @@ mod tests {
             let m = model(&batch);
             let b = SortedBatch::new(&batch);
             let mut table = vec![Vec::new(); 700];
-            let n = par_apply(&mut table, &b, |run, slot| {
-                slot.extend_from_slice(run.dsts);
-                run.dsts.len()
-            });
-            assert_eq!(n, b.len());
+            assert_eq!(fill::<1>(&mut table, &b), b.len());
             for (v, got) in table.iter().enumerate() {
                 let want: Vec<u32> = m.get(&(v as u32)).into_iter().flatten().copied().collect();
                 assert_eq!(*got, want, "vertex {v}");
+            }
+            // Pages of 32: a group never splits a page's runs.
+            let mut pages = vec![Vec::new(); 700usize.div_ceil(32)];
+            assert_eq!(fill::<32>(&mut pages, &b), b.len());
+            for (p, got) in pages.iter().enumerate() {
+                let want: Vec<u32> = m
+                    .range(32 * p as u32..32 * (p as u32 + 1))
+                    .flat_map(|(_, ds)| ds.iter().copied())
+                    .collect();
+                assert_eq!(*got, want, "page {p}");
             }
         }
     }

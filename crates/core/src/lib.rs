@@ -36,7 +36,6 @@
 
 mod adjacency;
 mod config;
-mod directory;
 mod error;
 mod graph;
 mod hitree;
@@ -46,10 +45,10 @@ mod run;
 mod snapshot;
 mod stats;
 mod vertex;
+mod view;
 
 pub use adjacency::Spill;
 pub use config::{Config, ConfigError, HighDegreeStore, LiaSearch, MediumStore, BKS, INLINE_CAP};
-pub use directory::GraphView;
 pub use error::{BatchOutcome, GraphError};
 pub use graph::{BatchEvent, BatchKind, LsGraph, PostBatchHook};
 pub use hitree::SlotOccupancy;
@@ -57,4 +56,5 @@ pub use model::{LinearModel, PlrModel, PositionModel};
 pub use ria::Ria;
 pub use snapshot::GraphSnapshot;
 pub use stats::{Tier, TierStats};
-pub use vertex::VertexBlock;
+pub use vertex::{BlockCtx, VertexBlock};
+pub use view::GraphView;

@@ -5,7 +5,7 @@
 //! a clone of the view. The flip copies only reference counts — one per
 //! directory page, no adjacency payload — so taking a snapshot is O(V / page)
 //! and the writer is never paused. Subsequent batches copy-on-write the pages
-//! they touch (`GraphView::par_apply_disjoint`), so readers traversing the
+//! they touch (`SetTable::par_apply`), so readers traversing the
 //! snapshot observe the graph as it was at the flip: snapshot isolation.
 //!
 //! Reclamation is the reference counts and nothing else: a page version
@@ -15,7 +15,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::directory::{forward_to_view, GraphView};
+use crate::view::{forward_to_view, GraphView};
 
 /// The frozen state one snapshot shares among its clones: the view as it
 /// stood at the flip.
@@ -25,7 +25,7 @@ struct SnapInner {
 
 impl Drop for SnapInner {
     fn drop(&mut self) {
-        self.view.stats.snapshots_retired.record(1);
+        self.view.stats().snapshots_retired.record(1);
     }
 }
 

@@ -6,9 +6,9 @@
 //! assert that tier transitions actually happen on skewed inputs.
 
 use crate::adjacency::Spill;
-use crate::directory::GraphView;
 use crate::hitree::SlotOccupancy;
-use lsgraph_api::Graph;
+use crate::vertex::VertexBlock;
+use crate::view::GraphView;
 
 /// Which container currently stores a vertex's spill.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -90,17 +90,15 @@ impl TierStats {
 impl GraphView {
     /// The tier of vertex `v`, read off the container its block points at.
     pub fn tier(&self, v: u32) -> Tier {
-        self.block(v).spill().map_or(Tier::Inline, Spill::tier)
+        self.table.set(v).spill().map_or(Tier::Inline, Spill::tier)
     }
 
     /// LIA slot occupancy aggregated over every HITree spill in the graph
     /// (the paper's §3.2 U/E/B/C slot types).
     pub fn lia_slot_occupancy(&self) -> SlotOccupancy {
         let mut occ = SlotOccupancy::default();
-        for v in 0..self.num_vertices() as u32 {
-            if let Some(spill) = self.block(v).spill() {
-                spill.add_slot_occupancy(&mut occ);
-            }
+        for spill in self.table.sets().filter_map(VertexBlock::spill) {
+            spill.add_slot_occupancy(&mut occ);
         }
         occ
     }
@@ -108,13 +106,11 @@ impl GraphView {
     /// Tier population statistics across the whole graph.
     pub fn tier_stats(&self) -> TierStats {
         let mut s = TierStats::default();
-        for v in 0..self.num_vertices() as u32 {
-            let vb = self.block(v);
-            let deg = vb.degree();
+        for vb in self.table.sets() {
             let spill = vb.spill().map_or(0, Spill::len);
-            s.inline_edges += deg - spill;
+            s.inline_edges += vb.degree() - spill;
             s.spill_edges += spill;
-            match self.tier(v) {
+            match vb.spill().map_or(Tier::Inline, Spill::tier) {
                 Tier::Inline => s.inline_vertices += 1,
                 Tier::Array => s.array_vertices += 1,
                 Tier::Ria => s.ria_vertices += 1,
@@ -132,7 +128,7 @@ mod tests {
     use super::*;
     use crate::config::{Config, INLINE_CAP};
     use crate::graph::LsGraph;
-    use lsgraph_api::{DynamicGraph, Edge};
+    use lsgraph_api::{DynamicGraph, Edge, Graph};
 
     #[test]
     fn tiers_reflect_degrees() {

@@ -321,19 +321,13 @@ impl ParsedImage {
         })
     }
 
-    /// Installs the records and the quarantine set into `g`. Infallible for
-    /// an image that parsed: call it only once nothing can reject the image
-    /// any more.
+    /// Grows `g` to the vertex count the image records, then installs the
+    /// records and the quarantine set. Infallible for an image that parsed:
+    /// call it only once nothing can reject the image any more.
     fn install(&self, g: &mut LsGraph) {
+        g.grow_to(self.num_vertices);
         for (v, ns) in self.records() {
             g.restore_vertex_from_sorted(v, ns);
-        }
-        for &q in &self.quarantined {
-            // A quarantined vertex past the table end has no record to have
-            // grown the table for it.
-            if q as usize >= g.num_vertices() {
-                g.restore_vertex_from_sorted(q, &[]);
-            }
         }
         g.restore_quarantine_set(&self.quarantined)
             .expect("every quarantined id is inside the table grown above");
@@ -485,9 +479,10 @@ fn load_checkpoint(path: &Path, cfg: Config) -> io::Result<(LsGraph, CheckpointM
 ///
 /// Validation is strictly **before** mutation: the whole body is parsed,
 /// the parent id must equal `expect_parent` (the id of the image `g`
-/// currently reflects), records must be ascending with sorted adjacency,
-/// and the edge total predicted from `g`'s current degrees must equal the
-/// total the image claims. A delta that fails any check leaves `g`
+/// currently reflects), the image must record at least as many vertices as
+/// `g` holds (a table never shrinks), records must be ascending with sorted
+/// adjacency, and the edge total predicted from `g`'s current degrees must
+/// equal the total the image claims. A delta that fails any check leaves `g`
 /// untouched, so the chain loader can fall back to a shorter chain.
 ///
 /// # Errors
@@ -510,6 +505,11 @@ fn apply_delta_checkpoint(
                 "delta parent {parent_id} does not match the applied chain tip {expect_parent}"
             ),
         ));
+    }
+    let (nv, tip) = (image.num_vertices, g.num_vertices());
+    if nv < tip {
+        let what = format_args!("delta records {nv} vertices but the chain tip holds {tip}");
+        return Err(invalid(path, what));
     }
     // Arithmetic pre-check: replacing each recorded vertex's adjacency
     // must land exactly on the edge total the image claims. This catches
@@ -821,6 +821,37 @@ mod tests {
             (3952, 150_772_469),
             "delta image bytes moved"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A delta grows the table to the vertex count it records: a vertex
+    /// named only as a destination since the parent image comes back. A
+    /// delta recording fewer vertices than the chain tip holds is refused,
+    /// the graph untouched.
+    #[test]
+    fn delta_restores_the_recorded_vertex_count() {
+        let dir = tmpdir("delta-count");
+        let mut g = LsGraph::with_config(8, small_cfg());
+        g.insert_batch(&[Edge::new(0, 1)]);
+        write_checkpoint(&dir, 1, g.view(), 0, 0, 1).unwrap();
+        g.clear_dirty();
+        g.insert_batch(&[Edge::new(0, 20)]);
+        let dirty = g.take_dirty_vertices();
+        write_delta_checkpoint(&dir, 2, 1, g.view(), &dirty, 0, 10, 2).unwrap();
+        let (restored, info) = load_newest_chain(&dir, small_cfg()).unwrap();
+        let (mut r, _) = restored.unwrap();
+        assert_eq!((info.tip_id, info.chain_len), (2, 1));
+        assert_eq!(r.num_vertices(), 21);
+        assert_same_graph(&r, &g);
+        r.check_invariants();
+
+        let eight = LsGraph::with_config(8, small_cfg());
+        write_delta_checkpoint(&dir, 3, 2, eight.view(), &[], 0, 20, 3).unwrap();
+        let err = apply_delta_checkpoint(&delta_file(&dir, 3), &mut r, 2).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("records 8 vertices"), "{err}");
+        assert_eq!(r.num_vertices(), 21);
+        assert_same_graph(&r, &g);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -42,7 +42,7 @@ impl SortledtonSet {
                 Err(i) => {
                     v.insert(i, u);
                     if v.len() > VECTOR_THRESHOLD {
-                        *self = SortledtonSet::from_sorted(v);
+                        *self = SortledtonSet::from_sorted(v, &());
                     }
                     true
                 }
@@ -80,7 +80,7 @@ impl Default for SortledtonSet {
 impl NeighborSet for SortledtonSet {
     type Ctx = ();
 
-    fn from_sorted(ns: &[u32]) -> Self {
+    fn from_sorted(ns: &[u32], _: &()) -> Self {
         SortledtonSet(if ns.len() > VECTOR_THRESHOLD {
             Neighborhood::Large(Box::new(UnrolledSkipList::from_sorted(ns)))
         } else {
@@ -95,7 +95,7 @@ impl NeighborSet for SortledtonSet {
         }
     }
 
-    fn contains(&self, u: u32) -> bool {
+    fn contains(&self, u: u32, _: &()) -> bool {
         match &self.0 {
             Neighborhood::Small(v) => v.binary_search(&u).is_ok(),
             Neighborhood::Large(l) => l.contains(u),
@@ -119,7 +119,7 @@ impl NeighborSet for SortledtonSet {
 
     /// Verifies the order and the arm's size range, and a skip list's own
     /// invariants.
-    fn check_invariants(&self) {
+    fn check_invariants(&self, _: &()) {
         match &self.0 {
             Neighborhood::Small(v) => {
                 assert!(v.windows(2).all(|w| w[0] < w[1]), "order violation");
@@ -135,7 +135,8 @@ impl NeighborSet for SortledtonSet {
 
 impl MemoryFootprint for SortledtonSet {
     fn footprint(&self) -> Footprint {
-        match &self.0 {
+        let slot = Footprint::new(0, core::mem::size_of::<Self>());
+        slot + match &self.0 {
             Neighborhood::Small(v) => Footprint::new(v.capacity() * core::mem::size_of::<u32>(), 0),
             Neighborhood::Large(l) => l.footprint(),
         }
@@ -156,12 +157,12 @@ mod tests {
         let mut set = SortledtonSet::default();
         assert_eq!(set.insert_run(&(0..500).collect::<Vec<_>>(), &()), 500);
         assert!(matches!(set.0, Neighborhood::Large(_)));
-        set.check_invariants();
+        set.check_invariants(&());
         // Shrink back down.
         assert_eq!(set.delete_run(&(40..500).collect::<Vec<_>>(), &()), 460);
         assert!(matches!(set.0, Neighborhood::Small(_)));
         assert_eq!(set.len(), 40);
-        set.check_invariants();
+        set.check_invariants(&());
     }
 
     #[test]

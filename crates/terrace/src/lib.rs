@@ -364,27 +364,31 @@ impl DynamicGraph for TerraceGraph {
         let high = |tv: &TVertex| tv.spill_len() > HIGH_THRESHOLD;
         let mut high_runs = batch.clone();
         high_runs.retain_sources(|src| high(&self.vertices[src as usize]));
-        let mut added = par_apply(&mut self.vertices, &high_runs, |run, tv| {
-            let tree = tv.tree.as_mut().expect("high tier has a tree");
-            let mut n = 0;
-            for &u in run.dsts {
-                let added = match tv.inline.binary_search(&u) {
-                    Ok(_) => false,
-                    Err(i) if i < INLINE_CAP => {
-                        let evicted = tv.inline[INLINE_CAP - 1];
-                        tv.inline.copy_within(i..INLINE_CAP - 1, i + 1);
-                        tv.inline[i] = u;
-                        tree.insert(evicted)
+        let tasks = par_apply::<_, _, 1>(
+            &mut self.vertices,
+            &high_runs,
+            || 0,
+            |n, tv, runs| {
+                let tree = tv.tree.as_mut().expect("high tier has a tree");
+                for &u in high_runs.run(&runs[0]).dsts {
+                    let added = match tv.inline.binary_search(&u) {
+                        Ok(_) => false,
+                        Err(i) if i < INLINE_CAP => {
+                            let evicted = tv.inline[INLINE_CAP - 1];
+                            tv.inline.copy_within(i..INLINE_CAP - 1, i + 1);
+                            tv.inline[i] = u;
+                            tree.insert(evicted)
+                        }
+                        Err(_) => tree.insert(u),
+                    };
+                    if added {
+                        tv.degree += 1;
+                        *n += 1;
                     }
-                    Err(_) => tree.insert(u),
-                };
-                if added {
-                    tv.degree += 1;
-                    n += 1;
                 }
-            }
-            n
-        });
+            },
+        );
+        let mut added: usize = tasks.into_iter().sum();
         for run in batch.runs() {
             if high(&self.vertices[run.src as usize]) {
                 continue;

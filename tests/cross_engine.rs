@@ -95,11 +95,26 @@ fn axis(engine: &str, tiers: &[Tier]) {
     let fill = (0..8).map(|c| Insert(hub(c)));
     let drain = (0..8).map(|c| Delete(hub(c)));
     let front_first = fill.chain([Snap]).chain(drain).collect();
+    // Every vertex of the first page holding ids, two snapshots, two
+    // page-mates written under both, the older snapshot dropped first: a
+    // copied page keeps its other sets for every reader.
+    let page: Vec<(u32, u32)> = (0..64).map(|v| (v, v % 7)).collect();
+    let page_mates = vec![
+        Insert(page),
+        Snap,
+        Insert(vec![(1, 9), (2, 9)]),
+        Snap,
+        Delete(vec![(1, 1), (2, 2), (2, 9)]),
+        DropSnap(0),
+        Insert(vec![(1, 3), (2, 5)]),
+        DropSnap(0),
+    ];
     let traces = [
         ("hostile", "empty", hostile),
         ("empty", "empty", empty),
         ("every_tier", "spread", rungs),
         ("front_first", "spread", front_first),
+        ("page_mates", "empty", page_mates),
     ];
     for (name, setup, ops) in traces {
         named(name, &on(setup), ops);

@@ -5,9 +5,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use lsgraph::{Config, DynamicGraph, Edge, Graph, LsGraph, StructStats};
+use lsgraph::{Config, DynamicGraph, Edge, Graph, LsGraph, NeighborSet};
 use lsgraph_api::{configure_failpoint, failpoint_fired, reset_failpoints, FailMode, FailMode::*};
-use lsgraph_core::VertexBlock;
+use lsgraph_core::{BlockCtx, VertexBlock};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use crate::harness::{batch, check_set, lock, named, Op, Op::*, Setup, TempDir, CORE_SITES};
@@ -162,15 +162,15 @@ fn same_seed_reproduces_the_same_quarantine_sequence() {
 type Blocks = BTreeMap<u32, VertexBlock>;
 
 /// Applies `batch`'s runs in source order to standalone blocks, recording
-/// into `stats`, the way the batch pipeline applies each run to its vertex's
+/// into `ctx`, the way the batch pipeline applies each run to its vertex's
 /// block; returns the sources whose run panicked.
-fn replay_runs(blocks: &mut Blocks, batch: &[Edge], stats: &StructStats) -> Vec<u32> {
+fn replay_runs(blocks: &mut Blocks, batch: &[Edge], ctx: &BlockCtx) -> Vec<u32> {
     let keys = BTreeSet::from_iter(batch.iter().map(|e| (e.src, e.dst)));
     let keys: Vec<(u32, u32)> = keys.into_iter().collect();
     let killed = keys.chunk_by(|a, b| a.0 == b.0).filter(|run| {
         let vb = blocks.entry(run[0].0).or_default();
         let dsts: Vec<u32> = run.iter().map(|&(_, u)| u).collect();
-        let apply = || vb.insert_run(&dsts, &Config::default(), stats);
+        let apply = || vb.insert_run(&dsts, ctx);
         catch_unwind(AssertUnwindSafe(apply)).is_err()
     });
     killed.map(|run| run[0].0).collect()
@@ -202,20 +202,20 @@ fn killed_run_movement_is_absorbed_exactly_once() {
         .collect();
 
     reset_failpoints();
-    let expect = StructStats::new();
+    let expect = BlockCtx::default();
     let mut blocks = BTreeMap::new();
     assert!(replay_runs(&mut blocks, &setup, &expect).is_empty());
     configure_failpoint("ria_rebuild", FailMode::Nth(1));
-    let ripples = expect.ria_ripples.get();
+    let ripples = expect.stats.ria_ripples.get();
     assert_eq!(replay_runs(&mut blocks, &killed, &expect), vec![0]);
     assert_eq!(failpoint_fired("ria_rebuild"), 1);
     assert!(
-        expect.ria_ripples.get() > ripples,
+        expect.stats.ria_ripples.get() > ripples,
         "the run moved ids first"
     );
-    expect.apply_run_panics.record(1);
-    expect.vertices_quarantined.record(1);
-    let expect = expect.snapshot().deterministic_fields();
+    expect.stats.apply_run_panics.record(1);
+    expect.stats.vertices_quarantined.record(1);
+    let expect = expect.stats.snapshot().deterministic_fields();
 
     let at_width = |threads: usize| {
         let pool = rayon::ThreadPoolBuilder::new()

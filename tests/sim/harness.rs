@@ -27,7 +27,7 @@ use lsgraph_persist::{
 };
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
-use crate::model::{assert_adjacency, assert_reads, edges, surface, trim_to, Frozen, Model};
+use crate::model::{assert_adjacency, assert_reads, edges, surface, Frozen, Model};
 
 /// One step of a trace. While a kill has the store down only `Crash`, which
 /// brings it back, and the failpoint ops act. (The binaries that include this file
@@ -230,9 +230,8 @@ struct Sub {
 }
 
 /// A checkpoint the model saw written: the batches it covers, the WAL
-/// position replay resumes at, the quarantine set it froze, and whether a
-/// delta wrote it (a compaction folds it into a full image at the same id).
-struct Ckpt(usize, (u64, usize), BTreeSet<VertexId>, bool);
+/// position replay resumes at, and the quarantine set it froze.
+struct Ckpt(usize, (u64, usize), BTreeSet<VertexId>);
 
 #[derive(Default)]
 pub struct Sim {
@@ -484,14 +483,12 @@ impl Sim {
         );
         // The chain a recovery would load is the live graph: quarantine
         // marks included, no adjacency record for a quarantined vertex.
-        let (chain, info) = load_newest_chain(&self.dir.0, self.setup.cfg).unwrap();
+        let (chain, _) = load_newest_chain(&self.dir.0, self.setup.cfg).unwrap();
         let (image, tip) = chain.expect("a recoverable chain after a checkpoint");
         assert_eq!(tip.id, meta.id, "the newest chain ends at the new image");
-        let (mut want, delta) = (self.model.frozen(), info.chain_len > 0);
-        trim_to(&mut want.adj, image.num_vertices(), delta);
-        assert_reads(image.view(), &want, "checkpoint chain");
+        assert_reads(image.view(), &self.model.frozen(), "checkpoint chain");
         let pos = (meta.wal_segment, meta.wal_offset as usize);
-        let ckpt = Ckpt(self.synced, pos, self.model.quarantined.clone(), delta);
+        let ckpt = Ckpt(self.synced, pos, self.model.quarantined.clone());
         self.ckpts.insert(meta.id, ckpt);
     }
 
@@ -526,11 +523,11 @@ impl Sim {
             u64::from(torn),
             "truncation events"
         );
-        let (mut q, mut delta) = (BTreeSet::new(), false);
+        let mut q = BTreeSet::new();
         if let Some(id) = report.checkpoint_loaded {
-            let Ckpt(seq, _, frozen, by_delta) = &self.ckpts[&id];
+            let Ckpt(seq, _, frozen) = &self.ckpts[&id];
             assert!(*seq <= k, "image {id} covers more than was recovered");
-            (q, delta) = (frozen.clone(), *by_delta);
+            q = frozen.clone();
         }
         // Recovery prunes every image past the one it loaded.
         self.ckpts
@@ -552,8 +549,6 @@ impl Sim {
             self.model.apply(*kind, batch);
         }
         self.model.quarantined = got;
-        let nv = store.graph().num_vertices();
-        trim_to(&mut self.model.adj, nv, delta);
         (self.engine_fires, self.deliver_fires, self.repairs) = (engine, 0, 0);
         (self.cow, self.synced, self.cow_unknown) = (0, k, false);
         (self.taken, self.restarts) = (0, 0);
@@ -708,7 +703,8 @@ enum Engine {
     LsSnap(GraphSnapshot),
     Aspen(AspenGraph),
     Pac(PacGraph),
-    /// Terrace, Sortledton and PCSR, which take no snapshot.
+    Sortledton(SortledtonGraph),
+    /// Terrace and PCSR, which take no snapshot.
     Other(Box<dyn DynamicGraph>),
 }
 
@@ -729,7 +725,7 @@ impl Engine {
             "Aspen" => return Engine::Aspen(AspenGraph::from_edges(n, edges)),
             "PaC-tree" => return Engine::Pac(PacGraph::from_edges(n, edges)),
             "Terrace" => return Engine::Other(Box::new(TerraceGraph::from_edges(n, edges))),
-            "Sortledton" => return Engine::Other(Box::new(SortledtonGraph::from_edges(n, edges))),
+            "Sortledton" => return Engine::Sortledton(SortledtonGraph::from_edges(n, edges)),
             "PCSR" => return Engine::Other(Box::new(PmaGraph::from_edges(n, edges))),
             _ => panic!("no engine `{name}`"),
         }
@@ -750,6 +746,7 @@ impl Engine {
             Engine::LsSnap(_) => unreachable!("a snapshot is never written"),
             Engine::Aspen(g) => g,
             Engine::Pac(g) => g,
+            Engine::Sortledton(g) => g,
             Engine::Other(g) => &mut **g,
         }
     }
@@ -767,6 +764,7 @@ impl Engine {
             Engine::Ls(g) => Some(Engine::LsSnap(g.snapshot())),
             Engine::Aspen(g) => Some(Engine::Aspen(g.snapshot())),
             Engine::Pac(g) => Some(Engine::Pac(g.snapshot())),
+            Engine::Sortledton(g) => Some(Engine::Sortledton(g.snapshot())),
             _ => None,
         }
     }

@@ -116,20 +116,6 @@ impl Model {
     }
 }
 
-/// Cuts a per-vertex table to the `nv` vertices a graph loaded from an image
-/// a delta wrote has. A delta image grows the table only as far as the last
-/// vertex it writes, so trailing vertices that only ever appeared as
-/// destinations come back missing; they must be empty. Any other load keeps
-/// the table, and `assert_reads` holds `num_vertices` to it exactly.
-pub fn trim_to<T: Default + PartialEq>(adj: &mut Vec<T>, nv: usize, delta: bool) {
-    if delta {
-        let tail = adj.get(nv..);
-        let empty = tail.is_some_and(|tail| tail.iter().all(|ns| *ns == T::default()));
-        assert!(empty, "recovered {nv} vertices of {}", adj.len());
-        adj.truncate(nv);
-    }
-}
-
 /// Asserts any engine's `g` reads exactly `adj`: the vertex count, each
 /// vertex's neighbours and degree, and the exact edge total.
 pub fn assert_adjacency(g: &dyn Graph, adj: &[Vec<u32>], ctx: &str) {
