@@ -17,14 +17,14 @@
 //! this crate passes anything but 0.
 
 use lsgraph_api::fail_point;
-use lsgraph_api::{span, Footprint, MemoryFootprint, SpanKind, StructStats};
+use lsgraph_api::{merged_ids, span, Footprint, MemoryFootprint, SpanKind, StructStats};
 use lsgraph_pma::{Pma, PmaParams};
 
 use crate::config::{Config, HighDegreeStore, MediumStore};
 use crate::hitree::lia::Lia;
 use crate::hitree::SlotOccupancy;
 use crate::ria::Ria;
-use crate::run::{count_fresh, merge_into, merged_ids, remove_from};
+use crate::run::{count_fresh, merge_into, remove_from};
 use crate::stats::Tier;
 
 /// Ordered `u32` set behind one pointer: a vertex's non-inline neighbors

@@ -21,7 +21,7 @@
 //! on.
 
 use lsgraph_api::fail_point;
-use lsgraph_api::{sorted_union, Footprint, MemoryFootprint, StructStats};
+use lsgraph_api::{merged_ids, Footprint, MemoryFootprint, StructStats};
 
 use super::typevec::{SlotType, TypeVec};
 use super::SlotOccupancy;
@@ -311,7 +311,7 @@ impl Lia {
                 .set_range(base + plen..base + plen + fresh, SlotType::Block);
             stats.lia_within_block_shifts.record(moved as u64);
         } else if fresh > 0 {
-            let merged = sorted_union(&self.slots[base..base + plen], ids);
+            let merged = merged_ids(plen, ids, true, |f| f(&self.slots[base..base + plen]));
             self.settle_block(b, merged, cfg, depth, stats);
         }
         fresh
@@ -346,7 +346,7 @@ impl Lia {
                         .filter(|&i| self.types.get(i) == SlotType::Edge)
                         .map(|i| self.slots[i])
                         .collect();
-                    let merged = sorted_union(&held, ids);
+                    let merged = merged_ids(held.len(), ids, true, |f| f(&held));
                     let fresh = merged.len() - held.len();
                     self.settle_block(b, merged, cfg, depth, stats);
                     return fresh;

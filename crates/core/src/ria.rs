@@ -16,12 +16,12 @@
 //! distributed evenly at build time), so it is memory-efficient.
 
 use lsgraph_api::fail_point;
-use lsgraph_api::{span, Footprint, MemoryFootprint, SpanKind, StructStats};
+use lsgraph_api::{merged_ids, span, Footprint, MemoryFootprint, SpanKind, StructStats};
 
 use std::ops::Range;
 
 use crate::config::BKS;
-use crate::run::{count_fresh, merge_into, merged_ids, remove_from};
+use crate::run::{count_fresh, merge_into, remove_from};
 
 /// Words of one RIA buffer of `nb` blocks: `nb` index entries, `nb` `u16`
 /// counts two to a word, then `nb` blocks of `BKS` slots.

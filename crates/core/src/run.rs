@@ -64,42 +64,10 @@ pub(crate) fn remove_from(buf: &mut [u32], run: &[u32]) -> (usize, usize) {
     (o + len - start, moved)
 }
 
-/// The ids a slice walk hands over, with `run` merged in (`insert`) or
-/// taken out, in one allocation: what a container rebuilt around a run is
-/// built from. `len` is how many ids the walk hands over.
-pub(crate) fn merged_ids(
-    len: usize,
-    run: &[u32],
-    insert: bool,
-    walk: impl FnOnce(&mut dyn FnMut(&[u32]) -> bool) -> bool,
-) -> Vec<u32> {
-    let mut out = Vec::with_capacity(if insert { len + run.len() } else { len });
-    let mut j = 0;
-    walk(&mut |s| {
-        for &x in s {
-            while j < run.len() && run[j] < x {
-                if insert {
-                    out.push(run[j]);
-                }
-                j += 1;
-            }
-            let hit = run.get(j) == Some(&x);
-            j += usize::from(hit);
-            if insert || !hit {
-                out.push(x);
-            }
-        }
-        true
-    });
-    if insert {
-        out.extend_from_slice(&run[j..]);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsgraph_api::merged_ids;
     use std::collections::BTreeSet;
 
     /// Each helper against a `BTreeSet`, over every pair of subsets of a
