@@ -6,12 +6,11 @@
 //! cargo run -p lsgraph-bench --release --bin repro -- check --metrics metrics.jsonl
 //! ```
 //!
-//! Experiments: `fig3 fig4 fig12 small ablation fig13 table2 table3 fig14
-//! fig15 fig16 fig17 table4 g500 durability mixed standing frontdel all`. Sizes scale with
+//! Experiments are `lsgraph_bench::EXPERIMENTS`, plus `all`. Sizes scale with
 //! `REPRO_SCALE` (extra powers of two), `REPRO_BASE` (log2 base vertex
 //! count, default 15), and `REPRO_TRIALS` (default 3).
 //!
-//! With `--json`, experiments that support it (`fig12`, `small`, `fig13`,
+//! With `--json`, experiments that have a report (`fig12`, `small`, `fig13`,
 //! `durability`, `mixed`, `standing`) write a schema-stable `BENCH_<experiment>.json`
 //! with per-engine throughput, phase timings, instrumentation counters,
 //! latency histograms, and footprints instead of printing a table (see
@@ -37,7 +36,7 @@
 //! metrics stream instead (exact sample count, contiguous ticks, monotone
 //! counters); the two flags compose.
 
-use lsgraph_bench::{BenchReport, Scale};
+use lsgraph_bench::{experiment, BenchReport, Scale, EXPERIMENTS};
 
 fn emit(report: &BenchReport) {
     match report.write() {
@@ -112,18 +111,14 @@ fn run_check(baseline_path: &str, metrics_violations: usize) -> ! {
         "[repro] check: re-running '{}' at base=2^{} shift={} trials={}",
         baseline.experiment, scale.base, scale.shift, scale.trials
     );
-    let current = match baseline.experiment.as_str() {
-        "fig12" => lsgraph_bench::fig12_report(&scale),
-        "small" => lsgraph_bench::small_batches_report(&scale),
-        "fig13" => lsgraph_bench::fig13_report(&scale),
-        "durability" => lsgraph_bench::durability_report(&scale),
-        "mixed" => lsgraph_bench::mixed_report(&scale),
-        "standing" => lsgraph_bench::standing_report(&scale),
-        other => {
-            eprintln!("[repro] no check support for experiment '{other}'");
-            std::process::exit(2);
-        }
+    let Some(report) = experiment(&baseline.experiment).and_then(|e| e.report) else {
+        eprintln!(
+            "[repro] no check support for experiment '{}'",
+            baseline.experiment
+        );
+        std::process::exit(2);
     };
+    let current = report(&scale);
     let violations =
         lsgraph_bench::compare(&baseline, &current, lsgraph_bench::CheckOptions::default());
     for v in &violations {
@@ -170,8 +165,10 @@ fn main() {
     }
     let scale = Scale::from_env();
     if args.is_empty() {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
         eprintln!(
-            "usage: repro <fig3|fig4|fig12|small|ablation|fig13|table2|table3|fig14|fig15|fig16|fig17|table4|g500|durability|mixed|standing|frontdel|all> [--json] [--trace out.json] [--metrics out.jsonl]\n       repro check --baseline BENCH_<experiment>.json [--metrics out.jsonl]"
+            "usage: repro <{}|all> [--json] [--trace out.json] [--metrics out.jsonl]\n       repro check --baseline BENCH_<experiment>.json [--metrics out.jsonl]",
+            ids.join("|")
         );
         std::process::exit(2);
     }
@@ -197,63 +194,21 @@ fn main() {
         }
     }
     for arg in &args {
-        if json {
-            match arg.as_str() {
-                "fig12" | "del" => {
-                    emit(&lsgraph_bench::fig12_report(&scale));
-                    continue;
-                }
-                "small" => {
-                    emit(&lsgraph_bench::small_batches_report(&scale));
-                    continue;
-                }
-                "fig13" => {
-                    emit(&lsgraph_bench::fig13_report(&scale));
-                    continue;
-                }
-                "durability" => {
-                    emit(&lsgraph_bench::durability_report(&scale));
-                    continue;
-                }
-                "mixed" => {
-                    emit(&lsgraph_bench::mixed_report(&scale));
-                    continue;
-                }
-                "standing" => {
-                    emit(&lsgraph_bench::standing_report(&scale));
-                    continue;
-                }
-                other => {
-                    eprintln!("[repro] no JSON mode for '{other}'; printing the table");
-                }
-            }
+        if arg == "all" {
+            lsgraph_bench::all(&scale);
+            continue;
         }
-        match arg.as_str() {
-            "fig3" => lsgraph_bench::fig3(&scale),
-            "fig4" => lsgraph_bench::fig4(&scale),
-            "fig12" | "del" => lsgraph_bench::fig12(&scale),
-            "small" => lsgraph_bench::small_batches(&scale),
-            "ablation" => lsgraph_bench::ablation(&scale),
-            "fig13" => lsgraph_bench::fig13(&scale),
-            "table2" => lsgraph_bench::table2(&scale),
-            "table3" => lsgraph_bench::table3(&scale),
-            "fig14" => lsgraph_bench::fig14(&scale),
-            "fig15" => lsgraph_bench::fig15(&scale),
-            "fig16" => lsgraph_bench::fig16(&scale),
-            "fig17" => lsgraph_bench::fig17(&scale),
-            "table4" => lsgraph_bench::table4(&scale),
-            "durability" => lsgraph_bench::durability(&scale),
-            "mixed" => lsgraph_bench::mixed(&scale),
-            "standing" => lsgraph_bench::standing(&scale),
-            "sortledton" => lsgraph_bench::sortledton(&scale),
-            "verify" => lsgraph_bench::verify(&scale),
-            "g500" => lsgraph_bench::g500(&scale),
-            "frontdel" => lsgraph_bench::frontdel(&scale),
-            "all" => lsgraph_bench::all(&scale),
-            other => {
-                eprintln!("unknown experiment: {other}");
-                std::process::exit(2);
+        let Some(e) = experiment(arg) else {
+            eprintln!("unknown experiment: {arg}");
+            std::process::exit(2);
+        };
+        match (json, e.report) {
+            (true, Some(report)) => emit(&report(&scale)),
+            (true, None) => {
+                eprintln!("[repro] no JSON mode for '{arg}'; printing the table");
+                (e.print)(&scale);
             }
+            (false, _) => (e.print)(&scale),
         }
     }
     if let Some(path) = trace_path {

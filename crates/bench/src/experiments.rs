@@ -172,6 +172,9 @@ pub fn fig12_report(scale: &Scale) -> BenchReport {
     }
 }
 
+/// Insert+delete rounds per engine in the §6.2 small-batch cell.
+const SMALL_TRIALS: usize = 200;
+
 /// §6.2 small batches as a machine-readable report (batch size 10 on OR).
 pub fn small_batches_report(scale: &Scale) -> BenchReport {
     let p = DatasetProfile::by_name("OR").expect("profile exists");
@@ -182,7 +185,7 @@ pub fn small_batches_report(scale: &Scale) -> BenchReport {
     let mut out = Vec::new();
     for k in engines() {
         let mut g = build_engine_scaled(k, n, &base, shift);
-        out.push(measure_cell(&mut g, k, p.name, gscale, 10, 200));
+        out.push(measure_cell(&mut g, k, p.name, gscale, 10, SMALL_TRIALS));
         validate(g.as_ref(), k, p.name);
     }
     BenchReport {
@@ -195,26 +198,15 @@ pub fn small_batches_report(scale: &Scale) -> BenchReport {
     }
 }
 
-/// §6.2 small batches: latency at batch size 10.
+/// §6.2 small batches: throughput at batch size 10, the cells of
+/// [`small_batches_report`].
 pub fn small_batches(scale: &Scale) {
-    println!("# §6.2: batch-size-10 updates (throughput, edges/s)");
-    let p = DatasetProfile::by_name("OR").expect("profile exists");
-    let shift = shift_for(&p, scale);
-    let gscale = p.log_vertices - shift;
-    let base = p.generate(shift, 42);
-    let n = p.scaled_vertices(shift);
-    let rounds = 2_000;
-    for k in engines() {
-        let mut g = build_engine_scaled(k, n, &base, shift);
-        let batches: Vec<Vec<Edge>> = (0..rounds)
-            .map(|i| update_batch(gscale, 10, 7_000 + i as u64))
-            .collect();
-        let (_, d) = time(|| {
-            for b in &batches {
-                g.insert_batch(b);
-            }
-        });
-        println!("{:>10}: {}", k.name(), fmt_tput(10 * rounds, d));
+    println!("# §6.2: batch-size-10 updates (throughput, edges/s), insert|delete");
+    for e in small_batches_report(scale).engines {
+        let edges = e.batch_size * SMALL_TRIALS;
+        let ins = fmt_tput(edges, Duration::from_nanos(e.insert_nanos));
+        let del = fmt_tput(edges, Duration::from_nanos(e.delete_nanos));
+        println!("{:>10}: {ins}|{del}", e.engine);
     }
 }
 
@@ -1623,37 +1615,70 @@ pub fn frontdel(scale: &Scale) {
     }
 }
 
-/// Runs every experiment in paper order.
+/// One `repro` experiment: the function printing its table, and the
+/// report that `--json` writes and `check --baseline` re-runs, if it has one.
+pub struct Experiment {
+    /// The subcommand name, also the `experiment` field of its report.
+    pub id: &'static str,
+    /// Prints its text table.
+    pub print: fn(&Scale),
+    /// Its machine-readable report, for `--json` and `check --baseline`.
+    pub report: Option<fn(&Scale) -> BenchReport>,
+    /// Whether `repro all` runs it.
+    pub in_all: bool,
+}
+
+const fn exp(
+    id: &'static str,
+    print: fn(&Scale),
+    report: Option<fn(&Scale) -> BenchReport>,
+    in_all: bool,
+) -> Experiment {
+    Experiment {
+        id,
+        print,
+        report,
+        in_all,
+    }
+}
+
+/// Every `repro` experiment, in paper order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    exp("fig3", fig3, None, true),
+    exp("fig4", fig4, None, true),
+    exp("fig12", fig12, Some(fig12_report), true),
+    exp("small", small_batches, Some(small_batches_report), true),
+    exp("ablation", ablation, None, true),
+    exp("fig13", fig13, Some(fig13_report), true),
+    exp("table2", table2, None, true),
+    exp("table3", table3, None, true),
+    exp("fig14", fig14, None, true),
+    exp("fig15", fig15, None, true),
+    exp("fig16", fig16, None, true),
+    exp("fig17", fig17, None, true),
+    exp("table4", table4, None, true),
+    exp("sortledton", sortledton, None, true),
+    exp("g500", g500, None, true),
+    exp("durability", durability, Some(durability_report), false),
+    exp("mixed", mixed, Some(mixed_report), false),
+    exp("standing", standing, Some(standing_report), false),
+    exp("verify", verify, None, false),
+    exp("frontdel", frontdel, None, false),
+];
+
+/// The experiment named `id`.
+pub fn experiment(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
+}
+
+/// Runs every experiment marked `in_all`, in paper order.
 pub fn all(scale: &Scale) {
-    fig3(scale);
-    println!();
-    fig4(scale);
-    println!();
-    fig12(scale);
-    println!();
-    small_batches(scale);
-    println!();
-    ablation(scale);
-    println!();
-    fig13(scale);
-    println!();
-    table2(scale);
-    println!();
-    table3(scale);
-    println!();
-    fig14(scale);
-    println!();
-    fig15(scale);
-    println!();
-    fig16(scale);
-    println!();
-    fig17(scale);
-    println!();
-    table4(scale);
-    println!();
-    sortledton(scale);
-    println!();
-    g500(scale);
+    for (i, e) in EXPERIMENTS.iter().filter(|e| e.in_all).enumerate() {
+        if i > 0 {
+            println!();
+        }
+        (e.print)(scale);
+    }
 }
 
 #[cfg(test)]
@@ -1669,6 +1694,24 @@ mod tests {
     #[test]
     fn smoke_small_batches() {
         small_batches(&Scale::tiny());
+    }
+
+    /// DESIGN.md's experiment index lists exactly the `repro` experiments,
+    /// in table order.
+    #[test]
+    fn design_index_names_every_experiment() {
+        let design = include_str!("../../../DESIGN.md");
+        let index = design
+            .split("## Experiment index")
+            .nth(1)
+            .expect("DESIGN.md has an experiment index");
+        let index = index.split("\n## ").next().unwrap_or(index);
+        let rows: Vec<&str> = index
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+            .collect();
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        assert_eq!(rows, ids);
     }
 
     #[test]

@@ -12,11 +12,7 @@ mod report;
 mod runner;
 
 pub use check::{check_metrics, compare, violations_json, CheckOptions, Violation, ViolationKind};
-pub use experiments::{
-    ablation, all, durability, durability_report, fig12, fig12_report, fig13, fig13_report, fig14,
-    fig15, fig16, fig17, fig3, fig4, frontdel, g500, mixed, mixed_report, small_batches,
-    small_batches_report, sortledton, standing, standing_report, table2, table3, table4, verify,
-};
+pub use experiments::{all, experiment, small_batches_report, Experiment, EXPERIMENTS};
 pub use report::{parse_json, BenchReport, Json};
 pub use runner::{build_engine, engines, EngineKind, Scale};
 

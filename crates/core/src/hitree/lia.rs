@@ -27,7 +27,7 @@ use super::typevec::{SlotType, TypeVec};
 use super::SlotOccupancy;
 use crate::adjacency::Spill;
 use crate::config::{Config, LiaSearch, BKS};
-use crate::model::{LinearModel, PositionModel};
+use crate::model::LinearModel;
 use crate::run::{count_fresh, merge_into, remove_from};
 
 /// Sentinel for "block has no child".

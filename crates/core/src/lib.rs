@@ -52,7 +52,6 @@ pub use config::{Config, ConfigError, HighDegreeStore, LiaSearch, MediumStore, B
 pub use error::{BatchOutcome, GraphError};
 pub use graph::{BatchEvent, BatchKind, LsGraph, PostBatchHook};
 pub use hitree::SlotOccupancy;
-pub use model::{LinearModel, PlrModel, PositionModel};
 pub use ria::Ria;
 pub use snapshot::GraphSnapshot;
 pub use stats::{Tier, TierStats};

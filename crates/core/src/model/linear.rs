@@ -1,7 +1,5 @@
 //! Single linear-regression CDF model.
 
-use super::PositionModel;
-
 /// A least-squares line `slot = slope * key + intercept`, clamped to the slot
 /// range and with a non-negative slope so that predictions are monotone.
 #[derive(Clone, Copy, Debug)]
@@ -56,17 +54,12 @@ impl LinearModel {
         }
     }
 
-    /// Raw (unclamped) prediction.
+    /// Predicts the slot for `key`, clamped into `0..slots`. `#[inline]`
+    /// because it is the LIA's hot-path call, which might otherwise not be
+    /// inlined across codegen units.
     #[inline]
-    fn predict_f64(&self, key: u32) -> f64 {
-        self.slope * key as f64 + self.intercept
-    }
-}
-
-impl PositionModel for LinearModel {
-    #[inline]
-    fn predict(&self, key: u32) -> usize {
-        let p = self.predict_f64(key);
+    pub fn predict(&self, key: u32) -> usize {
+        let p = self.slope * key as f64 + self.intercept;
         if p <= 0.0 {
             0
         } else {
@@ -74,7 +67,8 @@ impl PositionModel for LinearModel {
         }
     }
 
-    fn param_bytes(&self) -> usize {
+    /// Bytes of model parameters (for Table 3 index accounting).
+    pub fn param_bytes(&self) -> usize {
         core::mem::size_of::<Self>()
     }
 }
