@@ -195,6 +195,31 @@ pub fn par_apply<T: Send, A: Send, const PER: usize>(
     task: impl Fn() -> A + Sync,
     f: impl Fn(&mut A, &mut T, &[SrcRun]) + Sync,
 ) -> Vec<A> {
+    // A `Vec` of `()` allocates nothing.
+    let mut none = vec![(); table.len()];
+    par_apply_beside::<_, _, _, PER>(table, &mut none, batch, task, |a, t, (), runs| {
+        f(a, t, runs)
+    })
+}
+
+/// [`par_apply`] over two tables of one length side by side: each group
+/// borrows the same stretch of both, and `f` gets the slot of each.
+///
+/// # Panics
+///
+/// Panics if the lengths differ, and as [`par_apply`] does.
+pub fn par_apply_beside<T: Send, U: Send, A: Send, const PER: usize>(
+    table: &mut [T],
+    side: &mut [U],
+    batch: &SortedBatch,
+    task: impl Fn() -> A + Sync,
+    f: impl Fn(&mut A, &mut T, &mut U, &[SrcRun]) + Sync,
+) -> Vec<A> {
+    assert_eq!(
+        table.len(),
+        side.len(),
+        "tables side by side differ in length"
+    );
     let slot = |r: &SrcRun| r.src as usize / PER;
     let threads = rayon::current_num_threads();
     let per = batch.runs.len().div_ceil(threads * threads).max(1);
@@ -210,15 +235,18 @@ pub fn par_apply<T: Send, A: Send, const PER: usize>(
         groups.push((stretch, (group, None)));
         rest = tail;
     }
-    let mut work = disjoint_mut(table, groups);
-    work.par_iter_mut().for_each(|(slots, (runs, out))| {
-        let (base, mut state) = (slot(&runs[0]), task());
-        for on_slot in runs.chunk_by(|a, b| slot(a) == slot(b)) {
-            f(&mut state, &mut slots[slot(&on_slot[0]) - base], on_slot);
-        }
-        *out = Some(state);
-    });
-    let states = work.into_iter().map(|(_, (_, state))| state);
+    let sides = disjoint_mut(side, groups.iter().map(|(r, _)| (r.clone(), ())));
+    let mut work: Vec<_> = disjoint_mut(table, groups).into_iter().zip(sides).collect();
+    work.par_iter_mut()
+        .for_each(|((slots, (runs, out)), (sides, ()))| {
+            let (base, mut state) = (slot(&runs[0]), task());
+            for on_slot in runs.chunk_by(|a, b| slot(a) == slot(b)) {
+                let i = slot(&on_slot[0]) - base;
+                f(&mut state, &mut slots[i], &mut sides[i], on_slot);
+            }
+            *out = Some(state);
+        });
+    let states = work.into_iter().map(|((_, (_, state)), _)| state);
     states
         .map(|s| s.expect("the pool ran every group"))
         .collect()

@@ -182,6 +182,20 @@ metric_family! {
     /// page of blocks per shared page touched, so `cow_block_copies` over
     /// the batch's runs is the write amplification of page-granular sharing.
     cow_block_copies: Counter, Drift, "core", "blocks";
+    /// Of those page copies, the ones made into a spare: a page a dropped
+    /// snapshot held alone and returned to the writer, reused instead of
+    /// allocating a page.
+    cow_pages_recycled: Counter, None, "core", "pages";
+    /// Vertex blocks a recycled page copy wrote into their own old spill's
+    /// buffer (same array capacity or RIA buffer length) instead of leaving
+    /// the write to allocate a copy of the spill.
+    cow_spills_recycled: Counter, None, "core", "blocks";
+    /// Spare pages the writer holds after its latest batch, at most one
+    /// per directory page (gauge, not a sum). Not part of the footprint.
+    cow_spare_pages: GaugeLast, None, "core", "pages";
+    /// Bytes those spares hold: their blocks and the spills no other
+    /// version shares (gauge, not a sum).
+    cow_spare_bytes: GaugeLast, None, "core", "bytes";
 
     /// Standing-query subscriptions currently registered (gauge, not a
     /// sum). Quarantined subscriptions still count until cancelled.
@@ -460,7 +474,7 @@ mod tests {
         // Names are unique and `fields` follows the table; a rename or a
         // count change here must be an intentional schema change.
         let all = names(|_| true);
-        assert_eq!(all.len(), 44);
+        assert_eq!(all.len(), 48);
         let unique: std::collections::BTreeSet<_> = all.iter().collect();
         assert_eq!(unique.len(), all.len());
         let field_names: Vec<_> = StructSnapshot::default().fields().map(|(n, _)| n).into();
@@ -529,7 +543,8 @@ mod tests {
             names(|m| m.kind.is_gauge()),
             words(
                 "ria_max_ripple_span ria_bound checkpoint_bytes wal_live_bytes \
-                 checkpoint_dirty_vertices subscriptions_active"
+                 checkpoint_dirty_vertices cow_spare_pages cow_spare_bytes \
+                 subscriptions_active"
             )
         );
         // Reruns reproduce everything but timers and last-writer-wins gauges.

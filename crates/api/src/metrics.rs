@@ -411,9 +411,9 @@ mod tests {
         stats.record_ria_ripple(2, 5, 6);
         stats.subscriptions_active.record(4);
         let s = r.sample();
-        // 44 struct fields minus 6 gauges; heap gauges only under count-alloc.
-        assert_eq!(s.counters.len(), 38);
-        let base_gauges = 6 + if heap_gauges().is_some() { 2 } else { 0 };
+        // 48 struct fields minus 8 gauges; heap gauges only under count-alloc.
+        assert_eq!(s.counters.len(), 40);
+        let base_gauges = 8 + if heap_gauges().is_some() { 2 } else { 0 };
         assert_eq!(s.gauges.len(), base_gauges);
         assert_eq!(s.histograms.len(), 4);
         // Pinned order: counters follow StructSnapshot::fields order.
@@ -434,7 +434,7 @@ mod tests {
         );
         assert_eq!(s.gauges[0], ("lsgraph_ria_max_ripple_span".to_string(), 2));
         assert_eq!(s.gauges[1], ("lsgraph_ria_bound".to_string(), 6));
-        assert_eq!(s.gauges[5], ("lsgraph_subscriptions_active".to_string(), 4));
+        assert_eq!(s.gauges[7], ("lsgraph_subscriptions_active".to_string(), 4));
         assert_eq!(s.histograms[0].0, "lsgraph_batch_apply");
         assert_eq!(s.histograms[3].0, "lsgraph_reader");
     }

@@ -10,9 +10,13 @@
 //! each: a batch walks sets in address order, a read is one indexed load,
 //! cloning the table bumps one count per page, and a writer copies a page it
 //! finds shared with a clone once (shallow for a set that shares its payload:
-//! a block's spill, a functional tree). That format is private to this file.
+//! a block's spill, a functional tree). A clone that drops hands each page
+//! it held alone back to the writer, which copies the next shared version
+//! of that page into it instead of into fresh memory. That format is
+//! private to this file.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 use rayon::prelude::*;
 
@@ -58,6 +62,24 @@ pub trait NeighborSet: Clone + Default + MemoryFootprint + Send + Sync {
     /// Verifies the set's structural invariants, recording into no counter;
     /// panics on the first violated one.
     fn check_invariants(&self, ctx: &Self::Ctx);
+
+    /// Lets go of payload this set, on a page a dropped clone held alone,
+    /// still shares with another version of the page, so that a spare
+    /// keeps only what nothing else reads and a later write finds the live
+    /// payload unshared. The set is a spare's from then on: never read,
+    /// only overwritten by [`NeighborSet::recycle_from`]. The default keeps
+    /// everything, right for a set whose writes never look at who else
+    /// holds its payload.
+    fn release_shared(&mut self) {}
+
+    /// Makes this set, a spare's, a copy of `live` that a write is about
+    /// to change, reusing this set's own payload when it has the shape the
+    /// copy needs (so the copy's layout is the one a fresh copy would
+    /// have); returns whether it did. The default clones.
+    fn recycle_from(&mut self, live: &Self) -> bool {
+        self.clone_from(live);
+        false
+    }
 }
 
 /// What a [`NeighborSet`] reads (its settings) and records into (its
@@ -72,6 +94,14 @@ pub trait SetCtx: Default + Send + Sync {
 
     /// Records that a write copied a page of `sets` sets a clone shared.
     fn page_copied(&self, _sets: usize) {}
+
+    /// Records that such a copy went into a spare page, `reused` of its
+    /// sets into their own payload ([`NeighborSet::recycle_from`]).
+    fn page_recycled(&self, _reused: usize) {}
+
+    /// Records the spares the table holds after a pass: `pages` pages whose
+    /// sets report `bytes` bytes.
+    fn spares_held(&self, _pages: usize, _bytes: usize) {}
 
     /// What the counters hold, if they are the baselines' family.
     fn counters(&self) -> Option<CounterSnapshot> {
@@ -170,6 +200,38 @@ const PAGE: usize = 32;
 /// One page: a shared, immutable-while-shared run of sets.
 type Page<S> = Arc<[S; PAGE]>;
 
+/// A page a dropped clone held alone, and the bytes its sets report once
+/// they have released what they shared ([`NeighborSet::release_shared`]).
+struct Spare<S> {
+    page: Page<S>,
+    bytes: usize,
+}
+
+/// The writer's return queue: the spares dropped clones return, each with
+/// its page index, until the writer's next pass takes them; and how many
+/// passes and installs the writer has begun, the only calls that let go of
+/// a page.
+#[derive(Default)]
+struct Returns<S> {
+    spares: Mutex<Vec<(usize, Spare<S>)>>,
+    writes: AtomicUsize,
+}
+
+/// A table's end of the return queue. A table made empty owns its queue;
+/// each clone, and each clone of a clone, holds a weak handle to it, so a
+/// clone dropped after the writer frees its pages as it always did, and the
+/// writer's `writes` at the flip: while they have not moved, the writer
+/// still holds every page the clone does.
+enum Queue<S> {
+    Owned(Arc<Returns<S>>),
+    Clone(Weak<Returns<S>>, usize),
+}
+
+/// The spares, whatever a panic left in them: a `Vec` of whole entries.
+fn lock<S>(queue: &Returns<S>) -> MutexGuard<'_, Vec<(usize, Spare<S>)>> {
+    queue.spares.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// `count` pages of empty sets, each a clone of one `S::default()`: an
 /// empty set that allocates (a functional tree's root) allocates once, as a
 /// `Vec` of them filled by cloning would.
@@ -179,20 +241,58 @@ fn empty_pages<S: NeighborSet>(count: usize) -> impl Iterator<Item = Page<S>> {
 }
 
 /// Exclusive access to a page's sets, copying the page first when a clone
-/// still shares it. The writer holds `&mut` on the table, so no clone can be
-/// created meanwhile and the count only falls: a count of 1 is exclusive,
-/// and a clone dropped after we read > 1 costs one harmless extra copy. The
-/// displaced version is freed with the last clone that shares it.
-fn page_mut<'a, S: NeighborSet>(page: &'a mut Page<S>, ctx: &impl SetCtx) -> &'a mut [S; PAGE] {
-    if Arc::strong_count(page) > 1 {
+/// still shares it, and the bytes of the spare the copy took, if any. The
+/// writer holds `&mut` on the table, so no clone can be created meanwhile
+/// and the count only falls: a count of 1 is exclusive, and a clone dropped
+/// after we read > 1 costs one harmless extra copy.
+///
+/// With a `spare`, the copy goes into it: the sets at `written`, which a
+/// write is about to change, each into their own payload where its shape
+/// allows ([`NeighborSet::recycle_from`]); every other set shallowly, as a
+/// fresh copy would. Without one, [`Arc::make_mut`] copies into fresh
+/// memory. The displaced version lives on in the clones that share it.
+fn page_mut<'a, S: NeighborSet>(
+    live: &'a mut Page<S>,
+    spare: &mut Option<Spare<S>>,
+    written: impl IntoIterator<Item = usize>,
+    ctx: &S::Ctx,
+) -> (&'a mut [S; PAGE], Option<usize>) {
+    let mut taken = None;
+    if Arc::strong_count(live) > 1 {
         ctx.page_copied(PAGE);
+        if let Some(Spare { mut page, bytes }) = spare.take() {
+            taken = Some(bytes);
+            // A spare is held alone from the moment it is returned.
+            if let Some(sets) = Arc::get_mut(&mut page) {
+                let mut write = [false; PAGE];
+                written.into_iter().for_each(|i| write[i] = true);
+                let mut reused = 0;
+                for ((set, from), write) in sets.iter_mut().zip(live.iter()).zip(write) {
+                    if write {
+                        reused += usize::from(set.recycle_from(from));
+                    } else {
+                        set.clone_from(from);
+                    }
+                }
+                ctx.page_recycled(reused);
+                *live = page;
+            }
+        }
     }
-    Arc::make_mut(page)
+    (Arc::make_mut(live), taken)
+}
+
+/// What one task of [`SetTable::par_apply`] hands back: the sum of its
+/// runs' results, the spares it took (pages, bytes), and its context.
+struct Task<C> {
+    applied: usize,
+    spares_taken: (usize, usize),
+    ctx: C,
 }
 
 /// A streaming graph over one [`NeighborSet`] per vertex, in pages. A
-/// clone shares every page, and the context as its `Clone` does.
-#[derive(Clone)]
+/// clone shares every page, and the context as its `Clone` does; dropped,
+/// it returns the pages it held alone to the table it was cloned from.
 pub struct SetTable<S: NeighborSet> {
     pages: Vec<Page<S>>,
     /// Vertices in the table. The sets of the last page at or past `n` are
@@ -200,6 +300,12 @@ pub struct SetTable<S: NeighborSet> {
     n: usize,
     num_edges: usize,
     ctx: S::Ctx,
+    queue: Queue<S>,
+    /// At most one spare per page, beside `pages` (empty on a clone until
+    /// it is written): what the next copy of that page goes into.
+    spares: Vec<Option<Spare<S>>>,
+    /// What `spares` holds: pages, and the bytes their sets report.
+    held: (usize, usize),
 }
 
 impl<S: NeighborSet> SetTable<S> {
@@ -214,6 +320,9 @@ impl<S: NeighborSet> SetTable<S> {
             n,
             num_edges: 0,
             ctx,
+            queue: Queue::Owned(Arc::default()),
+            spares: Vec::new(),
+            held: (0, 0),
         }
     }
 
@@ -278,10 +387,25 @@ impl<S: NeighborSet> SetTable<S> {
     /// A copy of the graph that later updates to either side do not reach:
     /// one reference bump per page, O(V / 32). Its counters start at zero.
     pub fn snapshot(&self) -> Self {
+        self.clone_with(self.ctx.fresh())
+    }
+
+    /// A clone with context `ctx`: every page shared, no spare, and the
+    /// way back to the writer's queue.
+    fn clone_with(&self, ctx: S::Ctx) -> Self {
         SetTable {
             pages: self.pages.clone(),
-            ctx: self.ctx.fresh(),
-            ..*self
+            n: self.n,
+            num_edges: self.num_edges,
+            ctx,
+            queue: match &self.queue {
+                Queue::Owned(q) => {
+                    Queue::Clone(Arc::downgrade(q), q.writes.load(Ordering::Relaxed))
+                }
+                Queue::Clone(q, flip) => Queue::Clone(q.clone(), *flip),
+            },
+            spares: Vec::new(),
+            held: (0, 0),
         }
     }
 
@@ -290,18 +414,61 @@ impl<S: NeighborSet> SetTable<S> {
     /// caller's (a set reset after a panic has no trustworthy length).
     pub fn install(&mut self, v: VertexId, set: S) {
         let (page, slot) = self.slot(v);
-        page_mut(&mut self.pages[page], &self.ctx)[slot] = set;
+        self.begin_write();
+        let spare = self.spares.get_mut(page);
+        let (sets, taken) = page_mut(
+            &mut self.pages[page],
+            spare.unwrap_or(&mut None),
+            [],
+            &self.ctx,
+        );
+        sets[slot] = set;
+        if let Some(bytes) = taken {
+            self.held.0 -= 1;
+            self.held.1 -= bytes;
+        }
+    }
+
+    /// Counts a pass or an install on the writer's queue before it can let
+    /// go of a page (see [`Queue`]).
+    fn begin_write(&self) {
+        if let Queue::Owned(queue) = &self.queue {
+            queue.writes.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Moves what dropped clones returned into `spares`, keeping the latest
+    /// when a page comes back twice: at most one spare per page.
+    fn take_returns(&mut self) {
+        let Queue::Owned(queue) = &self.queue else {
+            return;
+        };
+        for (i, spare) in lock(queue).drain(..) {
+            // A clone that was written to can outgrow the writer.
+            let Some(kept) = self.spares.get_mut(i) else {
+                continue;
+            };
+            self.held.0 += 1;
+            self.held.1 += spare.bytes;
+            if let Some(old) = kept.replace(spare) {
+                self.held.0 -= 1;
+                self.held.1 -= old.bytes;
+            }
+        }
     }
 
     /// Runs `f` once per run of `batch` on its source's set, in parallel, and
     /// returns the sum of the results; panics if a source is outside the
-    /// table. Each touched page is made exclusive once ([`page_mut`]) and
-    /// takes its runs in source order ([`crate::batch::par_apply`]). `f` also
-    /// gets its task's context, a [`SetCtx::fresh`] one made as the task
-    /// starts, to read and record into. The workers thus share no counter:
-    /// the table's context absorbs each task's once the pass is over, so
-    /// every total is what one shared family would hold. Edge accounting is
-    /// the caller's.
+    /// table. The pages dropped clones returned become spares first
+    /// ([`SetTable::take_returns`]). Each touched page is made exclusive
+    /// once ([`page_mut`], into its spare when it has one) and takes its
+    /// runs in source order ([`crate::batch::par_apply_beside`], which
+    /// lends each task its pages and their spares, so no task takes a
+    /// lock). `f` also gets its task's context, a [`SetCtx::fresh`] one made
+    /// as the task starts, to read and record into. The workers thus share
+    /// no counter: the table's context absorbs each task's once the pass is
+    /// over, so every total is what one shared family would hold. Edge
+    /// accounting is the caller's.
     pub fn par_apply(
         &mut self,
         batch: &SortedBatch,
@@ -309,24 +476,94 @@ impl<S: NeighborSet> SetTable<S> {
     ) -> usize {
         let end = batch.runs().next_back().map_or(0, |r| r.src as usize + 1);
         assert!(end <= self.n, "apply run source outside the table");
+        self.begin_write();
+        self.spares.resize_with(self.pages.len(), || None);
+        self.take_returns();
         let ctx = &self.ctx;
-        let tasks = crate::batch::par_apply::<_, _, PAGE>(
+        let tasks = crate::batch::par_apply_beside::<_, _, _, PAGE>(
             &mut self.pages,
+            &mut self.spares,
             batch,
-            || (0, ctx.fresh()),
-            |(applied, task), page, runs| {
-                let sets = page_mut(page, task);
+            || Task {
+                applied: 0,
+                spares_taken: (0, 0),
+                ctx: ctx.fresh(),
+            },
+            |task, page, spare, runs| {
+                let written = runs.iter().map(|r| r.src as usize % PAGE);
+                let (sets, taken) = page_mut(page, spare, written, &task.ctx);
+                if let Some(bytes) = taken {
+                    task.spares_taken.0 += 1;
+                    task.spares_taken.1 += bytes;
+                }
                 for run in runs.iter().map(|r| batch.run(r)) {
-                    *applied += f(run, &mut sets[run.src as usize % PAGE], task);
+                    task.applied += f(run, &mut sets[run.src as usize % PAGE], &task.ctx);
                 }
             },
         );
         let mut applied = 0;
-        for (n, task) in &tasks {
-            self.ctx.absorb(task);
-            applied += n;
+        for task in &tasks {
+            self.ctx.absorb(&task.ctx);
+            applied += task.applied;
+            self.held.0 -= task.spares_taken.0;
+            self.held.1 -= task.spares_taken.1;
         }
+        self.ctx.spares_held(self.held.0, self.held.1);
         applied
+    }
+}
+
+impl<S: NeighborSet> Clone for SetTable<S>
+where
+    S::Ctx: Clone,
+{
+    /// Every page shared, and the context as its `Clone` does.
+    fn clone(&self) -> Self {
+        self.clone_with(self.ctx.clone())
+    }
+}
+
+impl<S: NeighborSet> Drop for SetTable<S> {
+    /// A clone hands each page it holds alone, which no other version of
+    /// the table can read, back to the writer's queue once its sets have
+    /// released what they share ([`NeighborSet::release_shared`]); every
+    /// other page just loses a reference. Reading the count first keeps a
+    /// shared page to that one decrement, and a clone dropped before the
+    /// writer has written again skips even that read. Two clones dropped
+    /// at once on two threads may each see the other's reference and free a
+    /// page between them instead, and so may a clone whose drop reads
+    /// `writes` just before a write that lets go of its pages: a missed
+    /// spare, nothing more.
+    fn drop(&mut self) {
+        let Queue::Clone(queue, flip) = &self.queue else {
+            return;
+        };
+        let Some(queue) = queue.upgrade() else {
+            return;
+        };
+        if queue.writes.load(Ordering::Relaxed) == *flip {
+            return;
+        }
+        // A plain loop: the same walk as an iterator chain ran several
+        // times slower, on a pass that is mostly decrements.
+        let mut back = Vec::new();
+        for (i, mut page) in std::mem::take(&mut self.pages).into_iter().enumerate() {
+            if Arc::strong_count(&page) > 1 {
+                continue;
+            }
+            if let Some(sets) = Arc::get_mut(&mut page) {
+                // One touch per set: what it keeps is measured while hot.
+                let kept = |s: &mut S| {
+                    s.release_shared();
+                    s.footprint().total()
+                };
+                let bytes = sets.iter_mut().map(kept).sum();
+                back.push((i, Spare { page, bytes }));
+            }
+        }
+        if !back.is_empty() {
+            lock(&queue).extend(back);
+        }
     }
 }
 
@@ -551,6 +788,16 @@ mod tests {
         fn check_invariants(&self, _: &Stats) {
             assert!(self.0.windows(2).all(|w| w[0] < w[1]), "not ascending");
         }
+        /// Into its own buffer when it has one of the live one's capacity.
+        fn recycle_from(&mut self, live: &Self) -> bool {
+            if self.0.capacity() == 0 || self.0.capacity() != live.0.capacity() {
+                *self = live.clone();
+                return false;
+            }
+            self.0.clear();
+            self.0.extend_from_slice(&live.0);
+            true
+        }
     }
 
     type Stats = Arc<StructStats>;
@@ -564,6 +811,14 @@ mod tests {
         }
         fn page_copied(&self, sets: usize) {
             self.cow_block_copies.record(sets as u64);
+        }
+        fn page_recycled(&self, reused: usize) {
+            self.cow_pages_recycled.record(1);
+            self.cow_spills_recycled.record(reused as u64);
+        }
+        fn spares_held(&self, pages: usize, bytes: usize) {
+            self.cow_spare_pages.record(pages as u64);
+            self.cow_spare_bytes.record(bytes as u64);
         }
     }
 
@@ -668,8 +923,9 @@ mod tests {
         assert_eq!(frozen.degree(P + 5), 0);
     }
 
-    /// A displaced page is freed by the reference counts alone: it lives
-    /// exactly as long as the last clone that can read it.
+    /// A displaced page lives exactly as long as the last clone that can
+    /// read it. (A weak handle on a page, as here, keeps the clone from
+    /// returning it to the writer, so it is freed.)
     #[test]
     fn displaced_version_dies_with_its_last_reader() {
         let mut g = table(PAGE + 2);
@@ -691,6 +947,79 @@ mod tests {
         g.install(P + 1, PageSet::default());
         assert_eq!(cow_copies(&g), 2 * PAGE as u64);
         assert_eq!(page_ptrs(&g), live);
+    }
+
+    /// The pages the writer's queue holds: page index and address.
+    fn queued(g: &Table) -> Vec<(usize, *const [PageSet; PAGE])> {
+        let Queue::Owned(queue) = &g.queue else {
+            unreachable!("a clone has no queue")
+        };
+        let queue = lock(queue);
+        queue
+            .iter()
+            .map(|(i, s)| (*i, Arc::as_ptr(&s.page)))
+            .collect()
+    }
+
+    /// A dropped clone returns the pages it held alone and no other: a page
+    /// the writer or another clone still reads stays where it is. The
+    /// writer's next pass keeps one spare per page, the latest, and the
+    /// next write to a page a clone shares copies the page into its spare,
+    /// a written set into its own buffer when the capacities match.
+    #[test]
+    fn only_pages_held_alone_come_back_and_one_spare_per_page_stays() {
+        let mut g = table(3 * PAGE);
+        g.install(1, PageSet((0..40).collect()));
+        g.install(P + 1, one(5));
+        g.account(41, 0);
+        let (a, b) = (g.snapshot(), g.snapshot());
+        let first = page_ptrs(&a)[0];
+        insert(&mut g, 1, 100);
+        // `a` and `b` share the displaced page 0 and the writer's pages 1, 2.
+        drop(a);
+        assert_eq!(queued(&g), []);
+        drop(b);
+        assert_eq!(queued(&g), [(0, first)]);
+        // The next copy of page 0 goes into that spare; the one after has
+        // none left and allocates.
+        let c = g.snapshot();
+        insert(&mut g, 2, 7);
+        assert_eq!(page_ptrs(&g)[0], first);
+        let d = g.snapshot();
+        insert(&mut g, 3, 8);
+        let (second, third) = (page_ptrs(&c)[0], page_ptrs(&g)[0]);
+        assert!(second != first && third != first && third != second);
+        // Two versions of page 0 come back before a pass; it keeps `d`'s.
+        drop(c);
+        drop(d);
+        assert_eq!(queued(&g), [(0, second), (0, first)]);
+        insert(&mut g, P + 1, 6);
+        assert_eq!(queued(&g), []);
+        let spare = g.spares[0].as_ref().map(|s| Arc::as_ptr(&s.page));
+        assert_eq!(spare, Some(first));
+        assert!(g.spares[1..].iter().all(Option::is_none));
+        let before = g.ctx().snapshot();
+        assert_eq!(before.cow_spare_pages, 1);
+        assert!(before.cow_spare_bytes >= (PAGE * core::mem::size_of::<PageSet>()) as u64);
+        // Shared again: the copy lands in the spare, the written hub in
+        // the buffer its old version had; the clone keeps reading its own.
+        let e = g.snapshot();
+        insert(&mut g, 1, 102);
+        assert_eq!((page_ptrs(&g)[0], page_ptrs(&e)[0]), (first, third));
+        let moved = g.ctx().snapshot().since(before);
+        assert_eq!(
+            (moved.cow_pages_recycled, moved.cow_spills_recycled),
+            (1, 1)
+        );
+        assert_eq!(moved.cow_block_copies, PAGE as u64);
+        assert_eq!(g.ctx().snapshot().cow_spare_pages, 0);
+        assert_eq!(g.set(1).0.len(), e.set(1).0.len() + 1);
+        assert_eq!(
+            (g.set(2).0.as_slice(), g.set(3).0.as_slice()),
+            (&[7][..], &[8][..])
+        );
+        g.check_invariants();
+        e.check_invariants();
     }
 
     /// `install` under a clone copies the page once, however many of its

@@ -337,6 +337,22 @@ impl Spill {
         }
     }
 
+    /// Makes this container a copy of `from` in its own buffer when the two
+    /// have the same shape — arrays of the same capacity, RIAs of the same
+    /// buffer length — so the copy's footprint is the one a clone would
+    /// have; returns whether it did. Any other pair is left as it was.
+    pub(crate) fn copy_from(&mut self, from: &Spill) -> bool {
+        match (self, from) {
+            (Spill::Array(mine), Spill::Array(theirs)) if mine.capacity() == theirs.capacity() => {
+                mine.clear();
+                mine.extend_from_slice(theirs);
+                true
+            }
+            (Spill::Ria(mine), Spill::Ria(theirs)) => mine.copy_from(theirs),
+            _ => false,
+        }
+    }
+
     /// Ahead of inserting a run: rebuilds once, around the run, on the rung
     /// the ladder names for the length the run leaves, and retrains a LIA
     /// that has doubled since its model was fitted. A kind change counts as

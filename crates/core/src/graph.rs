@@ -571,7 +571,8 @@ impl LsGraph {
     /// The flip clones the view — one reference bump per directory page, no
     /// adjacency payload; later batches copy-on-write the pages they touch,
     /// so the snapshot keeps reading exactly the state at the flip, and a
-    /// displaced page is freed when the last snapshot sharing it drops.
+    /// displaced page goes back to the graph, for its next copy of that
+    /// page to reuse, when the last snapshot sharing it drops.
     /// Taking a snapshot requires `&self`, so it interleaves with batches at
     /// batch boundaries; the returned handle is `Clone + Send + Sync` and
     /// outlives the graph's borrow, so readers on other threads proceed
@@ -601,8 +602,9 @@ impl LsGraph {
         GraphSnapshot::new(view)
     }
 
-    /// Does nothing: displaced block versions are freed by their reference
-    /// counts. Exists only because `benchmark/src/{engine,layers}.rs`
+    /// Does nothing: a displaced page goes back to the graph as a spare
+    /// when the last snapshot that reads it drops, so there is nothing left
+    /// to reclaim here. Exists only because `benchmark/src/{engine,layers}.rs`
     /// (frozen by `BENCHMARK.json` `paths`) still call it; the next PR that
     /// may edit `benchmark/` removes the calls and this with them.
     pub fn reclaim_epochs(&self) {}

@@ -151,6 +151,18 @@ impl Ria {
         })
     }
 
+    /// Makes this RIA a copy of `from` in its own buffer when the buffers
+    /// have the same length (the same number of blocks); returns whether it
+    /// did, leaving `self` as it was otherwise.
+    pub(crate) fn copy_from(&mut self, from: &Ria) -> bool {
+        if self.buf.len() != from.buf.len() {
+            return false;
+        }
+        self.buf.copy_from_slice(&from.buf);
+        (self.len, self.alpha) = (from.len, from.alpha);
+        true
+    }
+
     /// Locates the block that would hold `key`: the rightmost block whose
     /// index entry is `<= key`, or block 0 when `key` precedes them all.
     ///

@@ -8,9 +8,15 @@
 //! they touch (`SetTable::par_apply`), so readers traversing the
 //! snapshot observe the graph as it was at the flip: snapshot isolation.
 //!
-//! Reclamation is the reference counts and nothing else: a page version
-//! displaced by copy-on-write is freed when the last snapshot that can read
-//! it drops, by whichever thread drops it.
+//! Ownership is the reference counts and nothing else: a page version
+//! displaced by copy-on-write lives as long as the snapshots that can read
+//! it. When the last of them drops, on whichever thread, each page it held
+//! alone goes back to the writer as a spare (`SetTable`'s return queue),
+//! after its blocks have let go of the spills the live graph still shares;
+//! the writer's next copy of that page goes into the spare, and a block it
+//! writes into its old spill's buffer when the shapes match. Nothing is
+//! freed and allocated again per batch, and at most one spare per page is
+//! kept. Once the live graph is gone, a dropped snapshot frees its pages.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,8 +43,9 @@ impl Drop for SnapInner {
 /// shared state), so a single snapshot fans out to any number of reader
 /// threads.
 ///
-/// Dropping the last clone frees every block version the snapshot was the
-/// final holder of.
+/// Dropping the last clone hands every page version the snapshot was the
+/// final holder of back to the live graph, to be written into by its next
+/// copy of that page (freed instead if the live graph is gone).
 #[derive(Clone)]
 pub struct GraphSnapshot {
     inner: Arc<SnapInner>,

@@ -212,6 +212,18 @@ impl SetCtx for BlockCtx {
     fn page_copied(&self, sets: usize) {
         self.stats.cow_block_copies.record(sets as u64);
     }
+
+    fn page_recycled(&self, reused: usize) {
+        self.stats.cow_pages_recycled.record(1);
+        if reused > 0 {
+            self.stats.cow_spills_recycled.record(reused as u64);
+        }
+    }
+
+    fn spares_held(&self, pages: usize, bytes: usize) {
+        self.stats.cow_spare_pages.record(pages as u64);
+        self.stats.cow_spare_bytes.record(bytes as u64);
+    }
 }
 
 impl NeighborSet for VertexBlock {
@@ -394,6 +406,37 @@ impl NeighborSet for VertexBlock {
             "adjacency not strictly ascending"
         );
     }
+
+    /// Drops a spill another block version still owns: what a live block
+    /// shares with this spare's must not gain an owner that would make the
+    /// next write copy it.
+    fn release_shared(&mut self) {
+        if self
+            .spill
+            .as_ref()
+            .is_some_and(|s| Arc::strong_count(s) > 1)
+        {
+            self.spill = None;
+        }
+    }
+
+    /// Copies `live`'s spill into this block's own when that one is held
+    /// alone and has the same shape ([`Spill::copy_from`]), so the write
+    /// that follows finds it unshared and allocates nothing; otherwise
+    /// shares `live`'s spill, as a clone does.
+    fn recycle_from(&mut self, live: &Self) -> bool {
+        let reused = match (self.spill.as_mut().and_then(Arc::get_mut), &live.spill) {
+            (Some(mine), Some(theirs)) => mine.copy_from(theirs),
+            _ => false,
+        };
+        if reused {
+            self.degree = live.degree;
+            self.inline = live.inline;
+        } else {
+            self.clone_from(live);
+        }
+        reused
+    }
 }
 
 impl MemoryFootprint for VertexBlock {
@@ -412,6 +455,16 @@ mod tests {
         /// the spill. For the directory's sharing tests.
         pub(crate) fn spill_owners(&self) -> usize {
             self.spill.as_ref().map_or(0, Arc::strong_count)
+        }
+
+        /// Where the spill's ids start, if there is one: a buffer's identity.
+        pub(crate) fn spill_ptr(&self) -> Option<*const u32> {
+            let mut at = None;
+            self.spill.as_ref()?.for_each_slice_while(&mut |s| {
+                at = Some(s.as_ptr());
+                false
+            });
+            at
         }
 
         /// The spill, made exclusive. For the engine's corruption test.

@@ -150,6 +150,7 @@ pub(crate) use {forward_graph, forward_to_view};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Tier;
     use lsgraph_api::{batch::SortedBatch, Edge, NeighborSet, SetCtx, StructSnapshot};
 
     const PAGE: usize = SetTable::<VertexBlock>::PAGE;
@@ -161,10 +162,16 @@ mod tests {
 
     /// Inserts `u` into `v`'s adjacency through the batch entry point.
     fn insert(g: &mut GraphView, v: u32, u: u32) {
-        let batch = SortedBatch::new(&[Edge::new(v, u)]);
+        insert_all(g, &[(v, u)]);
+    }
+
+    /// Inserts every `(v, u)` pair in one batch.
+    fn insert_all(g: &mut GraphView, pairs: &[(u32, u32)]) {
+        let edges: Vec<Edge> = pairs.iter().map(|&(v, u)| Edge::new(v, u)).collect();
+        let batch = SortedBatch::new(&edges);
         let n = g
             .table
-            .par_apply(&batch, |_, vb, task| vb.insert_run(&[u], task));
+            .par_apply(&batch, |run, vb, task| vb.insert_run(run.dsts, task));
         g.table.account(n, 0);
     }
 
@@ -237,5 +244,66 @@ mod tests {
         drop(frozen);
         assert_eq!(spill_owners(&g), 1);
         g.check_invariants();
+    }
+
+    /// A page a dropped snapshot held alone comes back as the writer's
+    /// spare, and the next copy of that page goes into it. A written block
+    /// whose old spill has the live one's shape — the hub's RIA buffer of
+    /// the same length, an array of the same capacity — is copied into that
+    /// spill's own buffer, which then belongs to the live block alone; an
+    /// array that has grown since takes the clone's path, and so does the
+    /// unwritten page-mate, which keeps sharing its spill with the reader.
+    #[test]
+    fn a_recycled_copy_reuses_the_spill_buffer_and_shares_nothing() {
+        let mut g = view(PAGE);
+        let ctx = g.table.ctx().clone();
+        let ids = |n: u32| (0..n).map(|i| 4 * i).collect::<Vec<u32>>();
+        // A RIA hub, an array of capacity 20, and an array never written.
+        for (v, n) in [(1, 300), (2, 33), (3, 23)] {
+            g.table.install(v, VertexBlock::from_sorted(&ids(n), &ctx));
+            g.table.account(n as usize, 0);
+        }
+        assert_eq!(g.table.set(1).spill().map(|s| s.tier()), Some(Tier::Ria));
+        let spill = |g: &GraphView, v| g.table.set(v).spill_ptr().unwrap();
+        let recycled = |g: &GraphView| {
+            let s = g.stats().snapshot();
+            (s.cow_pages_recycled, s.cow_spills_recycled)
+        };
+
+        // Under `a`, the first copy allocates; the array doubles to 40.
+        let a = g.clone();
+        insert_all(&mut g, &[(1, 1), (2, 1)]);
+        let (hub_a, arr_a) = (spill(&a, 1), spill(&a, 2));
+        drop(a);
+        assert_eq!(recycled(&g), (0, 0));
+
+        // Under `b`, the copy goes into `a`'s page: the hub into `a`'s
+        // buffer, the grown array and the page-mate shallowly.
+        let b = g.clone();
+        let (hub_live, arr_live, mate) = (spill(&g, 1), spill(&g, 2), spill(&g, 3));
+        insert_all(&mut g, &[(1, 5), (2, 5)]);
+        assert_eq!(recycled(&g), (1, 1));
+        assert_eq!(spill(&g, 1), hub_a);
+        assert!(spill(&g, 2) != arr_a && spill(&g, 2) != arr_live);
+        assert_eq!((spill(&b, 1), spill(&b, 2)), (hub_live, arr_live));
+        assert_eq!(spill(&g, 3), mate);
+        let owners = |g: &GraphView| [1, 2, 3].map(|v| g.table.set(v).spill_owners());
+        assert_eq!(owners(&g), [1, 1, 2]);
+        assert!(!b.has_edge(1, 5) && g.has_edge(1, 5) && g.has_edge(2, 5));
+
+        // Under `c`, into `b`'s page: now the array has kept its capacity,
+        // so both written spills reuse `b`'s buffers.
+        drop(b);
+        let c = g.clone();
+        insert_all(&mut g, &[(1, 9), (2, 9)]);
+        assert_eq!(recycled(&g), (2, 3));
+        assert_eq!((spill(&g, 1), spill(&g, 2)), (hub_live, arr_live));
+        assert_eq!(owners(&g), [1, 1, 2]);
+        assert_eq!(g.degree(1), c.degree(1) + 1);
+        let mut hub = [ids(300), vec![1, 5, 9]].concat();
+        hub.sort_unstable();
+        assert_eq!(g.table.set(1).to_vec(), hub);
+        g.check_invariants();
+        c.check_invariants();
     }
 }

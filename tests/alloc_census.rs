@@ -6,7 +6,8 @@
 //! A RIA is one buffer: building one, cloning one, rebuilding one on an
 //! insert or on a run that takes an array past `a`, and the copy-on-write a
 //! held snapshot forces on a RIA-tier vertex — once per run, however long —
-//! each cost a fixed number of heap allocations, pinned here. The counters
+//! each cost a fixed number of heap allocations, pinned here; and once a
+//! dropped snapshot has handed its pages back, that copy costs none. The counters
 //! are process-wide, so this file holds exactly one test: no sibling
 //! allocates or frees while it reads them.
 
@@ -133,4 +134,24 @@ fn a_ria_is_one_allocation() {
     assert!(run
         .iter()
         .all(|e| held.has_edge(0, e.dst) && !again.view().has_edge(0, e.dst)));
+
+    // Dropped, the two snapshots hand their versions of the page back; the
+    // next held batch on the vertex copies the page into one and the RIA
+    // into that version's buffer of the same length.
+    drop((snap, again));
+    let one = [Edge::new(0, 203)];
+    let (_, without) = allocations(|| free.insert_batch(&one));
+    let third = held.snapshot();
+    let (_, with) = allocations(|| held.insert_batch(&one));
+    assert_eq!(
+        with - without,
+        0,
+        "a recycled copy allocates no page, no Arc and no buffer"
+    );
+    let recycled = held.stats().snapshot();
+    assert_eq!(
+        (recycled.cow_pages_recycled, recycled.cow_spills_recycled),
+        (1, 1)
+    );
+    assert!(!third.view().has_edge(0, 203) && held.has_edge(0, 203));
 }

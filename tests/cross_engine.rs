@@ -119,6 +119,71 @@ fn axis(engine: &str, tiers: &[Tier]) {
     for (name, setup, ops) in traces {
         named(name, &on(setup), ops);
     }
+    let recycled = named("recycled_pages", &on("empty"), recycled_pages());
+    if engine.starts_with("LSGraph") {
+        let s = recycled.stats;
+        assert!(
+            s.cow_pages_recycled > 0,
+            "{engine}: no page copy went into a spare"
+        );
+        assert!(
+            s.cow_spills_recycled > 0,
+            "{engine}: no spill copied into its own buffer"
+        );
+    }
+}
+
+/// Pages copied on write into the pages dropped snapshots returned. One
+/// page holds a hub and a medium vertex written in every batch, so their
+/// recycled copies go into the spills' old buffers; a spill array whose
+/// capacity a delete and an insert keep, recycled the same way; two
+/// vertices that climb a rung (past `a` at the default thresholds and at
+/// `a = 4`), so a later copy meets a spill of another shape; and a
+/// page-mate never written again, copied shallowly. Two snapshots are held
+/// at a time and dropped oldest first, then newest first, two of them from
+/// a spawned thread; the axis checks every held one after every step.
+fn recycled_pages() -> Vec<Op> {
+    // Vertex v's even ids below 2·degree; inserts add odd ids.
+    let even = |v: u32, degree: u32| (0..degree).map(move |i| (v, 2 * i));
+    let load = [
+        (1, 300),
+        (2, 60),
+        (3, 45),
+        (4, 33),
+        (5, 17),
+        (6, 17),
+        (40, 5),
+    ];
+    let load = load.into_iter().flat_map(|(v, d)| even(v, d)).collect();
+    let grow = |ids: &[u32], climbers: bool| {
+        let hub = ids.iter().flat_map(|&u| [(1, u), (2, u)]);
+        let up = climbers.then_some([(3, ids[0]), (6, ids[0])]);
+        Insert(hub.chain(up.into_iter().flatten()).collect())
+    };
+    vec![
+        Insert(load),
+        Snap,
+        grow(&[101, 301, 501], true),
+        Snap,
+        Delete(vec![(1, 200), (1, 400), (2, 100), (5, 32)]),
+        DropSnapOnThread(0),
+        Snap,
+        Insert(vec![
+            (1, 103),
+            (1, 303),
+            (2, 103),
+            (3, 103),
+            (5, 33),
+            (6, 103),
+        ]),
+        DropSnap(0),
+        Snap,
+        Delete(vec![(1, 202), (2, 102), (5, 30)]),
+        DropSnapOnThread(1),
+        grow(&[105], false),
+        Snap,
+        grow(&[107], false),
+    ]
 }
 
 /// One test per engine, with the tiers an LSGraph engine's `spread` set

@@ -554,8 +554,9 @@ fn lsgraph_layout_is_the_same_with_and_without_readers() {
 
 /// Counter totals are schedule-independent: the same batch stream applied at
 /// widths 1, 2 and 8, with a snapshot held across every other batch so pages
-/// are copied on write, yields identical deterministic counters and one
-/// `group_apply` sample per run at every width.
+/// are copied on write (into recycled pages once one has been dropped),
+/// yields identical deterministic counters and one `group_apply` sample per
+/// run at every width.
 #[test]
 fn parallel_counter_totals_match_single_threaded() {
     let run = |threads: usize| {
@@ -589,10 +590,15 @@ fn parallel_counter_totals_match_single_threaded() {
         })
     };
     let (single, single_runs) = run(1);
-    // Sanity: the workload moved structure and copied pages.
+    // Sanity: the workload moved structure and copied pages, from the
+    // second held batch on into the pages the previous snapshot returned.
+    // Those are two batches stale, and every hub's container has changed
+    // shape since, so no spill is copied into its old buffer.
     assert!(single.ria_within_block_shifts > 0);
     assert!(single.vb_inline_hits > 0 && single.hitree_node_upgrades > 0);
     assert!(single.cow_block_copies > 0);
+    assert!(single.cow_pages_recycled > 0);
+    assert_eq!(single.cow_spills_recycled, 0);
     for threads in [2, 8] {
         let (many, many_runs) = run(threads);
         assert_eq!(

@@ -39,9 +39,11 @@ pub enum Op {
     Insert(Vec<(u32, u32)>),
     Delete(Vec<(u32, u32)>),
     /// Take a snapshot (a killed flip must leave no trace) / drop the held
-    /// one at this index, modulo how many are held.
+    /// one at this index, modulo how many are held / drop it so on a
+    /// spawned thread, as a reader that held the last clone would.
     Snap,
     DropSnap(usize),
+    DropSnapOnThread(usize),
     /// Empty a vertex and quarantine it, as a fault would.
     Clear(u32),
     /// Repair every quarantined vertex from the model.
@@ -211,6 +213,14 @@ pub fn page_blocks() -> u64 {
     g.stats().snapshot().cow_block_copies
 }
 
+/// Drops `held` as `op` says: on a spawned thread for
+/// [`Op::DropSnapOnThread`], here otherwise.
+fn drop_as<T: Send + 'static>(op: &Op, held: T) {
+    if let Op::DropSnapOnThread(_) = op {
+        std::thread::spawn(move || drop(held)).join().unwrap();
+    }
+}
+
 /// A held snapshot, what it must read (its read surface at the flip
 /// included), and the pages the live graph still shares with it.
 struct Held(GraphSnapshot, Frozen, BTreeSet<u64>);
@@ -299,9 +309,10 @@ impl Sim {
             Op::Insert(pairs) => self.batch(BatchKind::Insert, pairs),
             Op::Delete(pairs) => self.batch(BatchKind::Delete, pairs),
             Op::Snap => self.snap(),
-            Op::DropSnap(at) => {
+            Op::DropSnap(at) | Op::DropSnapOnThread(at) => {
                 if !self.snaps.is_empty() {
-                    self.snaps.swap_remove(at % self.snaps.len());
+                    let held = self.snaps.swap_remove(at % self.snaps.len());
+                    drop_as(op, held);
                 }
             }
             Op::Clear(v) if (*v as usize) < self.model.adj.len() => {
@@ -705,7 +716,7 @@ enum Engine {
     Pac(PacGraph),
     Sortledton(SortledtonGraph),
     /// Terrace and PCSR, which take no snapshot.
-    Other(Box<dyn DynamicGraph>),
+    Other(Box<dyn DynamicGraph + Send>),
 }
 
 impl Engine {
@@ -821,16 +832,23 @@ impl Axis {
                     let frozen = self.model.frozen();
                     self.snaps.extend(self.live.snapshot().map(|s| (s, frozen)));
                 }
-                Op::DropSnap(_) if self.snaps.is_empty() => {}
-                Op::DropSnap(at) => drop(self.snaps.swap_remove(at % self.snaps.len())),
+                Op::DropSnap(_) | Op::DropSnapOnThread(_) if self.snaps.is_empty() => {}
+                Op::DropSnap(at) | Op::DropSnapOnThread(at) => {
+                    drop_as(op, self.snaps.swap_remove(at % self.snaps.len()))
+                }
                 _ => panic!("step {i}: {op:?} is not on the engine axis"),
             }
             let kernels = self.kernels.is_some_and(|k| (i + 1) % k == 0);
             self.check(&format!("step {i}"), kernels || i + 1 == ops.len());
         }
+        let stats = match &self.live {
+            Engine::Ls(g) => g.struct_snapshot(),
+            _ => StructSnapshot::default(),
+        };
         Sim {
             model: self.model,
             reach: self.reach,
+            stats,
             ..Sim::default()
         }
     }
