@@ -24,7 +24,9 @@
 //! not synchronization. Because LSGraph partitions a batch into disjoint
 //! per-source runs, each structural event happens exactly once regardless of
 //! thread interleaving, so counters and max-gauges are deterministic across
-//! runs and thread counts; timers and last-writer-wins gauges are not. The
+//! runs and thread counts; timers, last-writer-wins gauges and the
+//! `ScheduleCounter` rows (recycled copies, which depend on which thread
+//! drops a snapshot last) are not. The
 //! batch pipeline's parallel tasks each record into a family of their own,
 //! which the engine's absorbs once per task (`absorb`: a sum or a max per
 //! row), so the totals do not depend on how the runs were split.
@@ -184,12 +186,14 @@ metric_family! {
     cow_block_copies: Counter, Drift, "core", "blocks";
     /// Of those page copies, the ones made into a spare: a page a dropped
     /// snapshot held alone and returned to the writer, reused instead of
-    /// allocating a page.
-    cow_pages_recycled: Counter, None, "core", "pages";
+    /// allocating a page. Two snapshots dropped at once on two threads can
+    /// miss a spare, so reruns may differ.
+    cow_pages_recycled: ScheduleCounter, None, "core", "pages";
     /// Vertex blocks a recycled page copy wrote into their own old spill's
     /// buffer (same array capacity or RIA buffer length) instead of leaving
-    /// the write to allocate a copy of the spill.
-    cow_spills_recycled: Counter, None, "core", "blocks";
+    /// the write to allocate a copy of the spill. Moves with
+    /// `cow_pages_recycled`.
+    cow_spills_recycled: ScheduleCounter, None, "core", "blocks";
     /// Spare pages the writer holds after its latest batch, at most one
     /// per directory page (gauge, not a sum). Not part of the footprint.
     cow_spare_pages: GaugeLast, None, "core", "pages";
@@ -547,7 +551,8 @@ mod tests {
                  subscriptions_active"
             )
         );
-        // Reruns reproduce everything but timers and last-writer-wins gauges.
+        // Reruns reproduce everything but timers, last-writer-wins gauges
+        // and the counters the thread schedule moves.
         let deterministic: Vec<_> = later
             .deterministic_fields()
             .into_iter()
@@ -559,6 +564,12 @@ mod tests {
         );
         assert!(deterministic.contains(&"ria_max_ripple_span"));
         assert!(!deterministic.contains(&"ria_bound"));
+        assert_eq!(
+            names(|m| m.kind == MetricKind::ScheduleCounter),
+            words("cow_pages_recycled cow_spills_recycled")
+        );
+        assert!(!deterministic.contains(&"cow_pages_recycled"));
+        assert!(!deterministic.contains(&"cow_spills_recycled"));
         assert_eq!(
             CounterSnapshot::default().deterministic_fields().len(),
             CounterSnapshot::LEN - 2

@@ -20,6 +20,10 @@ pub enum MetricKind {
     GaugeLast,
     /// Accumulated wall-clock nanoseconds.
     Timer,
+    /// Monotone event total that the thread schedule can move (which of
+    /// two threads gets somewhere first decides whether an event happens):
+    /// summed like a counter, never compared across runs.
+    ScheduleCounter,
 }
 
 impl MetricKind {
@@ -90,6 +94,9 @@ row_types! {
 
 /// A [`MetricKind::Timer`] row adds nanoseconds, as a counter adds events.
 pub type Timer = Counter;
+
+/// A [`MetricKind::ScheduleCounter`] row adds, as a counter does.
+pub type ScheduleCounter = Counter;
 
 /// The `repro check --baseline` rule a metric is held to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -192,7 +199,7 @@ macro_rules! metric_family {
             )+];
 
             /// Difference `self - earlier`, saturating at zero, for
-            /// counters and timers; gauges keep `self`'s value (a maximum
+            /// counters (of either kind) and timers; gauges keep `self`'s value (a maximum
             /// and a most-recent value do not subtract meaningfully).
             pub fn since(self, earlier: $Snap) -> $Snap {
                 let mut out = self;
@@ -234,7 +241,8 @@ macro_rules! metric_family {
 
             /// The fields that must be identical across reruns with the
             /// same input: every `MetricKind::is_deterministic` one, i.e.
-            /// all but the timers and the last-writer-wins gauges.
+            /// all but the timers, the last-writer-wins gauges and the
+            /// schedule-moved counters.
             pub fn deterministic_fields(self) -> Vec<(&'static str, u64)> {
                 Self::METRICS
                     .iter()

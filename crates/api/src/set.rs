@@ -10,12 +10,11 @@
 //! each: a batch walks sets in address order, a read is one indexed load,
 //! cloning the table bumps one count per page, and a writer copies a page it
 //! finds shared with a clone once (shallow for a set that shares its payload:
-//! a block's spill, a functional tree). A clone that drops hands each page
-//! it held alone back to the writer, which copies the next shared version
-//! of that page into it instead of into fresh memory. That format is
-//! private to this file.
+//! a block's spill, a functional tree). For sets that recycle (LSGraph's
+//! block), a clone that drops hands each page it held alone back to the
+//! writer, which copies the next shared version of that page into it
+//! instead of into fresh memory. That format is private to this file.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 use rayon::prelude::*;
@@ -63,19 +62,27 @@ pub trait NeighborSet: Clone + Default + MemoryFootprint + Send + Sync {
     /// panics on the first violated one.
     fn check_invariants(&self, ctx: &Self::Ctx);
 
+    /// Whether a page of these sets that a dropped clone held alone goes
+    /// back to the writer as a spare for its next copy of that page
+    /// ([`NeighborSet::release_shared`], [`NeighborSet::recycle_from`]).
+    /// Worth it only for a set whose copy into its own payload saves the
+    /// allocations a fresh copy makes. Otherwise (the default) a clone's
+    /// drop frees its pages and reads none of their counts.
+    const RECYCLES: bool = false;
+
     /// Lets go of payload this set, on a page a dropped clone held alone,
     /// still shares with another version of the page, so that a spare
     /// keeps only what nothing else reads and a later write finds the live
     /// payload unshared. The set is a spare's from then on: never read,
-    /// only overwritten by [`NeighborSet::recycle_from`]. The default keeps
-    /// everything, right for a set whose writes never look at who else
-    /// holds its payload.
+    /// only overwritten by [`NeighborSet::recycle_from`]. Called only when
+    /// [`NeighborSet::RECYCLES`]; the default keeps everything.
     fn release_shared(&mut self) {}
 
     /// Makes this set, a spare's, a copy of `live` that a write is about
     /// to change, reusing this set's own payload when it has the shape the
     /// copy needs (so the copy's layout is the one a fresh copy would
-    /// have); returns whether it did. The default clones.
+    /// have); returns whether it did. Called only when
+    /// [`NeighborSet::RECYCLES`]; the default clones.
     fn recycle_from(&mut self, live: &Self) -> bool {
         self.clone_from(live);
         false
@@ -99,8 +106,8 @@ pub trait SetCtx: Default + Send + Sync {
     /// sets into their own payload ([`NeighborSet::recycle_from`]).
     fn page_recycled(&self, _reused: usize) {}
 
-    /// Records the spares the table holds after a pass: `pages` pages whose
-    /// sets report `bytes` bytes.
+    /// Records the spares the table holds once a pass is over: `pages`
+    /// pages whose sets report `bytes` bytes.
     fn spares_held(&self, _pages: usize, _bytes: usize) {}
 
     /// What the counters hold, if they are the baselines' family.
@@ -207,29 +214,64 @@ struct Spare<S> {
     bytes: usize,
 }
 
-/// The writer's return queue: the spares dropped clones return, each with
-/// its page index, until the writer's next pass takes them; and how many
-/// passes and installs the writer has begun, the only calls that let go of
-/// a page.
+/// A writer's spares: at most one per page, by page index, and what they
+/// hold in all.
+#[derive(Default)]
+struct Spares<S> {
+    slots: Vec<Option<Spare<S>>>,
+    pages: usize,
+    bytes: usize,
+}
+
+impl<S> Spares<S> {
+    /// Keeps `spare` as page `i`'s and hands back the one it replaces: the
+    /// last returned stays.
+    fn put(&mut self, i: usize, spare: Spare<S>) -> Option<Spare<S>> {
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        self.pages += 1;
+        self.bytes += spare.bytes;
+        let old = self.slots[i].replace(spare)?;
+        self.pages -= 1;
+        self.bytes -= old.bytes;
+        Some(old)
+    }
+
+    /// One slot per page of a table of `len` pages: the spares of pages at
+    /// or past `len` (returned by a clone that grew) are freed.
+    fn fit(&mut self, len: usize) {
+        for old in self.slots.drain(len.min(self.slots.len())..).flatten() {
+            self.pages -= 1;
+            self.bytes -= old.bytes;
+        }
+        self.slots.resize_with(len, || None);
+    }
+}
+
+/// What a writer shares with its clones: its spares, and how many passes
+/// it has begun. Until that count moves past what it was when a clone was
+/// taken, the writer still holds every page the clone does, so the clone's
+/// drop has nothing to return and skips the walk.
 #[derive(Default)]
 struct Returns<S> {
-    spares: Mutex<Vec<(usize, Spare<S>)>>,
-    writes: AtomicUsize,
+    spares: Spares<S>,
+    passes: usize,
 }
 
-/// A table's end of the return queue. A table made empty owns its queue;
-/// each clone, and each clone of a clone, holds a weak handle to it, so a
-/// clone dropped after the writer frees its pages as it always did, and the
-/// writer's `writes` at the flip: while they have not moved, the writer
-/// still holds every page the clone does.
-enum Queue<S> {
-    Owned(Arc<Returns<S>>),
-    Clone(Weak<Returns<S>>, usize),
+/// A table's part in the returns. A table made empty is a writer and owns
+/// them; each clone, and each clone of a clone, holds a weak handle and the
+/// pass count at the flip, so a clone dropped after the writer frees its
+/// pages as it always did, and the writer sees from the weak count whether
+/// any clone is left.
+enum Role<S> {
+    Writer(Arc<Mutex<Returns<S>>>),
+    Clone(Weak<Mutex<Returns<S>>>, usize),
 }
 
-/// The spares, whatever a panic left in them: a `Vec` of whole entries.
-fn lock<S>(queue: &Returns<S>) -> MutexGuard<'_, Vec<(usize, Spare<S>)>> {
-    queue.spares.lock().unwrap_or_else(PoisonError::into_inner)
+/// The returns, whatever a panic left in them: whole entries.
+fn lock<S>(returns: &Mutex<Returns<S>>) -> MutexGuard<'_, Returns<S>> {
+    returns.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `count` pages of empty sets, each a clone of one `S::default()`: an
@@ -241,27 +283,30 @@ fn empty_pages<S: NeighborSet>(count: usize) -> impl Iterator<Item = Page<S>> {
 }
 
 /// Exclusive access to a page's sets, copying the page first when a clone
-/// still shares it, and the bytes of the spare the copy took, if any. The
-/// writer holds `&mut` on the table, so no clone can be created meanwhile
-/// and the count only falls: a count of 1 is exclusive, and a clone dropped
-/// after we read > 1 costs one harmless extra copy.
+/// still shares it, and the bytes of the spare it took, if any. The writer
+/// holds `&mut` on the table, so no clone can be created meanwhile and the
+/// count only falls: a count of 1 is exclusive, and a clone dropped after
+/// we read > 1 costs one harmless extra copy.
 ///
 /// With a `spare`, the copy goes into it: the sets at `written`, which a
 /// write is about to change, each into their own payload where its shape
 /// allows ([`NeighborSet::recycle_from`]); every other set shallowly, as a
 /// fresh copy would. Without one, [`Arc::make_mut`] copies into fresh
-/// memory. The displaced version lives on in the clones that share it.
+/// memory. The displaced version lives on in the clones that share it. A
+/// page written in place, which no reader shares any more, frees its
+/// spare: readers that let go of a page stop costing the writer memory.
 fn page_mut<'a, S: NeighborSet>(
     live: &'a mut Page<S>,
     spare: &mut Option<Spare<S>>,
     written: impl IntoIterator<Item = usize>,
     ctx: &S::Ctx,
 ) -> (&'a mut [S; PAGE], Option<usize>) {
-    let mut taken = None;
-    if Arc::strong_count(live) > 1 {
+    let taken = spare.as_ref().map(|s| s.bytes);
+    if Arc::strong_count(live) == 1 {
+        *spare = None;
+    } else {
         ctx.page_copied(PAGE);
-        if let Some(Spare { mut page, bytes }) = spare.take() {
-            taken = Some(bytes);
+        if let Some(Spare { mut page, .. }) = spare.take() {
             // A spare is held alone from the moment it is returned.
             if let Some(sets) = Arc::get_mut(&mut page) {
                 let mut write = [false; PAGE];
@@ -292,7 +337,8 @@ struct Task<C> {
 
 /// A streaming graph over one [`NeighborSet`] per vertex, in pages. A
 /// clone shares every page, and the context as its `Clone` does; dropped,
-/// it returns the pages it held alone to the table it was cloned from.
+/// it returns the pages it held alone to the table it was cloned from, if
+/// its sets recycle ([`NeighborSet::RECYCLES`]).
 pub struct SetTable<S: NeighborSet> {
     pages: Vec<Page<S>>,
     /// Vertices in the table. The sets of the last page at or past `n` are
@@ -300,12 +346,7 @@ pub struct SetTable<S: NeighborSet> {
     n: usize,
     num_edges: usize,
     ctx: S::Ctx,
-    queue: Queue<S>,
-    /// At most one spare per page, beside `pages` (empty on a clone until
-    /// it is written): what the next copy of that page goes into.
-    spares: Vec<Option<Spare<S>>>,
-    /// What `spares` holds: pages, and the bytes their sets report.
-    held: (usize, usize),
+    role: Role<S>,
 }
 
 impl<S: NeighborSet> SetTable<S> {
@@ -320,9 +361,7 @@ impl<S: NeighborSet> SetTable<S> {
             n,
             num_edges: 0,
             ctx,
-            queue: Queue::Owned(Arc::default()),
-            spares: Vec::new(),
-            held: (0, 0),
+            role: Role::Writer(Arc::default()),
         }
     }
 
@@ -390,85 +429,46 @@ impl<S: NeighborSet> SetTable<S> {
         self.clone_with(self.ctx.fresh())
     }
 
-    /// A clone with context `ctx`: every page shared, no spare, and the
-    /// way back to the writer's queue.
+    /// A clone with context `ctx`: every page shared, and the way back to
+    /// the writer's spares.
     fn clone_with(&self, ctx: S::Ctx) -> Self {
         SetTable {
             pages: self.pages.clone(),
             n: self.n,
             num_edges: self.num_edges,
             ctx,
-            queue: match &self.queue {
-                Queue::Owned(q) => {
-                    Queue::Clone(Arc::downgrade(q), q.writes.load(Ordering::Relaxed))
-                }
-                Queue::Clone(q, flip) => Queue::Clone(q.clone(), *flip),
+            role: match &self.role {
+                Role::Writer(returns) => Role::Clone(Arc::downgrade(returns), lock(returns).passes),
+                Role::Clone(writer, flip) => Role::Clone(writer.clone(), *flip),
             },
-            spares: Vec::new(),
-            held: (0, 0),
         }
     }
 
     /// Replaces `v`'s set wholesale (`v` must be a vertex); a clone keeps
-    /// reading the displaced version of its page. Edge accounting is the
+    /// reading the displaced version of its page, and the copy that keeps
+    /// it from this write takes fresh memory. Edge accounting is the
     /// caller's (a set reset after a panic has no trustworthy length).
     pub fn install(&mut self, v: VertexId, set: S) {
         let (page, slot) = self.slot(v);
-        self.begin_write();
-        let spare = self.spares.get_mut(page);
-        let (sets, taken) = page_mut(
-            &mut self.pages[page],
-            spare.unwrap_or(&mut None),
-            [],
-            &self.ctx,
-        );
-        sets[slot] = set;
-        if let Some(bytes) = taken {
-            self.held.0 -= 1;
-            self.held.1 -= bytes;
-        }
-    }
-
-    /// Counts a pass or an install on the writer's queue before it can let
-    /// go of a page (see [`Queue`]).
-    fn begin_write(&self) {
-        if let Queue::Owned(queue) = &self.queue {
-            queue.writes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Moves what dropped clones returned into `spares`, keeping the latest
-    /// when a page comes back twice: at most one spare per page.
-    fn take_returns(&mut self) {
-        let Queue::Owned(queue) = &self.queue else {
-            return;
-        };
-        for (i, spare) in lock(queue).drain(..) {
-            // A clone that was written to can outgrow the writer.
-            let Some(kept) = self.spares.get_mut(i) else {
-                continue;
-            };
-            self.held.0 += 1;
-            self.held.1 += spare.bytes;
-            if let Some(old) = kept.replace(spare) {
-                self.held.0 -= 1;
-                self.held.1 -= old.bytes;
-            }
-        }
+        page_mut(&mut self.pages[page], &mut None, [], &self.ctx).0[slot] = set;
     }
 
     /// Runs `f` once per run of `batch` on its source's set, in parallel, and
     /// returns the sum of the results; panics if a source is outside the
-    /// table. The pages dropped clones returned become spares first
-    /// ([`SetTable::take_returns`]). Each touched page is made exclusive
-    /// once ([`page_mut`], into its spare when it has one) and takes its
-    /// runs in source order ([`crate::batch::par_apply_beside`], which
-    /// lends each task its pages and their spares, so no task takes a
-    /// lock). `f` also gets its task's context, a [`SetCtx::fresh`] one made
-    /// as the task starts, to read and record into. The workers thus share
-    /// no counter: the table's context absorbs each task's once the pass is
-    /// over, so every total is what one shared family would hold. Edge
-    /// accounting is the caller's.
+    /// table. Each touched page is made exclusive once ([`page_mut`], into
+    /// its spare when it has one) and takes its runs in source order
+    /// ([`crate::batch::par_apply_beside`], which lends each task its pages
+    /// and their spares, so no task takes a lock). `f` also gets its task's
+    /// context, a [`SetCtx::fresh`] one made as the task starts, to read and
+    /// record into. The workers thus share no counter: the table's context
+    /// absorbs each task's once the pass is over, so every total is what
+    /// one shared family would hold. Edge accounting is the caller's.
+    ///
+    /// The spares leave the mutex for the pass, all of them freed first if
+    /// no clone is left to share a page with; what clones return meanwhile
+    /// joins them after it, the last returned kept. So outside a pass the
+    /// writer holds at most one spare per page. A clone that writes becomes
+    /// a writer: its spares are its own from its first pass.
     pub fn par_apply(
         &mut self,
         batch: &SortedBatch,
@@ -476,13 +476,27 @@ impl<S: NeighborSet> SetTable<S> {
     ) -> usize {
         let end = batch.runs().next_back().map_or(0, |r| r.src as usize + 1);
         assert!(end <= self.n, "apply run source outside the table");
-        self.begin_write();
-        self.spares.resize_with(self.pages.len(), || None);
-        self.take_returns();
+        let shared = match &self.role {
+            Role::Writer(returns) => Arc::clone(returns),
+            Role::Clone(..) => {
+                let returns = Arc::default();
+                self.role = Role::Writer(Arc::clone(&returns));
+                returns
+            }
+        };
+        let mut spares = {
+            let mut returns = lock(&shared);
+            returns.passes += 1;
+            std::mem::take(&mut returns.spares)
+        };
+        if spares.pages > 0 && Arc::weak_count(&shared) == 0 {
+            spares.fit(0);
+        }
+        spares.fit(self.pages.len());
         let ctx = &self.ctx;
         let tasks = crate::batch::par_apply_beside::<_, _, _, PAGE>(
             &mut self.pages,
-            &mut self.spares,
+            &mut spares.slots,
             batch,
             || Task {
                 applied: 0,
@@ -505,10 +519,18 @@ impl<S: NeighborSet> SetTable<S> {
         for task in &tasks {
             self.ctx.absorb(&task.ctx);
             applied += task.applied;
-            self.held.0 -= task.spares_taken.0;
-            self.held.1 -= task.spares_taken.1;
+            spares.pages -= task.spares_taken.0;
+            spares.bytes -= task.spares_taken.1;
         }
-        self.ctx.spares_held(self.held.0, self.held.1);
+        let mut returns = lock(&shared);
+        let returned = std::mem::replace(&mut returns.spares, spares);
+        let held = &mut returns.spares;
+        let displaced: Vec<_> = (returned.slots.into_iter().enumerate())
+            .filter_map(|(i, spare)| held.put(i, spare?))
+            .collect();
+        self.ctx.spares_held(held.pages, held.bytes);
+        drop(returns);
+        drop(displaced);
         applied
     }
 }
@@ -524,24 +546,27 @@ where
 }
 
 impl<S: NeighborSet> Drop for SetTable<S> {
-    /// A clone hands each page it holds alone, which no other version of
-    /// the table can read, back to the writer's queue once its sets have
-    /// released what they share ([`NeighborSet::release_shared`]); every
-    /// other page just loses a reference. Reading the count first keeps a
-    /// shared page to that one decrement, and a clone dropped before the
-    /// writer has written again skips even that read. Two clones dropped
-    /// at once on two threads may each see the other's reference and free a
-    /// page between them instead, and so may a clone whose drop reads
-    /// `writes` just before a write that lets go of its pages: a missed
-    /// spare, nothing more.
+    /// A clone whose sets recycle ([`NeighborSet::RECYCLES`]) hands each
+    /// page it holds alone, which no other version of the table can read,
+    /// back to the writer's spares once its sets have released what they
+    /// share; every other page just loses a reference. Reading the count
+    /// first keeps a shared page to that one decrement, and a clone dropped
+    /// before the writer's next pass skips even that read. Two clones
+    /// dropped at once on two threads may each see the other's reference
+    /// and free a page between them instead, and so may a clone whose drop
+    /// reads the pass count just before a pass begins: a missed spare,
+    /// nothing more.
     fn drop(&mut self) {
-        let Queue::Clone(queue, flip) = &self.queue else {
+        if !S::RECYCLES {
+            return;
+        }
+        let Role::Clone(writer, flip) = &self.role else {
             return;
         };
-        let Some(queue) = queue.upgrade() else {
+        let Some(shared) = writer.upgrade() else {
             return;
         };
-        if queue.writes.load(Ordering::Relaxed) == *flip {
+        if lock(&shared).passes == *flip {
             return;
         }
         // A plain loop: the same walk as an iterator chain ran several
@@ -561,9 +586,15 @@ impl<S: NeighborSet> Drop for SetTable<S> {
                 back.push((i, Spare { page, bytes }));
             }
         }
-        if !back.is_empty() {
-            lock(&queue).extend(back);
+        if back.is_empty() {
+            return;
         }
+        let mut returns = lock(&shared);
+        let displaced: Vec<_> = (back.into_iter())
+            .filter_map(|(i, spare)| returns.spares.put(i, spare))
+            .collect();
+        drop(returns);
+        drop(displaced);
     }
 }
 
@@ -788,6 +819,7 @@ mod tests {
         fn check_invariants(&self, _: &Stats) {
             assert!(self.0.windows(2).all(|w| w[0] < w[1]), "not ascending");
         }
+        const RECYCLES: bool = true;
         /// Into its own buffer when it has one of the live one's capacity.
         fn recycle_from(&mut self, live: &Self) -> bool {
             if self.0.capacity() == 0 || self.0.capacity() != live.0.capacity() {
@@ -949,23 +981,24 @@ mod tests {
         assert_eq!(page_ptrs(&g), live);
     }
 
-    /// The pages the writer's queue holds: page index and address.
-    fn queued(g: &Table) -> Vec<(usize, *const [PageSet; PAGE])> {
-        let Queue::Owned(queue) = &g.queue else {
-            unreachable!("a clone has no queue")
+    /// The writer's spares: page index and address.
+    fn spares(g: &Table) -> Vec<(usize, *const [PageSet; PAGE])> {
+        let Role::Writer(returns) = &g.role else {
+            unreachable!("a clone that never wrote has no spares")
         };
-        let queue = lock(queue);
-        queue
-            .iter()
-            .map(|(i, s)| (*i, Arc::as_ptr(&s.page)))
+        let returns = lock(returns);
+        let held = returns.spares.slots.iter().enumerate();
+        held.filter_map(|(i, s)| Some((i, Arc::as_ptr(&s.as_ref()?.page))))
             .collect()
     }
 
     /// A dropped clone returns the pages it held alone and no other: a page
     /// the writer or another clone still reads stays where it is. The
-    /// writer's next pass keeps one spare per page, the latest, and the
-    /// next write to a page a clone shares copies the page into its spare,
-    /// a written set into its own buffer when the capacities match.
+    /// writer keeps one spare per page, the last returned, and the next
+    /// write to a page a clone shares copies the page into its spare, a
+    /// written set into its own buffer when the capacities match. A page
+    /// written while no clone shares it frees its spare, and a pass with no
+    /// clone left frees them all.
     #[test]
     fn only_pages_held_alone_come_back_and_one_spare_per_page_stays() {
         let mut g = table(3 * PAGE);
@@ -977,9 +1010,9 @@ mod tests {
         insert(&mut g, 1, 100);
         // `a` and `b` share the displaced page 0 and the writer's pages 1, 2.
         drop(a);
-        assert_eq!(queued(&g), []);
+        assert_eq!(spares(&g), []);
         drop(b);
-        assert_eq!(queued(&g), [(0, first)]);
+        assert_eq!(spares(&g), [(0, first)]);
         // The next copy of page 0 goes into that spare; the one after has
         // none left and allocates.
         let c = g.snapshot();
@@ -989,21 +1022,20 @@ mod tests {
         insert(&mut g, 3, 8);
         let (second, third) = (page_ptrs(&c)[0], page_ptrs(&g)[0]);
         assert!(second != first && third != first && third != second);
-        // Two versions of page 0 come back before a pass; it keeps `d`'s.
+        // Two versions of page 0 come back; the last returned stays.
         drop(c);
+        assert_eq!(spares(&g), [(0, second)]);
         drop(d);
-        assert_eq!(queued(&g), [(0, second), (0, first)]);
+        assert_eq!(spares(&g), [(0, first)]);
+        // A pass that copies another page under a clone keeps it.
+        let e = g.snapshot();
         insert(&mut g, P + 1, 6);
-        assert_eq!(queued(&g), []);
-        let spare = g.spares[0].as_ref().map(|s| Arc::as_ptr(&s.page));
-        assert_eq!(spare, Some(first));
-        assert!(g.spares[1..].iter().all(Option::is_none));
+        assert_eq!(spares(&g), [(0, first)]);
         let before = g.ctx().snapshot();
         assert_eq!(before.cow_spare_pages, 1);
         assert!(before.cow_spare_bytes >= (PAGE * core::mem::size_of::<PageSet>()) as u64);
-        // Shared again: the copy lands in the spare, the written hub in
+        // Shared again: the copy lands in the spare, the written set in
         // the buffer its old version had; the clone keeps reading its own.
-        let e = g.snapshot();
         insert(&mut g, 1, 102);
         assert_eq!((page_ptrs(&g)[0], page_ptrs(&e)[0]), (first, third));
         let moved = g.ctx().snapshot().since(before);
@@ -1020,6 +1052,22 @@ mod tests {
         );
         g.check_invariants();
         e.check_invariants();
+        // `e` still reads pages 0 and 1, but no version the writer holds:
+        // page 0's new spare goes with the next write to it.
+        let f = g.snapshot();
+        insert(&mut g, 2, 9);
+        drop(f);
+        assert_eq!(spares(&g).len(), 1);
+        insert(&mut g, 2, 11);
+        assert_eq!(spares(&g), []);
+        // The last clone gone, the next pass frees every spare, written or
+        // not: `e`'s pages 0 and 1 here.
+        drop(e);
+        assert_eq!(spares(&g).len(), 2);
+        insert(&mut g, 2 * P, 1);
+        assert_eq!(spares(&g), []);
+        assert_eq!(g.ctx().snapshot().cow_spare_pages, 0);
+        g.check_invariants();
     }
 
     /// `install` under a clone copies the page once, however many of its

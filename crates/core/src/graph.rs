@@ -572,7 +572,8 @@ impl LsGraph {
     /// adjacency payload; later batches copy-on-write the pages they touch,
     /// so the snapshot keeps reading exactly the state at the flip, and a
     /// displaced page goes back to the graph, for its next copy of that
-    /// page to reuse, when the last snapshot sharing it drops.
+    /// page to reuse, when the last snapshot sharing it drops (and is
+    /// freed by the graph's next batch if no snapshot is left by then).
     /// Taking a snapshot requires `&self`, so it interleaves with batches at
     /// batch boundaries; the returned handle is `Clone + Send + Sync` and
     /// outlives the graph's borrow, so readers on other threads proceed

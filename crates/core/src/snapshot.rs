@@ -11,12 +11,15 @@
 //! Ownership is the reference counts and nothing else: a page version
 //! displaced by copy-on-write lives as long as the snapshots that can read
 //! it. When the last of them drops, on whichever thread, each page it held
-//! alone goes back to the writer as a spare (`SetTable`'s return queue),
-//! after its blocks have let go of the spills the live graph still shares;
-//! the writer's next copy of that page goes into the spare, and a block it
-//! writes into its old spill's buffer when the shapes match. Nothing is
-//! freed and allocated again per batch, and at most one spare per page is
-//! kept. Once the live graph is gone, a dropped snapshot frees its pages.
+//! alone goes back to the writer as a spare (`SetTable`'s spares), after
+//! its blocks have let go of the spills the live graph still shares; the
+//! writer's next copy of that page goes into the spare, and a block it
+//! writes into its old spill's buffer when the shapes match. So a writer
+//! that copies under a snapshot every batch frees and allocates nothing
+//! again per batch. The writer keeps at most one spare per page, frees a
+//! page's spare when it writes that page with no snapshot sharing it, and
+//! frees them all when a batch starts with no snapshot left. Once the live
+//! graph is gone, a dropped snapshot frees its pages.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -407,6 +407,10 @@ impl NeighborSet for VertexBlock {
         );
     }
 
+    /// A written block is copied into its old spill's buffer when the
+    /// shapes match, saving the spill's allocations.
+    const RECYCLES: bool = true;
+
     /// Drops a spill another block version still owns: what a live block
     /// shares with this spare's must not gain an owner that would make the
     /// next write copy it.

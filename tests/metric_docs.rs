@@ -19,6 +19,7 @@ fn row(m: &MetricDesc) -> String {
         MetricKind::GaugeMax => "gauge-max",
         MetricKind::GaugeLast => "gauge-last",
         MetricKind::Timer => "timer",
+        MetricKind::ScheduleCounter => "schedule-counter",
     };
     let gate = match m.gate {
         Gate::Invariant => "invariant",

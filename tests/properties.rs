@@ -553,10 +553,11 @@ fn lsgraph_layout_is_the_same_with_and_without_readers() {
 }
 
 /// Counter totals are schedule-independent: the same batch stream applied at
-/// widths 1, 2 and 8, with a snapshot held across every other batch so pages
-/// are copied on write (into recycled pages once one has been dropped),
-/// yields identical deterministic counters and one `group_apply` sample per
-/// run at every width.
+/// widths 1, 2 and 8, with a snapshot held across every other batch and then
+/// across each of the last four, so pages are copied on write (into the
+/// pages the previous snapshot returned, in the last three), yields
+/// identical deterministic counters and one `group_apply` sample per run at
+/// every width.
 #[test]
 fn parallel_counter_totals_match_single_threaded() {
     let run = |threads: usize| {
@@ -567,7 +568,7 @@ fn parallel_counter_totals_match_single_threaded() {
         pool.install(|| {
             let mut g = LsGraph::with_config(4_096, Config::default().with_m(128));
             let mut rng = SmallRng::seed_from_u64(42);
-            for round in 0..8u32 {
+            for round in 0..12u32 {
                 // Skewed sources: 64 hubs accumulate degree past `m`, so the
                 // batches drive the RIA and HITree tiers; the rest spread the
                 // batch over every page.
@@ -578,7 +579,7 @@ fn parallel_counter_totals_match_single_threaded() {
                         Edge::new(src, rng.gen_range(0..4_096))
                     })
                     .collect();
-                let held = round.is_multiple_of(2).then(|| g.snapshot());
+                let held = (round.is_multiple_of(2) || round >= 8).then(|| g.snapshot());
                 g.insert_batch(&batch);
                 if round % 2 == 1 {
                     g.delete_batch(&batch[..1_000]);
@@ -590,10 +591,11 @@ fn parallel_counter_totals_match_single_threaded() {
         })
     };
     let (single, single_runs) = run(1);
-    // Sanity: the workload moved structure and copied pages, from the
-    // second held batch on into the pages the previous snapshot returned.
-    // Those are two batches stale, and every hub's container has changed
-    // shape since, so no spill is copied into its old buffer.
+    // Sanity: the workload moved structure and copied pages. A batch
+    // taken with no snapshot alive frees every spare, so only the last
+    // three held batches copy into recycled pages. No block is copied into
+    // its old spill: a hub takes about 47 ids a batch, so by the next its
+    // container has another shape, or is a HITree, which is never reused.
     assert!(single.ria_within_block_shifts > 0);
     assert!(single.vb_inline_hits > 0 && single.hitree_node_upgrades > 0);
     assert!(single.cow_block_copies > 0);
