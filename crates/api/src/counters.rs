@@ -166,10 +166,12 @@ metric_family! {
     /// Bytes currently held by live WAL segments on disk (gauge, not a
     /// sum). Retention GC keeps this bounded by the retention window.
     wal_live_bytes: GaugeLast, None, "persist", "bytes";
-    /// Delta (dirty-vertex-only) checkpoint images written.
+    /// Delta checkpoint images written: each holds only the vertices whose
+    /// block differs from the last image's.
     delta_checkpoints_written: Counter, Drift, "persist", "images";
-    /// Dirty vertices captured by the most recent checkpoint freeze
-    /// (gauge, not a sum). Delta image size scales with this.
+    /// Vertices whose block differs from the last image's, at the most
+    /// recent checkpoint with a chain open (gauge, not a sum). Delta image
+    /// size scales with this.
     checkpoint_dirty_vertices: GaugeLast, None, "persist", "vertices";
     /// Checkpoint images discarded as corrupt/unlinked while rebuilding the
     /// recovery chain. Must stay zero on clean runs; `repro check` gates it.

@@ -41,7 +41,7 @@ use std::sync::Mutex;
 /// | `metrics_sample` | a sampler tick snapshots the metrics registry |
 /// | `wal_rotate` | the WAL seals a full segment and opens the next one |
 /// | `segment_gc` | retention GC deletes superseded segments/images |
-/// | `delta_checkpoint` | a dirty-vertex delta image is serialized to disk |
+/// | `delta_checkpoint` | a delta image of the changed vertices is serialized to disk |
 /// | `spill_downgrade` | a sparse spill container downgrades to a lower tier |
 /// | `subscription_deliver` | a standing-query subscription evaluates its per-batch delta |
 pub const FAILPOINT_SITES: [&str; 16] = [

@@ -444,6 +444,32 @@ impl<S: NeighborSet> SetTable<S> {
         }
     }
 
+    /// The vertices whose set differs from `base`'s, ascending, where `base`
+    /// is an earlier clone of this table. A page still shared with `base` is
+    /// unchanged, since a write copies a shared page first; inside a page
+    /// that moved, `same` compares each set with `base`'s, and a vertex past
+    /// `base`'s pages with an empty set. Every vertex whose ids differ is
+    /// listed, and a `same` that tests shared payload by identity lists only
+    /// sets written since `base`.
+    pub fn changed_since(&self, base: &Self, same: impl Fn(&S, &S) -> bool) -> Vec<VertexId> {
+        let empty = S::default();
+        let mut changed = Vec::new();
+        for (i, page) in self.pages.iter().enumerate() {
+            let old = base.pages.get(i);
+            if old.is_some_and(|old| Arc::ptr_eq(page, old)) {
+                continue;
+            }
+            // A base set past its `n` is padding, which is always empty.
+            let live = (self.n - i * PAGE).min(PAGE);
+            for (slot, set) in page[..live].iter().enumerate() {
+                if !same(set, old.map_or(&empty, |old| &old[slot])) {
+                    changed.push((i * PAGE + slot) as VertexId);
+                }
+            }
+        }
+        changed
+    }
+
     /// Replaces `v`'s set wholesale (`v` must be a vertex); a clone keeps
     /// reading the displaced version of its page, and the copy that keeps
     /// it from this write takes fresh memory. Edge accounting is the
@@ -1068,6 +1094,28 @@ mod tests {
         assert_eq!(spares(&g), []);
         assert_eq!(g.ctx().snapshot().cow_spare_pages, 0);
         g.check_invariants();
+    }
+
+    /// `changed_since` skips the pages a base still shares, asks `same` for
+    /// each set of a page that moved, and holds a vertex past the base's
+    /// pages to an empty set.
+    #[test]
+    fn changes_since_a_base_are_read_off_the_pages() {
+        let mut g = table(2 * PAGE);
+        g.install(1, one(4));
+        let base = g.snapshot();
+        insert(&mut g, P + 3, 9);
+        g.install(P + 4, PageSet::default());
+        g.grow_to(3 * PAGE + 1);
+        g.install(2 * P + 5, one(1));
+        let asked = std::cell::Cell::new(0);
+        let same = |a: &PageSet, b: &PageSet| {
+            asked.set(asked.get() + 1);
+            a.0 == b.0
+        };
+        assert_eq!(g.changed_since(&base, same), [P + 3, 2 * P + 5]);
+        assert_eq!(asked.get(), 2 * PAGE + 1, "pages 1 and 2, and vertex 3P");
+        assert_eq!(g.changed_since(&g.snapshot(), |_, _| false), []);
     }
 
     /// `install` under a clone copies the page once, however many of its

@@ -861,7 +861,7 @@ fn durability_cell(
 ///   tip, so the live WAL stays strictly below the bytes appended over the
 ///   run;
 /// - **delta scaling**: a delta image's size grows with the number of
-///   dirty vertices it covers (probed with a small and a large dirty set),
+///   vertices it covers (probed with a small and a large batch),
 ///   and stays below the full base image.
 fn rotation_cell(
     dataset: &str,
@@ -930,27 +930,27 @@ fn rotation_cell(
          (appended {appended} B, retention reclaimed nothing)"
     );
 
-    // Tentpole property 2: delta image bytes scale with the dirty-vertex
-    // count. Probe with a small dirty set, then one ~8x larger.
+    // Tentpole property 2: delta image bytes scale with the count of
+    // vertices that changed. Probe with a small batch, then one ~8x larger.
     let small = update_batch(gscale, (bs / 4).max(8), 77);
     store.insert_batch(&small).expect("small probe");
     store.sync().expect("sync");
     let small_meta = store.checkpoint().expect("small delta");
-    let small_dirty = store.graph().stats().snapshot().checkpoint_dirty_vertices;
+    let small_changed = store.graph().stats().snapshot().checkpoint_dirty_vertices;
     let large = update_batch(gscale, (bs * 2).max(64), 78);
     store.insert_batch(&large).expect("large probe");
     store.sync().expect("sync");
     let large_meta = store.checkpoint().expect("large delta");
-    let large_dirty = store.graph().stats().snapshot().checkpoint_dirty_vertices;
+    let large_changed = store.graph().stats().snapshot().checkpoint_dirty_vertices;
     assert!(
-        small_dirty < large_dirty,
-        "rotating/{dataset}/bs={bs}: probe dirty sets not ordered \
-         ({small_dirty} vs {large_dirty})"
+        small_changed < large_changed,
+        "rotating/{dataset}/bs={bs}: probe changed sets not ordered \
+         ({small_changed} vs {large_changed})"
     );
     assert!(
         small_meta.bytes < large_meta.bytes,
-        "rotating/{dataset}/bs={bs}: delta bytes do not scale with dirty \
-         vertices ({} B for {small_dirty} dirty vs {} B for {large_dirty})",
+        "rotating/{dataset}/bs={bs}: delta bytes do not scale with changed \
+         vertices ({} B for {small_changed} vs {} B for {large_changed})",
         small_meta.bytes,
         large_meta.bytes
     );
@@ -1019,7 +1019,7 @@ fn rotation_cell(
             wal_segments_rotated: cell_stats.wal_segments_rotated,
             wal_segments_deleted: cell_stats.wal_segments_deleted,
             delta_checkpoints_written: cell_stats.delta_checkpoints_written,
-            checkpoint_dirty_vertices: large_dirty,
+            checkpoint_dirty_vertices: large_changed,
             wal_live_bytes: wal_live,
         }),
         ..EngineReport::default()

@@ -244,9 +244,10 @@ report_object! {
         wal_segments_rotated: u64,
         /// WAL segments deleted by retention GC during the cell.
         wal_segments_deleted: u64,
-        /// Delta (dirty-vertex-only) checkpoint images written.
+        /// Delta checkpoint images written.
         delta_checkpoints_written: u64,
-        /// Dirty vertices captured by the last checkpoint of the cell (gauge).
+        /// Vertices whose block differed from the last image's, at the last
+        /// checkpoint of the cell (gauge).
         checkpoint_dirty_vertices: u64,
         /// Live on-disk WAL bytes across all segments at the end of the cell
         /// (gauge; bounded when rotation + retention are active).

@@ -36,61 +36,11 @@ pub struct LsGraph {
     /// ask is answered from here, and a snapshot ([`LsGraph::snapshot`]) is
     /// a clone of it.
     view: GraphView,
-    /// Vertices mutated since the dirty set was last taken — the delta
-    /// checkpoint working set. Marked on every committed or panicked apply
-    /// run and on every whole-block replacement ([`LsGraph::install_block`]),
-    /// so a persistence layer that drains it at a checkpoint freeze
-    /// (`take_dirty_vertices`) captures exactly the vertices that changed
-    /// since the previous freeze.
-    dirty: DirtySet,
     /// Batches committed so far; stamps [`BatchEvent::seq`].
     batch_seq: u64,
     /// Post-batch observers, notified in registration order after every
     /// committed batch (see [`PostBatchHook`]).
     hooks: Vec<Box<dyn PostBatchHook>>,
-}
-
-/// A set of vertex ids as one bit per vertex plus a population count:
-/// marking is O(1) (the batch pipeline marks every run of every batch on the
-/// writer thread), reading it out ascending is one scan of the words.
-#[derive(Default)]
-struct DirtySet {
-    /// Bit `v % 64` of word `v / 64`; sized with the vertex table.
-    words: Vec<u64>,
-    count: usize,
-}
-
-impl DirtySet {
-    /// Makes room for ids below `n`.
-    fn grow_to(&mut self, n: usize) {
-        if self.words.len() < n.div_ceil(64) {
-            self.words.resize(n.div_ceil(64), 0);
-        }
-    }
-
-    fn insert(&mut self, v: VertexId) {
-        let (word, bit) = (&mut self.words[v as usize / 64], 1u64 << (v % 64));
-        self.count += usize::from(*word & bit == 0);
-        *word |= bit;
-    }
-
-    /// The members, ascending.
-    fn to_vec(&self) -> Vec<VertexId> {
-        let mut out = Vec::with_capacity(self.count);
-        for (i, &word) in self.words.iter().enumerate() {
-            let mut rest = word;
-            while rest != 0 {
-                out.push(i as VertexId * 64 + rest.trailing_zeros());
-                rest &= rest - 1;
-            }
-        }
-        out
-    }
-
-    fn clear(&mut self) {
-        self.words.fill(0);
-        self.count = 0;
-    }
 }
 
 /// Which pipeline a committed batch went through.
@@ -169,11 +119,8 @@ impl LsGraph {
     /// invalid one as a value instead of panicking.
     pub fn try_with_config(n: usize, cfg: Config) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let mut dirty = DirtySet::default();
-        dirty.grow_to(n);
         Ok(LsGraph {
             view: GraphView::new(n, cfg),
-            dirty,
             batch_seq: 0,
             hooks: Vec::new(),
         })
@@ -231,9 +178,6 @@ impl LsGraph {
             g.view.stats().apply_run_panics.record(1);
             g.view.stats().vertices_quarantined.record(1);
         }
-        for run in batch.runs() {
-            g.dirty.insert(run.src);
-        }
         g.view.table.account(applied, 0);
         let outcome = BatchOutcome {
             applied,
@@ -260,16 +204,6 @@ impl LsGraph {
     /// checkpoint restore grows it to the count an image records.
     pub fn grow_to(&mut self, n: usize) {
         self.view.table.grow_to(n);
-        self.dirty.grow_to(self.view.num_vertices());
-    }
-
-    /// Replaces `v`'s block wholesale (see `SetTable::install`) and marks
-    /// it dirty. Used by every whole-block replacement path (quarantine
-    /// reset, clear, restore, repair); batched per-run mutation goes
-    /// through `SetTable::par_apply` instead.
-    fn install_block(&mut self, v: VertexId, vb: VertexBlock) {
-        self.view.table.install(v, vb);
-        self.dirty.insert(v);
     }
 
     /// Applies `op` once per run — the run's vertex block and its whole
@@ -337,19 +271,13 @@ impl LsGraph {
         };
         let mut panicked = failures.into_inner().unwrap();
         panicked.sort_unstable();
-        // Every run that reached its block dirtied it (a committed run
-        // mutated it, a panicked run is reset below); runs skipped for
-        // quarantine touched nothing.
-        for run in batch.runs() {
-            self.dirty.insert(run.src);
-        }
         for &(src, _) in &panicked {
             // The panicked task may have left this block arbitrarily
             // corrupt; drop its adjacency and quarantine the vertex. A
             // snapshot never shared the page the panic landed on (the CoW
             // copy happens before any of the page's runs), so it still sees
             // the pre-batch state and resetting the block here is safe.
-            self.install_block(src, VertexBlock::default());
+            self.view.table.install(src, VertexBlock::default());
             self.view.quarantined.insert(src);
             self.view.stats().apply_run_panics.record(1);
             self.view.stats().vertices_quarantined.record(1);
@@ -365,7 +293,7 @@ impl LsGraph {
     /// (vertex deletion for directed use: in-edges stay).
     pub fn clear_vertex(&mut self, v: VertexId) -> usize {
         let removed = self.degree(v);
-        self.install_block(v, VertexBlock::default());
+        self.view.table.install(v, VertexBlock::default());
         self.view.table.account(0, removed);
         removed
     }
@@ -479,7 +407,7 @@ impl LsGraph {
         self.grow_to(v as usize + 1);
         let old = self.degree(v);
         let vb = VertexBlock::from_sorted(ns, self.view.table.ctx());
-        self.install_block(v, vb);
+        self.view.table.install(v, vb);
         self.view.table.account(ns.len(), old);
     }
 
@@ -504,33 +432,6 @@ impl LsGraph {
         Ok(())
     }
 
-    /// Number of vertices mutated since the dirty set was last drained.
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.count
-    }
-
-    /// The vertices mutated since the last drain, ascending.
-    pub fn dirty_vertices(&self) -> Vec<VertexId> {
-        self.dirty.to_vec()
-    }
-
-    /// Drains and returns the dirty set (ascending) — the delta-checkpoint
-    /// freeze point. Mutations applied after this call re-dirty their
-    /// vertices, so the drained set covers exactly the interval since the
-    /// previous drain.
-    pub fn take_dirty_vertices(&mut self) -> Vec<VertexId> {
-        let taken = self.dirty.to_vec();
-        self.dirty.clear();
-        taken
-    }
-
-    /// Clears the dirty set without reading it. A recovery that just
-    /// restored from images calls this before WAL replay so the set ends up
-    /// describing only post-checkpoint mutations.
-    pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
-    }
-
     /// Restores a quarantined vertex with a caller-supplied adjacency
     /// (deduplicated and sorted here), returning how many edges were
     /// installed. The vertex leaves quarantine and resumes accepting
@@ -553,7 +454,7 @@ impl LsGraph {
         ns.sort_unstable();
         ns.dedup();
         let vb = VertexBlock::from_sorted(&ns, self.view.table.ctx());
-        self.install_block(v, vb);
+        self.view.table.install(v, vb);
         // A quarantined block has degree 0, so the whole adjacency is new.
         self.view.table.account(ns.len(), 0);
         self.view.stats().vertices_repaired.record(1);
@@ -665,6 +566,7 @@ impl DynamicGraph for LsGraph {
 mod tests {
     use super::*;
     use crate::adjacency::Spill;
+    use crate::config::INLINE_CAP;
     use crate::stats::Tier;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use std::collections::BTreeSet;
@@ -893,66 +795,102 @@ mod tests {
         assert_eq!(g.clear_vertex(3), 0);
     }
 
-    /// The dirty set against a `BTreeSet` of what each operation must mark:
-    /// every source of an insert batch, every in-range source of a delete
-    /// batch (whether or not anything changed), every whole-block install.
+    /// `changed_since` against a model: `base` is a clone of the graph taken
+    /// with `model`, every vertex's neighbours then, and `touched` gathers
+    /// each vertex an operation wrote since. After every operation, each
+    /// vertex whose neighbours differ from the model's is listed, and only
+    /// touched ones are. Readers' clones come and go, so that copies land
+    /// in recycled pages too.
     #[test]
-    fn dirty_set_matches_a_btreeset_oracle() {
-        fn check(g: &LsGraph, oracle: &BTreeSet<VertexId>) {
-            assert_eq!(g.dirty_count(), oracle.len());
-            let expect: Vec<VertexId> = oracle.iter().copied().collect();
-            assert_eq!(g.dirty_vertices(), expect, "ascending and exact");
+    fn changes_since_a_base_match_a_btreeset_oracle() {
+        fn all(g: &LsGraph) -> Vec<Vec<u32>> {
+            (0..g.num_vertices() as u32)
+                .map(|v| g.neighbors(v))
+                .collect()
+        }
+        fn check(g: &LsGraph, base: &GraphView, model: &[Vec<u32>], touched: &BTreeSet<u32>) {
+            let listed = g.changed_since(base);
+            assert!(listed.windows(2).all(|w| w[0] < w[1]), "ascending");
+            for v in 0..g.num_vertices() as u32 {
+                let old = model.get(v as usize).map_or(&[][..], Vec::as_slice);
+                if g.neighbors(v) != old {
+                    assert!(listed.binary_search(&v).is_ok(), "vertex {v} changed");
+                }
+            }
+            assert!(listed.iter().all(|v| touched.contains(v)), "{listed:?}");
         }
         let mut rng = SmallRng::seed_from_u64(16);
-        // 70 is not a multiple of the bitmap's word size.
         let mut g = LsGraph::from_edges(70, &edges(&[(3, 4), (69, 0)]), Config::default());
-        let mut oracle = BTreeSet::from([3, 69]);
-        check(&g, &oracle);
-        for round in 0..60u32 {
-            // The id range outgrows the vertex table (and the bitmap) as
-            // the rounds go.
+        let (mut base, mut model) = (g.view().clone(), all(&g));
+        let mut touched = BTreeSet::new();
+        let mut readers: Vec<GraphView> = Vec::new();
+        for round in 0..90u32 {
+            // The id range outgrows the table as the rounds go; half the
+            // sources are four hubs, whose blocks spill.
             let ids = 70 + round * 37;
             let batch: Vec<Edge> = (0..rng.gen_range(1..200))
-                .map(|_| Edge::new(rng.gen_range(0..ids), rng.gen_range(0..ids)))
+                .map(|_| {
+                    let hub = rng.gen_bool(0.5);
+                    let src = rng.gen_range(0..if hub { 4 } else { ids });
+                    Edge::new(src, rng.gen_range(0..ids))
+                })
                 .collect();
-            match round % 5 {
+            match round % 6 {
                 0 | 1 => {
                     g.insert_batch(&batch);
-                    oracle.extend(batch.iter().map(|e| e.src));
+                    touched.extend(batch.iter().map(|e| e.src));
                 }
                 2 => {
                     let n = g.num_vertices();
                     g.delete_batch(&batch);
-                    oracle.extend(batch.iter().map(|e| e.src).filter(|&s| (s as usize) < n));
+                    touched.extend(batch.iter().map(|e| e.src).filter(|&s| (s as usize) < n));
                     assert_eq!(g.num_vertices(), n, "a delete never grows the table");
                 }
                 3 => {
                     let v = rng.gen_range(0..g.num_vertices() as u32);
                     g.clear_vertex(v);
-                    oracle.insert(v);
+                    touched.insert(v);
                 }
-                _ => {
+                4 => {
+                    // A spilled hub swaps its largest id for the next one up:
+                    // the same degree and line, and another spill.
+                    let hub = rng.gen_range(0..4);
+                    if let Some(&last) = g.neighbors(hub).get(INLINE_CAP..).and_then(<[u32]>::last)
+                    {
+                        g.delete_batch(&[Edge::new(hub, last)]);
+                        g.insert_batch(&[Edge::new(hub, last + 1)]);
+                        touched.insert(hub);
+                    }
+                }
+                _ if round % 4 == 1 => {
                     // A restore past the end of the table grows it first.
                     let v = g.num_vertices() as u32 + rng.gen_range(0..100);
                     g.restore_vertex_from_sorted(v, &[1, 5, 9]);
-                    oracle.insert(v);
+                    touched.insert(v);
+                }
+                _ => {
+                    let v = rng.gen_range(0..g.num_vertices() as u32);
+                    g.clear_vertex(v);
+                    g.restore_quarantine_set(&[v]).unwrap();
+                    g.repair_vertex(v, &[2, 7]).unwrap();
+                    touched.insert(v);
                 }
             }
-            check(&g, &oracle);
-            match round % 7 {
-                3 => {
-                    let expect: Vec<VertexId> = std::mem::take(&mut oracle).into_iter().collect();
-                    assert_eq!(g.take_dirty_vertices(), expect);
-                    check(&g, &oracle);
-                }
-                6 => {
-                    g.clear_dirty();
-                    oracle.clear();
-                    check(&g, &oracle);
-                }
-                _ => {}
+            check(&g, &base, &model, &touched);
+            if rng.gen_bool(0.5) {
+                readers.push(g.view().clone());
+            }
+            if rng.gen_bool(0.5) && !readers.is_empty() {
+                drop(readers.swap_remove(rng.gen_range(0..readers.len())));
+            }
+            // Re-based before each swap, so that nothing else moved its hub.
+            if round % 6 == 3 {
+                (base, model) = (g.view().clone(), all(&g));
+                touched.clear();
+                assert_eq!(g.changed_since(&base), [], "a new base lists nothing");
             }
         }
+        assert!(g.view().stats().cow_pages_recycled.get() > 0);
         g.check_invariants();
     }
 

@@ -139,6 +139,15 @@ impl VertexBlock {
         Arc::make_mut(spill).insert_run(ids, cfg, stats)
     }
 
+    /// Whether `other` is this block's version: the same degree and line,
+    /// and the same spill or none. A spill another version holds is copied
+    /// before a write, so a block whose ids changed never passes.
+    pub(crate) fn same_version(&self, other: &Self) -> bool {
+        self.degree == other.degree
+            && self.inline_neighbors() == other.inline_neighbors()
+            && self.spill.as_ref().map(Arc::as_ptr) == other.spill.as_ref().map(Arc::as_ptr)
+    }
+
     /// Collects all neighbors into a sorted vector.
     pub fn to_vec(&self) -> Vec<u32> {
         let mut v = Vec::with_capacity(self.degree());

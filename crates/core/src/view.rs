@@ -60,6 +60,15 @@ impl GraphView {
         self.quarantined.iter().copied().collect()
     }
 
+    /// The vertices whose block differs from `base`'s, ascending, where
+    /// `base` is an earlier clone of this view: every vertex whose
+    /// neighbours differ, and only blocks written since `base`. What a
+    /// delta checkpoint writes, with `base` the view of the last image.
+    pub fn changed_since(&self, base: &GraphView) -> Vec<VertexId> {
+        self.table
+            .changed_since(&base.table, VertexBlock::same_version)
+    }
+
     /// Verifies every structural invariant: each vertex's block, container
     /// internals included, and the edge total (the table's own check),
     /// then that each quarantined vertex is in the table with degree 0.

@@ -1,4 +1,4 @@
-//! Tier-aware checkpoints: full images, dirty-vertex delta images, and the
+//! Tier-aware checkpoints: full images, delta images, and the
 //! recovery-chain loader that stitches them back together.
 //!
 //! A **full** checkpoint serializes every non-empty vertex through the
@@ -9,9 +9,9 @@
 //! images document the hierarchy they froze even though restore rebuilds
 //! tiers deterministically from degree.
 //!
-//! A **delta** checkpoint serializes only the vertices dirtied since the
-//! previous image, plus the full quarantine set; its cost scales with the
-//! write working set, not the graph. Deltas name their parent image and
+//! A **delta** checkpoint serializes only the vertices whose block differs
+//! from the previous image's, plus the full quarantine set; its cost scales
+//! with the write working set, not the graph. Deltas name their parent image and
 //! only apply on top of exactly that state, so recovery validates the
 //! chain link-by-link.
 //!
@@ -37,8 +37,8 @@
 //! ```
 //!
 //! A full image records every vertex of degree > 0. A delta records exactly
-//! the dirty vertices (including ones dirtied down to degree 0, which
-//! recovery must clear), and its quarantine list *replaces* the parent's
+//! the vertices it is given, those whose block differs from the previous
+//! image's (including ones emptied since, which recovery must clear), and its quarantine list *replaces* the parent's
 //! wholesale; the totals let recovery validate it arithmetically before
 //! mutating anything. One encoder (`write_image`) and one decoder
 //! (`parse_image`) serve both.
@@ -179,8 +179,9 @@ pub fn write_checkpoint(
 }
 
 /// Serializes a **delta** image `id` under `dir`: the adjacency of exactly
-/// the vertices in `dirty` (ascending, deduplicated — a drained dirty set)
-/// as they stand in `g`, the full quarantine set, and `parent_id`, the
+/// the vertices in `changed` (ascending, deduplicated — those whose block
+/// differs from the parent image's, [`GraphView::changed_since`]) as they
+/// stand in `g`, the full quarantine set, and `parent_id`, the
 /// image this delta applies on top of. Records `checkpoint_bytes`.
 ///
 /// # Errors
@@ -193,15 +194,15 @@ pub fn write_delta_checkpoint(
     id: u64,
     parent_id: u64,
     g: &GraphView,
-    dirty: &[u32],
+    changed: &[u32],
     wal_segment: u64,
     wal_offset: u64,
     next_seq: u64,
 ) -> io::Result<CheckpointMeta> {
     fail_point!("delta_checkpoint");
     debug_assert!(
-        dirty.windows(2).all(|w| w[0] < w[1]),
-        "dirty set not sorted"
+        changed.windows(2).all(|w| w[0] < w[1]),
+        "delta vertices not sorted"
     );
     let meta = CheckpointMeta {
         id,
@@ -210,14 +211,13 @@ pub fn write_delta_checkpoint(
         next_seq,
         bytes: 0,
     };
-    let dirty_vertices = &mut dirty.iter().copied();
     write_image(
         dir,
         meta,
         Some(parent_id),
         g,
-        dirty_vertices,
-        dirty.len() * 16,
+        &mut changed.iter().copied(),
+        changed.len() * 16,
     )
 }
 
@@ -742,9 +742,9 @@ mod tests {
         assert_eq!(g.tier(0), Tier::HiTree);
         write_checkpoint(&dir, 1, g.view(), 0, 0, 1).unwrap();
         let full_graph: Vec<Vec<u32>> = (0..4).map(|v| g.neighbors(v)).collect();
-        g.clear_dirty();
+        let base = g.view().clone();
         g.delete_batch(&[Edge::new(0, 5)]);
-        let dirty = g.take_dirty_vertices();
+        let dirty = g.changed_since(&base);
         assert_eq!(dirty, vec![0]);
         write_delta_checkpoint(&dir, 2, 1, g.view(), &dirty, 0, 10, 2).unwrap();
 
@@ -798,7 +798,7 @@ mod tests {
         g.clear_vertex(4);
         g.restore_quarantine_set(&[4]).unwrap();
         write_checkpoint(&dir, 1, g.view(), 2, 123, 9).unwrap();
-        g.clear_dirty();
+        let base = g.view().clone();
         g.insert_batch(
             &(0..30u32)
                 .map(|i| Edge::new(7, 5 * i + 1))
@@ -806,9 +806,9 @@ mod tests {
         );
         g.insert_batch(&[Edge::new(0, 2_000), Edge::new(2, 1)]);
         g.delete_batch(&(0..5u32).map(|i| Edge::new(3, i + 7)).collect::<Vec<_>>());
-        let dirty = g.take_dirty_vertices();
-        assert_eq!(dirty, vec![0, 2, 3, 7]);
-        write_delta_checkpoint(&dir, 2, 1, g.view(), &dirty, 3, 456, 12).unwrap();
+        let changed = g.changed_since(&base);
+        assert_eq!(changed, vec![0, 2, 3, 7]);
+        write_delta_checkpoint(&dir, 2, 1, g.view(), &changed, 3, 456, 12).unwrap();
         let full = fs::read(checkpoint_file(&dir, 1)).unwrap();
         let delta = fs::read(delta_file(&dir, 2)).unwrap();
         assert_eq!(
@@ -834,9 +834,9 @@ mod tests {
         let mut g = LsGraph::with_config(8, small_cfg());
         g.insert_batch(&[Edge::new(0, 1)]);
         write_checkpoint(&dir, 1, g.view(), 0, 0, 1).unwrap();
-        g.clear_dirty();
+        let base = g.view().clone();
         g.insert_batch(&[Edge::new(0, 20)]);
-        let dirty = g.take_dirty_vertices();
+        let dirty = g.changed_since(&base);
         write_delta_checkpoint(&dir, 2, 1, g.view(), &dirty, 0, 10, 2).unwrap();
         let (restored, info) = load_newest_chain(&dir, small_cfg()).unwrap();
         let (mut r, _) = restored.unwrap();
@@ -920,11 +920,11 @@ mod tests {
     }
 
     #[test]
-    fn delta_roundtrip_applies_only_dirty_vertices() {
+    fn delta_roundtrip_applies_only_changed_vertices() {
         let dir = tmpdir("delta");
         let mut g = skewed_graph(small_cfg());
         write_checkpoint(&dir, 1, g.view(), 0, 10, 1).unwrap();
-        g.clear_dirty();
+        let base = g.view().clone();
         // Mutate a few vertices: grow one, shrink one to zero, add one.
         g.insert_batch(
             &(0..30u32)
@@ -932,9 +932,9 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         g.delete_batch(&(0..5u32).map(|i| Edge::new(3, i + 7)).collect::<Vec<_>>());
-        let dirty = g.dirty_vertices();
-        assert!(dirty.contains(&7) && dirty.contains(&3));
-        let meta = write_delta_checkpoint(&dir, 2, 1, g.view(), &dirty, 0, 20, 2).unwrap();
+        let changed = g.changed_since(&base);
+        assert!(changed.contains(&7) && changed.contains(&3));
+        let meta = write_delta_checkpoint(&dir, 2, 1, g.view(), &changed, 0, 20, 2).unwrap();
         assert!(
             meta.bytes < fs::metadata(checkpoint_file(&dir, 1)).unwrap().len(),
             "delta must be smaller than the full image"
@@ -961,7 +961,7 @@ mod tests {
         let dir = tmpdir("midcorrupt");
         let mut g = skewed_graph(small_cfg());
         write_checkpoint(&dir, 1, g.view(), 0, 10, 1).unwrap();
-        g.clear_dirty();
+        let mut base = g.view().clone();
         let mut states = Vec::new();
         for (id, seed) in [(2u64, 100u32), (3, 200), (4, 300)] {
             g.insert_batch(
@@ -969,8 +969,9 @@ mod tests {
                     .map(|i| Edge::new(seed % 50, seed + i))
                     .collect::<Vec<_>>(),
             );
-            let dirty = g.take_dirty_vertices();
-            write_delta_checkpoint(&dir, id, id - 1, g.view(), &dirty, 0, id * 10, id).unwrap();
+            let changed = g.changed_since(&base);
+            base = g.view().clone();
+            write_delta_checkpoint(&dir, id, id - 1, g.view(), &changed, 0, id * 10, id).unwrap();
             states.push(g.num_edges());
         }
         // Corrupt delta 3: the chain must degrade to full-1 + delta-2 and
@@ -1001,11 +1002,11 @@ mod tests {
         let dir = tmpdir("mislink");
         let mut g = skewed_graph(small_cfg());
         write_checkpoint(&dir, 1, g.view(), 0, 10, 1).unwrap();
-        g.clear_dirty();
+        let base = g.view().clone();
         g.insert_batch(&[Edge::new(9, 1), Edge::new(9, 2)]);
-        let dirty = g.take_dirty_vertices();
+        let changed = g.changed_since(&base);
         // Parent claims 7, but the chain tip is 1.
-        write_delta_checkpoint(&dir, 2, 7, g.view(), &dirty, 0, 20, 2).unwrap();
+        write_delta_checkpoint(&dir, 2, 7, g.view(), &changed, 0, 20, 2).unwrap();
         let (mut base, _) = load_checkpoint(&checkpoint_file(&dir, 1), small_cfg()).unwrap();
         let edges_before = base.num_edges();
         let err = apply_delta_checkpoint(&delta_file(&dir, 2), &mut base, 1).unwrap_err();
@@ -1030,10 +1031,10 @@ mod tests {
         let dir = tmpdir("samewins");
         let mut g = skewed_graph(small_cfg());
         write_checkpoint(&dir, 1, g.view(), 0, 10, 1).unwrap();
-        g.clear_dirty();
+        let base = g.view().clone();
         g.insert_batch(&[Edge::new(11, 3), Edge::new(11, 9)]);
-        let dirty = g.dirty_vertices();
-        write_delta_checkpoint(&dir, 2, 1, g.view(), &dirty, 0, 20, 2).unwrap();
+        let changed = g.changed_since(&base);
+        write_delta_checkpoint(&dir, 2, 1, g.view(), &changed, 0, 20, 2).unwrap();
         // Compaction folded the chain into a full at id 2 but crashed
         // before deleting the delta.
         write_checkpoint(&dir, 2, g.view(), 0, 20, 2).unwrap();
@@ -1079,10 +1080,10 @@ mod tests {
         let dir = tmpdir("orphan");
         let mut g = skewed_graph(small_cfg());
         write_checkpoint(&dir, 1, g.view(), 0, 10, 1).unwrap();
-        g.clear_dirty();
+        let base = g.view().clone();
         g.insert_batch(&[Edge::new(13, 1)]);
-        let dirty = g.dirty_vertices();
-        write_delta_checkpoint(&dir, 5, 4, g.view(), &dirty, 0, 20, 2).unwrap();
+        let changed = g.changed_since(&base);
+        write_delta_checkpoint(&dir, 5, 4, g.view(), &changed, 0, 20, 2).unwrap();
         let (restored, info) = load_newest_chain(&dir, small_cfg()).unwrap();
         let (r, meta) = restored.unwrap();
         assert_eq!(meta.id, 1, "orphan delta must not be selected");

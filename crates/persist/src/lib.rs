@@ -15,8 +15,9 @@
 //!   as `(segment, offset)` pairs, and whole-segment deletion for GC.
 //! - `checkpoint` — full images (the hierarchical representation walked
 //!   tier-natively into a versioned, self-validating binary) plus
-//!   dirty-vertex **delta** images that name their parent and only apply
-//!   on exactly that state, forming validated recovery chains.
+//!   **delta** images of the vertices whose block differs from the
+//!   parent image's, which name their parent and only apply on exactly
+//!   that state, forming validated recovery chains.
 //! - `retention` — the GC rule (delete only what is strictly older than
 //!   the newest chain *proved* recoverable by loading it) and chain
 //!   compaction (fold deltas into a full image at the tip id).

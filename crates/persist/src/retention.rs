@@ -153,14 +153,14 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         write_checkpoint(dir, 1, g.view(), 0, 100, 1).unwrap();
-        g.clear_dirty();
+        let base = g.view().clone();
         g.insert_batch(&[Edge::new(9, 1), Edge::new(9, 4)]);
-        let d = g.take_dirty_vertices();
+        let d = g.changed_since(&base);
         write_delta_checkpoint(dir, 2, 1, g.view(), &d, 0, 200, 2).unwrap();
         write_checkpoint(dir, 3, g.view(), 1, 50, 3).unwrap();
-        g.clear_dirty();
+        let base = g.view().clone();
         g.insert_batch(&[Edge::new(10, 2), Edge::new(10, 6)]);
-        let d = g.take_dirty_vertices();
+        let d = g.changed_since(&base);
         write_delta_checkpoint(dir, 4, 3, g.view(), &d, 2, 75, 4).unwrap();
         g
     }
@@ -194,8 +194,9 @@ mod tests {
     fn gc_with_no_recoverable_chain_deletes_nothing() {
         let dir = tmpdir("gc-nochain");
         let mut g = LsGraph::with_config(16, cfg());
+        let base = g.view().clone();
         g.insert_batch(&[Edge::new(1, 2)]);
-        let d = g.take_dirty_vertices();
+        let d = g.changed_since(&base);
         // An orphan delta with no base at all.
         write_delta_checkpoint(&dir, 7, 6, g.view(), &d, 0, 10, 1).unwrap();
         let mut report = GcReport::default();

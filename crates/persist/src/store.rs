@@ -6,9 +6,12 @@
 //! (write-ahead rule), so the log is always a superset of the in-memory
 //! state up to group-commit buffering. [`Store::sync`] is the durability
 //! point; [`Store::checkpoint`] syncs the log and freezes either the full
-//! hierarchical representation or — when a delta chain is open and the
-//! dirty working set is small — just the vertices dirtied since the last
-//! image ([`StoreOptions::delta_ratio`], [`StoreOptions::max_delta_chain`]).
+//! hierarchical representation or — when a delta chain is open and few
+//! vertices changed — just the vertices whose block differs from the last
+//! image's ([`StoreOptions::delta_ratio`], [`StoreOptions::max_delta_chain`]).
+//! The open chain holds a clone of the graph as that image froze it, and
+//! the difference is read off the two versions
+//! ([`lsgraph_core::GraphView::changed_since`]).
 //!
 //! Recovery ([`Store::open`]): load the newest recoverable checkpoint
 //! chain (full image + linked deltas, degrading past corruption), prune
@@ -28,7 +31,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use lsgraph_api::{fail_point, Edge, Graph};
-use lsgraph_core::{BatchOutcome, Config, GraphError, GraphSnapshot, LsGraph};
+use lsgraph_core::{BatchOutcome, Config, GraphError, GraphSnapshot, GraphView, LsGraph};
 
 use crate::checkpoint::{self, CheckpointMeta, ImageKind};
 use crate::retention::{self, GcReport};
@@ -47,9 +50,10 @@ pub struct StoreOptions {
     /// active segment rotates to the next one first. Frames never split:
     /// a frame larger than the budget gets a segment to itself.
     pub segment_bytes: u64,
-    /// A checkpoint is written as a delta only while
-    /// `dirty_vertices <= delta_ratio * num_vertices`; above that, a full
-    /// image is cheaper to recover than a fat delta is to write.
+    /// A checkpoint is written as a delta only while the vertices whose
+    /// block differs from the last image's number at most
+    /// `delta_ratio * num_vertices`; above that, a full image is cheaper to
+    /// recover than a fat delta is to write.
     pub delta_ratio: f64,
     /// Maximum deltas chained on one full image before the next
     /// checkpoint is forced full (bounds recovery's chain walk).
@@ -130,12 +134,13 @@ pub struct RecoveryReport {
     pub next_seq: u64,
 }
 
-/// The open delta chain: id of the image the next delta would link to and
-/// how many deltas already hang off the base full image.
-#[derive(Clone, Copy, Debug)]
+/// The open delta chain: id of the image the next delta would link to, how
+/// many deltas already hang off the base full image, and the graph as that
+/// image holds it, which the next delta is the difference from.
 struct ChainState {
     parent_id: u64,
     len: u64,
+    base: GraphView,
 }
 
 /// A durable [`LsGraph`]: segmented WAL + checkpoint chains + recovery in
@@ -210,9 +215,13 @@ impl Store {
                 m.next_seq,
             )
         });
-        // From here on the dirty set tracks exactly what the loaded chain
-        // tip does **not** cover: replayed frames and future batches.
-        graph.clear_dirty();
+        // A surviving chain keeps accepting deltas across restarts, from the
+        // graph as its tip holds it: the replayed frames go in the next one.
+        let chain = ckpt.map(|m| ChainState {
+            parent_id: m.id,
+            len: info.chain_len,
+            base: graph.view().clone(),
+        });
         let scan: SegmentedScan = segment::scan_from(dir, start, next_seq)?;
         let mut frames_replayed = 0u64;
         for frame in &scan.frames {
@@ -251,11 +260,7 @@ impl Store {
             wal,
             next_checkpoint_id: ckpt.map_or(1, |m| m.id + 1),
             opts,
-            // A surviving chain keeps accepting deltas across restarts.
-            chain: ckpt.map(|m| ChainState {
-                parent_id: m.id,
-                len: info.chain_len,
-            }),
+            chain,
         };
         Ok((store, report))
     }
@@ -295,15 +300,17 @@ impl Store {
     }
 
     /// Syncs the WAL, then writes a checkpoint image covering the entire
-    /// log so far. While a delta chain is open and the dirty working set
-    /// is within [`StoreOptions::delta_ratio`], the image is a
-    /// dirty-vertex **delta**; otherwise (cold chain, chain at
-    /// [`StoreOptions::max_delta_chain`], or a large working set) it is a
-    /// full image that roots a fresh chain. Recovery from the written
-    /// image replays nothing unless more batches land afterwards.
+    /// log so far. While a delta chain is open and the vertices whose block
+    /// differs from the last image's are within
+    /// [`StoreOptions::delta_ratio`], the image is a **delta** of just those
+    /// vertices; otherwise (cold chain, chain at
+    /// [`StoreOptions::max_delta_chain`], or many changed vertices) it is a
+    /// full image that roots a fresh chain. Either way the chain's base is
+    /// then the graph as the image froze it. Recovery from the written image
+    /// replays nothing unless more batches land afterwards.
     ///
-    /// Records `delta_checkpoints_written` and the
-    /// `checkpoint_dirty_vertices` gauge.
+    /// Records `delta_checkpoints_written` and, with a chain open, the
+    /// changed vertices in the `checkpoint_dirty_vertices` gauge.
     ///
     /// # Errors
     ///
@@ -315,59 +322,42 @@ impl Store {
         let pos = self.wal.position();
         let next_seq = self.wal.next_seq();
         let id = self.next_checkpoint_id;
-        let dirty = self.graph.dirty_count() as u64;
-        let use_delta = self.chain.is_some_and(|c| {
-            c.len < self.opts.max_delta_chain
-                && dirty as f64 <= self.opts.delta_ratio * self.graph.num_vertices() as f64
+        let view = self.graph.view();
+        // The chain closes here and only a written image opens it again, so
+        // a half-attempted image leaves the next checkpoint full. Its base
+        // goes as soon as the difference is read.
+        let diff = self.chain.take().map(|chain| {
+            let changed = view.changed_since(&chain.base);
+            (chain.parent_id, chain.len, changed)
         });
-        let write = if use_delta {
-            let chain = self.chain.expect("use_delta implies an open chain");
-            let dirty_vs = self.graph.dirty_vertices();
-            checkpoint::write_delta_checkpoint(
-                &self.dir,
-                id,
-                chain.parent_id,
-                self.graph.view(),
-                &dirty_vs,
-                pos.segment,
-                pos.offset,
-                next_seq,
-            )
-            .map(|m| (m, Some(chain)))
-        } else {
-            checkpoint::write_checkpoint(
-                &self.dir,
-                id,
-                self.graph.view(),
-                pos.segment,
-                pos.offset,
-                next_seq,
-            )
-            .map(|m| (m, None))
+        let delta = diff.as_ref().filter(|(_, len, changed)| {
+            *len < self.opts.max_delta_chain
+                && changed.len() as f64 <= self.opts.delta_ratio * view.num_vertices() as f64
+        });
+        let (dir, segment, offset) = (&self.dir, pos.segment, pos.offset);
+        let (meta, len) = match delta {
+            Some((parent_id, len, changed)) => (
+                checkpoint::write_delta_checkpoint(
+                    dir, id, *parent_id, view, changed, segment, offset, next_seq,
+                )?,
+                len + 1,
+            ),
+            None => (
+                checkpoint::write_checkpoint(dir, id, view, segment, offset, next_seq)?,
+                0,
+            ),
         };
-        let (meta, continued) = match write {
-            Ok(ok) => ok,
-            Err(e) => {
-                // A half-attempted image closes the chain: the next
-                // checkpoint must be full and self-contained.
-                self.chain = None;
-                return Err(e.into());
-            }
-        };
-        self.graph.clear_dirty();
-        self.graph.stats().checkpoint_dirty_vertices.record(dirty);
-        self.chain = Some(match continued {
-            Some(c) => {
-                self.graph.stats().delta_checkpoints_written.record(1);
-                ChainState {
-                    parent_id: id,
-                    len: c.len + 1,
-                }
-            }
-            None => ChainState {
-                parent_id: id,
-                len: 0,
-            },
+        let stats = self.graph.stats();
+        if let Some((.., changed)) = &diff {
+            stats.checkpoint_dirty_vertices.record(changed.len() as u64);
+        }
+        if len > 0 {
+            stats.delta_checkpoints_written.record(1);
+        }
+        self.chain = Some(ChainState {
+            parent_id: id,
+            len,
+            base: view.clone(),
         });
         self.next_checkpoint_id = id + 1;
         Ok(meta)
@@ -383,9 +373,8 @@ impl Store {
     ///
     /// A background checkpoint is always a **full** image, and claiming it
     /// closes any open delta chain (the pending image may land later or
-    /// never, so chaining deltas across it cannot be proven safe). The
-    /// dirty set is drained here: the frozen snapshot covers everything up
-    /// to the flip point.
+    /// never, so chaining deltas across it cannot be proven safe), which
+    /// drops the chain's base.
     ///
     /// The checkpoint id is claimed eagerly, so interleaved synchronous
     /// checkpoints never collide with a pending one. A pending checkpoint
@@ -408,7 +397,6 @@ impl Store {
         };
         self.next_checkpoint_id += 1;
         self.chain = None;
-        self.graph.clear_dirty();
         Ok(pending)
     }
 
@@ -446,11 +434,9 @@ impl Store {
     pub fn compact(&mut self) -> Result<Option<CheckpointMeta>, StoreError> {
         match retention::compact_chain(&self.dir, *self.graph.config())? {
             Some(meta) => {
-                if self.chain.is_some() {
-                    self.chain = Some(ChainState {
-                        parent_id: meta.id,
-                        len: 0,
-                    });
+                if let Some(chain) = &mut self.chain {
+                    chain.parent_id = meta.id;
+                    chain.len = 0;
                 }
                 Ok(Some(meta))
             }
@@ -727,7 +713,7 @@ mod tests {
     }
 
     #[test]
-    fn large_dirty_ratio_forces_a_full_image() {
+    fn large_changed_ratio_forces_a_full_image() {
         let dir = tmpdir("ratio");
         let opts = StoreOptions {
             delta_ratio: 0.0, // nothing is ever "small"

@@ -4,10 +4,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 
 use lsgraph::{Config, DynamicGraph, Edge, Graph, LsGraph, NeighborSet};
 use lsgraph_api::{configure_failpoint, failpoint_fired, reset_failpoints, FailMode, FailMode::*};
 use lsgraph_core::{BlockCtx, VertexBlock};
+use lsgraph_persist::{delta_file, Store};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use crate::harness::{batch, check_set, lock, named, Op, Op::*, Setup, TempDir, CORE_SITES};
@@ -239,29 +241,102 @@ fn killed_run_movement_is_absorbed_exactly_once() {
     assert_eq!(at_width(1), at_width(8));
 }
 
-/// The dirty set across a quarantine: the run that panicked is dirty (its
-/// block was reset), later runs skipped for quarantine mark nothing, and the
-/// repair marks the vertex again.
+/// The records of delta image `path`, as (vertex, degree): the body's nine
+/// header words (config, parent, totals, WAL position), the quarantine list,
+/// then `u32 id | u8 tag | u32 degree | ids…` per record.
+fn delta_records(path: &Path) -> Vec<(u32, u32)> {
+    let raw = std::fs::read(path).unwrap();
+    let body = lsgraph_gen::parse_frame(&raw[8..]).unwrap().0;
+    let word = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap()) as usize;
+    let id = |at: usize| u32::from_le_bytes(body[at..at + 4].try_into().unwrap());
+    let mut at = 9 * 8;
+    at += 8 + 4 * word(at);
+    let records = word(at);
+    at += 8;
+    (0..records)
+        .map(|_| {
+            let (v, degree) = (id(at), id(at + 5));
+            at += 9 + 4 * degree as usize;
+            (v, degree)
+        })
+        .collect()
+}
+
+/// What a store's deltas hold across a quarantine: the vertex whose run
+/// panicked is in the next delta, empty and quarantined; a run skipped for
+/// quarantine adds nothing; the repair lands in the delta after. A store
+/// reopened over a WAL tail writes exactly the replayed vertices into its
+/// next delta, and the chain reloads. Every recovery reads the model,
+/// `num_vertices` included.
 #[test]
-fn dirty_set_tracks_a_quarantined_run_exactly() {
+fn deltas_track_a_quarantined_run_exactly() {
     let _l = lock();
     reset_failpoints();
-    let mut g = LsGraph::with_config(8, Setup::named("core").cfg);
-    g.insert_batch(&edges(&[(0, 1), (5, 2)]));
-    assert_eq!(g.take_dirty_vertices(), vec![0, 5]);
+    let setup = Setup::named("chain");
+    let dir = TempDir::new("delta-quarantine", 0);
+    let open = || Store::open_with(&dir.0, setup.n, setup.cfg, setup.opts).unwrap();
+    let mut model = Model::new(setup.n);
+    let (mut store, _) = open();
+    // Checkpoints, then recovers from the image just written.
+    let checkpoint = |mut store: Store, model: &Model| {
+        let meta = store.checkpoint().unwrap();
+        drop(store);
+        let (store, report) = open();
+        assert_eq!(
+            (report.checkpoint_loaded, report.frames_replayed),
+            (Some(meta.id), 0)
+        );
+        assert_reads(store.graph().view(), &model.frozen(), "recovered");
+        (store, delta_file(&dir.0, meta.id))
+    };
+    let insert = |store: &mut Store, model: &mut Model, pairs: &[(u32, u32)]| {
+        let batch = edges(pairs);
+        let outcome = store.insert_batch(&batch).unwrap();
+        model.apply(lsgraph::BatchKind::Insert, &batch);
+        outcome
+    };
+    insert(&mut store, &mut model, &[(0, 1), (5, 2)]);
+    let (mut store, full) = checkpoint(store, &model);
+    assert!(!full.exists(), "a chain starts full");
+
     configure_failpoint("apply_run", FailMode::Nth(1));
-    let outcome = g.try_insert_batch(&edges(&[(5, 3)])).unwrap();
+    let outcome = insert(&mut store, &mut model, &[(5, 3)]);
     reset_failpoints();
     assert_eq!(outcome.quarantined, vec![5]);
-    assert_eq!(g.take_dirty_vertices(), vec![5]);
-    let outcome = g.try_insert_batch(&edges(&[(5, 4), (6, 4)])).unwrap();
+    model.quarantined.insert(5);
+    let (mut store, delta) = checkpoint(store, &model);
+    assert_eq!(delta_records(&delta), [(5, 0)]);
+    assert!(store.graph().is_quarantined(5));
+
+    let outcome = insert(&mut store, &mut model, &[(5, 4), (6, 4)]);
     assert_eq!(outcome.skipped_quarantined, 1);
-    assert_eq!((g.dirty_count(), g.dirty_vertices()), (1, vec![6]));
-    g.try_delete_batch(&edges(&[(5, 2)])).unwrap();
-    assert_eq!(g.dirty_vertices(), vec![6]);
-    g.repair_vertex(5, &[2]).unwrap();
-    assert_eq!(g.take_dirty_vertices(), vec![5, 6]);
-    assert_eq!(g.dirty_count(), 0);
+    let batch = edges(&[(5, 2)]);
+    store.delete_batch(&batch).unwrap();
+    model.apply(lsgraph::BatchKind::Delete, &batch);
+    let (mut store, delta) = checkpoint(store, &model);
+    assert_eq!(delta_records(&delta), [(6, 1)]);
+
+    model.quarantined.remove(&5);
+    let ns = model.masked(5);
+    store.graph_mut().repair_vertex(5, &ns).unwrap();
+    let (mut store, delta) = checkpoint(store, &model);
+    assert_eq!(delta_records(&delta), [(5, 2)]);
+
+    // A WAL tail, replayed on reopen, is the next delta: vertex 9 grows the
+    // table.
+    insert(&mut store, &mut model, &[(1, 7), (9, 3)]);
+    insert(&mut store, &mut model, &[(0, 6)]);
+    store.sync().unwrap();
+    drop(store);
+    let (store, report) = open();
+    assert_eq!(report.frames_replayed, 2);
+    assert_reads(store.graph().view(), &model.frozen(), "replayed");
+    let (store, delta) = checkpoint(store, &model);
+    assert_eq!(delta_records(&delta), [(0, 2), (1, 1), (9, 1)]);
+    assert_eq!(store.graph().num_vertices(), 10);
+    drop(store);
+    let (_, report) = open();
+    assert_eq!(report.chain_len, 4, "the chain reloads");
 }
 
 #[test]

@@ -239,6 +239,18 @@ struct Sub {
     frozen: Option<BTreeMap<u32, u64>>,
 }
 
+/// The sources of `batch` whose runs reach their blocks on `model`'s
+/// (pre-batch) graph: not quarantined, and inside the table for a delete.
+/// Each makes its page exclusive first.
+fn runs(model: &Model, kind: BatchKind, batch: &[Edge]) -> BTreeSet<VertexId> {
+    let nv = model.adj.len();
+    (batch.iter().map(|e| e.src))
+        .filter(|&s| {
+            !model.quarantined.contains(&s) && (kind == BatchKind::Insert || (s as usize) < nv)
+        })
+        .collect()
+}
+
 /// A checkpoint the model saw written: the batches it covers, the WAL
 /// position replay resumes at, and the quarantine set it froze.
 struct Ckpt(usize, (u64, usize), BTreeSet<VertexId>);
@@ -270,6 +282,9 @@ pub struct Sim {
     deliver_fires: u64,
     repairs: u64,
     cow: u64,
+    /// Pages the store's open chain still shares with the live graph: its
+    /// base, the graph as the last image holds it, is copied on write too.
+    base: BTreeSet<u64>,
     /// Snapshots taken and subscriptions restarted on the current graph.
     taken: u64,
     restarts: u64,
@@ -434,16 +449,11 @@ impl Sim {
         assert_eq!(killed.len() as u64, fired, "one quarantine per fire");
         assert!(killed.iter().all(|v| !model.quarantined.contains(v)));
         assert_eq!(outcome, model.outcome(kind, &edges, killed));
-        // Every run that reached its block made its page exclusive first.
         let nv = model.adj.len();
         let grows =
             kind == BatchKind::Insert && pairs.iter().any(|&(s, d)| s.max(d) as usize >= nv);
         self.cow_unknown |= grows && self.snaps.iter().any(|h| !h.2.is_empty());
-        let runs: BTreeSet<u32> = (edges.iter().map(|e| e.src))
-            .filter(|&s| {
-                !model.quarantined.contains(&s) && (kind == BatchKind::Insert || (s as usize) < nv)
-            })
-            .collect();
+        let runs = runs(model, kind, &edges);
         model.apply(kind, &edges);
         model.quarantined.extend(killed);
         self.quarantine_log.push(killed.clone());
@@ -464,8 +474,15 @@ impl Sim {
     fn write_page(&mut self, v: VertexId) {
         let p = v as u64 / self.page;
         let snaps = self.snaps.iter_mut();
-        let shared = snaps.map(|h| h.2.remove(&p)).fold(false, |a, b| a | b);
+        let shared = snaps
+            .map(|h| h.2.remove(&p))
+            .fold(self.base.remove(&p), |a, b| a | b);
         self.cow += self.page * u64::from(shared);
+    }
+
+    /// Every page of the live graph: what a snapshot or a base shares.
+    fn pages(&self) -> BTreeSet<u64> {
+        (0..(self.model.adj.len() as u64).div_ceil(self.page)).collect()
     }
 
     fn snap(&mut self) {
@@ -476,8 +493,7 @@ impl Sim {
                 let mut want = self.model.frozen();
                 want.surface = Some(surface(g.view()));
                 assert_reads(snap.view(), &want, "a snapshot at its flip");
-                let pages = (g.num_vertices() as u64).div_ceil(self.page);
-                self.snaps.push(Held(snap, want, (0..pages).collect()));
+                self.snaps.push(Held(snap, want, self.pages()));
                 self.taken += 1;
             }
         }
@@ -501,6 +517,7 @@ impl Sim {
         let pos = (meta.wal_segment, meta.wal_offset as usize);
         let ckpt = Ckpt(self.synced, pos, self.model.quarantined.clone());
         self.ckpts.insert(meta.id, ckpt);
+        self.base = self.pages();
     }
 
     /// The process dies: subscriptions, snapshots and the store go,
@@ -509,6 +526,7 @@ impl Sim {
         self.subs.clear();
         self.hub = None;
         self.snaps.clear();
+        self.base.clear();
         self.store = None;
     }
 
@@ -534,11 +552,11 @@ impl Sim {
             u64::from(torn),
             "truncation events"
         );
-        let mut q = BTreeSet::new();
+        let (mut image, mut q) = (0, BTreeSet::new());
         if let Some(id) = report.checkpoint_loaded {
             let Ckpt(seq, _, frozen) = &self.ckpts[&id];
             assert!(*seq <= k, "image {id} covers more than was recovered");
-            q = frozen.clone();
+            (image, q) = (*seq, frozen.clone());
         }
         // Recovery prunes every image past the one it loaded.
         self.ckpts
@@ -556,12 +574,27 @@ impl Sim {
         );
         assert_eq!(report.edges_restored, store.graph().num_edges() as u64);
         let log = std::mem::replace(&mut self.model, Model::new(n)).log;
-        for (kind, batch) in &log[..k] {
+        for (kind, batch) in &log[..image] {
             self.model.apply(*kind, batch);
+        }
+        // A loaded chain's base is the graph as its tip holds it, so the
+        // replay copies each page it writes. A vertex quarantined during
+        // the replay wrote its page first; one the image froze writes none.
+        self.cow = 0;
+        self.base = if report.checkpoint_loaded.is_some() {
+            self.pages()
+        } else {
+            BTreeSet::new()
+        };
+        self.model.quarantined = q;
+        for (kind, batch) in &log[image..k] {
+            let runs = runs(&self.model, *kind, batch);
+            self.model.apply(*kind, batch);
+            runs.into_iter().for_each(|v| self.write_page(v));
         }
         self.model.quarantined = got;
         (self.engine_fires, self.deliver_fires, self.repairs) = (engine, 0, 0);
-        (self.cow, self.synced, self.cow_unknown) = (0, k, false);
+        (self.synced, self.cow_unknown) = (k, false);
         (self.taken, self.restarts) = (0, 0);
         (self.stale, self.repaired) = (false, false);
         (self.last_report, self.store) = (report, Some(store));
