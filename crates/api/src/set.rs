@@ -413,8 +413,13 @@ impl<S: NeighborSet> SetTable<S> {
 
     /// Bulk-loads from an edge list in parallel.
     pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
+        Self::from_edges_with_ctx(n, edges, S::Ctx::default())
+    }
+
+    /// [`SetTable::from_edges`] with sets that use `ctx`.
+    pub fn from_edges_with_ctx(n: usize, edges: &[Edge], ctx: S::Ctx) -> Self {
         let batch = SortedBatch::new(edges);
-        let mut g = Self::new(n.max(batch.id_bound()));
+        let mut g = Self::with_ctx(n.max(batch.id_bound()), ctx);
         let built = g.par_apply(&batch, |run, set, ctx| {
             *set = S::from_sorted(run.dsts, ctx);
             run.dsts.len()
@@ -530,13 +535,13 @@ impl<S: NeighborSet> SetTable<S> {
                 ctx: ctx.fresh(),
             },
             |task, page, spare, runs| {
-                let written = runs.iter().map(|r| r.src as usize % PAGE);
+                let written = runs.clone().map(|i| batch.run(i).src as usize % PAGE);
                 let (sets, taken) = page_mut(page, spare, written, &task.ctx);
                 if let Some(bytes) = taken {
                     task.spares_taken.0 += 1;
                     task.spares_taken.1 += bytes;
                 }
-                for run in runs.iter().map(|r| batch.run(r)) {
+                for run in runs.map(|i| batch.run(i)) {
                     task.applied += f(run, &mut sets[run.src as usize % PAGE], &task.ctx);
                 }
             },

@@ -175,7 +175,10 @@ pub fn fig12_report(scale: &Scale) -> BenchReport {
 /// Insert+delete rounds per engine in the §6.2 small-batch cell.
 const SMALL_TRIALS: usize = 200;
 
-/// §6.2 small batches as a machine-readable report (batch size 10 on OR).
+/// §6.2 small batches as a machine-readable report (batch size 10 on OR):
+/// the four engines, then LSGraph's blocks in a bare table
+/// ([`EngineKind::BlockTable`]), the control that tells LSGraph's pipeline
+/// apart from its containers.
 pub fn small_batches_report(scale: &Scale) -> BenchReport {
     let p = DatasetProfile::by_name("OR").expect("profile exists");
     let shift = shift_for(&p, scale);
@@ -183,7 +186,7 @@ pub fn small_batches_report(scale: &Scale) -> BenchReport {
     let base = p.generate(shift, 42);
     let n = p.scaled_vertices(shift);
     let mut out = Vec::new();
-    for k in engines() {
+    for k in engines().into_iter().chain([EngineKind::BlockTable]) {
         let mut g = build_engine_scaled(k, n, &base, shift);
         out.push(measure_cell(&mut g, k, p.name, gscale, 10, SMALL_TRIALS));
         validate(g.as_ref(), k, p.name);
@@ -206,7 +209,7 @@ pub fn small_batches(scale: &Scale) {
         let edges = e.batch_size * SMALL_TRIALS;
         let ins = fmt_tput(edges, Duration::from_nanos(e.insert_nanos));
         let del = fmt_tput(edges, Duration::from_nanos(e.delete_nanos));
-        println!("{:>10}: {ins}|{del}", e.engine);
+        println!("{:>21}: {ins}|{del}", e.engine);
     }
 }
 

@@ -2,9 +2,9 @@
 
 use std::time::{Duration, Instant};
 
-use lsgraph_api::Edge;
+use lsgraph_api::{Edge, SetTable};
 use lsgraph_aspen::AspenGraph;
-use lsgraph_core::{Config, LsGraph};
+use lsgraph_core::{BlockCtx, Config, LsGraph, VertexBlock};
 use lsgraph_pactree::PacGraph;
 use lsgraph_pma::PmaGraph;
 use lsgraph_terrace::TerraceGraph;
@@ -25,6 +25,12 @@ pub enum EngineKind {
     /// PCSR-style whole-graph PMA (the §2 motivation baseline, not part of
     /// the paper's headline four).
     Pcsr,
+    /// LSGraph's vertex blocks in a bare `SetTable`, updated through its
+    /// generic `DynamicGraph` path: the same containers on the same data
+    /// without LSGraph's pipeline around them (panic isolation, quarantine,
+    /// phase timers, latency, hooks), so the in-run control for LSGraph's
+    /// per-batch cost.
+    BlockTable,
 }
 
 impl EngineKind {
@@ -36,6 +42,7 @@ impl EngineKind {
             EngineKind::Aspen => "Aspen",
             EngineKind::PacTree => "PaC-tree",
             EngineKind::Pcsr => "PCSR",
+            EngineKind::BlockTable => "SetTable<VertexBlock>",
         }
     }
 }
@@ -58,6 +65,7 @@ pub fn build_engine(kind: EngineKind, n: usize, edges: &[Edge]) -> Box<dyn Engin
         EngineKind::Aspen => Box::new(AspenGraph::from_edges(n, edges)),
         EngineKind::PacTree => Box::new(PacGraph::from_edges(n, edges)),
         EngineKind::Pcsr => Box::new(PmaGraph::from_edges(n, edges)),
+        EngineKind::BlockTable => Box::new(SetTable::<VertexBlock>::from_edges(n, edges)),
     }
 }
 
@@ -73,10 +81,10 @@ pub fn scaled_config(shift: u32) -> Config {
     Config::default().with_m(m)
 }
 
-/// Like [`build_engine`], but LSGraph's tier thresholds track the dataset
-/// shift (see [`scaled_config`]) so the HITree tier is exercised even on
-/// laptop-scale stand-ins. Other engines have no such knob and build
-/// identically.
+/// Like [`build_engine`], but LSGraph's tier thresholds (its own and its
+/// blocks' in [`EngineKind::BlockTable`]) track the dataset shift (see
+/// [`scaled_config`]) so the HITree tier is exercised even on laptop-scale
+/// stand-ins. Other engines have no such knob and build identically.
 pub fn build_engine_scaled(
     kind: EngineKind,
     n: usize,
@@ -85,6 +93,11 @@ pub fn build_engine_scaled(
 ) -> Box<dyn Engine> {
     match kind {
         EngineKind::LsGraph => Box::new(LsGraph::from_edges(n, edges, scaled_config(shift))),
+        EngineKind::BlockTable => Box::new(SetTable::<VertexBlock>::from_edges_with_ctx(
+            n,
+            edges,
+            BlockCtx::new(scaled_config(shift)),
+        )),
         other => build_engine(other, n, edges),
     }
 }

@@ -48,8 +48,8 @@ fn gate_passes_clean_run_and_fails_perturbed_baseline() {
 }
 
 /// Latency histogram *counts* are deterministic across same-seed runs (one
-/// batch_apply sample per batch, one group_apply sample per run); only the
-/// recorded durations vary.
+/// batch_apply sample per batch, one group_apply sample per 64 runs of a
+/// batch, picked by run index); only the recorded durations vary.
 #[test]
 fn histogram_counts_are_deterministic_across_runs() {
     let scale = Scale::tiny();

@@ -7,9 +7,7 @@
 //! cache-line read.
 //! A block is LSGraph's [`NeighborSet`], over a [`BlockCtx`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use lsgraph_api::{Footprint, MemoryFootprint, NeighborSet, SetCtx, StructStats};
 
@@ -161,51 +159,22 @@ impl VertexBlock {
 
 /// What a vertex block reads and records into: the engine's [`Config`] and a
 /// [`StructStats`] family, which a clone shares (a snapshot freezes the
-/// graph, not its instrumentation). An apply task's context, a
-/// [`SetCtx::fresh`] one, also times the task's runs ([`BlockCtx::lap`]).
+/// graph, not its instrumentation).
 #[derive(Clone, Debug, Default)]
 pub struct BlockCtx {
     /// The engine configuration.
     pub cfg: Config,
     /// The structural counters.
     pub stats: Arc<StructStats>,
-    clock: TaskClock,
 }
 
 impl BlockCtx {
-    /// `cfg` with a family of its own, at zero, and its clock started.
+    /// `cfg` with a family of its own, at zero.
     pub fn new(cfg: Config) -> Self {
         BlockCtx {
             cfg,
             stats: Arc::default(),
-            clock: TaskClock::default(),
         }
-    }
-
-    /// The time since the previous lap, or since the context was made, and
-    /// the start of the next: one clock read.
-    pub(crate) fn lap(&self) -> Duration {
-        let TaskClock(start, lap_ns) = &self.clock;
-        let now = start.elapsed().as_nanos() as u64;
-        Duration::from_nanos(now - lap_ns.swap(now, Ordering::Relaxed))
-    }
-}
-
-/// When a context was made and, in nanoseconds after that, when its last
-/// lap ended (atomic so that the context stays `Sync`; only its own task
-/// reads it). A default or a clone starts a clock of its own.
-#[derive(Debug)]
-struct TaskClock(Instant, AtomicU64);
-
-impl Default for TaskClock {
-    fn default() -> Self {
-        TaskClock(Instant::now(), AtomicU64::new(0))
-    }
-}
-
-impl Clone for TaskClock {
-    fn clone(&self) -> Self {
-        TaskClock::default()
     }
 }
 

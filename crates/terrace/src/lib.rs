@@ -370,7 +370,7 @@ impl DynamicGraph for TerraceGraph {
             || 0,
             |n, tv, runs| {
                 let tree = tv.tree.as_mut().expect("high tier has a tree");
-                for &u in high_runs.run(&runs[0]).dsts {
+                for &u in high_runs.run(runs.start).dsts {
                     let added = match tv.inline.binary_search(&u) {
                         Ok(_) => false,
                         Err(i) if i < INLINE_CAP => {

@@ -556,8 +556,8 @@ fn lsgraph_layout_is_the_same_with_and_without_readers() {
 /// widths 1, 2 and 8, with a snapshot held across every other batch and then
 /// across each of the last four, so pages are copied on write (into the
 /// pages the previous snapshot returned, in the last three), yields
-/// identical deterministic counters and one `group_apply` sample per run at
-/// every width.
+/// identical deterministic counters and one `group_apply` sample per 64
+/// runs of each batch at every width.
 #[test]
 fn parallel_counter_totals_match_single_threaded() {
     let run = |threads: usize| {
@@ -568,6 +568,7 @@ fn parallel_counter_totals_match_single_threaded() {
         pool.install(|| {
             let mut g = LsGraph::with_config(4_096, Config::default().with_m(128));
             let mut rng = SmallRng::seed_from_u64(42);
+            let mut sampled = 0;
             for round in 0..12u32 {
                 // Skewed sources: 64 hubs accumulate degree past `m`, so the
                 // batches drive the RIA and HITree tiers; the rest spread the
@@ -581,13 +582,16 @@ fn parallel_counter_totals_match_single_threaded() {
                     .collect();
                 let held = (round.is_multiple_of(2) || round >= 8).then(|| g.snapshot());
                 g.insert_batch(&batch);
+                sampled += group_apply_samples(&batch);
                 if round % 2 == 1 {
                     g.delete_batch(&batch[..1_000]);
+                    sampled += group_apply_samples(&batch[..1_000]);
                 }
                 drop(held);
             }
-            let runs = g.latency_stats().unwrap().group_apply.count();
-            (g.struct_snapshot(), runs)
+            let samples = g.latency_stats().unwrap().group_apply.count();
+            assert_eq!(samples, sampled, "{threads} threads");
+            (g.struct_snapshot(), samples)
         })
     };
     let (single, single_runs) = run(1);
@@ -610,6 +614,13 @@ fn parallel_counter_totals_match_single_threaded() {
         );
         assert_eq!(single_runs, many_runs, "{threads} threads");
     }
+}
+
+/// The `group_apply` samples a committed batch adds: one per 64 of its
+/// per-source runs, rounded up.
+fn group_apply_samples(batch: &[Edge]) -> u64 {
+    let runs = BTreeSet::from_iter(batch.iter().map(|e| e.src)).len() as u64;
+    runs.div_ceil(64)
 }
 
 /// Deletion-path property test for the incremental maintainer: under

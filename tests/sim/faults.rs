@@ -147,6 +147,39 @@ fn trace_killed_run_spares_its_page_mate_and_the_held_snapshot() {
     }
 }
 
+/// `group_apply` times one run in 64, picked by its index in the batch. A
+/// run killed at a sampled index records no sample, the other samples are
+/// taken, and every other run, its page-mates included, commits.
+#[test]
+fn a_killed_sampled_run_records_no_sample_and_spares_its_page_mates() {
+    let _l = lock();
+    // One worker applies the runs in index order, so the n-th evaluation of
+    // `apply_run` is run n - 1. Of 130 runs, 0, 64 and 128 are sampled.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let batch: Vec<Edge> = (0..130u32).map(|s| Edge::new(s, s + 1)).collect();
+    for (nth, samples) in [(65, 2), (66, 3)] {
+        let mut g = LsGraph::new(131);
+        let outcome = pool.install(|| {
+            reset_failpoints();
+            configure_failpoint("apply_run", Nth(nth));
+            let outcome = g.try_insert_batch(&batch).unwrap();
+            reset_failpoints();
+            outcome
+        });
+        let victim = nth as u32 - 1;
+        assert_eq!(outcome.quarantined, vec![victim]);
+        let lat = g.latency_stats().unwrap();
+        assert_eq!(lat.group_apply.count(), samples, "run {victim} killed");
+        for s in (0..130u32).filter(|&s| s != victim) {
+            assert!(g.has_edge(s, s + 1), "run {s} commits");
+        }
+        assert_eq!(g.num_edges(), 129);
+    }
+}
+
 /// Pinned to one worker, the same seed reproduces the same quarantines.
 #[test]
 fn same_seed_reproduces_the_same_quarantine_sequence() {
